@@ -5,18 +5,18 @@ against: for a T-divisor lift of the class, every lattice character u
 contributes the reduced rational cohomology of the support complex on the
 rays where the section inequality fails.
 
-The per-character sweep is the hot loop; it runs through
-excol.kernels.count_support_masks (compiled when available).
+The per-character sweep is the hot loop; it runs through the numpy kernel
+excol.kernels.count_support_masks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .errors import UnboundedContribution
 from .fan import Fan, PicClass
-from .intlinalg import rational_rank
+from .intlinalg import rational_rank, solve_exact
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,12 @@ class DiskCache:
         os.replace(tmp, path)
 
 
-_NO_CACHE = object()
-
-
 def default_cache_dir():
     return os.environ.get("EXCOL_CACHE_DIR", ".excol-cache")
 
 
 def _resolve_cache(cache):
-    if cache is _NO_CACHE or cache is None:
+    if cache is None:
         return DiskCache(default_cache_dir())
     if cache is False:
         return None
@@ -132,44 +129,20 @@ def _arrangement_box(rays, coeffs, dim):
     """Bounding box of the hyperplane-arrangement vertices, inflated by 1."""
     vertices = []
     for subset in combinations(range(len(rays)), dim):
-        mat = [rays[i] for i in subset]
+        mat = [[rays[i][d] for i in subset] for d in range(dim)]
         rhs = [-coeffs[i] for i in subset]
-        sol = _solve_fraction(mat, rhs)
-        if sol is not None:
-            vertices.append(sol)
+        try:
+            vertices.append(solve_exact(mat, rhs))
+        except ValueError:
+            pass  # singular: not a vertex
     if not vertices:
-        vertices = [tuple(Fraction(0) for _ in range(dim))]
+        vertices = [(0,) * dim]
     lo, hi = [], []
     for d in range(dim):
         vals = [v[d] for v in vertices]
-        lo.append(_floor(min(vals)) - 1)
-        hi.append(_ceil(max(vals)) + 1)
+        lo.append(math.floor(min(vals)) - 1)
+        hi.append(math.ceil(max(vals)) + 1)
     return lo, hi
-
-
-def _floor(x: Fraction):
-    return x.numerator // x.denominator
-
-
-def _ceil(x: Fraction):
-    return -((-x.numerator) // x.denominator)
-
-
-def _solve_fraction(mat, rhs):
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None  # singular: not a vertex
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
 
 
 def _support_ranks(fan: Fan, mask):
@@ -183,7 +156,7 @@ def _support_ranks(fan: Fan, mask):
     return ranks
 
 
-def cohomology_dims(fan: Fan, cls: PicClass, cache=_NO_CACHE, lift=None):
+def cohomology_dims(fan: Fan, cls: PicClass, cache=None, lift=None):
     """All h^i(fan, cls), exactly.
 
     lift overrides the T-divisor representative (used by the
@@ -230,7 +203,7 @@ def cohomology_dims(fan: Fan, cls: PicClass, cache=_NO_CACHE, lift=None):
     return result
 
 
-def euler_pairing(fan: Fan, a: PicClass, b: PicClass, cache=_NO_CACHE) -> int:
+def euler_pairing(fan: Fan, a: PicClass, b: PicClass, cache=None) -> int:
     """chi(a, b) = sum (-1)^i dim Ext^i(a, b) = chi(b - a)."""
     h = cohomology_dims(fan, b - a, cache=cache)
     return sum((-1) ** i * x for i, x in enumerate(h))

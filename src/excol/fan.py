@@ -15,10 +15,8 @@ a third coordinate k counts the O(E) twist.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -148,10 +146,6 @@ class Fan:
             "basis": self.basis_tag,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @cached_property
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json.encode()).hexdigest()
 
     # mutable per-instance caches (allowed on frozen dataclasses: cached_property
     # writes straight into __dict__)

@@ -13,29 +13,7 @@ from fractions import Fraction
 from .errors import TorsionPresent
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), ncols, rows)
-
-    def transpose(self):
-        return IntMatrix.from_rows(zip(*self.entries)) if self.rows else IntMatrix(0, 0, ())
-
-
 def _as_rows(m):
-    if isinstance(m, IntMatrix):
-        return [list(r) for r in m.entries]
     return [list(r) for r in m]
 
 

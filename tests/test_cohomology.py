@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -18,7 +19,6 @@ from excol.cohomology import (
     reduced_cohomology_ranks,
 )
 from excol import kernels
-from excol._sweep_np import count_support_masks as np_sweep
 
 
 def test_reduced_cohomology_empty_complex():
@@ -124,25 +124,33 @@ def test_disk_cache_read_write(tmp_path):
     assert cohomology_dims(fan, cls, cache=cache) == (15, 0, 0)
 
 
-def test_kernel_backends_agree():
+def _brute_force_sweep(lo, hi, rays, coeffs):
+    """Reference sweep: visit every box point and build its mask by hand."""
+    counts = [0] * (1 << len(rays))
+    shell = [0] * (1 << len(rays))
+    for u in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        mask = 0
+        for r, (ray, c) in enumerate(zip(rays, coeffs)):
+            if sum(x * y for x, y in zip(u, ray)) < -c:
+                mask |= 1 << r
+        counts[mask] += 1
+        if any(x in (a, b) for x, a, b in zip(u, lo, hi)):
+            shell[mask] += 1
+    return counts, shell
+
+
+def test_kernel_matches_brute_force():
     rng = random.Random(3)
-    for _ in range(5):
-        n = rng.randint(1, 3)
+    dims = [1, 1, 2, 2, 3, 3] + [rng.randint(1, 3) for _ in range(6)]
+    for n in dims:
         nrays = rng.randint(2, 5)
-        rays = np.array(
-            [[rng.randint(-2, 2) for _ in range(n)] for _ in range(nrays)],
-            dtype=np.int64,
-        )
-        coeffs = np.array([rng.randint(-3, 3) for _ in range(nrays)], dtype=np.int64)
-        lo = np.array([rng.randint(-4, -1) for _ in range(n)], dtype=np.int64)
-        hi = np.array([rng.randint(0, 4) for _ in range(n)], dtype=np.int64)
-        c1, s1 = np_sweep(lo, hi, rays, coeffs)
-        c2, s2 = kernels.count_support_masks(lo, hi, rays, coeffs)
-        assert np.array_equal(c1, c2)
-        assert np.array_equal(s1, s2)
+        rays = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(nrays)]
+        coeffs = [rng.randint(-3, 3) for _ in range(nrays)]
+        lo = [rng.randint(-4, -1) for _ in range(n)]
+        hi = [rng.randint(0, 4) for _ in range(n)]
+        counts, shell = kernels.count_support_masks(lo, hi, rays, coeffs)
+        want_counts, want_shell = _brute_force_sweep(lo, hi, rays, coeffs)
+        assert counts.tolist() == want_counts
+        assert shell.tolist() == want_shell
         # total point count sanity
-        assert c1.sum() == np.prod(hi - lo + 1)
-
-
-def test_backend_reports_identity():
-    assert kernels.BACKEND in ("cython", "numpy")
+        assert counts.sum() == np.prod([b - a + 1 for a, b in zip(lo, hi)])

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from excol.errors import TorsionPresent
 from excol.intlinalg import (
-    IntMatrix,
     cokernel_basis,
     determinant,
     rational_rank,
@@ -19,12 +18,6 @@ def test_rank_basics():
     assert rational_rank([[1, 0], [0, 1]]) == 2
     assert rational_rank([[1, 2], [2, 4]]) == 1
     assert rational_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
-
-
-def test_rank_accepts_intmatrix():
-    m = IntMatrix.from_rows([[2, 0, 1], [0, 3, 1]])
-    assert rational_rank(m) == 2
-    assert rational_rank(m.transpose()) == 2
 
 
 def test_determinant_basics():
