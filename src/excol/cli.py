@@ -125,13 +125,11 @@ def _nondecreasing(length, maximum, start=0):
 def enumerate_centers(spec: BundleSpec, codim):
     """All codim-element ray sets of the X fan spanning a cone."""
     fan = build_projective_bundle_fan(spec)
-    cones = [set(c) for c in fan.max_cones]
-    out = []
-    for names in combinations(fan.ray_names, codim):
-        idx = {fan.name_index[n] for n in names}
-        if any(idx <= cone for cone in cones):
-            out.append(CenterSpec(frozenset(names)))
-    return out
+    return [
+        CenterSpec(frozenset(names))
+        for names in combinations(fan.ray_names, codim)
+        if fan.spans_cone(fan.name_index[n] for n in names)
+    ]
 
 
 def run_case(spec, center, cache=None):

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import tempfile
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -27,29 +25,16 @@ from .fan import Fan, PicClass
 from .intlinalg import rational_rank, solve_exact
 
 
-@dataclass(frozen=True)
-class SupportComplex:
-    """Simplicial complex induced on a subset of rays by the fan's cones."""
-
-    active_rays: frozenset
-    facets: tuple  # maximal restricted cones, as frozensets
-
-    @classmethod
-    def from_fan(cls, fan: Fan, active) -> "SupportComplex":
-        active = frozenset(active)
-        facets = {frozenset(c) & active for c in fan.max_cones}
-        return cls(active, tuple(sorted(facets, key=sorted)))
-
-
-def reduced_cohomology_ranks(cx: SupportComplex, top_dim):
+def reduced_cohomology_ranks(facets, top_dim):
     """Ranks over Q of reduced simplicial cohomology in degrees -1..top_dim.
 
+    facets are the maximal faces of the complex, as sets of vertices.
     Convention: the empty complex (no faces but the empty face) has rank 1
     in degree -1.
     """
     faces_by_dim = [set() for _ in range(top_dim + 2)]  # index d+1 holds dim-d faces
     faces_by_dim[0].add(frozenset())
-    for facet in cx.facets:
+    for facet in facets:
         facet = sorted(facet)
         for k in range(1, len(facet) + 1):
             for sub in combinations(facet, k):
@@ -127,21 +112,20 @@ def _cache_key(fan: Fan, coords) -> str:
 
 def _arrangement_box(rays, coeffs, dim):
     """Bounding box of the hyperplane-arrangement vertices, inflated by 1."""
-    vertices = []
+    floors, ceils = [], []
     for subset in combinations(range(len(rays)), dim):
         mat = [[rays[i][d] for i in subset] for d in range(dim)]
         rhs = [-coeffs[i] for i in subset]
         try:
-            vertices.append(solve_exact(mat, rhs))
+            nums, det = solve_exact(mat, rhs)
         except ValueError:
-            pass  # singular: not a vertex
-    if not vertices:
-        vertices = [(0,) * dim]
-    lo, hi = [], []
-    for d in range(dim):
-        vals = [v[d] for v in vertices]
-        lo.append(math.floor(min(vals)) - 1)
-        hi.append(math.ceil(max(vals)) + 1)
+            continue  # singular: not a vertex
+        floors.append([x // det for x in nums])
+        ceils.append([-(-x // det) for x in nums])
+    if not floors:
+        floors = ceils = [[0] * dim]
+    lo = [min(col) - 1 for col in zip(*floors)]
+    hi = [max(col) + 1 for col in zip(*ceils)]
     return lo, hi
 
 
@@ -149,34 +133,14 @@ def _support_ranks(fan: Fan, mask):
     cache = fan._support_rank_cache
     ranks = cache.get(mask)
     if ranks is None:
-        active = frozenset(i for i in range(fan.n_rays) if mask >> i & 1)
-        cx = SupportComplex.from_fan(fan, active)
-        ranks = reduced_cohomology_ranks(cx, fan.dim - 1)
+        facets = {frozenset(i for i in cone if mask >> i & 1) for cone in fan.max_cones}
+        ranks = reduced_cohomology_ranks(facets, fan.dim - 1)
         cache[mask] = ranks
     return ranks
 
 
-def cohomology_dims(fan: Fan, cls: PicClass, cache=None, lift=None):
-    """All h^i(fan, cls), exactly.
-
-    lift overrides the T-divisor representative (used by the
-    class-invariance tests); cache=False disables the disk cache.
-    """
-    coeffs = fan.tdivisor_lift(cls) if lift is None else tuple(lift)
-    memo_key = (cls.coords, coeffs if lift is not None else None)
-    memo = fan._hvector_cache
-    if memo_key in memo:
-        return memo[memo_key]
-
-    disk = _resolve_cache(cache)
-    disk_key = None
-    if disk is not None and lift is None:
-        disk_key = _cache_key(fan, cls.coords)
-        hit = disk.get(disk_key)
-        if hit is not None and len(hit) == fan.dim + 1:
-            memo[memo_key] = hit
-            return hit
-
+def _dims_of_divisor(fan: Fan, coeffs):
+    """All h^i of the T-divisor with ray coefficients coeffs, uncached."""
     lo, hi = _arrangement_box(fan.rays, coeffs, fan.dim)
     counts, shell = kernels.count_support_masks(
         np.array(lo, dtype=np.int64),
@@ -190,15 +154,34 @@ def cohomology_dims(fan: Fan, cls: PicClass, cache=None, lift=None):
         if any(ranks):
             if shell[mask]:
                 raise UnboundedContribution(
-                    f"support set {int(mask):b} on the inflated boundary has "
-                    f"reduced cohomology {ranks}"
+                    f"T-divisor {tuple(coeffs)} in box lo={lo} hi={hi}: support "
+                    f"set {int(mask):b} on the inflated boundary has reduced "
+                    f"cohomology {ranks}"
                 )
             c = int(counts[mask])
             for i, rk in enumerate(ranks):  # ranks[i] is degree i-1 -> h^i
                 h[i] += c * rk
-    result = tuple(h)
-    memo[memo_key] = result
-    if disk_key is not None:
+    return tuple(h)
+
+
+def cohomology_dims(fan: Fan, cls: PicClass, cache=None):
+    """All h^i(fan, cls), exactly; cache=False disables the disk cache."""
+    if cls.basis != fan.basis_tag:
+        raise ValueError("class belongs to a different fan")
+    memo = fan._hvector_cache
+    result = memo.get(cls.coords)
+    if result is not None:
+        return result
+    disk = _resolve_cache(cache)
+    if disk is not None:
+        disk_key = _cache_key(fan, cls.coords)
+        hit = disk.get(disk_key)
+        if hit is not None and len(hit) == fan.dim + 1:
+            memo[cls.coords] = hit
+            return hit
+    result = _dims_of_divisor(fan, fan.tdivisor_lift(cls))
+    memo[cls.coords] = result
+    if disk is not None:
         disk.put(disk_key, result)
     return result
 

@@ -85,16 +85,19 @@ class Fan:
                 f"Picard rank {cok.free_rank} != declared basis size {self.pic_rank}"
             )
         basis_proj = [cok.project(bd) for bd in self.basis_divisors]
-        k = self.pic_rank
         columns = []
         for rho in range(self.n_rays):
             unit = [1 if i == rho else 0 for i in range(self.n_rays)]
-            x = solve_exact(basis_proj, cok.project(unit)) if k else ()
-            for frac in x:
-                if frac.denominator != 1:
-                    raise InvalidSpec("declared basis divisors are not a Z-basis of Pic")
-            columns.append(tuple(int(f) for f in x))
+            nums, det = solve_exact(basis_proj, cok.project(unit))
+            if any(x % det for x in nums):
+                raise InvalidSpec("declared basis divisors are not a Z-basis of Pic")
+            columns.append(tuple(x // det for x in nums))
         return tuple(columns)
+
+    def spans_cone(self, idx) -> bool:
+        """Whether the rays with indices idx all lie in one maximal cone."""
+        idx = set(idx)
+        return any(idx <= set(cone) for cone in self.max_cones)
 
     def class_of_divisor(self, coeffs) -> PicClass:
         if len(coeffs) != self.n_rays:
@@ -338,15 +341,22 @@ def projective_space_fan(n) -> Fan:
     return fan
 
 
+def _center_indices(fan: Fan, center: CenterSpec):
+    """Sorted ray indices of the center; UnknownRay or NotACone unless its
+    rays exist in the fan and span a cone of it."""
+    for name in sorted(center.ray_names):
+        if name not in fan.name_index:
+            raise UnknownRay(name)
+    idx = sorted(fan.name_index[name] for name in center.ray_names)
+    if not fan.spans_cone(idx):
+        raise NotACone(f"rays {sorted(center.ray_names)} do not span a cone")
+    return idx
+
+
 def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
     """Blow-up along the orbit closure of the cone spanned by the center rays."""
-    try:
-        idx = sorted(fan.name_index[name] for name in center.ray_names)
-    except KeyError as exc:
-        raise UnknownRay(str(exc)) from exc
+    idx = _center_indices(fan, center)
     idx_set = set(idx)
-    if not any(idx_set <= set(cone) for cone in fan.max_cones):
-        raise NotACone(f"rays {sorted(center.ray_names)} do not span a cone")
     new_ray = _primitive(tuple(sum(fan.rays[i][d] for i in idx) for d in range(fan.dim)))
     e = fan.n_rays
     cones = []
@@ -375,13 +385,12 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
 
 def center_geometry(spec: BundleSpec, center: CenterSpec) -> CenterGeometry:
     """Base/fiber dimensions of Y, surviving summands, conormal classes."""
-    fan = build_projective_bundle_fan(spec)
-    for name in center.ray_names:
-        if name not in fan.name_index:
-            raise UnknownRay(name)
-    idx_set = {fan.name_index[n] for n in center.ray_names}
-    if not any(idx_set <= set(cone) for cone in fan.max_cones):
-        raise NotACone(f"rays {sorted(center.ray_names)} do not span a cone")
+    _center_indices(build_projective_bundle_fan(spec), center)
+    return _geometry(spec, center)
+
+
+def _geometry(spec: BundleSpec, center: CenterSpec) -> CenterGeometry:
+    """center_geometry for a center already checked to be a cone of X."""
     base_cuts = sorted(n for n in center.ray_names if n.startswith("b"))
     fiber_cuts = sorted(
         (int(n[1:]) for n in center.ray_names if n.startswith("f"))
@@ -422,7 +431,7 @@ class Blowup:
 
 
 def make_blowup(spec: BundleSpec, center: CenterSpec) -> Blowup:
-    geom = center_geometry(spec, center)
     fan_x = build_projective_bundle_fan(spec)
-    fan_xt = star_subdivide(fan_x, center)
+    fan_xt = star_subdivide(fan_x, center)  # checks the center against X
+    geom = _geometry(spec, center)
     return Blowup(spec=spec, center=center, geometry=geom, fan_x=fan_x, fan_xt=fan_xt)

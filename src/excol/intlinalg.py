@@ -1,14 +1,13 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here works on arbitrary-precision Python ints (or Fractions where
-noted) and never touches floating point: ranks via fraction-free Bareiss
-elimination, cokernels via Smith normal form.
+Everything here works on arbitrary-precision Python ints and never touches
+floating point or rationals: ranks, determinants and linear solves share
+one fraction-free (Bareiss) elimination, cokernels use Smith normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import TorsionPresent
 
@@ -17,55 +16,57 @@ def _as_rows(m):
     return [list(r) for r in m]
 
 
-def rational_rank(m) -> int:
-    """Rank over Q, by fraction-free (Bareiss) elimination."""
-    a = _as_rows(m)
-    if not a or not a[0]:
-        return 0
-    nrows, ncols = len(a), len(a[0])
+def _bareiss(a, ncols):
+    """Bareiss (fraction-free) forward elimination of the integer rows a, in place.
+
+    Pivots are searched in the first ncols columns only; any further columns
+    are carried along as right-hand sides.  Returns (rank, sign): the number
+    of pivot rows, which end up first, and the sign of the row permutation.
+    Every division is exact, because after step k each entry below the pivot
+    rows is a (k+1)-minor of the input.  With ncols == len(a) and full rank,
+    a[n-1][n-1] is sign times the determinant of the square part.
+    """
+    nrows = len(a)
     rank = 0
+    sign = 1
     prev = 1
-    row = 0
     for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if a[r][col] != 0), None)
+        piv =next((r for r in range(rank, nrows) if a[r][col] != 0), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                a[r][c] = (a[row][col] * a[r][c] - a[r][col] * a[row][c]) // prev
-            a[r][col] = 0
-        prev = a[row][col]
-        row += 1
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[col]
+        for row in a[rank + 1 :]:
+            f = row[col]
+            for c in range(col + 1, len(row)):
+                row[c] = (p * row[c] - f * top[c]) // prev
+            row[col] = 0
+        prev = p
         rank += 1
-        if row == nrows:
-            break
-    return rank
+    return rank, sign
+
+
+def rational_rank(m) -> int:
+    """Rank over Q of an integer matrix."""
+    a = _as_rows(m)
+    if not a:
+        return 0
+    return _bareiss(a, len(a[0]))[0]
 
 
 def determinant(m) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
+    """Exact determinant of a square integer matrix."""
     a = _as_rows(m)
     n = len(a)
     if n == 0:
         return 1
     if any(len(r) != n for r in a):
         raise ValueError("matrix not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                a[r][c] = (a[k][k] * a[r][c] - a[r][k] * a[k][c]) // prev
-            a[r][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, sign = _bareiss(a, n)
+    return sign * a[n - 1][n - 1] if rank == n else 0
 
 
 def smith_normal_form(m):
@@ -182,23 +183,25 @@ def cokernel_basis(m) -> CokernelBasis:
 
 
 def solve_exact(b, y):
-    """Solve x.B = y for a square invertible B, exactly over Q.
+    """Solve x.B = y for a square invertible integer B, exactly.
 
     b is given as a list of rows B_i (so the system is sum_i x_i B_i = y).
-    Returns a tuple of Fractions.
+    Returns (nums, det) with det = |det B| > 0 and x_i = nums[i] / det, all
+    integers; raises ValueError if B is singular.
     """
     n = len(b)
-    # transpose: solve B^T x = y column-style with Gaussian elimination over Q
-    a = [[Fraction(b[j][i]) for j in range(n)] + [Fraction(y[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y2 for x, y2 in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    a = [[row[i] for row in b] + [y[i]] for i in range(n)]
+    rank, _ = _bareiss(a, n)
+    if rank < n:
+        raise ValueError("matrix is singular")
+    det = a[n - 1][n - 1] if n else 1
+    # back-substitution in the scaled unknowns det * x_i, which are integers
+    # (Cramer's rule), so each division is exact
+    nums = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = det * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))
+        nums[i] = acc // row[i]
+    if det < 0:
+        return tuple(-x for x in nums), -det
+    return tuple(nums), det

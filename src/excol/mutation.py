@@ -64,12 +64,12 @@ class Collection:
         }
 
 
-def graded_hom(bl: Blowup, a, b, cache=None):
+def graded_hom(bl: Blowup, a, b):
     """Full graded Hom dimensions from object a to object b."""
     geom = bl.geometry
     if isinstance(a, LineBundle) and isinstance(b, LineBundle):
         diff = bl.fan_xt.pic_class((b.alpha - a.alpha, b.beta - a.beta, b.k - a.k))
-        return cohomology_dims(bl.fan_xt, diff, cache=cache)
+        return cohomology_dims(bl.fan_xt, diff)
     if isinstance(a, PushforwardTwist) and isinstance(b, LineBundle):
         # twist both sides by O(-b.k E); only the pushforward's k shifts
         return ext_lemA(geom, (a.alpha, a.beta), a.k - b.k, (b.alpha, b.beta))
@@ -115,10 +115,10 @@ def serre_rotate(bl: Blowup, col: Collection, direction) -> Collection:
     return Collection(objs, col.log + (entry,))
 
 
-def transpose_if_orthogonal(bl: Blowup, col: Collection, i, cache=None) -> Collection:
+def transpose_if_orthogonal(bl: Blowup, col: Collection, i) -> Collection:
     """Swap objects i, i+1 after verifying their graded Hom vanishes."""
     a, b = col.objects[i], col.objects[i + 1]
-    hom = graded_hom(bl, a, b, cache=cache)
+    hom = graded_hom(bl, a, b)
     if any(hom):
         raise NotOrthogonal(
             f"objects {i} and {i + 1} are not orthogonal", hom, log=col.log

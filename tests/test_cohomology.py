@@ -6,40 +6,40 @@ import pytest
 
 from excol import (
     BundleSpec,
+    CenterSpec,
     bott_dims,
     build_projective_bundle_fan,
     cohomology_dims,
     euler_pairing,
+    make_blowup,
     projective_space_fan,
 )
 from excol.cohomology import (
     DiskCache,
-    SupportComplex,
+    _arrangement_box,
     _cache_key,
+    _dims_of_divisor,
     reduced_cohomology_ranks,
 )
-from excol import kernels
+from excol import cohomology, kernels
+from excol.errors import UnboundedContribution
 
 
 def test_reduced_cohomology_empty_complex():
-    cx = SupportComplex(frozenset(), (frozenset(),))
-    assert reduced_cohomology_ranks(cx, 1) == (1, 0, 0)
+    assert reduced_cohomology_ranks((frozenset(),), 1) == (1, 0, 0)
 
 
 def test_reduced_cohomology_two_points():
-    cx = SupportComplex(frozenset({0, 1}), (frozenset({0}), frozenset({1})))
-    assert reduced_cohomology_ranks(cx, 1) == (0, 1, 0)
+    assert reduced_cohomology_ranks((frozenset({0}), frozenset({1})), 1) == (0, 1, 0)
 
 
 def test_reduced_cohomology_circle():
     edges = (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}))
-    cx = SupportComplex(frozenset({0, 1, 2}), edges)
-    assert reduced_cohomology_ranks(cx, 1) == (0, 0, 1)
+    assert reduced_cohomology_ranks(edges, 1) == (0, 0, 1)
 
 
 def test_reduced_cohomology_contractible():
-    cx = SupportComplex(frozenset({0, 1, 2}), (frozenset({0, 1, 2}),))
-    assert reduced_cohomology_ranks(cx, 2) == (0, 0, 0, 0)
+    assert reduced_cohomology_ranks((frozenset({0, 1, 2}),), 2) == (0, 0, 0, 0)
 
 
 def test_p1_line_bundles():
@@ -86,7 +86,55 @@ def test_lift_invariance(bl_p1p1):
             lift = [
                 a + b for a, b in zip(fan.tdivisor_lift(cls), principal)
             ]
-            assert cohomology_dims(fan, cls, cache=False, lift=lift) == base
+            assert _dims_of_divisor(fan, lift) == base
+
+
+# (class, box lo, box hi), recorded when the box was still computed by
+# Gauss-Jordan elimination over the rationals
+BOX_TABLE = {
+    (BundleSpec(2, (0, 1, 2)), ("b1", "f1")): [
+        ((-6, -2, 12), (-7, -19, -13, -4), (7, 7, 7, 11)),
+        ((-10, 2, 4), (-1, -15, -7, -1), (11, 1, 11, 9)),
+        ((5, -9, -5), (-19, -19, -14, -15), (10, 11, 6, 5)),
+        ((-11, 7, -4), (-1, -16, -1, -1), (16, 4, 12, 9)),
+        ((-4, 6, -7), (-1, -12, -1, -3), (13, 9, 9, 7)),
+        ((11, 5, 4), (-21, -1, -12, -17), (11, 26, 22, 10)),
+        ((-11, -5, -8), (-11, -30, -22, -14), (25, 1, 12, 17)),
+        ((8, -9, -10), (-19, -21, -11, -20), (12, 19, 11, 2)),
+        ((6, -5, 7), (-14, -5, -8, -8), (1, 14, 1, 3)),
+        ((12, -6, 5), (-18, -1, -13, -10), (1, 18, 1, 1)),
+    ],
+    (BundleSpec(1, (0, 1, 1, 1)), ("b0", "f1", "f2")): [
+        ((4, -10, 11), (-12, -12, -12, -16), (12, 1, 1, 8)),
+        ((-9, 9, 9), (-10, -10, -10, -1), (28, 10, 10, 19)),
+        ((3, -12, -10), (-35, -13, -13, -32), (11, 20, 20, 8)),
+        ((5, -9, 10), (-11, -11, -11, -16), (11, 1, 1, 6)),
+        ((-7, -10, 8), (-13, -11, -11, -20), (9, 10, 10, 16)),
+        ((6, -11, 6), (-17, -12, -12, -13), (7, 1, 1, 1)),
+        ((-11, -2, 5), (-6, -6, -6, -11), (12, 12, 12, 17)),
+        ((10, -9, -3), (-22, -11, -11, -14), (4, 4, 4, 1)),
+        ((-9, 6, -11), (-12, -1, -1, -9), (12, 15, 15, 21)),
+        ((-10, 10, 12), (-13, -13, -13, -3), (33, 11, 11, 23)),
+    ],
+}
+
+
+def test_arrangement_box_table():
+    for (spec, center), rows in BOX_TABLE.items():
+        fan = make_blowup(spec, CenterSpec(frozenset(center))).fan_xt
+        for coords, lo, hi in rows:
+            coeffs = fan.tdivisor_lift(fan.pic_class(coords))
+            got = _arrangement_box(fan.rays, coeffs, fan.dim)
+            assert got == (list(lo), list(hi)), coords
+
+
+def test_unbounded_contribution_names_divisor_box_and_mask(monkeypatch):
+    """A box too small for the sections of O(4) on P^2 must fail loudly."""
+    fan = projective_space_fan(2)
+    monkeypatch.setattr(cohomology, "_arrangement_box", lambda *_: ([-1, -1], [1, 1]))
+    want = r"T-divisor \(0, 4, 0\) in box lo=\[-1, -1\] hi=\[1, 1\]: support set 0 "
+    with pytest.raises(UnboundedContribution, match=want):
+        _dims_of_divisor(fan, (0, 4, 0))
 
 
 def test_serre_duality(bl_p2p1):

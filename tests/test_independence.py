@@ -1,8 +1,9 @@
-"""The oracle never trusts the script: its import graph proves it.
+"""Static checks over the package sources, parsed with ast.
 
-Parses the package sources with ast and follows every intra-package import
-from the certification side (verify, cohomology). None of them may reach the
-construction side (mutation, splitcalc).
+The oracle never trusts the script: following every intra-package import
+from the certification side (verify, cohomology) never reaches the
+construction side (mutation, splitcalc).  And the arithmetic is exact: no
+module but the CLI, which times its own output, uses floats or rationals.
 """
 
 import ast
@@ -54,3 +55,36 @@ def test_oracle_never_imports_construction():
         reached = _reachable(graph, oracle)
         assert "intlinalg" in reached
         assert not reached & {"mutation", "splitcalc"}, (oracle, sorted(reached))
+
+
+def _inexact_arithmetic(path):
+    """(line, what) for every float or rational construct in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            mods = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""]
+        else:
+            mods = []
+        for mod in mods:
+            if mod.split(".")[0] in ("fractions", "decimal"):
+                found.append((node.lineno, f"import {mod}"))
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "true division /"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            found.append((node.lineno, "float() call"))
+    return found
+
+
+def test_no_floats_or_rationals():
+    sources = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "cli.py")
+    assert {"cohomology", "intlinalg", "kernels"} <= {p.stem for p in sources}
+    offenders = {p.name: _inexact_arithmetic(p) for p in sources}
+    assert not any(offenders.values()), {k: v for k, v in offenders.items() if v}

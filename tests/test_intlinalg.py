@@ -76,8 +76,9 @@ def test_cokernel_torsion_detected():
 
 
 def test_solve_exact():
-    x = solve_exact([[1, 1], [0, 1]], [3, 5])
-    assert [int(v) for v in x] == [3, 2]
+    assert solve_exact([[1, 1], [0, 1]], [3, 5]) == ((3, 2), 1)
+    # x = (1/2, 1/3): the common denominator is |det| = 6
+    assert solve_exact([[-2, 0], [0, 3]], [-1, 1]) == ((3, 2), 6)
     with pytest.raises(ValueError):
         solve_exact([[1, 1], [2, 2]], [1, 0])
 
@@ -103,3 +104,29 @@ def test_snf_rank_matches_rational_rank(rows):
     diag, v = smith_normal_form([list(r) for r in rows])
     assert sum(1 for d in diag if d != 0) == rational_rank(rows)
     assert abs(determinant(v)) == 1
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-5, 5)
+    b = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    y = draw(st.lists(entries, min_size=n, max_size=n))
+    return b, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_systems())
+def test_solve_exact_scaled_solution(system):
+    b, y = system
+    det_b = determinant(b)
+    if det_b == 0:
+        with pytest.raises(ValueError):
+            solve_exact(b, y)
+        return
+    nums, det = solve_exact(b, y)
+    assert det == abs(det_b) > 0
+    n = len(b)
+    assert [sum(nums[i] * b[i][j] for i in range(n)) for j in range(n)] == [
+        det * v for v in y
+    ]
