@@ -12,13 +12,7 @@ import sys
 import time
 from itertools import combinations
 
-from .errors import (
-    DegenerateCenter,
-    InvalidSpec,
-    MutationError,
-    NotACone,
-    UnknownRay,
-)
+from .errors import InvalidSpec, MutationError, NotACone, UnknownRay
 from .fan import Blowup, BundleSpec, CenterSpec, build_projective_bundle_fan, make_blowup
 from .mutation import collection_classes, construct
 from .verify import certify, expected_length_from_geometry
@@ -60,7 +54,7 @@ def cmd_construct(args):
         return 2
     try:
         bl, col = construct(spec, center)
-    except (InvalidSpec, NotACone, UnknownRay, DegenerateCenter) as exc:
+    except (InvalidSpec, NotACone, UnknownRay) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MutationError as exc:

@@ -5,6 +5,10 @@ against: for a T-divisor lift of the class, every lattice character u
 contributes the reduced rational cohomology of the support complex on the
 rays where the section inequality fails.
 
+The characters swept are those in a box around the vertices of the
+divisor's hyperplane arrangement.  The vertex of each invertible set of dim
+rays is an integer map of the divisor coefficients, computed once per fan
+(_vertex_maps), so a box costs a few integer dot products and divisions.
 The per-character sweep is the hot loop; it runs through the numpy kernel
 excol.kernels.count_support_masks.
 """
@@ -16,6 +20,7 @@ import json
 import os
 import tempfile
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 
@@ -110,20 +115,41 @@ def _cache_key(fan: Fan, coords) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _arrangement_box(rays, coeffs, dim):
-    """Bounding box of the hyperplane-arrangement vertices, inflated by 1."""
-    floors, ceils = [], []
-    for subset in combinations(range(len(rays)), dim):
-        mat = [[rays[i][d] for i in subset] for d in range(dim)]
-        rhs = [-coeffs[i] for i in subset]
+def _vertex_maps(fan: Fan):
+    """(S, M_S, det_S) for every dim-subset S of rays with R_S invertible.
+
+    R_S has the rays in S as rows, det_S = |det R_S| > 0 and
+    M_S = det_S * R_S^-1 (rows of integers), so the arrangement vertex
+    {u : <u, v_i> = -a_i for i in S} is M_S (-a_S) / det_S.  Column j of M_S
+    is the scaled solution of R_S x = e_j.  Computed once per fan.
+    """
+    maps = fan._vertex_map_cache
+    if maps:
+        return maps
+    dim = fan.dim
+    units = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    for subset in combinations(range(fan.n_rays), dim):
+        mat = [[fan.rays[i][d] for i in subset] for d in range(dim)]
         try:
-            nums, det = solve_exact(mat, rhs)
+            cols = [solve_exact(mat, e) for e in units]
         except ValueError:
             continue  # singular: not a vertex
+        det = cols[0][1]
+        rows = tuple(tuple(nums[d] for nums, _ in cols) for d in range(dim))
+        maps.append((subset, rows, det))
+    return maps
+
+
+def _arrangement_box(fan: Fan, coeffs):
+    """Bounding box of the hyperplane-arrangement vertices, inflated by 1."""
+    floors, ceils = [], []
+    for subset, rows, det in _vertex_maps(fan):
+        rhs = [-coeffs[i] for i in subset]
+        nums = [sum(map(mul, row, rhs)) for row in rows]
         floors.append([x // det for x in nums])
         ceils.append([-(-x // det) for x in nums])
     if not floors:
-        floors = ceils = [[0] * dim]
+        floors = ceils = [[0] * fan.dim]
     lo = [min(col) - 1 for col in zip(*floors)]
     hi = [max(col) + 1 for col in zip(*ceils)]
     return lo, hi
@@ -141,7 +167,7 @@ def _support_ranks(fan: Fan, mask):
 
 def _dims_of_divisor(fan: Fan, coeffs):
     """All h^i of the T-divisor with ray coefficients coeffs, uncached."""
-    lo, hi = _arrangement_box(fan.rays, coeffs, fan.dim)
+    lo, hi = _arrangement_box(fan, coeffs)
     counts, shell = kernels.count_support_masks(
         np.array(lo, dtype=np.int64),
         np.array(hi, dtype=np.int64),

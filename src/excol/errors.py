@@ -25,10 +25,6 @@ class NotACone(ExcolError):
     """The named rays do not span a cone of the fan."""
 
 
-class DegenerateCenter(ExcolError):
-    """The blow-up center would have negative base or fiber dimension."""
-
-
 class UnboundedContribution(ExcolError):
     """A chamber on the inflated search-box boundary contributed nonzero
     reduced cohomology; for a complete fan this indicates an internal bug."""

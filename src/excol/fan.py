@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd
 
-from .errors import DegenerateCenter, InvalidSpec, NotACone, UnknownRay
+from .errors import InvalidSpec, NotACone, UnknownRay
 from .intlinalg import cokernel_basis, determinant, solve_exact
 
 
@@ -159,6 +159,10 @@ class Fan:
     @cached_property
     def _hvector_cache(self):
         return {}
+
+    @cached_property
+    def _vertex_map_cache(self):
+        return []  # filled once by cohomology._vertex_maps
 
 
 def _primitive(vec):
@@ -390,15 +394,15 @@ def center_geometry(spec: BundleSpec, center: CenterSpec) -> CenterGeometry:
 
 
 def _geometry(spec: BundleSpec, center: CenterSpec) -> CenterGeometry:
-    """center_geometry for a center already checked to be a cone of X."""
+    """center_geometry for a center already checked to be a cone of X.
+
+    Every maximal cone of X omits one base and one fiber ray, so a cone cuts
+    at most s base and r fiber rays and s', r' >= 0.
+    """
     base_cuts = sorted(n for n in center.ray_names if n.startswith("b"))
     fiber_cuts = sorted(
         (int(n[1:]) for n in center.ray_names if n.startswith("f"))
     )
-    s_prime = spec.s - len(base_cuts)
-    r_prime = spec.r - len(fiber_cuts)
-    if s_prime < 0 or r_prime < 0:
-        raise DegenerateCenter(f"s'={s_prime}, r'={r_prime}")
     survivors = tuple(j for j in range(spec.r + 1) if j not in fiber_cuts)
     conormal = tuple((-1, 0) for _ in base_cuts) + tuple(
         (spec.fiber_degrees[j], -1) for j in fiber_cuts
@@ -408,8 +412,8 @@ def _geometry(spec: BundleSpec, center: CenterSpec) -> CenterGeometry:
         r=spec.r,
         degrees=spec.fiber_degrees,
         codim=center.codim,
-        s_prime=s_prime,
-        r_prime=r_prime,
+        s_prime=spec.s - len(base_cuts),
+        r_prime=spec.r - len(fiber_cuts),
         fiber_survivors=survivors,
         conormal_summands=conormal,
     )

@@ -31,7 +31,7 @@ def _bareiss(a, ncols):
     sign = 1
     prev = 1
     for col in range(ncols):
-        piv =next((r for r in range(rank, nrows) if a[r][col] != 0), None)
+        piv = next((r for r in range(rank, nrows) if a[r][col] != 0), None)
         if piv is None:
             continue
         if piv != rank:

@@ -100,7 +100,9 @@ def serre_rotate(bl: Blowup, col: Collection, direction) -> Collection:
     (direction="forward"), or the last to the front tensored by the
     canonical class ("backward")."""
     if not col.objects:
-        raise HypothesisFailed("cannot rotate an empty collection", log=col.log)
+        raise HypothesisFailed(
+            "serre_rotate at 0: cannot rotate an empty collection", log=col.log
+        )
     omega_inv = anticanonical_twist(bl)
     if direction == "forward":
         moved = tensor_object(col.objects[0], omega_inv)
@@ -121,7 +123,9 @@ def transpose_if_orthogonal(bl: Blowup, col: Collection, i) -> Collection:
     hom = graded_hom(bl, a, b)
     if any(hom):
         raise NotOrthogonal(
-            f"objects {i} and {i + 1} are not orthogonal", hom, log=col.log
+            f"transpose at {i}: objects {i} and {i + 1} are not orthogonal",
+            hom,
+            log=col.log,
         )
     entry = {
         "rule": "transpose",
@@ -143,19 +147,26 @@ def right_mutation_E_twist(bl: Blowup, col: Collection, i) -> Collection:
     twists k-1 and k."""
     a, b = col.objects[i], col.objects[i + 1]
     if not (isinstance(a, PushforwardTwist) and a.k >= 1):
-        raise HypothesisFailed(f"object {i} is not a pushforward with k >= 1", log=col.log)
+        raise HypothesisFailed(
+            f"right_mutation_E_twist at {i}: object {i} is not a pushforward with k >= 1",
+            log=col.log,
+        )
     if not (
         isinstance(b, LineBundle)
         and b.k == a.k - 1
         and (b.alpha, b.beta) == (a.alpha, a.beta)
     ):
         raise HypothesisFailed(
-            f"object {i + 1} does not match the pushforward at {i}", log=col.log
+            f"right_mutation_E_twist at {i}: object {i + 1} does not match the "
+            f"pushforward at {i}",
+            log=col.log,
         )
     hom = graded_hom(bl, a, b)
     if not _expect_concentrated(hom, 1):
         raise HypothesisFailed(
-            f"Ext pattern {hom} at {i} is not one-dimensional in degree 1", log=col.log
+            f"right_mutation_E_twist at {i}: Ext pattern {hom} is not "
+            "one-dimensional in degree 1",
+            log=col.log,
         )
     entry = {
         "rule": "right_mutation_E_twist",
@@ -173,19 +184,26 @@ def left_mutation_E_twist(bl: Blowup, col: Collection, i) -> Collection:
     class) into the line bundles with twists -1 and 0."""
     a, b = col.objects[i], col.objects[i + 1]
     if not (isinstance(a, LineBundle) and a.k == 0):
-        raise HypothesisFailed(f"object {i} is not an untwisted line bundle", log=col.log)
+        raise HypothesisFailed(
+            f"left_mutation_E_twist at {i}: object {i} is not an untwisted line bundle",
+            log=col.log,
+        )
     if not (
         isinstance(b, PushforwardTwist)
         and b.k == 0
         and (b.alpha, b.beta) == (a.alpha, a.beta)
     ):
         raise HypothesisFailed(
-            f"object {i + 1} does not match the line bundle at {i}", log=col.log
+            f"left_mutation_E_twist at {i}: object {i + 1} does not match the "
+            f"line bundle at {i}",
+            log=col.log,
         )
     hom = graded_hom(bl, a, b)
     if not _expect_concentrated(hom, 0):
         raise HypothesisFailed(
-            f"Ext pattern {hom} at {i} is not one-dimensional in degree 0", log=col.log
+            f"left_mutation_E_twist at {i}: Ext pattern {hom} is not "
+            "one-dimensional in degree 0",
+            log=col.log,
         )
     entry = {
         "rule": "left_mutation_E_twist",

@@ -1,8 +1,11 @@
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excol import (
     BundleSpec,
@@ -19,10 +22,13 @@ from excol.cohomology import (
     _arrangement_box,
     _cache_key,
     _dims_of_divisor,
+    _vertex_maps,
     reduced_cohomology_ranks,
 )
 from excol import cohomology, kernels
+from excol.cli import enumerate_centers, enumerate_specs
 from excol.errors import UnboundedContribution
+from excol.intlinalg import determinant, solve_exact
 
 
 def test_reduced_cohomology_empty_complex():
@@ -124,8 +130,56 @@ def test_arrangement_box_table():
         fan = make_blowup(spec, CenterSpec(frozenset(center))).fan_xt
         for coords, lo, hi in rows:
             coeffs = fan.tdivisor_lift(fan.pic_class(coords))
-            got = _arrangement_box(fan.rays, coeffs, fan.dim)
+            got = _arrangement_box(fan, coeffs)
             assert got == (list(lo), list(hi)), coords
+
+
+FAMILY = [
+    (spec, center.ray_names)
+    for spec in enumerate_specs(4, 1)
+    for codim in (2, 3)
+    for center in enumerate_centers(spec, codim)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _blowup(spec, center):
+    return make_blowup(spec, CenterSpec(frozenset(center)))
+
+
+@st.composite
+def family_divisors(draw):
+    bl = _blowup(*draw(st.sampled_from(FAMILY)))
+    fan = bl.fan_xt if draw(st.booleans()) else bl.fan_x
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=fan.n_rays, max_size=fan.n_rays))
+    return fan, tuple(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_divisors())
+def test_vertex_maps_match_per_subset_solves(divisor):
+    """The per-fan vertex maps give the vertices, and hence the box, that one
+    solve per ray subset gives."""
+    fan, coeffs = divisor
+    maps = {subset: (rows, det) for subset, rows, det in _vertex_maps(fan)}
+    floors, ceils = [], []
+    for subset in itertools.combinations(range(fan.n_rays), fan.dim):
+        det_rs = determinant([fan.rays[i] for i in subset])
+        assert (subset in maps) == (det_rs != 0), subset
+        if not det_rs:
+            continue
+        rows, det = maps[subset]
+        assert det == abs(det_rs)
+        rhs = [-coeffs[i] for i in subset]
+        mat = [[fan.rays[i][d] for i in subset] for d in range(fan.dim)]
+        nums, den = solve_exact(mat, rhs)
+        scaled = [sum(m * c for m, c in zip(row, rhs)) for row in rows]
+        assert [x * den for x in scaled] == [det * x for x in nums]
+        floors.append([x // den for x in nums])
+        ceils.append([-(-x // den) for x in nums])
+    lo = [min(col) - 1 for col in zip(*floors)]
+    hi = [max(col) + 1 for col in zip(*ceils)]
+    assert _arrangement_box(fan, coeffs) == (lo, hi)
 
 
 def test_unbounded_contribution_names_divisor_box_and_mask(monkeypatch):
@@ -147,6 +201,21 @@ def test_serre_duality(bl_p2p1):
         h = cohomology_dims(fan, cls, cache=False)
         hd = cohomology_dims(fan, k - cls, cache=False)
         assert h == tuple(reversed(hd)), (cls.coords, h, hd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(list(BOX_TABLE)),
+    st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+)
+def test_serre_duality_on_dim4_blowups(case, coords):
+    """h^i(L) == h^(n-i)(K - L) on random classes, through the whole oracle."""
+    fan = _blowup(*case).fan_xt
+    cls = fan.pic_class(coords)
+    n = fan.dim
+    h = cohomology_dims(fan, cls, cache=False)
+    hd = cohomology_dims(fan, fan.canonical_class() - cls, cache=False)
+    assert [h[i] for i in range(n + 1)] == [hd[n - i] for i in range(n + 1)]
 
 
 def test_euler_pairing_p2():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from excol import (
@@ -9,6 +11,7 @@ from excol import (
     projective_space_fan,
     star_subdivide,
 )
+from excol.cli import enumerate_specs
 from excol.errors import InvalidSpec, NotACone, UnknownRay
 from excol.fan import Fan, validate_fan
 
@@ -169,6 +172,24 @@ def test_center_geometry_rejects_invalid():
         center_geometry(spec, CenterSpec(frozenset({"b1", "f9"})))
     with pytest.raises(NotACone):
         center_geometry(spec, CenterSpec(frozenset({"f0", "f1"})))
+
+
+def test_center_geometry_never_degenerate():
+    """A ray set of X either spans a cone, and then leaves s', r' >= 0, or
+    is rejected as NotACone; no third outcome exists."""
+    outcomes = {"cone": 0, "not_a_cone": 0}
+    for spec in enumerate_specs(5, 1):
+        names = build_projective_bundle_fan(spec).ray_names
+        for size in (2, 3):
+            for subset in combinations(names, size):
+                try:
+                    geom = center_geometry(spec, CenterSpec(frozenset(subset)))
+                except NotACone:
+                    outcomes["not_a_cone"] += 1
+                    continue
+                assert geom.s_prime >= 0 and geom.r_prime >= 0, (spec, subset)
+                outcomes["cone"] += 1
+    assert outcomes["cone"] and outcomes["not_a_cone"], outcomes
 
 
 def test_make_blowup_consistency(bl_p1p1):

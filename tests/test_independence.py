@@ -2,8 +2,10 @@
 
 The oracle never trusts the script: following every intra-package import
 from the certification side (verify, cohomology) never reaches the
-construction side (mutation, splitcalc).  And the arithmetic is exact: no
+construction side (mutation, splitcalc).  The arithmetic is exact: no
 module but the CLI, which times its own output, uses floats or rationals.
+And no error type is dead: each one the package defines is raised or caught
+in it, and each one it raises is expected by a test.
 """
 
 import ast
@@ -12,6 +14,7 @@ from pathlib import Path
 import excol
 
 PACKAGE_DIR = Path(excol.__file__).parent
+TESTS_DIR = Path(__file__).parent
 
 
 def _package_imports(path):
@@ -88,3 +91,67 @@ def test_no_floats_or_rationals():
     assert {"cohomology", "intlinalg", "kernels"} <= {p.stem for p in sources}
     offenders = {p.name: _inexact_arithmetic(p) for p in sources}
     assert not any(offenders.values()), {k: v for k, v in offenders.items() if v}
+
+
+def _error_classes():
+    """Names of the ExcolError subclasses defined in errors.py."""
+    tree = ast.parse((PACKAGE_DIR / "errors.py").read_text())
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    found = set()
+    while True:
+        more = {n for n, b in bases.items() if b & (found | {"ExcolError"})} - found
+        if not more:
+            return found
+        found |= more
+
+
+def _exception_names(node):
+    """Plain names in a raise target or an except clause."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return {n for elt in node.elts for n in _exception_names(elt)}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def _raised_and_caught(paths):
+    raised, caught = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= _exception_names(node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _exception_names(node.type)
+    return raised, caught
+
+
+def _expected_by_tests():
+    """Names passed to pytest.raises anywhere in the test suite."""
+    found = set()
+    for path in TESTS_DIR.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "raises"
+                and node.args
+            ):
+                found |= _exception_names(node.args[0])
+    return found
+
+
+def test_no_dead_error_types():
+    errors = _error_classes()
+    assert {"InvalidSpec", "MutationError", "HypothesisFailed"} <= errors
+    raised, caught = _raised_and_caught(
+        p for p in PACKAGE_DIR.glob("*.py") if p.name != "errors.py"
+    )
+    assert not errors - raised - caught, sorted(errors - raised - caught)
+    # a raise no input can reach is still raised; only a test that provokes
+    # it shows it is live
+    untested = (errors & raised) - _expected_by_tests()
+    assert not untested, sorted(untested)

@@ -11,6 +11,7 @@ from excol import (
     construct_codim2,
     construct_codim3,
 )
+from excol import mutation
 from excol.errors import (
     HypothesisFailed,
     InvalidSpec,
@@ -169,6 +170,41 @@ def test_left_mutation_guards_and_result(bl_p2p1):
     bad = Collection((LineBundle(2, 1, 1), PushforwardTwist(2, 1, 0)))
     with pytest.raises(HypothesisFailed):
         left_mutation_E_twist(bl_p2p1, bad, 0)
+
+
+def test_rule_errors_name_rule_and_index(bl_p1p1, monkeypatch):
+    """Every rule failure starts with the rule name and the pair index."""
+    head = LineBundle(5, 5, 5)  # shifts the pair under test to index 1
+    line, push = LineBundle(0, 0, 0), PushforwardTwist(0, 0, 1)
+    failures = [
+        (serre_rotate, Collection(()), "forward", "serre_rotate at 0: "),
+        (transpose_if_orthogonal, Collection((head, line, LineBundle(1, 0, 0))), 1,
+         "transpose at 1: "),
+        (right_mutation_E_twist, Collection((head, line, line)), 1,
+         "right_mutation_E_twist at 1: "),
+        (right_mutation_E_twist, Collection((head, push, LineBundle(1, 0, 0))), 1,
+         "right_mutation_E_twist at 1: "),
+        (left_mutation_E_twist, Collection((head, push, push)), 1,
+         "left_mutation_E_twist at 1: "),
+        (left_mutation_E_twist, Collection((head, line, LineBundle(0, 0, 0))), 1,
+         "left_mutation_E_twist at 1: "),
+    ]
+    for rule, col, arg, prefix in failures:
+        with pytest.raises((HypothesisFailed, NotOrthogonal)) as exc:
+            rule(bl_p1p1, col, arg)
+        assert str(exc.value).startswith(prefix), str(exc.value)
+        assert exc.value.log == col.log
+    # a pair of the right shape whose Ext pattern is wrong
+    monkeypatch.setattr(mutation, "graded_hom", lambda *_: (0, 0, 0))
+    right = Collection((head, PushforwardTwist(0, 0, 1), line))
+    left = Collection((head, line, PushforwardTwist(0, 0, 0)))
+    for rule, col, degree in (
+        (right_mutation_E_twist, right, 1),
+        (left_mutation_E_twist, left, 0),
+    ):
+        want = rf"^{rule.__name__} at 1: Ext pattern \(0, 0, 0\) .* degree {degree}$"
+        with pytest.raises(HypothesisFailed, match=want):
+            rule(bl_p1p1, col, 1)
 
 
 def test_graded_hom_push_push_unsupported(bl_p1p1):
