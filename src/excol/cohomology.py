@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels
 from .errors import UnboundedContribution
 from .fan import Fan, PicClass
-from .intlinalg import rational_rank, solve_exact
+from .intlinalg import inverse, rational_rank
 
 
 def reduced_cohomology_ranks(facets, top_dim):
@@ -118,24 +118,19 @@ def _cache_key(fan: Fan, coords) -> str:
 def _vertex_maps(fan: Fan):
     """(S, M_S, det_S) for every dim-subset S of rays with R_S invertible.
 
-    R_S has the rays in S as rows, det_S = |det R_S| > 0 and
-    M_S = det_S * R_S^-1 (rows of integers), so the arrangement vertex
-    {u : <u, v_i> = -a_i for i in S} is M_S (-a_S) / det_S.  Column j of M_S
-    is the scaled solution of R_S x = e_j.  Computed once per fan.
+    R_S has the rays in S as rows, and intlinalg.inverse gives
+    det_S = |det R_S| > 0 and M_S = det_S * R_S^-1 (rows of integers), so the
+    arrangement vertex {u : <u, v_i> = -a_i for i in S} is M_S (-a_S) / det_S.
+    Computed once per fan.
     """
     maps = fan._vertex_map_cache
     if maps:
         return maps
-    dim = fan.dim
-    units = [[int(i == j) for i in range(dim)] for j in range(dim)]
-    for subset in combinations(range(fan.n_rays), dim):
-        mat = [[fan.rays[i][d] for i in subset] for d in range(dim)]
+    for subset in combinations(range(fan.n_rays), fan.dim):
         try:
-            cols = [solve_exact(mat, e) for e in units]
+            rows, det = inverse([fan.rays[i] for i in subset])
         except ValueError:
             continue  # singular: not a vertex
-        det = cols[0][1]
-        rows = tuple(tuple(nums[d] for nums, _ in cols) for d in range(dim))
         maps.append((subset, rows, det))
     return maps
 

@@ -5,14 +5,6 @@ class ExcolError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class TorsionPresent(ExcolError):
-    """The cokernel of a lattice map has torsion (non-smooth fan upstream)."""
-
-    def __init__(self, invariant_factors):
-        self.invariant_factors = tuple(invariant_factors)
-        super().__init__(f"cokernel has torsion, invariant factors {self.invariant_factors}")
-
-
 class InvalidSpec(ExcolError):
     """Bundle specification violates its invariants."""
 

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import InvalidSpec, NotACone, UnknownRay
-from .intlinalg import cokernel_basis, determinant, solve_exact
+from .intlinalg import determinant, inverse
 
 
 @dataclass(frozen=True)
@@ -77,22 +77,25 @@ class Fan:
 
     @cached_property
     def _class_map(self):
-        """n_rays x pic_rank integer matrix: divisor coefficients -> class."""
-        lattice_rows = [[ray[i] for ray in self.rays] for i in range(self.dim)]
-        cok = cokernel_basis(lattice_rows)
-        if cok.free_rank != self.pic_rank:
+        """n_rays x pic_rank integer matrix: divisor coefficients -> class.
+
+        Pic = Z^rays / M with M spanned by the dim lattice rows
+        (v_rho[d])_rho.  The basis divisors are a Z-basis of Pic exactly when
+        they and the lattice rows are the rows of a unimodular matrix B; the
+        class of e_rho is then the first pic_rank entries of row rho of B^-1.
+        """
+        if self.pic_rank + self.dim != self.n_rays:
             raise InvalidSpec(
-                f"Picard rank {cok.free_rank} != declared basis size {self.pic_rank}"
+                f"Picard rank {self.n_rays - self.dim} != declared basis size {self.pic_rank}"
             )
-        basis_proj = [cok.project(bd) for bd in self.basis_divisors]
-        columns = []
-        for rho in range(self.n_rays):
-            unit = [1 if i == rho else 0 for i in range(self.n_rays)]
-            nums, det = solve_exact(basis_proj, cok.project(unit))
-            if any(x % det for x in nums):
-                raise InvalidSpec("declared basis divisors are not a Z-basis of Pic")
-            columns.append(tuple(x // det for x in nums))
-        return tuple(columns)
+        lattice_rows = [[ray[d] for ray in self.rays] for d in range(self.dim)]
+        try:
+            inv, det = inverse(list(self.basis_divisors) + lattice_rows)
+        except ValueError:  # singular, or a basis divisor of the wrong length
+            det = 0
+        if det != 1:
+            raise InvalidSpec("declared basis divisors are not a Z-basis of Pic")
+        return tuple(row[: self.pic_rank] for row in inv)
 
     def spans_cone(self, idx) -> bool:
         """Whether the rays with indices idx all lie in one maximal cone."""

@@ -43,11 +43,6 @@ class PushforwardTwist:
         return {"kind": "push", "alpha": self.alpha, "beta": self.beta, "k": self.k}
 
 
-def object_from_json(doc):
-    cls = {"line": LineBundle, "push": PushforwardTwist}[doc["kind"]]
-    return cls(int(doc["alpha"]), int(doc["beta"]), int(doc["k"]))
-
-
 @dataclass(frozen=True)
 class Collection:
     objects: tuple

@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import pytest
 
-from excol import cli
+from excol import BundleSpec, CenterSpec, cli, make_blowup
+from excol.cohomology import DiskCache, _cache_key, default_cache_dir
 from excol.errors import MutationError
 
 
@@ -77,6 +79,31 @@ def test_verify_detects_tampering(tmp_path):
     doc["objects"][0], doc["objects"][2] = doc["objects"][2], doc["objects"][0]
     col.write_text(json.dumps(doc))
     assert run(["--no-cache", "verify", "--collection", str(col)]) == 1
+
+
+def test_verify_ignores_planted_cache(tmp_path, monkeypatch):
+    """verify certifies from scratch: a wrong h-vector planted in the disk
+    cache for every pairwise class difference changes nothing."""
+    monkeypatch.setenv("EXCOL_CACHE_DIR", str(tmp_path / "cache"))
+    col = tmp_path / "col.json"
+    args = ["construct", "--base-dim", "1", "--fiber-degrees", "0,1", "--center", "b1,f1"]
+    assert run(args + ["--out", str(col)]) == 0
+    clean, planted = tmp_path / "clean.json", tmp_path / "planted.json"
+    shutil.rmtree(tmp_path / "cache", ignore_errors=True)
+    assert run(["verify", "--collection", str(col), "--out", str(clean)]) == 0
+
+    doc = json.loads(col.read_text())
+    fan = make_blowup(BundleSpec(1, (0, 1)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
+    classes = [fan.pic_class((o["alpha"], o["beta"], o["k"])) for o in doc["objects"]]
+    disk = DiskCache(default_cache_dir())
+    wrong = (99,) + (0,) * fan.dim
+    for a in classes:
+        for b in classes:
+            disk.put(_cache_key(fan, (b - a).coords), wrong)
+    assert disk.get(_cache_key(fan, (classes[0] - classes[0]).coords)) == wrong
+
+    assert run(["verify", "--collection", str(col), "--out", str(planted)]) == 0
+    assert planted.read_text() == clean.read_text()
 
 
 def test_unnormalized_degrees_exit_2(capsys):

@@ -28,7 +28,7 @@ from excol.cohomology import (
 from excol import cohomology, kernels
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.errors import UnboundedContribution
-from excol.intlinalg import determinant, solve_exact
+from excol.intlinalg import determinant
 
 
 def test_reduced_cohomology_empty_complex():
@@ -158,8 +158,8 @@ def family_divisors(draw):
 @settings(max_examples=150, deadline=None)
 @given(family_divisors())
 def test_vertex_maps_match_per_subset_solves(divisor):
-    """The per-fan vertex maps give the vertices, and hence the box, that one
-    solve per ray subset gives."""
+    """The per-fan vertex maps give, for every invertible ray subset S, the
+    vertex of the arrangement on S, and the box spans those vertices."""
     fan, coeffs = divisor
     maps = {subset: (rows, det) for subset, rows, det in _vertex_maps(fan)}
     floors, ceils = [], []
@@ -171,12 +171,12 @@ def test_vertex_maps_match_per_subset_solves(divisor):
         rows, det = maps[subset]
         assert det == abs(det_rs)
         rhs = [-coeffs[i] for i in subset]
-        mat = [[fan.rays[i][d] for i in subset] for d in range(fan.dim)]
-        nums, den = solve_exact(mat, rhs)
         scaled = [sum(m * c for m, c in zip(row, rhs)) for row in rows]
-        assert [x * den for x in scaled] == [det * x for x in nums]
-        floors.append([x // den for x in nums])
-        ceils.append([-(-x // den) for x in nums])
+        # det_S * vertex satisfies <u, v_i> = -a_i for every i in S, exactly
+        for i in subset:
+            assert sum(x * v for x, v in zip(scaled, fan.rays[i])) == -det * coeffs[i]
+        floors.append([x // det for x in scaled])
+        ceils.append([-(-x // det) for x in scaled])
     lo = [min(col) - 1 for col in zip(*floors)]
     hi = [max(col) + 1 for col in zip(*ceils)]
     assert _arrangement_box(fan, coeffs) == (lo, hi)

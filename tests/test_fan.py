@@ -11,7 +11,7 @@ from excol import (
     projective_space_fan,
     star_subdivide,
 )
-from excol.cli import enumerate_specs
+from excol.cli import enumerate_centers, enumerate_specs
 from excol.errors import InvalidSpec, NotACone, UnknownRay
 from excol.fan import Fan, validate_fan
 
@@ -148,6 +148,47 @@ def test_validate_fan_rejects_broken_input():
     )
     with pytest.raises(InvalidSpec):
         validate_fan(incomplete)
+
+
+def test_class_map_rejects_bad_bases():
+    """A declared basis that is not a Z-basis of Pic is an InvalidSpec."""
+    good = projective_space_fan(2)
+    for basis in (((0, 0, 0),), ((0, 2, 0),), ((0, 1, 0), (0, 0, 1))):
+        fan = Fan(
+            dim=2,
+            ray_names=good.ray_names,
+            rays=good.rays,
+            max_cones=good.max_cones,
+            basis_tag=good.basis_tag,
+            basis_divisors=basis,
+        )
+        with pytest.raises(InvalidSpec):
+            fan.canonical_class()
+
+
+def _family_fans():
+    for n in range(1, 6):
+        yield projective_space_fan(n)
+    for spec in enumerate_specs(5, 1):
+        yield build_projective_bundle_fan(spec)
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                yield make_blowup(spec, center).fan_xt
+
+
+def test_class_map_inverts_basis_divisors():
+    """On every fan of the family, each basis divisor has its unit class and
+    each lattice row (the divisor of a character) has class 0."""
+    count = 0
+    for fan in _family_fans():
+        units = [tuple(int(i == j) for i in range(fan.pic_rank)) for j in range(fan.pic_rank)]
+        for bd, unit in zip(fan.basis_divisors, units):
+            assert fan.class_of_divisor(bd).coords == unit
+        zero = (0,) * fan.pic_rank
+        for d in range(fan.dim):
+            assert fan.class_of_divisor([ray[d] for ray in fan.rays]).coords == zero
+        count += 1
+    assert count > 1000
 
 
 def test_center_geometry_fixed_point_codim3():

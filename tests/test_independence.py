@@ -4,11 +4,13 @@ The oracle never trusts the script: following every intra-package import
 from the certification side (verify, cohomology) never reaches the
 construction side (mutation, splitcalc).  The arithmetic is exact: no
 module but the CLI, which times its own output, uses floats or rationals.
-And no error type is dead: each one the package defines is raised or caught
-in it, and each one it raises is expected by a test.
+And nothing is dead: each error type the package defines is raised or
+caught in it, each one it raises is expected by a test, and every top-level
+function or class is named somewhere in the package outside its own body.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import excol
@@ -155,3 +157,35 @@ def test_no_dead_error_types():
     # it shows it is live
     untested = (errors & raised) - _expected_by_tests()
     assert not untested, sorted(untested)
+
+
+def _names_used(node):
+    """How often each name is used under node: loads, attributes, imports."""
+    used = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            used[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            used[sub.name] += 1
+    return used
+
+
+def test_no_unreferenced_definitions():
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE_DIR.glob("*.py")}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    defined = [
+        (name, node)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert len(defined) > 50
+    # uses inside a definition's own body (recursion) do not keep it alive
+    unused = sorted(
+        f"{name}:{node.name}"
+        for name, node in defined
+        if used[node.name] - _names_used(node)[node.name] <= 0
+    )
+    assert not unused, unused

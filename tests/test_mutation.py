@@ -23,7 +23,6 @@ from excol.mutation import (
     graded_hom,
     initial_collection,
     left_mutation_E_twist,
-    object_from_json,
     right_mutation_E_twist,
     serre_rotate,
     transpose_if_orthogonal,
@@ -216,11 +215,6 @@ def test_collection_classes_rejects_pushforwards(bl_p1p1):
     col = Collection((PushforwardTwist(0, 0, 1),))
     with pytest.raises(UnsupportedExtPair):
         collection_classes(bl_p1p1, col)
-
-
-def test_object_json_roundtrip():
-    for obj in (LineBundle(1, -2, 3), PushforwardTwist(0, 4, -1)):
-        assert object_from_json(obj.to_json()) == obj
 
 
 def test_length_is_preserved(bl_p1p1, bl_p2p1):
