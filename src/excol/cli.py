@@ -12,7 +12,7 @@ import sys
 import time
 from itertools import combinations
 
-from .errors import InvalidSpec, MutationError, NotACone, UnknownRay
+from .errors import BoxTooLarge, InvalidSpec, MutationError, NotACone, UnknownRay
 from .fan import Blowup, BundleSpec, CenterSpec, build_projective_bundle_fan, make_blowup
 from .mutation import collection_classes, construct
 from .verify import certify, expected_length_from_geometry
@@ -87,12 +87,16 @@ def cmd_verify(args):
     except (OSError, KeyError, ValueError, InvalidSpec, NotACone, UnknownRay) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = certify(
-        bl.fan_xt,
-        classes,
-        expected_length_from_geometry(bl.geometry),
-        cache=False,
-    )
+    try:
+        report = certify(
+            bl.fan_xt,
+            classes,
+            expected_length_from_geometry(bl.geometry),
+            cache=False,
+        )
+    except BoxTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _dump(report.to_json(), args.out)
     return 0 if report.all_passed else 1
 

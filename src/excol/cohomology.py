@@ -10,7 +10,10 @@ divisor's hyperplane arrangement.  The vertex of each invertible set of dim
 rays is an integer map of the divisor coefficients, computed once per fan
 (_vertex_maps), so a box costs a few integer dot products and divisions.
 The per-character sweep is the hot loop; it runs through the numpy kernel
-excol.kernels.count_support_masks.
+excol.kernels.count_support_masks.  Results are memoized per fan object and,
+unless disabled, in a disk cache of one append-only file per fan
+(DiskCache), read once per fan and appended once per batch
+(cohomology_dims_many).
 """
 
 from __future__ import annotations
@@ -18,14 +21,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from itertools import combinations
+from math import prod
 from operator import mul
 
 import numpy as np
 
 from . import kernels
-from .errors import UnboundedContribution
+from .errors import BoxTooLarge, UnboundedContribution
 from .fan import Fan, PicClass
 from .intlinalg import inverse, rational_rank
 
@@ -73,46 +76,92 @@ def reduced_cohomology_ranks(facets, top_dim):
     return tuple(ranks)
 
 
+CACHE_VERSION = "excol-hvectors-1"
+
+# The kernel sweeps every point of the box; the largest box of the reference
+# classes has 7,001,316 points, and a hostile class can ask for 10^14.
+MAX_BOX_POINTS = 10**8
+_INT64_MAX = 2**63 - 1
+
+
 class DiskCache:
-    """Shared HVector cache; deterministic values, last writer wins."""
+    """One append-only file of h-vectors per fan under root.
+
+    The file is named by the SHA-256 of CACHE_VERSION and the fan's
+    canonical_json.  Its first line is a header naming both; every other
+    line is one entry [coords, h].  Values are deterministic, so duplicate
+    entries are harmless.
+    """
 
     def __init__(self, root):
         self.root = root
 
-    def _path(self, key):
-        return os.path.join(self.root, key[:2], key + ".json")
+    def _path(self, fan: Fan):
+        digest = hashlib.sha256((CACHE_VERSION + fan.canonical_json).encode()).hexdigest()
+        return os.path.join(self.root, digest + ".jsonl")
 
-    def get(self, key):
+    @staticmethod
+    def _header(fan: Fan):
+        doc = {"version": CACHE_VERSION, "fan": fan.canonical_json}
+        return (json.dumps(doc, sort_keys=True) + "\n").encode()
+
+    def get(self, fan: Fan):
+        """{coords: h} of the well-formed entries of fan's file; {} when the
+        file is missing or its header does not match exactly."""
         try:
-            with open(self._path(key)) as fh:
-                return tuple(json.load(fh))
-        except (OSError, ValueError):
-            return None
+            with open(self._path(fan), "rb") as fh:
+                header = fh.readline()
+                body = fh.read() if header == self._header(fan) else b""
+        except OSError:
+            return {}
+        entries = {}
+        for line in body.decode(errors="replace").split("\n"):
+            entry = _parse_entry(fan, line)
+            if entry is not None:
+                entries[entry[0]] = entry[1]
+        return entries
 
-    def put(self, key, hvec):
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(list(hvec), fh)
-        os.replace(tmp, path)
+    def put(self, fan: Fan, entries):
+        """Append entries ({coords: h}) to fan's file with one write.
+
+        The process that creates the file writes the header in the same
+        write.  A file whose header is not (yet) there is left alone.
+        """
+        data = "".join(
+            json.dumps([list(coords), list(h)]) + "\n" for coords, h in entries.items()
+        ).encode()
+        path, header = self._path(fan), self._header(fan)
+        os.makedirs(self.root, exist_ok=True)
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644)
+            data = header + data
+        except FileExistsError:
+            fd = os.open(path, os.O_RDWR | os.O_APPEND)
+            if os.pread(fd, len(header), 0) != header:
+                data = b""
+        try:
+            os.write(fd, data)
+        finally:
+            os.close(fd)
+
+
+def _parse_entry(fan: Fan, line):
+    """(coords, h) from one cache line, or None unless it is well formed."""
+    try:
+        coords, h = json.loads(line)
+    except (ValueError, TypeError):
+        return None
+    if not (isinstance(coords, list) and isinstance(h, list)):
+        return None
+    if len(coords) != fan.pic_rank or not all(type(c) is int for c in coords):
+        return None
+    if len(h) != fan.dim + 1 or not all(type(x) is int and x >= 0 for x in h):
+        return None
+    return tuple(coords), tuple(h)
 
 
 def default_cache_dir():
     return os.environ.get("EXCOL_CACHE_DIR", ".excol-cache")
-
-
-def _resolve_cache(cache):
-    if cache is None:
-        return DiskCache(default_cache_dir())
-    if cache is False:
-        return None
-    return cache
-
-
-def _cache_key(fan: Fan, coords) -> str:
-    payload = fan.canonical_json + "|" + json.dumps(list(coords))
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _vertex_maps(fan: Fan):
@@ -160,9 +209,28 @@ def _support_ranks(fan: Fan, mask):
     return ranks
 
 
+def _check_box(fan: Fan, coeffs, lo, hi):
+    """Raise BoxTooLarge unless the kernel can sweep [lo, hi] in int64 within
+    the point budget; the bound covers every product, sum and comparison it
+    forms from a box coordinate, a ray and a coefficient."""
+    points = prod(b - a + 1 for a, b in zip(lo, hi))
+    reach = [max(-a, b) + 1 for a, b in zip(lo, hi)]
+    widest = max(
+        abs(c) + sum(abs(x) * r for x, r in zip(ray, reach))
+        for ray, c in zip(fan.rays, coeffs)
+    )
+    if points > MAX_BOX_POINTS or widest > _INT64_MAX:
+        raise BoxTooLarge(
+            f"T-divisor {tuple(coeffs)} in box lo={lo} hi={hi}: {points} points "
+            f"(budget {MAX_BOX_POINTS}), kernel values up to {widest} "
+            f"(int64 limit {_INT64_MAX})"
+        )
+
+
 def _dims_of_divisor(fan: Fan, coeffs):
     """All h^i of the T-divisor with ray coefficients coeffs, uncached."""
     lo, hi = _arrangement_box(fan, coeffs)
+    _check_box(fan, coeffs, lo, hi)
     counts, shell = kernels.count_support_masks(
         np.array(lo, dtype=np.int64),
         np.array(hi, dtype=np.int64),
@@ -187,24 +255,41 @@ def _dims_of_divisor(fan: Fan, coeffs):
 
 def cohomology_dims(fan: Fan, cls: PicClass, cache=None):
     """All h^i(fan, cls), exactly; cache=False disables the disk cache."""
+    if cache is not False:
+        return cohomology_dims_many(fan, [cls], cache)[0]
     if cls.basis != fan.basis_tag:
         raise ValueError("class belongs to a different fan")
     memo = fan._hvector_cache
     result = memo.get(cls.coords)
-    if result is not None:
-        return result
-    disk = _resolve_cache(cache)
-    if disk is not None:
-        disk_key = _cache_key(fan, cls.coords)
-        hit = disk.get(disk_key)
-        if hit is not None and len(hit) == fan.dim + 1:
-            memo[cls.coords] = hit
-            return hit
-    result = _dims_of_divisor(fan, fan.tdivisor_lift(cls))
-    memo[cls.coords] = result
-    if disk is not None:
-        disk.put(disk_key, result)
+    if result is None:
+        result = memo[cls.coords] = _dims_of_divisor(fan, fan.tdivisor_lift(cls))
     return result
+
+
+def cohomology_dims_many(fan: Fan, classes, cache=None):
+    """cohomology_dims of each class, in order, with one disk-cache batch.
+
+    cache is a DiskCache, None for the default one, or False for none.  The
+    fan's cache file is read into its memo once per fan object and cache
+    root (the memo wins over the file), and the batch's entries the file
+    lacks are appended to it in one write.
+    """
+    if cache is False:
+        return [cohomology_dims(fan, cls, cache=False) for cls in classes]
+    disk = DiskCache(default_cache_dir()) if cache is None else cache
+    stored = fan._disk_coords.get(disk.root)
+    if stored is None:
+        entries = disk.get(fan)
+        memo = fan._hvector_cache
+        for coords, h in entries.items():
+            memo.setdefault(coords, h)
+        stored = fan._disk_coords[disk.root] = set(entries)
+    out = [cohomology_dims(fan, cls, cache=False) for cls in classes]
+    new = {cls.coords: h for cls, h in zip(classes, out) if cls.coords not in stored}
+    if new:
+        disk.put(fan, new)
+        stored.update(new)
+    return out
 
 
 def euler_pairing(fan: Fan, a: PicClass, b: PicClass, cache=None) -> int:

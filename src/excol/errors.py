@@ -22,6 +22,11 @@ class UnboundedContribution(ExcolError):
     reduced cohomology; for a complete fan this indicates an internal bug."""
 
 
+class BoxTooLarge(ExcolError):
+    """The oracle's search box for a T-divisor holds more points than its
+    budget, or values its int64 kernel cannot hold."""
+
+
 class KOutOfRange(ExcolError):
     """Twist exponent outside the range a structured formula supports."""
 

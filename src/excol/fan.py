@@ -122,7 +122,9 @@ class Fan:
         return self.class_of_divisor([-1] * self.n_rays)
 
     def pic_class(self, coords) -> PicClass:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in coords):
+            raise ValueError(f"Picard coordinates must be integers: {coords}")
         if len(coords) != self.pic_rank:
             raise ValueError("wrong number of Picard coordinates")
         return PicClass(coords, self.basis_tag)
@@ -162,6 +164,10 @@ class Fan:
     @cached_property
     def _hvector_cache(self):
         return {}
+
+    @cached_property
+    def _disk_coords(self):
+        return {}  # cache root -> coords stored in this fan's file there
 
     @cached_property
     def _vertex_map_cache(self):

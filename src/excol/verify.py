@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .cohomology import cohomology_dims
+from .cohomology import cohomology_dims_many
 from .errors import NonLineBundlePresent
 from .fan import BundleSpec, CenterGeometry, CenterSpec, Fan, PicClass, center_geometry
 from .intlinalg import determinant
@@ -23,9 +23,9 @@ def ext_table(fan: Fan, classes, cache=None):
     for cls in classes:
         if not isinstance(cls, PicClass):
             raise NonLineBundlePresent(f"not a line bundle class: {cls!r}")
-    return [
-        [cohomology_dims(fan, b - a, cache=cache) for b in classes] for a in classes
-    ]
+    n = len(classes)
+    flat = cohomology_dims_many(fan, [b - a for a in classes for b in classes], cache)
+    return [flat[i * n : (i + 1) * n] for i in range(n)]
 
 
 @dataclass

@@ -1,10 +1,11 @@
 import json
 import shutil
+import time
 
 import pytest
 
 from excol import BundleSpec, CenterSpec, cli, make_blowup
-from excol.cohomology import DiskCache, _cache_key, default_cache_dir
+from excol.cohomology import DiskCache, default_cache_dir
 from excol.errors import MutationError
 
 
@@ -97,13 +98,46 @@ def test_verify_ignores_planted_cache(tmp_path, monkeypatch):
     classes = [fan.pic_class((o["alpha"], o["beta"], o["k"])) for o in doc["objects"]]
     disk = DiskCache(default_cache_dir())
     wrong = (99,) + (0,) * fan.dim
-    for a in classes:
-        for b in classes:
-            disk.put(_cache_key(fan, (b - a).coords), wrong)
-    assert disk.get(_cache_key(fan, (classes[0] - classes[0]).coords)) == wrong
+    disk.put(fan, {(b - a).coords: wrong for a in classes for b in classes})
+    assert disk.get(fan)[(classes[0] - classes[0]).coords] == wrong
 
     assert run(["verify", "--collection", str(col), "--out", str(planted)]) == 0
     assert planted.read_text() == clean.read_text()
+
+
+def _write_collection(path, base_dim, fiber_degrees, center, alphas):
+    objects = [{"kind": "line", "alpha": a, "beta": a, "k": 0} for a in alphas]
+    doc = {
+        "spec": {"base_dim": base_dim, "fiber_degrees": fiber_degrees},
+        "center": center,
+        "objects": objects,
+    }
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "base_dim, fiber_degrees, center, alpha",
+    [
+        (2, [0, 1, 2], ["b1", "f1"], 50),  # 9.6e8 box points
+        (1, [0, 0], ["b1", "f1"], 10**30),  # coefficients beyond int64
+    ],
+)
+def test_verify_huge_class_exit_2(tmp_path, capsys, base_dim, fiber_degrees, center, alpha):
+    col = tmp_path / "col.json"
+    _write_collection(col, base_dim, fiber_degrees, center, [0, alpha])
+    t0 = time.perf_counter()
+    assert run(["verify", "--collection", str(col)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "box lo=" in err and "points" in err
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.0, True, "1"])
+def test_verify_non_integer_class_exit_2(tmp_path, capsys, alpha):
+    col = tmp_path / "col.json"
+    _write_collection(col, 1, [0, 0], ["b1", "f1"], [0, alpha])
+    assert run(["verify", "--collection", str(col)]) == 2
+    assert "must be integers" in capsys.readouterr().err
 
 
 def test_unnormalized_degrees_exit_2(capsys):

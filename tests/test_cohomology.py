@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 
 import numpy as np
@@ -18,16 +19,16 @@ from excol import (
     projective_space_fan,
 )
 from excol.cohomology import (
+    CACHE_VERSION,
     DiskCache,
     _arrangement_box,
-    _cache_key,
     _dims_of_divisor,
     _vertex_maps,
     reduced_cohomology_ranks,
 )
 from excol import cohomology, kernels
 from excol.cli import enumerate_centers, enumerate_specs
-from excol.errors import UnboundedContribution
+from excol.errors import BoxTooLarge, UnboundedContribution
 from excol.intlinalg import determinant
 
 
@@ -231,14 +232,76 @@ def test_disk_cache_read_write(tmp_path):
     cls = fan.pic_class((4,))
     value = cohomology_dims(fan, cls, cache=cache)
     assert value == (15, 0, 0)
-    key = _cache_key(fan, cls.coords)
-    assert cache.get(key) == (15, 0, 0)
-    # a poisoned entry is believed by a fresh fan object: proves the read path
-    cache.put(key, (99, 0, 0))
+    assert cache.get(fan) == {(4,): (15, 0, 0)}
+    # a well-formed poisoned entry is believed by a fresh fan object: proves
+    # the read path (the later line wins)
+    cache.put(fan, {(4,): (99, 0, 0)})
     fresh = projective_space_fan(2)
     assert cohomology_dims(fresh, fresh.pic_class((4,)), cache=cache) == (99, 0, 0)
-    # but the in-memory memo of the original fan still wins
+    # but the in-memory memo of the original fan still wins, also over a
+    # file it reads for the first time
     assert cohomology_dims(fan, cls, cache=cache) == (15, 0, 0)
+    other = DiskCache(str(tmp_path / "other"))
+    other.put(fan, {(4,): (99, 0, 0)})
+    assert cohomology_dims(fan, cls, cache=other) == (15, 0, 0)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    real = kernels.count_support_masks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "count_support_masks", counted)
+    return calls
+
+
+def _header(fan, version=CACHE_VERSION):
+    doc = {"version": version, "fan": fan.canonical_json}
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+P2 = projective_space_fan(2)
+BAD_CACHE_FILES = {
+    "wrong version": _header(P2, "excol-hvectors-0") + "[[4], [99, 0, 0]]\n",
+    "foreign fan": _header(projective_space_fan(3)) + "[[4], [99, 0, 0, 0]]\n",
+    "old format": "[99, 0, 0]\n",
+    "non-JSON line": _header(P2) + "{4: [99, 0, 0]}\n[[4] [99, 0, 0]]\n",
+    "wrong-length h": _header(P2) + "[[4], [99, 0]]\n",
+    "negative h": _header(P2) + "[[4], [99, -1, 0]]\n",
+    "float coords": _header(P2) + "[[4.0], [99, 0, 0]]\n",
+    "bool h": _header(P2) + "[[4], [99, false, 0]]\n",
+    "truncated last line": _header(P2) + "[[3], [10, 0, 0]]\n[[4], [99, 0, 0",
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CACHE_FILES))
+def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
+    cache = DiskCache(str(tmp_path))
+    fan = projective_space_fan(2)
+    with open(cache._path(fan), "w") as fh:
+        fh.write(BAD_CACHE_FILES[name])
+    calls = _count_kernel_calls(monkeypatch)
+    assert cohomology_dims(fan, fan.pic_class((4,)), cache=cache) == (15, 0, 0)
+    assert len(calls) == 1
+    if name == "truncated last line":
+        # the complete line before the torn one is still read
+        assert cohomology_dims(fan, fan.pic_class((3,)), cache=cache) == (10, 0, 0)
+        assert len(calls) == 1
+
+
+def test_box_outside_int64_is_rejected():
+    """A principal divisor far out has a 3x3 box whose kernel values
+    overflow int64; it must raise, not wrap."""
+    fan = projective_space_fan(2)
+    m = (2**62, 2**62)
+    coeffs = tuple(-sum(x * y for x, y in zip(m, ray)) for ray in fan.rays)
+    lo, hi = _arrangement_box(fan, coeffs)
+    assert [b - a + 1 for a, b in zip(lo, hi)] == [3, 3]
+    with pytest.raises(BoxTooLarge, match="int64"):
+        _dims_of_divisor(fan, coeffs)
 
 
 def _brute_force_sweep(lo, hi, rays, coeffs):

@@ -11,6 +11,8 @@ from excol import (
     ext_table,
     projective_space_fan,
 )
+from excol import kernels, make_blowup
+from excol.cohomology import DiskCache
 from excol.errors import NonLineBundlePresent
 from excol.verify import expected_length_from_geometry
 
@@ -117,3 +119,44 @@ def test_certified_construction_end_to_end():
     )
     assert report.all_passed
     assert isinstance(report, Report)
+
+
+def test_certify_writes_one_cache_file(tmp_path, monkeypatch):
+    """One certify reads and appends one file; a fresh fan object of the
+    same blow-up then certifies from it without a kernel call."""
+    spec, center = BundleSpec(1, (0, 1)), CenterSpec(frozenset({"b1", "f1"}))
+    bl, col = construct(spec, center)
+    classes = collection_classes(bl, col)
+    length = expected_length_from_geometry(bl.geometry)
+    cache = DiskCache(str(tmp_path))
+    io = []
+
+    def counted(name):
+        real = getattr(DiskCache, name)
+
+        def wrapper(self, *args):
+            io.append(name)
+            return real(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(DiskCache, "get", counted("get"))
+    monkeypatch.setattr(DiskCache, "put", counted("put"))
+    first = certify(bl.fan_xt, classes, length, cache=cache)
+    assert first.all_passed
+    assert io == ["get", "put"]
+    assert len(list(tmp_path.iterdir())) == 1
+
+    calls = []
+    real_kernel = kernels.count_support_masks
+
+    def counted_kernel(*args):
+        calls.append(args)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(kernels, "count_support_masks", counted_kernel)
+    fresh = make_blowup(spec, center).fan_xt
+    again = certify(fresh, [fresh.pic_class(c.coords) for c in classes], length, cache=cache)
+    assert calls == []
+    assert io == ["get", "put", "get"]
+    assert again.to_json() == first.to_json()
