@@ -22,15 +22,12 @@ from .mutation import (
     PushforwardTwist,
     collection_classes,
     construct,
-    construct_codim2,
-    construct_codim3,
 )
 from .splitcalc import (
     bott_dims,
     cohomology_on_bundle,
     ext_lemA,
     ext_line_to_pushforward,
-    is_acyclic_twist,
     pushforward_levels,
 )
 from .verify import Report, certify, expected_length, ext_table
@@ -56,14 +53,11 @@ __all__ = [
     "cohomology_on_bundle",
     "collection_classes",
     "construct",
-    "construct_codim2",
-    "construct_codim3",
     "euler_pairing",
     "expected_length",
     "ext_lemA",
     "ext_line_to_pushforward",
     "ext_table",
-    "is_acyclic_twist",
     "make_blowup",
     "projective_space_fan",
     "pushforward_levels",

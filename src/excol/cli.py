@@ -15,7 +15,7 @@ from itertools import combinations
 from .errors import BoxTooLarge, InvalidSpec, MutationError, NotACone, UnknownRay
 from .fan import Blowup, BundleSpec, CenterSpec, build_projective_bundle_fan, make_blowup
 from .mutation import collection_classes, construct
-from .verify import certify, expected_length_from_geometry
+from .verify import certify, expected_length
 
 
 def _dump(doc, path):
@@ -65,15 +65,32 @@ def cmd_construct(args):
     return 0
 
 
+def _read_collection(path):
+    """The parsed collection file; ValueError unless it has the shape that
+    construct writes (the values are checked by BundleSpec and pic_class)."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("spec"), dict)
+        and isinstance(doc["spec"].get("fiber_degrees"), list)
+        and isinstance(doc.get("center"), list)
+        and all(isinstance(name, str) for name in doc["center"])
+        and isinstance(doc.get("objects"), list)
+        and all(isinstance(o, dict) for o in doc["objects"])
+    ):
+        raise ValueError(
+            f"{path} is not a collection file: it needs a spec with a "
+            "fiber_degrees list, a center list of ray names and a list of objects"
+        )
+    return doc
+
+
 def cmd_verify(args):
     # a verdict must not rest on cached values: certify from scratch
     try:
-        with open(args.collection) as fh:
-            doc = json.load(fh)
-        spec = BundleSpec(
-            s=int(doc["spec"]["base_dim"]),
-            fiber_degrees=tuple(doc["spec"]["fiber_degrees"]),
-        )
+        doc = _read_collection(args.collection)
+        spec = BundleSpec(s=doc["spec"]["base_dim"], fiber_degrees=doc["spec"]["fiber_degrees"])
         center = CenterSpec(frozenset(doc["center"]))
         bl = make_blowup(spec, center)
         classes = [
@@ -91,7 +108,7 @@ def cmd_verify(args):
         report = certify(
             bl.fan_xt,
             classes,
-            expected_length_from_geometry(bl.geometry),
+            expected_length(bl.geometry),
             cache=False,
         )
     except BoxTooLarge as exc:
@@ -139,7 +156,7 @@ def run_case(spec, center, cache=None):
     report = certify(
         bl.fan_xt,
         collection_classes(bl, col),
-        expected_length_from_geometry(bl.geometry),
+        expected_length(bl.geometry),
         cache=cache,
     )
     return report, None
@@ -201,7 +218,7 @@ def build_parser():
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the disk cohomology cache (verify never uses it)",
+        help="disable the disk cohomology cache of sweep (the only command that uses it)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

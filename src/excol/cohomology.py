@@ -107,12 +107,20 @@ class DiskCache:
 
     def get(self, fan: Fan):
         """{coords: h} of the well-formed entries of fan's file; {} when the
-        file is missing or its header does not match exactly."""
+        file is missing or its header does not match exactly.  A file with a
+        bad header is deleted, so that the next put recreates it."""
+        path = self._path(fan)
         try:
-            with open(self._path(fan), "rb") as fh:
+            with open(path, "rb") as fh:
                 header = fh.readline()
-                body = fh.read() if header == self._header(fan) else b""
+                body = fh.read() if header == self._header(fan) else None
         except OSError:
+            return {}
+        if body is None:
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
             return {}
         entries = {}
         for line in body.decode(errors="replace").split("\n"):
@@ -292,7 +300,7 @@ def cohomology_dims_many(fan: Fan, classes, cache=None):
     return out
 
 
-def euler_pairing(fan: Fan, a: PicClass, b: PicClass, cache=None) -> int:
+def euler_pairing(fan: Fan, a: PicClass, b: PicClass) -> int:
     """chi(a, b) = sum (-1)^i dim Ext^i(a, b) = chi(b - a)."""
-    h = cohomology_dims(fan, b - a, cache=cache)
+    h = cohomology_dims(fan, b - a)
     return sum((-1) ** i * x for i, x in enumerate(h))

@@ -222,7 +222,9 @@ class BundleSpec:
     fiber_degrees: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "fiber_degrees", tuple(int(a) for a in self.fiber_degrees))
+        object.__setattr__(self, "fiber_degrees", tuple(self.fiber_degrees))
+        if not all(type(x) is int for x in (self.s,) + self.fiber_degrees):
+            raise InvalidSpec(f"base dimension and fiber degrees must be integers: {self}")
         if self.s < 1:
             raise InvalidSpec("base dimension s must be >= 1")
         a = self.fiber_degrees
@@ -288,25 +290,16 @@ class CenterGeometry:
 
 
 def build_projective_bundle_fan(spec: BundleSpec) -> Fan:
-    """Fan of X = P_{P^s}(O + O(a_1) + ... + O(a_r)) in dimension s+r."""
-    return _bundle_fan(spec.s, spec.fiber_degrees)
-
-
-def _bundle_fan(s, degrees) -> Fan:
-    """Fan for arbitrary non-negative split degrees (a_1..a_r twist b0)."""
-    degrees = tuple(degrees)
-    r = len(degrees) - 1
-    if s < 1 or r < 1:
-        raise InvalidSpec("need s >= 1 and r >= 1 for a bundle fan")
+    """Fan of X = P_{P^s}(O + O(a_1) + ... + O(a_r)) in dimension s+r; the
+    degrees a_1..a_r twist b0."""
+    s, r, degrees = spec.s, spec.r, spec.fiber_degrees
     n = s + r
 
     def unit(i):
         return tuple(1 if j == i else 0 for j in range(n))
 
     names = [f"b{i}" for i in range(s + 1)] + [f"f{j}" for j in range(r + 1)]
-    b0 = tuple(
-        [-1] * s + [degrees[j] - degrees[0] for j in range(1, r + 1)]
-    )
+    b0 = tuple([-1] * s + list(degrees[1:]))
     f0 = tuple([0] * s + [-1] * r)
     rays = [b0] + [unit(i - 1) for i in range(1, s + 1)]
     rays += [f0] + [unit(s + j - 1) for j in range(1, r + 1)]

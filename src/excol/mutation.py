@@ -5,16 +5,17 @@ bundles.
 The engine only applies three rewrite rules (orthogonal transposition,
 Serre rotation, and the adjacent mutation against the matching line bundle
 that produces an O(E)-twist), and it checks every rule's Ext hypothesis
-against the structured formulas before rewriting.  Anything outside these
-rules fails loudly.
+against the structured formulas of splitcalc before rewriting.  Every rule
+that needs an Ext pairs one pushforward with one line bundle, so the
+construction never calls the cohomology oracle that certifies its output.
+Anything outside these rules fails loudly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import cohomology_dims
-from .errors import HypothesisFailed, InvalidSpec, NotOrthogonal, UnsupportedExtPair
+from .errors import HypothesisFailed, NotOrthogonal, UnsupportedExtPair
 from .fan import Blowup, BundleSpec, CenterSpec, make_blowup
 from .splitcalc import ext_lemA, ext_line_to_pushforward
 
@@ -60,17 +61,15 @@ class Collection:
 
 
 def graded_hom(bl: Blowup, a, b):
-    """Full graded Hom dimensions from object a to object b."""
+    """Full graded Hom dimensions between a pushforward and a line bundle,
+    in either order, from the structured formulas."""
     geom = bl.geometry
-    if isinstance(a, LineBundle) and isinstance(b, LineBundle):
-        diff = bl.fan_xt.pic_class((b.alpha - a.alpha, b.beta - a.beta, b.k - a.k))
-        return cohomology_dims(bl.fan_xt, diff)
     if isinstance(a, PushforwardTwist) and isinstance(b, LineBundle):
         # twist both sides by O(-b.k E); only the pushforward's k shifts
         return ext_lemA(geom, (a.alpha, a.beta), a.k - b.k, (b.alpha, b.beta))
     if isinstance(a, LineBundle) and isinstance(b, PushforwardTwist):
         return ext_line_to_pushforward(geom, a.k - b.k, (a.alpha, a.beta), (b.alpha, b.beta))
-    raise UnsupportedExtPair("no formula for Ext between two pushforward objects")
+    raise UnsupportedExtPair(f"no formula for Ext from {a} to {b}")
 
 
 def tensor_object(obj, twist):
@@ -113,8 +112,15 @@ def serre_rotate(bl: Blowup, col: Collection, direction) -> Collection:
 
 
 def transpose_if_orthogonal(bl: Blowup, col: Collection, i) -> Collection:
-    """Swap objects i, i+1 after verifying their graded Hom vanishes."""
+    """Swap objects i, i+1, one pushforward and one line bundle, after
+    verifying their graded Hom vanishes."""
     a, b = col.objects[i], col.objects[i + 1]
+    if isinstance(a, LineBundle) == isinstance(b, LineBundle):
+        raise HypothesisFailed(
+            f"transpose at {i}: objects {i} and {i + 1} are not one pushforward "
+            "and one line bundle",
+            log=col.log,
+        )
     hom = graded_hom(bl, a, b)
     if any(hom):
         raise NotOrthogonal(
@@ -223,19 +229,16 @@ def initial_collection(bl: Blowup) -> Collection:
     s, r = geom.s, geom.r
     sp, rp = geom.s_prime, geom.r_prime
     lines = tuple(LineBundle(a, b, 0) for a, b in _revlex(s, r))
+    block1 = tuple(PushforwardTwist(a, b, 1) for a, b in _revlex(sp, rp))
     if bl.codim == 2:
-        pushes = tuple(PushforwardTwist(a, b, 1) for a, b in _revlex(sp, rp))
-        return Collection(pushes + lines)
-    if bl.codim == 3:
-        total = sum(geom.degrees)
-        block2 = tuple(
-            PushforwardTwist(alpha, beta, 2)
-            for beta in range(-rp - 1, 0)
-            for alpha in range(-sp - 1 + total, total)
-        )
-        block1 = tuple(PushforwardTwist(a, b, 1) for a, b in _revlex(sp, rp))
-        return Collection(block2 + block1 + lines)
-    raise InvalidSpec(f"unsupported codimension {bl.codim}")
+        return Collection(block1 + lines)
+    total = sum(geom.degrees)
+    block2 = tuple(
+        PushforwardTwist(alpha, beta, 2)
+        for beta in range(-rp - 1, 0)
+        for alpha in range(-sp - 1 + total, total)
+    )
+    return Collection(block2 + block1 + lines)
 
 
 def _run_twist_script(bl, col, k):
@@ -264,25 +267,20 @@ def _run_twist_script(bl, col, k):
         col = right_mutation_E_twist(bl, col, idx)
 
 
-def construct_codim2(spec: BundleSpec, center: CenterSpec):
-    """Replay the codimension-2 mutation script; returns (blowup, collection
-    of line bundles)."""
-    bl = make_blowup(spec, center)
-    if bl.codim != 2:
-        raise InvalidSpec("construct_codim2 needs a 2-ray center")
-    col = _run_twist_script(bl, initial_collection(bl), 1)
-    return bl, col
+def construct(spec: BundleSpec, center: CenterSpec):
+    """Replay the mutation script of the center's codimension; returns
+    (blowup, collection of line bundles).
 
-
-def construct_codim3(spec: BundleSpec, center: CenterSpec):
-    """Replay the codimension-3 script: rotate the O(2E) block to the tail,
-    run the codimension-2 sub-script on the O(E) block, then left-mutate the
-    rotated block into O(-E) twists."""
+    Codimension 2 turns every O(E)-twisted pushforward into a pair of line
+    bundles.  Codimension 3 first rotates the O(2E) block to the tail, runs
+    the codimension-2 sub-script on the O(E) block, then left-mutates the
+    rotated block into O(-E) twists.
+    """
     bl = make_blowup(spec, center)
-    if bl.codim != 3:
-        raise InvalidSpec("construct_codim3 needs a 3-ray center")
-    geom = bl.geometry
     col = initial_collection(bl)
+    if bl.codim == 2:
+        return bl, _run_twist_script(bl, col, 1)
+    geom = bl.geometry
     for _ in range((geom.s_prime + 1) * (geom.r_prime + 1)):
         col = serre_rotate(bl, col, "forward")
     col = _run_twist_script(bl, col, 1)
@@ -312,12 +310,6 @@ def construct_codim3(spec: BundleSpec, center: CenterSpec):
             idx -= 1
         col = left_mutation_E_twist(bl, col, idx - 1)
     return bl, col
-
-
-def construct(spec: BundleSpec, center: CenterSpec):
-    if center.codim == 2:
-        return construct_codim2(spec, center)
-    return construct_codim3(spec, center)
 
 
 def collection_classes(bl: Blowup, col: Collection):

@@ -1,9 +1,10 @@
 """Closed-form cohomology and Ext formulas for the split-bundle family.
 
-These are the structured fast paths: Bott vanishing on projective space,
-pushforwards of tautological powers for split bundles, cohomology on X and
-on the center Y, the Ext reduction between pushforward objects and line
-bundles, and the acyclicity predicate for exceptional-divisor twists.
+These are the structured fast paths the mutation engine checks its rules
+with: Bott vanishing on projective space, pushforwards of tautological
+powers for split bundles, cohomology on X and on the center Y, and the Ext
+reduction between pushforward objects and line bundles.  Nothing here calls
+the cohomology oracle; the acceptance tests compare the two.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import comb
 
-from .cohomology import cohomology_dims
 from .errors import KOutOfRange
-from .fan import CenterGeometry, Fan, PicClass
+from .fan import CenterGeometry
 
 
 def bott_dims(s, d):
@@ -114,12 +114,3 @@ def ext_line_to_pushforward(geom: CenterGeometry, j, l_class, m_class):
         for i, x in enumerate(hy):
             h[i] += x
     return tuple(h)
-
-
-def is_acyclic_twist(fan_xt: Fan, l_class, k, codim, cache=None) -> bool:
-    """Whether the pullback of L twisted by O(kE) has no higher cohomology."""
-    if not 0 <= k <= codim - 1:
-        raise KOutOfRange(f"k={k} outside 0..{codim - 1}")
-    la, lb = l_class
-    h = cohomology_dims(fan_xt, fan_xt.pic_class((la, lb, k)), cache=cache)
-    return all(x == 0 for x in h[1:])

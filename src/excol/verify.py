@@ -1,9 +1,10 @@
 """Certification of finished line-bundle collections.
 
 Everything here is computed through the cohomology oracle, independently of
-the mutation engine's structured formulas: pairwise graded Hom dimensions,
-exceptionality, semiorthogonality, strongness, and the unimodular
-upper-triangular Euler-Gram necessary condition for fullness.
+the mutation engine's structured formulas (which never call the oracle):
+pairwise graded Hom dimensions, exceptionality, semiorthogonality,
+strongness, and the unimodular upper-triangular Euler-Gram necessary
+condition for fullness.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .cohomology import cohomology_dims_many
 from .errors import NonLineBundlePresent
-from .fan import BundleSpec, CenterGeometry, CenterSpec, Fan, PicClass, center_geometry
+from .fan import CenterGeometry, Fan, PicClass
 from .intlinalg import determinant
 
 
@@ -115,13 +116,8 @@ def certify(fan: Fan, classes, expected_length, cache=None) -> Report:
     )
 
 
-def expected_length(spec: BundleSpec, center: CenterSpec) -> int:
+def expected_length(geom: CenterGeometry) -> int:
     """Rank of the K-theory of the blow-up: its max-cone count."""
-    geom = center_geometry(spec, center)
-    return expected_length_from_geometry(geom)
-
-
-def expected_length_from_geometry(geom: CenterGeometry) -> int:
     return (geom.s + 1) * (geom.r + 1) + (geom.codim - 1) * (
         geom.s_prime + 1
     ) * (geom.r_prime + 1)

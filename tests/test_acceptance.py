@@ -20,15 +20,13 @@ from excol import (
     collection_classes,
     construct,
     ext_line_to_pushforward,
-    is_acyclic_twist,
     make_blowup,
     projective_space_fan,
 )
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.cohomology import euler_pairing
-from excol.fan import _bundle_fan
 from excol.splitcalc import _sym_conormal, y_cohomology
-from excol.verify import expected_length_from_geometry
+from excol.verify import expected_length
 
 MAX_DIM = 4
 MAX_DEGREE = 2
@@ -89,9 +87,7 @@ def _dedup_centers(codims):
 def _certify_case(spec, center):
     bl, col = construct(spec, center)
     classes = collection_classes(bl, col)
-    report = certify(
-        bl.fan_xt, classes, expected_length_from_geometry(bl.geometry)
-    )
+    report = certify(bl.fan_xt, classes, expected_length(bl.geometry))
     if report.all_passed and len(classes) >= 2:
         swapped = [classes[1], classes[0]] + classes[2:]
         negative = certify(bl.fan_xt, swapped, report.length_expected)
@@ -162,7 +158,7 @@ def test_criterion_3_oracle_fastpath_equivalence():
                 a0 = geom.y_degrees[0]
                 if sp >= 1 and rp >= 1:
                     shifted = tuple(d - a0 for d in geom.y_degrees)
-                    yfan = _bundle_fan(sp, shifted)
+                    yfan = build_projective_bundle_fan(BundleSpec(sp, shifted))
                     for alpha in range(-6, 7):
                         for beta in range(-6, 7):
                             check(
@@ -194,15 +190,15 @@ def test_criterion_4_acyclic_E_twists():
     failures = []
     checks = 0
     for spec, center in _dedup_centers((2, 3)):
-        bl = make_blowup(spec, center)
+        fan_xt = make_blowup(spec, center).fan_xt
         for alpha in range(-2, 4):
             for beta in range(-2, 4):
                 hx = cohomology_on_bundle(spec.s, spec.fiber_degrees, alpha, beta)
                 if any(hx[1:]):
                     continue  # only acyclic L on X are in scope
-                for k in range(bl.codim):
+                for k in range(center.codim):
                     checks += 1
-                    if not is_acyclic_twist(bl.fan_xt, (alpha, beta), k, bl.codim):
+                    if any(cohomology_dims(fan_xt, fan_xt.pic_class((alpha, beta, k)))[1:]):
                         failures.append((spec, sorted(center.ray_names), (alpha, beta), k))
     ok = checks > 0 and not failures
     _report(4, "acyclicity-of-E-twists", ok, f"{checks} checks")

@@ -140,6 +140,46 @@ def test_verify_non_integer_class_exit_2(tmp_path, capsys, alpha):
     assert "must be integers" in capsys.readouterr().err
 
 
+GOOD_COLLECTION = {
+    "spec": {"base_dim": 1, "fiber_degrees": [0, 0]},
+    "center": ["b1", "f1"],
+    "objects": [{"kind": "line", "alpha": 0, "beta": 0, "k": 0}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(GOOD_COLLECTION, spec={"base_dim": 1, "fiber_degrees": [0, 1.5]}),
+        dict(GOOD_COLLECTION, spec={"base_dim": 1.9, "fiber_degrees": [0, 0]}),
+        dict(GOOD_COLLECTION, spec={"base_dim": True, "fiber_degrees": [0, 0]}),
+        dict(GOOD_COLLECTION, spec={"base_dim": 1, "fiber_degrees": 0}),
+        dict(GOOD_COLLECTION, center="b1,f1"),
+        dict(GOOD_COLLECTION, objects=3),
+        dict(GOOD_COLLECTION, objects=["line"]),
+        [GOOD_COLLECTION],
+    ],
+    ids=[
+        "float degree",
+        "float base_dim",
+        "bool base_dim",
+        "integer degrees",
+        "string center",
+        "integer objects",
+        "string object",
+        "top-level list",
+    ],
+)
+def test_verify_malformed_collection_exit_2(tmp_path, capsys, doc):
+    """A file of the wrong shape or with non-integer spec values is invalid
+    input, reported in one line, never truncated or certified."""
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps(doc))
+    assert run(["verify", "--collection", str(col)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_unnormalized_degrees_exit_2(capsys):
     code = run(
         ["construct", "--base-dim", "1", "--fiber-degrees", "1,0", "--center", "b1,f1"]

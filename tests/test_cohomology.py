@@ -277,6 +277,9 @@ BAD_CACHE_FILES = {
 }
 
 
+BAD_HEADERS = ("wrong version", "foreign fan", "old format")
+
+
 @pytest.mark.parametrize("name", list(BAD_CACHE_FILES))
 def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
     cache = DiskCache(str(tmp_path))
@@ -289,6 +292,11 @@ def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
     if name == "truncated last line":
         # the complete line before the torn one is still read
         assert cohomology_dims(fan, fan.pic_class((3,)), cache=cache) == (10, 0, 0)
+        assert len(calls) == 1
+    if name in BAD_HEADERS:
+        # the file was replaced by a good one holding the recomputed entry
+        fresh = projective_space_fan(2)
+        assert cohomology_dims(fresh, fresh.pic_class((4,)), cache=cache) == (15, 0, 0)
         assert len(calls) == 1
 
 

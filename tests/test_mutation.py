@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from excol import (
@@ -8,13 +11,11 @@ from excol import (
     PushforwardTwist,
     collection_classes,
     construct,
-    construct_codim2,
-    construct_codim3,
 )
 from excol import mutation
+from excol.cli import enumerate_centers, enumerate_specs
 from excol.errors import (
     HypothesisFailed,
-    InvalidSpec,
     NotOrthogonal,
     UnsupportedExtPair,
 )
@@ -59,7 +60,7 @@ def test_initial_collection_codim3(bl_p2p1):
 
 
 def test_construct_codim2_p1xp1():
-    bl, col = construct_codim2(
+    bl, col = construct(
         BundleSpec(1, (0, 0)), CenterSpec(frozenset({"b1", "f1"}))
     )
     assert [(o.alpha, o.beta, o.k) for o in col.objects] == [
@@ -73,7 +74,7 @@ def test_construct_codim2_p1xp1():
 
 
 def test_construct_codim3_p2xp1():
-    bl, col = construct_codim3(
+    bl, col = construct(
         BundleSpec(2, (0, 0)), CenterSpec(frozenset({"b1", "b2", "f1"}))
     )
     assert [(o.alpha, o.beta, o.k) for o in col.objects] == [
@@ -94,13 +95,6 @@ def test_construct_codim3_curve_center_count():
     )
     assert len(col.objects) == 8  # (s+1)(r+1) + 2(s'+1)(r'+1) = 6 + 2
     assert all(isinstance(o, LineBundle) for o in col.objects)
-
-
-def test_construct_dispatch_codim_mismatch():
-    with pytest.raises(InvalidSpec):
-        construct_codim2(BundleSpec(2, (0, 0)), CenterSpec(frozenset({"b1", "b2", "f1"})))
-    with pytest.raises(InvalidSpec):
-        construct_codim3(BundleSpec(1, (0, 0)), CenterSpec(frozenset({"b1", "f1"})))
 
 
 def test_construction_is_deterministic():
@@ -131,19 +125,35 @@ def test_anticanonical_twist_codim3(bl_p2p1):
     assert (moved.alpha, moved.beta, moved.k) == (2, 1, 0)
 
 
-def test_transpose_requires_orthogonality(bl_p1p1):
-    col = Collection((LineBundle(0, 0, 0), LineBundle(1, 0, 0)))
-    with pytest.raises(NotOrthogonal) as exc:
-        transpose_if_orthogonal(bl_p1p1, col, 0)
-    assert any(exc.value.hom)
+def test_transpose_requires_orthogonality(bl_p1p1, bl_p2p1):
+    # the pairs the scripts mutate, which are not orthogonal
+    for bl, pair, hom in (
+        (bl_p1p1, (PushforwardTwist(0, 0, 1), LineBundle(0, 0, 0)), (0, 1, 0)),
+        (bl_p2p1, (LineBundle(2, 1, 0), PushforwardTwist(2, 1, 0)), (1, 0, 0, 0)),
+    ):
+        with pytest.raises(NotOrthogonal) as exc:
+            transpose_if_orthogonal(bl, Collection(pair), 0)
+        assert exc.value.hom == hom
 
 
-def test_transpose_swaps_orthogonal_pair(bl_p1p1):
-    col = Collection((LineBundle(1, 0, 0), LineBundle(0, 1, 0)))
-    assert not any(graded_hom(bl_p1p1, *col.objects))
-    swapped = transpose_if_orthogonal(bl_p1p1, col, 0)
-    assert swapped.objects == (col.objects[1], col.objects[0])
-    assert swapped.log[-1]["rule"] == "transpose"
+def _object(doc):
+    kind = {"line": LineBundle, "push": PushforwardTwist}[doc["kind"]]
+    return kind(doc["alpha"], doc["beta"], doc["k"])
+
+
+def test_transpose_swaps_orthogonal_pair():
+    """Transpositions taken from real script logs, replayed alone."""
+    for spec, center, step in (
+        (BundleSpec(1, (0, 0, 0)), {"b1", "f0"}, 0),  # pushforward, line
+        (BundleSpec(1, (0, 0, 0, 0)), {"b0", "f0", "f1"}, 6),  # line, pushforward
+    ):
+        bl, done = construct(spec, CenterSpec(frozenset(center)))
+        logged = done.log[step]
+        assert logged["rule"] == "transpose"
+        col = Collection(tuple(_object(o) for o in logged["pair"]))
+        swapped = transpose_if_orthogonal(bl, col, 0)
+        assert swapped.objects == (col.objects[1], col.objects[0])
+        assert swapped.log == (dict(logged, index=0),)
 
 
 def test_right_mutation_guards(bl_p1p1):
@@ -177,8 +187,12 @@ def test_rule_errors_name_rule_and_index(bl_p1p1, monkeypatch):
     line, push = LineBundle(0, 0, 0), PushforwardTwist(0, 0, 1)
     failures = [
         (serre_rotate, Collection(()), "forward", "serre_rotate at 0: "),
-        (transpose_if_orthogonal, Collection((head, line, LineBundle(1, 0, 0))), 1,
+        (transpose_if_orthogonal, Collection((head, push, line)), 1,
          "transpose at 1: "),
+        (transpose_if_orthogonal, Collection((head, line, LineBundle(1, 0, 0))), 1,
+         "transpose at 1: objects 1 and 2 are not one pushforward and one line bundle"),
+        (transpose_if_orthogonal, Collection((head, push, push)), 1,
+         "transpose at 1: objects 1 and 2 are not one pushforward and one line bundle"),
         (right_mutation_E_twist, Collection((head, line, line)), 1,
          "right_mutation_E_twist at 1: "),
         (right_mutation_E_twist, Collection((head, push, LineBundle(1, 0, 0))), 1,
@@ -207,8 +221,11 @@ def test_rule_errors_name_rule_and_index(bl_p1p1, monkeypatch):
 
 
 def test_graded_hom_push_push_unsupported(bl_p1p1):
+    # only pushforward-line pairs have a structured formula
     with pytest.raises(UnsupportedExtPair):
         graded_hom(bl_p1p1, PushforwardTwist(0, 0, 1), PushforwardTwist(0, 0, 1))
+    with pytest.raises(UnsupportedExtPair):
+        graded_hom(bl_p1p1, LineBundle(0, 0, 0), LineBundle(1, 0, 0))
 
 
 def test_collection_classes_rejects_pushforwards(bl_p1p1):
@@ -221,3 +238,20 @@ def test_length_is_preserved(bl_p1p1, bl_p2p1):
     for bl in (bl_p1p1, bl_p2p1):
         _, col = construct(bl.spec, bl.center)
         assert len(col.objects) == len(initial_collection(bl).objects)
+
+
+def test_construct_outputs_frozen():
+    """Objects and mutation logs of all 362 cases of the s + r <= 4,
+    degree <= 1 family, in sweep order, hashed as written by construct."""
+    digest = hashlib.sha256()
+    cases = 0
+    for spec in enumerate_specs(4, 1):
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                _, col = construct(spec, center)
+                digest.update(json.dumps(col.to_json(), sort_keys=True).encode())
+                cases += 1
+    assert cases == 362
+    assert digest.hexdigest() == (
+        "9e3b71110b63d49b89b68e89d6192e86b0e73486351a128d7f2ee16268e09bda"
+    )

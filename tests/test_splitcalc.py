@@ -12,7 +12,6 @@ from excol import (
     cohomology_on_bundle,
     ext_lemA,
     ext_line_to_pushforward,
-    is_acyclic_twist,
     make_blowup,
 )
 from excol.errors import KOutOfRange
@@ -125,15 +124,6 @@ def test_ext_line_to_pushforward_conormal_twist(bl_p2p1):
         for i, x in enumerate(y_cohomology(geom, ta, tb)):
             expected[i] += x
     assert hom == tuple(expected)
-
-
-def test_is_acyclic_twist(bl_p1p1):
-    xt = bl_p1p1.fan_xt
-    assert is_acyclic_twist(xt, (0, 0), 0, 2, cache=False)
-    assert is_acyclic_twist(xt, (1, 0), 1, 2, cache=False)
-    assert not is_acyclic_twist(xt, (-2, 0), 0, 2, cache=False)
-    with pytest.raises(KOutOfRange):
-        is_acyclic_twist(xt, (0, 0), 2, 2, cache=False)
 
 
 def test_lemA_triangle_euler_identity(bl_p2p1):

@@ -14,7 +14,6 @@ from excol import (
 from excol import kernels, make_blowup
 from excol.cohomology import DiskCache
 from excol.errors import NonLineBundlePresent
-from excol.verify import expected_length_from_geometry
 
 
 def _beilinson(n):
@@ -100,12 +99,9 @@ def test_report_json_shape():
     assert doc["gram"] == [[1, 2], [0, 1]]
 
 
-def test_expected_length_formulas():
-    assert expected_length(BundleSpec(1, (0, 0)), CenterSpec(frozenset({"b1", "f1"}))) == 5
-    assert (
-        expected_length(BundleSpec(2, (0, 0)), CenterSpec(frozenset({"b1", "b2", "f1"})))
-        == 8
-    )
+def test_expected_length_formulas(bl_p1p1, bl_p2p1):
+    assert expected_length(bl_p1p1.geometry) == 5
+    assert expected_length(bl_p2p1.geometry) == 8
 
 
 def test_certified_construction_end_to_end():
@@ -115,7 +111,7 @@ def test_certified_construction_end_to_end():
     report = certify(
         bl.fan_xt,
         collection_classes(bl, col),
-        expected_length_from_geometry(bl.geometry),
+        expected_length(bl.geometry),
     )
     assert report.all_passed
     assert isinstance(report, Report)
@@ -127,7 +123,7 @@ def test_certify_writes_one_cache_file(tmp_path, monkeypatch):
     spec, center = BundleSpec(1, (0, 1)), CenterSpec(frozenset({"b1", "f1"}))
     bl, col = construct(spec, center)
     classes = collection_classes(bl, col)
-    length = expected_length_from_geometry(bl.geometry)
+    length = expected_length(bl.geometry)
     cache = DiskCache(str(tmp_path))
     io = []
 
