@@ -5,15 +5,24 @@ against: for a T-divisor lift of the class, every lattice character u
 contributes the reduced rational cohomology of the support complex on the
 rays where the section inequality fails.
 
-The characters swept are those in a box around the vertices of the
-divisor's hyperplane arrangement.  The vertex of each invertible set of dim
-rays is an integer map of the divisor coefficients, computed once per fan
-(_vertex_maps), so a box costs a few integer dot products and divisions.
-The per-character sweep is the hot loop; it runs through the numpy kernel
-excol.kernels.count_support_masks.  Results are memoized per fan object and,
-unless disabled, in a disk cache of one append-only file per fan
-(DiskCache), read once per fan and appended once per batch
-(cohomology_dims_many).
+All h-vectors of a batch (cohomology_dims_many; cohomology_dims is a batch
+of one) are computed in one pass over the classes the memo lacks:
+
+- box: the characters swept are those in a box around the vertices of the
+  divisor's hyperplane arrangement.  The vertex of each invertible set of
+  dim rays is an integer map of the divisor coefficients, scattered once per
+  fan into one int64 matrix (_box_matrix), so the boxes of the whole batch
+  come from one matrix product, checked beforehand to fit in int64 (_boxes);
+- sweep: the numpy kernel excol.kernels.count_support_masks counts every
+  support mask over the box, and over its boundary;
+- ranks: the reduced-cohomology ranks of the support complexes depend only
+  on the fan's labelled combinatorial type (its max cones), so one table
+  per type, filled as masks occur, serves every fan object of that type
+  (_support_ranks), and h is the product of the counts with that table.
+
+Results are memoized per fan object and, unless disabled, in a disk cache
+of one append-only file per fan (DiskCache), read once per fan and appended
+once per batch.
 """
 
 from __future__ import annotations
@@ -23,7 +32,6 @@ import json
 import os
 from itertools import combinations
 from math import prod
-from operator import mul
 
 import numpy as np
 
@@ -133,7 +141,9 @@ class DiskCache:
         """Append entries ({coords: h}) to fan's file with one write.
 
         The process that creates the file writes the header in the same
-        write.  A file whose header is not (yet) there is left alone.
+        write.  A file whose header is not (yet) there is left alone, and a
+        file whose last line is torn (no final newline) gets a newline
+        first, so the torn line does not swallow the first new entry.
         """
         data = "".join(
             json.dumps([list(coords), list(h)]) + "\n" for coords, h in entries.items()
@@ -147,6 +157,8 @@ class DiskCache:
             fd = os.open(path, os.O_RDWR | os.O_APPEND)
             if os.pread(fd, len(header), 0) != header:
                 data = b""
+            elif os.pread(fd, 1, os.fstat(fd).st_size - 1) != b"\n":
+                data = b"\n" + data  # end the torn line a crash left
         try:
             os.write(fd, data)
         finally:
@@ -178,11 +190,8 @@ def _vertex_maps(fan: Fan):
     R_S has the rays in S as rows, and intlinalg.inverse gives
     det_S = |det R_S| > 0 and M_S = det_S * R_S^-1 (rows of integers), so the
     arrangement vertex {u : <u, v_i> = -a_i for i in S} is M_S (-a_S) / det_S.
-    Computed once per fan.
     """
-    maps = fan._vertex_map_cache
-    if maps:
-        return maps
+    maps = []
     for subset in combinations(range(fan.n_rays), fan.dim):
         try:
             rows, det = inverse([fan.rays[i] for i in subset])
@@ -192,28 +201,80 @@ def _vertex_maps(fan: Fan):
     return maps
 
 
+def _box_matrix(fan: Fan):
+    """(A, dets, reach), computed once per fan.
+
+    A (n_rays x vertices*dim, int64) holds the rows of -M_S scattered to the
+    rays of S, so a @ A lists det_S times every arrangement vertex of the
+    T-divisor a, dets holds the matching det_S, and reach, the largest
+    column L1 norm of A, bounds |a @ A| by reach * max|a|.
+    """
+    cache = fan._box_matrix_cache
+    if not cache:
+        maps = _vertex_maps(fan)
+        dim = fan.dim
+        scatter = np.zeros((fan.n_rays, len(maps) * dim), dtype=np.int64)
+        for j, (subset, rows, _det) in enumerate(maps):
+            for d, row in enumerate(rows):
+                scatter[list(subset), j * dim + d] = [-m for m in row]
+        dets = np.repeat(np.array([det for _, _, det in maps], dtype=np.int64), dim)
+        reach = max(sum(map(abs, row)) for _, rows, _ in maps for row in rows)
+        cache.extend((scatter, dets, reach))
+    return cache
+
+
+def _boxes(fan: Fan, coeff_rows):
+    """Bounding boxes (lo, hi) of the hyperplane-arrangement vertices,
+    inflated by 1, of T-divisors (rows of ray coefficients), from one int64
+    product.
+
+    Every numerator of the product, and the box's +-1, must fit in int64.
+    Otherwise the product is formed in Python ints (object arrays) for the
+    message only, and BoxTooLarge names the row with the largest coefficient
+    and its exact box.
+    """
+    scatter, dets, reach = _box_matrix(fan)
+    big = max(abs(a) for row in coeff_rows for a in row)
+    fits = big * reach < _INT64_MAX
+    nums = np.array(coeff_rows, dtype=np.int64 if fits else object) @ scatter
+    shape = (len(coeff_rows), -1, fan.dim)
+    lo = (nums // dets).reshape(shape).min(axis=1) - 1
+    hi = (-(-nums // dets)).reshape(shape).max(axis=1) + 1
+    boxes = list(zip(lo.tolist(), hi.tolist()))
+    if not fits:
+        coeffs, (lo, hi) = next(
+            (row, box) for row, box in zip(coeff_rows, boxes) if max(map(abs, row)) == big
+        )
+        raise BoxTooLarge(
+            f"T-divisor {tuple(coeffs)} in box lo={lo} hi={hi}: "
+            f"{prod(b - a + 1 for a, b in zip(lo, hi))} points, arrangement "
+            f"vertex numerators bounded by {big * reach} (int64 limit {_INT64_MAX})"
+        )
+    return boxes
+
+
 def _arrangement_box(fan: Fan, coeffs):
-    """Bounding box of the hyperplane-arrangement vertices, inflated by 1."""
-    floors, ceils = [], []
-    for subset, rows, det in _vertex_maps(fan):
-        rhs = [-coeffs[i] for i in subset]
-        nums = [sum(map(mul, row, rhs)) for row in rows]
-        floors.append([x // det for x in nums])
-        ceils.append([-(-x // det) for x in nums])
-    if not floors:
-        floors = ceils = [[0] * fan.dim]
-    lo = [min(col) - 1 for col in zip(*floors)]
-    hi = [max(col) + 1 for col in zip(*ceils)]
-    return lo, hi
+    """(lo, hi) of one T-divisor: _boxes of a batch of one."""
+    return _boxes(fan, [coeffs])[0]
 
 
-def _support_ranks(fan: Fan, mask):
-    cache = fan._support_rank_cache
-    ranks = cache.get(mask)
+# Reduced-cohomology ranks of the support complexes of one labelled
+# combinatorial type (fan.max_cones): row `mask` holds the ranks, in degrees
+# -1..dim-1, of the complex the max cones induce on the rays in mask, or -1
+# while no box has met that mask.  Shared by every fan object of the type.
+_RANK_TABLES = {}
+
+
+def _support_ranks(fan: Fan, masks):
+    """The rank table of fan's type, with the rows of masks filled."""
+    ranks = _RANK_TABLES.get(fan.max_cones)
     if ranks is None:
+        ranks = _RANK_TABLES[fan.max_cones] = np.full(
+            (1 << fan.n_rays, fan.dim + 1), -1, dtype=np.int64
+        )
+    for mask in masks[ranks[masks, 0] < 0].tolist():
         facets = {frozenset(i for i in cone if mask >> i & 1) for cone in fan.max_cones}
-        ranks = reduced_cohomology_ranks(facets, fan.dim - 1)
-        cache[mask] = ranks
+        ranks[mask] = reduced_cohomology_ranks(facets, fan.dim - 1)
     return ranks
 
 
@@ -235,9 +296,12 @@ def _check_box(fan: Fan, coeffs, lo, hi):
         )
 
 
-def _dims_of_divisor(fan: Fan, coeffs):
-    """All h^i of the T-divisor with ray coefficients coeffs, uncached."""
-    lo, hi = _arrangement_box(fan, coeffs)
+def _dims_of_divisor(fan: Fan, coeffs, box=None):
+    """All h^i of the T-divisor with ray coefficients coeffs, uncached.
+
+    box is its arrangement box when the caller has it from a batch (_boxes).
+    """
+    lo, hi = _arrangement_box(fan, coeffs) if box is None else box
     _check_box(fan, coeffs, lo, hi)
     counts, shell = kernels.count_support_masks(
         np.array(lo, dtype=np.int64),
@@ -245,58 +309,58 @@ def _dims_of_divisor(fan: Fan, coeffs):
         np.array(fan.rays, dtype=np.int64),
         np.array(coeffs, dtype=np.int64),
     )
-    h = [0] * (fan.dim + 1)
-    for mask in np.nonzero(counts)[0]:
-        ranks = _support_ranks(fan, int(mask))
-        if any(ranks):
-            if shell[mask]:
-                raise UnboundedContribution(
-                    f"T-divisor {tuple(coeffs)} in box lo={lo} hi={hi}: support "
-                    f"set {int(mask):b} on the inflated boundary has reduced "
-                    f"cohomology {ranks}"
-                )
-            c = int(counts[mask])
-            for i, rk in enumerate(ranks):  # ranks[i] is degree i-1 -> h^i
-                h[i] += c * rk
-    return tuple(h)
+    present = np.flatnonzero(counts)
+    ranks = _support_ranks(fan, present)
+    unbounded = present[(shell[present] > 0) & ranks[present].any(axis=1)]
+    if unbounded.size:
+        mask = int(unbounded[0])
+        raise UnboundedContribution(
+            f"T-divisor {tuple(coeffs)} in box lo={lo} hi={hi}: support "
+            f"set {mask:b} on the inflated boundary has reduced "
+            f"cohomology {tuple(ranks[mask].tolist())}"
+        )
+    # ranks[mask, i] is the rank in degree i-1, which adds to h^i
+    return tuple((counts @ ranks).tolist())
 
 
 def cohomology_dims(fan: Fan, cls: PicClass, cache=None):
     """All h^i(fan, cls), exactly; cache=False disables the disk cache."""
-    if cache is not False:
-        return cohomology_dims_many(fan, [cls], cache)[0]
-    if cls.basis != fan.basis_tag:
-        raise ValueError("class belongs to a different fan")
-    memo = fan._hvector_cache
-    result = memo.get(cls.coords)
-    if result is None:
-        result = memo[cls.coords] = _dims_of_divisor(fan, fan.tdivisor_lift(cls))
-    return result
+    return cohomology_dims_many(fan, [cls], cache)[0]
 
 
 def cohomology_dims_many(fan: Fan, classes, cache=None):
-    """cohomology_dims of each class, in order, with one disk-cache batch.
+    """cohomology_dims of each class, in order, in one pass.
 
     cache is a DiskCache, None for the default one, or False for none.  The
     fan's cache file is read into its memo once per fan object and cache
-    root (the memo wins over the file), and the batch's entries the file
-    lacks are appended to it in one write.
+    root (the memo wins over the file).  The classes the memo lacks, each
+    once, get their boxes from one product (_boxes) and one kernel sweep
+    each, and the batch's entries the file lacks are appended to it in one
+    write.
     """
-    if cache is False:
-        return [cohomology_dims(fan, cls, cache=False) for cls in classes]
-    disk = DiskCache(default_cache_dir()) if cache is None else cache
-    stored = fan._disk_coords.get(disk.root)
-    if stored is None:
-        entries = disk.get(fan)
-        memo = fan._hvector_cache
-        for coords, h in entries.items():
-            memo.setdefault(coords, h)
-        stored = fan._disk_coords[disk.root] = set(entries)
-    out = [cohomology_dims(fan, cls, cache=False) for cls in classes]
-    new = {cls.coords: h for cls, h in zip(classes, out) if cls.coords not in stored}
-    if new:
-        disk.put(fan, new)
-        stored.update(new)
+    for cls in classes:
+        if cls.basis != fan.basis_tag:
+            raise ValueError("class belongs to a different fan")
+    memo = fan._hvector_cache
+    if cache is not False:
+        disk = DiskCache(default_cache_dir()) if cache is None else cache
+        stored = fan._disk_coords.get(disk.root)
+        if stored is None:
+            entries = disk.get(fan)
+            for coords, h in entries.items():
+                memo.setdefault(coords, h)
+            stored = fan._disk_coords[disk.root] = set(entries)
+    missing = {cls.coords: cls for cls in classes if cls.coords not in memo}
+    if missing:
+        rows = [fan.tdivisor_lift(cls) for cls in missing.values()]
+        for coords, coeffs, box in zip(missing, rows, _boxes(fan, rows)):
+            memo[coords] = _dims_of_divisor(fan, coeffs, box)
+    out = [memo[cls.coords] for cls in classes]
+    if cache is not False:
+        new = {cls.coords: h for cls, h in zip(classes, out) if cls.coords not in stored}
+        if new:
+            disk.put(fan, new)
+            stored.update(new)
     return out
 
 

@@ -158,10 +158,6 @@ class Fan:
     # mutable per-instance caches (allowed on frozen dataclasses: cached_property
     # writes straight into __dict__)
     @cached_property
-    def _support_rank_cache(self):
-        return {}
-
-    @cached_property
     def _hvector_cache(self):
         return {}
 
@@ -170,8 +166,8 @@ class Fan:
         return {}  # cache root -> coords stored in this fan's file there
 
     @cached_property
-    def _vertex_map_cache(self):
-        return []  # filled once by cohomology._vertex_maps
+    def _box_matrix_cache(self):
+        return []  # filled once by cohomology._box_matrix
 
 
 def _primitive(vec):

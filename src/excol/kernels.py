@@ -2,13 +2,22 @@
 
 Counts, for every subset of rays, how many integer points u of a box have
 exactly that subset as their support set {rho : <u, v_rho> < -a_rho}.
-All arithmetic stays in int64, which is exact for the coordinate sizes that
-occur here.
+
+<u, v_rho> + a_rho is a sum of one term per axis, so the kernel forms the
+per-axis terms once, adds the terms of axes 1..n-1 (and a_rho) into one
+array by broadcasting, and sweeps axis 0 in slabs of at most SLAB_POINTS
+points: one slab for every box of the construction sweeps.  A point's
+support mask is packed from the ray tests bit by bit.  All arithmetic stays
+in int64; the caller checks that every value formed fits
+(cohomology._check_box).
 """
 
 import numpy as np
 
 BACKEND = "numpy"
+
+# box points per slab of axis 0; bounds the temporaries to a few MB
+SLAB_POINTS = 1 << 16
 
 
 def count_support_masks(lo, hi, rays, coeffs):
@@ -16,7 +25,8 @@ def count_support_masks(lo, hi, rays, coeffs):
 
     rays: (R, n) int array, coeffs: (R,) int array.
     Returns (counts, shell_counts), both of length 2**R: occurrences of each
-    bitmask over all box points, and over points on the box boundary.
+    bitmask over all box points, and over points on the box boundary.  The
+    boundary counts are the counts minus those of the interior box.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
@@ -25,29 +35,27 @@ def count_support_masks(lo, hi, rays, coeffs):
     n = lo.shape[0]
     nrays = rays.shape[0]
     nmasks = 1 << nrays
-    bits = (np.int64(1) << np.arange(nrays, dtype=np.int64))
+    mask_type = np.min_scalar_type(nmasks - 1)
+
+    def term(d):
+        """(R, 1, .., w_d, .., 1): <u_d e_d, v_rho> over axis d of the box."""
+        shape = (nrays,) + (1,) * d + (-1,) + (1,) * (n - 1 - d)
+        return (rays[:, d, None] * np.arange(lo[d], hi[d] + 1)).reshape(shape)
+
+    rest = coeffs.reshape((nrays,) + (1,) * n)
+    for d in range(1, n):
+        rest = rest + term(d)
+    first = term(0)
+    width = first.shape[1]
+    step = max(1, SLAB_POINTS * nrays // rest.size)
     counts = np.zeros(nmasks, dtype=np.int64)
-    shell = np.zeros(nmasks, dtype=np.int64)
-
-    axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64) for i in range(1, n)]
-    if axes:
-        grids = np.meshgrid(*axes, indexing="ij")
-        rest = np.stack([g.ravel() for g in grids], axis=-1)
-    else:
-        rest = np.zeros((1, 0), dtype=np.int64)
-    rest_on_shell = np.zeros(rest.shape[0], dtype=bool)
-    for i in range(1, n):
-        col = rest[:, i - 1]
-        rest_on_shell |= (col == lo[i]) | (col == hi[i])
-
-    rest_dots = rest @ rays[:, 1:].T if n > 1 else np.zeros((1, nrays), dtype=np.int64)
-    first_col = rays[:, 0] if n >= 1 else np.zeros(nrays, dtype=np.int64)
-    for v in range(lo[0], hi[0] + 1):
-        dots = rest_dots + v * first_col
-        active = dots < -coeffs
-        masks = active @ bits
-        counts += np.bincount(masks, minlength=nmasks)
-        on_shell = rest_on_shell | (v == lo[0]) | (v == hi[0])
-        if on_shell.any():
-            shell += np.bincount(masks[on_shell], minlength=nmasks)
-    return counts, shell
+    interior = np.zeros(nmasks, dtype=np.int64)
+    for start in range(0, width, step):
+        active = first[:, start : start + step] + rest < 0
+        masks = np.zeros(active.shape[1:], dtype=mask_type)
+        for r in range(nrays):
+            masks |= active[r].astype(mask_type) << r
+        counts += np.bincount(masks.ravel(), minlength=nmasks)
+        core = (slice(max(1 - start, 0), width - 1 - start),) + (slice(1, -1),) * (n - 1)
+        interior += np.bincount(masks[core].ravel(), minlength=nmasks)
+    return counts, counts - interior

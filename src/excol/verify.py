@@ -70,7 +70,7 @@ class Report:
         }
 
 
-def certify(fan: Fan, classes, expected_length, cache=None) -> Report:
+def certify(fan: Fan, classes, length_expected, cache=None) -> Report:
     """Certify exceptionality, semiorthogonality, strongness, and the
     Euler-Gram condition.  Failures are report contents, never errors."""
     table = ext_table(fan, classes, cache=cache)
@@ -109,7 +109,7 @@ def certify(fan: Fan, classes, expected_length, cache=None) -> Report:
         strong=strong,
         gram=gram,
         gram_determinant=det,
-        length_expected=expected_length,
+        length_expected=length_expected,
         length_actual=n,
         violations=violations,
         provenance_hash=hashlib.sha256(payload.encode()).hexdigest(),

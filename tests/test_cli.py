@@ -120,6 +120,8 @@ def _write_collection(path, base_dim, fiber_degrees, center, alphas):
     [
         (2, [0, 1, 2], ["b1", "f1"], 50),  # 9.6e8 box points
         (1, [0, 0], ["b1", "f1"], 10**30),  # coefficients beyond int64
+        (2, [0, 1, 2], ["b1", "f1"], 10**17),  # box product fits, box does not
+        (2, [0, 1, 2], ["b1", "f1"], 2 * 10**18),  # past the box product's guard
     ],
 )
 def test_verify_huge_class_exit_2(tmp_path, capsys, base_dim, fiber_degrees, center, alpha):

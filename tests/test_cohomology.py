@@ -19,11 +19,16 @@ from excol import (
     projective_space_fan,
 )
 from excol.cohomology import (
+    _INT64_MAX,
     CACHE_VERSION,
     DiskCache,
     _arrangement_box,
+    _box_matrix,
+    _boxes,
     _dims_of_divisor,
+    _support_ranks,
     _vertex_maps,
+    cohomology_dims_many,
     reduced_cohomology_ranks,
 )
 from excol import cohomology, kernels
@@ -156,6 +161,19 @@ def family_divisors(draw):
     return fan, tuple(coeffs)
 
 
+def _python_box(fan, coeffs):
+    """Reference box in Python ints, one vertex map at a time."""
+    floors, ceils = [], []
+    for subset, rows, det in _vertex_maps(fan):
+        rhs = [-coeffs[i] for i in subset]
+        scaled = [sum(m * c for m, c in zip(row, rhs)) for row in rows]
+        floors.append([x // det for x in scaled])
+        ceils.append([-(-x // det) for x in scaled])
+    lo = [min(col) - 1 for col in zip(*floors)]
+    hi = [max(col) + 1 for col in zip(*ceils)]
+    return lo, hi
+
+
 @settings(max_examples=150, deadline=None)
 @given(family_divisors())
 def test_vertex_maps_match_per_subset_solves(divisor):
@@ -163,7 +181,6 @@ def test_vertex_maps_match_per_subset_solves(divisor):
     vertex of the arrangement on S, and the box spans those vertices."""
     fan, coeffs = divisor
     maps = {subset: (rows, det) for subset, rows, det in _vertex_maps(fan)}
-    floors, ceils = [], []
     for subset in itertools.combinations(range(fan.n_rays), fan.dim):
         det_rs = determinant([fan.rays[i] for i in subset])
         assert (subset in maps) == (det_rs != 0), subset
@@ -176,11 +193,35 @@ def test_vertex_maps_match_per_subset_solves(divisor):
         # det_S * vertex satisfies <u, v_i> = -a_i for every i in S, exactly
         for i in subset:
             assert sum(x * v for x, v in zip(scaled, fan.rays[i])) == -det * coeffs[i]
-        floors.append([x // det for x in scaled])
-        ceils.append([-(-x // det) for x in scaled])
-    lo = [min(col) - 1 for col in zip(*floors)]
-    hi = [max(col) + 1 for col in zip(*ceils)]
-    assert _arrangement_box(fan, coeffs) == (lo, hi)
+    assert _arrangement_box(fan, coeffs) == _python_box(fan, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_boxes_match_per_class_boxes(data):
+    """One product gives every box of a batch, duplicates included."""
+    fan, first = data.draw(family_divisors())
+    row = st.lists(st.integers(-30, 30), min_size=fan.n_rays, max_size=fan.n_rays)
+    rows = [first] + data.draw(st.lists(row.map(tuple), max_size=6))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+    assert _boxes(fan, rows) == [_python_box(fan, r) for r in rows]
+
+
+@pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
+def test_box_product_guard(case):
+    """The largest coefficient the int64 box product admits gives the exact
+    box; one more raises BoxTooLarge instead of wrapping."""
+    fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
+    edge = (_INT64_MAX - 1) // _box_matrix(fan)[2]
+    for sign in (1, -1):
+        coeffs = [0] * fan.n_rays
+        coeffs[-1] = sign * edge
+        assert _arrangement_box(fan, coeffs) == _python_box(fan, coeffs)
+        coeffs[-1] += sign
+        with pytest.raises(BoxTooLarge, match="int64"):
+            _arrangement_box(fan, coeffs)
+        with pytest.raises(BoxTooLarge, match="box lo="):
+            cohomology_dims_many(fan, [fan.class_of_divisor(coeffs)], cache=False)
 
 
 def test_unbounded_contribution_names_divisor_box_and_mask(monkeypatch):
@@ -290,9 +331,11 @@ def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
     assert cohomology_dims(fan, fan.pic_class((4,)), cache=cache) == (15, 0, 0)
     assert len(calls) == 1
     if name == "truncated last line":
-        # the complete line before the torn one is still read
+        # the complete line before the torn one is still read, and the
+        # entry appended after the torn line is not lost
         assert cohomology_dims(fan, fan.pic_class((3,)), cache=cache) == (10, 0, 0)
         assert len(calls) == 1
+        assert cache.get(fan) == {(3,): (10, 0, 0), (4,): (15, 0, 0)}
     if name in BAD_HEADERS:
         # the file was replaced by a good one holding the recomputed entry
         fresh = projective_space_fan(2)
@@ -301,10 +344,11 @@ def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
 
 
 def test_box_outside_int64_is_rejected():
-    """A principal divisor far out has a 3x3 box whose kernel values
-    overflow int64; it must raise, not wrap."""
+    """A principal divisor far out, just inside the int64 guard of the box
+    product, has a 3x3 box whose kernel values overflow int64; it must
+    raise, not wrap."""
     fan = projective_space_fan(2)
-    m = (2**62, 2**62)
+    m = (2**61 - 1, 2**61 - 1)
     coeffs = tuple(-sum(x * y for x, y in zip(m, ray)) for ray in fan.rays)
     lo, hi = _arrangement_box(fan, coeffs)
     assert [b - a + 1 for a, b in zip(lo, hi)] == [3, 3]
@@ -342,3 +386,77 @@ def test_kernel_matches_brute_force():
         assert shell.tolist() == want_shell
         # total point count sanity
         assert counts.sum() == np.prod([b - a + 1 for a, b in zip(lo, hi)])
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        ([-4], [5]),  # dim 1
+        ([-3, -1], [5, 0]),  # a width-2 axis
+        ([-4, 2, -1], [4, 2, 1]),  # a width-1 axis
+        ([3, -2], [3, 2]),  # width 1 along the slab axis
+        ([0, -2, -1], [1, 2, 1]),  # width 2 along the slab axis
+        ([-2, -1, 0, -2], [6, 1, 1, 0]),
+    ],
+)
+@pytest.mark.parametrize("values_per_slab", [1, 2, 3])
+def test_slab_kernel_matches_brute_force(monkeypatch, lo, hi, values_per_slab):
+    """Slabs of 1, 2 or 3 axis-0 values, so slab boundaries fall inside the
+    box as well as on its shell."""
+    rng = random.Random(len(lo) * 10 + values_per_slab)
+    rest_points = int(np.prod([b - a + 1 for a, b in zip(lo[1:], hi[1:])]))
+    monkeypatch.setattr(kernels, "SLAB_POINTS", values_per_slab * rest_points)
+    for _ in range(4):
+        rays = [[rng.randint(-2, 2) for _ in lo] for _ in range(rng.randint(2, 5))]
+        coeffs = [rng.randint(-3, 3) for _ in rays]
+        counts, shell = kernels.count_support_masks(lo, hi, rays, coeffs)
+        want_counts, want_shell = _brute_force_sweep(lo, hi, rays, coeffs)
+        assert counts.tolist() == want_counts
+        assert shell.tolist() == want_shell
+
+
+def _induced_ranks(fan, mask):
+    facets = {frozenset(i for i in cone if mask >> i & 1) for cone in fan.max_cones}
+    return reduced_cohomology_ranks(facets, fan.dim - 1)
+
+
+@pytest.mark.parametrize(
+    "spec, center",
+    [
+        (BundleSpec(2, (0, 1)), ("b1", "b2", "f1")),
+        (BundleSpec(2, (0, 1, 2)), ("b1", "f1")),
+    ],
+)
+def test_rank_table_matches_support_complexes(spec, center):
+    fan = make_blowup(spec, CenterSpec(frozenset(center))).fan_xt
+    masks = np.arange(1 << fan.n_rays)
+    table = _support_ranks(fan, masks)
+    assert [tuple(row) for row in table.tolist()] == [
+        _induced_ranks(fan, mask) for mask in range(1 << fan.n_rays)
+    ]
+
+
+def test_rank_table_is_shared_per_labelled_type():
+    spec = BundleSpec(1, (0, 1, 1))
+    a = make_blowup(spec, CenterSpec(frozenset({"b0", "f1"}))).fan_xt
+    b = make_blowup(spec, CenterSpec(frozenset({"b0", "f1"}))).fan_xt
+    c = make_blowup(spec, CenterSpec(frozenset({"b1", "f2"}))).fan_xt
+    none = np.arange(0)
+    assert a is not b and a.max_cones == b.max_cones
+    assert _support_ranks(a, none) is _support_ranks(b, none)
+    # same number of rays, other cones: a table of its own, with its own ranks
+    assert c.n_rays == a.n_rays and c.max_cones != a.max_cones
+    assert _support_ranks(c, none) is not _support_ranks(a, none)
+    every = np.arange(1 << c.n_rays)
+    assert _support_ranks(c, every).tolist() != _support_ranks(a, every).tolist()
+
+
+def test_batch_sweeps_each_missing_class_once(monkeypatch):
+    fan = projective_space_fan(2)
+    calls = _count_kernel_calls(monkeypatch)
+    classes = [fan.pic_class((d,)) for d in (2, -4, 2, 0, -4)]
+    got = cohomology_dims_many(fan, classes, cache=False)
+    assert got == [bott_dims(2, d) for d in (2, -4, 2, 0, -4)]
+    assert len(calls) == 3
+    assert cohomology_dims_many(fan, classes[:2], cache=False) == got[:2]
+    assert len(calls) == 3
