@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from itertools import combinations
 
+from .cohomology import DiskCache
 from .errors import BoxTooLarge, InvalidSpec, MutationError, NotACone, UnknownRay
 from .fan import Blowup, BundleSpec, CenterSpec, build_projective_bundle_fan, make_blowup
 from .mutation import collection_classes, construct
@@ -87,7 +89,8 @@ def _read_collection(path):
 
 
 def cmd_verify(args):
-    # a verdict must not rest on cached values: certify from scratch
+    # a verdict must not rest on cached values: certify from scratch, without
+    # a DiskCache
     try:
         doc = _read_collection(args.collection)
         spec = BundleSpec(s=doc["spec"]["base_dim"], fiber_degrees=doc["spec"]["fiber_degrees"])
@@ -105,12 +108,7 @@ def cmd_verify(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = certify(
-            bl.fan_xt,
-            classes,
-            expected_length(bl.geometry),
-            cache=False,
-        )
+        report = certify(bl.fan_xt, classes, expected_length(bl.geometry))
     except BoxTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -147,8 +145,16 @@ def enumerate_centers(spec: BundleSpec, codim):
     ]
 
 
-def run_case(spec, center, cache=None):
-    """Construct and certify one (spec, center); returns (report, error)."""
+def default_cache_dir():
+    return os.environ.get("EXCOL_CACHE_DIR", ".excol-cache")
+
+
+def run_case(spec, center, cache=True):
+    """Construct and certify one (spec, center); returns (report, error).
+
+    With cache, certify reads and appends the fan's file in the disk cache
+    under default_cache_dir(), read at call time.
+    """
     try:
         bl, col = construct(spec, center)
     except MutationError as exc:
@@ -157,13 +163,12 @@ def run_case(spec, center, cache=None):
         bl.fan_xt,
         collection_classes(bl, col),
         expected_length(bl.geometry),
-        cache=cache,
+        cache=DiskCache(default_cache_dir()) if cache else None,
     )
     return report, None
 
 
 def cmd_sweep(args):
-    cache = False if args.no_cache else None
     codims = {"2": [2], "3": [3], "both": [2, 3]}[args.codim]
     cases = []
     for spec in enumerate_specs(args.max_dim, args.max_degree):
@@ -181,7 +186,7 @@ def cmd_sweep(args):
         label = f"s={spec.s} a={list(spec.fiber_degrees)}"
         cname = ",".join(sorted(center.ray_names))
         t0 = time.perf_counter()
-        report, err = run_case(spec, center, cache=cache)
+        report, err = run_case(spec, center, cache=not args.no_cache)
         dt = time.perf_counter() - t0
         if err is not None:
             print(f"{label:<24}{cname:<16}{'-':>4}  {'ABORT':<8}{dt:>8.2f}")

@@ -20,9 +20,10 @@ of one) are computed in one pass over the classes the memo lacks:
   per type, filled as masks occur, serves every fan object of that type
   (_support_ranks), and h is the product of the counts with that table.
 
-Results are memoized per fan object and, unless disabled, in a disk cache
-of one append-only file per fan (DiskCache), read once per fan and appended
-once per batch.
+Results are memoized per fan object.  Only a caller that passes a
+DiskCache (one append-only file per fan) touches the disk: the fan's file
+is read once per batch and appended at most once per batch.  Nothing here
+reads the environment.
 """
 
 from __future__ import annotations
@@ -180,10 +181,6 @@ def _parse_entry(fan: Fan, line):
     return tuple(coords), tuple(h)
 
 
-def default_cache_dir():
-    return os.environ.get("EXCOL_CACHE_DIR", ".excol-cache")
-
-
 def _vertex_maps(fan: Fan):
     """(S, M_S, det_S) for every dim-subset S of rays with R_S invertible.
 
@@ -253,11 +250,6 @@ def _boxes(fan: Fan, coeff_rows):
     return boxes
 
 
-def _arrangement_box(fan: Fan, coeffs):
-    """(lo, hi) of one T-divisor: _boxes of a batch of one."""
-    return _boxes(fan, [coeffs])[0]
-
-
 # Reduced-cohomology ranks of the support complexes of one labelled
 # combinatorial type (fan.max_cones): row `mask` holds the ranks, in degrees
 # -1..dim-1, of the complex the max cones induce on the rays in mask, or -1
@@ -296,12 +288,10 @@ def _check_box(fan: Fan, coeffs, lo, hi):
         )
 
 
-def _dims_of_divisor(fan: Fan, coeffs, box=None):
-    """All h^i of the T-divisor with ray coefficients coeffs, uncached.
-
-    box is its arrangement box when the caller has it from a batch (_boxes).
-    """
-    lo, hi = _arrangement_box(fan, coeffs) if box is None else box
+def _dims_of_divisor(fan: Fan, coeffs, box):
+    """All h^i of the T-divisor with ray coefficients coeffs, uncached, from
+    its arrangement box (lo, hi) as _boxes gives it."""
+    lo, hi = box
     _check_box(fan, coeffs, lo, hi)
     counts, shell = kernels.count_support_masks(
         np.array(lo, dtype=np.int64),
@@ -324,43 +314,39 @@ def _dims_of_divisor(fan: Fan, coeffs, box=None):
 
 
 def cohomology_dims(fan: Fan, cls: PicClass, cache=None):
-    """All h^i(fan, cls), exactly; cache=False disables the disk cache."""
+    """All h^i(fan, cls), exactly; cache is a DiskCache, or None for no disk
+    I/O."""
     return cohomology_dims_many(fan, [cls], cache)[0]
 
 
 def cohomology_dims_many(fan: Fan, classes, cache=None):
     """cohomology_dims of each class, in order, in one pass.
 
-    cache is a DiskCache, None for the default one, or False for none.  The
-    fan's cache file is read into its memo once per fan object and cache
-    root (the memo wins over the file).  The classes the memo lacks, each
+    Results are memoized per fan object.  With a DiskCache, the fan's file
+    is read once per call into the memo (the memo wins over the file), and
+    the batch's entries the file lacks are appended to it in one write;
+    without one, nothing touches the disk.  The classes the memo lacks, each
     once, get their boxes from one product (_boxes) and one kernel sweep
-    each, and the batch's entries the file lacks are appended to it in one
-    write.
+    each.
     """
     for cls in classes:
         if cls.basis != fan.basis_tag:
             raise ValueError("class belongs to a different fan")
     memo = fan._hvector_cache
-    if cache is not False:
-        disk = DiskCache(default_cache_dir()) if cache is None else cache
-        stored = fan._disk_coords.get(disk.root)
-        if stored is None:
-            entries = disk.get(fan)
-            for coords, h in entries.items():
-                memo.setdefault(coords, h)
-            stored = fan._disk_coords[disk.root] = set(entries)
+    if cache:
+        stored = cache.get(fan)
+        for coords, h in stored.items():
+            memo.setdefault(coords, h)
     missing = {cls.coords: cls for cls in classes if cls.coords not in memo}
     if missing:
         rows = [fan.tdivisor_lift(cls) for cls in missing.values()]
         for coords, coeffs, box in zip(missing, rows, _boxes(fan, rows)):
             memo[coords] = _dims_of_divisor(fan, coeffs, box)
     out = [memo[cls.coords] for cls in classes]
-    if cache is not False:
+    if cache:
         new = {cls.coords: h for cls, h in zip(classes, out) if cls.coords not in stored}
         if new:
-            disk.put(fan, new)
-            stored.update(new)
+            cache.put(fan, new)
     return out
 
 

@@ -162,10 +162,6 @@ class Fan:
         return {}
 
     @cached_property
-    def _disk_coords(self):
-        return {}  # cache root -> coords stored in this fan's file there
-
-    @cached_property
     def _box_matrix_cache(self):
         return []  # filled once by cohomology._box_matrix
 

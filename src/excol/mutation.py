@@ -89,26 +89,16 @@ def anticanonical_twist(bl: Blowup):
     return tuple(-c for c in k.coords)
 
 
-def serre_rotate(bl: Blowup, col: Collection, direction) -> Collection:
-    """Move the first object to the end tensored by the anticanonical class
-    (direction="forward"), or the last to the front tensored by the
-    canonical class ("backward")."""
+def serre_rotate(bl: Blowup, col: Collection) -> Collection:
+    """Move the first object to the end tensored by the anticanonical
+    class."""
     if not col.objects:
         raise HypothesisFailed(
             "serre_rotate at 0: cannot rotate an empty collection", log=col.log
         )
-    omega_inv = anticanonical_twist(bl)
-    if direction == "forward":
-        moved = tensor_object(col.objects[0], omega_inv)
-        objs = col.objects[1:] + (moved,)
-    elif direction == "backward":
-        omega = tuple(-c for c in omega_inv)
-        moved = tensor_object(col.objects[-1], omega)
-        objs = (moved,) + col.objects[:-1]
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    entry = {"rule": "serre_rotate", "direction": direction, "object": moved.to_json()}
-    return Collection(objs, col.log + (entry,))
+    moved = tensor_object(col.objects[0], anticanonical_twist(bl))
+    entry = {"rule": "serre_rotate", "direction": "forward", "object": moved.to_json()}
+    return Collection(col.objects[1:] + (moved,), col.log + (entry,))
 
 
 def transpose_if_orthogonal(bl: Blowup, col: Collection, i) -> Collection:
@@ -282,7 +272,7 @@ def construct(spec: BundleSpec, center: CenterSpec):
         return bl, _run_twist_script(bl, col, 1)
     geom = bl.geometry
     for _ in range((geom.s_prime + 1) * (geom.r_prime + 1)):
-        col = serre_rotate(bl, col, "forward")
+        col = serre_rotate(bl, col)
     col = _run_twist_script(bl, col, 1)
     # the rotated block now consists of untwisted pushforwards at the tail;
     # walk each one leftwards to its matching line bundle, smallest first

@@ -20,7 +20,9 @@ from .intlinalg import determinant
 
 
 def ext_table(fan: Fan, classes, cache=None):
-    """n x n grid of graded Hom dimension vectors between line bundles."""
+    """n x n grid of graded Hom dimension vectors between line bundles, from
+    one cohomology_dims_many batch; cache is a DiskCache, or None for no
+    disk I/O."""
     for cls in classes:
         if not isinstance(cls, PicClass):
             raise NonLineBundlePresent(f"not a line bundle class: {cls!r}")
@@ -72,7 +74,10 @@ class Report:
 
 def certify(fan: Fan, classes, length_expected, cache=None) -> Report:
     """Certify exceptionality, semiorthogonality, strongness, and the
-    Euler-Gram condition.  Failures are report contents, never errors."""
+    Euler-Gram condition.  Failures are report contents, never errors.
+
+    cache is a DiskCache, or None (the default) for no disk I/O.
+    """
     table = ext_table(fan, classes, cache=cache)
     n = len(classes)
     violations = []

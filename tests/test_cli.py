@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from excol import BundleSpec, CenterSpec, cli, make_blowup
-from excol.cohomology import DiskCache, default_cache_dir
+from excol import BundleSpec, CenterSpec, cli, kernels, make_blowup
+from excol.cli import default_cache_dir
+from excol.cohomology import DiskCache
 from excol.errors import MutationError
 
 
@@ -237,6 +238,40 @@ def test_sweep_small(capsys):
     assert run(["sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]) == 0
     out = capsys.readouterr().out
     assert "all" in out and "passed" in out
+
+
+def test_sweep_cache_plumbing(tmp_path, monkeypatch, capsys):
+    """sweep writes one cache file per case; a second run reads them all
+    without a kernel call or a write and prints the same rows; --no-cache
+    writes nothing."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("EXCOL_CACHE_DIR", str(cache))
+    args = ["sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]
+    cases = [c for s in cli.enumerate_specs(2, 1) for c in cli.enumerate_centers(s, 2)]
+
+    def rows():
+        # every printed line without its last field, the seconds column
+        out = capsys.readouterr().out
+        return [line.rsplit(None, 1)[0] for line in out.splitlines() if line]
+
+    assert run(args) == 0
+    cold = rows()
+    assert len(cold) == len(cases) + 3
+    files = {p.name: p.read_bytes() for p in cache.iterdir()}
+    assert len(files) == len(cases)
+    calls = []
+    real = kernels.count_support_masks
+    monkeypatch.setattr(
+        kernels, "count_support_masks", lambda *a: calls.append(a) or real(*a)
+    )
+    assert run(args) == 0
+    assert rows() == cold
+    assert calls == []
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == files
+    shutil.rmtree(cache)
+    assert run(["--no-cache"] + args) == 0
+    assert rows() == cold
+    assert calls and not cache.exists()
 
 
 def test_sweep_empty_codim3(capsys):

@@ -22,7 +22,6 @@ from excol.cohomology import (
     _INT64_MAX,
     CACHE_VERSION,
     DiskCache,
-    _arrangement_box,
     _box_matrix,
     _boxes,
     _dims_of_divisor,
@@ -31,10 +30,11 @@ from excol.cohomology import (
     cohomology_dims_many,
     reduced_cohomology_ranks,
 )
-from excol import cohomology, kernels
+from excol import kernels
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.errors import BoxTooLarge, UnboundedContribution
 from excol.intlinalg import determinant
+from excol.verify import certify
 
 
 def test_reduced_cohomology_empty_complex():
@@ -90,7 +90,7 @@ def test_lift_invariance(bl_p1p1):
         for _ in range(6):
             coords = tuple(rng.randint(-3, 3) for _ in range(fan.pic_rank))
             cls = fan.pic_class(coords)
-            base = cohomology_dims(fan, cls, cache=False)
+            base = cohomology_dims(fan, cls)
             u = [rng.randint(-2, 2) for _ in range(fan.dim)]
             principal = [
                 sum(ui * v[d] for d, ui in enumerate(u)) for v in fan.rays
@@ -98,7 +98,7 @@ def test_lift_invariance(bl_p1p1):
             lift = [
                 a + b for a, b in zip(fan.tdivisor_lift(cls), principal)
             ]
-            assert _dims_of_divisor(fan, lift) == base
+            assert _dims_of_divisor(fan, lift, _boxes(fan, [lift])[0]) == base
 
 
 # (class, box lo, box hi), recorded when the box was still computed by
@@ -136,7 +136,7 @@ def test_arrangement_box_table():
         fan = make_blowup(spec, CenterSpec(frozenset(center))).fan_xt
         for coords, lo, hi in rows:
             coeffs = fan.tdivisor_lift(fan.pic_class(coords))
-            got = _arrangement_box(fan, coeffs)
+            got = _boxes(fan, [coeffs])[0]
             assert got == (list(lo), list(hi)), coords
 
 
@@ -193,7 +193,7 @@ def test_vertex_maps_match_per_subset_solves(divisor):
         # det_S * vertex satisfies <u, v_i> = -a_i for every i in S, exactly
         for i in subset:
             assert sum(x * v for x, v in zip(scaled, fan.rays[i])) == -det * coeffs[i]
-    assert _arrangement_box(fan, coeffs) == _python_box(fan, coeffs)
+    assert _boxes(fan, [coeffs])[0] == _python_box(fan, coeffs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,21 +216,20 @@ def test_box_product_guard(case):
     for sign in (1, -1):
         coeffs = [0] * fan.n_rays
         coeffs[-1] = sign * edge
-        assert _arrangement_box(fan, coeffs) == _python_box(fan, coeffs)
+        assert _boxes(fan, [coeffs])[0] == _python_box(fan, coeffs)
         coeffs[-1] += sign
         with pytest.raises(BoxTooLarge, match="int64"):
-            _arrangement_box(fan, coeffs)
+            _boxes(fan, [coeffs])
         with pytest.raises(BoxTooLarge, match="box lo="):
-            cohomology_dims_many(fan, [fan.class_of_divisor(coeffs)], cache=False)
+            cohomology_dims_many(fan, [fan.class_of_divisor(coeffs)])
 
 
-def test_unbounded_contribution_names_divisor_box_and_mask(monkeypatch):
+def test_unbounded_contribution_names_divisor_box_and_mask():
     """A box too small for the sections of O(4) on P^2 must fail loudly."""
     fan = projective_space_fan(2)
-    monkeypatch.setattr(cohomology, "_arrangement_box", lambda *_: ([-1, -1], [1, 1]))
     want = r"T-divisor \(0, 4, 0\) in box lo=\[-1, -1\] hi=\[1, 1\]: support set 0 "
     with pytest.raises(UnboundedContribution, match=want):
-        _dims_of_divisor(fan, (0, 4, 0))
+        _dims_of_divisor(fan, (0, 4, 0), ([-1, -1], [1, 1]))
 
 
 def test_serre_duality(bl_p2p1):
@@ -240,8 +239,8 @@ def test_serre_duality(bl_p2p1):
     n = fan.dim
     for _ in range(10):
         cls = fan.pic_class(tuple(rng.randint(-3, 3) for _ in range(3)))
-        h = cohomology_dims(fan, cls, cache=False)
-        hd = cohomology_dims(fan, k - cls, cache=False)
+        h = cohomology_dims(fan, cls)
+        hd = cohomology_dims(fan, k - cls)
         assert h == tuple(reversed(hd)), (cls.coords, h, hd)
 
 
@@ -255,8 +254,8 @@ def test_serre_duality_on_dim4_blowups(case, coords):
     fan = _blowup(*case).fan_xt
     cls = fan.pic_class(coords)
     n = fan.dim
-    h = cohomology_dims(fan, cls, cache=False)
-    hd = cohomology_dims(fan, fan.canonical_class() - cls, cache=False)
+    h = cohomology_dims(fan, cls)
+    hd = cohomology_dims(fan, fan.canonical_class() - cls)
     assert [h[i] for i in range(n + 1)] == [hd[n - i] for i in range(n + 1)]
 
 
@@ -285,6 +284,17 @@ def test_disk_cache_read_write(tmp_path):
     other = DiskCache(str(tmp_path / "other"))
     other.put(fan, {(4,): (99, 0, 0)})
     assert cohomology_dims(fan, cls, cache=other) == (15, 0, 0)
+
+
+def test_library_calls_do_no_disk_io(tmp_path, monkeypatch):
+    """Without a DiskCache the oracle leaves the disk alone, wherever
+    EXCOL_CACHE_DIR points."""
+    monkeypatch.setenv("EXCOL_CACHE_DIR", str(tmp_path))
+    fan = projective_space_fan(2)
+    assert cohomology_dims(fan, fan.pic_class((4,))) == (15, 0, 0)
+    assert euler_pairing(fan, fan.pic_class((0,)), fan.pic_class((-3,))) == 1
+    assert certify(fan, [fan.pic_class((d,)) for d in range(3)], 3).all_passed
+    assert list(tmp_path.iterdir()) == []
 
 
 def _count_kernel_calls(monkeypatch):
@@ -350,10 +360,10 @@ def test_box_outside_int64_is_rejected():
     fan = projective_space_fan(2)
     m = (2**61 - 1, 2**61 - 1)
     coeffs = tuple(-sum(x * y for x, y in zip(m, ray)) for ray in fan.rays)
-    lo, hi = _arrangement_box(fan, coeffs)
+    lo, hi = _boxes(fan, [coeffs])[0]
     assert [b - a + 1 for a, b in zip(lo, hi)] == [3, 3]
     with pytest.raises(BoxTooLarge, match="int64"):
-        _dims_of_divisor(fan, coeffs)
+        _dims_of_divisor(fan, coeffs, (lo, hi))
 
 
 def _brute_force_sweep(lo, hi, rays, coeffs):
@@ -455,8 +465,8 @@ def test_batch_sweeps_each_missing_class_once(monkeypatch):
     fan = projective_space_fan(2)
     calls = _count_kernel_calls(monkeypatch)
     classes = [fan.pic_class((d,)) for d in (2, -4, 2, 0, -4)]
-    got = cohomology_dims_many(fan, classes, cache=False)
+    got = cohomology_dims_many(fan, classes)
     assert got == [bott_dims(2, d) for d in (2, -4, 2, 0, -4)]
     assert len(calls) == 3
-    assert cohomology_dims_many(fan, classes[:2], cache=False) == got[:2]
+    assert cohomology_dims_many(fan, classes[:2]) == got[:2]
     assert len(calls) == 3

@@ -5,10 +5,11 @@ from the certification side (verify, cohomology) never reaches the
 construction side (mutation, splitcalc), and the construction never reaches
 the oracle (cohomology, kernels) or its verdicts (verify).  The arithmetic
 is exact: no module but the CLI, which times its own output, uses floats or
-rationals.  And nothing is dead: each error type the package defines is
-raised or caught in it, each one it raises is expected by a test, and every
-top-level function or class is named somewhere in the package outside its
-own body.
+rationals.  No module but the CLI reads the environment, so what the oracle
+does, disk I/O included, follows from its arguments alone.  And nothing is
+dead: each error type the package defines is raised or caught in it, each
+one it raises is expected by a test, and every top-level function or class
+is named somewhere in the package outside its own body.
 """
 
 import ast
@@ -107,6 +108,29 @@ def test_no_floats_or_rationals():
     sources = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "cli.py")
     assert {"cohomology", "intlinalg", "kernels"} <= {p.stem for p in sources}
     offenders = {p.name: _inexact_arithmetic(p) for p in sources}
+    assert not any(offenders.values()), {k: v for k, v in offenders.items() if v}
+
+
+def _environment_reads(path):
+    """(line, what) for every os.environ or os.getenv in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [
+                (node.lineno, f"from os import {alias.name}")
+                for alias in node.names
+                if alias.name in ("environ", "getenv")
+            ]
+    return found
+
+
+def test_only_the_cli_reads_the_environment():
+    # the parse must see the CLI's read, or the check below would pass vacuously
+    assert _environment_reads(PACKAGE_DIR / "cli.py")
+    sources = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "cli.py")
+    offenders = {p.name: _environment_reads(p) for p in sources}
     assert not any(offenders.values()), {k: v for k, v in offenders.items() if v}
 
 

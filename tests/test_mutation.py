@@ -26,6 +26,7 @@ from excol.mutation import (
     left_mutation_E_twist,
     right_mutation_E_twist,
     serre_rotate,
+    tensor_object,
     transpose_if_orthogonal,
 )
 
@@ -107,18 +108,19 @@ def test_construction_is_deterministic():
     assert all("rule" in entry for entry in a.log)
 
 
-def test_serre_rotation_roundtrip(bl_p2p1):
+def test_serre_rotation_moves_head_to_tail(bl_p2p1):
     col = initial_collection(bl_p2p1)
-    there = serre_rotate(bl_p2p1, col, "forward")
-    back = serre_rotate(bl_p2p1, there, "backward")
-    assert back.objects == col.objects
-    with pytest.raises(ValueError):
-        serre_rotate(bl_p2p1, col, "sideways")
+    rotated = serre_rotate(bl_p2p1, col)
+    moved = tensor_object(col.objects[0], anticanonical_twist(bl_p2p1))
+    assert rotated.objects == col.objects[1:] + (moved,)
+    assert rotated.log == col.log + (
+        {"rule": "serre_rotate", "direction": "forward", "object": moved.to_json()},
+    )
 
 
 def test_anticanonical_twist_codim3(bl_p2p1):
     assert anticanonical_twist(bl_p2p1) == (3, 2, -2)
-    rotated = serre_rotate(bl_p2p1, initial_collection(bl_p2p1), "forward")
+    rotated = serre_rotate(bl_p2p1, initial_collection(bl_p2p1))
     moved = rotated.objects[-1]
     # the O(2E) seed object lands as an untwisted pushforward at the tail
     assert isinstance(moved, PushforwardTwist)
@@ -186,7 +188,8 @@ def test_rule_errors_name_rule_and_index(bl_p1p1, monkeypatch):
     head = LineBundle(5, 5, 5)  # shifts the pair under test to index 1
     line, push = LineBundle(0, 0, 0), PushforwardTwist(0, 0, 1)
     failures = [
-        (serre_rotate, Collection(()), "forward", "serre_rotate at 0: "),
+        (lambda bl, col, _: serre_rotate(bl, col), Collection(()), None,
+         "serre_rotate at 0: "),
         (transpose_if_orthogonal, Collection((head, push, line)), 1,
          "transpose at 1: "),
         (transpose_if_orthogonal, Collection((head, line, LineBundle(1, 0, 0))), 1,

@@ -23,7 +23,7 @@ def _beilinson(n):
 
 def test_ext_table_p2():
     fan, classes = _beilinson(2)
-    table = ext_table(fan, classes, cache=False)
+    table = ext_table(fan, classes)
     assert table[0][1] == (3, 0, 0)
     assert table[0][2] == (6, 0, 0)
     assert table[1][0] == (0, 0, 0)
@@ -34,12 +34,12 @@ def test_ext_table_p2():
 def test_ext_table_rejects_non_classes():
     fan, classes = _beilinson(2)
     with pytest.raises(NonLineBundlePresent):
-        ext_table(fan, classes + [(1, 0)], cache=False)
+        ext_table(fan, classes + [(1, 0)])
 
 
 def test_certify_beilinson_p3():
     fan, classes = _beilinson(3)
-    report = certify(fan, classes, 4, cache=False)
+    report = certify(fan, classes, 4)
     assert report.exceptional and report.semiorthogonal and report.strong
     assert report.gram_determinant == 1
     assert report.length_actual == report.length_expected == 4
@@ -50,7 +50,7 @@ def test_certify_beilinson_p3():
 def test_certify_negative_control():
     fan, classes = _beilinson(2)
     swapped = [classes[1], classes[0], classes[2]]
-    report = certify(fan, swapped, 3, cache=False)
+    report = certify(fan, swapped, 3)
     assert not report.semiorthogonal
     assert not report.all_passed
     assert any(v[0] == "semiorthogonal" for v in report.violations)
@@ -60,28 +60,28 @@ def test_certify_negative_control():
 
 def test_certify_wrong_length_fails():
     fan, classes = _beilinson(2)
-    report = certify(fan, classes[:2], 3, cache=False)
+    report = certify(fan, classes[:2], 3)
     assert report.exceptional and report.semiorthogonal and report.strong
     assert not report.all_passed
 
 
 def test_certify_non_exceptional_diagonal():
     fan = projective_space_fan(1)
-    report = certify(fan, [fan.pic_class((0,))] * 2, 2, cache=False)
+    report = certify(fan, [fan.pic_class((0,))] * 2, 2)
     # duplicate objects: diagonal fine, but Hom(O, O) = 1 both ways
     assert not report.semiorthogonal
 
 
 def test_gram_determinant_absolute_value_is_permutation_invariant():
     fan, classes = _beilinson(2)
-    base = certify(fan, classes, 3, cache=False)
-    perm = certify(fan, [classes[2], classes[0], classes[1]], 3, cache=False)
+    base = certify(fan, classes, 3)
+    perm = certify(fan, [classes[2], classes[0], classes[1]], 3)
     assert abs(perm.gram_determinant) == abs(base.gram_determinant) == 1
 
 
 def test_report_json_shape():
     fan, classes = _beilinson(1)
-    doc = certify(fan, classes, 2, cache=False).to_json()
+    doc = certify(fan, classes, 2).to_json()
     for key in (
         "exceptional",
         "semiorthogonal",
