@@ -44,9 +44,6 @@ class PicClass:
         self._check(other)
         return PicClass(tuple(a - b for a, b in zip(self.coords, other.coords)), self.basis)
 
-    def __neg__(self):
-        return PicClass(tuple(-a for a in self.coords), self.basis)
-
 
 @dataclass(frozen=True)
 class Fan:
@@ -111,12 +108,6 @@ class Fan:
             for j in range(self.pic_rank)
         )
         return PicClass(coords, self.basis_tag)
-
-    def divisor_class(self, ray_name) -> PicClass:
-        if ray_name not in self.name_index:
-            raise UnknownRay(ray_name)
-        rho = self.name_index[ray_name]
-        return self.class_of_divisor([1 if i == rho else 0 for i in range(self.n_rays)])
 
     def canonical_class(self) -> PicClass:
         return self.class_of_divisor([-1] * self.n_rays)
@@ -233,10 +224,6 @@ class BundleSpec:
     @property
     def r(self):
         return len(self.fiber_degrees) - 1
-
-    @property
-    def degree_sum(self):
-        return sum(self.fiber_degrees)
 
     @property
     def dim(self):

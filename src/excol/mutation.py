@@ -1,14 +1,19 @@
 """Ordered collections of sheaf objects on the blow-up and the mutation
-scripts that turn the initial semiorthogonal seed into a collection of line
+script that turns the initial semiorthogonal seed into a collection of line
 bundles.
 
 The engine only applies three rewrite rules (orthogonal transposition,
 Serre rotation, and the adjacent mutation against the matching line bundle
 that produces an O(E)-twist), and it checks every rule's Ext hypothesis
-against the structured formulas of splitcalc before rewriting.  Every rule
-that needs an Ext pairs one pushforward with one line bundle, so the
-construction never calls the cohomology oracle that certifies its output.
-Anything outside these rules fails loudly.
+against the structured formulas of splitcalc before rewriting.  The script
+is the same in both codimensions: in codimension 3 it first Serre-rotates
+the O(2E) block to the tail; then each O(E)-twisted pushforward, last
+first, walks right to its partner line bundle and right-mutates with it;
+then each untwisted pushforward, first first, walks left to its partner
+and left-mutates with it (codimension 2 has none).  Every rule that needs
+an Ext pairs one pushforward with one line bundle, so the construction
+never calls the cohomology oracle that certifies its output.  Anything
+outside these rules fails loudly.
 """
 
 from __future__ import annotations
@@ -48,10 +53,6 @@ class PushforwardTwist:
 class Collection:
     objects: tuple
     log: tuple = ()
-
-    def replace_pair(self, i, a, b, entry):
-        objs = self.objects[:i] + (a, b) + self.objects[i + 2 :]
-        return Collection(objs, self.log + (entry,))
 
     def to_json(self):
         return {
@@ -101,10 +102,33 @@ def serre_rotate(bl: Blowup, col: Collection) -> Collection:
     return Collection(col.objects[1:] + (moved,), col.log + (entry,))
 
 
+def _pair(col: Collection, i, rule):
+    """Objects i and i+1, which must both exist."""
+    if not 0 <= i <= len(col.objects) - 2:
+        raise HypothesisFailed(
+            f"{rule} at {i}: a collection of {len(col.objects)} objects has no "
+            f"pair at {i}",
+            log=col.log,
+        )
+    return col.objects[i], col.objects[i + 1]
+
+
+def _rewrite(col: Collection, i, rule, hom, pair) -> Collection:
+    """Replace objects i, i+1 by pair and log the rule, the pair it
+    replaced and its graded Hom."""
+    entry = {
+        "rule": rule,
+        "index": i,
+        "pair": [col.objects[i].to_json(), col.objects[i + 1].to_json()],
+        "hom": list(hom),
+    }
+    return Collection(col.objects[:i] + pair + col.objects[i + 2 :], col.log + (entry,))
+
+
 def transpose_if_orthogonal(bl: Blowup, col: Collection, i) -> Collection:
     """Swap objects i, i+1, one pushforward and one line bundle, after
     verifying their graded Hom vanishes."""
-    a, b = col.objects[i], col.objects[i + 1]
+    a, b = _pair(col, i, "transpose")
     if isinstance(a, LineBundle) == isinstance(b, LineBundle):
         raise HypothesisFailed(
             f"transpose at {i}: objects {i} and {i + 1} are not one pushforward "
@@ -118,25 +142,31 @@ def transpose_if_orthogonal(bl: Blowup, col: Collection, i) -> Collection:
             hom,
             log=col.log,
         )
-    entry = {
-        "rule": "transpose",
-        "index": i,
-        "pair": [a.to_json(), b.to_json()],
-        "hom": list(hom),
-    }
-    return col.replace_pair(i, b, a, entry)
+    return _rewrite(col, i, "transpose", hom, (b, a))
 
 
-def _expect_concentrated(hom, degree):
-    expected = tuple(1 if i == degree else 0 for i in range(len(hom)))
-    return tuple(hom) == expected
+def _mutate_E_twist(bl: Blowup, col: Collection, i, rule, push, degree):
+    """Shared tail of the E-twist mutations: the pair's graded Hom must be
+    one-dimensional in the given degree, and the pair becomes the line
+    bundles of the pushforward's class with twists k-1 and k."""
+    hom = graded_hom(bl, col.objects[i], col.objects[i + 1])
+    if tuple(hom) != (0,) * degree + (1,) + (0,) * (len(hom) - degree - 1):
+        raise HypothesisFailed(
+            f"{rule} at {i}: Ext pattern {hom} is not one-dimensional in degree {degree}",
+            log=col.log,
+        )
+    lines = (
+        LineBundle(push.alpha, push.beta, push.k - 1),
+        LineBundle(push.alpha, push.beta, push.k),
+    )
+    return _rewrite(col, i, rule, hom, lines)
 
 
 def right_mutation_E_twist(bl: Blowup, col: Collection, i) -> Collection:
     """Mutate the pair (pushforward of M twisted by O(kE), matching line
     bundle with twist k-1) into the adjacent pair of line bundles with
     twists k-1 and k."""
-    a, b = col.objects[i], col.objects[i + 1]
+    a, b = _pair(col, i, "right_mutation_E_twist")
     if not (isinstance(a, PushforwardTwist) and a.k >= 1):
         raise HypothesisFailed(
             f"right_mutation_E_twist at {i}: object {i} is not a pushforward with k >= 1",
@@ -152,28 +182,13 @@ def right_mutation_E_twist(bl: Blowup, col: Collection, i) -> Collection:
             f"pushforward at {i}",
             log=col.log,
         )
-    hom = graded_hom(bl, a, b)
-    if not _expect_concentrated(hom, 1):
-        raise HypothesisFailed(
-            f"right_mutation_E_twist at {i}: Ext pattern {hom} is not "
-            "one-dimensional in degree 1",
-            log=col.log,
-        )
-    entry = {
-        "rule": "right_mutation_E_twist",
-        "index": i,
-        "pair": [a.to_json(), b.to_json()],
-        "hom": list(hom),
-    }
-    return col.replace_pair(
-        i, LineBundle(b.alpha, b.beta, b.k), LineBundle(b.alpha, b.beta, b.k + 1), entry
-    )
+    return _mutate_E_twist(bl, col, i, "right_mutation_E_twist", a, 1)
 
 
 def left_mutation_E_twist(bl: Blowup, col: Collection, i) -> Collection:
     """Mutate the pair (line bundle, untwisted pushforward of the same
     class) into the line bundles with twists -1 and 0."""
-    a, b = col.objects[i], col.objects[i + 1]
+    a, b = _pair(col, i, "left_mutation_E_twist")
     if not (isinstance(a, LineBundle) and a.k == 0):
         raise HypothesisFailed(
             f"left_mutation_E_twist at {i}: object {i} is not an untwisted line bundle",
@@ -189,22 +204,7 @@ def left_mutation_E_twist(bl: Blowup, col: Collection, i) -> Collection:
             f"line bundle at {i}",
             log=col.log,
         )
-    hom = graded_hom(bl, a, b)
-    if not _expect_concentrated(hom, 0):
-        raise HypothesisFailed(
-            f"left_mutation_E_twist at {i}: Ext pattern {hom} is not "
-            "one-dimensional in degree 0",
-            log=col.log,
-        )
-    entry = {
-        "rule": "left_mutation_E_twist",
-        "index": i,
-        "pair": [a.to_json(), b.to_json()],
-        "hom": list(hom),
-    }
-    return col.replace_pair(
-        i, LineBundle(a.alpha, a.beta, -1), LineBundle(a.alpha, a.beta, 0), entry
-    )
+    return _mutate_E_twist(bl, col, i, "left_mutation_E_twist", b, 0)
 
 
 def _revlex(smax, rmax):
@@ -231,74 +231,55 @@ def initial_collection(bl: Blowup) -> Collection:
     return Collection(block2 + block1 + lines)
 
 
-def _run_twist_script(bl, col, k):
-    """Shared loop: convert every pushforward with the given twist k into a
-    pair of line bundles, processing in reverse order."""
-    while True:
-        idx = None
-        for i in range(len(col.objects) - 1, -1, -1):
-            o = col.objects[i]
-            if isinstance(o, PushforwardTwist) and o.k == k:
-                idx = i
-                break
-        if idx is None:
-            return col
-        target = col.objects[idx]
-        while True:
-            nxt = col.objects[idx + 1]
-            if (
-                isinstance(nxt, LineBundle)
-                and nxt.k == k - 1
-                and (nxt.alpha, nxt.beta) == (target.alpha, target.beta)
-            ):
-                break
-            col = transpose_if_orthogonal(bl, col, idx)
-            idx += 1
-        col = right_mutation_E_twist(bl, col, idx)
+def _first_pushforward(col: Collection, k, order):
+    """The first index in order that holds a pushforward with twist k, or
+    None."""
+    for i in order:
+        o = col.objects[i]
+        if isinstance(o, PushforwardTwist) and o.k == k:
+            return i
+    return None
+
+
+def _walk_to_partner(bl: Blowup, col: Collection, idx, step):
+    """Transpose the pushforward at idx in direction step (+1 or -1) until
+    its neighbour there is its partner, the untwisted line bundle of its
+    class; returns the collection and the pushforward's new index."""
+    push = col.objects[idx]
+    partner = (LineBundle(push.alpha, push.beta, 0),)
+    # a slice, so that a walk off either end fails transpose's index check
+    # instead of wrapping round
+    while col.objects[idx + step : idx + step + 1] != partner:
+        col = transpose_if_orthogonal(bl, col, min(idx, idx + step))
+        idx += step
+    return col, idx
 
 
 def construct(spec: BundleSpec, center: CenterSpec):
-    """Replay the mutation script of the center's codimension; returns
-    (blowup, collection of line bundles).
+    """Replay the mutation script; returns (blowup, collection of line
+    bundles).
 
-    Codimension 2 turns every O(E)-twisted pushforward into a pair of line
-    bundles.  Codimension 3 first rotates the O(2E) block to the tail, runs
-    the codimension-2 sub-script on the O(E) block, then left-mutates the
-    rotated block into O(-E) twists.
+    In codimension 3 the O(2E) block is first rotated to the tail, where it
+    lands as untwisted pushforwards.  Then every O(E)-twisted pushforward,
+    last first, walks right to its partner line bundle and right-mutates
+    with it into twists 0 and 1; and every untwisted pushforward, first
+    first, walks left to its partner and left-mutates with it into twists
+    -1 and 0.  In codimension 2 there are no untwisted pushforwards.
     """
     bl = make_blowup(spec, center)
     col = initial_collection(bl)
-    if bl.codim == 2:
-        return bl, _run_twist_script(bl, col, 1)
-    geom = bl.geometry
-    for _ in range((geom.s_prime + 1) * (geom.r_prime + 1)):
-        col = serre_rotate(bl, col)
-    col = _run_twist_script(bl, col, 1)
-    # the rotated block now consists of untwisted pushforwards at the tail;
-    # walk each one leftwards to its matching line bundle, smallest first
-    while True:
-        idx = next(
-            (
-                i
-                for i, o in enumerate(col.objects)
-                if isinstance(o, PushforwardTwist)
-            ),
-            None,
-        )
-        if idx is None:
-            break
-        target = col.objects[idx]
-        while True:
-            prev = col.objects[idx - 1]
-            if (
-                isinstance(prev, LineBundle)
-                and prev.k == 0
-                and (prev.alpha, prev.beta) == (target.alpha, target.beta)
-            ):
-                break
-            col = transpose_if_orthogonal(bl, col, idx - 1)
-            idx -= 1
-        col = left_mutation_E_twist(bl, col, idx - 1)
+    if bl.codim == 3:
+        geom = bl.geometry
+        for _ in range((geom.s_prime + 1) * (geom.r_prime + 1)):
+            col = serre_rotate(bl, col)
+    n = len(col.objects)
+    for k, order, step, mutate in (
+        (1, range(n - 1, -1, -1), 1, right_mutation_E_twist),
+        (0, range(n), -1, left_mutation_E_twist),
+    ):
+        while (idx := _first_pushforward(col, k, order)) is not None:
+            col, idx = _walk_to_partner(bl, col, idx, step)
+            col = mutate(bl, col, min(idx, idx + step))
     return bl, col
 
 

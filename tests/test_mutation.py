@@ -210,6 +210,20 @@ def test_rule_errors_name_rule_and_index(bl_p1p1, monkeypatch):
             rule(bl_p1p1, col, arg)
         assert str(exc.value).startswith(prefix), str(exc.value)
         assert exc.value.log == col.log
+    # a pair index off either end of the collection
+    col = Collection((push, line, head), log=({"rule": "serre_rotate"},))
+    for rule, name in (
+        (transpose_if_orthogonal, "transpose"),
+        (right_mutation_E_twist, "right_mutation_E_twist"),
+        (left_mutation_E_twist, "left_mutation_E_twist"),
+    ):
+        for i in (-1, len(col.objects) - 1):
+            with pytest.raises(HypothesisFailed) as exc:
+                rule(bl_p1p1, col, i)
+            assert str(exc.value) == (
+                f"{name} at {i}: a collection of 3 objects has no pair at {i}"
+            )
+            assert exc.value.log == col.log
     # a pair of the right shape whose Ext pattern is wrong
     monkeypatch.setattr(mutation, "graded_hom", lambda *_: (0, 0, 0))
     right = Collection((head, PushforwardTwist(0, 0, 1), line))
@@ -221,6 +235,15 @@ def test_rule_errors_name_rule_and_index(bl_p1p1, monkeypatch):
         want = rf"^{rule.__name__} at 1: Ext pattern \(0, 0, 0\) .* degree {degree}$"
         with pytest.raises(HypothesisFailed, match=want):
             rule(bl_p1p1, col, 1)
+
+
+def test_partner_walk_stops_at_either_end(bl_p1p1):
+    """A walk with no partner on its side fails the pair-index check rather
+    than wrapping round to the partner at the other end."""
+    line, push = LineBundle(0, 0, 0), PushforwardTwist(0, 0, 1)
+    for objects, idx, step, at in (((line, push), 1, 1, 1), ((push, line), 0, -1, -1)):
+        with pytest.raises(HypothesisFailed, match=rf"^transpose at {at}: .* no pair"):
+            mutation._walk_to_partner(bl_p1p1, Collection(objects), idx, step)
 
 
 def test_graded_hom_push_push_unsupported(bl_p1p1):
@@ -243,18 +266,26 @@ def test_length_is_preserved(bl_p1p1, bl_p2p1):
         assert len(col.objects) == len(initial_collection(bl).objects)
 
 
-def test_construct_outputs_frozen():
-    """Objects and mutation logs of all 362 cases of the s + r <= 4,
-    degree <= 1 family, in sweep order, hashed as written by construct."""
-    digest = hashlib.sha256()
-    cases = 0
-    for spec in enumerate_specs(4, 1):
+@pytest.mark.parametrize(
+    "max_dim, max_degree, cases, digest",
+    [
+        (4, 1, 362, "9e3b71110b63d49b89b68e89d6192e86b0e73486351a128d7f2ee16268e09bda"),
+        (4, 2, 735, "c6639e73a734b46fd10f95dc86db944ab72237ad6c7f6387d54a2b89510c1ef3"),
+        (5, 1, 1097, "f672d504ebd6b8c2f5c4a61b8a64e6b9f991c572a48aa9039cb4aa060dc012d5"),
+    ],
+    ids=["4-1", "4-2", "5-1"],
+)
+def test_construct_outputs_frozen(max_dim, max_degree, cases, digest):
+    """Objects and mutation logs of every case of one s + r <= max_dim,
+    degree <= max_degree family, in sweep order, hashed as written by
+    construct."""
+    hashed = hashlib.sha256()
+    seen = 0
+    for spec in enumerate_specs(max_dim, max_degree):
         for codim in (2, 3):
             for center in enumerate_centers(spec, codim):
                 _, col = construct(spec, center)
-                digest.update(json.dumps(col.to_json(), sort_keys=True).encode())
-                cases += 1
-    assert cases == 362
-    assert digest.hexdigest() == (
-        "9e3b71110b63d49b89b68e89d6192e86b0e73486351a128d7f2ee16268e09bda"
-    )
+                hashed.update(json.dumps(col.to_json(), sort_keys=True).encode())
+                seen += 1
+    assert seen == cases
+    assert hashed.hexdigest() == digest
