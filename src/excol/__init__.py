@@ -30,7 +30,7 @@ from .splitcalc import (
     ext_line_to_pushforward,
     pushforward_levels,
 )
-from .verify import Report, certify, expected_length, ext_table
+from .verify import Report, certify, ext_table
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "collection_classes",
     "construct",
     "euler_pairing",
-    "expected_length",
     "ext_lemA",
     "ext_line_to_pushforward",
     "ext_table",

@@ -11,13 +11,13 @@ import json
 import os
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .cohomology import DiskCache
 from .errors import BoxTooLarge, InvalidSpec, MutationError, NotACone, UnknownRay
 from .fan import Blowup, BundleSpec, CenterSpec, build_projective_bundle_fan, make_blowup
 from .mutation import collection_classes, construct
-from .verify import certify, expected_length
+from .verify import certify
 
 
 def _dump(doc, path):
@@ -42,8 +42,7 @@ def _collection_doc(bl: Blowup, col):
     return {
         "spec": {"base_dim": bl.spec.s, "fiber_degrees": list(bl.spec.fiber_degrees)},
         "center": sorted(bl.center.ray_names),
-        "objects": [o.to_json() for o in col.objects],
-        "log": list(col.log),
+        **col.to_json(),
     }
 
 
@@ -108,7 +107,7 @@ def cmd_verify(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = certify(bl.fan_xt, classes, expected_length(bl.geometry))
+        report = certify(bl.fan_xt, classes)
     except BoxTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -121,18 +120,9 @@ def enumerate_specs(max_dim, max_degree):
     out = []
     for s in range(1, max_dim):
         for r in range(1, max_dim - s + 1):
-            for degrees in _nondecreasing(r, max_degree):
+            for degrees in combinations_with_replacement(range(max_degree + 1), r):
                 out.append(BundleSpec(s=s, fiber_degrees=(0,) + degrees))
     return out
-
-
-def _nondecreasing(length, maximum, start=0):
-    if length == 0:
-        yield ()
-        return
-    for first in range(start, maximum + 1):
-        for rest in _nondecreasing(length - 1, maximum, first):
-            yield (first,) + rest
 
 
 def enumerate_centers(spec: BundleSpec, codim):
@@ -162,7 +152,6 @@ def run_case(spec, center, cache=True):
     report = certify(
         bl.fan_xt,
         collection_classes(bl, col),
-        expected_length(bl.geometry),
         cache=DiskCache(default_cache_dir()) if cache else None,
     )
     return report, None

@@ -290,9 +290,8 @@ def _check_box(fan: Fan, coeffs, lo, hi):
 
 def _dims_of_divisor(fan: Fan, coeffs, box):
     """All h^i of the T-divisor with ray coefficients coeffs, uncached, from
-    its arrangement box (lo, hi) as _boxes gives it."""
+    its arrangement box (lo, hi) as _boxes gives it and _check_box passes."""
     lo, hi = box
-    _check_box(fan, coeffs, lo, hi)
     counts, shell = kernels.count_support_masks(
         np.array(lo, dtype=np.int64),
         np.array(hi, dtype=np.int64),
@@ -326,8 +325,8 @@ def cohomology_dims_many(fan: Fan, classes, cache=None):
     is read once per call into the memo (the memo wins over the file), and
     the batch's entries the file lacks are appended to it in one write;
     without one, nothing touches the disk.  The classes the memo lacks, each
-    once, get their boxes from one product (_boxes) and one kernel sweep
-    each.
+    once, get their boxes from one product (_boxes), all checked
+    (_check_box) before the first of their kernel sweeps, one each.
     """
     for cls in classes:
         if cls.basis != fan.basis_tag:
@@ -340,7 +339,10 @@ def cohomology_dims_many(fan: Fan, classes, cache=None):
     missing = {cls.coords: cls for cls in classes if cls.coords not in memo}
     if missing:
         rows = [fan.tdivisor_lift(cls) for cls in missing.values()]
-        for coords, coeffs, box in zip(missing, rows, _boxes(fan, rows)):
+        boxes = _boxes(fan, rows)
+        for coeffs, (lo, hi) in zip(rows, boxes):
+            _check_box(fan, coeffs, lo, hi)
+        for coords, coeffs, box in zip(missing, rows, boxes):
             memo[coords] = _dims_of_divisor(fan, coeffs, box)
     out = [memo[cls.coords] for cls in classes]
     if cache:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HypothesisFailed, NotOrthogonal, UnsupportedExtPair
+from .errors import HypothesisFailed, KOutOfRange, NotOrthogonal, UnsupportedExtPair
 from .fan import Blowup, BundleSpec, CenterSpec, make_blowup
 from .splitcalc import ext_lemA, ext_line_to_pushforward
 
@@ -135,7 +135,10 @@ def transpose_if_orthogonal(bl: Blowup, col: Collection, i) -> Collection:
             "and one line bundle",
             log=col.log,
         )
-    hom = graded_hom(bl, a, b)
+    try:
+        hom = graded_hom(bl, a, b)
+    except KOutOfRange as exc:
+        raise HypothesisFailed(f"transpose at {i}: {exc}", log=col.log) from exc
     if any(hom):
         raise NotOrthogonal(
             f"transpose at {i}: objects {i} and {i + 1} are not orthogonal",
@@ -259,19 +262,18 @@ def construct(spec: BundleSpec, center: CenterSpec):
     """Replay the mutation script; returns (blowup, collection of line
     bundles).
 
-    In codimension 3 the O(2E) block is first rotated to the tail, where it
-    lands as untwisted pushforwards.  Then every O(E)-twisted pushforward,
-    last first, walks right to its partner line bundle and right-mutates
-    with it into twists 0 and 1; and every untwisted pushforward, first
-    first, walks left to its partner and left-mutates with it into twists
-    -1 and 0.  In codimension 2 there are no untwisted pushforwards.
+    While the head is an O(2E)-twisted pushforward (codimension 3 only), it
+    is rotated to the tail, where the anticanonical twist (k = -2) lands it
+    untwisted.  Then every O(E)-twisted pushforward, last first, walks
+    right to its partner line bundle and right-mutates with it into twists
+    0 and 1; and every untwisted pushforward, first first, walks left to
+    its partner and left-mutates with it into twists -1 and 0.  In
+    codimension 2 there are no untwisted pushforwards.
     """
     bl = make_blowup(spec, center)
     col = initial_collection(bl)
-    if bl.codim == 3:
-        geom = bl.geometry
-        for _ in range((geom.s_prime + 1) * (geom.r_prime + 1)):
-            col = serre_rotate(bl, col)
+    while isinstance(col.objects[0], PushforwardTwist) and col.objects[0].k == 2:
+        col = serre_rotate(bl, col)
     n = len(col.objects)
     for k, order, step, mutate in (
         (1, range(n - 1, -1, -1), 1, right_mutation_E_twist),

@@ -1,10 +1,11 @@
 """Certification of finished line-bundle collections.
 
-Everything here is computed through the cohomology oracle, independently of
-the mutation engine's structured formulas (which never call the oracle):
-pairwise graded Hom dimensions, exceptionality, semiorthogonality,
-strongness, and the unimodular upper-triangular Euler-Gram necessary
-condition for fullness.
+Everything here is computed from the fan and the classes alone, through
+the cohomology oracle, independently of the mutation engine's structured
+formulas (which never call the oracle): pairwise graded Hom dimensions,
+exceptionality, semiorthogonality, strongness, the length the fan's
+maximal-cone count (the rank of K_0) demands, and the unimodular
+upper-triangular Euler-Gram necessary condition for fullness.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .cohomology import cohomology_dims_many
 from .errors import NonLineBundlePresent
-from .fan import CenterGeometry, Fan, PicClass
+from .fan import Fan, PicClass
 from .intlinalg import determinant
 
 
@@ -72,9 +73,10 @@ class Report:
         }
 
 
-def certify(fan: Fan, classes, length_expected, cache=None) -> Report:
-    """Certify exceptionality, semiorthogonality, strongness, and the
-    Euler-Gram condition.  Failures are report contents, never errors.
+def certify(fan: Fan, classes, cache=None) -> Report:
+    """Certify exceptionality, semiorthogonality, strongness, the length
+    (one object per maximal cone of fan) and the Euler-Gram condition.
+    Failures are report contents, never errors.
 
     cache is a DiskCache, or None (the default) for no disk I/O.
     """
@@ -114,15 +116,9 @@ def certify(fan: Fan, classes, length_expected, cache=None) -> Report:
         strong=strong,
         gram=gram,
         gram_determinant=det,
-        length_expected=length_expected,
+        length_expected=len(fan.max_cones),
         length_actual=n,
         violations=violations,
         provenance_hash=hashlib.sha256(payload.encode()).hexdigest(),
     )
 
-
-def expected_length(geom: CenterGeometry) -> int:
-    """Rank of the K-theory of the blow-up: its max-cone count."""
-    return (geom.s + 1) * (geom.r + 1) + (geom.codim - 1) * (
-        geom.s_prime + 1
-    ) * (geom.r_prime + 1)

@@ -26,7 +26,6 @@ from excol import (
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.cohomology import euler_pairing
 from excol.splitcalc import _sym_conormal, y_cohomology
-from excol.verify import expected_length
 
 MAX_DIM = 4
 MAX_DEGREE = 2
@@ -87,10 +86,10 @@ def _dedup_centers(codims):
 def _certify_case(spec, center):
     bl, col = construct(spec, center)
     classes = collection_classes(bl, col)
-    report = certify(bl.fan_xt, classes, expected_length(bl.geometry))
+    report = certify(bl.fan_xt, classes)
     if report.all_passed and len(classes) >= 2:
         swapped = [classes[1], classes[0]] + classes[2:]
-        negative = certify(bl.fan_xt, swapped, report.length_expected)
+        negative = certify(bl.fan_xt, swapped)
         _NEGATIVE_REPORTS.append(((spec, center), negative))
     return report
 
@@ -290,7 +289,7 @@ def test_criterion_7_sanity_anchors():
     for n in range(1, 5):
         fan = projective_space_fan(n)
         classes = [fan.pic_class((d,)) for d in range(n + 1)]
-        report = certify(fan, classes, n + 1)
+        report = certify(fan, classes)
         if not report.all_passed:
             problems.append(("beilinson", n))
 

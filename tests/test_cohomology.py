@@ -24,6 +24,7 @@ from excol.cohomology import (
     DiskCache,
     _box_matrix,
     _boxes,
+    _check_box,
     _dims_of_divisor,
     _support_ranks,
     _vertex_maps,
@@ -293,7 +294,7 @@ def test_library_calls_do_no_disk_io(tmp_path, monkeypatch):
     fan = projective_space_fan(2)
     assert cohomology_dims(fan, fan.pic_class((4,))) == (15, 0, 0)
     assert euler_pairing(fan, fan.pic_class((0,)), fan.pic_class((-3,))) == 1
-    assert certify(fan, [fan.pic_class((d,)) for d in range(3)], 3).all_passed
+    assert certify(fan, [fan.pic_class((d,)) for d in range(3)]).all_passed
     assert list(tmp_path.iterdir()) == []
 
 
@@ -363,7 +364,7 @@ def test_box_outside_int64_is_rejected():
     lo, hi = _boxes(fan, [coeffs])[0]
     assert [b - a + 1 for a, b in zip(lo, hi)] == [3, 3]
     with pytest.raises(BoxTooLarge, match="int64"):
-        _dims_of_divisor(fan, coeffs, (lo, hi))
+        _check_box(fan, coeffs, lo, hi)
 
 
 def _brute_force_sweep(lo, hi, rays, coeffs):
@@ -470,3 +471,14 @@ def test_batch_sweeps_each_missing_class_once(monkeypatch):
     assert len(calls) == 3
     assert cohomology_dims_many(fan, classes[:2]) == got[:2]
     assert len(calls) == 3
+
+
+def test_batch_checks_every_box_before_the_first_sweep(monkeypatch):
+    """An over-budget class late in a batch fails it before the classes
+    ahead of it are swept."""
+    fan = projective_space_fan(2)
+    calls = _count_kernel_calls(monkeypatch)
+    classes = [fan.pic_class((d,)) for d in (1, 2, 20000)]
+    with pytest.raises(BoxTooLarge, match="budget"):
+        cohomology_dims_many(fan, classes)
+    assert calls == []

@@ -2,15 +2,16 @@
 
 The oracle never trusts the script: following every intra-package import
 from the certification side (verify, cohomology) never reaches the
-construction side (mutation, splitcalc), and the construction never reaches
-the oracle (cohomology, kernels) or its verdicts (verify).  The arithmetic
-is exact: no module but the CLI, which times its own output, uses floats or
-rationals.  No module but the CLI reads the environment, so what the oracle
-does, disk I/O included, follows from its arguments alone.  And nothing is
-dead: each error type the package defines is raised or caught in it, each
-one it raises is expected by a test, and every top-level function or class,
-and every method or property of such a class, is named somewhere in the
-package outside its own body.
+construction side (mutation, splitcalc), certification never names the
+center geometry that sizes the construction, and the construction never
+reaches the oracle (cohomology, kernels) or its verdicts (verify).  The
+arithmetic is exact: no module but the CLI, which times its own output,
+uses floats or rationals.  No module but the CLI reads the environment, so
+what the oracle does, disk I/O included, follows from its arguments alone.
+And nothing is dead: each error type the package defines is raised or
+caught in it, each one it raises is expected by a test, and every top-level
+function or class, and every method or property of such a class, is named
+somewhere in the package outside its own body.
 """
 
 import ast
@@ -65,6 +66,15 @@ def test_oracle_never_imports_construction():
         reached = _reachable(graph, oracle)
         assert "intlinalg" in reached
         assert not reached & {"mutation", "splitcalc"}, (oracle, sorted(reached))
+
+
+def test_certification_reads_only_the_fan():
+    """verify takes the expected length from the fan's cones, not from the
+    center geometry that sizes the construction's seed."""
+    used = _names_used(ast.parse((PACKAGE_DIR / "verify.py").read_text()))
+    # the parse must see the fan's cones, or the check below would pass vacuously
+    assert used["max_cones"]
+    assert not used["CenterGeometry"] and not used["geometry"]
 
 
 def test_construction_never_imports_oracle():

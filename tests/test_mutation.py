@@ -196,6 +196,11 @@ def test_rule_errors_name_rule_and_index(bl_p1p1, monkeypatch):
          "transpose at 1: objects 1 and 2 are not one pushforward and one line bundle"),
         (transpose_if_orthogonal, Collection((head, push, push)), 1,
          "transpose at 1: objects 1 and 2 are not one pushforward and one line bundle"),
+        # twist gaps the structured formulas do not cover
+        (transpose_if_orthogonal, Collection((head, push)), 0,
+         "transpose at 0: j=4 must be 0 or 1"),
+        (transpose_if_orthogonal, Collection((PushforwardTwist(0, 0, 5), line)), 0,
+         "transpose at 0: k=5 outside 1..1"),
         (right_mutation_E_twist, Collection((head, line, line)), 1,
          "right_mutation_E_twist at 1: "),
         (right_mutation_E_twist, Collection((head, push, LineBundle(1, 0, 0))), 1,

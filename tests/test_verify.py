@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from excol import (
@@ -7,11 +9,12 @@ from excol import (
     certify,
     collection_classes,
     construct,
-    expected_length,
     ext_table,
     projective_space_fan,
 )
+from excol import fan as fan_module
 from excol import kernels, make_blowup
+from excol.cli import enumerate_centers, enumerate_specs
 from excol.cohomology import DiskCache
 from excol.errors import NonLineBundlePresent
 
@@ -39,7 +42,7 @@ def test_ext_table_rejects_non_classes():
 
 def test_certify_beilinson_p3():
     fan, classes = _beilinson(3)
-    report = certify(fan, classes, 4)
+    report = certify(fan, classes)
     assert report.exceptional and report.semiorthogonal and report.strong
     assert report.gram_determinant == 1
     assert report.length_actual == report.length_expected == 4
@@ -50,7 +53,7 @@ def test_certify_beilinson_p3():
 def test_certify_negative_control():
     fan, classes = _beilinson(2)
     swapped = [classes[1], classes[0], classes[2]]
-    report = certify(fan, swapped, 3)
+    report = certify(fan, swapped)
     assert not report.semiorthogonal
     assert not report.all_passed
     assert any(v[0] == "semiorthogonal" for v in report.violations)
@@ -60,28 +63,29 @@ def test_certify_negative_control():
 
 def test_certify_wrong_length_fails():
     fan, classes = _beilinson(2)
-    report = certify(fan, classes[:2], 3)
+    report = certify(fan, classes[:2])
     assert report.exceptional and report.semiorthogonal and report.strong
+    assert (report.length_actual, report.length_expected) == (2, 3)
     assert not report.all_passed
 
 
 def test_certify_non_exceptional_diagonal():
     fan = projective_space_fan(1)
-    report = certify(fan, [fan.pic_class((0,))] * 2, 2)
+    report = certify(fan, [fan.pic_class((0,))] * 2)
     # duplicate objects: diagonal fine, but Hom(O, O) = 1 both ways
     assert not report.semiorthogonal
 
 
 def test_gram_determinant_absolute_value_is_permutation_invariant():
     fan, classes = _beilinson(2)
-    base = certify(fan, classes, 3)
-    perm = certify(fan, [classes[2], classes[0], classes[1]], 3)
+    base = certify(fan, classes)
+    perm = certify(fan, [classes[2], classes[0], classes[1]])
     assert abs(perm.gram_determinant) == abs(base.gram_determinant) == 1
 
 
 def test_report_json_shape():
     fan, classes = _beilinson(1)
-    doc = certify(fan, classes, 2).to_json()
+    doc = certify(fan, classes).to_json()
     for key in (
         "exceptional",
         "semiorthogonal",
@@ -99,20 +103,55 @@ def test_report_json_shape():
     assert doc["gram"] == [[1, 2], [0, 1]]
 
 
+def _orlov_length(geom):
+    """Orlov's count for the blow-up, (s+1)(r+1) + (c-1)(s'+1)(r'+1): the
+    reference the fan's maximal-cone count is checked against."""
+    return (geom.s + 1) * (geom.r + 1) + (geom.codim - 1) * (
+        geom.s_prime + 1
+    ) * (geom.r_prime + 1)
+
+
 def test_expected_length_formulas(bl_p1p1, bl_p2p1):
-    assert expected_length(bl_p1p1.geometry) == 5
-    assert expected_length(bl_p2p1.geometry) == 8
+    """certify expects one object per maximal cone of the blow-up fan, which
+    is Orlov's count on every blow-up of the s + r <= 4, degree <= 2
+    family."""
+    assert len(bl_p1p1.fan_xt.max_cones) == 5
+    assert len(bl_p2p1.fan_xt.max_cones) == 8
+    cases = 0
+    for spec in enumerate_specs(4, 2):
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                bl = make_blowup(spec, center)
+                assert len(bl.fan_xt.max_cones) == _orlov_length(bl.geometry), (
+                    spec,
+                    center,
+                )
+                cases += 1
+    assert cases > 700
+
+
+def test_length_comes_from_the_fan_not_the_construction(monkeypatch):
+    """A construction sized from a wrong center geometry (s' one too small)
+    yields a collection one object short, and certify rejects it."""
+    real = fan_module._geometry
+
+    def shrunk(spec, center):
+        geom = real(spec, center)
+        return dataclasses.replace(geom, s_prime=geom.s_prime - 1)
+
+    monkeypatch.setattr(fan_module, "_geometry", shrunk)
+    bl, col = construct(BundleSpec(2, (0, 0)), CenterSpec(frozenset({"b1", "f1"})))
+    assert len(col.objects) == 7
+    report = certify(bl.fan_xt, collection_classes(bl, col))
+    assert (report.length_actual, report.length_expected) == (7, 8)
+    assert not report.all_passed
 
 
 def test_certified_construction_end_to_end():
     spec = BundleSpec(1, (0, 1))
     center = CenterSpec(frozenset({"b0", "f0"}))
     bl, col = construct(spec, center)
-    report = certify(
-        bl.fan_xt,
-        collection_classes(bl, col),
-        expected_length(bl.geometry),
-    )
+    report = certify(bl.fan_xt, collection_classes(bl, col))
     assert report.all_passed
     assert isinstance(report, Report)
 
@@ -123,7 +162,6 @@ def test_certify_writes_one_cache_file(tmp_path, monkeypatch):
     spec, center = BundleSpec(1, (0, 1)), CenterSpec(frozenset({"b1", "f1"}))
     bl, col = construct(spec, center)
     classes = collection_classes(bl, col)
-    length = expected_length(bl.geometry)
     cache = DiskCache(str(tmp_path))
     io = []
 
@@ -138,7 +176,7 @@ def test_certify_writes_one_cache_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(DiskCache, "get", counted("get"))
     monkeypatch.setattr(DiskCache, "put", counted("put"))
-    first = certify(bl.fan_xt, classes, length, cache=cache)
+    first = certify(bl.fan_xt, classes, cache=cache)
     assert first.all_passed
     assert io == ["get", "put"]
     assert len(list(tmp_path.iterdir())) == 1
@@ -152,7 +190,7 @@ def test_certify_writes_one_cache_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(kernels, "count_support_masks", counted_kernel)
     fresh = make_blowup(spec, center).fan_xt
-    again = certify(fresh, [fresh.pic_class(c.coords) for c in classes], length, cache=cache)
+    again = certify(fresh, [fresh.pic_class(c.coords) for c in classes], cache=cache)
     assert calls == []
     assert io == ["get", "put", "get"]
     assert again.to_json() == first.to_json()
