@@ -15,7 +15,7 @@ from .fan import (
     projective_space_fan,
     star_subdivide,
 )
-from .cohomology import cohomology_dims, euler_pairing
+from .cohomology import cohomology_dims
 from .mutation import (
     Collection,
     LineBundle,
@@ -53,7 +53,6 @@ __all__ = [
     "cohomology_on_bundle",
     "collection_classes",
     "construct",
-    "euler_pairing",
     "ext_lemA",
     "ext_line_to_pushforward",
     "ext_table",

@@ -8,17 +8,23 @@ rays where the section inequality fails.
 All h-vectors of a batch (cohomology_dims_many; cohomology_dims is a batch
 of one) are computed in one pass over the classes the memo lacks:
 
-- box: the characters swept are those in a box around the vertices of the
-  divisor's hyperplane arrangement.  The vertex of each invertible set of
-  dim rays is an integer map of the divisor coefficients, scattered once per
-  fan into one int64 matrix (_box_matrix), so the boxes of the whole batch
-  come from one matrix product, checked beforehand to fit in int64 (_boxes);
-- sweep: the numpy kernel excol.kernels.count_support_masks counts every
-  support mask over the box, and over its boundary;
+- admission: each class gets the box around the vertices of its divisor's
+  hyperplane arrangement.  The vertex of each invertible set of dim rays is
+  an integer map of the divisor coefficients, scattered once per fan into
+  one int64 matrix (_box_matrix), so the boxes of the whole batch come from
+  one matrix product, checked beforehand to fit in int64 (_boxes).  Every
+  box passes _check_box before the first sweep.
 - ranks: the reduced-cohomology ranks of the support complexes depend only
   on the fan's labelled combinatorial type (its max cones), so one table
-  per type, filled as masks occur, serves every fan object of that type
-  (_support_ranks), and h is the product of the counts with that table.
+  per type, filled whole the first time the type is used, serves every fan
+  object of that type (_support_ranks).  Only the support sets S with
+  nonzero ranks add to h.
+- polytopes: the characters with support set S are the lattice points of
+  a polytope P_S, whose vertices are arrangement vertices of the divisor
+  shifted by 1 on S, from the same matrix product (_polytope_boxes).
+- sweep: the numpy kernel excol.kernels.count_support_masks counts the
+  characters with support S over the box of each non-empty P_S, and h is
+  the sum of those counts times the ranks of S.
 
 Results are memoized per fan object.  Only a caller that passes a
 DiskCache (one append-only file per fan) touches the disk: the fan's file
@@ -87,10 +93,14 @@ def reduced_cohomology_ranks(facets, top_dim):
 
 CACHE_VERSION = "excol-hvectors-1"
 
-# The kernel sweeps every point of the box; the largest box of the reference
-# classes has 7,001,316 points, and a hostile class can ask for 10^14.
+# Point budget of the admission box, the arrangement box every class must
+# pass before any sweep: the largest of the reference classes has 7,001,316
+# points, and a hostile class can ask for 10^14.  The polytope boxes the
+# kernel sweeps pass the same check.
 MAX_BOX_POINTS = 10**8
 _INT64_MAX = 2**63 - 1
+# (row, mask, vertex, ray) slack values per chunk of _polytope_boxes
+SLACK_VALUES = 1 << 14
 
 
 class DiskCache:
@@ -199,12 +209,16 @@ def _vertex_maps(fan: Fan):
 
 
 def _box_matrix(fan: Fan):
-    """(A, dets, reach), computed once per fan.
+    """(scatter, dets, reach, tests, test_reach), computed once per fan.
 
-    A (n_rays x vertices*dim, int64) holds the rows of -M_S scattered to the
-    rays of S, so a @ A lists det_S times every arrangement vertex of the
-    T-divisor a, dets holds the matching det_S, and reach, the largest
-    column L1 norm of A, bounds |a @ A| by reach * max|a|.
+    scatter (n_rays x vertices*dim, int64) holds the rows of -M_S scattered
+    to the rays of S, so a @ scatter lists det_S times every arrangement
+    vertex of the T-divisor a, and dets holds the matching det_S.  tests
+    (n_rays x vertices*n_rays, int64) maps a to det_S * (<vertex, v_rho> +
+    a_rho) for every vertex and ray, the slack of the vertex in each section
+    inequality.  reach and test_reach, the largest column L1 norms of the
+    two, bound |a @ scatter| by reach * max|a| and |a @ tests| by
+    test_reach * max|a|.
     """
     cache = fan._box_matrix_cache
     if not cache:
@@ -216,7 +230,13 @@ def _box_matrix(fan: Fan):
                 scatter[list(subset), j * dim + d] = [-m for m in row]
         dets = np.repeat(np.array([det for _, _, det in maps], dtype=np.int64), dim)
         reach = max(sum(map(abs, row)) for _, rows, _ in maps for row in rows)
-        cache.extend((scatter, dets, reach))
+        # in Python ints, so an entry past int64 fails the cast, not wraps
+        rays = np.array(fan.rays, dtype=object)
+        tests = scatter.astype(object).reshape(fan.n_rays, len(maps), dim) @ rays.T
+        tests[range(fan.n_rays), :, range(fan.n_rays)] += [det for _, _, det in maps]
+        tests = tests.reshape(fan.n_rays, -1)
+        test_reach = abs(tests).sum(axis=0).max()
+        cache.extend((scatter, dets, reach, tests.astype(np.int64), test_reach))
     return cache
 
 
@@ -230,7 +250,7 @@ def _boxes(fan: Fan, coeff_rows):
     message only, and BoxTooLarge names the row with the largest coefficient
     and its exact box.
     """
-    scatter, dets, reach = _box_matrix(fan)
+    scatter, dets, reach = _box_matrix(fan)[:3]
     big = max(abs(a) for row in coeff_rows for a in row)
     fits = big * reach < _INT64_MAX
     nums = np.array(coeff_rows, dtype=np.int64 if fits else object) @ scatter
@@ -250,21 +270,86 @@ def _boxes(fan: Fan, coeff_rows):
     return boxes
 
 
+def _polytope_boxes(fan: Fan, coeff_rows, masks):
+    """(row, S, lo, hi) for every T-divisor a in coeff_rows and support set S
+    in masks whose polytope
+
+        P_S(a) = {u : <u, v_rho> <= -a_rho - 1 for rho in S, >= -a_rho else}
+
+    is not empty: the bounding box of its vertices, inflated by 1.
+
+    P_S(a) is cut out by the arrangement of b = a + 1_S, so its vertices are
+    the arrangement vertices of b that meet every inequality (b @ scatter
+    and b @ tests, _box_matrix).  The rays span, so P_S(a) is pointed, and
+    it is empty when no vertex qualifies.  Both products are bounded by
+    (max|a| + 1) times their reach, checked in Python ints to fit in int64
+    first; past that BoxTooLarge names the row with the largest coefficient.
+    The slacks of (row, mask, vertex, ray) are formed a few rows at a time,
+    at most SLACK_VALUES values each, so the temporaries stay small.
+    """
+    scatter, dets, reach, tests, test_reach = _box_matrix(fan)
+    big = max(abs(a) for row in coeff_rows for a in row) + 1
+    if big * max(reach, test_reach) >= _INT64_MAX:
+        coeffs = next(row for row in coeff_rows if max(map(abs, row)) + 1 == big)
+        raise BoxTooLarge(
+            f"T-divisor {tuple(coeffs)}: support-set polytope vertex numerators "
+            f"bounded by {big * reach}, their ray tests by {big * test_reach} "
+            f"(int64 limit {_INT64_MAX})"
+        )
+    n, dim = fan.n_rays, fan.dim
+    nverts = len(dets) // dim
+    coeffs = np.array(coeff_rows, dtype=np.int64)
+    inside = (masks[:, None] >> np.arange(n)) & 1  # (masks, rays): 1 on S
+    verts = (coeffs @ scatter).reshape(-1, nverts, dim)
+    mask_verts = (inside @ scatter).reshape(-1, nverts, dim)
+    slack = (coeffs @ tests).reshape(-1, 1, nverts, n)
+    # rho in S wants slack <= 0, rho outside S slack >= 0
+    sign = (1 - 2 * inside)[:, None, :]
+    mask_slack = (inside @ tests).reshape(-1, nverts, n) * sign
+    dets = dets[::dim, None]
+    step = max(1, SLACK_VALUES // mask_slack.size)
+    out = []
+    for start in range(0, len(coeff_rows), step):
+        vertex = (slack[start : start + step] * sign + mask_slack >= 0).all(axis=3)
+        rows, ms = np.nonzero(vertex.any(axis=2))
+        nums = verts[start + rows] + mask_verts[ms]
+        keep = vertex[rows, ms, :, None]
+        lo = np.where(keep, nums // dets, _INT64_MAX).min(axis=1) - 1
+        hi = np.where(keep, -(-nums // dets), -_INT64_MAX).max(axis=1) + 1
+        out.extend(zip((start + rows).tolist(), masks[ms].tolist(), lo.tolist(), hi.tolist()))
+    return out
+
+
 # Reduced-cohomology ranks of the support complexes of one labelled
 # combinatorial type (fan.max_cones): row `mask` holds the ranks, in degrees
 # -1..dim-1, of the complex the max cones induce on the rays in mask, or -1
-# while no box has met that mask.  Shared by every fan object of the type.
+# while that row is not filled.  Shared by every fan object of the type.
 _RANK_TABLES = {}
 
 
 def _support_ranks(fan: Fan, masks):
-    """The rank table of fan's type, with the rows of masks filled."""
+    """The rank table of fan's type, with the rows of masks filled.
+
+    An induced complex with a cone point, a ray in each of its facets, is
+    contractible, so its row is 0; only the other rows are computed.
+    """
     ranks = _RANK_TABLES.get(fan.max_cones)
     if ranks is None:
         ranks = _RANK_TABLES[fan.max_cones] = np.full(
             (1 << fan.n_rays, fan.dim + 1), -1, dtype=np.int64
         )
-    for mask in masks[ranks[masks, 0] < 0].tolist():
+    masks = masks[ranks[masks, 0] < 0]
+    if not masks.size:
+        return ranks
+    cones = np.array([sum(1 << i for i in cone) for cone in fan.max_cones], dtype=np.int64)
+    faces = masks[:, None] & cones  # (masks, cones)
+    # apex: the rays in every facet, a face that no larger face contains
+    apex = np.full(masks.shape, -1, dtype=np.int64)
+    for face in faces.T:
+        covered = ((face[:, None] & ~faces) == 0) & (face[:, None] != faces)
+        apex &= np.where(covered.any(axis=1), -1, face)
+    ranks[masks[apex != 0]] = 0
+    for mask in masks[apex == 0].tolist():
         facets = {frozenset(i for i in cone if mask >> i & 1) for cone in fan.max_cones}
         ranks[mask] = reduced_cohomology_ranks(facets, fan.dim - 1)
     return ranks
@@ -288,9 +373,10 @@ def _check_box(fan: Fan, coeffs, lo, hi):
         )
 
 
-def _dims_of_divisor(fan: Fan, coeffs, box):
-    """All h^i of the T-divisor with ray coefficients coeffs, uncached, from
-    its arrangement box (lo, hi) as _boxes gives it and _check_box passes."""
+def _count_support_set(fan: Fan, coeffs, mask, box):
+    """Lattice points of the box (lo, hi) whose support set is mask; raise
+    UnboundedContribution if one lies on the box's boundary, since the box
+    must hold the whole polytope."""
     lo, hi = box
     counts, shell = kernels.count_support_masks(
         np.array(lo, dtype=np.int64),
@@ -298,18 +384,33 @@ def _dims_of_divisor(fan: Fan, coeffs, box):
         np.array(fan.rays, dtype=np.int64),
         np.array(coeffs, dtype=np.int64),
     )
-    present = np.flatnonzero(counts)
-    ranks = _support_ranks(fan, present)
-    unbounded = present[(shell[present] > 0) & ranks[present].any(axis=1)]
-    if unbounded.size:
-        mask = int(unbounded[0])
+    if shell[mask]:
+        ranks = _support_ranks(fan, np.array([mask]))[mask]
         raise UnboundedContribution(
             f"T-divisor {tuple(coeffs)} in box lo={lo} hi={hi}: support "
             f"set {mask:b} on the inflated boundary has reduced "
-            f"cohomology {tuple(ranks[mask].tolist())}"
+            f"cohomology {tuple(ranks.tolist())}"
         )
-    # ranks[mask, i] is the rank in degree i-1, which adds to h^i
-    return tuple((counts @ ranks).tolist())
+    return int(counts[mask])
+
+
+def _dims_of_divisors(fan: Fan, coeff_rows):
+    """All h^i of each T-divisor (rows of ray coefficients), uncached.
+
+    h is the sum, over the support sets S with nonzero reduced cohomology,
+    of the lattice points of P_S (_polytope_boxes) times the ranks of S.
+    Every polytope box is checked (_check_box) before the first sweep.
+    """
+    ranks = _support_ranks(fan, np.arange(1 << fan.n_rays))
+    polytopes = _polytope_boxes(fan, coeff_rows, np.flatnonzero(ranks.any(axis=1)))
+    for row, _mask, lo, hi in polytopes:
+        _check_box(fan, coeff_rows[row], lo, hi)
+    h = [[0] * (fan.dim + 1) for _ in coeff_rows]
+    for row, mask, lo, hi in polytopes:
+        points = _count_support_set(fan, coeff_rows[row], mask, (lo, hi))
+        # ranks[mask, i] is the rank in degree i-1, which adds to h^i
+        h[row] = [x + points * r for x, r in zip(h[row], ranks[mask].tolist())]
+    return [tuple(x) for x in h]
 
 
 def cohomology_dims(fan: Fan, cls: PicClass, cache=None):
@@ -339,11 +440,9 @@ def cohomology_dims_many(fan: Fan, classes, cache=None):
     missing = {cls.coords: cls for cls in classes if cls.coords not in memo}
     if missing:
         rows = [fan.tdivisor_lift(cls) for cls in missing.values()]
-        boxes = _boxes(fan, rows)
-        for coeffs, (lo, hi) in zip(rows, boxes):
+        for coeffs, (lo, hi) in zip(rows, _boxes(fan, rows)):
             _check_box(fan, coeffs, lo, hi)
-        for coords, coeffs, box in zip(missing, rows, boxes):
-            memo[coords] = _dims_of_divisor(fan, coeffs, box)
+        memo.update(zip(missing, _dims_of_divisors(fan, rows)))
     out = [memo[cls.coords] for cls in classes]
     if cache:
         new = {cls.coords: h for cls, h in zip(classes, out) if cls.coords not in stored}
@@ -351,8 +450,3 @@ def cohomology_dims_many(fan: Fan, classes, cache=None):
             cache.put(fan, new)
     return out
 
-
-def euler_pairing(fan: Fan, a: PicClass, b: PicClass) -> int:
-    """chi(a, b) = sum (-1)^i dim Ext^i(a, b) = chi(b - a)."""
-    h = cohomology_dims(fan, b - a)
-    return sum((-1) ** i * x for i, x in enumerate(h))

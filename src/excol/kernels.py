@@ -6,7 +6,8 @@ exactly that subset as their support set {rho : <u, v_rho> < -a_rho}.
 <u, v_rho> + a_rho is a sum of one term per axis, so the kernel forms the
 per-axis terms once, adds the terms of axes 1..n-1 (and a_rho) into one
 array by broadcasting, and sweeps axis 0 in slabs of at most SLAB_POINTS
-points: one slab for every box of the construction sweeps.  A point's
+points: one slab covers every support-set polytope box that certifying the
+s + r <= 4, degree <= 1 family sweeps (at most 1,512 points).  A point's
 support mask is packed from the ray tests bit by bit.  All arithmetic stays
 in int64; the caller checks that every value formed fits
 (cohomology._check_box).

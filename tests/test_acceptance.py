@@ -24,8 +24,8 @@ from excol import (
     projective_space_fan,
 )
 from excol.cli import enumerate_centers, enumerate_specs
-from excol.cohomology import euler_pairing
 from excol.splitcalc import _sym_conormal, y_cohomology
+from oracle_helpers import euler_pairing
 
 MAX_DIM = 4
 MAX_DEGREE = 2

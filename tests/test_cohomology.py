@@ -2,10 +2,11 @@ import functools
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from excol import (
@@ -14,7 +15,6 @@ from excol import (
     bott_dims,
     build_projective_bundle_fan,
     cohomology_dims,
-    euler_pairing,
     make_blowup,
     projective_space_fan,
 )
@@ -25,7 +25,9 @@ from excol.cohomology import (
     _box_matrix,
     _boxes,
     _check_box,
-    _dims_of_divisor,
+    _count_support_set,
+    _dims_of_divisors,
+    _polytope_boxes,
     _support_ranks,
     _vertex_maps,
     cohomology_dims_many,
@@ -36,6 +38,7 @@ from excol.cli import enumerate_centers, enumerate_specs
 from excol.errors import BoxTooLarge, UnboundedContribution
 from excol.intlinalg import determinant
 from excol.verify import certify
+from oracle_helpers import euler_pairing
 
 
 def test_reduced_cohomology_empty_complex():
@@ -99,7 +102,7 @@ def test_lift_invariance(bl_p1p1):
             lift = [
                 a + b for a, b in zip(fan.tdivisor_lift(cls), principal)
             ]
-            assert _dims_of_divisor(fan, lift, _boxes(fan, [lift])[0]) == base
+            assert _dims_of_divisors(fan, [lift]) == [base]
 
 
 # (class, box lo, box hi), recorded when the box was still computed by
@@ -225,12 +228,123 @@ def test_box_product_guard(case):
             cohomology_dims_many(fan, [fan.class_of_divisor(coeffs)])
 
 
+def _nonacyclic_masks(fan):
+    return np.flatnonzero(_support_ranks(fan, np.arange(1 << fan.n_rays)).any(axis=1))
+
+
+def _python_polytope_boxes(fan, coeffs, masks):
+    """Reference polytope boxes of one T-divisor in Python ints: for each
+    mask S, the arrangement vertices of a + 1_S that meet every inequality
+    of P_S, one vertex map at a time."""
+    out = []
+    for mask in masks:
+        b = [c + (mask >> i & 1) for i, c in enumerate(coeffs)]
+        floors, ceils = [], []
+        for subset, rows, det in _vertex_maps(fan):
+            scaled = [sum(-m * b[i] for m, i in zip(row, subset)) for row in rows]
+            slack = [
+                sum(x * v for x, v in zip(scaled, ray)) + det * b[r]
+                for r, ray in enumerate(fan.rays)
+            ]
+            if all(s <= 0 if mask >> r & 1 else s >= 0 for r, s in enumerate(slack)):
+                floors.append([x // det for x in scaled])
+                ceils.append([-(-x // det) for x in scaled])
+        if floors:
+            lo = [min(col) - 1 for col in zip(*floors)]
+            hi = [max(col) + 1 for col in zip(*ceils)]
+            out.append((0, mask, lo, hi))
+    return out
+
+
+@pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
+def test_polytope_product_guard(case):
+    """The largest coefficient the int64 polytope products admit gives the
+    exact polytope boxes; one more raises BoxTooLarge naming the class."""
+    fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
+    _scatter, _dets, reach, _tests, test_reach = _box_matrix(fan)
+    edge = (_INT64_MAX - 1) // max(reach, test_reach) - 1
+    masks = _nonacyclic_masks(fan)
+    for sign in (1, -1):
+        coeffs = [0] * fan.n_rays
+        coeffs[-1] = sign * edge
+        got = _polytope_boxes(fan, [coeffs], masks)
+        assert got and got == _python_polytope_boxes(fan, coeffs, masks.tolist())
+        coeffs[-1] += sign
+        with pytest.raises(BoxTooLarge, match=re.escape(f"T-divisor {tuple(coeffs)}: ")):
+            _polytope_boxes(fan, [coeffs], masks)
+
+
+def test_polytope_guard_edge_through_the_pass():
+    """A principal divisor (h = (1, 0, 0)) at the edge of the polytope guard
+    is counted exactly in int64; one step further it raises."""
+    fan = projective_space_fan(2)
+    _scatter, _dets, reach, _tests, test_reach = _box_matrix(fan)
+    t = (_INT64_MAX - 1) // max(reach, test_reach) - 1
+    principal = [-sum(x * y for x, y in zip((t, 0), ray)) for ray in fan.rays]
+    assert max(map(abs, principal)) == t
+    assert _dims_of_divisors(fan, [principal]) == [(1, 0, 0)]
+    principal = [-sum(x * y for x, y in zip((t + 1, 0), ray)) for ray in fan.rays]
+    with pytest.raises(BoxTooLarge, match="int64"):
+        _dims_of_divisors(fan, [principal])
+
+
+def _full_box_counts(fan, coeffs):
+    """Brute-force reference: the support-set counts over a's whole
+    arrangement box."""
+    lo, hi = _boxes(fan, [coeffs])[0]
+    return kernels.count_support_masks(lo, hi, fan.rays, coeffs)[0]
+
+
+POLYTOPE_FANS = [
+    projective_space_fan(2),
+    make_blowup(BundleSpec(2, (0, 0)), CenterSpec(frozenset({"b1", "b2", "f1"}))).fan_xt,
+] + [make_blowup(spec, CenterSpec(frozenset(center))).fan_xt for spec, center in BOX_TABLE]
+
+
+@st.composite
+def small_divisors(draw):
+    fan = draw(st.sampled_from(POLYTOPE_FANS))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=fan.n_rays, max_size=fan.n_rays))
+    return fan, coeffs
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_divisors())
+@example((POLYTOPE_FANS[0], [-2, 1, 3]))  # P_S empty for S = every ray
+@example((POLYTOPE_FANS[0], [-1, 0, 0]))  # every P_S empty
+def test_polytope_pass_matches_full_box_count(divisor):
+    """Per non-acyclic support set S, the polytope box counts exactly the
+    characters the whole arrangement box has with support S, and h matches
+    the full-box count weighted by every support complex's ranks."""
+    fan, coeffs = divisor
+    full = _full_box_counts(fan, coeffs)
+    want = [0] * (fan.dim + 1)
+    for mask in np.flatnonzero(full).tolist():
+        ranks = _induced_ranks(fan, mask)
+        want = [h + int(full[mask]) * r for h, r in zip(want, ranks)]
+    assert _dims_of_divisors(fan, [coeffs]) == [tuple(want)]
+
+    lo, hi = _boxes(fan, [coeffs])[0]
+    masks = _nonacyclic_masks(fan)
+    polytopes = _polytope_boxes(fan, [coeffs], masks)
+    assert polytopes == _python_polytope_boxes(fan, coeffs, masks.tolist())
+    swept = {mask for _row, mask, _lo, _hi in polytopes}
+    # a support set with characters has a non-empty polytope
+    assert {m for m in masks.tolist() if full[m]} <= swept
+    for _row, mask, plo, phi in polytopes:
+        # P_S lies in the bounded chamber union its inequalities loosen to,
+        # whose vertices are arrangement vertices of a: no polytope box
+        # leaves the arrangement box
+        assert all(a <= b <= c <= d for a, b, c, d in zip(lo, plo, phi, hi))
+        assert _count_support_set(fan, coeffs, mask, (plo, phi)) == full[mask]
+
+
 def test_unbounded_contribution_names_divisor_box_and_mask():
     """A box too small for the sections of O(4) on P^2 must fail loudly."""
     fan = projective_space_fan(2)
     want = r"T-divisor \(0, 4, 0\) in box lo=\[-1, -1\] hi=\[1, 1\]: support set 0 "
     with pytest.raises(UnboundedContribution, match=want):
-        _dims_of_divisor(fan, (0, 4, 0), ([-1, -1], [1, 1]))
+        _count_support_set(fan, (0, 4, 0), 0, ([-1, -1], [1, 1]))
 
 
 def test_serre_duality(bl_p2p1):
@@ -426,6 +540,7 @@ def test_slab_kernel_matches_brute_force(monkeypatch, lo, hi, values_per_slab):
         assert shell.tolist() == want_shell
 
 
+@functools.lru_cache(maxsize=None)
 def _induced_ranks(fan, mask):
     facets = {frozenset(i for i in cone if mask >> i & 1) for cone in fan.max_cones}
     return reduced_cohomology_ranks(facets, fan.dim - 1)
@@ -468,9 +583,21 @@ def test_batch_sweeps_each_missing_class_once(monkeypatch):
     classes = [fan.pic_class((d,)) for d in (2, -4, 2, 0, -4)]
     got = cohomology_dims_many(fan, classes)
     assert got == [bott_dims(2, d) for d in (2, -4, 2, 0, -4)]
-    assert len(calls) == 3
+    # each distinct class has one non-empty polytope (P_0 for h^0, P_111 for
+    # h^2), and no (class, mask) box is swept twice
+    swept = {(tuple(lo), tuple(hi), tuple(coeffs)) for lo, hi, _rays, coeffs in calls}
+    assert len(calls) == len(swept) == 3
+    calls.clear()
     assert cohomology_dims_many(fan, classes[:2]) == got[:2]
-    assert len(calls) == 3
+    assert calls == []
+
+
+def test_class_without_polytopes_is_not_swept(monkeypatch):
+    """O(-1) on P^2 is acyclic and P_0, P_111 are empty: no kernel call."""
+    fan = projective_space_fan(2)
+    calls = _count_kernel_calls(monkeypatch)
+    assert cohomology_dims(fan, fan.pic_class((-1,))) == (0, 0, 0)
+    assert calls == []
 
 
 def test_batch_checks_every_box_before_the_first_sweep(monkeypatch):
