@@ -10,7 +10,6 @@ from .fan import (
     Fan,
     PicClass,
     build_projective_bundle_fan,
-    center_geometry,
     make_blowup,
     projective_space_fan,
     star_subdivide,
@@ -47,7 +46,6 @@ __all__ = [
     "Report",
     "bott_dims",
     "build_projective_bundle_fan",
-    "center_geometry",
     "certify",
     "cohomology_dims",
     "cohomology_on_bundle",

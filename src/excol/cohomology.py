@@ -11,9 +11,10 @@ of one) are computed in one pass over the classes the memo lacks:
 - admission: each class gets the box around the vertices of its divisor's
   hyperplane arrangement.  The vertex of each invertible set of dim rays is
   an integer map of the divisor coefficients, scattered once per fan into
-  one int64 matrix (_box_matrix), so the boxes of the whole batch come from
-  one matrix product, checked beforehand to fit in int64 (_boxes).  Every
-  box passes _check_box before the first sweep.
+  one int64 matrix (_box_matrix), so the vertices of the whole batch come
+  from one matrix product, under one guard that every value the pass
+  forms from it fits in int64 (_boxes).  Each box passes _check_box once,
+  before the rank table is touched and before the first sweep.
 - ranks: the reduced-cohomology ranks of the support complexes depend only
   on the fan's labelled combinatorial type (its max cones), so one table
   per type, filled whole the first time the type is used, serves every fan
@@ -21,7 +22,9 @@ of one) are computed in one pass over the classes the memo lacks:
   nonzero ranks add to h.
 - polytopes: the characters with support set S are the lattice points of
   a polytope P_S, whose vertices are arrangement vertices of the divisor
-  shifted by 1 on S, from the same matrix product (_polytope_boxes).
+  shifted by 1 on S, taken from the same product (_polytope_boxes).  For
+  S with nonzero ranks a non-empty P_S is bounded, so its box lies inside
+  the class's admission box and needs no check of its own.
 - sweep: the numpy kernel excol.kernels.count_support_masks counts the
   characters with support S over the box of each non-empty P_S, and h is
   the sum of those counts times the ranks of S.
@@ -96,7 +99,7 @@ CACHE_VERSION = "excol-hvectors-1"
 # Point budget of the admission box, the arrangement box every class must
 # pass before any sweep: the largest of the reference classes has 7,001,316
 # points, and a hostile class can ask for 10^14.  The polytope boxes the
-# kernel sweeps pass the same check.
+# kernel sweeps lie inside it.
 MAX_BOX_POINTS = 10**8
 _INT64_MAX = 2**63 - 1
 # (row, mask, vertex, ray) slack values per chunk of _polytope_boxes
@@ -213,12 +216,12 @@ def _box_matrix(fan: Fan):
 
     scatter (n_rays x vertices*dim, int64) holds the rows of -M_S scattered
     to the rays of S, so a @ scatter lists det_S times every arrangement
-    vertex of the T-divisor a, and dets holds the matching det_S.  tests
-    (n_rays x vertices*n_rays, int64) maps a to det_S * (<vertex, v_rho> +
-    a_rho) for every vertex and ray, the slack of the vertex in each section
-    inequality.  reach and test_reach, the largest column L1 norms of the
-    two, bound |a @ scatter| by reach * max|a| and |a @ tests| by
-    test_reach * max|a|.
+    vertex of the T-divisor a, and dets (vertices x 1) holds the matching
+    det_S.  tests (n_rays x vertices*n_rays, int64) maps a to
+    det_S * (<vertex, v_rho> + a_rho) for every vertex and ray, the slack of
+    the vertex in each section inequality.  reach and test_reach, the
+    largest column L1 norms of the two, bound |a @ scatter| by
+    reach * max|a| and |a @ tests| by test_reach * max|a|.
     """
     cache = fan._box_matrix_cache
     if not cache:
@@ -228,7 +231,7 @@ def _box_matrix(fan: Fan):
         for j, (subset, rows, _det) in enumerate(maps):
             for d, row in enumerate(rows):
                 scatter[list(subset), j * dim + d] = [-m for m in row]
-        dets = np.repeat(np.array([det for _, _, det in maps], dtype=np.int64), dim)
+        dets = np.array([[det] for _, _, det in maps], dtype=np.int64)
         reach = max(sum(map(abs, row)) for _, rows, _ in maps for row in rows)
         # in Python ints, so an entry past int64 fails the cast, not wraps
         rays = np.array(fan.rays, dtype=object)
@@ -241,36 +244,40 @@ def _box_matrix(fan: Fan):
 
 
 def _boxes(fan: Fan, coeff_rows):
-    """Bounding boxes (lo, hi) of the hyperplane-arrangement vertices,
-    inflated by 1, of T-divisors (rows of ray coefficients), from one int64
-    product.
+    """(boxes, verts) of T-divisors (rows of ray coefficients), from one
+    int64 product: verts (rows x vertices x dim) holds det_S times every
+    arrangement vertex of each row, and boxes[row] = (lo, hi) is the
+    bounding box of the row's vertices, inflated by 1.
 
-    Every numerator of the product, and the box's +-1, must fit in int64.
-    Otherwise the product is formed in Python ints (object arrays) for the
-    message only, and BoxTooLarge names the row with the largest coefficient
-    and its exact box.
+    The one int64 guard of the pass: the vertices and ray tests of
+    a + 1_S, for a row a and any support set S (_polytope_boxes), are
+    bounded by (max|a| + 1) times reach and test_reach, and the bound must
+    fit in int64.  Otherwise the product is formed in Python ints (object
+    arrays) for the message only, and BoxTooLarge names the row with the
+    largest coefficient and its exact box.
     """
-    scatter, dets, reach = _box_matrix(fan)[:3]
-    big = max(abs(a) for row in coeff_rows for a in row)
-    fits = big * reach < _INT64_MAX
-    nums = np.array(coeff_rows, dtype=np.int64 if fits else object) @ scatter
-    shape = (len(coeff_rows), -1, fan.dim)
-    lo = (nums // dets).reshape(shape).min(axis=1) - 1
-    hi = (-(-nums // dets)).reshape(shape).max(axis=1) + 1
+    scatter, dets, reach, _tests, test_reach = _box_matrix(fan)
+    big = max(abs(a) for row in coeff_rows for a in row) + 1
+    bound = big * max(reach, test_reach)
+    fits = bound < _INT64_MAX
+    rows = np.array(coeff_rows, dtype=np.int64 if fits else object)
+    verts = (rows @ scatter).reshape(len(coeff_rows), len(dets), fan.dim)
+    lo = (verts // dets).min(axis=1) - 1
+    hi = (-(-verts // dets)).max(axis=1) + 1
     boxes = list(zip(lo.tolist(), hi.tolist()))
     if not fits:
         coeffs, (lo, hi) = next(
-            (row, box) for row, box in zip(coeff_rows, boxes) if max(map(abs, row)) == big
+            (row, box) for row, box in zip(coeff_rows, boxes) if max(map(abs, row)) + 1 == big
         )
         raise BoxTooLarge(
             f"T-divisor {tuple(coeffs)} in box lo={lo} hi={hi}: "
-            f"{prod(b - a + 1 for a, b in zip(lo, hi))} points, arrangement "
-            f"vertex numerators bounded by {big * reach} (int64 limit {_INT64_MAX})"
+            f"{prod(b - a + 1 for a, b in zip(lo, hi))} points, box products "
+            f"bounded by {bound} (int64 limit {_INT64_MAX})"
         )
-    return boxes
+    return boxes, verts
 
 
-def _polytope_boxes(fan: Fan, coeff_rows, masks):
+def _polytope_boxes(fan: Fan, coeff_rows, verts, masks):
     """(row, S, lo, hi) for every T-divisor a in coeff_rows and support set S
     in masks whose polytope
 
@@ -279,34 +286,21 @@ def _polytope_boxes(fan: Fan, coeff_rows, masks):
     is not empty: the bounding box of its vertices, inflated by 1.
 
     P_S(a) is cut out by the arrangement of b = a + 1_S, so its vertices are
-    the arrangement vertices of b that meet every inequality (b @ scatter
-    and b @ tests, _box_matrix).  The rays span, so P_S(a) is pointed, and
-    it is empty when no vertex qualifies.  Both products are bounded by
-    (max|a| + 1) times their reach, checked in Python ints to fit in int64
-    first; past that BoxTooLarge names the row with the largest coefficient.
+    the arrangement vertices of b that meet every inequality: verts (the
+    product _boxes formed) plus 1_S @ scatter, tested by b @ tests
+    (_box_matrix).  The rays span, so P_S(a) is pointed, and it is empty
+    when no vertex qualifies.  _boxes's guard keeps every value in int64.
     The slacks of (row, mask, vertex, ray) are formed a few rows at a time,
     at most SLACK_VALUES values each, so the temporaries stay small.
     """
-    scatter, dets, reach, tests, test_reach = _box_matrix(fan)
-    big = max(abs(a) for row in coeff_rows for a in row) + 1
-    if big * max(reach, test_reach) >= _INT64_MAX:
-        coeffs = next(row for row in coeff_rows if max(map(abs, row)) + 1 == big)
-        raise BoxTooLarge(
-            f"T-divisor {tuple(coeffs)}: support-set polytope vertex numerators "
-            f"bounded by {big * reach}, their ray tests by {big * test_reach} "
-            f"(int64 limit {_INT64_MAX})"
-        )
-    n, dim = fan.n_rays, fan.dim
-    nverts = len(dets) // dim
-    coeffs = np.array(coeff_rows, dtype=np.int64)
+    scatter, dets, _reach, tests, _test_reach = _box_matrix(fan)
+    n, nverts = fan.n_rays, len(dets)
     inside = (masks[:, None] >> np.arange(n)) & 1  # (masks, rays): 1 on S
-    verts = (coeffs @ scatter).reshape(-1, nverts, dim)
-    mask_verts = (inside @ scatter).reshape(-1, nverts, dim)
-    slack = (coeffs @ tests).reshape(-1, 1, nverts, n)
+    mask_verts = (inside @ scatter).reshape(-1, nverts, fan.dim)
+    slack = (np.array(coeff_rows, dtype=np.int64) @ tests).reshape(-1, 1, nverts, n)
     # rho in S wants slack <= 0, rho outside S slack >= 0
     sign = (1 - 2 * inside)[:, None, :]
     mask_slack = (inside @ tests).reshape(-1, nverts, n) * sign
-    dets = dets[::dim, None]
     step = max(1, SLACK_VALUES // mask_slack.size)
     out = []
     for start in range(0, len(coeff_rows), step):
@@ -322,25 +316,21 @@ def _polytope_boxes(fan: Fan, coeff_rows, masks):
 
 # Reduced-cohomology ranks of the support complexes of one labelled
 # combinatorial type (fan.max_cones): row `mask` holds the ranks, in degrees
-# -1..dim-1, of the complex the max cones induce on the rays in mask, or -1
-# while that row is not filled.  Shared by every fan object of the type.
+# -1..dim-1, of the complex the max cones induce on the rays in mask.
+# Shared by every fan object of the type.
 _RANK_TABLES = {}
 
 
-def _support_ranks(fan: Fan, masks):
-    """The rank table of fan's type, with the rows of masks filled.
+def _support_ranks(fan: Fan):
+    """The rank table of fan's type, filled whole on first use.
 
     An induced complex with a cone point, a ray in each of its facets, is
     contractible, so its row is 0; only the other rows are computed.
     """
     ranks = _RANK_TABLES.get(fan.max_cones)
-    if ranks is None:
-        ranks = _RANK_TABLES[fan.max_cones] = np.full(
-            (1 << fan.n_rays, fan.dim + 1), -1, dtype=np.int64
-        )
-    masks = masks[ranks[masks, 0] < 0]
-    if not masks.size:
+    if ranks is not None:
         return ranks
+    masks = np.arange(1 << fan.n_rays)
     cones = np.array([sum(1 << i for i in cone) for cone in fan.max_cones], dtype=np.int64)
     faces = masks[:, None] & cones  # (masks, cones)
     # apex: the rays in every facet, a face that no larger face contains
@@ -348,10 +338,11 @@ def _support_ranks(fan: Fan, masks):
     for face in faces.T:
         covered = ((face[:, None] & ~faces) == 0) & (face[:, None] != faces)
         apex &= np.where(covered.any(axis=1), -1, face)
-    ranks[masks[apex != 0]] = 0
+    ranks = np.zeros((len(masks), fan.dim + 1), dtype=np.int64)
     for mask in masks[apex == 0].tolist():
         facets = {frozenset(i for i in cone if mask >> i & 1) for cone in fan.max_cones}
         ranks[mask] = reduced_cohomology_ranks(facets, fan.dim - 1)
+    _RANK_TABLES[fan.max_cones] = ranks
     return ranks
 
 
@@ -385,7 +376,7 @@ def _count_support_set(fan: Fan, coeffs, mask, box):
         np.array(coeffs, dtype=np.int64),
     )
     if shell[mask]:
-        ranks = _support_ranks(fan, np.array([mask]))[mask]
+        ranks = _support_ranks(fan)[mask]
         raise UnboundedContribution(
             f"T-divisor {tuple(coeffs)} in box lo={lo} hi={hi}: support "
             f"set {mask:b} on the inflated boundary has reduced "
@@ -397,14 +388,16 @@ def _count_support_set(fan: Fan, coeffs, mask, box):
 def _dims_of_divisors(fan: Fan, coeff_rows):
     """All h^i of each T-divisor (rows of ray coefficients), uncached.
 
-    h is the sum, over the support sets S with nonzero reduced cohomology,
-    of the lattice points of P_S (_polytope_boxes) times the ranks of S.
-    Every polytope box is checked (_check_box) before the first sweep.
+    Every row's arrangement box passes _check_box before the rank table is
+    touched and before the first sweep.  h is the sum, over the support
+    sets S with nonzero reduced cohomology, of the lattice points of P_S
+    (_polytope_boxes) times the ranks of S.
     """
-    ranks = _support_ranks(fan, np.arange(1 << fan.n_rays))
-    polytopes = _polytope_boxes(fan, coeff_rows, np.flatnonzero(ranks.any(axis=1)))
-    for row, _mask, lo, hi in polytopes:
-        _check_box(fan, coeff_rows[row], lo, hi)
+    boxes, verts = _boxes(fan, coeff_rows)
+    for coeffs, (lo, hi) in zip(coeff_rows, boxes):
+        _check_box(fan, coeffs, lo, hi)
+    ranks = _support_ranks(fan)
+    polytopes = _polytope_boxes(fan, coeff_rows, verts, np.flatnonzero(ranks.any(axis=1)))
     h = [[0] * (fan.dim + 1) for _ in coeff_rows]
     for row, mask, lo, hi in polytopes:
         points = _count_support_set(fan, coeff_rows[row], mask, (lo, hi))
@@ -426,8 +419,7 @@ def cohomology_dims_many(fan: Fan, classes, cache=None):
     is read once per call into the memo (the memo wins over the file), and
     the batch's entries the file lacks are appended to it in one write;
     without one, nothing touches the disk.  The classes the memo lacks, each
-    once, get their boxes from one product (_boxes), all checked
-    (_check_box) before the first of their kernel sweeps, one each.
+    once, go through one _dims_of_divisors pass.
     """
     for cls in classes:
         if cls.basis != fan.basis_tag:
@@ -440,8 +432,6 @@ def cohomology_dims_many(fan: Fan, classes, cache=None):
     missing = {cls.coords: cls for cls in classes if cls.coords not in memo}
     if missing:
         rows = [fan.tdivisor_lift(cls) for cls in missing.values()]
-        for coeffs, (lo, hi) in zip(rows, _boxes(fan, rows)):
-            _check_box(fan, coeffs, lo, hi)
         memo.update(zip(missing, _dims_of_divisors(fan, rows)))
     out = [memo[cls.coords] for cls in classes]
     if cache:

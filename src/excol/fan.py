@@ -368,14 +368,9 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
     return sub
 
 
-def center_geometry(spec: BundleSpec, center: CenterSpec) -> CenterGeometry:
-    """Base/fiber dimensions of Y, surviving summands, conormal classes."""
-    _center_indices(build_projective_bundle_fan(spec), center)
-    return _geometry(spec, center)
-
-
 def _geometry(spec: BundleSpec, center: CenterSpec) -> CenterGeometry:
-    """center_geometry for a center already checked to be a cone of X.
+    """Base/fiber dimensions of Y, surviving summands and conormal classes,
+    for a center already checked to be a cone of X.
 
     Every maximal cone of X omits one base and one fiber ray, so a cone cuts
     at most s base and r fiber rays and s', r' >= 0.

@@ -13,7 +13,6 @@ import pytest
 from excol import (
     BundleSpec,
     build_projective_bundle_fan,
-    center_geometry,
     certify,
     cohomology_dims,
     cohomology_on_bundle,
@@ -26,6 +25,7 @@ from excol import (
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.splitcalc import _sym_conormal, y_cohomology
 from oracle_helpers import euler_pairing
+from fan_helpers import center_geometry
 
 MAX_DIM = 4
 MAX_DEGREE = 2

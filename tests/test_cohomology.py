@@ -141,7 +141,7 @@ def test_arrangement_box_table():
         for coords, lo, hi in rows:
             coeffs = fan.tdivisor_lift(fan.pic_class(coords))
             got = _boxes(fan, [coeffs])[0]
-            assert got == (list(lo), list(hi)), coords
+            assert got == [(list(lo), list(hi))], coords
 
 
 FAMILY = [
@@ -182,7 +182,9 @@ def _python_box(fan, coeffs):
 @given(family_divisors())
 def test_vertex_maps_match_per_subset_solves(divisor):
     """The per-fan vertex maps give, for every invertible ray subset S, the
-    vertex of the arrangement on S, and the box spans those vertices."""
+    vertex of the arrangement on S, and the box spans those vertices.  Every
+    polytope box lies inside that box, which is all the admission check
+    (_check_box) sees, so the kernel's int64 safety rests on it."""
     fan, coeffs = divisor
     maps = {subset: (rows, det) for subset, rows, det in _vertex_maps(fan)}
     for subset in itertools.combinations(range(fan.n_rays), fan.dim):
@@ -197,7 +199,11 @@ def test_vertex_maps_match_per_subset_solves(divisor):
         # det_S * vertex satisfies <u, v_i> = -a_i for every i in S, exactly
         for i in subset:
             assert sum(x * v for x, v in zip(scaled, fan.rays[i])) == -det * coeffs[i]
-    assert _boxes(fan, [coeffs])[0] == _python_box(fan, coeffs)
+    boxes, verts = _boxes(fan, [coeffs])
+    assert boxes == [_python_box(fan, coeffs)]
+    [(lo, hi)] = boxes
+    for _row, _mask, plo, phi in _polytope_boxes(fan, [coeffs], verts, _nonacyclic_masks(fan)):
+        assert all(a <= b <= c <= d for a, b, c, d in zip(lo, plo, phi, hi))
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,28 +214,11 @@ def test_batched_boxes_match_per_class_boxes(data):
     row = st.lists(st.integers(-30, 30), min_size=fan.n_rays, max_size=fan.n_rays)
     rows = [first] + data.draw(st.lists(row.map(tuple), max_size=6))
     rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
-    assert _boxes(fan, rows) == [_python_box(fan, r) for r in rows]
-
-
-@pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
-def test_box_product_guard(case):
-    """The largest coefficient the int64 box product admits gives the exact
-    box; one more raises BoxTooLarge instead of wrapping."""
-    fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
-    edge = (_INT64_MAX - 1) // _box_matrix(fan)[2]
-    for sign in (1, -1):
-        coeffs = [0] * fan.n_rays
-        coeffs[-1] = sign * edge
-        assert _boxes(fan, [coeffs])[0] == _python_box(fan, coeffs)
-        coeffs[-1] += sign
-        with pytest.raises(BoxTooLarge, match="int64"):
-            _boxes(fan, [coeffs])
-        with pytest.raises(BoxTooLarge, match="box lo="):
-            cohomology_dims_many(fan, [fan.class_of_divisor(coeffs)])
+    assert _boxes(fan, rows)[0] == [_python_box(fan, r) for r in rows]
 
 
 def _nonacyclic_masks(fan):
-    return np.flatnonzero(_support_ranks(fan, np.arange(1 << fan.n_rays)).any(axis=1))
+    return np.flatnonzero(_support_ranks(fan).any(axis=1))
 
 
 def _python_polytope_boxes(fan, coeffs, masks):
@@ -256,42 +245,86 @@ def _python_polytope_boxes(fan, coeffs, masks):
     return out
 
 
+def _guard_edge(fan):
+    """The largest max|a| the int64 guard of _boxes admits."""
+    _scatter, _dets, reach, _tests, test_reach = _box_matrix(fan)
+    return (_INT64_MAX - 1) // max(reach, test_reach) - 1
+
+
+@pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
+def test_box_product_guard(case):
+    """The largest coefficient the int64 guard admits gives the exact
+    arrangement box; one more raises BoxTooLarge naming the box instead of
+    wrapping."""
+    fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
+    for sign in (1, -1):
+        coeffs = [0] * fan.n_rays
+        coeffs[-1] = sign * _guard_edge(fan)
+        assert _boxes(fan, [coeffs])[0] == [_python_box(fan, coeffs)]
+        coeffs[-1] += sign
+        with pytest.raises(BoxTooLarge, match="box lo="):
+            _boxes(fan, [coeffs])
+
+
 @pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
 def test_polytope_product_guard(case):
-    """The largest coefficient the int64 polytope products admit gives the
-    exact polytope boxes; one more raises BoxTooLarge naming the class."""
+    """The largest coefficient the int64 guard admits gives the exact
+    polytope boxes; one more raises BoxTooLarge naming the T-divisor."""
     fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
-    _scatter, _dets, reach, _tests, test_reach = _box_matrix(fan)
-    edge = (_INT64_MAX - 1) // max(reach, test_reach) - 1
     masks = _nonacyclic_masks(fan)
     for sign in (1, -1):
         coeffs = [0] * fan.n_rays
-        coeffs[-1] = sign * edge
-        got = _polytope_boxes(fan, [coeffs], masks)
+        coeffs[-1] = sign * _guard_edge(fan)
+        _box, verts = _boxes(fan, [coeffs])
+        got = _polytope_boxes(fan, [coeffs], verts, masks)
         assert got and got == _python_polytope_boxes(fan, coeffs, masks.tolist())
         coeffs[-1] += sign
-        with pytest.raises(BoxTooLarge, match=re.escape(f"T-divisor {tuple(coeffs)}: ")):
-            _polytope_boxes(fan, [coeffs], masks)
+        with pytest.raises(BoxTooLarge, match=re.escape(f"T-divisor {tuple(coeffs)} in box lo=")):
+            _boxes(fan, [coeffs])
 
 
-def test_polytope_guard_edge_through_the_pass():
-    """A principal divisor (h = (1, 0, 0)) at the edge of the polytope guard
-    is counted exactly in int64; one step further it raises."""
-    fan = projective_space_fan(2)
-    _scatter, _dets, reach, _tests, test_reach = _box_matrix(fan)
-    t = (_INT64_MAX - 1) // max(reach, test_reach) - 1
-    principal = [-sum(x * y for x, y in zip((t, 0), ray)) for ray in fan.rays]
-    assert max(map(abs, principal)) == t
-    assert _dims_of_divisors(fan, [principal]) == [(1, 0, 0)]
-    principal = [-sum(x * y for x, y in zip((t + 1, 0), ray)) for ray in fan.rays]
-    with pytest.raises(BoxTooLarge, match="int64"):
-        _dims_of_divisors(fan, [principal])
+# h^0 of the principal T-divisors one step below, at and one step above
+# two edges, or None where the pass raises BoxTooLarge: max|a| * reach <
+# 2^63 - 1 ("box"), which once guarded the arrangement boxes on its own,
+# and the guard of _boxes ("polytope").  The outcomes are those of the two
+# guards when each edge had one; a class whose lift reaches either edge
+# raises (its admission box is far over budget).
+PRINCIPAL_H0_AT_EDGE = {"box": (None, None, None), "polytope": (1, 1, None)}
+
+
+@pytest.mark.parametrize("edge", list(PRINCIPAL_H0_AT_EDGE))
+@pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
+def test_guard_edges_through_the_pass(case, edge):
+    """The principal T-divisors are counted exactly in int64 up to the
+    guard's edge, and every input past it raises BoxTooLarge naming the
+    box, through cohomology_dims_many for classes and through the pass
+    itself for T-divisors."""
+    fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
+    reach = _box_matrix(fan)[2]
+    edges = {"box": (_INT64_MAX - 1) // reach, "polytope": _guard_edge(fan)}
+    # an axis on which the rays reach 1, so t e_k has max|a| = t
+    k = next(d for d in range(fan.dim) if max(abs(v[d]) for v in fan.rays) == 1)
+    for step, h0 in zip((-1, 0, 1), PRINCIPAL_H0_AT_EDGE[edge]):
+        t = edges[edge] + step
+        for sign in (1, -1):
+            single = [0] * fan.n_rays
+            single[-1] = sign * t
+            cls = fan.class_of_divisor(single)
+            assert max(map(abs, fan.tdivisor_lift(cls))) == t
+            with pytest.raises(BoxTooLarge, match=r"box lo=.* points"):
+                cohomology_dims_many(fan, [cls])
+            principal = [-sign * t * v[k] for v in fan.rays]
+            if h0 is None:
+                with pytest.raises(BoxTooLarge, match=r"box lo=.* points"):
+                    _dims_of_divisors(fan, [principal])
+            else:
+                assert _dims_of_divisors(fan, [principal]) == [(h0,) + (0,) * fan.dim]
 
 
 def _full_box_counts(fan, coeffs):
     """Brute-force reference: the support-set counts over a's whole
     arrangement box."""
-    lo, hi = _boxes(fan, [coeffs])[0]
+    [(lo, hi)] = _boxes(fan, [coeffs])[0]
     return kernels.count_support_masks(lo, hi, fan.rays, coeffs)[0]
 
 
@@ -324,9 +357,9 @@ def test_polytope_pass_matches_full_box_count(divisor):
         want = [h + int(full[mask]) * r for h, r in zip(want, ranks)]
     assert _dims_of_divisors(fan, [coeffs]) == [tuple(want)]
 
-    lo, hi = _boxes(fan, [coeffs])[0]
+    [(lo, hi)], verts = _boxes(fan, [coeffs])
     masks = _nonacyclic_masks(fan)
-    polytopes = _polytope_boxes(fan, [coeffs], masks)
+    polytopes = _polytope_boxes(fan, [coeffs], verts, masks)
     assert polytopes == _python_polytope_boxes(fan, coeffs, masks.tolist())
     swept = {mask for _row, mask, _lo, _hi in polytopes}
     # a support set with characters has a non-empty polytope
@@ -469,13 +502,14 @@ def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
 
 
 def test_box_outside_int64_is_rejected():
-    """A principal divisor far out, just inside the int64 guard of the box
-    product, has a 3x3 box whose kernel values overflow int64; it must
-    raise, not wrap."""
+    """A principal divisor far out has a 3x3 box whose kernel values
+    overflow int64; _check_box must raise, not wrap.  The box comes from the
+    Python-int reference, since the divisor is past the int64 guard of
+    _boxes."""
     fan = projective_space_fan(2)
     m = (2**61 - 1, 2**61 - 1)
     coeffs = tuple(-sum(x * y for x, y in zip(m, ray)) for ray in fan.rays)
-    lo, hi = _boxes(fan, [coeffs])[0]
+    lo, hi = _python_box(fan, coeffs)
     assert [b - a + 1 for a, b in zip(lo, hi)] == [3, 3]
     with pytest.raises(BoxTooLarge, match="int64"):
         _check_box(fan, coeffs, lo, hi)
@@ -555,8 +589,7 @@ def _induced_ranks(fan, mask):
 )
 def test_rank_table_matches_support_complexes(spec, center):
     fan = make_blowup(spec, CenterSpec(frozenset(center))).fan_xt
-    masks = np.arange(1 << fan.n_rays)
-    table = _support_ranks(fan, masks)
+    table = _support_ranks(fan)
     assert [tuple(row) for row in table.tolist()] == [
         _induced_ranks(fan, mask) for mask in range(1 << fan.n_rays)
     ]
@@ -567,14 +600,12 @@ def test_rank_table_is_shared_per_labelled_type():
     a = make_blowup(spec, CenterSpec(frozenset({"b0", "f1"}))).fan_xt
     b = make_blowup(spec, CenterSpec(frozenset({"b0", "f1"}))).fan_xt
     c = make_blowup(spec, CenterSpec(frozenset({"b1", "f2"}))).fan_xt
-    none = np.arange(0)
     assert a is not b and a.max_cones == b.max_cones
-    assert _support_ranks(a, none) is _support_ranks(b, none)
+    assert _support_ranks(a) is _support_ranks(b)
     # same number of rays, other cones: a table of its own, with its own ranks
     assert c.n_rays == a.n_rays and c.max_cones != a.max_cones
-    assert _support_ranks(c, none) is not _support_ranks(a, none)
-    every = np.arange(1 << c.n_rays)
-    assert _support_ranks(c, every).tolist() != _support_ranks(a, every).tolist()
+    assert _support_ranks(c) is not _support_ranks(a)
+    assert _support_ranks(c).tolist() != _support_ranks(a).tolist()
 
 
 def test_batch_sweeps_each_missing_class_once(monkeypatch):

@@ -6,7 +6,6 @@ from excol import (
     BundleSpec,
     CenterSpec,
     build_projective_bundle_fan,
-    center_geometry,
     make_blowup,
     projective_space_fan,
     star_subdivide,
@@ -14,6 +13,7 @@ from excol import (
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.errors import InvalidSpec, NotACone, UnknownRay
 from excol.fan import Fan, validate_fan
+from fan_helpers import center_geometry
 
 
 def test_bundle_spec_invariants():

@@ -10,8 +10,9 @@ uses floats or rationals.  No module but the CLI reads the environment, so
 what the oracle does, disk I/O included, follows from its arguments alone.
 And nothing is dead: each error type the package defines is raised or
 caught in it, each one it raises is expected by a test, and every top-level
-function or class, and every method or property of such a class, is named
-somewhere in the package outside its own body.
+function, class or constant, and every method or property of such a class,
+is named somewhere in the package or the benchmark scripts (perfbench/)
+outside its own body.
 """
 
 import ast
@@ -22,6 +23,7 @@ import excol
 
 PACKAGE_DIR = Path(excol.__file__).parent
 TESTS_DIR = Path(__file__).parent
+PERFBENCH_DIR = TESTS_DIR.parent / "perfbench"
 
 
 def _package_imports(path):
@@ -222,32 +224,49 @@ def _names_used(node):
     return used
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
-    """Top-level functions and classes, and the methods and properties of
-    those classes except dunders, which Python calls by protocol."""
+    """(name, node) of the top-level functions, classes and constants, and
+    of the methods and properties of those classes, except dunders, which
+    Python reads by protocol."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            yield from (
+                (target.id, node)
+                for target in node.targets
+                if isinstance(target, ast.Name) and not _dunder(target.id)
+            )
         if isinstance(node, ast.ClassDef):
             yield from (
-                sub
+                (sub.name, sub)
                 for sub in node.body
-                if isinstance(sub, ast.FunctionDef)
-                and not (sub.name.startswith("__") and sub.name.endswith("__"))
+                if isinstance(sub, ast.FunctionDef) and not _dunder(sub.name)
             )
 
 
 def test_no_unreferenced_definitions():
     trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE_DIR.glob("*.py")}
-    used = sum((_names_used(tree) for tree in trees.values()), Counter())
-    defined = [(name, node) for name, tree in trees.items() for node in _definitions(tree)]
+    # the benchmark scripts read names the package does not (kernels.BACKEND)
+    bench = [ast.parse(p.read_text()) for p in PERFBENCH_DIR.glob("*.py")]
+    assert bench
+    used = sum((_names_used(tree) for tree in [*trees.values(), *bench]), Counter())
+    defined = [
+        (f"{module}:{name}", name, node)
+        for module, tree in trees.items()
+        for name, node in _definitions(tree)
+    ]
     assert len(defined) > 50
-    # the parse must see class members, or they would pass vacuously
-    assert "fan.py:canonical_class" in {f"{name}:{node.name}" for name, node in defined}
-    # uses inside a definition's own body (recursion) do not keep it alive
+    # the parse must see class members and constants, or they would pass
+    # vacuously
+    assert {"fan.py:canonical_class", "kernels.py:BACKEND"} <= {key for key, _, _ in defined}
+    # uses inside a definition's own body (recursion, or the constant's own
+    # assignment) do not keep it alive
     unused = sorted(
-        f"{name}:{node.name}"
-        for name, node in defined
-        if used[node.name] - _names_used(node)[node.name] <= 0
+        key for key, name, node in defined if used[name] - _names_used(node)[name] <= 0
     )
     assert not unused, unused

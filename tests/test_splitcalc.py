@@ -7,7 +7,6 @@ from excol import (
     CenterSpec,
     bott_dims,
     build_projective_bundle_fan,
-    center_geometry,
     cohomology_dims,
     cohomology_on_bundle,
     ext_lemA,
@@ -16,6 +15,7 @@ from excol import (
 )
 from excol.errors import KOutOfRange
 from excol.splitcalc import pushforward_levels, sym_degree_sums, y_cohomology
+from fan_helpers import center_geometry
 
 
 def test_bott_dims():
