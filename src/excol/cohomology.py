@@ -13,8 +13,9 @@ of one) are computed in one pass over the classes the memo lacks:
   an integer map of the divisor coefficients, scattered once per fan into
   one int64 matrix (_box_matrix), so the vertices of the whole batch come
   from one matrix product, under one guard that every value the pass
-  forms from it fits in int64 (_boxes).  Each box passes _check_box once,
-  before the rank table is touched and before the first sweep.
+  forms from it fits in int64 (_boxes).  One exact pass (_admit) bounds
+  every box's points and kernel values before the rank table is touched
+  and before the first sweep.
 - ranks: the reduced-cohomology ranks of the support complexes depend only
   on the fan's labelled combinatorial type (its max cones), so one table
   per type, filled whole the first time the type is used, serves every fan
@@ -96,10 +97,10 @@ def reduced_cohomology_ranks(facets, top_dim):
 
 CACHE_VERSION = "excol-hvectors-1"
 
-# Point budget of the admission box, the arrangement box every class must
-# pass before any sweep: the largest of the reference classes has 7,001,316
-# points, and a hostile class can ask for 10^14.  The polytope boxes the
-# kernel sweeps lie inside it.
+# Point budget of the admission box, the arrangement box of every class
+# that _admit checks before any sweep: the largest of the reference classes
+# has 7,001,316 points, and a hostile class can ask for 10^14.  The polytope
+# boxes the kernel sweeps lie inside it.
 MAX_BOX_POINTS = 10**8
 _INT64_MAX = 2**63 - 1
 # (row, mask, vertex, ray) slack values per chunk of _polytope_boxes
@@ -244,10 +245,10 @@ def _box_matrix(fan: Fan):
 
 
 def _boxes(fan: Fan, coeff_rows):
-    """(boxes, verts) of T-divisors (rows of ray coefficients), from one
+    """(lo, hi, verts) of T-divisors (rows of ray coefficients), from one
     int64 product: verts (rows x vertices x dim) holds det_S times every
-    arrangement vertex of each row, and boxes[row] = (lo, hi) is the
-    bounding box of the row's vertices, inflated by 1.
+    arrangement vertex of each row, and [lo[row], hi[row]] (rows x dim) is
+    the bounding box of the row's vertices, inflated by 1.
 
     The one int64 guard of the pass: the vertices and ray tests of
     a + 1_S, for a row a and any support set S (_polytope_boxes), are
@@ -264,17 +265,35 @@ def _boxes(fan: Fan, coeff_rows):
     verts = (rows @ scatter).reshape(len(coeff_rows), len(dets), fan.dim)
     lo = (verts // dets).min(axis=1) - 1
     hi = (-(-verts // dets)).max(axis=1) + 1
-    boxes = list(zip(lo.tolist(), hi.tolist()))
     if not fits:
-        coeffs, (lo, hi) = next(
-            (row, box) for row, box in zip(coeff_rows, boxes) if max(map(abs, row)) + 1 == big
-        )
+        i = next(i for i, row in enumerate(coeff_rows) if max(map(abs, row)) + 1 == big)
         raise BoxTooLarge(
-            f"T-divisor {tuple(coeffs)} in box lo={lo} hi={hi}: "
-            f"{prod(b - a + 1 for a, b in zip(lo, hi))} points, box products "
+            f"T-divisor {tuple(coeff_rows[i])} in box lo={lo[i].tolist()} "
+            f"hi={hi[i].tolist()}: {prod(hi[i] - lo[i] + 1)} points, box products "
             f"bounded by {bound} (int64 limit {_INT64_MAX})"
         )
-    return boxes, verts
+    return lo, hi, verts
+
+
+def _admit(fan: Fan, coeff_rows, lo, hi):
+    """Raise BoxTooLarge for the first row, in batch order, whose box the
+    kernel cannot sweep in int64 within the point budget: the bound
+    |a_rho| + sum_d |v_rho,d| * (max(-lo_d, hi_d) + 1) covers every value it
+    forms.  In Python ints (object arrays), since widths and kernel values
+    can leave int64 under _boxes's guard."""
+    lo, hi = lo.astype(object), hi.astype(object)
+    points = (hi - lo + 1).prod(axis=1)
+    reach = np.maximum(-lo, hi) + 1
+    rays = abs(np.array(fan.rays, dtype=object))
+    widest = (abs(np.array(coeff_rows, dtype=object)) + reach @ rays.T).max(axis=1)
+    over = (points > MAX_BOX_POINTS) | (widest > _INT64_MAX)
+    if over.any():
+        i = over.argmax()
+        raise BoxTooLarge(
+            f"T-divisor {tuple(coeff_rows[i])} in box lo={lo[i].tolist()} "
+            f"hi={hi[i].tolist()}: {points[i]} points (budget {MAX_BOX_POINTS}), "
+            f"kernel values up to {widest[i]} (int64 limit {_INT64_MAX})"
+        )
 
 
 def _polytope_boxes(fan: Fan, coeff_rows, verts, masks):
@@ -346,24 +365,6 @@ def _support_ranks(fan: Fan):
     return ranks
 
 
-def _check_box(fan: Fan, coeffs, lo, hi):
-    """Raise BoxTooLarge unless the kernel can sweep [lo, hi] in int64 within
-    the point budget; the bound covers every product, sum and comparison it
-    forms from a box coordinate, a ray and a coefficient."""
-    points = prod(b - a + 1 for a, b in zip(lo, hi))
-    reach = [max(-a, b) + 1 for a, b in zip(lo, hi)]
-    widest = max(
-        abs(c) + sum(abs(x) * r for x, r in zip(ray, reach))
-        for ray, c in zip(fan.rays, coeffs)
-    )
-    if points > MAX_BOX_POINTS or widest > _INT64_MAX:
-        raise BoxTooLarge(
-            f"T-divisor {tuple(coeffs)} in box lo={lo} hi={hi}: {points} points "
-            f"(budget {MAX_BOX_POINTS}), kernel values up to {widest} "
-            f"(int64 limit {_INT64_MAX})"
-        )
-
-
 def _count_support_set(fan: Fan, coeffs, mask, box):
     """Lattice points of the box (lo, hi) whose support set is mask; raise
     UnboundedContribution if one lies on the box's boundary, since the box
@@ -388,14 +389,13 @@ def _count_support_set(fan: Fan, coeffs, mask, box):
 def _dims_of_divisors(fan: Fan, coeff_rows):
     """All h^i of each T-divisor (rows of ray coefficients), uncached.
 
-    Every row's arrangement box passes _check_box before the rank table is
+    Every row's arrangement box passes _admit before the rank table is
     touched and before the first sweep.  h is the sum, over the support
     sets S with nonzero reduced cohomology, of the lattice points of P_S
     (_polytope_boxes) times the ranks of S.
     """
-    boxes, verts = _boxes(fan, coeff_rows)
-    for coeffs, (lo, hi) in zip(coeff_rows, boxes):
-        _check_box(fan, coeffs, lo, hi)
+    lo, hi, verts = _boxes(fan, coeff_rows)
+    _admit(fan, coeff_rows, lo, hi)
     ranks = _support_ranks(fan)
     polytopes = _polytope_boxes(fan, coeff_rows, verts, np.flatnonzero(ranks.any(axis=1)))
     h = [[0] * (fan.dim + 1) for _ in coeff_rows]

@@ -10,7 +10,7 @@ points: one slab covers every support-set polytope box that certifying the
 s + r <= 4, degree <= 1 family sweeps (at most 1,512 points).  A point's
 support mask is packed from the ray tests bit by bit.  All arithmetic stays
 in int64: every box the caller sweeps lies inside a class's admission box,
-for which cohomology._check_box has bounded every value formed.
+for which cohomology._admit has bounded every value formed.
 """
 
 import numpy as np

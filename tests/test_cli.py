@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import time
 
@@ -133,6 +134,22 @@ def test_verify_huge_class_exit_2(tmp_path, capsys, base_dim, fiber_degrees, cen
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert "box lo=" in err and "points" in err
+
+
+def test_verify_huge_class_stderr(tmp_path, capsys):
+    """The one stderr line of a class whose box is over budget."""
+    col = tmp_path / "col.json"
+    _write_collection(col, 2, [0, 1, 2], ["b1", "f1"], [0, 10**17])
+    assert run(["verify", "--collection", str(col)]) == 2
+    assert capsys.readouterr().err == (
+        "error: T-divisor (0, 100000000000000000, 0, 100000000000000000, 0, 0, "
+        "100000000000000000) in box lo=[-200000000000000001, -1, "
+        "-100000000000000001, -200000000000000001] hi=[200000000000000001, "
+        "300000000000000001, 300000000000000001, 100000000000000001]: "
+        "14400000000000000504000000000000006570000000000000037800000000000000081 "
+        "points (budget 100000000), kernel values up to 1200000000000000010 "
+        "(int64 limit 9223372036854775807)\n"
+    )
 
 
 @pytest.mark.parametrize("alpha", [1.5, 1.0, True, "1"])
@@ -285,3 +302,18 @@ def test_enumerate_centers_respects_fan():
     assert ("b0", "b1") not in names
     assert ("b1", "f1") in names
     assert all(len(c.ray_names) == 2 for c in centers)
+
+
+def test_run_case_reads_cache_dir_at_call_time(tmp_path, monkeypatch):
+    """run_case(spec, center) certifies through the disk cache under the
+    EXCOL_CACHE_DIR of the moment it is called: one file, the fan's."""
+    spec, center = BundleSpec(1, (0, 0)), CenterSpec(frozenset({"b1", "f1"}))
+    fan = make_blowup(spec, center).fan_xt
+    for name in ("first", "second"):
+        root = tmp_path / name
+        monkeypatch.setenv("EXCOL_CACHE_DIR", str(root))
+        report, err = cli.run_case(spec, center)
+        assert err is None and report.all_passed
+        disk = DiskCache(str(root))
+        assert [p.name for p in root.iterdir()] == [os.path.basename(disk._path(fan))]
+        assert disk.get(fan)

@@ -23,8 +23,8 @@ from excol.cohomology import (
     CACHE_VERSION,
     DiskCache,
     _box_matrix,
+    _admit,
     _boxes,
-    _check_box,
     _count_support_set,
     _dims_of_divisors,
     _polytope_boxes,
@@ -140,8 +140,7 @@ def test_arrangement_box_table():
         fan = make_blowup(spec, CenterSpec(frozenset(center))).fan_xt
         for coords, lo, hi in rows:
             coeffs = fan.tdivisor_lift(fan.pic_class(coords))
-            got = _boxes(fan, [coeffs])[0]
-            assert got == [(list(lo), list(hi))], coords
+            assert _box_list(fan, [coeffs]) == [(list(lo), list(hi))], coords
 
 
 FAMILY = [
@@ -165,6 +164,12 @@ def family_divisors(draw):
     return fan, tuple(coeffs)
 
 
+def _box_list(fan, rows):
+    """[(lo, hi)] of each row's arrangement box, as lists."""
+    lo, hi, _verts = _boxes(fan, rows)
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
 def _python_box(fan, coeffs):
     """Reference box in Python ints, one vertex map at a time."""
     floors, ceils = [], []
@@ -183,8 +188,8 @@ def _python_box(fan, coeffs):
 def test_vertex_maps_match_per_subset_solves(divisor):
     """The per-fan vertex maps give, for every invertible ray subset S, the
     vertex of the arrangement on S, and the box spans those vertices.  Every
-    polytope box lies inside that box, which is all the admission check
-    (_check_box) sees, so the kernel's int64 safety rests on it."""
+    polytope box lies inside that box, which is all the admission pass
+    (_admit) sees, so the kernel's int64 safety rests on it."""
     fan, coeffs = divisor
     maps = {subset: (rows, det) for subset, rows, det in _vertex_maps(fan)}
     for subset in itertools.combinations(range(fan.n_rays), fan.dim):
@@ -199,9 +204,8 @@ def test_vertex_maps_match_per_subset_solves(divisor):
         # det_S * vertex satisfies <u, v_i> = -a_i for every i in S, exactly
         for i in subset:
             assert sum(x * v for x, v in zip(scaled, fan.rays[i])) == -det * coeffs[i]
-    boxes, verts = _boxes(fan, [coeffs])
-    assert boxes == [_python_box(fan, coeffs)]
-    [(lo, hi)] = boxes
+    [lo], [hi], verts = _boxes(fan, [coeffs])
+    assert (lo.tolist(), hi.tolist()) == _python_box(fan, coeffs)
     for _row, _mask, plo, phi in _polytope_boxes(fan, [coeffs], verts, _nonacyclic_masks(fan)):
         assert all(a <= b <= c <= d for a, b, c, d in zip(lo, plo, phi, hi))
 
@@ -214,7 +218,7 @@ def test_batched_boxes_match_per_class_boxes(data):
     row = st.lists(st.integers(-30, 30), min_size=fan.n_rays, max_size=fan.n_rays)
     rows = [first] + data.draw(st.lists(row.map(tuple), max_size=6))
     rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
-    assert _boxes(fan, rows)[0] == [_python_box(fan, r) for r in rows]
+    assert _box_list(fan, rows) == [_python_box(fan, r) for r in rows]
 
 
 def _nonacyclic_masks(fan):
@@ -260,7 +264,7 @@ def test_box_product_guard(case):
     for sign in (1, -1):
         coeffs = [0] * fan.n_rays
         coeffs[-1] = sign * _guard_edge(fan)
-        assert _boxes(fan, [coeffs])[0] == [_python_box(fan, coeffs)]
+        assert _box_list(fan, [coeffs]) == [_python_box(fan, coeffs)]
         coeffs[-1] += sign
         with pytest.raises(BoxTooLarge, match="box lo="):
             _boxes(fan, [coeffs])
@@ -275,7 +279,7 @@ def test_polytope_product_guard(case):
     for sign in (1, -1):
         coeffs = [0] * fan.n_rays
         coeffs[-1] = sign * _guard_edge(fan)
-        _box, verts = _boxes(fan, [coeffs])
+        verts = _boxes(fan, [coeffs])[2]
         got = _polytope_boxes(fan, [coeffs], verts, masks)
         assert got and got == _python_polytope_boxes(fan, coeffs, masks.tolist())
         coeffs[-1] += sign
@@ -324,7 +328,7 @@ def test_guard_edges_through_the_pass(case, edge):
 def _full_box_counts(fan, coeffs):
     """Brute-force reference: the support-set counts over a's whole
     arrangement box."""
-    [(lo, hi)] = _boxes(fan, [coeffs])[0]
+    [lo], [hi], _verts = _boxes(fan, [coeffs])
     return kernels.count_support_masks(lo, hi, fan.rays, coeffs)[0]
 
 
@@ -357,7 +361,7 @@ def test_polytope_pass_matches_full_box_count(divisor):
         want = [h + int(full[mask]) * r for h, r in zip(want, ranks)]
     assert _dims_of_divisors(fan, [coeffs]) == [tuple(want)]
 
-    [(lo, hi)], verts = _boxes(fan, [coeffs])
+    [lo], [hi], verts = _boxes(fan, [coeffs])
     masks = _nonacyclic_masks(fan)
     polytopes = _polytope_boxes(fan, [coeffs], verts, masks)
     assert polytopes == _python_polytope_boxes(fan, coeffs, masks.tolist())
@@ -436,10 +440,12 @@ def test_disk_cache_read_write(tmp_path):
 
 def test_library_calls_do_no_disk_io(tmp_path, monkeypatch):
     """Without a DiskCache the oracle leaves the disk alone, wherever
-    EXCOL_CACHE_DIR points."""
+    EXCOL_CACHE_DIR points; cache=False, as the oracle-scan benchmark
+    passes it, is no DiskCache either."""
     monkeypatch.setenv("EXCOL_CACHE_DIR", str(tmp_path))
     fan = projective_space_fan(2)
     assert cohomology_dims(fan, fan.pic_class((4,))) == (15, 0, 0)
+    assert cohomology_dims(fan, fan.pic_class((-6,)), cache=False) == (0, 0, 10)
     assert euler_pairing(fan, fan.pic_class((0,)), fan.pic_class((-3,))) == 1
     assert certify(fan, [fan.pic_class((d,)) for d in range(3)]).all_passed
     assert list(tmp_path.iterdir()) == []
@@ -503,16 +509,23 @@ def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
 
 def test_box_outside_int64_is_rejected():
     """A principal divisor far out has a 3x3 box whose kernel values
-    overflow int64; _check_box must raise, not wrap.  The box comes from the
-    Python-int reference, since the divisor is past the int64 guard of
-    _boxes."""
+    overflow int64; the admission pass must raise, not wrap.  The box comes
+    from the Python-int reference, since the divisor is past the int64 guard
+    of _boxes."""
     fan = projective_space_fan(2)
     m = (2**61 - 1, 2**61 - 1)
     coeffs = tuple(-sum(x * y for x, y in zip(m, ray)) for ray in fan.rays)
     lo, hi = _python_box(fan, coeffs)
     assert [b - a + 1 for a, b in zip(lo, hi)] == [3, 3]
-    with pytest.raises(BoxTooLarge, match="int64"):
-        _check_box(fan, coeffs, lo, hi)
+    with pytest.raises(BoxTooLarge) as info:
+        _admit(fan, [coeffs], np.array([lo]), np.array([hi]))
+    assert str(info.value) == (
+        "T-divisor (4611686018427387902, -2305843009213693951, "
+        "-2305843009213693951) in box lo=[2305843009213693950, "
+        "2305843009213693950] hi=[2305843009213693952, 2305843009213693952]: "
+        "9 points (budget 100000000), kernel values up to 9223372036854775808 "
+        "(int64 limit 9223372036854775807)"
+    )
 
 
 def _brute_force_sweep(lo, hi, rays, coeffs):
@@ -640,3 +653,51 @@ def test_batch_checks_every_box_before_the_first_sweep(monkeypatch):
     with pytest.raises(BoxTooLarge, match="budget"):
         cohomology_dims_many(fan, classes)
     assert calls == []
+
+
+# The full BoxTooLarge text for a batch of P^2 classes, by degree.  Past the
+# int64 guard the row with the largest coefficient is named, whatever its
+# place; within it, the first row over budget in batch order.
+REJECTIONS = {
+    (1, 10**19, -(10**20)): (
+        "T-divisor (0, -100000000000000000000, 0) in box "
+        "lo=[-1, -100000000000000000001] hi=[100000000000000000001, 1]: "
+        "10000000000000000000600000000000000000009 points, box products "
+        "bounded by 300000000000000000003 (int64 limit 9223372036854775807)"
+    ),
+    (20000,): (
+        "T-divisor (0, 20000, 0) in box lo=[-20001, -1] hi=[1, 20001]: "
+        "400120009 points (budget 100000000), kernel values up to 40004 "
+        "(int64 limit 9223372036854775807)"
+    ),
+    (1, 20000, 30000): (
+        "T-divisor (0, 20000, 0) in box lo=[-20001, -1] hi=[1, 20001]: "
+        "400120009 points (budget 100000000), kernel values up to 40004 "
+        "(int64 limit 9223372036854775807)"
+    ),
+}
+
+
+@pytest.mark.parametrize("degrees", list(REJECTIONS))
+def test_rejection_names_row_box_and_bound(degrees):
+    fan = projective_space_fan(2)
+    with pytest.raises(BoxTooLarge) as info:
+        cohomology_dims_many(fan, [fan.pic_class((d,)) for d in degrees])
+    assert str(info.value) == REJECTIONS[degrees]
+
+
+def test_kernel_takes_four_positional_arrays(monkeypatch):
+    """The oracle hands the kernel (lo, hi, rays, coeffs) positionally, as
+    int64 arrays, so a wrapper with exactly that signature, like the one
+    perfbench/make_reference.py installs, sees every box it sweeps."""
+    real = kernels.count_support_masks
+    points = []
+
+    def wrapped(lo, hi, rays, coeffs):
+        points.append(int((hi - lo + 1).prod()))
+        return real(lo, hi, rays, coeffs)
+
+    monkeypatch.setattr(kernels, "count_support_masks", wrapped)
+    fan = projective_space_fan(2)
+    assert cohomology_dims(fan, fan.pic_class((2,))) == (6, 0, 0)
+    assert points == [25]

@@ -194,3 +194,52 @@ def test_certify_writes_one_cache_file(tmp_path, monkeypatch):
     assert calls == []
     assert io == ["get", "put", "get"]
     assert again.to_json() == first.to_json()
+
+
+def test_failing_report_json_swapped_beilinson():
+    """The whole report of a failing collection, violations in order."""
+    fan, classes = _beilinson(2)
+    doc = certify(fan, [classes[1], classes[0], classes[2]]).to_json()
+    assert doc == {
+        "exceptional": True,
+        "semiorthogonal": False,
+        "strong": True,
+        "gram": [[1, 0, 3], [3, 1, 6], [0, 0, 1]],
+        "gram_determinant": 1,
+        "length_expected": 3,
+        "length_actual": 3,
+        "violations": [
+            {"check": "semiorthogonal", "row": 1, "col": 0, "hom": [3, 0, 0]},
+            {"check": "gram", "row": -1, "col": -1, "hom": []},
+        ],
+        "provenance_hash": "244fa55cb5fd6fa8f9a5caf5c893c58b9efc4d7bc7cf1bf2615dfbf89cdb756f",
+        "all_passed": False,
+    }
+
+
+def test_failing_report_json_drop_one_on_dim3_blowup():
+    """Dropping the fourth object of the constructed collection on P^2 x P^1
+    blown up at a point leaves only the length check failing."""
+    bl, col = construct(BundleSpec(2, (0, 0)), CenterSpec(frozenset({"b1", "b2", "f1"})))
+    classes = collection_classes(bl, col)
+    doc = certify(bl.fan_xt, classes[:3] + classes[4:]).to_json()
+    assert doc == {
+        "exceptional": True,
+        "semiorthogonal": True,
+        "strong": True,
+        "gram": [
+            [1, 1, 3, 2, 6, 11, 12],
+            [0, 1, 2, 1, 5, 8, 11],
+            [0, 0, 1, 0, 2, 5, 6],
+            [0, 0, 0, 1, 3, 5, 6],
+            [0, 0, 0, 0, 1, 2, 3],
+            [0, 0, 0, 0, 0, 1, 1],
+            [0, 0, 0, 0, 0, 0, 1],
+        ],
+        "gram_determinant": 1,
+        "length_expected": 8,
+        "length_actual": 7,
+        "violations": [],
+        "provenance_hash": "9535ebe88af1c4f8922543f9be49683721c85f77b00ac4e4d0e996ecfdbabca2",
+        "all_passed": False,
+    }
