@@ -59,40 +59,23 @@ def reduced_cohomology_ranks(facets, top_dim):
     Convention: the empty complex (no faces but the empty face) has rank 1
     in degree -1.
     """
-    faces_by_dim = [set() for _ in range(top_dim + 2)]  # index d+1 holds dim-d faces
-    faces_by_dim[0].add(frozenset())
+    levels = [set() for _ in range(top_dim + 2)]  # level d+1 holds the dim-d faces
+    levels[0].add(frozenset())
     for facet in facets:
-        facet = sorted(facet)
         for k in range(1, len(facet) + 1):
-            for sub in combinations(facet, k):
-                faces_by_dim[k].add(frozenset(sub))
-    ordered = [sorted(level, key=sorted) for level in faces_by_dim]
-    index = [{f: i for i, f in enumerate(level)} for level in ordered]
-
-    cob_rank = []
-    for d in range(top_dim + 1):  # coboundary C^{d-1} -> C^d (shifted by one level)
-        lower, upper = ordered[d], ordered[d + 1]
-        if not lower or not upper:
-            cob_rank.append(0)
-            continue
+            levels[k].update(map(frozenset, combinations(facet, k)))
+    # cob[lv] is the rank of the coboundary into level lv from the one below,
+    # with 0 below level 0 and above the top level
+    cob = [0]
+    for lower, upper in zip(levels, levels[1:]):
+        column = {f: i for i, f in enumerate(lower)}
         rows = [[0] * len(lower) for _ in upper]
-        for gi, g in enumerate(upper):
-            gs = sorted(g)
-            for pos, v in enumerate(gs):
-                f = g - {v}
-                fi = index[d].get(f)
-                if fi is not None:
-                    rows[gi][fi] = -1 if pos % 2 else 1
-        cob_rank.append(rational_rank(rows))
-
-    ranks = []
-    for d in range(-1, top_dim + 1):
-        level = d + 1
-        dim_c = len(ordered[level])
-        below = cob_rank[level - 1] if level >= 1 else 0
-        above = cob_rank[level] if level <= top_dim else 0
-        ranks.append(dim_c - above - below)
-    return tuple(ranks)
+        for row, g in zip(rows, upper):
+            for pos, v in enumerate(sorted(g)):
+                row[column[g - {v}]] = (-1) ** pos
+        cob.append(rational_rank(rows))
+    cob.append(0)
+    return tuple(len(faces) - cob[lv] - cob[lv + 1] for lv, faces in enumerate(levels))
 
 
 CACHE_VERSION = "excol-hvectors-1"

@@ -2,17 +2,20 @@
 
 Everything here is computed from the fan and the classes alone, through
 the cohomology oracle, independently of the mutation engine's structured
-formulas (which never call the oracle): pairwise graded Hom dimensions,
-exceptionality, semiorthogonality, strongness, the length the fan's
-maximal-cone count (the rank of K_0) demands, and the unimodular
-upper-triangular Euler-Gram necessary condition for fullness.
+formulas (which never call the oracle).  Each cell of the graded Hom table
+gets one check: exceptionality on the diagonal, semiorthogonality below
+it, strongness above it; each verdict flag says that no cell of its check
+failed.  Together with the length the fan's maximal-cone count (the rank
+of K_0) demands, the three flags decide the report.  The Euler-Gram matrix
+and its determinant are reported too; the first two flags already make it
+upper unitriangular, the necessary condition for fullness.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .cohomology import cohomology_dims_many
 from .errors import NonLineBundlePresent
@@ -50,32 +53,30 @@ class Report:
             self.exceptional
             and self.semiorthogonal
             and self.strong
-            and abs(self.gram_determinant) == 1
             and self.length_actual == self.length_expected
-            and not any(v[0] == "gram" for v in self.violations)
         )
 
     def to_json(self):
-        return {
-            "exceptional": self.exceptional,
-            "semiorthogonal": self.semiorthogonal,
-            "strong": self.strong,
-            "gram": self.gram,
-            "gram_determinant": self.gram_determinant,
-            "length_expected": self.length_expected,
-            "length_actual": self.length_actual,
-            "violations": [
-                {"check": c, "row": i, "col": j, "hom": list(h)}
-                for c, i, j, h in self.violations
-            ],
-            "provenance_hash": self.provenance_hash,
-            "all_passed": self.all_passed,
-        }
+        violations = [
+            {"check": c, "row": i, "col": j, "hom": list(h)} for c, i, j, h in self.violations
+        ]
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return doc | {"violations": violations, "all_passed": self.all_passed}
+
+
+def _cell_check(i, j, h):
+    """The one check of cell (i, j) of the Hom table, and whether its
+    dimension vector h fails it."""
+    if i == j:
+        return "exceptional", h[0] != 1 or any(h[1:])
+    if i > j:
+        return "semiorthogonal", any(h)
+    return "strong", any(h[1:])
 
 
 def certify(fan: Fan, classes, cache=None) -> Report:
-    """Certify exceptionality, semiorthogonality, strongness, the length
-    (one object per maximal cone of fan) and the Euler-Gram condition.
+    """Certify exceptionality, semiorthogonality, strongness and the length
+    (one object per maximal cone of fan), and report the Euler-Gram matrix.
     Failures are report contents, never errors.
 
     cache is a DiskCache, or None (the default) for no disk I/O.
@@ -83,39 +84,22 @@ def certify(fan: Fan, classes, cache=None) -> Report:
     table = ext_table(fan, classes, cache=cache)
     n = len(classes)
     violations = []
-    exceptional = True
-    semiorthogonal = True
-    strong = True
-    identity = tuple([1] + [0] * fan.dim)
     for i in range(n):
-        if table[i][i] != identity:
-            exceptional = False
-            violations.append(("exceptional", i, i, table[i][i]))
-        for j in range(n):
-            h = table[i][j]
-            if i > j and any(h):
-                semiorthogonal = False
-                violations.append(("semiorthogonal", i, j, h))
-            if i < j and any(h[1:]):
-                strong = False
-                violations.append(("strong", i, j, h))
-    gram = [
-        [sum((-1) ** d * x for d, x in enumerate(table[i][j])) for j in range(n)]
-        for i in range(n)
-    ]
-    det = determinant(gram) if n else 1
-    upper_unit = all(gram[i][i] == 1 for i in range(n)) and all(
-        gram[i][j] == 0 for i in range(n) for j in range(i)
-    )
-    if not upper_unit:
+        for j in (i, *range(i), *range(i + 1, n)):  # the diagonal cell first
+            check, bad = _cell_check(i, j, table[i][j])
+            if bad:
+                violations.append((check, i, j, table[i][j]))
+    failed = {v[0] for v in violations}
+    gram = [[sum((-1) ** d * x for d, x in enumerate(h)) for h in row] for row in table]
+    if any(gram[i][j] != (i == j) for i in range(n) for j in range(i + 1)):
         violations.append(("gram", -1, -1, ()))
     payload = json.dumps([list(c.coords) for c in classes])
     return Report(
-        exceptional=exceptional,
-        semiorthogonal=semiorthogonal,
-        strong=strong,
+        exceptional="exceptional" not in failed,
+        semiorthogonal="semiorthogonal" not in failed,
+        strong="strong" not in failed,
         gram=gram,
-        gram_determinant=det,
+        gram_determinant=determinant(gram),
         length_expected=len(fan.max_cones),
         length_actual=n,
         violations=violations,

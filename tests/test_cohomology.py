@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -56,6 +57,20 @@ def test_reduced_cohomology_circle():
 
 def test_reduced_cohomology_contractible():
     assert reduced_cohomology_ranks((frozenset({0, 1, 2}),), 2) == (0, 0, 0, 0)
+
+
+def test_reduced_cohomology_sphere():
+    facets = [frozenset(f) for f in itertools.combinations(range(4), 3)]
+    assert reduced_cohomology_ranks(facets, 2) == (0, 0, 0, 1)
+
+
+def test_reduced_cohomology_hollow_triangle_with_room_above():
+    edges = (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}))
+    assert reduced_cohomology_ranks(edges, 2) == (0, 0, 1, 0)
+
+
+def test_reduced_cohomology_point_and_disjoint_edge():
+    assert reduced_cohomology_ranks((frozenset({0}), frozenset({1, 2})), 1) == (0, 1, 0)
 
 
 def test_p1_line_bundles():
@@ -606,6 +621,25 @@ def test_rank_table_matches_support_complexes(spec, center):
     assert [tuple(row) for row in table.tolist()] == [
         _induced_ranks(fan, mask) for mask in range(1 << fan.n_rays)
     ]
+
+
+def test_rank_tables_frozen():
+    """One digest over the rank table of every labelled type of P^1..P^4 and
+    of the s + r <= 4, degree <= 1 family, X and blow-up fans alike."""
+    fans = [projective_space_fan(n) for n in range(1, 5)]
+    for spec in enumerate_specs(4, 1):
+        fans.append(build_projective_bundle_fan(spec))
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                fans.append(make_blowup(spec, center).fan_xt)
+    types = {fan.max_cones: fan for fan in fans}
+    digest = hashlib.sha256()
+    for cones in sorted(types):
+        digest.update(json.dumps([cones, _support_ranks(types[cones]).tolist()]).encode())
+    assert len(types) == 137
+    assert digest.hexdigest() == (
+        "8f3085445fa7df5cc543213b0b1388fafac626cf0d3e388f7fb0762c52a73440"
+    )
 
 
 def test_rank_table_is_shared_per_labelled_type():

@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from excol import (
     BundleSpec,
@@ -243,3 +245,97 @@ def test_failing_report_json_drop_one_on_dim3_blowup():
         "provenance_hash": "9535ebe88af1c4f8922543f9be49683721c85f77b00ac4e4d0e996ecfdbabca2",
         "all_passed": False,
     }
+
+
+def test_failing_report_json_p1_steep_pair():
+    """[O, O(-3)] on P^1: strong fails above the diagonal, semiorthogonal
+    below it, in table order, and the Gram matrix is not unitriangular."""
+    fan = projective_space_fan(1)
+    doc = certify(fan, [fan.pic_class((0,)), fan.pic_class((-3,))]).to_json()
+    assert doc == {
+        "exceptional": True,
+        "semiorthogonal": False,
+        "strong": False,
+        "gram": [[1, -2], [4, 1]],
+        "gram_determinant": 9,
+        "length_expected": 2,
+        "length_actual": 2,
+        "violations": [
+            {"check": "strong", "row": 0, "col": 1, "hom": [0, 2]},
+            {"check": "semiorthogonal", "row": 1, "col": 0, "hom": [4, 0]},
+            {"check": "gram", "row": -1, "col": -1, "hom": []},
+        ],
+        "provenance_hash": "053343246cb4b886e9cb84942b14b39dc90e9909f7691c3ebafa7b10d5cdcceb",
+        "all_passed": False,
+    }
+
+
+def test_failing_report_json_reversed_beilinson():
+    fan, classes = _beilinson(2)
+    doc = certify(fan, classes[::-1]).to_json()
+    assert doc == {
+        "exceptional": True,
+        "semiorthogonal": False,
+        "strong": True,
+        "gram": [[1, 0, 0], [3, 1, 0], [6, 3, 1]],
+        "gram_determinant": 1,
+        "length_expected": 3,
+        "length_actual": 3,
+        "violations": [
+            {"check": "semiorthogonal", "row": 1, "col": 0, "hom": [3, 0, 0]},
+            {"check": "semiorthogonal", "row": 2, "col": 0, "hom": [6, 0, 0]},
+            {"check": "semiorthogonal", "row": 2, "col": 1, "hom": [3, 0, 0]},
+            {"check": "gram", "row": -1, "col": -1, "hom": []},
+        ],
+        "provenance_hash": "5da8d4aba1f50e74fc05021e4ca71994e9171e53e1380ae688ae25dc8e6e6cbf",
+        "all_passed": False,
+    }
+
+
+def _gram_cases():
+    """(fan, a strong full exceptional collection on it): P^2, P^1 x P^1 and
+    P^2 x P^1 blown up at a point."""
+    cases = [_beilinson(2)]
+    for spec, center in (
+        (BundleSpec(1, (0, 0)), {"b1", "f1"}),
+        (BundleSpec(2, (0, 0)), {"b1", "b2", "f1"}),
+    ):
+        bl, col = construct(spec, CenterSpec(frozenset(center)))
+        cases.append((bl.fan_xt, collection_classes(bl, col)))
+    return cases
+
+
+_GRAM_CASES = _gram_cases()
+
+
+@st.composite
+def _class_lists(draw):
+    """A case index and a class list on its fan: a twisted sub-collection,
+    in order or shuffled, with up to two random classes inserted."""
+    case = draw(st.integers(0, len(_GRAM_CASES) - 1))
+    fan, collection = _GRAM_CASES[case]
+    coords = st.tuples(*[st.integers(-3, 3)] * fan.pic_rank)
+    shift = fan.pic_class(draw(coords))
+    n = len(collection)
+    picks = [i for i, keep in enumerate(draw(st.lists(st.booleans(), min_size=n, max_size=n))) if keep]
+    if draw(st.sampled_from((False, False, True))):
+        picks = draw(st.permutations(picks))
+    classes = [collection[i] + shift for i in picks]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        classes.insert(draw(st.integers(0, len(classes))), fan.pic_class(draw(coords)))
+    return case, classes
+
+
+@settings(max_examples=80, deadline=None)
+@given(_class_lists())
+@example((0, []))
+def test_exceptional_and_semiorthogonal_imply_unimodular_gram(case_classes):
+    """Hom(E_i, E_i) = k and Ext*(E_i, E_j) = 0 for i > j make the Gram
+    matrix upper unitriangular, so all_passed needs no Gram check of its
+    own."""
+    case, classes = case_classes
+    fan = _GRAM_CASES[case][0]
+    report = certify(fan, classes)
+    if report.exceptional and report.semiorthogonal:
+        assert not any(v[0] == "gram" for v in report.violations)
+        assert abs(report.gram_determinant) == 1
