@@ -175,7 +175,10 @@ def cmd_sweep(args):
         label = f"s={spec.s} a={list(spec.fiber_degrees)}"
         cname = ",".join(sorted(center.ray_names))
         t0 = time.perf_counter()
-        report, err = run_case(spec, center, cache=not args.no_cache)
+        try:
+            report, err = run_case(spec, center, cache=not args.no_cache)
+        except BoxTooLarge as exc:  # a class the oracle cannot sweep
+            report, err = None, exc
         dt = time.perf_counter() - t0
         if err is not None:
             print(f"{label:<24}{cname:<16}{'-':>4}  {'ABORT':<8}{dt:>8.2f}")

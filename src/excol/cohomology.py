@@ -9,13 +9,13 @@ All h-vectors of a batch (cohomology_dims_many; cohomology_dims is a batch
 of one) are computed in one pass over the classes the memo lacks:
 
 - admission: each class gets the box around the vertices of its divisor's
-  hyperplane arrangement.  The vertex of each invertible set of dim rays is
-  an integer map of the divisor coefficients, scattered once per fan into
-  one int64 matrix (_box_matrix), so the vertices of the whole batch come
-  from one matrix product, under one guard that every value the pass
-  forms from it fits in int64 (_boxes).  One exact pass (_admit) bounds
-  every box's points and kernel values before the rank table is touched
-  and before the first sweep.
+  hyperplane arrangement.  Each vertex is an integer map of the divisor
+  coefficients, read off the fan's B^-1 with one p x p adjugate (p = Picard
+  rank; Jacobi, Oda-Park) into one int64 matrix per fan (_box_matrix), so
+  the vertices of the whole batch come from one matrix product, under one
+  guard that every value the pass forms from it fits in int64 (_boxes).
+  One exact pass (_admit) bounds every box's points and kernel values
+  before the rank table is touched and before the first sweep.
 - ranks: the reduced-cohomology ranks of the support complexes depend only
   on the fan's labelled combinatorial type (its max cones), so one table
   per type, filled whole the first time the type is used, serves every fan
@@ -49,7 +49,7 @@ import numpy as np
 from . import kernels
 from .errors import BoxTooLarge, UnboundedContribution
 from .fan import Fan, PicClass
-from .intlinalg import inverse, rational_rank
+from .intlinalg import rational_rank
 
 
 def reduced_cohomology_ranks(facets, top_dim):
@@ -178,52 +178,49 @@ def _parse_entry(fan: Fan, line):
     return tuple(coords), tuple(h)
 
 
-def _vertex_maps(fan: Fan):
-    """(S, M_S, det_S) for every dim-subset S of rays with R_S invertible.
-
-    R_S has the rays in S as rows, and intlinalg.inverse gives
-    det_S = |det R_S| > 0 and M_S = det_S * R_S^-1 (rows of integers), so the
-    arrangement vertex {u : <u, v_i> = -a_i for i in S} is M_S (-a_S) / det_S.
-    """
-    maps = []
-    for subset in combinations(range(fan.n_rays), fan.dim):
-        try:
-            rows, det = inverse([fan.rays[i] for i in subset])
-        except ValueError:
-            continue  # singular: not a vertex
-        maps.append((subset, rows, det))
-    return maps
-
-
 def _box_matrix(fan: Fan):
     """(scatter, dets, reach, tests, test_reach), computed once per fan.
 
-    scatter (n_rays x vertices*dim, int64) holds the rows of -M_S scattered
-    to the rays of S, so a @ scatter lists det_S times every arrangement
-    vertex of the T-divisor a, and dets (vertices x 1) holds the matching
-    det_S.  tests (n_rays x vertices*n_rays, int64) maps a to
-    det_S * (<vertex, v_rho> + a_rho) for every vertex and ray, the slack of
-    the vertex in each section inequality.  reach and test_reach, the
-    largest column L1 norms of the two, bound |a @ scatter| by
-    reach * max|a| and |a @ tests| by test_reach * max|a|.
+    scatter (n_rays x vertices*dim, int64) maps a T-divisor a to det_S times
+    its arrangement vertex {u : <u, v_i> = -a_i for i in S}, for each set S
+    of dim rays with R_S invertible, and dets (vertices x 1) holds
+    det_S = |det R_S|.  tests (n_rays x vertices*n_rays, int64) maps a to
+    the slacks det_S * (<vertex, v_rho> + a_rho) of every vertex in every
+    section inequality.  reach and test_reach, the two's largest column L1
+    norms, bound |a @ scatter| and |a @ tests| in units of max|a|.
+
+    All are read off B^-1 = [C | D] (Fan._basis_inverse) in Picard
+    coordinates (Oda-Park's Gale transform, Tohoku Math. J. 1991).  With T
+    the rays off S and sgn = sign(det C_T): det_S = |det C_T| (Jacobi's
+    complementary minors); the vertex's divisor a + <u, v> has a's class and
+    vanishes on S, so its tests block is sgn C adj(C_T) on T; (lattice rows)
+    D = I makes its scatter block sgn C adj(C_T) D_T - det_S D.  Products
+    are in int64 if a bound on them fits, else in Python ints, and the int64
+    cast raises OverflowError.
     """
     cache = fan._box_matrix_cache
     if not cache:
-        maps = _vertex_maps(fan)
-        dim = fan.dim
-        scatter = np.zeros((fan.n_rays, len(maps) * dim), dtype=np.int64)
-        for j, (subset, rows, _det) in enumerate(maps):
-            for d, row in enumerate(rows):
-                scatter[list(subset), j * dim + d] = [-m for m in row]
-        dets = np.array([[det] for _, _, det in maps], dtype=np.int64)
-        reach = max(sum(map(abs, row)) for _, rows, _ in maps for row in rows)
-        # in Python ints, so an entry past int64 fails the cast, not wraps
-        rays = np.array(fan.rays, dtype=object)
-        tests = scatter.astype(object).reshape(fan.n_rays, len(maps), dim) @ rays.T
-        tests[range(fan.n_rays), :, range(fan.n_rays)] += [det for _, _, det in maps]
-        tests = tests.reshape(fan.n_rays, -1)
-        test_reach = abs(tests).sum(axis=0).max()
-        cache.extend((scatter, dets, reach, tests.astype(np.int64), test_reach))
+        n, p = fan.n_rays, fan.pic_rank
+        inv = np.array(fan._basis_inverse, dtype=object)
+        comps = np.array(list(combinations(range(n), p))[::-1])  # S in lex order
+        # Faddeev-LeVerrier on all C_T, exactly: M_k = C_T M_(k-1) + c_(p-k+1) I,
+        # c_(p-k) = -tr(C_T M_k) / k; det C_T = (-1)^p c_0, sgn adj(C_T) = -sign(c_0) M_p
+        coef, cm = 1, 0
+        for k in range(1, p + 1):
+            m = cm + coef * np.identity(p, dtype=object)
+            cm = inv[comps, :p] @ m
+            coef = -cm.trace(axis1=1, axis2=2)[:, None, None] // k
+        keep = coef[:, 0, 0] != 0  # C_T singular: S is no vertex
+        comps, dets, adj = comps[keep], abs(coef[keep, 0]), (-np.sign(coef) * m)[keep]
+        fits = n * (p * abs(inv).max()) ** 2 * (abs(adj).max() + dets.max()) < _INT64_MAX
+        inv, adj, dets = (x.astype(np.int64 if fits else object) for x in (inv, adj, dets))
+        cadj = inv[:, :p] @ adj  # (vertices, n_rays, p)
+        scatter = (cadj @ inv[comps, p:] - dets[:, :, None] * inv[:, p:]).transpose(1, 0, 2)
+        tests = np.zeros((n, len(comps), n), dtype=cadj.dtype)
+        np.put_along_axis(tests, comps[None], cadj.transpose(1, 0, 2), axis=2)
+        reach, test_reach = (int(abs(x).sum(axis=0).max()) for x in (scatter, tests))
+        scatter, tests = (x.reshape(n, -1).astype(np.int64, copy=False) for x in (scatter, tests))
+        cache.extend((scatter, dets.astype(np.int64), reach, tests, test_reach))
     return cache
 
 
@@ -402,7 +399,8 @@ def cohomology_dims_many(fan: Fan, classes, cache=None):
     is read once per call into the memo (the memo wins over the file), and
     the batch's entries the file lacks are appended to it in one write;
     without one, nothing touches the disk.  The classes the memo lacks, each
-    once, go through one _dims_of_divisors pass.
+    once, go through one _dims_of_divisors pass; it raises InvalidSpec if the
+    fan's basis divisors are not a Z-basis of Pic (Fan._basis_inverse).
     """
     for cls in classes:
         if cls.basis != fan.basis_tag:

@@ -73,13 +73,12 @@ class Fan:
         return len(self.basis_divisors)
 
     @cached_property
-    def _class_map(self):
-        """n_rays x pic_rank integer matrix: divisor coefficients -> class.
+    def _basis_inverse(self):
+        """B^-1 = [C | D] (n_rays rows), for B = [basis divisors; lattice rows].
 
-        Pic = Z^rays / M with M spanned by the dim lattice rows
-        (v_rho[d])_rho.  The basis divisors are a Z-basis of Pic exactly when
-        they and the lattice rows are the rows of a unimodular matrix B; the
-        class of e_rho is then the first pic_rank entries of row rho of B^-1.
+        Pic = Z^rays / M with M spanned by the lattice rows (v_rho[d])_rho, so
+        the basis divisors are a Z-basis of Pic iff B is unimodular.  Row rho
+        of C is the class of e_rho; (lattice rows) D = I (cohomology._box_matrix).
         """
         if self.pic_rank + self.dim != self.n_rays:
             raise InvalidSpec(
@@ -92,7 +91,7 @@ class Fan:
             det = 0
         if det != 1:
             raise InvalidSpec("declared basis divisors are not a Z-basis of Pic")
-        return tuple(row[: self.pic_rank] for row in inv)
+        return inv
 
     def spans_cone(self, idx) -> bool:
         """Whether the rays with indices idx all lie in one maximal cone."""
@@ -102,7 +101,7 @@ class Fan:
     def class_of_divisor(self, coeffs) -> PicClass:
         if len(coeffs) != self.n_rays:
             raise ValueError("coefficient vector length mismatch")
-        cm = self._class_map
+        cm = self._basis_inverse  # its first pic_rank columns, C
         coords = tuple(
             sum(c * cm[rho][j] for rho, c in enumerate(coeffs))
             for j in range(self.pic_rank)

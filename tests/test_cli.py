@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from excol import BundleSpec, CenterSpec, cli, kernels, make_blowup
+from excol import BundleSpec, CenterSpec, cli, cohomology, kernels, make_blowup
 from excol.cli import default_cache_dir
 from excol.cohomology import DiskCache
 from excol.errors import MutationError
@@ -124,6 +124,7 @@ def _write_collection(path, base_dim, fiber_degrees, center, alphas):
         (1, [0, 0], ["b1", "f1"], 10**30),  # coefficients beyond int64
         (2, [0, 1, 2], ["b1", "f1"], 10**17),  # box product fits, box does not
         (2, [0, 1, 2], ["b1", "f1"], 2 * 10**18),  # past the box product's guard
+        (26, [0, 0], ["b1", "f1"], 1),  # 3^27 box points, dim 27
     ],
 )
 def test_verify_huge_class_exit_2(tmp_path, capsys, base_dim, fiber_degrees, center, alpha):
@@ -255,6 +256,23 @@ def test_sweep_small(capsys):
     assert run(["sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]) == 0
     out = capsys.readouterr().out
     assert "all" in out and "passed" in out
+
+
+def test_sweep_reports_box_too_large(monkeypatch, capsys):
+    """A class whose box is over the oracle's budget aborts its case, not
+    the sweep: an ABORT row, the T-divisor and its box on stderr, exit 1."""
+    # the 8 cases' largest boxes hold 25 or 30 points
+    monkeypatch.setattr(cohomology, "MAX_BOX_POINTS", 25)
+    args = ["--no-cache", "sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]
+    assert run(args) == 1
+    out, err = capsys.readouterr()
+    rows = out.splitlines()[2:10]
+    assert [row.split()[-2] for row in rows] == ["ES1"] * 5 + ["ABORT"] * 3
+    assert err.startswith("\n3 failing case(s):\n")
+    assert (
+        "  s=1 a=[0, 1] center=b1,f1: T-divisor (0, 1, 1, 0, 1) in box "
+        "lo=[-3, -2] hi=[2, 2]: 30 points (budget 25), "
+    ) in err
 
 
 def test_sweep_cache_plumbing(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -30,14 +31,13 @@ from excol.cohomology import (
     _dims_of_divisors,
     _polytope_boxes,
     _support_ranks,
-    _vertex_maps,
     cohomology_dims_many,
     reduced_cohomology_ranks,
 )
 from excol import kernels
 from excol.cli import enumerate_centers, enumerate_specs
-from excol.errors import BoxTooLarge, UnboundedContribution
-from excol.intlinalg import determinant
+from excol.errors import BoxTooLarge, InvalidSpec, UnboundedContribution
+from excol.intlinalg import determinant, inverse
 from excol.verify import certify
 from oracle_helpers import euler_pairing
 
@@ -183,6 +183,97 @@ def _box_list(fan, rows):
     """[(lo, hi)] of each row's arrangement box, as lists."""
     lo, hi, _verts = _boxes(fan, rows)
     return list(zip(lo.tolist(), hi.tolist()))
+
+
+def _vertex_maps(fan):
+    """Reference vertex maps, one dim x dim solve per subset: (S, M_S, det_S)
+    for every dim-subset S of rays with R_S invertible, where
+    det_S = |det R_S| and M_S = det_S * R_S^-1, so the arrangement vertex
+    {u : <u, v_i> = -a_i for i in S} is M_S (-a_S) / det_S."""
+    maps = []
+    for subset in itertools.combinations(range(fan.n_rays), fan.dim):
+        try:
+            rows, det = inverse([fan.rays[i] for i in subset])
+        except ValueError:
+            continue  # singular: not a vertex
+        maps.append((subset, rows, det))
+    return maps
+
+
+def _python_box_matrix(fan):
+    """_box_matrix's five fields built from the reference vertex maps: -M_S
+    scattered to the rays of S, and the slacks det_S * (<vertex, v_rho> +
+    a_rho) as a product with the rays in Python ints."""
+    maps = _vertex_maps(fan)
+    n, dim = fan.n_rays, fan.dim
+    scatter = np.zeros((n, len(maps) * dim), dtype=np.int64)
+    for j, (subset, rows, _det) in enumerate(maps):
+        for d, row in enumerate(rows):
+            scatter[list(subset), j * dim + d] = [-m for m in row]
+    dets = np.array([[det] for _, _, det in maps], dtype=np.int64)
+    reach = max(sum(map(abs, row)) for _, rows, _ in maps for row in rows)
+    rays = np.array(fan.rays, dtype=object)
+    tests = scatter.astype(object).reshape(n, len(maps), dim) @ rays.T
+    tests[range(n), :, range(n)] += [det for _, _, det in maps]
+    tests = tests.reshape(n, -1)
+    return scatter, dets, reach, tests.astype(np.int64), abs(tests).sum(axis=0).max()
+
+
+def _assert_same_box_matrix(got, want):
+    scatter, dets, reach, tests, test_reach = got
+    for a, b in ((scatter, want[0]), (dets, want[1]), (tests, want[3])):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    assert (reach, test_reach) == (want[2], want[4])
+    assert type(reach) is type(test_reach) is int
+
+
+def test_box_matrix_matches_per_subset_inverses():
+    """The Picard-coordinate vertex maps (one p x p adjugate per ray subset)
+    equal the per-subset dim x dim inverses, bit for bit, on every X and
+    blow-up fan of the s + r <= 4, degree <= 1 family and on P^1..P^4."""
+    fans = [projective_space_fan(n) for n in range(1, 5)]
+    fans += [build_projective_bundle_fan(spec) for spec in enumerate_specs(4, 1)]
+    fans += [_blowup(*case).fan_xt for case in FAMILY]
+    assert len(fans) == 4 + 16 + 362
+    for fan in fans:
+        _assert_same_box_matrix(_box_matrix(fan), _python_box_matrix(fan))
+
+
+def _with_basis_shifted(fan, k):
+    """fan with every basis divisor moved by k times the sum of the lattice
+    rows, a principal divisor: the same classes, so a Z-basis still, with a
+    B^-1 of entries near k."""
+    shift = [k * sum(ray) for ray in fan.rays]
+    basis = tuple(tuple(c + t for c, t in zip(bd, shift)) for bd in fan.basis_divisors)
+    return dataclasses.replace(fan, basis_divisors=basis)
+
+
+@pytest.mark.parametrize("k", [3, 2**40])
+@pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
+def test_box_matrix_ignores_the_basis(case, k):
+    """The vertex maps depend on the rays alone, however large the entries
+    of B^-1 the basis gives: past the int64 bound the products are formed
+    in Python ints (k = 2^40), and still give the int64 matrices."""
+    fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
+    shifted = _with_basis_shifted(fan, k)
+    assert max(abs(x) for row in shifted._basis_inverse for x in row) >= k
+    _assert_same_box_matrix(_box_matrix(shifted), _python_box_matrix(fan))
+
+
+def test_box_matrix_past_int64_raises():
+    """A vertex map with an entry past int64 (the Hirzebruch fan of
+    O + O(2^70) over P^1) fails the cast loudly instead of wrapping."""
+    fan = build_projective_bundle_fan(BundleSpec(1, (0, 2**70)))
+    with pytest.raises(OverflowError):
+        _box_matrix(fan)
+
+
+def test_oracle_rejects_a_basis_that_is_not_a_z_basis():
+    """The oracle reads Fan._basis_inverse, so a hand-built fan whose basis
+    divisor is twice a generator of Pic is an InvalidSpec, not an answer."""
+    fan = dataclasses.replace(projective_space_fan(2), basis_divisors=((0, 2, 0),))
+    with pytest.raises(InvalidSpec, match="not a Z-basis"):
+        cohomology_dims(fan, fan.pic_class((1,)))
 
 
 def _python_box(fan, coeffs):

@@ -181,15 +181,22 @@ def _family_fans():
 
 def test_class_map_inverts_basis_divisors():
     """On every fan of the family, each basis divisor has its unit class and
-    each lattice row (the divisor of a character) has class 0."""
+    each lattice row (the divisor of a character) has class 0; the whole of
+    _basis_inverse is the inverse of B = [basis divisors; lattice rows]."""
     count = 0
     for fan in _family_fans():
         units = [tuple(int(i == j) for i in range(fan.pic_rank)) for j in range(fan.pic_rank)]
         for bd, unit in zip(fan.basis_divisors, units):
             assert fan.class_of_divisor(bd).coords == unit
         zero = (0,) * fan.pic_rank
-        for d in range(fan.dim):
-            assert fan.class_of_divisor([ray[d] for ray in fan.rays]).coords == zero
+        lattice_rows = [[ray[d] for ray in fan.rays] for d in range(fan.dim)]
+        for row in lattice_rows:
+            assert fan.class_of_divisor(row).coords == zero
+        b = list(fan.basis_divisors) + lattice_rows
+        inv = fan._basis_inverse
+        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*inv)] for row in b] == [
+            [int(i == j) for j in range(fan.n_rays)] for i in range(fan.n_rays)
+        ]
         count += 1
     assert count > 1000
 
