@@ -26,9 +26,10 @@ of one) are computed in one pass over the classes the memo lacks:
   shifted by 1 on S, taken from the same product (_polytope_boxes).  For
   S with nonzero ranks a non-empty P_S is bounded, so its box lies inside
   the class's admission box and needs no check of its own.
-- sweep: the numpy kernel excol.kernels.count_support_masks counts the
-  characters with support S over the box of each non-empty P_S, and h is
-  the sum of those counts times the ranks of S.
+- sweep: one call of the numpy kernel excol.kernels.count_support_sets
+  counts the characters with support S over the box of every non-empty P_S
+  of the batch, as exact intervals along one axis, and h is the sum of
+  those counts times the ranks of S.
 
 Results are memoized per fan object.  Only a caller that passes a
 DiskCache (one append-only file per fan) touches the disk: the fan's file
@@ -195,8 +196,8 @@ def _box_matrix(fan: Fan):
     complementary minors); the vertex's divisor a + <u, v> has a's class and
     vanishes on S, so its tests block is sgn C adj(C_T) on T; (lattice rows)
     D = I makes its scatter block sgn C adj(C_T) D_T - det_S D.  Products
-    are in int64 if a bound on them fits, else in Python ints, and the int64
-    cast raises OverflowError.
+    are in int64 if a bound on them fits, else in Python ints; a reach past
+    int64, which no class could pass _boxes with, raises BoxTooLarge.
     """
     cache = fan._box_matrix_cache
     if not cache:
@@ -219,6 +220,11 @@ def _box_matrix(fan: Fan):
         tests = np.zeros((n, len(comps), n), dtype=cadj.dtype)
         np.put_along_axis(tests, comps[None], cadj.transpose(1, 0, 2), axis=2)
         reach, test_reach = (int(abs(x).sum(axis=0).max()) for x in (scatter, tests))
+        if max(reach, test_reach) > _INT64_MAX:  # det_S is an entry of tests
+            raise BoxTooLarge(
+                f"fan {fan.basis_tag}: vertex maps reach {max(reach, test_reach)} "
+                f"(int64 limit {_INT64_MAX})"
+            )
         scatter, tests = (x.reshape(n, -1).astype(np.int64, copy=False) for x in (scatter, tests))
         cache.extend((scatter, dets.astype(np.int64), reach, tests, test_reach))
     return cache
@@ -345,45 +351,35 @@ def _support_ranks(fan: Fan):
     return ranks
 
 
-def _count_support_set(fan: Fan, coeffs, mask, box):
-    """Lattice points of the box (lo, hi) whose support set is mask; raise
-    UnboundedContribution if one lies on the box's boundary, since the box
-    must hold the whole polytope."""
-    lo, hi = box
-    counts, shell = kernels.count_support_masks(
-        np.array(lo, dtype=np.int64),
-        np.array(hi, dtype=np.int64),
-        np.array(fan.rays, dtype=np.int64),
-        np.array(coeffs, dtype=np.int64),
-    )
-    if shell[mask]:
-        ranks = _support_ranks(fan)[mask]
-        raise UnboundedContribution(
-            f"T-divisor {tuple(coeffs)} in box lo={lo} hi={hi}: support "
-            f"set {mask:b} on the inflated boundary has reduced "
-            f"cohomology {tuple(ranks.tolist())}"
-        )
-    return int(counts[mask])
-
-
 def _dims_of_divisors(fan: Fan, coeff_rows):
     """All h^i of each T-divisor (rows of ray coefficients), uncached.
 
     Every row's arrangement box passes _admit before the rank table is
     touched and before the first sweep.  h is the sum, over the support
     sets S with nonzero reduced cohomology, of the lattice points of P_S
-    (_polytope_boxes) times the ranks of S.
+    (_polytope_boxes) times the ranks of S, all counted in one kernel call.
+    A point on a box's boundary raises UnboundedContribution, since the box
+    must hold the whole polytope.
     """
     lo, hi, verts = _boxes(fan, coeff_rows)
     _admit(fan, coeff_rows, lo, hi)
     ranks = _support_ranks(fan)
     polytopes = _polytope_boxes(fan, coeff_rows, verts, np.flatnonzero(ranks.any(axis=1)))
-    h = [[0] * (fan.dim + 1) for _ in coeff_rows]
-    for row, mask, lo, hi in polytopes:
-        points = _count_support_set(fan, coeff_rows[row], mask, (lo, hi))
+    h = np.zeros((len(coeff_rows), fan.dim + 1), dtype=np.int64)
+    if polytopes:
+        rows, masks, lo, hi = (np.array(x, dtype=np.int64) for x in zip(*polytopes))
+        coeffs, rays = (np.array(x, dtype=np.int64) for x in (coeff_rows, fan.rays))
+        counts, shells = kernels.count_support_sets(lo, hi, rays, coeffs[rows], masks)
+        if shells.any():
+            i = (shells > 0).argmax()
+            raise UnboundedContribution(
+                f"T-divisor {tuple(coeff_rows[rows[i]])} in box lo={lo[i].tolist()} "
+                f"hi={hi[i].tolist()}: support set {masks[i]:b} on the inflated "
+                f"boundary has reduced cohomology {tuple(ranks[masks[i]].tolist())}"
+            )
         # ranks[mask, i] is the rank in degree i-1, which adds to h^i
-        h[row] = [x + points * r for x, r in zip(h[row], ranks[mask].tolist())]
-    return [tuple(x) for x in h]
+        np.add.at(h, rows, counts[:, None] * ranks[masks])
+    return [tuple(x) for x in h.tolist()]
 
 
 def cohomology_dims(fan: Fan, cls: PicClass, cache=None):

@@ -23,8 +23,8 @@ class UnboundedContribution(ExcolError):
 
 
 class BoxTooLarge(ExcolError):
-    """The oracle's search box for a T-divisor holds more points than its
-    budget, or values its int64 kernel cannot hold."""
+    """The oracle's box for a T-divisor holds more points than its budget or
+    values its int64 kernel cannot hold, or the fan's vertex maps leave int64."""
 
 
 class KOutOfRange(ExcolError):

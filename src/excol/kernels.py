@@ -1,62 +1,75 @@
-"""The lattice-character sweep, vectorized with numpy.
+"""The lattice-point count of support-set polytopes, vectorized with numpy.
 
-Counts, for every subset of rays, how many integer points u of a box have
-exactly that subset as their support set {rho : <u, v_rho> < -a_rho}.
-
-<u, v_rho> + a_rho is a sum of one term per axis, so the kernel forms the
-per-axis terms once, adds the terms of axes 1..n-1 (and a_rho) into one
-array by broadcasting, and sweeps axis 0 in slabs of at most SLAB_POINTS
-points: one slab covers every support-set polytope box that certifying the
-s + r <= 4, degree <= 1 family sweeps (at most 1,512 points).  A point's
-support mask is packed from the ray tests bit by bit.  All arithmetic stays
-in int64: every box the caller sweeps lies inside a class's admission box,
-for which cohomology._admit has bounded every value formed.
+One call counts every polytope box of an oracle batch.  Flipping each ray
+rho in a box's support set S to (-v_rho, -a_rho - 1) folds the support
+test: u has support set S iff every folded <u, v_rho> + a_rho is >= 0.  One
+interval axis k per call, the one with the fewest points on the other axes
+(rest points) over the batch, is solved exactly: at a rest point each ray
+with v_rho,k != 0 bounds u_k by one int64 floor division, from below or
+above as its folded v_rho,k is positive or negative, so the valid u_k form
+one interval, and a ray with v_rho,k = 0 only tests the rest value.  Rest
+points are decoded mixed-radix from one flat index, CHUNK_POINTS at a time,
+into ray-major (rays x points) arrays; np.add.reduceat sums each box's
+intervals.  Every kernel value is a folded partial sum inside the per-ray
+bound that cohomology._admit checks, so all arithmetic is int64.
 """
 
 import numpy as np
 
 BACKEND = "numpy"
 
-# box points per slab of axis 0; bounds the temporaries to a few MB
-SLAB_POINTS = 1 << 16
+# rest points per chunk; bounds the (rays x points) temporaries to a few MB
+CHUNK_POINTS = 1 << 13
+_MIN, _MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
-def count_support_masks(lo, hi, rays, coeffs):
-    """Count support bitmasks over the integer box [lo, hi] (inclusive).
-
-    rays: (R, n) int array, coeffs: (R,) int array.
-    Returns (counts, shell_counts), both of length 2**R: occurrences of each
-    bitmask over all box points, and over points on the box boundary.  The
-    boundary counts are the counts minus those of the interior box.
-    """
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    rays = np.asarray(rays, dtype=np.int64)
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    n = lo.shape[0]
-    nrays = rays.shape[0]
-    nmasks = 1 << nrays
-    mask_type = np.min_scalar_type(nmasks - 1)
-
-    def term(d):
-        """(R, 1, .., w_d, .., 1): <u_d e_d, v_rho> over axis d of the box."""
-        shape = (nrays,) + (1,) * d + (-1,) + (1,) * (n - 1 - d)
-        return (rays[:, d, None] * np.arange(lo[d], hi[d] + 1)).reshape(shape)
-
-    rest = coeffs.reshape((nrays,) + (1,) * n)
-    for d in range(1, n):
-        rest = rest + term(d)
-    first = term(0)
-    width = first.shape[1]
-    step = max(1, SLAB_POINTS * nrays // rest.size)
-    counts = np.zeros(nmasks, dtype=np.int64)
-    interior = np.zeros(nmasks, dtype=np.int64)
-    for start in range(0, width, step):
-        active = first[:, start : start + step] + rest < 0
-        masks = np.zeros(active.shape[1:], dtype=mask_type)
-        for r in range(nrays):
-            masks |= active[r].astype(mask_type) << r
-        counts += np.bincount(masks.ravel(), minlength=nmasks)
-        core = (slice(max(1 - start, 0), width - 1 - start),) + (slice(1, -1),) * (n - 1)
-        interior += np.bincount(masks[core].ravel(), minlength=nmasks)
-    return counts, counts - interior
+def count_support_sets(lo, hi, rays, coeffs, masks):
+    """(counts, shells), both (B,): the points of each box [lo, hi] (B x n,
+    inclusive) whose support set is exactly its mask (B,), and how many of
+    them lie on the box boundary.  rays is R x n, coeffs B x R."""
+    lo, hi, rays, coeffs, masks = (np.asarray(x, np.int64) for x in (lo, hi, rays, coeffs, masks))
+    widths = hi - lo + 1
+    rest = widths.prod(axis=1)[:, None] // widths  # rest points per box and axis
+    k = int(rest.sum(axis=0).argmin())
+    others = [d for d in range(lo.shape[1]) if d != k]
+    ends = np.cumsum(rest[:, k])
+    starts = ends - rest[:, k]
+    # With r the value <u, v_rho> + a_rho at u_k = lo_k, a ray bounds x = u_k -
+    # lo_k by t = ceil(-r / v_rho,k) if v_rho,k > 0, floor(r / -v_rho,k) + 1 if
+    # v_rho,k < 0, and (v_rho,k = 0) t = _MAX if r < 0, else 0: x >= t if the
+    # ray is off S and v_rho,k >= 0, or on S and v_rho,k < 0; else x < t.
+    slope = rays[:, k]
+    sign = np.where(slope > 0, -1, 1)[:, None]
+    rays, inside = sign * rays, (masks >> np.arange(len(rays))[:, None]) & 1
+    # per box: sign * r + |v_rho,k| - [v_rho,k > 0] at lo, caps that keep the
+    # thresholds of one side, the widths of axis k and of the rest axes, and
+    # the box's first flat index
+    table = np.concatenate([
+        sign * coeffs.T + (abs(slope) - (slope > 0))[:, None] + rays @ lo.T,
+        np.where((slope >= 0)[:, None] ^ (inside == 1), _MAX, _MIN),
+        widths[:, [k] + others].T, starts[None],
+    ])
+    divisors = [(r, int(abs(slope[r]))) for r in np.flatnonzero(abs(slope) > 1).tolist()]
+    tests, nrays, total = np.flatnonzero(slope == 0).tolist(), len(rays), int(rest[:, k].sum())
+    out = np.zeros((2, len(lo)), dtype=np.int64)
+    for begin in range(0, total, CHUNK_POINTS):
+        end = min(begin + CHUNK_POINTS, total)
+        b0, b1 = np.searchsorted(ends, begin, side="right"), np.searchsorted(starts, end)
+        segments = np.maximum(starts[b0:b1] - begin, 0)
+        rows = table[:, b0:b1].repeat(np.diff(segments, append=end - begin), axis=1)
+        value, caps, width = rows[:nrays], rows[nrays : 2 * nrays], rows[2 * nrays]
+        index, edge = np.arange(begin, end) - rows[-1], np.zeros(end - begin, dtype=bool)
+        for d, size in zip(others, rows[2 * nrays + 1 : -1]):
+            index, digit = np.divmod(index, size)
+            edge |= (digit == 0) | (digit == size - 1)
+            value += rays[:, d, None] * digit
+        for r, divisor in divisors:
+            value[r] //= divisor
+        for r in tests:
+            value[r] = (value[r] >> 63) & _MAX
+        low = np.maximum(0, np.minimum(value, caps).max(axis=0))
+        high = np.minimum(width, np.maximum(value, caps).min(axis=0))
+        count = np.maximum(high, low) - low
+        shell = np.where(edge, count, np.minimum(count, (low == 0) + (high == width) * 1))
+        out[:, b0:b1] += np.add.reduceat(np.stack([count, shell]), segments, axis=1)
+    return out[0], out[1]

@@ -153,6 +153,32 @@ def test_verify_huge_class_stderr(tmp_path, capsys):
     )
 
 
+# O + O(2^70) over P^1 blown up along b1,f1: its vertex maps leave int64
+HUGE_FAN_ERROR = (
+    "fan X(s=1,a=(0, 1180591620717411303424))+E: vertex maps reach "
+    "2361183241434822606850 (int64 limit 9223372036854775807)"
+)
+
+
+def test_verify_vertex_maps_past_int64_exit_2(tmp_path, capsys):
+    """A fan the oracle cannot hold in int64 is one error line and exit 2,
+    not an OverflowError traceback."""
+    col = tmp_path / "col.json"
+    _write_collection(col, 1, [0, 2**70], ["b1", "f1"], [0])
+    assert run(["verify", "--collection", str(col)]) == 2
+    assert capsys.readouterr().err == f"error: {HUGE_FAN_ERROR}\n"
+
+
+def test_sweep_aborts_a_fan_past_int64(capsys, monkeypatch):
+    """In a sweep the same fan is an ABORT row and a failure."""
+    monkeypatch.setattr(cli, "enumerate_specs", lambda *_: [BundleSpec(1, (0, 2**70))])
+    assert run(["sweep", "--max-dim", "2", "--max-degree", "0", "--codim", "2"]) == 1
+    out, err = capsys.readouterr()
+    rows = [line for line in out.splitlines() if "center" not in line and "---" not in line]
+    assert rows and all(line.split()[-2:-1] == ["ABORT"] for line in rows)
+    assert f"s=1 a=[0, 1180591620717411303424] center=b1,f1: {HUGE_FAN_ERROR}\n" in err
+
+
 @pytest.mark.parametrize("alpha", [1.5, 1.0, True, "1"])
 def test_verify_non_integer_class_exit_2(tmp_path, capsys, alpha):
     col = tmp_path / "col.json"
@@ -295,9 +321,9 @@ def test_sweep_cache_plumbing(tmp_path, monkeypatch, capsys):
     files = {p.name: p.read_bytes() for p in cache.iterdir()}
     assert len(files) == len(cases)
     calls = []
-    real = kernels.count_support_masks
+    real = kernels.count_support_sets
     monkeypatch.setattr(
-        kernels, "count_support_masks", lambda *a: calls.append(a) or real(*a)
+        kernels, "count_support_sets", lambda *a: calls.append(a) or real(*a)
     )
     assert run(args) == 0
     assert rows() == cold

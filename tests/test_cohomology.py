@@ -27,14 +27,13 @@ from excol.cohomology import (
     _box_matrix,
     _admit,
     _boxes,
-    _count_support_set,
     _dims_of_divisors,
     _polytope_boxes,
     _support_ranks,
     cohomology_dims_many,
     reduced_cohomology_ranks,
 )
-from excol import kernels
+from excol import cohomology, kernels
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.errors import BoxTooLarge, InvalidSpec, UnboundedContribution
 from excol.intlinalg import determinant, inverse
@@ -262,9 +261,10 @@ def test_box_matrix_ignores_the_basis(case, k):
 
 def test_box_matrix_past_int64_raises():
     """A vertex map with an entry past int64 (the Hirzebruch fan of
-    O + O(2^70) over P^1) fails the cast loudly instead of wrapping."""
+    O + O(2^70) over P^1) is a BoxTooLarge naming the fan, not a wrapped
+    value or an OverflowError."""
     fan = build_projective_bundle_fan(BundleSpec(1, (0, 2**70)))
-    with pytest.raises(OverflowError):
+    with pytest.raises(BoxTooLarge, match=re.escape(f"fan {fan.basis_tag}: vertex maps reach")):
         _box_matrix(fan)
 
 
@@ -431,11 +431,30 @@ def test_guard_edges_through_the_pass(case, edge):
                 assert _dims_of_divisors(fan, [principal]) == [(h0,) + (0,) * fan.dim]
 
 
+def _every_mask(lo, hi, rays, coeffs):
+    """(counts, shells) of every support set over each box (rows of lo, hi
+    and coeffs), from one kernel batch holding each box once per mask: two
+    (boxes x 2^R) lists."""
+    nmasks = 1 << len(rays)
+    counts, shells = kernels.count_support_sets(
+        np.repeat(lo, nmasks, axis=0),
+        np.repeat(hi, nmasks, axis=0),
+        rays,
+        np.repeat(coeffs, nmasks, axis=0),
+        np.tile(np.arange(nmasks), len(lo)),
+    )
+    return counts.reshape(len(lo), nmasks).tolist(), shells.reshape(len(lo), nmasks).tolist()
+
+
 def _full_box_counts(fan, coeffs):
-    """Brute-force reference: the support-set counts over a's whole
-    arrangement box."""
+    """Reference: the support-set counts over a's whole arrangement box, from
+    one mask per box point."""
     [lo], [hi], _verts = _boxes(fan, [coeffs])
-    return kernels.count_support_masks(lo, hi, fan.rays, coeffs)[0]
+    axes = np.meshgrid(*map(np.arange, lo, hi + 1), indexing="ij")
+    points = np.stack(axes, axis=-1).reshape(-1, fan.dim)
+    support = points @ np.array(fan.rays).T < -np.array(coeffs)
+    masks = (support << np.arange(fan.n_rays)).sum(axis=1)
+    return np.bincount(masks, minlength=1 << fan.n_rays).tolist()
 
 
 POLYTOPE_FANS = [
@@ -479,15 +498,25 @@ def test_polytope_pass_matches_full_box_count(divisor):
         # whose vertices are arrangement vertices of a: no polytope box
         # leaves the arrangement box
         assert all(a <= b <= c <= d for a, b, c, d in zip(lo, plo, phi, hi))
-        assert _count_support_set(fan, coeffs, mask, (plo, phi)) == full[mask]
+    if polytopes:
+        _rows, pmasks, plo, phi = zip(*polytopes)
+        counts, shells = kernels.count_support_sets(
+            plo, phi, fan.rays, [coeffs] * len(polytopes), pmasks
+        )
+        assert counts.tolist() == [full[mask] for mask in pmasks]
+        assert not shells.any()
 
 
-def test_unbounded_contribution_names_divisor_box_and_mask():
-    """A box too small for the sections of O(4) on P^2 must fail loudly."""
+def test_unbounded_contribution_names_divisor_box_and_mask(monkeypatch):
+    """A box too small for the sections of O(4) on P^2 must fail loudly: the
+    batch's first flagged box is named, after one that holds its polytope
+    and before another too small one."""
     fan = projective_space_fan(2)
+    boxes = [(0, 0, [-9, -9], [9, 9]), (1, 0, [-1, -1], [1, 1]), (0, 0, [0, 0], [1, 1])]
+    monkeypatch.setattr(cohomology, "_polytope_boxes", lambda *args: boxes)
     want = r"T-divisor \(0, 4, 0\) in box lo=\[-1, -1\] hi=\[1, 1\]: support set 0 "
     with pytest.raises(UnboundedContribution, match=want):
-        _count_support_set(fan, (0, 4, 0), 0, ([-1, -1], [1, 1]))
+        _dims_of_divisors(fan, [(0, 2, 0), (0, 4, 0)])
 
 
 def test_serre_duality(bl_p2p1):
@@ -559,13 +588,13 @@ def test_library_calls_do_no_disk_io(tmp_path, monkeypatch):
 
 def _count_kernel_calls(monkeypatch):
     calls = []
-    real = kernels.count_support_masks
+    real = kernels.count_support_sets
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(kernels, "count_support_masks", counted)
+    monkeypatch.setattr(kernels, "count_support_sets", counted)
     return calls
 
 
@@ -649,48 +678,58 @@ def _brute_force_sweep(lo, hi, rays, coeffs):
     return counts, shell
 
 
+def _assert_kernel_matches_brute_force(lo, hi, rays, coeffs):
+    """Every mask of every box of the batch, against _brute_force_sweep."""
+    counts, shells = _every_mask(lo, hi, rays, coeffs)
+    for b in range(len(lo)):
+        assert (counts[b], shells[b]) == _brute_force_sweep(lo[b], hi[b], rays, coeffs[b])
+        assert sum(counts[b]) == np.prod([y - x + 1 for x, y in zip(lo[b], hi[b])])
+
+
 def test_kernel_matches_brute_force():
+    """Random batches of one to four boxes, with widths 1 to 6, in dims 1 to 3."""
     rng = random.Random(3)
     dims = [1, 1, 2, 2, 3, 3] + [rng.randint(1, 3) for _ in range(6)]
     for n in dims:
         nrays = rng.randint(2, 5)
         rays = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(nrays)]
-        coeffs = [rng.randint(-3, 3) for _ in range(nrays)]
-        lo = [rng.randint(-4, -1) for _ in range(n)]
-        hi = [rng.randint(0, 4) for _ in range(n)]
-        counts, shell = kernels.count_support_masks(lo, hi, rays, coeffs)
-        want_counts, want_shell = _brute_force_sweep(lo, hi, rays, coeffs)
-        assert counts.tolist() == want_counts
-        assert shell.tolist() == want_shell
-        # total point count sanity
-        assert counts.sum() == np.prod([b - a + 1 for a, b in zip(lo, hi)])
+        nboxes = rng.randint(1, 4)
+        coeffs = [[rng.randint(-3, 3) for _ in range(nrays)] for _ in range(nboxes)]
+        lo = [[rng.randint(-4, 1) for _ in range(n)] for _ in range(nboxes)]
+        hi = [[x + rng.randint(0, 5) for x in row] for row in lo]
+        _assert_kernel_matches_brute_force(lo, hi, rays, coeffs)
 
 
+# Batches of boxes (lo, hi).  The kernel's interval axis minimises the
+# batch's rest points (the points over the other axes), so it is the axis
+# named in each comment.
 @pytest.mark.parametrize(
     "lo, hi",
     [
-        ([-4], [5]),  # dim 1
-        ([-3, -1], [5, 0]),  # a width-2 axis
-        ([-4, 2, -1], [4, 2, 1]),  # a width-1 axis
-        ([3, -2], [3, 2]),  # width 1 along the slab axis
-        ([0, -2, -1], [1, 2, 1]),  # width 2 along the slab axis
-        ([-2, -1, 0, -2], [6, 1, 1, 0]),
+        # dim 1, and width 1 on the interval axis (0)
+        ([[-4], [0]], [[5], [0]]),
+        # a width-2 rest axis, and width 2 on the interval axis (0)
+        ([[-3, -1], [0, 0]], [[5, 0], [1, 3]]),
+        # a width-1 rest axis, and width 1 on the interval axis (0)
+        ([[-4, 2, -1], [0, -1, 0]], [[4, 2, 1], [0, 1, 2]]),
+        # interval axis 1, width 1 on a rest axis
+        ([[3, -2], [-1, 0]], [[3, 2], [0, 4]]),
+        # interval axis 2, width 2 on it in the second box
+        ([[0, -1, -2], [1, 0, 0]], [[1, 1, 2], [2, 0, 1]]),
+        # dim 4, interval axis 3
+        ([[-2, -1, 0, -2], [0, 0, 0, -6]], [[6, 1, 1, 0], [1, 1, 1, 5]]),
     ],
 )
-@pytest.mark.parametrize("values_per_slab", [1, 2, 3])
-def test_slab_kernel_matches_brute_force(monkeypatch, lo, hi, values_per_slab):
-    """Slabs of 1, 2 or 3 axis-0 values, so slab boundaries fall inside the
-    box as well as on its shell."""
-    rng = random.Random(len(lo) * 10 + values_per_slab)
-    rest_points = int(np.prod([b - a + 1 for a, b in zip(lo[1:], hi[1:])]))
-    monkeypatch.setattr(kernels, "SLAB_POINTS", values_per_slab * rest_points)
-    for _ in range(4):
-        rays = [[rng.randint(-2, 2) for _ in lo] for _ in range(rng.randint(2, 5))]
-        coeffs = [rng.randint(-3, 3) for _ in rays]
-        counts, shell = kernels.count_support_masks(lo, hi, rays, coeffs)
-        want_counts, want_shell = _brute_force_sweep(lo, hi, rays, coeffs)
-        assert counts.tolist() == want_counts
-        assert shell.tolist() == want_shell
+@pytest.mark.parametrize("chunk_points", [1, 2, 3])
+def test_slab_kernel_matches_brute_force(monkeypatch, lo, hi, chunk_points):
+    """Chunks of 1, 2 or 3 rest points, so chunk boundaries fall inside the
+    boxes and between them, on their shells and inside."""
+    rng = random.Random(len(lo[0]) * 10 + chunk_points)
+    monkeypatch.setattr(kernels, "CHUNK_POINTS", chunk_points)
+    for _ in range(3):
+        rays = [[rng.randint(-2, 2) for _ in lo[0]] for _ in range(rng.randint(2, 4))]
+        coeffs = [[rng.randint(-3, 3) for _ in rays] for _ in lo]
+        _assert_kernel_matches_brute_force(lo, hi, rays, coeffs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -753,9 +792,10 @@ def test_batch_sweeps_each_missing_class_once(monkeypatch):
     got = cohomology_dims_many(fan, classes)
     assert got == [bott_dims(2, d) for d in (2, -4, 2, 0, -4)]
     # each distinct class has one non-empty polytope (P_0 for h^0, P_111 for
-    # h^2), and no (class, mask) box is swept twice
-    swept = {(tuple(lo), tuple(hi), tuple(coeffs)) for lo, hi, _rays, coeffs in calls}
-    assert len(calls) == len(swept) == 3
+    # h^2), all swept in one call, and no (class, mask) box is swept twice
+    [(lo, hi, _rays, coeffs, masks)] = calls
+    swept = {tuple(map(tuple, box)) for box in zip(lo, hi, coeffs, masks[:, None])}
+    assert len(masks) == len(swept) == 3
     calls.clear()
     assert cohomology_dims_many(fan, classes[:2]) == got[:2]
     assert calls == []
@@ -811,18 +851,24 @@ def test_rejection_names_row_box_and_bound(degrees):
     assert str(info.value) == REJECTIONS[degrees]
 
 
-def test_kernel_takes_four_positional_arrays(monkeypatch):
-    """The oracle hands the kernel (lo, hi, rays, coeffs) positionally, as
-    int64 arrays, so a wrapper with exactly that signature, like the one
-    perfbench/make_reference.py installs, sees every box it sweeps."""
-    real = kernels.count_support_masks
+def test_kernel_takes_five_positional_arrays(monkeypatch):
+    """The oracle hands the kernel one batch (lo, hi, rays, coeffs, masks)
+    positionally, as int64 arrays of shapes (B, n), (B, n), (R, n), (B, R)
+    and (B,), so a wrapper with exactly that signature sees every box it
+    sweeps."""
+    real = kernels.count_support_sets
     points = []
 
-    def wrapped(lo, hi, rays, coeffs):
-        points.append(int((hi - lo + 1).prod()))
-        return real(lo, hi, rays, coeffs)
+    def wrapped(lo, hi, rays, coeffs, masks):
+        arrays = (lo, hi, rays, coeffs, masks)
+        assert all(isinstance(x, np.ndarray) and x.dtype == np.int64 for x in arrays)
+        assert [x.shape for x in arrays] == [lo.shape, lo.shape, (3, 2), (len(lo), 3), (len(lo),)]
+        points.append((hi - lo + 1).prod(axis=1).tolist())
+        return real(lo, hi, rays, coeffs, masks)
 
-    monkeypatch.setattr(kernels, "count_support_masks", wrapped)
+    monkeypatch.setattr(kernels, "count_support_sets", wrapped)
     fan = projective_space_fan(2)
     assert cohomology_dims(fan, fan.pic_class((2,))) == (6, 0, 0)
-    assert points == [25]
+    classes = [fan.pic_class((3,)), fan.pic_class((-5,))]
+    assert cohomology_dims_many(fan, classes) == [(10, 0, 0), (0, 0, 6)]
+    assert points == [[25], [36, 25]]

@@ -184,13 +184,13 @@ def test_certify_writes_one_cache_file(tmp_path, monkeypatch):
     assert len(list(tmp_path.iterdir())) == 1
 
     calls = []
-    real_kernel = kernels.count_support_masks
+    real_kernel = kernels.count_support_sets
 
     def counted_kernel(*args):
         calls.append(args)
         return real_kernel(*args)
 
-    monkeypatch.setattr(kernels, "count_support_masks", counted_kernel)
+    monkeypatch.setattr(kernels, "count_support_sets", counted_kernel)
     fresh = make_blowup(spec, center).fan_xt
     again = certify(fresh, [fresh.pic_class(c.coords) for c in classes], cache=cache)
     assert calls == []
