@@ -103,14 +103,10 @@ def cmd_verify(args):
         if len(classes) != len(doc["objects"]):
             print("error: collection contains non-line-bundle objects", file=sys.stderr)
             return 2
-    except (OSError, KeyError, ValueError, InvalidSpec, NotACone, UnknownRay) as exc:
+    except (KeyError, ValueError, RecursionError, InvalidSpec, NotACone, UnknownRay) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = certify(bl.fan_xt, classes)
-    except BoxTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = certify(bl.fan_xt, classes)
     _dump(report.to_json(), args.out)
     return 0 if report.all_passed else 1
 
@@ -167,6 +163,8 @@ def cmd_sweep(args):
     if not cases:
         print("sweep is empty: no valid centers in the requested range")
         return 0
+    if not args.no_cache:
+        os.makedirs(default_cache_dir(), exist_ok=True)
     failures = []
     header = f"{'spec':<24}{'center':<16}{'len':>4}  {'flags':<8}{'sec':>8}"
     print(header)
@@ -184,15 +182,10 @@ def cmd_sweep(args):
             print(f"{label:<24}{cname:<16}{'-':>4}  {'ABORT':<8}{dt:>8.2f}")
             failures.append((label, cname, str(err)))
             continue
-        flags = "".join(
-            "ES1"[i] if ok else "."
-            for i, ok in enumerate(
-                [report.exceptional, report.semiorthogonal, report.strong]
-            )
-        )
-        ok = report.all_passed
+        checks = (report.exceptional, report.semiorthogonal, report.strong)
+        flags = "".join(c if ok else "." for c, ok in zip("ES1", checks))
         print(f"{label:<24}{cname:<16}{report.length_actual:>4}  {flags:<8}{dt:>8.2f}")
-        if not ok:
+        if not report.all_passed:
             failures.append((label, cname, "verification failed"))
     if failures:
         print(f"\n{len(failures)} failing case(s):", file=sys.stderr)
@@ -241,7 +234,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, BoxTooLarge) as exc:  # bad files, classes past the box budget
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

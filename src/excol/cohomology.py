@@ -18,9 +18,10 @@ of one) are computed in one pass over the classes the memo lacks:
   before the rank table is touched and before the first sweep.
 - ranks: the reduced-cohomology ranks of the support complexes depend only
   on the fan's labelled combinatorial type (its max cones), so one table
-  per type, filled whole the first time the type is used, serves every fan
-  object of that type (_support_ranks).  Only the support sets S with
-  nonzero ranks add to h.
+  per type serves every fan object of that type (_support_ranks).  By
+  Alexander duality on the fan's boundary sphere, one computation fills the
+  rows of S and of its complement, and a pair with a face on either side
+  is 0.  Only the support sets S with nonzero ranks add to h.
 - polytopes: the characters with support set S are the lattice points of
   a polytope P_S, whose vertices are arrangement vertices of the divisor
   shifted by 1 on S, taken from the same product (_polytope_boxes).  For
@@ -329,24 +330,24 @@ _RANK_TABLES = {}
 def _support_ranks(fan: Fan):
     """The rank table of fan's type, filled whole on first use.
 
-    An induced complex with a cone point, a ray in each of its facets, is
-    contractible, so its row is 0; only the other rows are computed.
+    The support complexes are induced subcomplexes of the boundary sphere,
+    so by Alexander duality row full ^ S is row S reversed: one call, on the
+    side without the last ray, fills a pair.  A pair with a nonempty face
+    (a simplex, contractible) on either side is 0.
     """
     ranks = _RANK_TABLES.get(fan.max_cones)
     if ranks is not None:
         return ranks
-    masks = np.arange(1 << fan.n_rays)
+    full = (1 << fan.n_rays) - 1
+    masks = np.arange(full + 1)
     cones = np.array([sum(1 << i for i in cone) for cone in fan.max_cones], dtype=np.int64)
-    faces = masks[:, None] & cones  # (masks, cones)
-    # apex: the rays in every facet, a face that no larger face contains
-    apex = np.full(masks.shape, -1, dtype=np.int64)
-    for face in faces.T:
-        covered = ((face[:, None] & ~faces) == 0) & (face[:, None] != faces)
-        apex &= np.where(covered.any(axis=1), -1, face)
+    face = ((masks[:, None] & ~cones) == 0).any(axis=1) & (masks != 0)
     ranks = np.zeros((len(masks), fan.dim + 1), dtype=np.int64)
-    for mask in masks[apex == 0].tolist():
+    # full ^ mask == full - mask, so face[::-1] tests the complement
+    for mask in masks[~face & ~face[::-1] & (masks <= full >> 1)].tolist():
         facets = {frozenset(i for i in cone if mask >> i & 1) for cone in fan.max_cones}
         ranks[mask] = reduced_cohomology_ranks(facets, fan.dim - 1)
+        ranks[full ^ mask] = ranks[mask][::-1]
     _RANK_TABLES[fan.max_cones] = ranks
     return ranks
 

@@ -195,16 +195,17 @@ GOOD_COLLECTION = {
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "text",
     [
-        dict(GOOD_COLLECTION, spec={"base_dim": 1, "fiber_degrees": [0, 1.5]}),
-        dict(GOOD_COLLECTION, spec={"base_dim": 1.9, "fiber_degrees": [0, 0]}),
-        dict(GOOD_COLLECTION, spec={"base_dim": True, "fiber_degrees": [0, 0]}),
-        dict(GOOD_COLLECTION, spec={"base_dim": 1, "fiber_degrees": 0}),
-        dict(GOOD_COLLECTION, center="b1,f1"),
-        dict(GOOD_COLLECTION, objects=3),
-        dict(GOOD_COLLECTION, objects=["line"]),
-        [GOOD_COLLECTION],
+        json.dumps(dict(GOOD_COLLECTION, spec={"base_dim": 1, "fiber_degrees": [0, 1.5]})),
+        json.dumps(dict(GOOD_COLLECTION, spec={"base_dim": 1.9, "fiber_degrees": [0, 0]})),
+        json.dumps(dict(GOOD_COLLECTION, spec={"base_dim": True, "fiber_degrees": [0, 0]})),
+        json.dumps(dict(GOOD_COLLECTION, spec={"base_dim": 1, "fiber_degrees": 0})),
+        json.dumps(dict(GOOD_COLLECTION, center="b1,f1")),
+        json.dumps(dict(GOOD_COLLECTION, objects=3)),
+        json.dumps(dict(GOOD_COLLECTION, objects=["line"])),
+        json.dumps([GOOD_COLLECTION]),
+        "[" * 100_000,
     ],
     ids=[
         "float degree",
@@ -215,16 +216,40 @@ GOOD_COLLECTION = {
         "integer objects",
         "string object",
         "top-level list",
+        "nested past the recursion limit",
     ],
 )
-def test_verify_malformed_collection_exit_2(tmp_path, capsys, doc):
+def test_verify_malformed_collection_exit_2(tmp_path, capsys, text):
     """A file of the wrong shape or with non-integer spec values is invalid
     input, reported in one line, never truncated or certified."""
     col = tmp_path / "col.json"
-    col.write_text(json.dumps(doc))
+    col.write_text(text)
     assert run(["verify", "--collection", str(col)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "sweep"])
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, command):
+    """An output path under a regular file is one error line and exit 2, not
+    an OSError traceback: construct --out, verify --out of a passing
+    collection, and a sweep whose cache directory cannot be created, which
+    fails before its header."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    col = tmp_path / "col.json"
+    construct = ["construct", "--base-dim", "1", "--fiber-degrees", "0,0", "--center", "b1,f1"]
+    assert run(construct + ["--out", str(col)]) == 0
+    monkeypatch.setenv("EXCOL_CACHE_DIR", str(blocker / "cache"))
+    args = {
+        "construct": construct + ["--out", str(blocker / "col.json")],
+        "verify": ["verify", "--collection", str(col), "--out", str(blocker / "report.json")],
+        "sweep": ["sweep", "--max-dim", "2", "--max-degree", "0", "--codim", "2"],
+    }[command]
+    capsys.readouterr()
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_unnormalized_degrees_exit_2(capsys):

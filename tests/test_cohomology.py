@@ -738,6 +738,17 @@ def _induced_ranks(fan, mask):
     return reduced_cohomology_ranks(facets, fan.dim - 1)
 
 
+def _labelled_types():
+    """{max_cones: fan} over P^1..P^4 and the X and blow-up fans of the
+    s + r <= 4, degree <= 1 family: the types test_rank_tables_frozen covers."""
+    fans = [projective_space_fan(n) for n in range(1, 5)]
+    for spec in enumerate_specs(4, 1):
+        fans.append(build_projective_bundle_fan(spec))
+        for codim in (2, 3):
+            fans.extend(make_blowup(spec, c).fan_xt for c in enumerate_centers(spec, codim))
+    return {fan.max_cones: fan for fan in fans}
+
+
 @pytest.mark.parametrize(
     "spec, center",
     [
@@ -751,6 +762,44 @@ def test_rank_table_matches_support_complexes(spec, center):
     assert [tuple(row) for row in table.tolist()] == [
         _induced_ranks(fan, mask) for mask in range(1 << fan.n_rays)
     ]
+
+
+def test_rank_tables_match_support_complexes_over_family():
+    """Every row of every table is the directly computed rank vector of its
+    support complex, and the direct ranks of S and of its complement are
+    mirror images (Alexander duality on the boundary sphere)."""
+    types = _labelled_types()
+    assert len(types) == 137
+    # and one degree-2 type outside the family
+    fan = make_blowup(BundleSpec(2, (0, 1, 2)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
+    types[fan.max_cones] = fan
+    for cones, fan in types.items():
+        full = (1 << fan.n_rays) - 1
+        table = [tuple(row) for row in _support_ranks(fan).tolist()]
+        for mask in range(full + 1):
+            direct = _induced_ranks(fan, mask)
+            assert table[mask] == direct, (cones, mask)
+            assert _induced_ranks(fan, full ^ mask) == direct[::-1], (cones, mask)
+
+
+def test_rank_table_computes_each_complementary_pair_once(monkeypatch):
+    """A fresh table makes one reduced_cohomology_ranks call per pair
+    {S, S^c} at most: no vertex set twice, none with its complement."""
+    monkeypatch.setattr(cohomology, "_RANK_TABLES", {})
+    seen = []
+    real = cohomology.reduced_cohomology_ranks
+
+    def counted(facets, top_dim):
+        seen.append(frozenset().union(*facets))
+        return real(facets, top_dim)
+
+    monkeypatch.setattr(cohomology, "reduced_cohomology_ranks", counted)
+    fan = make_blowup(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
+    assert fan.dim == 4
+    _support_ranks(fan)
+    rays = frozenset(range(fan.n_rays))
+    assert seen and len(set(seen)) == len(seen)
+    assert not {rays - s for s in seen} & set(seen)
 
 
 def test_rank_tables_frozen():
