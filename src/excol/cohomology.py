@@ -11,9 +11,10 @@ of one) are computed in one pass over the classes the memo lacks:
 - admission: each class gets the box around the vertices of its divisor's
   hyperplane arrangement.  Each vertex is an integer map of the divisor
   coefficients, read off the fan's B^-1 with one p x p adjugate (p = Picard
-  rank; Jacobi, Oda-Park) into one int64 matrix per fan (_box_matrix), so
-  the vertices of the whole batch come from one matrix product, under one
-  guard that every value the pass forms from it fits in int64 (_boxes).
+  rank; Jacobi, Oda-Park) into one int64 (vertices x dim x rays) map per
+  fan (_box_matrix), so the vertices of the whole batch come from one
+  matrix product, under one guard that every value the pass forms from it
+  fits in int64 (_boxes).
   One exact pass (_admit) bounds every box's points and kernel values
   before the rank table is touched and before the first sweep.
 - ranks: the reduced-cohomology ranks of the support complexes depend only
@@ -24,7 +25,9 @@ of one) are computed in one pass over the classes the memo lacks:
   is 0.  Only the support sets S with nonzero ranks add to h.
 - polytopes: the characters with support set S are the lattice points of
   a polytope P_S, whose vertices are arrangement vertices of the divisor
-  shifted by 1 on S, taken from the same product (_polytope_boxes).  For
+  shifted by 1 on S, taken from the same product (_polytope_boxes).  A
+  vertex meets the inequalities of its own dim rays with equality, so only
+  the p rays off it are tested, from a (p x vertices x rays) map.  For
   S with nonzero ranks a non-empty P_S is bounded, so its box lies inside
   the class's admission box and needs no check of its own.
 - sweep: one call of the numpy kernel excol.kernels.count_support_sets
@@ -88,7 +91,8 @@ CACHE_VERSION = "excol-hvectors-1"
 # boxes the kernel sweeps lie inside it.
 MAX_BOX_POINTS = 10**8
 _INT64_MAX = 2**63 - 1
-# (row, mask, vertex, ray) slack values per chunk of _polytope_boxes
+# (vertex, mask, row) values per row chunk of _polytope_boxes, the array
+# each of the p rays off a vertex is tested on
 SLACK_VALUES = 1 << 14
 
 
@@ -181,21 +185,23 @@ def _parse_entry(fan: Fan, line):
 
 
 def _box_matrix(fan: Fan):
-    """(scatter, dets, reach, tests, test_reach), computed once per fan.
+    """(scatter, dets, reach, tests, test_reach, off), computed once per fan.
 
-    scatter (n_rays x vertices*dim, int64) maps a T-divisor a to det_S times
-    its arrangement vertex {u : <u, v_i> = -a_i for i in S}, for each set S
-    of dim rays with R_S invertible, and dets (vertices x 1) holds
-    det_S = |det R_S|.  tests (n_rays x vertices*n_rays, int64) maps a to
-    the slacks det_S * (<vertex, v_rho> + a_rho) of every vertex in every
-    section inequality.  reach and test_reach, the two's largest column L1
-    norms, bound |a @ scatter| and |a @ tests| in units of max|a|.
+    scatter (vertices x dim x n_rays, int64) maps a T-divisor a to det_S
+    times its arrangement vertex {u : <u, v_i> = -a_i for i in S}, for each
+    set S of dim rays with R_S invertible, and dets (vertices x 1) holds
+    det_S = |det R_S|.  The slack det_S * (<vertex, v_rho> + a_rho) of a
+    vertex is 0 on the rays of S, so only the p rays off S, off (p x
+    vertices, ascending per vertex), are tested: tests (p x vertices x
+    n_rays, int64) maps a to the slacks at off.  reach and test_reach bound
+    |scatter @ a| and |tests @ a| in units of max|a|: the largest L1 norms
+    of the two's rows.
 
     All are read off B^-1 = [C | D] (Fan._basis_inverse) in Picard
     coordinates (Oda-Park's Gale transform, Tohoku Math. J. 1991).  With T
     the rays off S and sgn = sign(det C_T): det_S = |det C_T| (Jacobi's
     complementary minors); the vertex's divisor a + <u, v> has a's class and
-    vanishes on S, so its tests block is sgn C adj(C_T) on T; (lattice rows)
+    vanishes on S, so its slacks on T are a @ sgn C adj(C_T); (lattice rows)
     D = I makes its scatter block sgn C adj(C_T) D_T - det_S D.  Products
     are in int64 if a bound on them fits, else in Python ints; a reach past
     int64, which no class could pass _boxes with, raises BoxTooLarge.
@@ -217,23 +223,22 @@ def _box_matrix(fan: Fan):
         fits = n * (p * abs(inv).max()) ** 2 * (abs(adj).max() + dets.max()) < _INT64_MAX
         inv, adj, dets = (x.astype(np.int64 if fits else object) for x in (inv, adj, dets))
         cadj = inv[:, :p] @ adj  # (vertices, n_rays, p)
-        scatter = (cadj @ inv[comps, p:] - dets[:, :, None] * inv[:, p:]).transpose(1, 0, 2)
-        tests = np.zeros((n, len(comps), n), dtype=cadj.dtype)
-        np.put_along_axis(tests, comps[None], cadj.transpose(1, 0, 2), axis=2)
-        reach, test_reach = (int(abs(x).sum(axis=0).max()) for x in (scatter, tests))
+        scatter = (cadj @ inv[comps, p:] - dets[:, :, None] * inv[:, p:]).transpose(0, 2, 1)
+        tests = cadj.transpose(2, 0, 1)
+        reach, test_reach = (int(abs(x).sum(axis=2).max()) for x in (scatter, tests))
         if max(reach, test_reach) > _INT64_MAX:  # det_S is an entry of tests
             raise BoxTooLarge(
                 f"fan {fan.basis_tag}: vertex maps reach {max(reach, test_reach)} "
                 f"(int64 limit {_INT64_MAX})"
             )
-        scatter, tests = (x.reshape(n, -1).astype(np.int64, copy=False) for x in (scatter, tests))
-        cache.extend((scatter, dets.astype(np.int64), reach, tests, test_reach))
+        scatter, tests = (np.ascontiguousarray(x, dtype=np.int64) for x in (scatter, tests))
+        cache.extend((scatter, dets.astype(np.int64), reach, tests, test_reach, comps.T))
     return cache
 
 
 def _boxes(fan: Fan, coeff_rows):
     """(lo, hi, verts) of T-divisors (rows of ray coefficients), from one
-    int64 product: verts (rows x vertices x dim) holds det_S times every
+    int64 product: verts (vertices x dim x rows) holds det_S times every
     arrangement vertex of each row, and [lo[row], hi[row]] (rows x dim) is
     the bounding box of the row's vertices, inflated by 1.
 
@@ -244,14 +249,13 @@ def _boxes(fan: Fan, coeff_rows):
     arrays) for the message only, and BoxTooLarge names the row with the
     largest coefficient and its exact box.
     """
-    scatter, dets, reach, _tests, test_reach = _box_matrix(fan)
+    scatter, dets, reach, _tests, test_reach, _off = _box_matrix(fan)
     big = max(abs(a) for row in coeff_rows for a in row) + 1
     bound = big * max(reach, test_reach)
     fits = bound < _INT64_MAX
-    rows = np.array(coeff_rows, dtype=np.int64 if fits else object)
-    verts = (rows @ scatter).reshape(len(coeff_rows), len(dets), fan.dim)
-    lo = (verts // dets).min(axis=1) - 1
-    hi = (-(-verts // dets)).max(axis=1) + 1
+    verts = scatter @ np.array(coeff_rows, dtype=np.int64 if fits else object).T
+    lo = (verts // dets[:, :, None]).min(axis=0).T - 1
+    hi = (-(-verts // dets[:, :, None])).max(axis=0).T + 1
     if not fits:
         i = next(i for i, row in enumerate(coeff_rows) if max(map(abs, row)) + 1 == big)
         raise BoxTooLarge(
@@ -284,40 +288,43 @@ def _admit(fan: Fan, coeff_rows, lo, hi):
 
 
 def _polytope_boxes(fan: Fan, coeff_rows, verts, masks):
-    """(row, S, lo, hi) for every T-divisor a in coeff_rows and support set S
-    in masks whose polytope
+    """(rows, masks, lo, hi), four int64 arrays in (row, mask) order, of
+    every T-divisor a in coeff_rows and support set S in masks whose polytope
 
         P_S(a) = {u : <u, v_rho> <= -a_rho - 1 for rho in S, >= -a_rho else}
 
-    is not empty: the bounding box of its vertices, inflated by 1.
+    is not empty: the bounding box [lo, hi] of its vertices, inflated by 1.
 
     P_S(a) is cut out by the arrangement of b = a + 1_S, so its vertices are
     the arrangement vertices of b that meet every inequality: verts (the
-    product _boxes formed) plus 1_S @ scatter, tested by b @ tests
-    (_box_matrix).  The rays span, so P_S(a) is pointed, and it is empty
-    when no vertex qualifies.  _boxes's guard keeps every value in int64.
-    The slacks of (row, mask, vertex, ray) are formed a few rows at a time,
-    at most SLACK_VALUES values each, so the temporaries stay small.
+    product _boxes formed) plus scatter @ 1_S, tested on the p rays off each
+    vertex by tests @ b (_box_matrix).  The rays span, so P_S(a) is pointed,
+    and it is empty when no vertex qualifies.  _boxes's guard keeps every
+    value in int64.  The (vertex, mask, row) tests are formed a few rows at
+    a time, at most SLACK_VALUES values each, so the temporaries stay small.
     """
-    scatter, dets, _reach, tests, _test_reach = _box_matrix(fan)
-    n, nverts = fan.n_rays, len(dets)
-    inside = (masks[:, None] >> np.arange(n)) & 1  # (masks, rays): 1 on S
-    mask_verts = (inside @ scatter).reshape(-1, nverts, fan.dim)
-    slack = (np.array(coeff_rows, dtype=np.int64) @ tests).reshape(-1, 1, nverts, n)
-    # rho in S wants slack <= 0, rho outside S slack >= 0
-    sign = (1 - 2 * inside)[:, None, :]
-    mask_slack = (inside @ tests).reshape(-1, nverts, n) * sign
-    step = max(1, SLACK_VALUES // mask_slack.size)
+    scatter, dets, _reach, tests, _test_reach, off = _box_matrix(fan)
+    inside = (masks[:, None] >> np.arange(fan.n_rays)) & 1  # (masks, rays): 1 on S
+    mask_verts = scatter @ inside.T
+    slack = (tests @ np.array(coeff_rows, dtype=np.int64).T)[:, :, None]
+    # the ray off[j, v] wants a slack <= 0 if it is in S, >= 0 else: with
+    # on = [in S], a @ tests >= on - 1_S @ tests, negated if on
+    on = inside.T[off][..., None] == 1  # (p, vertices, masks, 1)
+    low = on - (tests @ inside.T)[..., None]
+    step = max(1, SLACK_VALUES // (len(dets) * len(masks)))
     out = []
     for start in range(0, len(coeff_rows), step):
-        vertex = (slack[start : start + step] * sign + mask_slack >= 0).all(axis=3)
-        rows, ms = np.nonzero(vertex.any(axis=2))
-        nums = verts[start + rows] + mask_verts[ms]
-        keep = vertex[rows, ms, :, None]
-        lo = np.where(keep, nums // dets, _INT64_MAX).min(axis=1) - 1
-        hi = np.where(keep, -(-nums // dets), -_INT64_MAX).max(axis=1) + 1
-        out.extend(zip((start + rows).tolist(), masks[ms].tolist(), lo.tolist(), hi.tolist()))
-    return out
+        chunk = slack[..., start : start + step]
+        vertex = (chunk[0] >= low[0]) != on[0]
+        for j in range(1, len(off)):
+            vertex &= (chunk[j] >= low[j]) != on[j]
+        rows, ms = np.nonzero(vertex.any(axis=0).T)
+        nums = verts[:, :, start + rows] + mask_verts[:, :, ms]
+        keep = vertex[:, ms, rows][:, None]
+        lo = np.where(keep, nums // dets[:, :, None], _INT64_MAX).min(axis=0).T - 1
+        hi = np.where(keep, -(-nums // dets[:, :, None]), -_INT64_MAX).max(axis=0).T + 1
+        out.append((start + rows, masks[ms], lo, hi))
+    return tuple(np.concatenate(x) for x in zip(*out))
 
 
 # Reduced-cohomology ranks of the support complexes of one labelled
@@ -365,10 +372,9 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
     lo, hi, verts = _boxes(fan, coeff_rows)
     _admit(fan, coeff_rows, lo, hi)
     ranks = _support_ranks(fan)
-    polytopes = _polytope_boxes(fan, coeff_rows, verts, np.flatnonzero(ranks.any(axis=1)))
+    rows, masks, lo, hi = _polytope_boxes(fan, coeff_rows, verts, np.flatnonzero(ranks.any(axis=1)))
     h = np.zeros((len(coeff_rows), fan.dim + 1), dtype=np.int64)
-    if polytopes:
-        rows, masks, lo, hi = (np.array(x, dtype=np.int64) for x in zip(*polytopes))
+    if len(rows):
         coeffs, rays = (np.array(x, dtype=np.int64) for x in (coeff_rows, fan.rays))
         counts, shells = kernels.count_support_sets(lo, hi, rays, coeffs[rows], masks)
         if shells.any():

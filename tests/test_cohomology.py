@@ -200,28 +200,32 @@ def _vertex_maps(fan):
 
 
 def _python_box_matrix(fan):
-    """_box_matrix's five fields built from the reference vertex maps: -M_S
-    scattered to the rays of S, and the slacks det_S * (<vertex, v_rho> +
-    a_rho) as a product with the rays in Python ints."""
+    """(fields, slacks) from the reference vertex maps.  slacks (vertices x
+    tested rays x rays, Python ints) maps a to det_S * (<vertex, v_rho> +
+    a_rho), the slack of each vertex in every section inequality, as the
+    product of the rays with scatter (-M_S scattered to the rays of S).
+    fields are _box_matrix's six; their tests keep the rows of slacks on T,
+    the rays off S in ascending order."""
     maps = _vertex_maps(fan)
     n, dim = fan.n_rays, fan.dim
-    scatter = np.zeros((n, len(maps) * dim), dtype=np.int64)
+    scatter = np.zeros((len(maps), dim, n), dtype=np.int64)
     for j, (subset, rows, _det) in enumerate(maps):
-        for d, row in enumerate(rows):
-            scatter[list(subset), j * dim + d] = [-m for m in row]
+        scatter[j][:, list(subset)] = [[-m for m in row] for row in rows]
     dets = np.array([[det] for _, _, det in maps], dtype=np.int64)
     reach = max(sum(map(abs, row)) for _, rows, _ in maps for row in rows)
-    rays = np.array(fan.rays, dtype=object)
-    tests = scatter.astype(object).reshape(n, len(maps), dim) @ rays.T
-    tests[range(n), :, range(n)] += [det for _, _, det in maps]
-    tests = tests.reshape(n, -1)
-    return scatter, dets, reach, tests.astype(np.int64), abs(tests).sum(axis=0).max()
+    slacks = np.array(fan.rays, dtype=object) @ scatter.astype(object)
+    slacks[:, range(n), range(n)] += dets
+    off = np.array([[r for r in range(n) if r not in subset] for subset, _, _ in maps]).T
+    tests = slacks[range(len(maps)), off]
+    fields = (scatter, dets, reach, tests.astype(np.int64), abs(slacks).sum(axis=2).max(), off)
+    return fields, slacks
 
 
 def _assert_same_box_matrix(got, want):
-    scatter, dets, reach, tests, test_reach = got
+    scatter, dets, reach, tests, test_reach, off = got
     for a, b in ((scatter, want[0]), (dets, want[1]), (tests, want[3])):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    assert np.array_equal(off, want[5])
     assert (reach, test_reach) == (want[2], want[4])
     assert type(reach) is type(test_reach) is int
 
@@ -229,13 +233,19 @@ def _assert_same_box_matrix(got, want):
 def test_box_matrix_matches_per_subset_inverses():
     """The Picard-coordinate vertex maps (one p x p adjugate per ray subset)
     equal the per-subset dim x dim inverses, bit for bit, on every X and
-    blow-up fan of the s + r <= 4, degree <= 1 family and on P^1..P^4."""
+    blow-up fan of the s + r <= 4, degree <= 1 family and on P^1..P^4.  A
+    vertex's slack vanishes on the dim rays of S, so the tests kept on the
+    p rays off S (T) lose nothing."""
     fans = [projective_space_fan(n) for n in range(1, 5)]
     fans += [build_projective_bundle_fan(spec) for spec in enumerate_specs(4, 1)]
     fans += [_blowup(*case).fan_xt for case in FAMILY]
     assert len(fans) == 4 + 16 + 362
     for fan in fans:
-        _assert_same_box_matrix(_box_matrix(fan), _python_box_matrix(fan))
+        want, slacks = _python_box_matrix(fan)
+        on_t = np.zeros(slacks.shape[:2], dtype=bool)
+        on_t[range(len(on_t)), want[5]] = True
+        assert not slacks[~on_t].any()
+        _assert_same_box_matrix(_box_matrix(fan), want)
 
 
 def _with_basis_shifted(fan, k):
@@ -256,7 +266,7 @@ def test_box_matrix_ignores_the_basis(case, k):
     fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
     shifted = _with_basis_shifted(fan, k)
     assert max(abs(x) for row in shifted._basis_inverse for x in row) >= k
-    _assert_same_box_matrix(_box_matrix(shifted), _python_box_matrix(fan))
+    _assert_same_box_matrix(_box_matrix(shifted), _python_box_matrix(fan)[0])
 
 
 def test_box_matrix_past_int64_raises():
@@ -312,8 +322,8 @@ def test_vertex_maps_match_per_subset_solves(divisor):
             assert sum(x * v for x, v in zip(scaled, fan.rays[i])) == -det * coeffs[i]
     [lo], [hi], verts = _boxes(fan, [coeffs])
     assert (lo.tolist(), hi.tolist()) == _python_box(fan, coeffs)
-    for _row, _mask, plo, phi in _polytope_boxes(fan, [coeffs], verts, _nonacyclic_masks(fan)):
-        assert all(a <= b <= c <= d for a, b, c, d in zip(lo, plo, phi, hi))
+    _rows, _masks, plo, phi = _polytope_boxes(fan, [coeffs], verts, _nonacyclic_masks(fan))
+    assert (lo <= plo).all() and (plo <= phi).all() and (phi <= hi).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,9 +365,52 @@ def _python_polytope_boxes(fan, coeffs, masks):
     return out
 
 
+def _polytope_arrays(boxes, dim):
+    """A list of (row, mask, lo, hi), as _python_polytope_boxes gives it, as
+    the four int64 arrays (rows, masks, lo, hi) of _polytope_boxes."""
+    rows, masks, lo, hi = zip(*boxes) if boxes else ((), (), (), ())
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array(masks, dtype=np.int64),
+        np.array(lo, dtype=np.int64).reshape(-1, dim),
+        np.array(hi, dtype=np.int64).reshape(-1, dim),
+    )
+
+
+def _assert_same_polytopes(got, boxes, dim):
+    for a, b in zip(got, _polytope_arrays(boxes, dim), strict=True):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_polytope_boxes_match_per_row_boxes(data):
+    """A batch of rows, duplicates included, gets each row's polytope boxes
+    in (row, mask) order, however SLACK_VALUES splits it into chunks: one
+    row per chunk at 1 and around V * M (V vertices, M masks), three at
+    3 V M + 1."""
+    fan, first = data.draw(family_divisors())
+    row = st.lists(st.integers(-30, 30), min_size=fan.n_rays, max_size=fan.n_rays)
+    rows = [first] + data.draw(st.lists(row.map(tuple), max_size=4))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+    masks = _nonacyclic_masks(fan)
+    want = [
+        (i, mask, lo, hi)
+        for i, coeffs in enumerate(rows)
+        for _row, mask, lo, hi in _python_polytope_boxes(fan, coeffs, masks.tolist())
+    ]
+    verts = _boxes(fan, rows)[2]
+    values = len(_box_matrix(fan)[1]) * len(masks)
+    for slack_values in (1, values - 1, values + 1, 3 * values + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cohomology, "SLACK_VALUES", slack_values)
+            got = _polytope_boxes(fan, rows, verts, masks)
+        _assert_same_polytopes(got, want, fan.dim)
+
+
 def _guard_edge(fan):
     """The largest max|a| the int64 guard of _boxes admits."""
-    _scatter, _dets, reach, _tests, test_reach = _box_matrix(fan)
+    _scatter, _dets, reach, _tests, test_reach, _off = _box_matrix(fan)
     return (_INT64_MAX - 1) // max(reach, test_reach) - 1
 
 
@@ -387,7 +440,9 @@ def test_polytope_product_guard(case):
         coeffs[-1] = sign * _guard_edge(fan)
         verts = _boxes(fan, [coeffs])[2]
         got = _polytope_boxes(fan, [coeffs], verts, masks)
-        assert got and got == _python_polytope_boxes(fan, coeffs, masks.tolist())
+        want = _python_polytope_boxes(fan, coeffs, masks.tolist())
+        assert want
+        _assert_same_polytopes(got, want, fan.dim)
         coeffs[-1] += sign
         with pytest.raises(BoxTooLarge, match=re.escape(f"T-divisor {tuple(coeffs)} in box lo=")):
             _boxes(fan, [coeffs])
@@ -489,21 +544,19 @@ def test_polytope_pass_matches_full_box_count(divisor):
     [lo], [hi], verts = _boxes(fan, [coeffs])
     masks = _nonacyclic_masks(fan)
     polytopes = _polytope_boxes(fan, [coeffs], verts, masks)
-    assert polytopes == _python_polytope_boxes(fan, coeffs, masks.tolist())
-    swept = {mask for _row, mask, _lo, _hi in polytopes}
+    _assert_same_polytopes(polytopes, _python_polytope_boxes(fan, coeffs, masks.tolist()), fan.dim)
+    _rows, pmasks, plo, phi = polytopes
     # a support set with characters has a non-empty polytope
-    assert {m for m in masks.tolist() if full[m]} <= swept
-    for _row, mask, plo, phi in polytopes:
-        # P_S lies in the bounded chamber union its inequalities loosen to,
-        # whose vertices are arrangement vertices of a: no polytope box
-        # leaves the arrangement box
-        assert all(a <= b <= c <= d for a, b, c, d in zip(lo, plo, phi, hi))
-    if polytopes:
-        _rows, pmasks, plo, phi = zip(*polytopes)
+    assert {m for m in masks.tolist() if full[m]} <= set(pmasks.tolist())
+    # P_S lies in the bounded chamber union its inequalities loosen to, whose
+    # vertices are arrangement vertices of a: no polytope box leaves the
+    # arrangement box
+    assert (lo <= plo).all() and (plo <= phi).all() and (phi <= hi).all()
+    if len(pmasks):
         counts, shells = kernels.count_support_sets(
-            plo, phi, fan.rays, [coeffs] * len(polytopes), pmasks
+            plo, phi, fan.rays, [coeffs] * len(pmasks), pmasks
         )
-        assert counts.tolist() == [full[mask] for mask in pmasks]
+        assert counts.tolist() == [full[mask] for mask in pmasks.tolist()]
         assert not shells.any()
 
 
@@ -513,7 +566,7 @@ def test_unbounded_contribution_names_divisor_box_and_mask(monkeypatch):
     and before another too small one."""
     fan = projective_space_fan(2)
     boxes = [(0, 0, [-9, -9], [9, 9]), (1, 0, [-1, -1], [1, 1]), (0, 0, [0, 0], [1, 1])]
-    monkeypatch.setattr(cohomology, "_polytope_boxes", lambda *args: boxes)
+    monkeypatch.setattr(cohomology, "_polytope_boxes", lambda *args: _polytope_arrays(boxes, 2))
     want = r"T-divisor \(0, 4, 0\) in box lo=\[-1, -1\] hi=\[1, 1\]: support set 0 "
     with pytest.raises(UnboundedContribution, match=want):
         _dims_of_divisors(fan, [(0, 2, 0), (0, 4, 0)])
