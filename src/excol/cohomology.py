@@ -6,7 +6,8 @@ contributes the reduced rational cohomology of the support complex on the
 rays where the section inequality fails.
 
 All h-vectors of a batch (cohomology_dims_many; cohomology_dims is a batch
-of one) are computed in one pass over the classes the memo lacks:
+of one) are computed in one pass over its distinct classes, less those a
+DiskCache already holds:
 
 - admission: each class gets the box around the vertices of its divisor's
   hyperplane arrangement.  Each vertex is an integer map of the divisor
@@ -35,10 +36,10 @@ of one) are computed in one pass over the classes the memo lacks:
   of the batch, as exact intervals along one axis, and h is the sum of
   those counts times the ranks of S.
 
-Results are memoized per fan object.  Only a caller that passes a
-DiskCache (one append-only file per fan) touches the disk: the fan's file
-is read once per batch and appended at most once per batch.  Nothing here
-reads the environment.
+No h-vector is kept in memory between batches, only the vertex maps and
+rank tables.  Only a caller that passes a DiskCache (one append-only file
+per fan) touches the disk: the fan's file is read once per batch and
+appended at most once per batch.  Nothing here reads the environment.
 """
 
 from __future__ import annotations
@@ -398,29 +399,21 @@ def cohomology_dims(fan: Fan, cls: PicClass, cache=None):
 def cohomology_dims_many(fan: Fan, classes, cache=None):
     """cohomology_dims of each class, in order, in one pass.
 
-    Results are memoized per fan object.  With a DiskCache, the fan's file
-    is read once per call into the memo (the memo wins over the file), and
-    the batch's entries the file lacks are appended to it in one write;
-    without one, nothing touches the disk.  The classes the memo lacks, each
-    once, go through one _dims_of_divisors pass; it raises InvalidSpec if the
-    fan's basis divisors are not a Z-basis of Pic (Fan._basis_inverse).
+    With a DiskCache, the fan's file is read once per call, and the classes
+    it lacks, each once, go through one _dims_of_divisors pass whose entries
+    are appended to it in one write; without one, every distinct class is
+    computed and nothing touches the disk.  The pass raises InvalidSpec if
+    the fan's basis divisors are not a Z-basis of Pic (Fan._basis_inverse).
     """
     for cls in classes:
         if cls.basis != fan.basis_tag:
             raise ValueError("class belongs to a different fan")
-    memo = fan._hvector_cache
-    if cache:
-        stored = cache.get(fan)
-        for coords, h in stored.items():
-            memo.setdefault(coords, h)
-    missing = {cls.coords: cls for cls in classes if cls.coords not in memo}
+    known = cache.get(fan) if cache else {}
+    missing = {cls.coords: cls for cls in classes if cls.coords not in known}
     if missing:
         rows = [fan.tdivisor_lift(cls) for cls in missing.values()]
-        memo.update(zip(missing, _dims_of_divisors(fan, rows)))
-    out = [memo[cls.coords] for cls in classes]
-    if cache:
-        new = {cls.coords: h for cls, h in zip(classes, out) if cls.coords not in stored}
-        if new:
+        new = dict(zip(missing, _dims_of_divisors(fan, rows)))
+        if cache:
             cache.put(fan, new)
-    return out
-
+        known.update(new)
+    return [known[cls.coords] for cls in classes]

@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import gcd
 
 from .errors import InvalidSpec, NotACone, UnknownRay
 from .intlinalg import determinant, inverse
@@ -145,32 +144,21 @@ class Fan:
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
-    # mutable per-instance caches (allowed on frozen dataclasses: cached_property
-    # writes straight into __dict__)
-    @cached_property
-    def _hvector_cache(self):
-        return {}
-
+    # a mutable per-instance cache (allowed on a frozen dataclass:
+    # cached_property writes straight into __dict__)
     @cached_property
     def _box_matrix_cache(self):
         return []  # filled once by cohomology._box_matrix
 
 
-def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise InvalidSpec("zero ray vector")
-    return tuple(x // g for x in vec)
-
-
 def validate_fan(fan: Fan) -> None:
-    """Check primitivity, smoothness and completeness; raise InvalidSpec."""
+    """Check that every ray lies in a max cone, and smoothness and
+    completeness; raise InvalidSpec.  A ray of a unimodular cone is
+    primitive, so primitivity needs no check of its own."""
     n = fan.dim
-    for v in fan.rays:
-        if _primitive(v) != tuple(v):
-            raise InvalidSpec(f"non-primitive ray {v}")
+    stray = set(range(fan.n_rays)).difference(*fan.max_cones)
+    if stray:
+        raise InvalidSpec(f"ray {fan.rays[min(stray)]} lies in no max cone")
     facet_count = {}
     for cone in fan.max_cones:
         if len(cone) != n:
@@ -217,7 +205,7 @@ class BundleSpec:
                 "fiber degrees must be normalized with a_0 = 0 "
                 "(twist the bundle by O(-a_0))"
             )
-        if any(x < 0 for x in a) or any(x > y for x, y in zip(a, a[1:])):
+        if any(x > y for x, y in zip(a, a[1:])):  # with a_0 = 0, also non-negative
             raise InvalidSpec("fiber degrees must be non-negative and non-decreasing")
 
     @property
@@ -341,7 +329,8 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
     """Blow-up along the orbit closure of the cone spanned by the center rays."""
     idx = _center_indices(fan, center)
     idx_set = set(idx)
-    new_ray = _primitive(tuple(sum(fan.rays[i][d] for i in idx) for d in range(fan.dim)))
+    # primitive, as the ray sum of a smooth cone; validate_fan(sub) checks it
+    new_ray = tuple(sum(fan.rays[i][d] for i in idx) for d in range(fan.dim))
     e = fan.n_rays
     cones = []
     for cone in fan.max_cones:

@@ -5,6 +5,7 @@ family swept is every BundleSpec with s + r <= 4 and fiber degrees bounded
 by 2, with every torus-invariant center of codimension 2 and 3.
 """
 
+import os
 import random
 import sys
 
@@ -14,7 +15,6 @@ from excol import (
     BundleSpec,
     build_projective_bundle_fan,
     certify,
-    cohomology_dims,
     cohomology_on_bundle,
     collection_classes,
     construct,
@@ -23,7 +23,7 @@ from excol import (
     projective_space_fan,
 )
 from excol.cli import enumerate_centers, enumerate_specs
-from excol.cohomology import cohomology_dims_many
+from excol.cohomology import DiskCache, cohomology_dims_many
 from excol.splitcalc import _sym_conormal, y_cohomology
 from oracle_helpers import euler_pairing
 from fan_helpers import center_geometry
@@ -84,13 +84,13 @@ def _dedup_centers(codims):
     return out
 
 
-def _certify_case(spec, center):
+def _certify_case(spec, center, cache=None):
     bl, col = construct(spec, center)
     classes = collection_classes(bl, col)
-    report = certify(bl.fan_xt, classes)
+    report = certify(bl.fan_xt, classes, cache)
     if report.all_passed and len(classes) >= 2:
         swapped = [classes[1], classes[0]] + classes[2:]
-        negative = certify(bl.fan_xt, swapped)
+        negative = certify(bl.fan_xt, swapped, cache)
         _NEGATIVE_REPORTS.append(((spec, center), negative))
     return report
 
@@ -98,11 +98,14 @@ def _certify_case(spec, center):
 def _certified_family_sweep(number, name, codim):
     failures = []
     cases = 0
+    # a fresh file per fan: each negative control reads its positive run's
+    # entries instead of recomputing them
+    cache = DiskCache(os.path.join(os.environ["EXCOL_CACHE_DIR"], f"criterion-{number}"))
     for spec in SPECS:
         for center in enumerate_centers(spec, codim):
             cases += 1
             try:
-                report = _certify_case(spec, center)
+                report = _certify_case(spec, center, cache)
             except Exception as exc:  # noqa: BLE001 - any abort is a failure
                 failures.append((spec, sorted(center.ray_names), repr(exc)))
                 continue
@@ -126,23 +129,26 @@ def test_criterion_2_certified_collections_codim3():
 def test_criterion_3_oracle_fastpath_equivalence():
     failures = []
     pairs = 0
+    grid = [(alpha, beta) for alpha in range(-6, 7) for beta in range(-6, 7)]
 
-    def check(fan, cls_coords, fast):
+    def check(fan, expected):
+        """Compare (coords, closed-form h) pairs on fan with one oracle batch."""
         nonlocal pairs
-        pairs += 1
-        oracle = cohomology_dims(fan, fan.pic_class(cls_coords))
-        if tuple(fast) != oracle:
-            failures.append((fan.basis_tag, cls_coords, fast, oracle))
+        pairs += len(expected)
+        oracle = cohomology_dims_many(fan, [fan.pic_class(c) for c, _ in expected])
+        for (cls_coords, fast), h in zip(expected, oracle):
+            if tuple(fast) != h:
+                failures.append((fan.basis_tag, cls_coords, fast, h))
 
     for spec in SPECS:
         fan = build_projective_bundle_fan(spec)
-        for alpha in range(-6, 7):
-            for beta in range(-6, 7):
-                check(
-                    fan,
-                    (alpha, beta),
-                    cohomology_on_bundle(spec.s, spec.fiber_degrees, alpha, beta),
-                )
+        check(
+            fan,
+            [
+                ((alpha, beta), cohomology_on_bundle(spec.s, spec.fiber_degrees, alpha, beta))
+                for alpha, beta in grid
+            ],
+        )
 
     # the centers Y, one fan per isomorphism class
     seen = set()
@@ -159,27 +165,20 @@ def test_criterion_3_oracle_fastpath_equivalence():
                 if sp >= 1 and rp >= 1:
                     shifted = tuple(d - a0 for d in geom.y_degrees)
                     yfan = build_projective_bundle_fan(BundleSpec(sp, shifted))
-                    for alpha in range(-6, 7):
-                        for beta in range(-6, 7):
-                            check(
-                                yfan,
-                                (alpha, beta),
-                                y_cohomology(geom, alpha - beta * a0, beta),
-                            )
+                    expected = [
+                        ((alpha, beta), y_cohomology(geom, alpha - beta * a0, beta))
+                        for alpha, beta in grid
+                    ]
                 elif rp == 0:  # Y = P^{s'} and O_q(1) restricts to O(a0)
                     yfan = projective_space_fan(sp)
-                    for alpha in range(-6, 7):
-                        for beta in range(-6, 7):
-                            check(
-                                yfan,
-                                (alpha + beta * a0,),
-                                y_cohomology(geom, alpha, beta),
-                            )
+                    expected = [
+                        ((alpha + beta * a0,), y_cohomology(geom, alpha, beta))
+                        for alpha, beta in grid
+                    ]
                 else:  # sp == 0: Y = P^{r'} and q*O(alpha) is trivial
                     yfan = projective_space_fan(rp)
-                    for alpha in range(-6, 7):
-                        for beta in range(-6, 7):
-                            check(yfan, (beta,), y_cohomology(geom, alpha, beta))
+                    expected = [((beta,), y_cohomology(geom, alpha, beta)) for alpha, beta in grid]
+                check(yfan, expected)
 
     ok = pairs >= 1000 and not failures
     _report(3, "oracle-fastpath-equivalence", ok, f"{pairs} pairs")
@@ -314,12 +313,12 @@ def test_criterion_7_sanity_anchors():
     ]
     for fan in fans:
         k = fan.canonical_class()
-        for _ in range(200):
-            cls = fan.pic_class(
-                tuple(rng.randint(-4, 4) for _ in range(fan.pic_rank))
-            )
-            h = cohomology_dims(fan, cls)
-            hd = cohomology_dims(fan, k - cls)
+        classes = [
+            fan.pic_class(tuple(rng.randint(-4, 4) for _ in range(fan.pic_rank)))
+            for _ in range(200)
+        ]
+        dims = cohomology_dims_many(fan, classes + [k - cls for cls in classes])
+        for cls, h, hd in zip(classes, dims, dims[len(classes) :]):
             if h != tuple(reversed(hd)):
                 problems.append(("serre", fan.basis_tag, cls.coords))
 

@@ -36,6 +36,7 @@ from excol.cohomology import (
 from excol import cohomology, kernels
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.errors import BoxTooLarge, InvalidSpec, UnboundedContribution
+from excol.fan import Fan
 from excol.intlinalg import determinant, inverse
 from excol.verify import certify
 from oracle_helpers import euler_pairing
@@ -618,12 +619,14 @@ def test_disk_cache_read_write(tmp_path):
     cache.put(fan, {(4,): (99, 0, 0)})
     fresh = projective_space_fan(2)
     assert cohomology_dims(fresh, fresh.pic_class((4,)), cache=cache) == (99, 0, 0)
-    # but the in-memory memo of the original fan still wins, also over a
-    # file it reads for the first time
-    assert cohomology_dims(fan, cls, cache=cache) == (15, 0, 0)
+    # the file is the only copy: the fan object that computed the value
+    # believes it too, also a file it reads for the first time
+    assert cohomology_dims(fan, cls, cache=cache) == (99, 0, 0)
     other = DiskCache(str(tmp_path / "other"))
     other.put(fan, {(4,): (99, 0, 0)})
-    assert cohomology_dims(fan, cls, cache=other) == (15, 0, 0)
+    assert cohomology_dims(fan, cls, cache=other) == (99, 0, 0)
+    # and without a cache the value is computed afresh
+    assert cohomology_dims(fan, cls) == (15, 0, 0)
 
 
 def test_library_calls_do_no_disk_io(tmp_path, monkeypatch):
@@ -898,9 +901,53 @@ def test_batch_sweeps_each_missing_class_once(monkeypatch):
     [(lo, hi, _rays, coeffs, masks)] = calls
     swept = {tuple(map(tuple, box)) for box in zip(lo, hi, coeffs, masks[:, None])}
     assert len(masks) == len(swept) == 3
+    # nothing is kept between cacheless batches: a second batch on the same
+    # fan object sweeps its classes again
     calls.clear()
     assert cohomology_dims_many(fan, classes[:2]) == got[:2]
-    assert calls == []
+    [(_lo, _hi, _rays, _coeffs, masks)] = calls
+    assert len(masks) == 2
+
+
+def test_batch_reads_once_and_appends_only_the_missing_classes(tmp_path, monkeypatch):
+    """A batch with repeats, some of them in the file, makes one get and one
+    put, and the put holds exactly the distinct classes the file lacked; a
+    batch the file holds whole makes no kernel call and no put."""
+    fan = projective_space_fan(2)
+    cache = DiskCache(str(tmp_path))
+    cohomology_dims_many(fan, [fan.pic_class((d,)) for d in (1, -5)], cache)
+    gets, puts = [], []
+    get, put = cache.get, cache.put
+    monkeypatch.setattr(cache, "get", lambda f: gets.append(f) or get(f))
+    monkeypatch.setattr(cache, "put", lambda f, e: puts.append(dict(e)) or put(f, e))
+    degrees = (1, 2, -5, 2, 3, 1, 3)
+    got = cohomology_dims_many(fan, [fan.pic_class((d,)) for d in degrees], cache)
+    assert got == [bott_dims(2, d) for d in degrees]
+    assert len(gets) == 1
+    assert puts == [{(2,): bott_dims(2, 2), (3,): bott_dims(2, 3)}]
+    calls = _count_kernel_calls(monkeypatch)
+    gets.clear()
+    puts.clear()
+    fresh = projective_space_fan(2)
+    assert cohomology_dims_many(fresh, [fresh.pic_class((d,)) for d in degrees], cache) == got
+    assert (len(gets), puts, calls) == (1, [], [])
+
+
+def test_batch_lifts_each_missing_class_once(tmp_path, monkeypatch):
+    """The lift runs once per distinct class the file lacks, not once per
+    occurrence in the batch."""
+    fan = projective_space_fan(2)
+    cache = DiskCache(str(tmp_path))
+    cohomology_dims(fan, fan.pic_class((0,)), cache)
+    lifted = []
+    lift = Fan.tdivisor_lift
+    monkeypatch.setattr(
+        Fan, "tdivisor_lift", lambda f, cls: lifted.append(cls.coords) or lift(f, cls)
+    )
+    degrees = (2, -4, 0, 2, 0, -4, 2)
+    got = cohomology_dims_many(fan, [fan.pic_class((d,)) for d in degrees], cache)
+    assert got == [bott_dims(2, d) for d in degrees]
+    assert sorted(lifted) == [(-4,), (2,)]
 
 
 def test_class_without_polytopes_is_not_swept(monkeypatch):

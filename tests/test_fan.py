@@ -139,7 +139,7 @@ def test_validate_fan_rejects_broken_input():
         basis_tag=good.basis_tag,
         basis_divisors=good.basis_divisors,
     )
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="non-unimodular cone"):
         validate_fan(bad_ray)
     incomplete = Fan(
         dim=2,
@@ -151,6 +151,22 @@ def test_validate_fan_rejects_broken_input():
     )
     with pytest.raises(InvalidSpec):
         validate_fan(incomplete)
+
+
+def test_validate_fan_rejects_a_ray_in_no_cone():
+    """P^2 with a stray ray (1, 1) that no max cone uses: every cone is
+    unimodular and the fan is complete, but the ray is not part of it."""
+    good = projective_space_fan(2)
+    stray = Fan(
+        dim=2,
+        ray_names=good.ray_names + ("y",),
+        rays=good.rays + ((1, 1),),
+        max_cones=good.max_cones,
+        basis_tag=good.basis_tag,
+        basis_divisors=((0, 1, 0, 0), (0, 0, 0, 1)),
+    )
+    with pytest.raises(InvalidSpec, match=r"ray \(1, 1\) lies in no max cone"):
+        validate_fan(stray)
 
 
 def test_class_map_rejects_bad_bases():
