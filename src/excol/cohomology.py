@@ -38,8 +38,9 @@ DiskCache already holds:
 
 No h-vector is kept in memory between batches, only the vertex maps and
 rank tables.  Only a caller that passes a DiskCache (one append-only file
-per fan) touches the disk: the fan's file is read once per batch and
-appended at most once per batch.  Nothing here reads the environment.
+per fan) touches the disk: the fan's file is read (one json.loads) once
+per batch and appended at most once per batch.  Nothing here reads the
+environment.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+from functools import cache
 from itertools import combinations
 from math import prod
 
@@ -102,8 +105,9 @@ class DiskCache:
 
     The file is named by the SHA-256 of CACHE_VERSION and the fan's
     canonical_json.  Its first line is a header naming both; every other
-    line is one entry [coords, h].  Values are deterministic, so duplicate
-    entries are harmless.
+    line is one entry [coords, h], as json.dumps writes it; any other line
+    (torn, planted, or JSON written another way) is skipped, and its class
+    recomputed.  Values are deterministic, so duplicates are harmless.
     """
 
     def __init__(self, root):
@@ -119,28 +123,21 @@ class DiskCache:
         return (json.dumps(doc, sort_keys=True) + "\n").encode()
 
     def get(self, fan: Fan):
-        """{coords: h} of the well-formed entries of fan's file; {} when the
-        file is missing or its header does not match exactly.  A file with a
-        bad header is deleted, so that the next put recreates it."""
+        """{coords: h} of the lines of fan's file exactly as put writes them
+        (_entry_pattern), parsed together; {} when the file is missing or its
+        header does not match exactly (the file is then deleted, so that the
+        next put recreates it)."""
         path = self._path(fan)
         try:
             with open(path, "rb") as fh:
-                header = fh.readline()
-                body = fh.read() if header == self._header(fan) else None
+                if fh.readline() != self._header(fan):
+                    os.unlink(path)  # a file a racer deleted first reads {} too
+                    return {}
+                body = fh.read()
         except OSError:
             return {}
-        if body is None:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-            return {}
-        entries = {}
-        for line in body.decode(errors="replace").split("\n"):
-            entry = _parse_entry(fan, line)
-            if entry is not None:
-                entries[entry[0]] = entry[1]
-        return entries
+        lines = _entry_pattern(fan.pic_rank, fan.dim + 1).findall(body)
+        return {tuple(c): tuple(h) for c, h in json.loads(b"[" + b",".join(lines) + b"]")}
 
     def put(self, fan: Fan, entries):
         """Append entries ({coords: h}) to fan's file with one write.
@@ -151,7 +148,8 @@ class DiskCache:
         first, so the torn line does not swallow the first new entry.
         """
         data = "".join(
-            json.dumps([list(coords), list(h)]) + "\n" for coords, h in entries.items()
+            f"[[{', '.join(map(str, coords))}], [{', '.join(map(str, h))}]]\n"
+            for coords, h in entries.items()
         ).encode()
         path, header = self._path(fan), self._header(fan)
         os.makedirs(self.root, exist_ok=True)
@@ -170,19 +168,14 @@ class DiskCache:
             os.close(fd)
 
 
-def _parse_entry(fan: Fan, line):
-    """(coords, h) from one cache line, or None unless it is well formed."""
-    try:
-        coords, h = json.loads(line)
-    except (ValueError, TypeError):
-        return None
-    if not (isinstance(coords, list) and isinstance(h, list)):
-        return None
-    if len(coords) != fan.pic_rank or not all(type(c) is int for c in coords):
-        return None
-    if len(h) != fan.dim + 1 or not all(type(x) is int and x >= 0 for x in h):
-        return None
-    return tuple(coords), tuple(h)
+@cache
+def _entry_pattern(pic_rank, length):
+    """The lines json.dumps([coords, h]) writes for a fan of this Picard
+    rank and h-vectors of this length, h non-negative.  At most 19 digits, as
+    in an int64, so json.loads never meets an integer past its size limit."""
+    coords = b", ".join([rb"(?:0|-?[1-9][0-9]{0,18})"] * pic_rank)
+    h = b", ".join([rb"(?:0|[1-9][0-9]{0,18})"] * length)
+    return re.compile(rb"^\[\[" + coords + rb"\], \[" + h + rb"\]\]$", re.M)
 
 
 def _box_matrix(fan: Fan):

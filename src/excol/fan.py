@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from .errors import InvalidSpec, NotACone, UnknownRay
@@ -255,9 +255,10 @@ class CenterGeometry:
         return self.s + self.r
 
 
+@cache
 def build_projective_bundle_fan(spec: BundleSpec) -> Fan:
     """Fan of X = P_{P^s}(O + O(a_1) + ... + O(a_r)) in dimension s+r; the
-    degrees a_1..a_r twist b0."""
+    degrees a_1..a_r twist b0.  One shared Fan, validated once, per spec."""
     s, r, degrees = spec.s, spec.r, spec.fiber_degrees
     n = s + r
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+from operator import sub
 
 from .cohomology import cohomology_dims_many
 from .errors import NonLineBundlePresent
@@ -25,14 +26,18 @@ from .intlinalg import determinant
 
 def ext_table(fan: Fan, classes, cache=None):
     """n x n grid of graded Hom dimension vectors between line bundles, from
-    one cohomology_dims_many batch; cache is a DiskCache, or None for no
-    disk I/O."""
+    one cohomology_dims_many batch of the distinct differences; cache is a
+    DiskCache, or None for no disk I/O."""
     for cls in classes:
         if not isinstance(cls, PicClass):
             raise NonLineBundlePresent(f"not a line bundle class: {cls!r}")
-    n = len(classes)
-    flat = cohomology_dims_many(fan, [b - a for a in classes for b in classes], cache)
-    return [flat[i * n : (i + 1) * n] for i in range(n)]
+        if cls.basis != fan.basis_tag:
+            raise ValueError("class belongs to a different fan")
+    coords = [cls.coords for cls in classes]
+    diffs = [[tuple(map(sub, b, a)) for b in coords] for a in coords]
+    distinct = list(dict.fromkeys(d for row in diffs for d in row))
+    hom = dict(zip(distinct, cohomology_dims_many(fan, list(map(fan.pic_class, distinct)), cache)))
+    return [[hom[d] for d in row] for row in diffs]
 
 
 @dataclass
@@ -90,7 +95,7 @@ def certify(fan: Fan, classes, cache=None) -> Report:
             if bad:
                 violations.append((check, i, j, table[i][j]))
     failed = {v[0] for v in violations}
-    gram = [[sum((-1) ** d * x for d, x in enumerate(h)) for h in row] for row in table]
+    gram = [[sum(h[::2]) - sum(h[1::2]) for h in row] for row in table]
     if any(gram[i][j] != (i == j) for i in range(n) for j in range(i + 1)):
         violations.append(("gram", -1, -1, ()))
     payload = json.dumps([list(c.coords) for c in classes])

@@ -629,6 +629,26 @@ def test_disk_cache_read_write(tmp_path):
     assert cohomology_dims(fan, cls) == (15, 0, 0)
 
 
+def test_put_writes_what_json_dumps_writes(tmp_path):
+    """put's lines are byte for byte json.dumps([coords, h]) plus a newline,
+    for negative, zero, multi-digit and int64-extreme entries, so files
+    written when put formatted its lines with json.dumps read unchanged
+    under the same CACHE_VERSION."""
+    fan = make_blowup(BundleSpec(1, (0, 1)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
+    entries = {
+        (0, 0, 0): (1, 0, 0),
+        (-1, 12, -305): (0, 7, 0),
+        (123456789012, -9, 10): (10, 0, 4567),
+        (2**63 - 1, -(2**63), 0): (2**63 - 1, 0, 1),
+    }
+    cache = DiskCache(str(tmp_path))
+    cache.put(fan, entries)
+    lines = "".join(json.dumps([list(c), list(h)]) + "\n" for c, h in entries.items())
+    with open(cache._path(fan)) as fh:
+        assert fh.read() == _header(fan) + lines
+    assert cache.get(fan) == entries
+
+
 def test_library_calls_do_no_disk_io(tmp_path, monkeypatch):
     """Without a DiskCache the oracle leaves the disk alone, wherever
     EXCOL_CACHE_DIR points; cache=False, as the oracle-scan benchmark
@@ -670,6 +690,13 @@ BAD_CACHE_FILES = {
     "float coords": _header(P2) + "[[4.0], [99, 0, 0]]\n",
     "bool h": _header(P2) + "[[4], [99, false, 0]]\n",
     "truncated last line": _header(P2) + "[[3], [10, 0, 0]]\n[[4], [99, 0, 0",
+    # valid JSON, but not as put writes it
+    "no spaces": _header(P2) + "[[4],[99,0,0]]\n",
+    "negative zero": _header(P2) + "[[-0], [99, 0, 0]]\n",
+    "trailing space": _header(P2) + "[[4], [99, 0, 0]] \n",
+    "CRLF ending": _header(P2) + "[[4], [99, 0, 0]]\r\n",
+    "past json's int size limit": _header(P2)
+    + f"[[1{'0' * 5000}], [99, 0, 0]]\n[[4], [1{'0' * 5000}, 0, 0]]\n",
 }
 
 
@@ -691,6 +718,9 @@ def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
         assert cohomology_dims(fan, fan.pic_class((3,)), cache=cache) == (10, 0, 0)
         assert len(calls) == 1
         assert cache.get(fan) == {(3,): (10, 0, 0), (4,): (15, 0, 0)}
+    else:
+        # the bad line is read as no entry at all, not as some other class
+        assert cache.get(fan) == {(4,): (15, 0, 0)}
     if name in BAD_HEADERS:
         # the file was replaced by a good one holding the recomputed entry
         fresh = projective_space_fan(2)

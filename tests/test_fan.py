@@ -10,7 +10,8 @@ from excol import (
     projective_space_fan,
     star_subdivide,
 )
-from excol.cli import enumerate_centers, enumerate_specs
+from excol import fan as fan_module
+from excol.cli import enumerate_centers, enumerate_specs, run_case
 from excol.errors import InvalidSpec, NotACone, UnknownRay
 from excol.fan import Fan, validate_fan
 from fan_helpers import center_geometry
@@ -263,6 +264,35 @@ def test_make_blowup_consistency(bl_p1p1):
     assert bl_p1p1.codim == 2
     assert bl_p1p1.fan_xt.n_rays == bl_p1p1.fan_x.n_rays + 1
     assert bl_p1p1.fan_xt.pic_rank == 3
+
+
+def test_one_x_fan_per_spec(monkeypatch):
+    """Every blow-up of a spec shares one X, and a sweep of the 3/1 family
+    builds and validates each X once.  The memo is process-wide, so the
+    count starts from an empty one (cache_clear)."""
+    spec = BundleSpec(2, (0, 1))
+    assert (
+        make_blowup(spec, CenterSpec(frozenset({"b1", "f1"}))).fan_x
+        is make_blowup(spec, CenterSpec(frozenset({"b0", "b2", "f0"}))).fan_x
+    )
+    build_projective_bundle_fan.cache_clear()
+    validated = []
+    real = fan_module.validate_fan
+
+    def counted(fan):
+        validated.append(fan.basis_tag)
+        real(fan)
+
+    monkeypatch.setattr(fan_module, "validate_fan", counted)
+    specs = enumerate_specs(3, 1)
+    for spec in specs:
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                report, err = run_case(spec, center, cache=False)
+                assert err is None and report.all_passed
+    x_tags = [tag for tag in validated if not tag.endswith("+E")]
+    assert len(validated) > len(x_tags)
+    assert sorted(x_tags) == sorted(build_projective_bundle_fan(s).basis_tag for s in specs)
 
 
 def test_canonical_json_is_stable(bl_p1p1):

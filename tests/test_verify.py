@@ -1,4 +1,5 @@
 import dataclasses
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,8 @@ from excol import (
 )
 from excol import fan as fan_module
 from excol import kernels, make_blowup
+from excol import verify as verify_module
+from excol.cohomology import cohomology_dims
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.cohomology import DiskCache
 from excol.errors import NonLineBundlePresent
@@ -40,6 +43,45 @@ def test_ext_table_rejects_non_classes():
     fan, classes = _beilinson(2)
     with pytest.raises(NonLineBundlePresent):
         ext_table(fan, classes + [(1, 0)])
+
+
+def test_ext_table_rejects_a_class_of_another_fan():
+    fan, _ = _beilinson(2)
+    with pytest.raises(ValueError, match="different fan"):
+        ext_table(fan, [projective_space_fan(3).pic_class((1,))])
+
+
+def test_ext_table_batches_each_distinct_difference_once(monkeypatch):
+    """ext_table hands the oracle each distinct difference b - a exactly
+    once, and its table equals per-cell cohomology_dims: on a few 4/1
+    cases and on a collection that repeats a class."""
+    batches = []
+    real = verify_module.cohomology_dims_many
+
+    def counted(fan, classes, cache=None):
+        batches.append([cls.coords for cls in classes])
+        return real(fan, classes, cache)
+
+    monkeypatch.setattr(verify_module, "cohomology_dims_many", counted)
+    cases = [
+        (spec, center)
+        for spec in enumerate_specs(4, 1)
+        for codim in (2, 3)
+        for center in enumerate_centers(spec, codim)
+    ][::120]
+    collections = []
+    for spec, center in cases:
+        bl, col = construct(spec, center)
+        collections.append((bl.fan_xt, collection_classes(bl, col)))
+    p2, beilinson = _beilinson(2)
+    collections.append((p2, beilinson + beilinson[1:2]))
+    for fan, classes in collections:
+        table = ext_table(fan, classes)
+        (batch,) = batches
+        batches.clear()
+        assert len(batch) == len(set(batch))
+        assert set(batch) == {tuple(map(sub, b.coords, a.coords)) for a in classes for b in classes}
+        assert table == [[cohomology_dims(fan, b - a) for b in classes] for a in classes]
 
 
 def test_certify_beilinson_p3():
