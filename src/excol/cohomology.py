@@ -18,12 +18,11 @@ DiskCache already holds:
   fits in int64 (_boxes).
   One exact pass (_admit) bounds every box's points and kernel values
   before the rank table is touched and before the first sweep.
-- ranks: the reduced-cohomology ranks of the support complexes depend only
-  on the fan's labelled combinatorial type (its max cones), so one table
-  per type serves every fan object of that type (_support_ranks).  By
-  Alexander duality on the fan's boundary sphere, one computation fills the
-  rows of S and of its complement, and a pair with a face on either side
-  is 0.  Only the support sets S with nonzero ranks add to h.
+- ranks: only support sets S whose complex has nonzero reduced cohomology
+  add to h.  By Hochster's formula its ranks are Betti numbers, read off
+  the Taylor resolution on the fan's m primitive collections, so S is one
+  of their at most 2^m unions; one table per labelled combinatorial type
+  (max cones) serves every fan of the type (_support_ranks).
 - polytopes: the characters with support set S are the lattice points of
   a polytope P_S, whose vertices are arrangement vertices of the divisor
   shifted by 1 on S, taken from the same product (_polytope_boxes).  A
@@ -49,9 +48,10 @@ import hashlib
 import json
 import os
 import re
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 from math import prod
+from operator import or_
 
 import numpy as np
 
@@ -59,32 +59,6 @@ from . import kernels
 from .errors import BoxTooLarge, UnboundedContribution
 from .fan import Fan, PicClass
 from .intlinalg import rational_rank
-
-
-def reduced_cohomology_ranks(facets, top_dim):
-    """Ranks over Q of reduced simplicial cohomology in degrees -1..top_dim.
-
-    facets are the maximal faces of the complex, as sets of vertices.
-    Convention: the empty complex (no faces but the empty face) has rank 1
-    in degree -1.
-    """
-    levels = [set() for _ in range(top_dim + 2)]  # level d+1 holds the dim-d faces
-    levels[0].add(frozenset())
-    for facet in facets:
-        for k in range(1, len(facet) + 1):
-            levels[k].update(map(frozenset, combinations(facet, k)))
-    # cob[lv] is the rank of the coboundary into level lv from the one below,
-    # with 0 below level 0 and above the top level
-    cob = [0]
-    for lower, upper in zip(levels, levels[1:]):
-        column = {f: i for i, f in enumerate(lower)}
-        rows = [[0] * len(lower) for _ in upper]
-        for row, g in zip(rows, upper):
-            for pos, v in enumerate(sorted(g)):
-                row[column[g - {v}]] = (-1) ** pos
-        cob.append(rational_rank(rows))
-    cob.append(0)
-    return tuple(len(faces) - cob[lv] - cob[lv + 1] for lv, faces in enumerate(levels))
 
 
 CACHE_VERSION = "excol-hvectors-1"
@@ -321,36 +295,44 @@ def _polytope_boxes(fan: Fan, coeff_rows, verts, masks):
     return tuple(np.concatenate(x) for x in zip(*out))
 
 
-# Reduced-cohomology ranks of the support complexes of one labelled
-# combinatorial type (fan.max_cones): row `mask` holds the ranks, in degrees
-# -1..dim-1, of the complex the max cones induce on the rays in mask.
-# Shared by every fan object of the type.
-_RANK_TABLES = {}
+_RANK_TABLES = {}  # fan.max_cones -> _support_ranks(fan)
 
 
 def _support_ranks(fan: Fan):
-    """The rank table of fan's type, filled whole on first use.
-
-    The support complexes are induced subcomplexes of the boundary sphere,
-    so by Alexander duality row full ^ S is row S reversed: one call, on the
-    side without the last ray, fills a pair.  A pair with a nonempty face
-    (a simplex, contractible) on either side is 0.
-    """
-    ranks = _RANK_TABLES.get(fan.max_cones)
-    if ranks is not None:
-        return ranks
-    full = (1 << fan.n_rays) - 1
-    masks = np.arange(full + 1)
-    cones = np.array([sum(1 << i for i in cone) for cone in fan.max_cones], dtype=np.int64)
-    face = ((masks[:, None] & ~cones) == 0).any(axis=1) & (masks != 0)
-    ranks = np.zeros((len(masks), fan.dim + 1), dtype=np.int64)
-    # full ^ mask == full - mask, so face[::-1] tests the complement
-    for mask in masks[~face & ~face[::-1] & (masks <= full >> 1)].tolist():
-        facets = {frozenset(i for i in cone if mask >> i & 1) for cone in fan.max_cones}
-        ranks[mask] = reduced_cohomology_ranks(facets, fan.dim - 1)
-        ranks[full ^ mask] = ranks[mask][::-1]
-    _RANK_TABLES[fan.max_cones] = ranks
-    return ranks
+    """(masks, ranks) of fan's type: the support sets S, ascending, whose
+    complex (the max cones induced on S) has nonzero reduced cohomology, and
+    its ranks in degrees -1..dim-1, one row per mask.  Hochster's formula:
+    dim H~_{|S|-k-1} = beta_{k,S}, the homology of the multidegree-S strand
+    of the Taylor resolution of the Stanley-Reisner ideal, which the
+    primitive collections P_j generate: the sets J of P_j's with union S, in
+    degree |J| (Miller-Sturmfels, GTM 227, ch. 1 and 4)."""
+    if fan.max_cones not in _RANK_TABLES:
+        prims = [sum(1 << i for i in p) for p in fan.primitive_collections]
+        strands = {}  # S -> its sets J, as tuples of indices into prims
+        for k in range(len(prims) + 1):
+            for J in combinations(range(len(prims)), k):
+                strands.setdefault(reduce(or_, (prims[j] for j in J), 0), []).append(J)
+        rows = {}
+        for union, basis in sorted(strands.items()):
+            # the differential sends J to the sum over pos of (-1)^pos times J
+            # without its pos-th entry, and the strand keeps the terms in basis
+            blocks = {}  # |J| -> the rows of its sets J
+            for J in basis:
+                coeffs = [0] * len(basis)
+                for pos in range(len(J)):
+                    if (face := J[:pos] + J[pos + 1 :]) in basis:
+                        coeffs[basis.index(face)] = (-1) ** pos
+                blocks.setdefault(len(J), []).append(coeffs)
+            d = {k: rational_rank(block) for k, block in blocks.items()}  # degree k to k-1
+            row = [0] * (fan.dim + 1)
+            for k, block in blocks.items():
+                if beta := len(block) - d[k] - d.get(k + 1, 0):
+                    row[union.bit_count() - k] = beta  # the rank in degree |S|-k-1
+            if any(row):
+                rows[union] = row
+        ranks = np.array(list(rows.values()), dtype=np.int64).reshape(-1, fan.dim + 1)
+        _RANK_TABLES[fan.max_cones] = np.array(list(rows), dtype=np.int64), ranks
+    return _RANK_TABLES[fan.max_cones]
 
 
 def _dims_of_divisors(fan: Fan, coeff_rows):
@@ -365,10 +347,11 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
     """
     lo, hi, verts = _boxes(fan, coeff_rows)
     _admit(fan, coeff_rows, lo, hi)
-    ranks = _support_ranks(fan)
-    rows, masks, lo, hi = _polytope_boxes(fan, coeff_rows, verts, np.flatnonzero(ranks.any(axis=1)))
+    support, ranks = _support_ranks(fan)
+    rows, masks, lo, hi = _polytope_boxes(fan, coeff_rows, verts, support)
     h = np.zeros((len(coeff_rows), fan.dim + 1), dtype=np.int64)
     if len(rows):
+        ranks = ranks[np.searchsorted(support, masks)]  # one row per box
         coeffs, rays = (np.array(x, dtype=np.int64) for x in (coeff_rows, fan.rays))
         counts, shells = kernels.count_support_sets(lo, hi, rays, coeffs[rows], masks)
         if shells.any():
@@ -376,10 +359,10 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
             raise UnboundedContribution(
                 f"T-divisor {tuple(coeff_rows[rows[i]])} in box lo={lo[i].tolist()} "
                 f"hi={hi[i].tolist()}: support set {masks[i]:b} on the inflated "
-                f"boundary has reduced cohomology {tuple(ranks[masks[i]].tolist())}"
+                f"boundary has reduced cohomology {tuple(ranks[i].tolist())}"
             )
-        # ranks[mask, i] is the rank in degree i-1, which adds to h^i
-        np.add.at(h, rows, counts[:, None] * ranks[masks])
+        # ranks[:, i] is the rank in degree i-1, which adds to h^i
+        np.add.at(h, rows, counts[:, None] * ranks)
     return [tuple(x) for x in h.tolist()]
 
 

@@ -92,6 +92,21 @@ class Fan:
             raise InvalidSpec("declared basis divisors are not a Z-basis of Pic")
         return inv
 
+    @cached_property
+    def primitive_collections(self):
+        """The minimal sets of rays in no max cone (Batyrev), as sorted tuples
+        of ray indices, ascending: the minimal transversals of the max cones'
+        complements, by Berge's algorithm."""
+        rays = range(self.n_rays)
+        found = {0}  # ray sets as bit masks
+        for cone in self.max_cones:
+            rest = [1 << i for i in rays if i not in cone]
+            met = {t for t in found if any(t & r for r in rest)}
+            # t | r for t in found - met is minimal unless it holds a met set
+            grown = {t | r for t in found - met for r in rest}
+            found = met | {g for g in grown if not any(u & g == u for u in met)}
+        return tuple(sorted(tuple(i for i in rays if t >> i & 1) for t in found))
+
     def spans_cone(self, idx) -> bool:
         """Whether the rays with indices idx all lie in one maximal cone."""
         idx = set(idx)

@@ -33,10 +33,12 @@ def ext_table(fan: Fan, classes, cache=None):
             raise NonLineBundlePresent(f"not a line bundle class: {cls!r}")
         if cls.basis != fan.basis_tag:
             raise ValueError("class belongs to a different fan")
+        fan.pic_class(cls.coords)  # integer coordinates, as many as the Picard rank
     coords = [cls.coords for cls in classes]
     diffs = [[tuple(map(sub, b, a)) for b in coords] for a in coords]
     distinct = list(dict.fromkeys(d for row in diffs for d in row))
-    hom = dict(zip(distinct, cohomology_dims_many(fan, list(map(fan.pic_class, distinct)), cache)))
+    batch = [PicClass(d, fan.basis_tag) for d in distinct]
+    hom = dict(zip(distinct, cohomology_dims_many(fan, batch, cache)))
     return [[hom[d] for d in row] for row in diffs]
 
 
@@ -94,17 +96,17 @@ def certify(fan: Fan, classes, cache=None) -> Report:
             check, bad = _cell_check(i, j, table[i][j])
             if bad:
                 violations.append((check, i, j, table[i][j]))
-    failed = {v[0] for v in violations}
     gram = [[sum(h[::2]) - sum(h[1::2]) for h in row] for row in table]
     if any(gram[i][j] != (i == j) for i in range(n) for j in range(i + 1)):
         violations.append(("gram", -1, -1, ()))
+    failed = {v[0] for v in violations}
     payload = json.dumps([list(c.coords) for c in classes])
     return Report(
         exceptional="exceptional" not in failed,
         semiorthogonal="semiorthogonal" not in failed,
         strong="strong" not in failed,
         gram=gram,
-        gram_determinant=determinant(gram),
+        gram_determinant=determinant(gram) if "gram" in failed else 1,
         length_expected=len(fan.max_cones),
         length_actual=n,
         violations=violations,

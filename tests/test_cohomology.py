@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
 import re
 
@@ -31,7 +32,6 @@ from excol.cohomology import (
     _polytope_boxes,
     _support_ranks,
     cohomology_dims_many,
-    reduced_cohomology_ranks,
 )
 from excol import cohomology, kernels
 from excol.cli import enumerate_centers, enumerate_specs
@@ -39,7 +39,12 @@ from excol.errors import BoxTooLarge, InvalidSpec, UnboundedContribution
 from excol.fan import Fan
 from excol.intlinalg import determinant, inverse
 from excol.verify import certify
-from oracle_helpers import euler_pairing
+from oracle_helpers import (
+    dense_rank_table,
+    euler_pairing,
+    induced_ranks,
+    reduced_cohomology_ranks,
+)
 
 
 def test_reduced_cohomology_empty_complex():
@@ -339,7 +344,7 @@ def test_batched_boxes_match_per_class_boxes(data):
 
 
 def _nonacyclic_masks(fan):
-    return np.flatnonzero(_support_ranks(fan).any(axis=1))
+    return _support_ranks(fan)[0]
 
 
 def _python_polytope_boxes(fan, coeffs, masks):
@@ -818,17 +823,23 @@ def test_slab_kernel_matches_brute_force(monkeypatch, lo, hi, chunk_points):
         _assert_kernel_matches_brute_force(lo, hi, rays, coeffs)
 
 
-@functools.lru_cache(maxsize=None)
-def _induced_ranks(fan, mask):
-    facets = {frozenset(i for i in cone if mask >> i & 1) for cone in fan.max_cones}
-    return reduced_cohomology_ranks(facets, fan.dim - 1)
+_induced_ranks = functools.cache(induced_ranks)
 
 
-def _labelled_types():
-    """{max_cones: fan} over P^1..P^4 and the X and blow-up fans of the
-    s + r <= 4, degree <= 1 family: the types test_rank_tables_frozen covers."""
-    fans = [projective_space_fan(n) for n in range(1, 5)]
-    for spec in enumerate_specs(4, 1):
+def _dense(fan):
+    """fan's rank rows rebuilt into one row per mask of all 2^n_rays."""
+    masks, ranks = _support_ranks(fan)
+    table = np.zeros((1 << fan.n_rays, fan.dim + 1), dtype=np.int64)
+    table[masks] = ranks
+    return table
+
+
+def _labelled_types(max_dim=4):
+    """{max_cones: fan} over P^1..P^max_dim and the X and blow-up fans of
+    the s + r <= max_dim, degree <= 1 family; max_dim 4 gives the types
+    test_rank_tables_frozen covers."""
+    fans = [projective_space_fan(n) for n in range(1, max_dim + 1)]
+    for spec in enumerate_specs(max_dim, 1):
         fans.append(build_projective_bundle_fan(spec))
         for codim in (2, 3):
             fans.extend(make_blowup(spec, c).fan_xt for c in enumerate_centers(spec, codim))
@@ -844,16 +855,20 @@ def _labelled_types():
 )
 def test_rank_table_matches_support_complexes(spec, center):
     fan = make_blowup(spec, CenterSpec(frozenset(center))).fan_xt
-    table = _support_ranks(fan)
-    assert [tuple(row) for row in table.tolist()] == [
+    masks, ranks = _support_ranks(fan)
+    assert masks.tolist() == sorted(masks.tolist()) and ranks.any(axis=1).all()
+    assert [tuple(row) for row in _dense(fan).tolist()] == [
         _induced_ranks(fan, mask) for mask in range(1 << fan.n_rays)
     ]
 
 
 def test_rank_tables_match_support_complexes_over_family():
-    """Every row of every table is the directly computed rank vector of its
-    support complex, and the direct ranks of S and of its complement are
-    mirror images (Alexander duality on the boundary sphere)."""
+    """On the 4/1 types and one degree-2 type, every row of every table is
+    the directly computed rank vector of its support complex, and the
+    direct ranks of S and of its complement are mirror images (Alexander
+    duality on the boundary sphere), as dense_rank_table assumes.  On the
+    215 further types of 5/1, the rows are the nonzero rows of
+    dense_rank_table."""
     types = _labelled_types()
     assert len(types) == 137
     # and one degree-2 type outside the family
@@ -861,46 +876,64 @@ def test_rank_tables_match_support_complexes_over_family():
     types[fan.max_cones] = fan
     for cones, fan in types.items():
         full = (1 << fan.n_rays) - 1
-        table = [tuple(row) for row in _support_ranks(fan).tolist()]
+        table = [tuple(row) for row in _dense(fan).tolist()]
         for mask in range(full + 1):
             direct = _induced_ranks(fan, mask)
             assert table[mask] == direct, (cones, mask)
             assert _induced_ranks(fan, full ^ mask) == direct[::-1], (cones, mask)
+    more = {cones: fan for cones, fan in _labelled_types(5).items() if cones not in types}
+    assert len(more) == 215
+    for cones, fan in more.items():
+        masks, ranks = _support_ranks(fan)
+        reference = dense_rank_table(fan)
+        nonzero = np.flatnonzero(reference.any(axis=1))
+        assert masks.tolist() == nonzero.tolist(), cones
+        assert ranks.tolist() == reference[nonzero].tolist(), cones
 
 
-def test_rank_table_computes_each_complementary_pair_once(monkeypatch):
-    """A fresh table makes one reduced_cohomology_ranks call per pair
-    {S, S^c} at most: no vertex set twice, none with its complement."""
+def test_rank_table_makes_at_most_2_to_the_m_rank_calls(monkeypatch):
+    """A fresh table of a type with m primitive collections makes at most
+    2^m rational_rank calls, one per Taylor basis set J at most, and its
+    nonzero rows are unions of primitive collections; a second fan of the
+    type makes none."""
     monkeypatch.setattr(cohomology, "_RANK_TABLES", {})
-    seen = []
-    real = cohomology.reduced_cohomology_ranks
+    calls = []
+    real = cohomology.rational_rank
 
-    def counted(facets, top_dim):
-        seen.append(frozenset().union(*facets))
-        return real(facets, top_dim)
+    def counted(matrix):
+        calls.append(matrix)
+        return real(matrix)
 
-    monkeypatch.setattr(cohomology, "reduced_cohomology_ranks", counted)
-    fan = make_blowup(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
-    assert fan.dim == 4
-    _support_ranks(fan)
-    rays = frozenset(range(fan.n_rays))
-    assert seen and len(set(seen)) == len(seen)
-    assert not {rays - s for s in seen} & set(seen)
+    monkeypatch.setattr(cohomology, "rational_rank", counted)
+    total = 0
+    for fan in _labelled_types(3).values():
+        calls.clear()
+        masks, _ranks = _support_ranks(fan)
+        prims = [sum(1 << i for i in p) for p in fan.primitive_collections]
+        assert len(calls) <= 1 << len(prims)
+        total += len(calls)
+        unions = {
+            functools.reduce(operator.or_, J, 0)
+            for k in range(len(prims) + 1)
+            for J in itertools.combinations(prims, k)
+        }
+        assert set(masks.tolist()) <= unions
+    assert total
+    spec, center = BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "f1"}))
+    _support_ranks(make_blowup(spec, center).fan_xt)
+    calls.clear()
+    _support_ranks(make_blowup(spec, center).fan_xt)
+    assert calls == []
 
 
 def test_rank_tables_frozen():
     """One digest over the rank table of every labelled type of P^1..P^4 and
-    of the s + r <= 4, degree <= 1 family, X and blow-up fans alike."""
-    fans = [projective_space_fan(n) for n in range(1, 5)]
-    for spec in enumerate_specs(4, 1):
-        fans.append(build_projective_bundle_fan(spec))
-        for codim in (2, 3):
-            for center in enumerate_centers(spec, codim):
-                fans.append(make_blowup(spec, center).fan_xt)
-    types = {fan.max_cones: fan for fan in fans}
+    of the s + r <= 4, degree <= 1 family, X and blow-up fans alike, each
+    rebuilt with one row per mask."""
+    types = _labelled_types()
     digest = hashlib.sha256()
     for cones in sorted(types):
-        digest.update(json.dumps([cones, _support_ranks(types[cones]).tolist()]).encode())
+        digest.update(json.dumps([cones, _dense(types[cones]).tolist()]).encode())
     assert len(types) == 137
     assert digest.hexdigest() == (
         "8f3085445fa7df5cc543213b0b1388fafac626cf0d3e388f7fb0762c52a73440"
@@ -917,7 +950,27 @@ def test_rank_table_is_shared_per_labelled_type():
     # same number of rays, other cones: a table of its own, with its own ranks
     assert c.n_rays == a.n_rays and c.max_cones != a.max_cones
     assert _support_ranks(c) is not _support_ranks(a)
-    assert _support_ranks(c).tolist() != _support_ranks(a).tolist()
+    assert _dense(c).tolist() != _dense(a).tolist()
+
+
+def test_rank_rows_of_a_16_ray_blowup():
+    """P^12 x P^1 blown up along b1, f1: 16 rays, where a dense table has
+    65,536 rows.  Its 5 primitive collections give 12 nonzero rows, the
+    ones a complex of at most 3 vertices, checked directly, or of at least
+    13, mirrored from its complement's by Alexander duality; and h(O) is
+    (1, 0, ..., 0), as on every smooth complete toric variety."""
+    fan = make_blowup(BundleSpec(12, (0, 0)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
+    assert (fan.n_rays, fan.dim) == (16, 13)
+    masks, ranks = _support_ranks(fan)
+    assert len(fan.primitive_collections) == 5 and len(masks) == 12
+    full = (1 << fan.n_rays) - 1
+    for mask, row in zip(masks.tolist(), ranks.tolist()):
+        if mask.bit_count() <= 3:
+            assert tuple(row) == _induced_ranks(fan, mask), mask
+        else:
+            assert (full ^ mask).bit_count() <= 3, mask
+            assert tuple(row) == _induced_ranks(fan, full ^ mask)[::-1], mask
+    assert cohomology_dims(fan, fan.pic_class((0, 0, 0))) == (1,) + (0,) * fan.dim
 
 
 def test_batch_sweeps_each_missing_class_once(monkeypatch):

@@ -299,3 +299,37 @@ def test_canonical_json_is_stable(bl_p1p1):
     spec, center = bl_p1p1.spec, bl_p1p1.center
     again = make_blowup(spec, center)
     assert again.fan_xt.canonical_json == bl_p1p1.fan_xt.canonical_json
+
+
+def test_primitive_collection_counts():
+    """Batyrev's counts, per labelled type of _family_fans: 1 on P^n (all
+    its rays), 2 on X (the base and the fiber rays), 3 or 5 on a blow-up."""
+    for n in range(1, 6):
+        assert projective_space_fan(n).primitive_collections == (tuple(range(n + 1)),)
+    X = build_projective_bundle_fan(BundleSpec(2, (0, 1, 1)))
+    assert X.primitive_collections == ((0, 1, 2), (3, 4, 5))
+    counts = {}
+    for fan in _family_fans():
+        m = len(fan.primitive_collections)
+        counts.setdefault(fan.pic_rank, {}).setdefault(m, set()).add(fan.max_cones)
+    assert {rank: {m: len(t) for m, t in by_m.items()} for rank, by_m in counts.items()} == {
+        1: {1: 5},
+        2: {2: 10},
+        3: {3: 98, 5: 239},
+    }
+
+
+def test_primitive_collections_are_the_minimal_non_faces():
+    """On every 4/1 type, a ray set lies in a max cone iff it holds no
+    primitive collection, and each primitive collection less any one ray
+    lies in a max cone."""
+    types = {fan.max_cones: fan for fan in _family_fans() if fan.dim <= 4}
+    assert len(types) == 137
+    for cones, fan in types.items():
+        maxes = [sum(1 << i for i in cone) for cone in cones]
+        prims = [sum(1 << i for i in p) for p in fan.primitive_collections]
+        for mask in range(1 << fan.n_rays):
+            in_cone = any(mask & m == mask for m in maxes)
+            assert in_cone == (not any(p & mask == p for p in prims)), (cones, mask)
+        for p in fan.primitive_collections:
+            assert all(fan.spans_cone(set(p) - {i}) for i in p), (cones, p)

@@ -51,6 +51,28 @@ def test_ext_table_rejects_a_class_of_another_fan():
         ext_table(fan, [projective_space_fan(3).pic_class((1,))])
 
 
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ((1.5,), r"integers: \(1\.5,\)"),
+        ((True,), r"integers: \(True,\)"),
+        ((1, 0), "wrong number of Picard coordinates"),
+    ],
+)
+def test_ext_table_checks_each_input_class_before_the_oracle(monkeypatch, coords, message):
+    """A class with a non-integer or bool coordinate, or too many, raises
+    ValueError naming it, not a difference, before any oracle call."""
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr(verify_module, "cohomology_dims_many", oracle)
+    fan, classes = _beilinson(2)
+    bad = dataclasses.replace(classes[1], coords=coords)
+    with pytest.raises(ValueError, match=message):
+        ext_table(fan, [bad] + classes)
+
+
 def test_ext_table_batches_each_distinct_difference_once(monkeypatch):
     """ext_table hands the oracle each distinct difference b - a exactly
     once, and its table equals per-cell cohomology_dims: on a few 4/1
@@ -125,6 +147,25 @@ def test_gram_determinant_absolute_value_is_permutation_invariant():
     base = certify(fan, classes)
     perm = certify(fan, [classes[2], classes[0], classes[1]])
     assert abs(perm.gram_determinant) == abs(base.gram_determinant) == 1
+
+
+def test_gram_determinant_only_computed_when_gram_fails(monkeypatch):
+    """A unitriangular Gram matrix reports determinant 1 without computing
+    it; a failing one reports its exact determinant."""
+    dets = []
+    real = verify_module.determinant
+
+    def counted(m):
+        dets.append(m)
+        return real(m)
+
+    monkeypatch.setattr(verify_module, "determinant", counted)
+    fan, classes = _beilinson(3)
+    assert certify(fan, classes).gram_determinant == 1 and dets == []
+    p1 = projective_space_fan(1)
+    report = certify(p1, [p1.pic_class((0,)), p1.pic_class((2,))])
+    assert report.gram == [[1, 3], [-1, 1]]
+    assert report.gram_determinant == 4 and dets == [report.gram]
 
 
 def test_report_json_shape():
