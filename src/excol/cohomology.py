@@ -22,18 +22,18 @@ DiskCache already holds:
   add to h.  By Hochster's formula its ranks are Betti numbers, read off
   the Taylor resolution on the fan's m primitive collections, so S is one
   of their at most 2^m unions; one table per labelled combinatorial type
-  (max cones) serves every fan of the type (_support_ranks).
+  (max cones) serves every fan of the type (_support_ranks), and certifies
+  that the polytopes P_S of each of its rows are bounded (_bounded).
 - polytopes: the characters with support set S are the lattice points of
-  a polytope P_S, whose vertices are arrangement vertices of the divisor
-  shifted by 1 on S, taken from the same product (_polytope_boxes).  A
-  vertex meets the inequalities of its own dim rays with equality, so only
-  the p rays off it are tested, from a (p x vertices x rays) map.  For
-  S with nonzero ranks a non-empty P_S is bounded, so its box lies inside
-  the class's admission box and needs no check of its own.
+  P_S, whose vertices are arrangement vertices of the divisor shifted by 1
+  on S, taken from the same product (_polytope_boxes).  A vertex meets the
+  inequalities of its own dim rays with equality, so only the p rays off
+  it are tested, from a (p x vertices x rays) map.  A bounded P_S is the
+  hull of its vertices, so their exact lattice box holds all its points.
 - sweep: one call of the numpy kernel excol.kernels.count_support_sets
-  counts the characters with support S over the box of every non-empty P_S
-  of the batch, as exact intervals along one axis, and h is the sum of
-  those counts times the ranks of S.
+  counts the characters with support S over every non-empty lattice box of
+  the batch, as exact intervals along one axis, and h is the sum of those
+  counts times the ranks of S.
 
 No h-vector is kept in memory between batches, only the vertex maps and
 rank tables.  Only a caller that passes a DiskCache (one append-only file
@@ -261,7 +261,8 @@ def _polytope_boxes(fan: Fan, coeff_rows, verts, masks):
 
         P_S(a) = {u : <u, v_rho> <= -a_rho - 1 for rho in S, >= -a_rho else}
 
-    is not empty: the bounding box [lo, hi] of its vertices, inflated by 1.
+    has lattice points in [lo, hi] = [ceil(min), floor(max)] of its vertices
+    (the kernel takes no empty box: it divides by the box widths).
 
     P_S(a) is cut out by the arrangement of b = a + 1_S, so its vertices are
     the arrangement vertices of b that meet every inequality: verts (the
@@ -289,10 +290,25 @@ def _polytope_boxes(fan: Fan, coeff_rows, verts, masks):
         rows, ms = np.nonzero(vertex.any(axis=0).T)
         nums = verts[:, :, start + rows] + mask_verts[:, :, ms]
         keep = vertex[:, ms, rows][:, None]
-        lo = np.where(keep, nums // dets[:, :, None], _INT64_MAX).min(axis=0).T - 1
-        hi = np.where(keep, -(-nums // dets[:, :, None]), -_INT64_MAX).max(axis=0).T + 1
-        out.append((start + rows, masks[ms], lo, hi))
+        lo = np.where(keep, -(-nums // dets[:, :, None]), _INT64_MAX).min(axis=0).T
+        hi = np.where(keep, nums // dets[:, :, None], -_INT64_MAX).max(axis=0).T
+        lattice = (lo <= hi).all(axis=1)
+        out.append((start + rows[lattice], masks[ms[lattice]], lo[lattice], hi[lattice]))
     return tuple(np.concatenate(x) for x in zip(*out))
+
+
+def _bounded(fan: Fan, mask):
+    """Whether the polytopes P_S(a) of the support set S in mask are bounded:
+    iff the rays, negated on S, positively span M (Ziegler, Lectures on
+    Polytopes, ch. 6), iff (Gale duality) the rows r of C = B^-1[:, :p],
+    negated on S, have an x with all r . x > 0, decided by Fourier-Motzkin."""
+    rows = {tuple(-c if mask >> i & 1 else c for c in r[: fan.pic_rank])
+            for i, r in enumerate(fan._basis_inverse)}
+    for j in range(fan.pic_rank):
+        up, down = [r for r in rows if r[j] > 0], [r for r in rows if r[j] < 0]
+        pairs = {tuple(x * -n[j] + y * a[j] for x, y in zip(a, n)) for a in up for n in down}
+        rows = {r for r in rows if not r[j]} | pairs
+    return not rows
 
 
 _RANK_TABLES = {}  # fan.max_cones -> _support_ranks(fan)
@@ -305,7 +321,8 @@ def _support_ranks(fan: Fan):
     dim H~_{|S|-k-1} = beta_{k,S}, the homology of the multidegree-S strand
     of the Taylor resolution of the Stanley-Reisner ideal, which the
     primitive collections P_j generate: the sets J of P_j's with union S, in
-    degree |J| (Miller-Sturmfels, GTM 227, ch. 1 and 4)."""
+    degree |J| (Miller-Sturmfels, GTM 227, ch. 1 and 4).  A row S with an
+    unbounded P_S (none on a complete fan) raises UnboundedContribution."""
     if fan.max_cones not in _RANK_TABLES:
         prims = [sum(1 << i for i in p) for p in fan.primitive_collections]
         strands = {}  # S -> its sets J, as tuples of indices into prims
@@ -329,6 +346,10 @@ def _support_ranks(fan: Fan):
                 if beta := len(block) - d[k] - d.get(k + 1, 0):
                     row[union.bit_count() - k] = beta  # the rank in degree |S|-k-1
             if any(row):
+                if not _bounded(fan, union):
+                    raise UnboundedContribution(
+                        f"fan {fan.basis_tag}: support set {union:b}, ranks {tuple(row)}: unbounded"
+                    )
                 rows[union] = row
         ranks = np.array(list(rows.values()), dtype=np.int64).reshape(-1, fan.dim + 1)
         _RANK_TABLES[fan.max_cones] = np.array(list(rows), dtype=np.int64), ranks
@@ -342,8 +363,8 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
     touched and before the first sweep.  h is the sum, over the support
     sets S with nonzero reduced cohomology, of the lattice points of P_S
     (_polytope_boxes) times the ranks of S, all counted in one kernel call.
-    A point on a box's boundary raises UnboundedContribution, since the box
-    must hold the whole polytope.
+    The rank table certifies every such P_S bounded (_bounded), so its
+    lattice box holds all of it.
     """
     lo, hi, verts = _boxes(fan, coeff_rows)
     _admit(fan, coeff_rows, lo, hi)
@@ -351,18 +372,10 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
     rows, masks, lo, hi = _polytope_boxes(fan, coeff_rows, verts, support)
     h = np.zeros((len(coeff_rows), fan.dim + 1), dtype=np.int64)
     if len(rows):
-        ranks = ranks[np.searchsorted(support, masks)]  # one row per box
         coeffs, rays = (np.array(x, dtype=np.int64) for x in (coeff_rows, fan.rays))
-        counts, shells = kernels.count_support_sets(lo, hi, rays, coeffs[rows], masks)
-        if shells.any():
-            i = (shells > 0).argmax()
-            raise UnboundedContribution(
-                f"T-divisor {tuple(coeff_rows[rows[i]])} in box lo={lo[i].tolist()} "
-                f"hi={hi[i].tolist()}: support set {masks[i]:b} on the inflated "
-                f"boundary has reduced cohomology {tuple(ranks[i].tolist())}"
-            )
+        counts = kernels.count_support_sets(lo, hi, rays, coeffs[rows], masks)
         # ranks[:, i] is the rank in degree i-1, which adds to h^i
-        np.add.at(h, rows, counts[:, None] * ranks)
+        np.add.at(h, rows, counts[:, None] * ranks[np.searchsorted(support, masks)])
     return [tuple(x) for x in h.tolist()]
 
 

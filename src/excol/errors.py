@@ -18,8 +18,8 @@ class NotACone(ExcolError):
 
 
 class UnboundedContribution(ExcolError):
-    """A chamber on the inflated search-box boundary contributed nonzero
-    reduced cohomology; for a complete fan this indicates an internal bug."""
+    """A support set with nonzero reduced cohomology has unbounded character
+    polytopes, which no complete fan allows: this indicates an internal bug."""
 
 
 class BoxTooLarge(ExcolError):

@@ -24,9 +24,9 @@ _MIN, _MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 def count_support_sets(lo, hi, rays, coeffs, masks):
-    """(counts, shells), both (B,): the points of each box [lo, hi] (B x n,
-    inclusive) whose support set is exactly its mask (B,), and how many of
-    them lie on the box boundary.  rays is R x n, coeffs B x R."""
+    """(B,) counts: the points of each box [lo, hi] (B x n, inclusive, lo <=
+    hi on every axis) whose support set is exactly its mask (B,).  rays is
+    R x n, coeffs B x R."""
     lo, hi, rays, coeffs, masks = (np.asarray(x, np.int64) for x in (lo, hi, rays, coeffs, masks))
     widths = hi - lo + 1
     rest = widths.prod(axis=1)[:, None] // widths  # rest points per box and axis
@@ -51,17 +51,16 @@ def count_support_sets(lo, hi, rays, coeffs, masks):
     ])
     divisors = [(r, int(abs(slope[r]))) for r in np.flatnonzero(abs(slope) > 1).tolist()]
     tests, nrays, total = np.flatnonzero(slope == 0).tolist(), len(rays), int(rest[:, k].sum())
-    out = np.zeros((2, len(lo)), dtype=np.int64)
+    out = np.zeros(len(lo), dtype=np.int64)
     for begin in range(0, total, CHUNK_POINTS):
         end = min(begin + CHUNK_POINTS, total)
         b0, b1 = np.searchsorted(ends, begin, side="right"), np.searchsorted(starts, end)
         segments = np.maximum(starts[b0:b1] - begin, 0)
         rows = table[:, b0:b1].repeat(np.diff(segments, append=end - begin), axis=1)
         value, caps, width = rows[:nrays], rows[nrays : 2 * nrays], rows[2 * nrays]
-        index, edge = np.arange(begin, end) - rows[-1], np.zeros(end - begin, dtype=bool)
+        index = np.arange(begin, end) - rows[-1]
         for d, size in zip(others, rows[2 * nrays + 1 : -1]):
             index, digit = np.divmod(index, size)
-            edge |= (digit == 0) | (digit == size - 1)
             value += rays[:, d, None] * digit
         for r, divisor in divisors:
             value[r] //= divisor
@@ -69,7 +68,5 @@ def count_support_sets(lo, hi, rays, coeffs, masks):
             value[r] = (value[r] >> 63) & _MAX
         low = np.maximum(0, np.minimum(value, caps).max(axis=0))
         high = np.minimum(width, np.maximum(value, caps).min(axis=0))
-        count = np.maximum(high, low) - low
-        shell = np.where(edge, count, np.minimum(count, (low == 0) + (high == width) * 1))
-        out[:, b0:b1] += np.add.reduceat(np.stack([count, shell]), segments, axis=1)
-    return out[0], out[1]
+        out[b0:b1] += np.add.reduceat(np.maximum(high, low) - low, segments)
+    return out

@@ -1,11 +1,12 @@
 """Test-only helpers built on the cohomology oracle."""
 
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 
 from excol import cohomology_dims
-from excol.intlinalg import rational_rank
+from excol.intlinalg import determinant, rational_rank
 
 
 def euler_pairing(fan, a, b):
@@ -63,3 +64,27 @@ def dense_rank_table(fan):
         ranks[mask] = induced_ranks(fan, mask)
         ranks[full ^ mask] = ranks[mask][::-1]
     return ranks
+
+
+@cache
+def _edge_directions(rays):
+    """(2K x n_rays) products <u, v_rho> of +-u for every nonzero u that spans
+    the kernel of some dim - 1 rays: u_i = (-1)^i times the minor without
+    column i, exactly."""
+    dim = len(rays[0])
+    found = []
+    for subset in combinations(rays, dim - 1):
+        u = [(-1) ** i * determinant([r[:i] + r[i + 1 :] for r in subset]) for i in range(dim)]
+        if any(u):
+            found += [u, [-x for x in u]]
+    return np.array(found, dtype=object).reshape(-1, dim) @ np.array(rays, dtype=object).T
+
+
+def polytopes_bounded(fan, mask):
+    """Reference for cohomology._bounded, from the rays alone: P_S is
+    unbounded iff its recession cone {u : <u, v_rho> <= 0 on S, >= 0 off S}
+    is nonzero.  The rays span, so the cone is pointed, and then it has an
+    extreme ray, which lies in the kernel of dim - 1 rays."""
+    on = np.array([mask >> r & 1 for r in range(fan.n_rays)], dtype=bool)
+    dots = _edge_directions(fan.rays)
+    return not (np.where(on, dots <= 0, dots >= 0)).all(axis=1).any()

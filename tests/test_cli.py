@@ -358,6 +358,8 @@ def test_sweep_cache_plumbing(tmp_path, monkeypatch, capsys):
     assert run(["--no-cache"] + args) == 0
     assert rows() == cold
     assert calls and not cache.exists()
+    # every box is a non-empty lattice box
+    assert all((lo <= hi).all() for lo, hi, *_ in calls)
 
 
 def test_sweep_empty_codim3(capsys):

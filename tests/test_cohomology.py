@@ -27,6 +27,7 @@ from excol.cohomology import (
     DiskCache,
     _box_matrix,
     _admit,
+    _bounded,
     _boxes,
     _dims_of_divisors,
     _polytope_boxes,
@@ -34,7 +35,7 @@ from excol.cohomology import (
     cohomology_dims_many,
 )
 from excol import cohomology, kernels
-from excol.cli import enumerate_centers, enumerate_specs
+from excol.cli import enumerate_centers, enumerate_specs, run_case
 from excol.errors import BoxTooLarge, InvalidSpec, UnboundedContribution
 from excol.fan import Fan
 from excol.intlinalg import determinant, inverse
@@ -43,6 +44,7 @@ from oracle_helpers import (
     dense_rank_table,
     euler_pairing,
     induced_ranks,
+    polytopes_bounded,
     reduced_cohomology_ranks,
 )
 
@@ -349,8 +351,9 @@ def _nonacyclic_masks(fan):
 
 def _python_polytope_boxes(fan, coeffs, masks):
     """Reference polytope boxes of one T-divisor in Python ints: for each
-    mask S, the arrangement vertices of a + 1_S that meet every inequality
-    of P_S, one vertex map at a time."""
+    mask S, the lattice box [ceil(min), floor(max)] of the arrangement
+    vertices of a + 1_S that meet every inequality of P_S, one vertex map at
+    a time, when it holds a lattice point."""
     out = []
     for mask in masks:
         b = [c + (mask >> i & 1) for i, c in enumerate(coeffs)]
@@ -365,9 +368,10 @@ def _python_polytope_boxes(fan, coeffs, masks):
                 floors.append([x // det for x in scaled])
                 ceils.append([-(-x // det) for x in scaled])
         if floors:
-            lo = [min(col) - 1 for col in zip(*floors)]
-            hi = [max(col) + 1 for col in zip(*ceils)]
-            out.append((0, mask, lo, hi))
+            lo = [min(col) for col in zip(*ceils)]
+            hi = [max(col) for col in zip(*floors)]
+            if all(a <= b for a, b in zip(lo, hi)):
+                out.append((0, mask, lo, hi))
     return out
 
 
@@ -412,6 +416,25 @@ def test_batched_polytope_boxes_match_per_row_boxes(data):
             patch.setattr(cohomology, "SLACK_VALUES", slack_values)
             got = _polytope_boxes(fan, rows, verts, masks)
         _assert_same_polytopes(got, want, fan.dim)
+
+
+def test_polytope_boxes_drop_empty_lattice_boxes():
+    """P_S(a) can have vertices but no lattice point in their box: on the
+    Hirzebruch fan of O + O(2) over P^1, S = {x0, x1, x3} and a = (3, 6, -2,
+    2) give lo = [-7, -5], hi = [-7, -6].  No such box is formed, since the
+    kernel divides by the box widths; every mask is checked against the
+    reference."""
+    fan = build_projective_bundle_fan(BundleSpec(1, (0, 2)))
+    rows = [(3, 6, -2, 2), (5, 6, 3, -4)]
+    masks = np.arange(1 << fan.n_rays)
+    want = [
+        (i, mask, lo, hi)
+        for i, coeffs in enumerate(rows)
+        for _row, mask, lo, hi in _python_polytope_boxes(fan, coeffs, masks.tolist())
+    ]
+    got = _polytope_boxes(fan, rows, _boxes(fan, rows)[2], masks)
+    _assert_same_polytopes(got, want, fan.dim)
+    assert 0b1011 not in got[1].tolist()
 
 
 def _guard_edge(fan):
@@ -493,18 +516,18 @@ def test_guard_edges_through_the_pass(case, edge):
 
 
 def _every_mask(lo, hi, rays, coeffs):
-    """(counts, shells) of every support set over each box (rows of lo, hi
-    and coeffs), from one kernel batch holding each box once per mask: two
-    (boxes x 2^R) lists."""
+    """The counts of every support set over each box (rows of lo, hi and
+    coeffs), from one kernel batch holding each box once per mask: a
+    (boxes x 2^R) list."""
     nmasks = 1 << len(rays)
-    counts, shells = kernels.count_support_sets(
+    counts = kernels.count_support_sets(
         np.repeat(lo, nmasks, axis=0),
         np.repeat(hi, nmasks, axis=0),
         rays,
         np.repeat(coeffs, nmasks, axis=0),
         np.tile(np.arange(nmasks), len(lo)),
     )
-    return counts.reshape(len(lo), nmasks).tolist(), shells.reshape(len(lo), nmasks).tolist()
+    return counts.reshape(len(lo), nmasks).tolist()
 
 
 def _full_box_counts(fan, coeffs):
@@ -559,23 +582,25 @@ def test_polytope_pass_matches_full_box_count(divisor):
     # arrangement box
     assert (lo <= plo).all() and (plo <= phi).all() and (phi <= hi).all()
     if len(pmasks):
-        counts, shells = kernels.count_support_sets(
-            plo, phi, fan.rays, [coeffs] * len(pmasks), pmasks
-        )
+        counts = kernels.count_support_sets(plo, phi, fan.rays, [coeffs] * len(pmasks), pmasks)
         assert counts.tolist() == [full[mask] for mask in pmasks.tolist()]
-        assert not shells.any()
 
 
-def test_unbounded_contribution_names_divisor_box_and_mask(monkeypatch):
-    """A box too small for the sections of O(4) on P^2 must fail loudly: the
-    batch's first flagged box is named, after one that holds its polytope
-    and before another too small one."""
-    fan = projective_space_fan(2)
-    boxes = [(0, 0, [-9, -9], [9, 9]), (1, 0, [-1, -1], [1, 1]), (0, 0, [0, 0], [1, 1])]
-    monkeypatch.setattr(cohomology, "_polytope_boxes", lambda *args: _polytope_arrays(boxes, 2))
-    want = r"T-divisor \(0, 4, 0\) in box lo=\[-1, -1\] hi=\[1, 1\]: support set 0 "
-    with pytest.raises(UnboundedContribution, match=want):
-        _dims_of_divisors(fan, [(0, 2, 0), (0, 4, 0)])
+def test_exact_boxes_count_what_padded_boxes_count(monkeypatch):
+    """Every box of every 4/1 certify batch, padded by 1 on every side,
+    holds no further point with the box's support set: the exact lattice
+    box of the qualifying vertices holds all of the bounded P_S, so a wrong
+    vertex set would show here."""
+    calls = _count_kernel_calls(monkeypatch)
+    for spec, center in FAMILY:
+        report, err = run_case(spec, CenterSpec(frozenset(center)), cache=False)
+        assert err is None and report.all_passed
+    assert len(calls) == len(FAMILY)
+    monkeypatch.undo()
+    for lo, hi, rays, coeffs, masks in calls:
+        counts = kernels.count_support_sets(lo, hi, rays, coeffs, masks)
+        padded = kernels.count_support_sets(lo - 1, hi + 1, rays, coeffs, masks)
+        assert np.array_equal(counts, padded)
 
 
 def test_serre_duality(bl_p2p1):
@@ -672,6 +697,8 @@ def _count_kernel_calls(monkeypatch):
     real = kernels.count_support_sets
 
     def counted(*args):
+        lo, hi = args[:2]
+        assert (lo <= hi).all()
         calls.append(args)
         return real(*args)
 
@@ -757,23 +784,20 @@ def test_box_outside_int64_is_rejected():
 def _brute_force_sweep(lo, hi, rays, coeffs):
     """Reference sweep: visit every box point and build its mask by hand."""
     counts = [0] * (1 << len(rays))
-    shell = [0] * (1 << len(rays))
     for u in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         mask = 0
         for r, (ray, c) in enumerate(zip(rays, coeffs)):
             if sum(x * y for x, y in zip(u, ray)) < -c:
                 mask |= 1 << r
         counts[mask] += 1
-        if any(x in (a, b) for x, a, b in zip(u, lo, hi)):
-            shell[mask] += 1
-    return counts, shell
+    return counts
 
 
 def _assert_kernel_matches_brute_force(lo, hi, rays, coeffs):
     """Every mask of every box of the batch, against _brute_force_sweep."""
-    counts, shells = _every_mask(lo, hi, rays, coeffs)
+    counts = _every_mask(lo, hi, rays, coeffs)
     for b in range(len(lo)):
-        assert (counts[b], shells[b]) == _brute_force_sweep(lo[b], hi[b], rays, coeffs[b])
+        assert counts[b] == _brute_force_sweep(lo[b], hi[b], rays, coeffs[b])
         assert sum(counts[b]) == np.prod([y - x + 1 for x, y in zip(lo[b], hi[b])])
 
 
@@ -814,7 +838,7 @@ def test_kernel_matches_brute_force():
 @pytest.mark.parametrize("chunk_points", [1, 2, 3])
 def test_slab_kernel_matches_brute_force(monkeypatch, lo, hi, chunk_points):
     """Chunks of 1, 2 or 3 rest points, so chunk boundaries fall inside the
-    boxes and between them, on their shells and inside."""
+    boxes and between them."""
     rng = random.Random(len(lo[0]) * 10 + chunk_points)
     monkeypatch.setattr(kernels, "CHUNK_POINTS", chunk_points)
     for _ in range(3):
@@ -973,6 +997,57 @@ def test_rank_rows_of_a_16_ray_blowup():
     assert cohomology_dims(fan, fan.pic_class((0, 0, 0))) == (1,) + (0,) * fan.dim
 
 
+def test_bounded_by_hand_on_p2():
+    """On P^2, P_S is the sections' triangle for S empty and its negative
+    for S every ray, and a cone for S = {x0}."""
+    fan = projective_space_fan(2)
+    for mask, bounded in ((0b000, True), (0b111, True), (0b001, False)):
+        assert _bounded(fan, mask) is polytopes_bounded(fan, mask) is bounded
+
+
+def test_bounded_matches_recession_cones_on_every_mask():
+    """Every mask of every fan of P^1..P^3 and of the s + r <= 3, degree <=
+    1 family, X and blow-up fans alike, against the extreme-ray reference."""
+    fans = [projective_space_fan(n) for n in range(1, 4)]
+    for spec in enumerate_specs(3, 1):
+        fans.append(build_projective_bundle_fan(spec))
+        for codim in (2, 3):
+            fans.extend(make_blowup(spec, c).fan_xt for c in enumerate_centers(spec, codim))
+    seen = set()
+    for fan in fans:
+        for mask in range(1 << fan.n_rays):
+            bounded = _bounded(fan, mask)
+            assert bounded == polytopes_bounded(fan, mask), (fan.basis_tag, mask)
+            seen.add(bounded)
+    assert seen == {True, False}
+
+
+def test_every_nonzero_row_of_the_family_is_bounded():
+    """Per fan, not per type: on every X and blow-up fan of the s + r <= 4,
+    degree <= 1 family, every nonzero rank row's S has bounded polytopes,
+    by _bounded and by the reference."""
+    fans = [build_projective_bundle_fan(spec) for spec in enumerate_specs(4, 1)]
+    fans += [_blowup(*case).fan_xt for case in FAMILY]
+    for fan in fans:
+        for mask in _nonacyclic_masks(fan).tolist():
+            assert _bounded(fan, mask) and polytopes_bounded(fan, mask), (fan.basis_tag, mask)
+
+
+def test_planted_unbounded_row_fails_the_fill_before_any_sweep(monkeypatch):
+    """A rank row whose certificate fails raises UnboundedContribution from
+    the rank fill, naming the fan, the mask and the row, before the kernel
+    sees a box; O(4) on P^2 sweeps only P_0, yet the whole table is
+    certified."""
+    fan = projective_space_fan(2)
+    monkeypatch.setattr(cohomology, "_RANK_TABLES", {})
+    monkeypatch.setattr(cohomology, "_bounded", lambda f, mask: mask != 0b111)
+    calls = _count_kernel_calls(monkeypatch)
+    want = "fan P^2: support set 111, ranks (0, 0, 1): unbounded"
+    with pytest.raises(UnboundedContribution, match=re.escape(want)):
+        cohomology_dims(fan, fan.pic_class((4,)))
+    assert calls == [] and cohomology._RANK_TABLES == {}
+
+
 def test_batch_sweeps_each_missing_class_once(monkeypatch):
     fan = projective_space_fan(2)
     calls = _count_kernel_calls(monkeypatch)
@@ -1095,6 +1170,7 @@ def test_kernel_takes_five_positional_arrays(monkeypatch):
         arrays = (lo, hi, rays, coeffs, masks)
         assert all(isinstance(x, np.ndarray) and x.dtype == np.int64 for x in arrays)
         assert [x.shape for x in arrays] == [lo.shape, lo.shape, (3, 2), (len(lo), 3), (len(lo),)]
+        assert (lo <= hi).all()
         points.append((hi - lo + 1).prod(axis=1).tolist())
         return real(lo, hi, rays, coeffs, masks)
 
@@ -1103,4 +1179,6 @@ def test_kernel_takes_five_positional_arrays(monkeypatch):
     assert cohomology_dims(fan, fan.pic_class((2,))) == (6, 0, 0)
     classes = [fan.pic_class((3,)), fan.pic_class((-5,))]
     assert cohomology_dims_many(fan, classes) == [(10, 0, 0), (0, 0, 6)]
-    assert points == [[25], [36, 25]]
+    # the exact lattice boxes of the triangles P_0 of O(2), O(3) and P_111
+    # of O(-5)
+    assert points == [[9], [16, 9]]
