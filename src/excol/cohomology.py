@@ -9,15 +9,6 @@ All h-vectors of a batch (cohomology_dims_many; cohomology_dims is a batch
 of one) are computed in one pass over its distinct classes, less those a
 DiskCache already holds:
 
-- admission: each class gets the box around the vertices of its divisor's
-  hyperplane arrangement.  Each vertex is an integer map of the divisor
-  coefficients, read off the fan's B^-1 with one p x p adjugate (p = Picard
-  rank; Jacobi, Oda-Park) into one int64 (vertices x dim x rays) map per
-  fan (_box_matrix), so the vertices of the whole batch come from one
-  matrix product, under one guard that every value the pass forms from it
-  fits in int64 (_boxes).
-  One exact pass (_admit) bounds every box's points and kernel values
-  before the rank table is touched and before the first sweep.
 - ranks: only support sets S whose complex has nonzero reduced cohomology
   add to h.  By Hochster's formula its ranks are Betti numbers, read off
   the Taylor resolution on the fan's m primitive collections, so S is one
@@ -26,10 +17,15 @@ DiskCache already holds:
   that the polytopes P_S of each of its rows are bounded (_bounded).
 - polytopes: the characters with support set S are the lattice points of
   P_S, whose vertices are arrangement vertices of the divisor shifted by 1
-  on S, taken from the same product (_polytope_boxes).  A vertex meets the
-  inequalities of its own dim rays with equality, so only the p rays off
-  it are tested, from a (p x vertices x rays) map.  A bounded P_S is the
-  hull of its vertices, so their exact lattice box holds all its points.
+  on S.  Each is an integer map of the coefficients, read off the fan's
+  B^-1 with one p x p adjugate (p = Picard rank; Jacobi, Oda-Park) into
+  one int64 (vertices x dim x rays) map per fan (_box_matrix), so the
+  vertices of the whole batch come from one matrix product, under one
+  guard that every value the pass forms fits in int64 (_polytope_boxes).
+  A vertex meets the inequalities of its own dim rays with equality, so
+  only the p rays off it are tested, from a (p x vertices x rays) map.  A
+  bounded P_S is the hull of its vertices, so their exact lattice box
+  holds all its points, and no box may hold more than MAX_BOX_POINTS.
 - sweep: one call of the numpy kernel excol.kernels.count_support_sets
   counts the characters with support S over every non-empty lattice box of
   the batch, as exact intervals along one axis, and h is the sum of those
@@ -63,10 +59,9 @@ from .intlinalg import rational_rank
 
 CACHE_VERSION = "excol-hvectors-1"
 
-# Point budget of the admission box, the arrangement box of every class
-# that _admit checks before any sweep: the largest of the reference classes
-# has 7,001,316 points, and a hostile class can ask for 10^14.  The polytope
-# boxes the kernel sweeps lie inside it.
+# Point budget of each polytope box, checked before the batch's kernel
+# call: the largest among the benchmark's reference classes has 179,712
+# points, and a hostile class can ask for 10^14.
 MAX_BOX_POINTS = 10**8
 _INT64_MAX = 2**63 - 1
 # (vertex, mask, row) values per row chunk of _polytope_boxes, the array
@@ -153,7 +148,7 @@ def _entry_pattern(pic_rank, length):
 
 
 def _box_matrix(fan: Fan):
-    """(scatter, dets, reach, tests, test_reach, off), computed once per fan.
+    """(scatter, dets, reach, tests, off), computed once per fan.
 
     scatter (vertices x dim x n_rays, int64) maps a T-divisor a to det_S
     times its arrangement vertex {u : <u, v_i> = -a_i for i in S}, for each
@@ -161,9 +156,16 @@ def _box_matrix(fan: Fan):
     det_S = |det R_S|.  The slack det_S * (<vertex, v_rho> + a_rho) of a
     vertex is 0 on the rays of S, so only the p rays off S, off (p x
     vertices, ascending per vertex), are tested: tests (p x vertices x
-    n_rays, int64) maps a to the slacks at off.  reach and test_reach bound
-    |scatter @ a| and |tests @ a| in units of max|a|: the largest L1 norms
-    of the two's rows.
+    n_rays, int64) maps a to the slacks at off.
+
+    reach bounds every value the pass forms, in units of big = max|a| + 1
+    over a batch (_polytope_boxes's guard).  With s and t the largest L1
+    norms of the rows of scatter and tests, V the largest L1 norm of a ray
+    and W its largest |entry|, reach = max(t, (V + 1) s + V, 2 W s): the
+    vertices of a + 1_S lie within s big, so do the polytope boxes, and
+    their widths within 2 s big + 1; the kernel (excol.kernels) forms folded
+    partial sums of a_rho + <u, v_rho> within max|a| + V s big + V, and
+    digit terms v_rho,d (u_d - lo_d) within 2 W s big.
 
     All are read off B^-1 = [C | D] (Fan._basis_inverse) in Picard
     coordinates (Oda-Park's Gale transform, Tohoku Math. J. 1991).  With T
@@ -172,7 +174,7 @@ def _box_matrix(fan: Fan):
     vanishes on S, so its slacks on T are a @ sgn C adj(C_T); (lattice rows)
     D = I makes its scatter block sgn C adj(C_T) D_T - det_S D.  Products
     are in int64 if a bound on them fits, else in Python ints; a reach past
-    int64, which no class could pass _boxes with, raises BoxTooLarge.
+    int64, which no class could pass the guard with, raises BoxTooLarge.
     """
     cache = fan._box_matrix_cache
     if not cache:
@@ -193,69 +195,19 @@ def _box_matrix(fan: Fan):
         cadj = inv[:, :p] @ adj  # (vertices, n_rays, p)
         scatter = (cadj @ inv[comps, p:] - dets[:, :, None] * inv[:, p:]).transpose(0, 2, 1)
         tests = cadj.transpose(2, 0, 1)
-        reach, test_reach = (int(abs(x).sum(axis=2).max()) for x in (scatter, tests))
-        if max(reach, test_reach) > _INT64_MAX:  # det_S is an entry of tests
+        s, t = (int(abs(x).sum(axis=2).max()) for x in (scatter, tests))
+        v = max(sum(map(abs, ray)) for ray in fan.rays)
+        reach = max(t, (v + 1) * s + v, 2 * max(abs(x) for ray in fan.rays for x in ray) * s)
+        if reach >= _INT64_MAX:  # dets, scatter, tests and the rays lie within reach
             raise BoxTooLarge(
-                f"fan {fan.basis_tag}: vertex maps reach {max(reach, test_reach)} "
-                f"(int64 limit {_INT64_MAX})"
+                f"fan {fan.basis_tag}: vertex maps reach {reach} (int64 limit {_INT64_MAX})"
             )
         scatter, tests = (np.ascontiguousarray(x, dtype=np.int64) for x in (scatter, tests))
-        cache.extend((scatter, dets.astype(np.int64), reach, tests, test_reach, comps.T))
+        cache.extend((scatter, dets.astype(np.int64), reach, tests, comps.T))
     return cache
 
 
-def _boxes(fan: Fan, coeff_rows):
-    """(lo, hi, verts) of T-divisors (rows of ray coefficients), from one
-    int64 product: verts (vertices x dim x rows) holds det_S times every
-    arrangement vertex of each row, and [lo[row], hi[row]] (rows x dim) is
-    the bounding box of the row's vertices, inflated by 1.
-
-    The one int64 guard of the pass: the vertices and ray tests of
-    a + 1_S, for a row a and any support set S (_polytope_boxes), are
-    bounded by (max|a| + 1) times reach and test_reach, and the bound must
-    fit in int64.  Otherwise the product is formed in Python ints (object
-    arrays) for the message only, and BoxTooLarge names the row with the
-    largest coefficient and its exact box.
-    """
-    scatter, dets, reach, _tests, test_reach, _off = _box_matrix(fan)
-    big = max(abs(a) for row in coeff_rows for a in row) + 1
-    bound = big * max(reach, test_reach)
-    fits = bound < _INT64_MAX
-    verts = scatter @ np.array(coeff_rows, dtype=np.int64 if fits else object).T
-    lo = (verts // dets[:, :, None]).min(axis=0).T - 1
-    hi = (-(-verts // dets[:, :, None])).max(axis=0).T + 1
-    if not fits:
-        i = next(i for i, row in enumerate(coeff_rows) if max(map(abs, row)) + 1 == big)
-        raise BoxTooLarge(
-            f"T-divisor {tuple(coeff_rows[i])} in box lo={lo[i].tolist()} "
-            f"hi={hi[i].tolist()}: {prod(hi[i] - lo[i] + 1)} points, box products "
-            f"bounded by {bound} (int64 limit {_INT64_MAX})"
-        )
-    return lo, hi, verts
-
-
-def _admit(fan: Fan, coeff_rows, lo, hi):
-    """Raise BoxTooLarge for the first row, in batch order, whose box the
-    kernel cannot sweep in int64 within the point budget: the bound
-    |a_rho| + sum_d |v_rho,d| * (max(-lo_d, hi_d) + 1) covers every value it
-    forms.  In Python ints (object arrays), since widths and kernel values
-    can leave int64 under _boxes's guard."""
-    lo, hi = lo.astype(object), hi.astype(object)
-    points = (hi - lo + 1).prod(axis=1)
-    reach = np.maximum(-lo, hi) + 1
-    rays = abs(np.array(fan.rays, dtype=object))
-    widest = (abs(np.array(coeff_rows, dtype=object)) + reach @ rays.T).max(axis=1)
-    over = (points > MAX_BOX_POINTS) | (widest > _INT64_MAX)
-    if over.any():
-        i = over.argmax()
-        raise BoxTooLarge(
-            f"T-divisor {tuple(coeff_rows[i])} in box lo={lo[i].tolist()} "
-            f"hi={hi[i].tolist()}: {points[i]} points (budget {MAX_BOX_POINTS}), "
-            f"kernel values up to {widest[i]} (int64 limit {_INT64_MAX})"
-        )
-
-
-def _polytope_boxes(fan: Fan, coeff_rows, verts, masks):
+def _polytope_boxes(fan: Fan, coeff_rows, masks):
     """(rows, masks, lo, hi), four int64 arrays in (row, mask) order, of
     every T-divisor a in coeff_rows and support set S in masks whose polytope
 
@@ -264,18 +216,28 @@ def _polytope_boxes(fan: Fan, coeff_rows, verts, masks):
     has lattice points in [lo, hi] = [ceil(min), floor(max)] of its vertices
     (the kernel takes no empty box: it divides by the box widths).
 
-    P_S(a) is cut out by the arrangement of b = a + 1_S, so its vertices are
-    the arrangement vertices of b that meet every inequality: verts (the
-    product _boxes formed) plus scatter @ 1_S, tested on the p rays off each
-    vertex by tests @ b (_box_matrix).  The rays span, so P_S(a) is pointed,
-    and it is empty when no vertex qualifies.  _boxes's guard keeps every
-    value in int64.  The (vertex, mask, row) tests are formed a few rows at
-    a time, at most SLACK_VALUES values each, so the temporaries stay small.
+    The one int64 guard of the pass comes first: big = max|a| + 1 times
+    reach (_box_matrix) must stay below 2^63 - 1, else BoxTooLarge names the
+    row with the largest coefficient and the bound.  P_S(a) is cut out by
+    the arrangement of b = a + 1_S, so its vertices are the arrangement
+    vertices of b that meet every inequality: scatter @ b (det_S times each
+    vertex, from one product for the batch), tested on the p rays off each
+    vertex by tests @ b.  The rays span, so P_S(a) is pointed, and it is
+    empty when no vertex qualifies.  The (vertex, mask, row) tests are
+    formed a few rows at a time, at most SLACK_VALUES values each, so the
+    temporaries stay small.
     """
-    scatter, dets, _reach, tests, _test_reach, off = _box_matrix(fan)
+    scatter, dets, reach, tests, off = _box_matrix(fan)
+    big = max(abs(a) for row in coeff_rows for a in row) + 1
+    if big * reach >= _INT64_MAX:
+        row = next(row for row in coeff_rows if max(map(abs, row)) + 1 == big)
+        raise BoxTooLarge(
+            f"T-divisor {tuple(row)}: values bounded by {big * reach} (int64 limit {_INT64_MAX})"
+        )
+    coeffs = np.array(coeff_rows, dtype=np.int64).T
     inside = (masks[:, None] >> np.arange(fan.n_rays)) & 1  # (masks, rays): 1 on S
-    mask_verts = scatter @ inside.T
-    slack = (tests @ np.array(coeff_rows, dtype=np.int64).T)[:, :, None]
+    verts, mask_verts = scatter @ coeffs, scatter @ inside.T
+    slack = (tests @ coeffs)[:, :, None]
     # the ray off[j, v] wants a slack <= 0 if it is in S, >= 0 else: with
     # on = [in S], a @ tests >= on - 1_S @ tests, negated if on
     on = inside.T[off][..., None] == 1  # (p, vertices, masks, 1)
@@ -359,17 +321,26 @@ def _support_ranks(fan: Fan):
 def _dims_of_divisors(fan: Fan, coeff_rows):
     """All h^i of each T-divisor (rows of ray coefficients), uncached.
 
-    Every row's arrangement box passes _admit before the rank table is
-    touched and before the first sweep.  h is the sum, over the support
-    sets S with nonzero reduced cohomology, of the lattice points of P_S
-    (_polytope_boxes) times the ranks of S, all counted in one kernel call.
-    The rank table certifies every such P_S bounded (_bounded), so its
-    lattice box holds all of it.
+    h is the sum, over the support sets S with nonzero reduced cohomology,
+    of the lattice points of P_S (_polytope_boxes) times the ranks of S, all
+    counted in one kernel call.  The rank table certifies every such P_S
+    bounded (_bounded), so its lattice box holds all of it.  Before the
+    kernel call, the first box in (row, mask) order over MAX_BOX_POINTS
+    raises BoxTooLarge; the widths' product is clipped at each step, so it
+    stays in int64.
     """
-    lo, hi, verts = _boxes(fan, coeff_rows)
-    _admit(fan, coeff_rows, lo, hi)
     support, ranks = _support_ranks(fan)
-    rows, masks, lo, hi = _polytope_boxes(fan, coeff_rows, verts, support)
+    rows, masks, lo, hi = _polytope_boxes(fan, coeff_rows, support)
+    points = np.ones(len(rows), dtype=np.int64)
+    for width in np.minimum(hi - lo + 1, MAX_BOX_POINTS + 1).T:
+        points = np.minimum(points * width, MAX_BOX_POINTS + 1)
+    if (over := np.flatnonzero(points > MAX_BOX_POINTS)).size:
+        i = over[0]
+        raise BoxTooLarge(
+            f"T-divisor {tuple(coeff_rows[rows[i]])}, support set {int(masks[i]):b}: polytope "
+            f"box lo={lo[i].tolist()} hi={hi[i].tolist()}: {prod((hi[i] - lo[i] + 1).tolist())} "
+            f"points (budget {MAX_BOX_POINTS})"
+        )
     h = np.zeros((len(coeff_rows), fan.dim + 1), dtype=np.int64)
     if len(rows):
         coeffs, rays = (np.array(x, dtype=np.int64) for x in (coeff_rows, fan.rays))

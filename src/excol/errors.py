@@ -23,8 +23,8 @@ class UnboundedContribution(ExcolError):
 
 
 class BoxTooLarge(ExcolError):
-    """The oracle's box for a T-divisor holds more points than its budget or
-    values its int64 kernel cannot hold, or the fan's vertex maps leave int64."""
+    """A T-divisor's polytope box holds more points than the oracle's budget,
+    its values could leave int64, or the fan's vertex maps do."""
 
 
 class KOutOfRange(ExcolError):

@@ -10,8 +10,9 @@ above as its folded v_rho,k is positive or negative, so the valid u_k form
 one interval, and a ray with v_rho,k = 0 only tests the rest value.  Rest
 points are decoded mixed-radix from one flat index, CHUNK_POINTS at a time,
 into ray-major (rays x points) arrays; np.add.reduceat sums each box's
-intervals.  Every kernel value is a folded partial sum inside the per-ray
-bound that cohomology._admit checks, so all arithmetic is int64.
+intervals.  Every kernel value is a folded partial sum or a digit term
+inside the bound of cohomology._box_matrix's reach, which the oracle's
+one guard keeps in int64, so all arithmetic is int64.
 """
 
 import numpy as np

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import time
 
@@ -117,14 +118,22 @@ def _write_collection(path, base_dim, fiber_degrees, center, alphas):
     path.write_text(json.dumps(doc))
 
 
+BUDGET_ERROR = (
+    r"^error: T-divisor \(.*\), support set \d+: polytope box lo=.* points \(budget 100000000\)$"
+)
+GUARD_ERROR = (
+    r"^error: T-divisor \(.*\): values bounded by \d+ \(int64 limit 9223372036854775807\)$"
+)
+
+
 @pytest.mark.parametrize(
     "base_dim, fiber_degrees, center, alpha",
     [
-        (2, [0, 1, 2], ["b1", "f1"], 50),  # 9.6e8 box points
+        (2, [0, 1, 2], ["b1", "f1"], 100),  # 9.2e8 points in P_0's box
         (1, [0, 0], ["b1", "f1"], 10**30),  # coefficients beyond int64
-        (2, [0, 1, 2], ["b1", "f1"], 10**17),  # box product fits, box does not
-        (2, [0, 1, 2], ["b1", "f1"], 2 * 10**18),  # past the box product's guard
-        (26, [0, 0], ["b1", "f1"], 1),  # 3^27 box points, dim 27
+        (2, [0, 1, 2], ["b1", "f1"], 10**17),  # guard passed, box over budget
+        (2, [0, 1, 2], ["b1", "f1"], 2 * 10**18),  # past the guard
+        (26, [0, 0], ["b1", "f1"], 1),  # 2^27 points in P_0's box, dim 27
     ],
 )
 def test_verify_huge_class_exit_2(tmp_path, capsys, base_dim, fiber_degrees, center, alpha):
@@ -133,30 +142,42 @@ def test_verify_huge_class_exit_2(tmp_path, capsys, base_dim, fiber_degrees, cen
     t0 = time.perf_counter()
     assert run(["verify", "--collection", str(col)]) == 2
     assert time.perf_counter() - t0 < 1.0
-    err = capsys.readouterr().err
-    assert "box lo=" in err and "points" in err
+    past_guard = alpha in (10**30, 2 * 10**18)
+    assert re.match(GUARD_ERROR if past_guard else BUDGET_ERROR, capsys.readouterr().err)
+
+
+def test_verify_large_class_gets_a_verdict(tmp_path, capsys):
+    """A class whose arrangement box is over the point budget, but none of
+    whose polytope boxes is (the largest holds 5.9e7 points), is certified
+    within a second: a two-object collection fails its length check."""
+    col = tmp_path / "col.json"
+    _write_collection(col, 2, [0, 1, 2], ["b1", "f1"], [0, 50])
+    t0 = time.perf_counter()
+    assert run(["verify", "--collection", str(col)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["length_actual"], doc["length_expected"]) == (2, 13)
 
 
 def test_verify_huge_class_stderr(tmp_path, capsys):
-    """The one stderr line of a class whose box is over budget."""
+    """The one stderr line of a class whose polytope box is over budget."""
     col = tmp_path / "col.json"
     _write_collection(col, 2, [0, 1, 2], ["b1", "f1"], [0, 10**17])
     assert run(["verify", "--collection", str(col)]) == 2
     assert capsys.readouterr().err == (
         "error: T-divisor (0, 100000000000000000, 0, 100000000000000000, 0, 0, "
-        "100000000000000000) in box lo=[-200000000000000001, -1, "
-        "-100000000000000001, -200000000000000001] hi=[200000000000000001, "
-        "300000000000000001, 300000000000000001, 100000000000000001]: "
-        "14400000000000000504000000000000006570000000000000037800000000000000081 "
-        "points (budget 100000000), kernel values up to 1200000000000000010 "
-        "(int64 limit 9223372036854775807)\n"
+        "100000000000000000), support set 0: polytope box lo=[-100000000000000000, "
+        "0, 0, 0] hi=[200000000000000000, 300000000000000000, 100000000000000000, "
+        "100000000000000000]: "
+        "900000000000000024000000000000000220000000000000000800000000000000001 "
+        "points (budget 100000000)\n"
     )
 
 
 # O + O(2^70) over P^1 blown up along b1,f1: its vertex maps leave int64
 HUGE_FAN_ERROR = (
     "fan X(s=1,a=(0, 1180591620717411303424))+E: vertex maps reach "
-    "2361183241434822606850 (int64 limit 9223372036854775807)"
+    "2787593149816327892694325967322480010854400 (int64 limit 9223372036854775807)"
 )
 
 
@@ -310,19 +331,20 @@ def test_sweep_small(capsys):
 
 
 def test_sweep_reports_box_too_large(monkeypatch, capsys):
-    """A class whose box is over the oracle's budget aborts its case, not
-    the sweep: an ABORT row, the T-divisor and its box on stderr, exit 1."""
-    # the 8 cases' largest boxes hold 25 or 30 points
-    monkeypatch.setattr(cohomology, "MAX_BOX_POINTS", 25)
+    """A class whose polytope box is over the oracle's budget aborts its
+    case, not the sweep: an ABORT row, the T-divisor, its support set and
+    its box on stderr, exit 1."""
+    # the 8 cases' largest polytope boxes hold 4 or 6 points
+    monkeypatch.setattr(cohomology, "MAX_BOX_POINTS", 5)
     args = ["--no-cache", "sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]
     assert run(args) == 1
     out, err = capsys.readouterr()
     rows = out.splitlines()[2:10]
-    assert [row.split()[-2] for row in rows] == ["ES1"] * 5 + ["ABORT"] * 3
-    assert err.startswith("\n3 failing case(s):\n")
+    assert [row.split()[-2] for row in rows] == ["ES1"] * 4 + ["ABORT"] * 4
+    assert err.startswith("\n4 failing case(s):\n")
     assert (
-        "  s=1 a=[0, 1] center=b1,f1: T-divisor (0, 1, 1, 0, 1) in box "
-        "lo=[-3, -2] hi=[2, 2]: 30 points (budget 25), "
+        "  s=1 a=[0, 1] center=b1,f1: T-divisor (0, 1, 1, 0, 1), support set 0: "
+        "polytope box lo=[-1, 0] hi=[1, 1]: 6 points (budget 5)\n"
     ) in err
 
 

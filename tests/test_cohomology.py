@@ -6,6 +6,7 @@ import json
 import operator
 import random
 import re
+from math import prod
 
 import numpy as np
 import pytest
@@ -26,9 +27,7 @@ from excol.cohomology import (
     CACHE_VERSION,
     DiskCache,
     _box_matrix,
-    _admit,
     _bounded,
-    _boxes,
     _dims_of_divisors,
     _polytope_boxes,
     _support_ranks,
@@ -127,8 +126,9 @@ def test_lift_invariance(bl_p1p1):
             assert _dims_of_divisors(fan, [lift]) == [base]
 
 
-# (class, box lo, box hi), recorded when the box was still computed by
-# Gauss-Jordan elimination over the rationals
+# (class, box lo, box hi) of the arrangement box (_python_box), recorded
+# when the box was still computed by Gauss-Jordan elimination over the
+# rationals
 BOX_TABLE = {
     (BundleSpec(2, (0, 1, 2)), ("b1", "f1")): [
         ((-6, -2, 12), (-7, -19, -13, -4), (7, 7, 7, 11)),
@@ -162,7 +162,7 @@ def test_arrangement_box_table():
         fan = make_blowup(spec, CenterSpec(frozenset(center))).fan_xt
         for coords, lo, hi in rows:
             coeffs = fan.tdivisor_lift(fan.pic_class(coords))
-            assert _box_list(fan, [coeffs]) == [(list(lo), list(hi))], coords
+            assert _python_box(fan, coeffs) == (list(lo), list(hi)), coords
 
 
 FAMILY = [
@@ -186,12 +186,6 @@ def family_divisors(draw):
     return fan, tuple(coeffs)
 
 
-def _box_list(fan, rows):
-    """[(lo, hi)] of each row's arrangement box, as lists."""
-    lo, hi, _verts = _boxes(fan, rows)
-    return list(zip(lo.tolist(), hi.tolist()))
-
-
 def _vertex_maps(fan):
     """Reference vertex maps, one dim x dim solve per subset: (S, M_S, det_S)
     for every dim-subset S of rays with R_S invertible, where
@@ -212,30 +206,33 @@ def _python_box_matrix(fan):
     tested rays x rays, Python ints) maps a to det_S * (<vertex, v_rho> +
     a_rho), the slack of each vertex in every section inequality, as the
     product of the rays with scatter (-M_S scattered to the rays of S).
-    fields are _box_matrix's six; their tests keep the rows of slacks on T,
-    the rays off S in ascending order."""
+    fields are _box_matrix's five; their tests keep the rows of slacks on T,
+    the rays off S in ascending order, and reach is max(t, (V + 1) s + V,
+    2 W s) for the largest L1 norms s of the vertex maps' rows, t of the
+    slacks' rows and V of a ray, and W the largest |entry| of a ray."""
     maps = _vertex_maps(fan)
     n, dim = fan.n_rays, fan.dim
     scatter = np.zeros((len(maps), dim, n), dtype=np.int64)
     for j, (subset, rows, _det) in enumerate(maps):
         scatter[j][:, list(subset)] = [[-m for m in row] for row in rows]
     dets = np.array([[det] for _, _, det in maps], dtype=np.int64)
-    reach = max(sum(map(abs, row)) for _, rows, _ in maps for row in rows)
+    s = max(sum(map(abs, row)) for _, rows, _ in maps for row in rows)
     slacks = np.array(fan.rays, dtype=object) @ scatter.astype(object)
     slacks[:, range(n), range(n)] += dets
     off = np.array([[r for r in range(n) if r not in subset] for subset, _, _ in maps]).T
     tests = slacks[range(len(maps)), off]
-    fields = (scatter, dets, reach, tests.astype(np.int64), abs(slacks).sum(axis=2).max(), off)
-    return fields, slacks
+    v = max(sum(map(abs, ray)) for ray in fan.rays)
+    w = max(abs(x) for ray in fan.rays for x in ray)
+    reach = max(abs(slacks).sum(axis=2).max(), (v + 1) * s + v, 2 * w * s)
+    return (scatter, dets, reach, tests.astype(np.int64), off), slacks
 
 
 def _assert_same_box_matrix(got, want):
-    scatter, dets, reach, tests, test_reach, off = got
+    scatter, dets, reach, tests, off = got
     for a, b in ((scatter, want[0]), (dets, want[1]), (tests, want[3])):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
-    assert np.array_equal(off, want[5])
-    assert (reach, test_reach) == (want[2], want[4])
-    assert type(reach) is type(test_reach) is int
+    assert np.array_equal(off, want[4])
+    assert reach == want[2] and type(reach) is int
 
 
 def test_box_matrix_matches_per_subset_inverses():
@@ -251,7 +248,7 @@ def test_box_matrix_matches_per_subset_inverses():
     for fan in fans:
         want, slacks = _python_box_matrix(fan)
         on_t = np.zeros(slacks.shape[:2], dtype=bool)
-        on_t[range(len(on_t)), want[5]] = True
+        on_t[range(len(on_t)), want[4]] = True
         assert not slacks[~on_t].any()
         _assert_same_box_matrix(_box_matrix(fan), want)
 
@@ -311,9 +308,9 @@ def _python_box(fan, coeffs):
 @given(family_divisors())
 def test_vertex_maps_match_per_subset_solves(divisor):
     """The per-fan vertex maps give, for every invertible ray subset S, the
-    vertex of the arrangement on S, and the box spans those vertices.  Every
-    polytope box lies inside that box, which is all the admission pass
-    (_admit) sees, so the kernel's int64 safety rests on it."""
+    vertex of the arrangement on S, and every polytope box lies inside the
+    box of those vertices, the arrangement box the budget once applied
+    to."""
     fan, coeffs = divisor
     maps = {subset: (rows, det) for subset, rows, det in _vertex_maps(fan)}
     for subset in itertools.combinations(range(fan.n_rays), fan.dim):
@@ -328,21 +325,9 @@ def test_vertex_maps_match_per_subset_solves(divisor):
         # det_S * vertex satisfies <u, v_i> = -a_i for every i in S, exactly
         for i in subset:
             assert sum(x * v for x, v in zip(scaled, fan.rays[i])) == -det * coeffs[i]
-    [lo], [hi], verts = _boxes(fan, [coeffs])
-    assert (lo.tolist(), hi.tolist()) == _python_box(fan, coeffs)
-    _rows, _masks, plo, phi = _polytope_boxes(fan, [coeffs], verts, _nonacyclic_masks(fan))
+    lo, hi = map(np.array, _python_box(fan, coeffs))
+    _rows, _masks, plo, phi = _polytope_boxes(fan, [coeffs], _nonacyclic_masks(fan))
     assert (lo <= plo).all() and (plo <= phi).all() and (phi <= hi).all()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_batched_boxes_match_per_class_boxes(data):
-    """One product gives every box of a batch, duplicates included."""
-    fan, first = data.draw(family_divisors())
-    row = st.lists(st.integers(-30, 30), min_size=fan.n_rays, max_size=fan.n_rays)
-    rows = [first] + data.draw(st.lists(row.map(tuple), max_size=6))
-    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
-    assert _box_list(fan, rows) == [_python_box(fan, r) for r in rows]
 
 
 def _nonacyclic_masks(fan):
@@ -409,12 +394,11 @@ def test_batched_polytope_boxes_match_per_row_boxes(data):
         for i, coeffs in enumerate(rows)
         for _row, mask, lo, hi in _python_polytope_boxes(fan, coeffs, masks.tolist())
     ]
-    verts = _boxes(fan, rows)[2]
     values = len(_box_matrix(fan)[1]) * len(masks)
     for slack_values in (1, values - 1, values + 1, 3 * values + 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cohomology, "SLACK_VALUES", slack_values)
-            got = _polytope_boxes(fan, rows, verts, masks)
+            got = _polytope_boxes(fan, rows, masks)
         _assert_same_polytopes(got, want, fan.dim)
 
 
@@ -432,30 +416,18 @@ def test_polytope_boxes_drop_empty_lattice_boxes():
         for i, coeffs in enumerate(rows)
         for _row, mask, lo, hi in _python_polytope_boxes(fan, coeffs, masks.tolist())
     ]
-    got = _polytope_boxes(fan, rows, _boxes(fan, rows)[2], masks)
+    got = _polytope_boxes(fan, rows, masks)
     _assert_same_polytopes(got, want, fan.dim)
     assert 0b1011 not in got[1].tolist()
 
 
 def _guard_edge(fan):
-    """The largest max|a| the int64 guard of _boxes admits."""
-    _scatter, _dets, reach, _tests, test_reach, _off = _box_matrix(fan)
-    return (_INT64_MAX - 1) // max(reach, test_reach) - 1
+    """The largest max|a| the int64 guard of _polytope_boxes admits."""
+    return (_INT64_MAX - 1) // _box_matrix(fan)[2] - 1
 
 
-@pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
-def test_box_product_guard(case):
-    """The largest coefficient the int64 guard admits gives the exact
-    arrangement box; one more raises BoxTooLarge naming the box instead of
-    wrapping."""
-    fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
-    for sign in (1, -1):
-        coeffs = [0] * fan.n_rays
-        coeffs[-1] = sign * _guard_edge(fan)
-        assert _box_list(fan, [coeffs]) == [_python_box(fan, coeffs)]
-        coeffs[-1] += sign
-        with pytest.raises(BoxTooLarge, match="box lo="):
-            _boxes(fan, [coeffs])
+GUARD_ERROR = r"values bounded by \d+ \(int64 limit 9223372036854775807\)$"
+BUDGET_ERROR = r"support set \d+: polytope box lo=.* points \(budget 100000000\)$"
 
 
 @pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
@@ -467,22 +439,37 @@ def test_polytope_product_guard(case):
     for sign in (1, -1):
         coeffs = [0] * fan.n_rays
         coeffs[-1] = sign * _guard_edge(fan)
-        verts = _boxes(fan, [coeffs])[2]
-        got = _polytope_boxes(fan, [coeffs], verts, masks)
+        got = _polytope_boxes(fan, [coeffs], masks)
         want = _python_polytope_boxes(fan, coeffs, masks.tolist())
         assert want
         _assert_same_polytopes(got, want, fan.dim)
         coeffs[-1] += sign
-        with pytest.raises(BoxTooLarge, match=re.escape(f"T-divisor {tuple(coeffs)} in box lo=")):
-            _boxes(fan, [coeffs])
+        past = re.escape(f"T-divisor {tuple(coeffs)}: ") + GUARD_ERROR
+        with pytest.raises(BoxTooLarge, match=past):
+            _polytope_boxes(fan, [coeffs], masks)
+
+
+@pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
+def test_guard_refuses_only_over_budget_arrangement_boxes(case):
+    """The guard bounds the kernel's values too, so its edge lies below the
+    edge of the box product alone; but one step past it, the arrangement
+    box, which the budget once applied to, is already far over budget."""
+    fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
+    for sign in (1, -1):
+        coeffs = [0] * fan.n_rays
+        coeffs[-1] = sign * (_guard_edge(fan) + 1)
+        lo, hi = _python_box(fan, coeffs)
+        assert prod(b - a + 1 for a, b in zip(lo, hi)) > cohomology.MAX_BOX_POINTS
+        with pytest.raises(BoxTooLarge, match=GUARD_ERROR):
+            _dims_of_divisors(fan, [coeffs])
 
 
 # h^0 of the principal T-divisors one step below, at and one step above
-# two edges, or None where the pass raises BoxTooLarge: max|a| * reach <
-# 2^63 - 1 ("box"), which once guarded the arrangement boxes on its own,
-# and the guard of _boxes ("polytope").  The outcomes are those of the two
-# guards when each edge had one; a class whose lift reaches either edge
-# raises (its admission box is far over budget).
+# two edges, or None where the pass raises BoxTooLarge: max|a| * s <
+# 2^63 - 1 for the largest L1 norm s of a vertex map's row ("box"), which
+# once guarded the arrangement boxes on its own, and the guard of
+# _polytope_boxes ("polytope").  A class whose lift reaches either edge
+# raises: its polytope boxes are far over budget, or it is past the guard.
 PRINCIPAL_H0_AT_EDGE = {"box": (None, None, None), "polytope": (1, 1, None)}
 
 
@@ -491,11 +478,11 @@ PRINCIPAL_H0_AT_EDGE = {"box": (None, None, None), "polytope": (1, 1, None)}
 def test_guard_edges_through_the_pass(case, edge):
     """The principal T-divisors are counted exactly in int64 up to the
     guard's edge, and every input past it raises BoxTooLarge naming the
-    box, through cohomology_dims_many for classes and through the pass
+    bound, through cohomology_dims_many for classes and through the pass
     itself for T-divisors."""
     fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
-    reach = _box_matrix(fan)[2]
-    edges = {"box": (_INT64_MAX - 1) // reach, "polytope": _guard_edge(fan)}
+    s = int(abs(_box_matrix(fan)[0]).sum(axis=2).max())
+    edges = {"box": (_INT64_MAX - 1) // s, "polytope": _guard_edge(fan)}
     # an axis on which the rays reach 1, so t e_k has max|a| = t
     k = next(d for d in range(fan.dim) if max(abs(v[d]) for v in fan.rays) == 1)
     for step, h0 in zip((-1, 0, 1), PRINCIPAL_H0_AT_EDGE[edge]):
@@ -505,11 +492,12 @@ def test_guard_edges_through_the_pass(case, edge):
             single[-1] = sign * t
             cls = fan.class_of_divisor(single)
             assert max(map(abs, fan.tdivisor_lift(cls))) == t
-            with pytest.raises(BoxTooLarge, match=r"box lo=.* points"):
+            past = t > _guard_edge(fan)
+            with pytest.raises(BoxTooLarge, match=GUARD_ERROR if past else BUDGET_ERROR):
                 cohomology_dims_many(fan, [cls])
             principal = [-sign * t * v[k] for v in fan.rays]
             if h0 is None:
-                with pytest.raises(BoxTooLarge, match=r"box lo=.* points"):
+                with pytest.raises(BoxTooLarge, match=GUARD_ERROR):
                     _dims_of_divisors(fan, [principal])
             else:
                 assert _dims_of_divisors(fan, [principal]) == [(h0,) + (0,) * fan.dim]
@@ -533,8 +521,8 @@ def _every_mask(lo, hi, rays, coeffs):
 def _full_box_counts(fan, coeffs):
     """Reference: the support-set counts over a's whole arrangement box, from
     one mask per box point."""
-    [lo], [hi], _verts = _boxes(fan, [coeffs])
-    axes = np.meshgrid(*map(np.arange, lo, hi + 1), indexing="ij")
+    lo, hi = _python_box(fan, coeffs)
+    axes = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)), indexing="ij")
     points = np.stack(axes, axis=-1).reshape(-1, fan.dim)
     support = points @ np.array(fan.rays).T < -np.array(coeffs)
     masks = (support << np.arange(fan.n_rays)).sum(axis=1)
@@ -570,9 +558,9 @@ def test_polytope_pass_matches_full_box_count(divisor):
         want = [h + int(full[mask]) * r for h, r in zip(want, ranks)]
     assert _dims_of_divisors(fan, [coeffs]) == [tuple(want)]
 
-    [lo], [hi], verts = _boxes(fan, [coeffs])
+    lo, hi = map(np.array, _python_box(fan, coeffs))
     masks = _nonacyclic_masks(fan)
-    polytopes = _polytope_boxes(fan, [coeffs], verts, masks)
+    polytopes = _polytope_boxes(fan, [coeffs], masks)
     _assert_same_polytopes(polytopes, _python_polytope_boxes(fan, coeffs, masks.tolist()), fan.dim)
     _rows, pmasks, plo, phi = polytopes
     # a support set with characters has a non-empty polytope
@@ -761,22 +749,19 @@ def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
 
 
 def test_box_outside_int64_is_rejected():
-    """A principal divisor far out has a 3x3 box whose kernel values
-    overflow int64; the admission pass must raise, not wrap.  The box comes
-    from the Python-int reference, since the divisor is past the int64 guard
-    of _boxes."""
+    """A principal divisor far out has a 3x3 arrangement box (Python-int
+    reference) and one lattice point, whose kernel values would overflow
+    int64; the pass must raise, not wrap."""
     fan = projective_space_fan(2)
     m = (2**61 - 1, 2**61 - 1)
     coeffs = tuple(-sum(x * y for x, y in zip(m, ray)) for ray in fan.rays)
     lo, hi = _python_box(fan, coeffs)
     assert [b - a + 1 for a, b in zip(lo, hi)] == [3, 3]
     with pytest.raises(BoxTooLarge) as info:
-        _admit(fan, [coeffs], np.array([lo]), np.array([hi]))
+        _dims_of_divisors(fan, [coeffs])
     assert str(info.value) == (
         "T-divisor (4611686018427387902, -2305843009213693951, "
-        "-2305843009213693951) in box lo=[2305843009213693950, "
-        "2305843009213693950] hi=[2305843009213693952, 2305843009213693952]: "
-        "9 points (budget 100000000), kernel values up to 9223372036854775808 "
+        "-2305843009213693951): values bounded by 36893488147419103224 "
         "(int64 limit 9223372036854775807)"
     )
 
@@ -997,6 +982,29 @@ def test_rank_rows_of_a_16_ray_blowup():
     assert cohomology_dims(fan, fan.pic_class((0, 0, 0))) == (1,) + (0,) * fan.dim
 
 
+def test_canonical_class_of_a_dim_13_blowup():
+    """h(K) = (0, ..., 0, 1) by Serre duality on P^12 x P^1 blown up along
+    b1, f1: one lattice point in one polytope, though the arrangement box
+    of K's lift holds about 10^16 points."""
+    fan = make_blowup(BundleSpec(12, (0, 0)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
+    assert cohomology_dims(fan, fan.canonical_class()) == (0,) * fan.dim + (1,)
+
+
+@pytest.mark.parametrize(
+    "spec, center",
+    [
+        (BundleSpec(3, (0, 1, 1, 1, 1)), ("b3", "f1")),
+        (BundleSpec(4, (0, 1, 1, 1)), ("b3", "b4", "f2")),
+    ],
+)
+def test_dim_7_blowups_certify(spec, center):
+    """Two dim-7 cases of the s + r <= 7, degree <= 1 family whose
+    arrangement boxes are over the point budget, though every polytope box
+    the kernel sweeps is within it."""
+    report, err = run_case(spec, CenterSpec(frozenset(center)), cache=False)
+    assert err is None and report.all_passed
+
+
 def test_bounded_by_hand_on_p2():
     """On P^2, P_S is the sections' triangle for S empty and its negative
     for S every ray, and a cone for S = {x0}."""
@@ -1129,23 +1137,19 @@ def test_batch_checks_every_box_before_the_first_sweep(monkeypatch):
 
 # The full BoxTooLarge text for a batch of P^2 classes, by degree.  Past the
 # int64 guard the row with the largest coefficient is named, whatever its
-# place; within it, the first row over budget in batch order.
+# place; within it, the first polytope box over budget in (row, mask) order.
 REJECTIONS = {
     (1, 10**19, -(10**20)): (
-        "T-divisor (0, -100000000000000000000, 0) in box "
-        "lo=[-1, -100000000000000000001] hi=[100000000000000000001, 1]: "
-        "10000000000000000000600000000000000000009 points, box products "
-        "bounded by 300000000000000000003 (int64 limit 9223372036854775807)"
+        "T-divisor (0, -100000000000000000000, 0): values bounded by "
+        "800000000000000000008 (int64 limit 9223372036854775807)"
     ),
     (20000,): (
-        "T-divisor (0, 20000, 0) in box lo=[-20001, -1] hi=[1, 20001]: "
-        "400120009 points (budget 100000000), kernel values up to 40004 "
-        "(int64 limit 9223372036854775807)"
+        "T-divisor (0, 20000, 0), support set 0: polytope box lo=[-20000, 0] "
+        "hi=[0, 20000]: 400040001 points (budget 100000000)"
     ),
     (1, 20000, 30000): (
-        "T-divisor (0, 20000, 0) in box lo=[-20001, -1] hi=[1, 20001]: "
-        "400120009 points (budget 100000000), kernel values up to 40004 "
-        "(int64 limit 9223372036854775807)"
+        "T-divisor (0, 20000, 0), support set 0: polytope box lo=[-20000, 0] "
+        "hi=[0, 20000]: 400040001 points (budget 100000000)"
     ),
 }
 
