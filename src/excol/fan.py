@@ -78,6 +78,8 @@ class Fan:
         Pic = Z^rays / M with M spanned by the lattice rows (v_rho[d])_rho, so
         the basis divisors are a Z-basis of Pic iff B is unimodular.  Row rho
         of C is the class of e_rho; (lattice rows) D = I (cohomology._box_matrix).
+        A blow-up built by star_subdivide never runs this: it gets X's B^-1,
+        bordered, in its __dict__.
         """
         if self.pic_rank + self.dim != self.n_rays:
             raise InvalidSpec(
@@ -160,7 +162,9 @@ class Fan:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     # a mutable per-instance cache (allowed on a frozen dataclass:
-    # cached_property writes straight into __dict__)
+    # cached_property writes straight into __dict__, as do validate_fan and
+    # star_subdivide, which record "_unimodular_cones" and "_basis_inverse";
+    # dataclasses.replace copies none of them)
     @cached_property
     def _box_matrix_cache(self):
         return []  # filled once by cohomology._box_matrix
@@ -169,34 +173,42 @@ class Fan:
 def validate_fan(fan: Fan) -> None:
     """Check that every ray lies in a max cone, and smoothness and
     completeness; raise InvalidSpec.  A ray of a unimodular cone is
-    primitive, so primitivity needs no check of its own."""
+    primitive, so primitivity needs no check of its own.
+
+    Bareiss runs on each cone not already in fan's "_unimodular_cones"
+    record: star_subdivide seeds a blow-up's record with the validated
+    cones of X it keeps verbatim, and success records every cone.  A fan
+    never validated has no record and is checked in full.
+    """
     n = fan.dim
     stray = set(range(fan.n_rays)).difference(*fan.max_cones)
     if stray:
         raise InvalidSpec(f"ray {fan.rays[min(stray)]} lies in no max cone")
-    facet_count = {}
-    for cone in fan.max_cones:
+    checked = fan.__dict__.get("_unimodular_cones", frozenset())
+    facet_cones = {}
+    for k, cone in enumerate(fan.max_cones):
         if len(cone) != n:
             raise InvalidSpec("max cone of wrong dimension")
-        mat = [fan.rays[i] for i in cone]
-        if abs(determinant(mat)) != 1:
+        if cone not in checked and abs(determinant([fan.rays[i] for i in cone])) != 1:
             raise InvalidSpec(f"non-unimodular cone {cone}")
         for facet in combinations(cone, n - 1):
-            facet_count[facet] = facet_count.get(facet, 0) + 1
-    if any(c != 2 for c in facet_count.values()):
+            facet_cones.setdefault(facet, []).append(k)
+    if any(len(ks) != 2 for ks in facet_cones.values()):
         raise InvalidSpec("fan is not complete: facet shared by != 2 cones")
-    # connectivity of the facet graph
-    cones = [frozenset(c) for c in fan.max_cones]
-    seen = {0}
-    stack = [0]
+    # connectivity of the facet graph: walk from cone 0 across shared facets
+    links = [[] for _ in fan.max_cones]
+    for a, b in facet_cones.values():
+        links[a].append(b)
+        links[b].append(a)
+    seen, stack = {0}, links[:1]
     while stack:
-        i = stack.pop()
-        for j in range(len(cones)):
-            if j not in seen and len(cones[i] & cones[j]) == n - 1:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) != len(cones):
+        for k in stack.pop():
+            if k not in seen:
+                seen.add(k)
+                stack.append(links[k])
+    if len(seen) != len(links):
         raise InvalidSpec("fan is not complete: facet graph disconnected")
+    fan.__dict__["_unimodular_cones"] = frozenset(fan.max_cones)
 
 
 @dataclass(frozen=True)
@@ -342,10 +354,20 @@ def _center_indices(fan: Fan, center: CenterSpec):
 
 
 def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
-    """Blow-up along the orbit closure of the cone spanned by the center rays."""
+    """Blow-up along the orbit closure of the cone spanned by the center rays.
+
+    Up to row order the blow-up's B is [[B, B 1_tau], [0, 1]] (fan's B, its
+    rows extended by their sums over the center tau, and the E row), so its
+    B^-1 is fan's bordered: an E column holding -1 on the center rays, and
+    the unit row of e.  Reading fan's B^-1 raises InvalidSpec here unless
+    fan's basis divisors are a Z-basis of Pic.  The validated cones of fan
+    that the subdivision keeps are not re-checked (validate_fan).
+    """
     idx = _center_indices(fan, center)
     idx_set = set(idx)
-    # primitive, as the ray sum of a smooth cone; validate_fan(sub) checks it
+    inv = fan._basis_inverse
+    # primitive, as the ray sum of a smooth cone; validate_fan(sub) checks
+    # the cones holding it
     new_ray = tuple(sum(fan.rays[i][d] for i in idx) for d in range(fan.dim))
     e = fan.n_rays
     cones = []
@@ -354,7 +376,7 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
             for drop in idx:
                 cones.append(tuple(sorted((set(cone) - {drop}) | {e})))
         else:
-            cones.append(cone)
+            cones.append(cone)  # kept verbatim: same indices, same rays
     # pullback of a divisor acquires coefficient sum(old coeffs over center) at e
     basis = [
         tuple(bd) + (sum(bd[i] for i in idx),) for bd in fan.basis_divisors
@@ -368,6 +390,13 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
         basis_tag=fan.basis_tag + "+E",
         basis_divisors=tuple(basis),
     )
+    p = fan.pic_rank
+    sub.__dict__["_basis_inverse"] = tuple(
+        row[:p] + (-int(rho in idx_set),) + row[p:] for rho, row in enumerate(inv)
+    ) + (tuple(int(j == p) for j in range(e + 1)),)
+    sub.__dict__["_unimodular_cones"] = fan.__dict__.get(
+        "_unimodular_cones", frozenset()
+    ).intersection(cones)
     validate_fan(sub)
     return sub
 

@@ -5,7 +5,9 @@ the cohomology oracle, independently of the mutation engine's structured
 formulas (which never call the oracle).  Each cell of the graded Hom table
 gets one check: exceptionality on the diagonal, semiorthogonality below
 it, strongness above it; each verdict flag says that no cell of its check
-failed.  Together with the length the fan's maximal-cone count (the rank
+failed.  Cells share their Hom vector with every cell of the same
+difference b - a, so each distinct vector is computed, checked and summed
+once.  Together with the length the fan's maximal-cone count (the rank
 of K_0) demands, the three flags decide the report.  The Euler-Gram matrix
 and its determinant are reported too; the first two flags already make it
 upper unitriangular, the necessary condition for fullness.
@@ -24,10 +26,10 @@ from .fan import Fan, PicClass
 from .intlinalg import determinant
 
 
-def ext_table(fan: Fan, classes, cache=None):
-    """n x n grid of graded Hom dimension vectors between line bundles, from
-    one cohomology_dims_many batch of the distinct differences; cache is a
-    DiskCache, or None for no disk I/O."""
+def _hom_batch(fan: Fan, classes, cache):
+    """(grid, homs): homs holds the graded Hom dimension vectors of the
+    distinct differences b - a, from one cohomology_dims_many batch, and
+    grid[i][j] indexes the one of Hom(classes[i], classes[j])."""
     for cls in classes:
         if not isinstance(cls, PicClass):
             raise NonLineBundlePresent(f"not a line bundle class: {cls!r}")
@@ -35,11 +37,18 @@ def ext_table(fan: Fan, classes, cache=None):
             raise ValueError("class belongs to a different fan")
         fan.pic_class(cls.coords)  # integer coordinates, as many as the Picard rank
     coords = [cls.coords for cls in classes]
-    diffs = [[tuple(map(sub, b, a)) for b in coords] for a in coords]
-    distinct = list(dict.fromkeys(d for row in diffs for d in row))
-    batch = [PicClass(d, fan.basis_tag) for d in distinct]
-    hom = dict(zip(distinct, cohomology_dims_many(fan, batch, cache)))
-    return [[hom[d] for d in row] for row in diffs]
+    index = {}
+    grid = [[index.setdefault(tuple(map(sub, b, a)), len(index)) for b in coords] for a in coords]
+    batch = [PicClass(d, fan.basis_tag) for d in index]
+    return grid, cohomology_dims_many(fan, batch, cache)
+
+
+def ext_table(fan: Fan, classes, cache=None):
+    """n x n grid of graded Hom dimension vectors between line bundles, from
+    one cohomology_dims_many batch of the distinct differences; cache is a
+    DiskCache, or None for no disk I/O."""
+    grid, homs = _hom_batch(fan, classes, cache)
+    return [[homs[k] for k in row] for row in grid]
 
 
 @dataclass
@@ -71,16 +80,6 @@ class Report:
         return doc | {"violations": violations, "all_passed": self.all_passed}
 
 
-def _cell_check(i, j, h):
-    """The one check of cell (i, j) of the Hom table, and whether its
-    dimension vector h fails it."""
-    if i == j:
-        return "exceptional", h[0] != 1 or any(h[1:])
-    if i > j:
-        return "semiorthogonal", any(h)
-    return "strong", any(h[1:])
-
-
 def certify(fan: Fan, classes, cache=None) -> Report:
     """Certify exceptionality, semiorthogonality, strongness and the length
     (one object per maximal cone of fan), and report the Euler-Gram matrix.
@@ -88,15 +87,23 @@ def certify(fan: Fan, classes, cache=None) -> Report:
 
     cache is a DiskCache, or None (the default) for no disk I/O.
     """
-    table = ext_table(fan, classes, cache=cache)
+    grid, homs = _hom_batch(fan, classes, cache)
     n = len(classes)
+    # each distinct h failing its check as a diagonal cell, below it, above it
+    not_exc = [h[0] != 1 or any(h[1:]) for h in homs]
+    not_semi = [any(h) for h in homs]
+    not_strong = [any(h[1:]) for h in homs]
     violations = []
-    for i in range(n):
-        for j in (i, *range(i), *range(i + 1, n)):  # the diagonal cell first
-            check, bad = _cell_check(i, j, table[i][j])
-            if bad:
-                violations.append((check, i, j, table[i][j]))
-    gram = [[sum(h[::2]) - sum(h[1::2]) for h in row] for row in table]
+    for i, row in enumerate(grid):  # the diagonal cell first, then j < i, then j > i
+        if not_exc[row[i]]:
+            violations.append(("exceptional", i, i, homs[row[i]]))
+        for check, bad, cols in (
+            ("semiorthogonal", not_semi, range(i)),
+            ("strong", not_strong, range(i + 1, n)),
+        ):
+            violations += [(check, i, j, homs[row[j]]) for j in cols if bad[row[j]]]
+    euler = [sum(h[::2]) - sum(h[1::2]) for h in homs]
+    gram = [[euler[k] for k in row] for row in grid]
     if any(gram[i][j] != (i == j) for i in range(n) for j in range(i + 1)):
         violations.append(("gram", -1, -1, ()))
     failed = {v[0] for v in violations}

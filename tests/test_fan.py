@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -170,6 +171,23 @@ def test_validate_fan_rejects_a_ray_in_no_cone():
         validate_fan(stray)
 
 
+def test_validate_fan_rejects_a_disconnected_facet_graph():
+    """Two disjoint copies of P^2's cones on six rays: every cone is
+    unimodular and every facet lies on exactly two cones, but no facet
+    joins the copies."""
+    good = projective_space_fan(2)
+    twice = Fan(
+        dim=2,
+        ray_names=("x0", "x1", "x2", "y0", "y1", "y2"),
+        rays=good.rays * 2,
+        max_cones=good.max_cones + tuple(tuple(i + 3 for i in c) for c in good.max_cones),
+        basis_tag="two P^2",
+        basis_divisors=tuple(tuple(int(i == j) for i in range(6)) for j in (1, 2, 4, 5)),
+    )
+    with pytest.raises(InvalidSpec, match="facet graph disconnected"):
+        validate_fan(twice)
+
+
 def test_class_map_rejects_bad_bases():
     """A declared basis that is not a Z-basis of Pic is an InvalidSpec."""
     good = projective_space_fan(2)
@@ -184,6 +202,75 @@ def test_class_map_rejects_bad_bases():
         )
         with pytest.raises(InvalidSpec):
             fan.canonical_class()
+
+
+def test_star_subdivide_rejects_a_bad_basis_at_once():
+    """star_subdivide reads the parent's B^-1, so a hand-built fan whose
+    basis is not a Z-basis of Pic fails when it is subdivided."""
+    good = projective_space_fan(2)
+    bad = dataclasses.replace(good, basis_divisors=((0, 2, 0),))
+    with pytest.raises(InvalidSpec, match="not a Z-basis"):
+        star_subdivide(bad, CenterSpec(frozenset({"x1", "x2"})))
+
+
+def test_blowups_inherit_the_inverse_of_x(monkeypatch):
+    """Blowing up every center of a spec inverts B once, for X: each
+    blow-up's B^-1 is X's, bordered.  The X memo is process-wide, so the
+    count starts from an empty one (cache_clear)."""
+    build_projective_bundle_fan.cache_clear()
+    sizes = []
+    real = fan_module.inverse
+
+    def counted(b):
+        sizes.append(len(b))
+        return real(b)
+
+    monkeypatch.setattr(fan_module, "inverse", counted)
+    specs = enumerate_specs(4, 1)
+    for spec in specs:
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                bl = make_blowup(spec, center)
+                bl.fan_xt.canonical_class()
+                bl.fan_x.canonical_class()
+    assert sizes == [build_projective_bundle_fan(spec).n_rays for spec in specs]
+
+
+def test_blowups_recheck_only_the_cones_they_add(monkeypatch):
+    """validate_fan computes one determinant per cone of a blow-up that is
+    not a cone of X, on every blow-up of the 3/1 family."""
+    dets = []
+    real = fan_module.determinant
+
+    def counted(m):
+        dets.append(m)
+        return real(m)
+
+    monkeypatch.setattr(fan_module, "determinant", counted)
+    for spec in enumerate_specs(3, 1):
+        fan_x = build_projective_bundle_fan(spec)
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                dets.clear()
+                sub = star_subdivide(fan_x, center)
+                added = set(sub.max_cones) - set(fan_x.max_cones)
+                assert sorted(dets) == sorted([sub.rays[i] for i in c] for c in added)
+
+
+def test_a_copy_of_a_blowup_is_checked_in_full(bl_p1p1):
+    """A dataclasses.replace copy carries neither the inherited B^-1 nor the
+    record of checked cones: a non-unimodular ray planted in cones the
+    subdivision kept from X is still found."""
+    xt = bl_p1p1.fan_xt
+    b0 = xt.name_index["b0"]
+    assert all(b0 not in cone for cone in set(xt.max_cones) - set(bl_p1p1.fan_x.max_cones))
+    rays = list(xt.rays)
+    rays[b0] = tuple(2 * x for x in rays[b0])
+    planted = dataclasses.replace(xt, rays=tuple(rays))
+    assert "_unimodular_cones" not in planted.__dict__
+    assert "_basis_inverse" not in planted.__dict__
+    with pytest.raises(InvalidSpec, match="non-unimodular cone"):
+        validate_fan(planted)
 
 
 def _family_fans():

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 from operator import sub
 
 import pytest
@@ -22,6 +24,7 @@ from excol.cohomology import cohomology_dims
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.cohomology import DiskCache
 from excol.errors import NonLineBundlePresent
+from excol.intlinalg import determinant
 
 
 def _beilinson(n):
@@ -422,3 +425,74 @@ def test_exceptional_and_semiorthogonal_imply_unimodular_gram(case_classes):
     if report.exceptional and report.semiorthogonal:
         assert not any(v[0] == "gram" for v in report.violations)
         assert abs(report.gram_determinant) == 1
+
+
+def _reference_report_json(fan, classes):
+    """certify's report, one cell at a time: each cell of ext_table gets its
+    own check, in table order (the diagonal cell first, then j < i, then
+    j > i), and its own Euler sum."""
+
+    def cell_check(i, j, h):
+        if i == j:
+            return "exceptional", h[0] != 1 or any(h[1:])
+        if i > j:
+            return "semiorthogonal", any(h)
+        return "strong", any(h[1:])
+
+    table = ext_table(fan, classes)
+    n = len(classes)
+    violations = []
+    for i in range(n):
+        for j in (i, *range(i), *range(i + 1, n)):
+            check, bad = cell_check(i, j, table[i][j])
+            if bad:
+                violations.append((check, i, j, table[i][j]))
+    gram = [[sum(h[::2]) - sum(h[1::2]) for h in row] for row in table]
+    if any(gram[i][j] != (i == j) for i in range(n) for j in range(i + 1)):
+        violations.append(("gram", -1, -1, ()))
+    failed = {v[0] for v in violations}
+    payload = json.dumps([list(c.coords) for c in classes])
+    return Report(
+        exceptional="exceptional" not in failed,
+        semiorthogonal="semiorthogonal" not in failed,
+        strong="strong" not in failed,
+        gram=gram,
+        gram_determinant=determinant(gram),
+        length_expected=len(fan.max_cones),
+        length_actual=n,
+        violations=violations,
+        provenance_hash=hashlib.sha256(payload.encode()).hexdigest(),
+    ).to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_class_lists())
+@example((0, []))
+def test_certify_matches_the_per_cell_reference(case_classes):
+    """certify checks each distinct Hom vector once, yet reports exactly
+    what the per-cell rule does: flags, violations in order, Gram matrix
+    and determinant."""
+    case, classes = case_classes
+    fan = _GRAM_CASES[case][0]
+    assert certify(fan, classes).to_json() == _reference_report_json(fan, classes)
+
+
+def test_certify_matches_the_per_cell_reference_on_p2_and_a_4_1_blowup():
+    """The same on P^2 and on a dim-4 blow-up of the 4/1 family, for the
+    collection and for failing reorderings, a duplicate and a twisted
+    intruder."""
+    bl, col = construct(BundleSpec(2, (0, 1, 1)), CenterSpec(frozenset({"b1", "f1", "f2"})))
+    cases = [_beilinson(2), (bl.fan_xt, collection_classes(bl, col))]
+    for fan, good in cases:
+        assert certify(fan, good).all_passed
+        n = len(good)
+        twist = fan.pic_class((1,) + (0,) * (fan.pic_rank - 1))
+        for classes in (
+            good,
+            good[::-1],
+            good[1:] + good[:1],
+            good[: n // 2] + [good[0]] + good[n // 2 :],
+            good[:1] + [good[-1] + twist] + good[1:],
+        ):
+            doc = certify(fan, classes).to_json()
+            assert doc == _reference_report_json(fan, classes)
