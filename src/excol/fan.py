@@ -18,10 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
 
 from .errors import InvalidSpec, NotACone, UnknownRay
-from .intlinalg import determinant, inverse
+from .intlinalg import inverse
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,8 @@ class Fan:
         Pic = Z^rays / M with M spanned by the lattice rows (v_rho[d])_rho, so
         the basis divisors are a Z-basis of Pic iff B is unimodular.  Row rho
         of C is the class of e_rho; (lattice rows) D = I (cohomology._box_matrix).
-        A blow-up built by star_subdivide never runs this: it gets X's B^-1,
-        bordered, in its __dict__.
+        A blow-up built by star_subdivide or make_blowup never runs this: it
+        gets its parent's B^-1, bordered, in its __dict__ (_subdivide).
         """
         if self.pic_rank + self.dim != self.n_rays:
             raise InvalidSpec(
@@ -162,53 +161,104 @@ class Fan:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     # a mutable per-instance cache (allowed on a frozen dataclass:
-    # cached_property writes straight into __dict__, as do validate_fan and
-    # star_subdivide, which record "_unimodular_cones" and "_basis_inverse";
-    # dataclasses.replace copies none of them)
+    # cached_property writes straight into __dict__, as does _subdivide,
+    # which records a blow-up's "_basis_inverse"; dataclasses.replace copies
+    # neither)
     @cached_property
     def _box_matrix_cache(self):
         return []  # filled once by cohomology._box_matrix
 
 
 def validate_fan(fan: Fan) -> None:
-    """Check that every ray lies in a max cone, and smoothness and
-    completeness; raise InvalidSpec.  A ray of a unimodular cone is
-    primitive, so primitivity needs no check of its own.
+    """Check that fan is a smooth complete fan; raise InvalidSpec if not.
 
-    Bareiss runs on each cone not already in fan's "_unimodular_cones"
-    record: star_subdivide seeds a blow-up's record with the validated
-    cones of X it keeps verbatim, and success records every cone.  A fan
-    never validated has no record and is checked in full.
+    Every ray must lie in a max cone and every facet on exactly two max
+    cones.  One walk of the facet graph then checks the rest.  The first
+    cone is inverted exactly, and a step from sigma across its facet
+    tau = sigma - {rho} to sigma' = tau + {rho'} pivots sigma's dual basis
+    (u_i, with <u_i, v_j> = delta_ij) in O(dim^2).  As
+    det R_sigma' = det R_sigma * <u_rho, v_rho'>, the wall coefficient
+    <u_rho, v_rho'> = -1 says that sigma' is unimodular and lies across tau
+    from sigma: the wall relation v_rho + v_rho' in span(tau) of a smooth
+    complete fan (Cox-Little-Schenck, Toric Varieties, 6.4).  The walk must
+    reach every cone.  Cones glued like this across every facet cover space
+    some number of times, so exactly one cone may contain w, the sum of the
+    first cone's rays; <u_i, w> rides along in each pivot.  A ray of a
+    unimodular cone is primitive, so primitivity needs no check of its own.
+    Nothing is written into fan.
     """
     n = fan.dim
-    stray = set(range(fan.n_rays)).difference(*fan.max_cones)
+    cones = fan.max_cones
+    stray = set(range(fan.n_rays)).difference(*cones)
     if stray:
         raise InvalidSpec(f"ray {fan.rays[min(stray)]} lies in no max cone")
-    checked = fan.__dict__.get("_unimodular_cones", frozenset())
-    facet_cones = {}
-    for k, cone in enumerate(fan.max_cones):
-        if len(cone) != n:
+    if not cones:
+        raise InvalidSpec("fan has no max cone")
+    if any(len(v) != n for v in fan.rays):
+        raise InvalidSpec("ray of wrong dimension")
+    facet_cones = {}  # facet as a bit mask of rays -> [(cone index, its ray off the facet)]
+    for k, cone in enumerate(cones):
+        if len(set(cone)) != n:
             raise InvalidSpec("max cone of wrong dimension")
-        if cone not in checked and abs(determinant([fan.rays[i] for i in cone])) != 1:
-            raise InvalidSpec(f"non-unimodular cone {cone}")
-        for facet in combinations(cone, n - 1):
-            facet_cones.setdefault(facet, []).append(k)
+        mask = sum(1 << i for i in cone)
+        for rho in cone:
+            facet_cones.setdefault(mask ^ 1 << rho, []).append((k, rho))
     if any(len(ks) != 2 for ks in facet_cones.values()):
         raise InvalidSpec("fan is not complete: facet shared by != 2 cones")
-    # connectivity of the facet graph: walk from cone 0 across shared facets
-    links = [[] for _ in fan.max_cones]
-    for a, b in facet_cones.values():
-        links[a].append(b)
-        links[b].append(a)
-    seen, stack = {0}, links[:1]
-    while stack:
-        for k in stack.pop():
-            if k not in seen:
-                seen.add(k)
-                stack.append(links[k])
-    if len(seen) != len(links):
+    across = [[] for _ in cones]  # per cone: (rho, the cone across tau, its rho')
+    for (a, rho_a), (b, rho_b) in facet_cones.values():
+        across[a].append((rho_a, b, rho_b))
+        across[b].append((rho_b, a, rho_a))
+    nonzeros = [[(d, x) for d, x in enumerate(v) if x] for v in fan.rays]
+
+    def dot(u, rho):
+        return sum(u[d] * x for d, x in nonzeros[rho])
+
+    try:
+        inv, det = inverse([fan.rays[i] for i in cones[0]])
+    except ValueError:  # singular
+        det = 0
+    if det != 1:
+        raise InvalidSpec(f"non-unimodular cone {cones[0]}")
+    # dual[i]: u_i (a column of R^-1), then <u_i, w>, which is 1 on the first cone
+    dual = {i: [row[j] for row in inv] + [1] for j, i in enumerate(cones[0])}
+
+    def pivot(out, into):
+        """Trade ray out of the dual basis for ray into; <u_out, v_into> = -1."""
+        u_out = dual.pop(out)
+        for u in dual.values():
+            c = dot(u, into)
+            if c:
+                u[:] = [x + c * y for x, y in zip(u, u_out)]
+        dual[into] = [-y for y in u_out]
+
+    seen = [True] + [False] * (len(cones) - 1)
+    covering = 1  # the cones that contain w, the first among them
+    path = [(0, iter(across[0]), None)]  # (cone, its facets left, the step into it)
+    while path:
+        k, facets, entry = path[-1]
+        step = next(facets, None)
+        if step is None:
+            path.pop()
+            if entry:
+                pivot(entry[1], entry[0])  # back across the facet: the exact inverse
+            continue
+        rho, k2, rho2 = step
+        wall = dot(dual[rho], rho2)
+        if abs(wall) != 1:
+            raise InvalidSpec(f"non-unimodular cone {cones[k2]}")
+        if wall == 1:
+            facet = tuple(i for i in cones[k] if i != rho)
+            raise InvalidSpec(f"cones {cones[k]} and {cones[k2]} lie on one side of facet {facet}")
+        if not seen[k2]:
+            seen[k2] = True
+            pivot(rho, rho2)
+            covering += all(u[n] >= 0 for u in dual.values())
+            path.append((k2, iter(across[k2]), (rho, rho2)))
+    if not all(seen):
         raise InvalidSpec("fan is not complete: facet graph disconnected")
-    fan.__dict__["_unimodular_cones"] = frozenset(fan.max_cones)
+    if covering != 1:
+        raise InvalidSpec(f"fan is not a fan: it covers a point {covering} times")
 
 
 @dataclass(frozen=True)
@@ -356,18 +406,28 @@ def _center_indices(fan: Fan, center: CenterSpec):
 def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
     """Blow-up along the orbit closure of the cone spanned by the center rays.
 
+    fan is validated first; the blow-up needs no check of its own.  Each
+    cone sigma that holds the center tau gives way to the cones
+    (sigma - {c}) + {e}, c in tau, and each of those has |det R_sigma|,
+    because e - sum_{tau - {c}} v_i = v_c.  A star subdivision of a
+    complete fan is complete (Cox-Little-Schenck, Toric Varieties, 3.3).
+    """
+    validate_fan(fan)
+    return _subdivide(fan, center)
+
+
+def _subdivide(fan: Fan, center: CenterSpec) -> Fan:
+    """star_subdivide on a fan already validated.
+
     Up to row order the blow-up's B is [[B, B 1_tau], [0, 1]] (fan's B, its
     rows extended by their sums over the center tau, and the E row), so its
     B^-1 is fan's bordered: an E column holding -1 on the center rays, and
     the unit row of e.  Reading fan's B^-1 raises InvalidSpec here unless
-    fan's basis divisors are a Z-basis of Pic.  The validated cones of fan
-    that the subdivision keeps are not re-checked (validate_fan).
+    fan's basis divisors are a Z-basis of Pic.
     """
     idx = _center_indices(fan, center)
     idx_set = set(idx)
     inv = fan._basis_inverse
-    # primitive, as the ray sum of a smooth cone; validate_fan(sub) checks
-    # the cones holding it
     new_ray = tuple(sum(fan.rays[i][d] for i in idx) for d in range(fan.dim))
     e = fan.n_rays
     cones = []
@@ -376,7 +436,7 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
             for drop in idx:
                 cones.append(tuple(sorted((set(cone) - {drop}) | {e})))
         else:
-            cones.append(cone)  # kept verbatim: same indices, same rays
+            cones.append(cone)
     # pullback of a divisor acquires coefficient sum(old coeffs over center) at e
     basis = [
         tuple(bd) + (sum(bd[i] for i in idx),) for bd in fan.basis_divisors
@@ -394,10 +454,6 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
     sub.__dict__["_basis_inverse"] = tuple(
         row[:p] + (-int(rho in idx_set),) + row[p:] for rho, row in enumerate(inv)
     ) + (tuple(int(j == p) for j in range(e + 1)),)
-    sub.__dict__["_unimodular_cones"] = fan.__dict__.get(
-        "_unimodular_cones", frozenset()
-    ).intersection(cones)
-    validate_fan(sub)
     return sub
 
 
@@ -445,6 +501,6 @@ class Blowup:
 
 def make_blowup(spec: BundleSpec, center: CenterSpec) -> Blowup:
     fan_x = build_projective_bundle_fan(spec)
-    fan_xt = star_subdivide(fan_x, center)  # checks the center against X
+    fan_xt = _subdivide(fan_x, center)  # checks the center against X
     geom = _geometry(spec, center)
     return Blowup(spec=spec, center=center, geometry=geom, fan_x=fan_x, fan_xt=fan_xt)

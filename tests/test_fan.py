@@ -12,6 +12,7 @@ from excol import (
     star_subdivide,
 )
 from excol import fan as fan_module
+from excol import intlinalg
 from excol.cli import enumerate_centers, enumerate_specs, run_case
 from excol.errors import InvalidSpec, NotACone, UnknownRay
 from excol.fan import Fan, validate_fan
@@ -143,6 +144,9 @@ def test_validate_fan_rejects_broken_input():
     )
     with pytest.raises(InvalidSpec, match="non-unimodular cone"):
         validate_fan(bad_ray)
+    doubled = dataclasses.replace(good, rays=tuple((2 * x, 2 * y) for x, y in good.rays))
+    with pytest.raises(InvalidSpec, match=r"non-unimodular cone \(1, 2\)"):
+        validate_fan(doubled)  # the cone the walk starts from
     incomplete = Fan(
         dim=2,
         ray_names=good.ray_names,
@@ -153,6 +157,64 @@ def test_validate_fan_rejects_broken_input():
     )
     with pytest.raises(InvalidSpec):
         validate_fan(incomplete)
+    with pytest.raises(InvalidSpec, match="no max cone"):
+        validate_fan(dataclasses.replace(good, max_cones=()))
+    with pytest.raises(InvalidSpec, match="ray of wrong dimension"):
+        validate_fan(dataclasses.replace(good, rays=good.rays[:2] + ((0, 1, 0),)))
+
+
+def test_validate_fan_rejects_cones_on_one_side_of_a_facet():
+    """P^1 x P^1 with b0 moved to (1, 1): every cone is unimodular and every
+    facet lies on two cones, but (b1, f1) and (b0, f1) lie on one side of
+    f1, so the cones overlap."""
+    good = build_projective_bundle_fan(BundleSpec(1, (0, 0)))
+    rays = list(good.rays)
+    rays[good.name_index["b0"]] = (1, 1)
+    planted = dataclasses.replace(good, rays=tuple(rays))
+    with pytest.raises(InvalidSpec, match=r"lie on one side of facet \(3,\)"):
+        validate_fan(planted)
+
+
+def test_validate_fan_rejects_a_double_cover():
+    """Eight cones around the origin on the four unit rays, each ray listed
+    twice: every cone is unimodular, every facet lies on two cones on
+    opposite sides and the facet graph is connected, but the cones cover
+    the plane twice."""
+    units = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    twice = Fan(
+        dim=2,
+        ray_names=tuple(f"y{i}" for i in range(8)),
+        rays=units * 2,
+        max_cones=tuple(tuple(sorted((i, (i + 1) % 8))) for i in range(8)),
+        basis_tag="double cover",
+        basis_divisors=tuple(tuple(int(i == j) for i in range(8)) for j in range(6)),
+    )
+    with pytest.raises(InvalidSpec, match="covers a point 2 times"):
+        validate_fan(twice)
+
+
+def test_validate_fan_is_one_inverse_and_a_walk(monkeypatch):
+    """On an X with s = 40, validate_fan runs one Bareiss elimination, the
+    exact inverse of the first cone, and no determinant, and it writes
+    nothing into the fan."""
+    fan = build_projective_bundle_fan(BundleSpec(40, (0, 1)))
+    inverses, eliminations = [], []
+    real_inverse, real_bareiss = fan_module.inverse, intlinalg._bareiss
+
+    def counted_inverse(b):
+        inverses.append(len(b))
+        return real_inverse(b)
+
+    def counted_bareiss(a, ncols):
+        eliminations.append(ncols)
+        return real_bareiss(a, ncols)
+
+    monkeypatch.setattr(fan_module, "inverse", counted_inverse)
+    monkeypatch.setattr(intlinalg, "_bareiss", counted_bareiss)
+    before = dict(fan.__dict__)
+    validate_fan(fan)
+    assert inverses == eliminations == [41]
+    assert fan.__dict__ == before
 
 
 def test_validate_fan_rejects_a_ray_in_no_cone():
@@ -213,10 +275,21 @@ def test_star_subdivide_rejects_a_bad_basis_at_once():
         star_subdivide(bad, CenterSpec(frozenset({"x1", "x2"})))
 
 
+def test_star_subdivide_validates_its_input_first():
+    """The public star_subdivide rejects a non-unimodular hand-built P^2
+    before it builds anything: it never reads the parent's B^-1."""
+    good = projective_space_fan(2)
+    bad = dataclasses.replace(good, rays=((-2, -2),) + good.rays[1:])
+    with pytest.raises(InvalidSpec, match="non-unimodular cone"):
+        star_subdivide(bad, CenterSpec(frozenset({"x1", "x2"})))
+    assert "_basis_inverse" not in bad.__dict__
+
+
 def test_blowups_inherit_the_inverse_of_x(monkeypatch):
     """Blowing up every center of a spec inverts B once, for X: each
-    blow-up's B^-1 is X's, bordered.  The X memo is process-wide, so the
-    count starts from an empty one (cache_clear)."""
+    blow-up's B^-1 is X's, bordered.  The only other inverse is the one
+    cone (dim x dim) that validating X starts its walk from.  The X memo is
+    process-wide, so the count starts from an empty one (cache_clear)."""
     build_projective_bundle_fan.cache_clear()
     sizes = []
     real = fan_module.inverse
@@ -233,41 +306,21 @@ def test_blowups_inherit_the_inverse_of_x(monkeypatch):
                 bl = make_blowup(spec, center)
                 bl.fan_xt.canonical_class()
                 bl.fan_x.canonical_class()
-    assert sizes == [build_projective_bundle_fan(spec).n_rays for spec in specs]
-
-
-def test_blowups_recheck_only_the_cones_they_add(monkeypatch):
-    """validate_fan computes one determinant per cone of a blow-up that is
-    not a cone of X, on every blow-up of the 3/1 family."""
-    dets = []
-    real = fan_module.determinant
-
-    def counted(m):
-        dets.append(m)
-        return real(m)
-
-    monkeypatch.setattr(fan_module, "determinant", counted)
-    for spec in enumerate_specs(3, 1):
-        fan_x = build_projective_bundle_fan(spec)
-        for codim in (2, 3):
-            for center in enumerate_centers(spec, codim):
-                dets.clear()
-                sub = star_subdivide(fan_x, center)
-                added = set(sub.max_cones) - set(fan_x.max_cones)
-                assert sorted(dets) == sorted([sub.rays[i] for i in c] for c in added)
+    assert sizes == [
+        size for spec in specs for size in (spec.dim, build_projective_bundle_fan(spec).n_rays)
+    ]
 
 
 def test_a_copy_of_a_blowup_is_checked_in_full(bl_p1p1):
-    """A dataclasses.replace copy carries neither the inherited B^-1 nor the
-    record of checked cones: a non-unimodular ray planted in cones the
-    subdivision kept from X is still found."""
+    """A dataclasses.replace copy carries no inherited B^-1, and a
+    non-unimodular ray planted in cones the subdivision kept from X is
+    found."""
     xt = bl_p1p1.fan_xt
     b0 = xt.name_index["b0"]
     assert all(b0 not in cone for cone in set(xt.max_cones) - set(bl_p1p1.fan_x.max_cones))
     rays = list(xt.rays)
     rays[b0] = tuple(2 * x for x in rays[b0])
     planted = dataclasses.replace(xt, rays=tuple(rays))
-    assert "_unimodular_cones" not in planted.__dict__
     assert "_basis_inverse" not in planted.__dict__
     with pytest.raises(InvalidSpec, match="non-unimodular cone"):
         validate_fan(planted)
@@ -286,9 +339,12 @@ def _family_fans():
 def test_class_map_inverts_basis_divisors():
     """On every fan of the family, each basis divisor has its unit class and
     each lattice row (the divisor of a character) has class 0; the whole of
-    _basis_inverse is the inverse of B = [basis divisors; lattice rows]."""
+    _basis_inverse is the inverse of B = [basis divisors; lattice rows].
+    Each fan is a smooth complete fan, blow-ups included, which make_blowup
+    does not validate."""
     count = 0
     for fan in _family_fans():
+        validate_fan(fan)
         units = [tuple(int(i == j) for i in range(fan.pic_rank)) for j in range(fan.pic_rank)]
         for bd, unit in zip(fan.basis_divisors, units):
             assert fan.class_of_divisor(bd).coords == unit
@@ -355,8 +411,8 @@ def test_make_blowup_consistency(bl_p1p1):
 
 def test_one_x_fan_per_spec(monkeypatch):
     """Every blow-up of a spec shares one X, and a sweep of the 3/1 family
-    builds and validates each X once.  The memo is process-wide, so the
-    count starts from an empty one (cache_clear)."""
+    builds and validates each X once and validates no blow-up.  The memo is
+    process-wide, so the count starts from an empty one (cache_clear)."""
     spec = BundleSpec(2, (0, 1))
     assert (
         make_blowup(spec, CenterSpec(frozenset({"b1", "f1"}))).fan_x
@@ -377,9 +433,7 @@ def test_one_x_fan_per_spec(monkeypatch):
             for center in enumerate_centers(spec, codim):
                 report, err = run_case(spec, center, cache=False)
                 assert err is None and report.all_passed
-    x_tags = [tag for tag in validated if not tag.endswith("+E")]
-    assert len(validated) > len(x_tags)
-    assert sorted(x_tags) == sorted(build_projective_bundle_fan(s).basis_tag for s in specs)
+    assert sorted(validated) == sorted(build_projective_bundle_fan(s).basis_tag for s in specs)
 
 
 def test_canonical_json_is_stable(bl_p1p1):
