@@ -5,9 +5,10 @@ against: for a T-divisor lift of the class, every lattice character u
 contributes the reduced rational cohomology of the support complex on the
 rays where the section inequality fails.
 
-All h-vectors of a batch (cohomology_dims_many; cohomology_dims is a batch
-of one) are computed in one pass over its distinct classes, less those a
-DiskCache already holds:
+Each entry (cohomology_dims, cohomology_dims_many, excol.verify's ext_table
+and certify) checks each class once (_class_coords).  All h-vectors of a
+batch are computed in one pass over its distinct classes, less those a
+DiskCache already holds, lifted in one exact product (_dims_of_coords):
 
 - ranks: only support sets S whose complex has nonzero reduced cohomology
   add to h.  By Hochster's formula its ranks are Betti numbers, read off
@@ -21,7 +22,8 @@ DiskCache already holds:
   B^-1 with one p x p adjugate (p = Picard rank; Jacobi, Oda-Park) into
   one int64 (vertices x dim x rays) map per fan (_box_matrix), so the
   vertices of the whole batch come from one matrix product, under one
-  guard that every value the pass forms fits in int64 (_polytope_boxes).
+  guard on the exact lift that every value the pass forms fits in int64
+  (_dims_of_divisors), which then converts it to int64 once.
   A vertex meets the inequalities of its own dim rays with equality, so
   only the p rays off it are tested, from a (p x vertices x rays) map.  A
   bounded P_S is the hull of its vertices, so their exact lattice box
@@ -52,7 +54,7 @@ from operator import or_
 import numpy as np
 
 from . import kernels
-from .errors import BoxTooLarge, UnboundedContribution
+from .errors import BoxTooLarge, NonLineBundlePresent, UnboundedContribution
 from .fan import Fan, PicClass
 from .intlinalg import rational_rank
 
@@ -159,7 +161,7 @@ def _box_matrix(fan: Fan):
     n_rays, int64) maps a to the slacks at off.
 
     reach bounds every value the pass forms, in units of big = max|a| + 1
-    over a batch (_polytope_boxes's guard).  With s and t the largest L1
+    over a batch (_dims_of_divisors's guard).  With s and t the largest L1
     norms of the rows of scatter and tests, V the largest L1 norm of a ray
     and W its largest |entry|, reach = max(t, (V + 1) s + V, 2 W s): the
     vertices of a + 1_S lie within s big, so do the polytope boxes, and
@@ -207,34 +209,26 @@ def _box_matrix(fan: Fan):
     return cache
 
 
-def _polytope_boxes(fan: Fan, coeff_rows, masks):
+def _polytope_boxes(fan: Fan, coeffs, masks):
     """(rows, masks, lo, hi), four int64 arrays in (row, mask) order, of
-    every T-divisor a in coeff_rows and support set S in masks whose polytope
+    every T-divisor a in coeffs (int64 rows, within _dims_of_divisors's guard)
+    and support set S in masks whose polytope
 
         P_S(a) = {u : <u, v_rho> <= -a_rho - 1 for rho in S, >= -a_rho else}
 
     has lattice points in [lo, hi] = [ceil(min), floor(max)] of its vertices
     (the kernel takes no empty box: it divides by the box widths).
 
-    The one int64 guard of the pass comes first: big = max|a| + 1 times
-    reach (_box_matrix) must stay below 2^63 - 1, else BoxTooLarge names the
-    row with the largest coefficient and the bound.  P_S(a) is cut out by
-    the arrangement of b = a + 1_S, so its vertices are the arrangement
-    vertices of b that meet every inequality: scatter @ b (det_S times each
-    vertex, from one product for the batch), tested on the p rays off each
-    vertex by tests @ b.  The rays span, so P_S(a) is pointed, and it is
-    empty when no vertex qualifies.  The (vertex, mask, row) tests are
-    formed a few rows at a time, at most SLACK_VALUES values each, so the
-    temporaries stay small.
+    P_S(a) is cut out by the arrangement of b = a + 1_S, so its vertices
+    are the arrangement vertices of b that meet every inequality: scatter @
+    b (det_S times each vertex, from one product for the batch), tested on
+    the p rays off each vertex by tests @ b.  The rays span, so P_S(a) is
+    pointed, and it is empty when no vertex qualifies.  The (vertex, mask,
+    row) tests are formed a few rows at a time, at most SLACK_VALUES values
+    each, so the temporaries stay small.
     """
-    scatter, dets, reach, tests, off = _box_matrix(fan)
-    big = max(abs(a) for row in coeff_rows for a in row) + 1
-    if big * reach >= _INT64_MAX:
-        row = next(row for row in coeff_rows if max(map(abs, row)) + 1 == big)
-        raise BoxTooLarge(
-            f"T-divisor {tuple(row)}: values bounded by {big * reach} (int64 limit {_INT64_MAX})"
-        )
-    coeffs = np.array(coeff_rows, dtype=np.int64).T
+    scatter, dets, _reach, tests, off = _box_matrix(fan)
+    coeffs = np.asarray(coeffs, dtype=np.int64).T
     inside = (masks[:, None] >> np.arange(fan.n_rays)) & 1  # (masks, rays): 1 on S
     verts, mask_verts = scatter @ coeffs, scatter @ inside.T
     slack = (tests @ coeffs)[:, :, None]
@@ -244,7 +238,7 @@ def _polytope_boxes(fan: Fan, coeff_rows, masks):
     low = on - (tests @ inside.T)[..., None]
     step = max(1, SLACK_VALUES // (len(dets) * len(masks)))
     out = []
-    for start in range(0, len(coeff_rows), step):
+    for start in range(0, coeffs.shape[1], step):
         chunk = slack[..., start : start + step]
         vertex = (chunk[0] >= low[0]) != on[0]
         for j in range(1, len(off)):
@@ -321,59 +315,78 @@ def _support_ranks(fan: Fan):
 def _dims_of_divisors(fan: Fan, coeff_rows):
     """All h^i of each T-divisor (rows of ray coefficients), uncached.
 
-    h is the sum, over the support sets S with nonzero reduced cohomology,
-    of the lattice points of P_S (_polytope_boxes) times the ranks of S, all
-    counted in one kernel call.  The rank table certifies every such P_S
-    bounded (_bounded), so its lattice box holds all of it.  Before the
-    kernel call, the first box in (row, mask) order over MAX_BOX_POINTS
-    raises BoxTooLarge; the widths' product is clipped at each step, so it
-    stays in int64.
+    The int64 guard comes first, on the exact rows: big = max|a| + 1 times
+    reach (_box_matrix) must stay below 2^63 - 1, else BoxTooLarge names the
+    row with the largest coefficient and the bound.  h is the sum, over the
+    support sets S with nonzero reduced cohomology, of the lattice points
+    of P_S (_polytope_boxes) times the ranks of S, all counted in one kernel
+    call.  The rank table certifies every such P_S bounded (_bounded), so
+    its lattice box holds all of it.  Before the kernel call, the first box
+    in (row, mask) order over MAX_BOX_POINTS raises BoxTooLarge.
     """
     support, ranks = _support_ranks(fan)
-    rows, masks, lo, hi = _polytope_boxes(fan, coeff_rows, support)
+    reach, exact = _box_matrix(fan)[2], np.asarray(coeff_rows, dtype=object)
+    if (big := max(map(abs, exact.flat)) + 1) * reach >= _INT64_MAX:
+        row = exact[abs(exact).max(axis=1).argmax()]  # the first with the largest |a|
+        raise BoxTooLarge(
+            f"T-divisor {tuple(row)}: values bounded by {big * reach} (int64 limit {_INT64_MAX})"
+        )
+    coeffs = exact.astype(np.int64)
+    rows, masks, lo, hi = _polytope_boxes(fan, coeffs, support)
     points = np.ones(len(rows), dtype=np.int64)
     for width in np.minimum(hi - lo + 1, MAX_BOX_POINTS + 1).T:
         points = np.minimum(points * width, MAX_BOX_POINTS + 1)
     if (over := np.flatnonzero(points > MAX_BOX_POINTS)).size:
         i = over[0]
         raise BoxTooLarge(
-            f"T-divisor {tuple(coeff_rows[rows[i]])}, support set {int(masks[i]):b}: polytope "
+            f"T-divisor {tuple(exact[rows[i]])}, support set {int(masks[i]):b}: polytope "
             f"box lo={lo[i].tolist()} hi={hi[i].tolist()}: {prod((hi[i] - lo[i] + 1).tolist())} "
             f"points (budget {MAX_BOX_POINTS})"
         )
-    h = np.zeros((len(coeff_rows), fan.dim + 1), dtype=np.int64)
+    h = np.zeros((len(coeffs), fan.dim + 1), dtype=np.int64)
     if len(rows):
-        coeffs, rays = (np.array(x, dtype=np.int64) for x in (coeff_rows, fan.rays))
+        rays = np.array(fan.rays, dtype=np.int64)
         counts = kernels.count_support_sets(lo, hi, rays, coeffs[rows], masks)
         # ranks[:, i] is the rank in degree i-1, which adds to h^i
         np.add.at(h, rows, counts[:, None] * ranks[np.searchsorted(support, masks)])
     return [tuple(x) for x in h.tolist()]
 
 
+def _class_coords(fan: Fan, cls):
+    """cls's coordinates, once checked to be a class of fan."""
+    if not isinstance(cls, PicClass):
+        raise NonLineBundlePresent(f"not a line bundle class: {cls!r}")
+    if cls.basis != fan.basis_tag:
+        raise ValueError("class belongs to a different fan")
+    if len(cls.coords) != fan.pic_rank:
+        raise ValueError("wrong number of Picard coordinates")
+    return cls.coords
+
+
+def _lift(fan: Fan, coords):
+    """A T-divisor of each class (rows of Python ints), in one exact product."""
+    return np.array(coords, dtype=object) @ np.array(fan.basis_divisors, dtype=object)
+
+
+def _dims_of_coords(fan: Fan, coords, cache):
+    """All h^i of each class, by its checked coordinates, in order: those
+    cache (a DiskCache, or None: no disk I/O) lacks go, each once, through
+    one _dims_of_divisors pass and into the fan's file in one write."""
+    known = cache.get(fan) if cache else {}
+    if missing := list(dict.fromkeys(c for c in coords if c not in known)):
+        new = dict(zip(missing, _dims_of_divisors(fan, _lift(fan, missing))))
+        if cache:
+            cache.put(fan, new)
+        known.update(new)
+    return [known[c] for c in coords]
+
+
 def cohomology_dims(fan: Fan, cls: PicClass, cache=None):
-    """All h^i(fan, cls), exactly; cache is a DiskCache, or None for no disk
-    I/O."""
+    """All h^i(fan, cls), exactly; cache is a DiskCache, or None: no disk I/O."""
     return cohomology_dims_many(fan, [cls], cache)[0]
 
 
 def cohomology_dims_many(fan: Fan, classes, cache=None):
-    """cohomology_dims of each class, in order, in one pass.
-
-    With a DiskCache, the fan's file is read once per call, and the classes
-    it lacks, each once, go through one _dims_of_divisors pass whose entries
-    are appended to it in one write; without one, every distinct class is
-    computed and nothing touches the disk.  The pass raises InvalidSpec if
-    the fan's basis divisors are not a Z-basis of Pic (Fan._basis_inverse).
-    """
-    for cls in classes:
-        if cls.basis != fan.basis_tag:
-            raise ValueError("class belongs to a different fan")
-    known = cache.get(fan) if cache else {}
-    missing = {cls.coords: cls for cls in classes if cls.coords not in known}
-    if missing:
-        rows = [fan.tdivisor_lift(cls) for cls in missing.values()]
-        new = dict(zip(missing, _dims_of_divisors(fan, rows)))
-        if cache:
-            cache.put(fan, new)
-        known.update(new)
-    return [known[cls.coords] for cls in classes]
+    """cohomology_dims of each class, in order, in one pass; InvalidSpec if
+    the fan's basis divisors are not a Z-basis of Pic (Fan._basis_inverse)."""
+    return _dims_of_coords(fan, [_class_coords(fan, cls) for cls in classes], cache)

@@ -56,4 +56,4 @@ class HypothesisFailed(MutationError):
 
 
 class NonLineBundlePresent(ExcolError):
-    """The verifier only accepts collections of line bundles."""
+    """The oracle and the verifier take only line bundle classes (PicClass)."""

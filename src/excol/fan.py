@@ -25,10 +25,15 @@ from .intlinalg import inverse
 
 @dataclass(frozen=True)
 class PicClass:
-    """A line bundle class in the declared basis of one fan."""
+    """A line bundle class in the declared basis of one fan; int coordinates."""
 
     coords: tuple
     basis: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(self.coords))
+        if not all(type(c) is int for c in self.coords):
+            raise ValueError(f"Picard coordinates must be integers: {self.coords}")
 
     def _check(self, other):
         if self.basis != other.basis:
@@ -48,7 +53,7 @@ class Fan:
     """A smooth complete fan with named rays and a declared Picard basis.
 
     basis_divisors holds, per Picard basis element, a T-divisor (vector of
-    ray coefficients) representing it; tdivisor_lift is the induced section.
+    ray coefficients) representing it, by which the oracle lifts a class.
     """
 
     dim: int
@@ -127,22 +132,10 @@ class Fan:
         return self.class_of_divisor([-1] * self.n_rays)
 
     def pic_class(self, coords) -> PicClass:
-        coords = tuple(coords)
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in coords):
-            raise ValueError(f"Picard coordinates must be integers: {coords}")
-        if len(coords) != self.pic_rank:
+        cls = PicClass(coords, self.basis_tag)  # integer coordinates
+        if len(cls.coords) != self.pic_rank:
             raise ValueError("wrong number of Picard coordinates")
-        return PicClass(coords, self.basis_tag)
-
-    def tdivisor_lift(self, cls: PicClass):
-        """A T-divisor (ray coefficients) whose class is cls; fixed section."""
-        if cls.basis != self.basis_tag:
-            raise ValueError("class belongs to a different fan")
-        coeffs = [0] * self.n_rays
-        for x, bd in zip(cls.coords, self.basis_divisors):
-            for rho, c in enumerate(bd):
-                coeffs[rho] += x * c
-        return tuple(coeffs)
+        return cls
 
     @cached_property
     def canonical_json(self) -> str:

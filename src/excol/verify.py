@@ -5,12 +5,13 @@ the cohomology oracle, independently of the mutation engine's structured
 formulas (which never call the oracle).  Each cell of the graded Hom table
 gets one check: exceptionality on the diagonal, semiorthogonality below
 it, strongness above it; each verdict flag says that no cell of its check
-failed.  Cells share their Hom vector with every cell of the same
-difference b - a, so each distinct vector is computed, checked and summed
-once.  Together with the length the fan's maximal-cone count (the rank
-of K_0) demands, the three flags decide the report.  The Euler-Gram matrix
-and its determinant are reported too; the first two flags already make it
-upper unitriangular, the necessary condition for fullness.
+failed.  Each class is checked once, and cells share their Hom vector
+with every cell of the same difference b - a, so each distinct vector is
+computed (in one oracle pass), checked and summed once.  Together with
+the length the fan's maximal-cone count (the rank of K_0) demands, the
+three flags decide the report.  The Euler-Gram matrix and its determinant
+are reported too; the first two flags already make it upper
+unitriangular, the necessary condition for fullness.
 """
 
 from __future__ import annotations
@@ -20,33 +21,25 @@ import json
 from dataclasses import dataclass, field, fields
 from operator import sub
 
-from .cohomology import cohomology_dims_many
-from .errors import NonLineBundlePresent
-from .fan import Fan, PicClass
+from .cohomology import _class_coords, _dims_of_coords
+from .fan import Fan
 from .intlinalg import determinant
 
 
 def _hom_batch(fan: Fan, classes, cache):
     """(grid, homs): homs holds the graded Hom dimension vectors of the
-    distinct differences b - a, from one cohomology_dims_many batch, and
-    grid[i][j] indexes the one of Hom(classes[i], classes[j])."""
-    for cls in classes:
-        if not isinstance(cls, PicClass):
-            raise NonLineBundlePresent(f"not a line bundle class: {cls!r}")
-        if cls.basis != fan.basis_tag:
-            raise ValueError("class belongs to a different fan")
-        fan.pic_class(cls.coords)  # integer coordinates, as many as the Picard rank
-    coords = [cls.coords for cls in classes]
+    distinct differences b - a of the checked classes, from one oracle pass
+    over their coordinates, and grid[i][j] indexes Hom(classes[i], classes[j])."""
+    coords = [_class_coords(fan, cls) for cls in classes]
     index = {}
     grid = [[index.setdefault(tuple(map(sub, b, a)), len(index)) for b in coords] for a in coords]
-    batch = [PicClass(d, fan.basis_tag) for d in index]
-    return grid, cohomology_dims_many(fan, batch, cache)
+    return grid, _dims_of_coords(fan, list(index), cache)
 
 
 def ext_table(fan: Fan, classes, cache=None):
     """n x n grid of graded Hom dimension vectors between line bundles, from
-    one cohomology_dims_many batch of the distinct differences; cache is a
-    DiskCache, or None for no disk I/O."""
+    one oracle pass over the distinct differences; cache is a DiskCache, or
+    None for no disk I/O."""
     grid, homs = _hom_batch(fan, classes, cache)
     return [[homs[k] for k in row] for row in grid]
 

@@ -29,14 +29,15 @@ from excol.cohomology import (
     _box_matrix,
     _bounded,
     _dims_of_divisors,
+    _lift,
     _polytope_boxes,
     _support_ranks,
     cohomology_dims_many,
 )
 from excol import cohomology, kernels
 from excol.cli import enumerate_centers, enumerate_specs, run_case
-from excol.errors import BoxTooLarge, InvalidSpec, UnboundedContribution
-from excol.fan import Fan
+from excol.errors import BoxTooLarge, InvalidSpec, NonLineBundlePresent, UnboundedContribution
+from excol.fan import PicClass
 from excol.intlinalg import determinant, inverse
 from excol.verify import certify
 from oracle_helpers import (
@@ -121,7 +122,7 @@ def test_lift_invariance(bl_p1p1):
                 sum(ui * v[d] for d, ui in enumerate(u)) for v in fan.rays
             ]
             lift = [
-                a + b for a, b in zip(fan.tdivisor_lift(cls), principal)
+                a + b for a, b in zip(_lift(fan, [cls.coords])[0], principal)
             ]
             assert _dims_of_divisors(fan, [lift]) == [base]
 
@@ -161,7 +162,7 @@ def test_arrangement_box_table():
     for (spec, center), rows in BOX_TABLE.items():
         fan = make_blowup(spec, CenterSpec(frozenset(center))).fan_xt
         for coords, lo, hi in rows:
-            coeffs = fan.tdivisor_lift(fan.pic_class(coords))
+            (coeffs,) = _lift(fan, [coords]).tolist()
             assert _python_box(fan, coeffs) == (list(lo), list(hi)), coords
 
 
@@ -422,7 +423,7 @@ def test_polytope_boxes_drop_empty_lattice_boxes():
 
 
 def _guard_edge(fan):
-    """The largest max|a| the int64 guard of _polytope_boxes admits."""
+    """The largest max|a| the int64 guard of _dims_of_divisors admits."""
     return (_INT64_MAX - 1) // _box_matrix(fan)[2] - 1
 
 
@@ -433,7 +434,8 @@ BUDGET_ERROR = r"support set \d+: polytope box lo=.* points \(budget 100000000\)
 @pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
 def test_polytope_product_guard(case):
     """The largest coefficient the int64 guard admits gives the exact
-    polytope boxes; one more raises BoxTooLarge naming the T-divisor."""
+    polytope boxes; one more raises BoxTooLarge naming the T-divisor, from
+    the pass, where the guard sits."""
     fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
     masks = _nonacyclic_masks(fan)
     for sign in (1, -1):
@@ -446,7 +448,7 @@ def test_polytope_product_guard(case):
         coeffs[-1] += sign
         past = re.escape(f"T-divisor {tuple(coeffs)}: ") + GUARD_ERROR
         with pytest.raises(BoxTooLarge, match=past):
-            _polytope_boxes(fan, [coeffs], masks)
+            _dims_of_divisors(fan, [coeffs])
 
 
 @pytest.mark.parametrize("case", [None] + list(BOX_TABLE))
@@ -468,7 +470,7 @@ def test_guard_refuses_only_over_budget_arrangement_boxes(case):
 # two edges, or None where the pass raises BoxTooLarge: max|a| * s <
 # 2^63 - 1 for the largest L1 norm s of a vertex map's row ("box"), which
 # once guarded the arrangement boxes on its own, and the guard of
-# _polytope_boxes ("polytope").  A class whose lift reaches either edge
+# _dims_of_divisors ("polytope").  A class whose lift reaches either edge
 # raises: its polytope boxes are far over budget, or it is past the guard.
 PRINCIPAL_H0_AT_EDGE = {"box": (None, None, None), "polytope": (1, 1, None)}
 
@@ -491,7 +493,7 @@ def test_guard_edges_through_the_pass(case, edge):
             single = [0] * fan.n_rays
             single[-1] = sign * t
             cls = fan.class_of_divisor(single)
-            assert max(map(abs, fan.tdivisor_lift(cls))) == t
+            assert max(map(abs, _lift(fan, [cls.coords])[0])) == t
             past = t > _guard_edge(fan)
             with pytest.raises(BoxTooLarge, match=GUARD_ERROR if past else BUDGET_ERROR):
                 cohomology_dims_many(fan, [cls])
@@ -1100,15 +1102,15 @@ def test_batch_reads_once_and_appends_only_the_missing_classes(tmp_path, monkeyp
 
 
 def test_batch_lifts_each_missing_class_once(tmp_path, monkeypatch):
-    """The lift runs once per distinct class the file lacks, not once per
-    occurrence in the batch."""
+    """The lift holds one row per distinct class the file lacks, not one
+    per occurrence in the batch."""
     fan = projective_space_fan(2)
     cache = DiskCache(str(tmp_path))
     cohomology_dims(fan, fan.pic_class((0,)), cache)
     lifted = []
-    lift = Fan.tdivisor_lift
+    lift = cohomology._lift
     monkeypatch.setattr(
-        Fan, "tdivisor_lift", lambda f, cls: lifted.append(cls.coords) or lift(f, cls)
+        cohomology, "_lift", lambda f, coords: lifted.extend(coords) or lift(f, coords)
     )
     degrees = (2, -4, 0, 2, 0, -4, 2)
     got = cohomology_dims_many(fan, [fan.pic_class((d,)) for d in degrees], cache)
@@ -1132,6 +1134,37 @@ def test_batch_checks_every_box_before_the_first_sweep(monkeypatch):
     classes = [fan.pic_class((d,)) for d in (1, 2, 20000)]
     with pytest.raises(BoxTooLarge, match="budget"):
         cohomology_dims_many(fan, classes)
+    assert calls == []
+
+
+# Hostile classes on P^2, with the typed error and text certify gives for
+# each: no PicClass holds a float or a bool, and a class must have one
+# coordinate per Picard basis element.
+HOSTILE_CLASSES = {
+    "float": (lambda: PicClass((1.5,), "P^2"), "Picard coordinates must be integers: (1.5,)"),
+    "bool": (lambda: PicClass((True,), "P^2"), "Picard coordinates must be integers: (True,)"),
+    "long": (lambda: PicClass((1, 2), "P^2"), "wrong number of Picard coordinates"),
+    "tuple": (lambda: (1,), "not a line bundle class: (1,)"),
+}
+
+
+@pytest.mark.parametrize("name", list(HOSTILE_CLASSES))
+def test_oracle_entries_check_each_class_as_certify_does(monkeypatch, name):
+    """cohomology_dims and cohomology_dims_many raise certify's typed error
+    and text for a hostile class, before anything reaches the kernel."""
+    make, text = HOSTILE_CLASSES[name]
+    fan = projective_space_fan(2)
+    calls = _count_kernel_calls(monkeypatch)
+
+    def error(entry):
+        with pytest.raises((ValueError, NonLineBundlePresent)) as info:
+            entry(make())
+        return type(info.value), str(info.value)
+
+    want = error(lambda cls: certify(fan, [fan.pic_class((0,)), cls]))
+    assert want[1] == text
+    assert error(lambda cls: cohomology_dims(fan, cls)) == want
+    assert error(lambda cls: cohomology_dims_many(fan, [fan.pic_class((0,)), cls])) == want
     assert calls == []
 
 

@@ -18,12 +18,13 @@ from excol import (
     projective_space_fan,
 )
 from excol import fan as fan_module
-from excol import kernels, make_blowup
+from excol import cohomology, kernels, make_blowup
 from excol import verify as verify_module
 from excol.cohomology import cohomology_dims
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.cohomology import DiskCache
 from excol.errors import NonLineBundlePresent
+from excol.fan import PicClass
 from excol.intlinalg import determinant
 
 
@@ -63,16 +64,17 @@ def test_ext_table_rejects_a_class_of_another_fan():
     ],
 )
 def test_ext_table_checks_each_input_class_before_the_oracle(monkeypatch, coords, message):
-    """A class with a non-integer or bool coordinate, or too many, raises
-    ValueError naming it, not a difference, before any oracle call."""
+    """A class with a non-integer or bool coordinate fails when it is built,
+    and one with too many raises ValueError naming it, not a difference,
+    before any oracle call."""
 
     def oracle(*args, **kwargs):
         raise AssertionError("oracle called")
 
-    monkeypatch.setattr(verify_module, "cohomology_dims_many", oracle)
+    monkeypatch.setattr(verify_module, "_dims_of_coords", oracle)
     fan, classes = _beilinson(2)
-    bad = dataclasses.replace(classes[1], coords=coords)
     with pytest.raises(ValueError, match=message):
+        bad = dataclasses.replace(classes[1], coords=coords)  # a float or a bool fails here
         ext_table(fan, [bad] + classes)
 
 
@@ -81,13 +83,13 @@ def test_ext_table_batches_each_distinct_difference_once(monkeypatch):
     once, and its table equals per-cell cohomology_dims: on a few 4/1
     cases and on a collection that repeats a class."""
     batches = []
-    real = verify_module.cohomology_dims_many
+    real = verify_module._dims_of_coords
 
-    def counted(fan, classes, cache=None):
-        batches.append([cls.coords for cls in classes])
-        return real(fan, classes, cache)
+    def counted(fan, coords, cache):
+        batches.append(list(coords))
+        return real(fan, coords, cache)
 
-    monkeypatch.setattr(verify_module, "cohomology_dims_many", counted)
+    monkeypatch.setattr(verify_module, "_dims_of_coords", counted)
     cases = [
         (spec, center)
         for spec in enumerate_specs(4, 1)
@@ -107,6 +109,39 @@ def test_ext_table_batches_each_distinct_difference_once(monkeypatch):
         assert len(batch) == len(set(batch))
         assert set(batch) == {tuple(map(sub, b.coords, a.coords)) for a in classes for b in classes}
         assert table == [[cohomology_dims(fan, b - a) for b in classes] for a in classes]
+
+
+def test_certify_checks_each_class_once_and_lifts_once(tmp_path, monkeypatch):
+    """One certify of a 4/1 case checks each class exactly once, builds no
+    PicClass (none for a difference), and lifts in one product exactly the
+    distinct differences its cache lacks, in first-seen order."""
+    bl, col = construct(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"})))
+    fan, classes = bl.fan_xt, collection_classes(bl, col)
+    checked, built, lifts = [], [], []
+    check, lift, post_init = verify_module._class_coords, cohomology._lift, PicClass.__post_init__
+    monkeypatch.setattr(
+        verify_module, "_class_coords", lambda f, cls: checked.append(cls) or check(f, cls)
+    )
+    monkeypatch.setattr(
+        cohomology, "_lift", lambda f, coords: lifts.append(coords) or lift(f, coords)
+    )
+    monkeypatch.setattr(PicClass, "__post_init__", lambda cls: built.append(cls) or post_init(cls))
+
+    def differences(classes):
+        cells = (tuple(map(sub, b.coords, a.coords)) for a in classes for b in classes)
+        return list(dict.fromkeys(cells))
+
+    assert certify(fan, classes).all_passed
+    assert checked == classes and built == []
+    assert lifts == [differences(classes)]
+    # with a cache that holds the differences of the first four classes
+    cache = DiskCache(str(tmp_path))
+    certify(fan, classes[:4], cache=cache)
+    checked.clear()
+    lifts.clear()
+    assert certify(fan, classes, cache=cache).all_passed
+    assert checked == classes and built == []
+    assert lifts == [[d for d in differences(classes) if d not in differences(classes[:4])]]
 
 
 def test_certify_beilinson_p3():
