@@ -14,8 +14,9 @@ DiskCache already holds, lifted in one exact product (_dims_of_coords):
   add to h.  By Hochster's formula its ranks are Betti numbers, read off
   the Taylor resolution on the fan's m primitive collections, so S is one
   of their at most 2^m unions; one table per labelled combinatorial type
-  (max cones) serves every fan of the type (_support_ranks), and certifies
-  that the polytopes P_S of each of its rows are bounded (_bounded).
+  (max cones) serves every fan of the type (_support_ranks).  It certifies
+  that the polytopes P_S of each of its rows are bounded (_bounded) on the
+  first fan of the type only; the oracle assumes a valid fan.
 - polytopes: the characters with support set S are the lattice points of
   P_S, whose vertices are arrangement vertices of the divisor shifted by 1
   on S.  Each is an integer map of the coefficients, read off the fan's
@@ -59,7 +60,7 @@ from .fan import Fan, PicClass
 from .intlinalg import rational_rank
 
 
-CACHE_VERSION = "excol-hvectors-1"
+CACHE_VERSION = "excol-hvectors-2"
 
 # Point budget of each polytope box, checked before the batch's kernel
 # call: the largest among the benchmark's reference classes has 179,712
@@ -74,34 +75,34 @@ SLACK_VALUES = 1 << 14
 class DiskCache:
     """One append-only file of h-vectors per fan under root.
 
-    The file is named by the SHA-256 of CACHE_VERSION and the fan's
-    canonical_json.  Its first line is a header naming both; every other
-    line is one entry [coords, h], as json.dumps writes it; any other line
-    (torn, planted, or JSON written another way) is skipped, and its class
-    recomputed.  Values are deterministic, so duplicates are harmless.
+    A fan's h-vectors depend on its rays, its max cones and the basis
+    divisors that lift a class; its key is json.dumps of those three (the
+    basis tag and the ray names change no value).  The file's first line,
+    its header, is CACHE_VERSION and the key, and the header's SHA-256 names
+    the file.  Every other line is one entry [coords, h], as json.dumps
+    writes it; any other line (torn, planted, or JSON written another way)
+    is skipped, and its class recomputed.  Values are deterministic, so
+    duplicates are harmless.
     """
 
     def __init__(self, root):
         self.root = root
 
     def _path(self, fan: Fan):
-        digest = hashlib.sha256((CACHE_VERSION + fan.canonical_json).encode()).hexdigest()
-        return os.path.join(self.root, digest + ".jsonl")
-
-    @staticmethod
-    def _header(fan: Fan):
-        doc = {"version": CACHE_VERSION, "fan": fan.canonical_json}
-        return (json.dumps(doc, sort_keys=True) + "\n").encode()
+        """(fan's file, its header)."""
+        key = json.dumps([fan.rays, fan.max_cones, fan.basis_divisors])
+        header = f"{CACHE_VERSION} {key}\n".encode()
+        return os.path.join(self.root, hashlib.sha256(header).hexdigest() + ".jsonl"), header
 
     def get(self, fan: Fan):
         """{coords: h} of the lines of fan's file exactly as put writes them
         (_entry_pattern), parsed together; {} when the file is missing or its
         header does not match exactly (the file is then deleted, so that the
         next put recreates it)."""
-        path = self._path(fan)
+        path, header = self._path(fan)
         try:
             with open(path, "rb") as fh:
-                if fh.readline() != self._header(fan):
+                if fh.readline() != header:
                     os.unlink(path)  # a file a racer deleted first reads {} too
                     return {}
                 body = fh.read()
@@ -122,7 +123,7 @@ class DiskCache:
             f"[[{', '.join(map(str, coords))}], [{', '.join(map(str, h))}]]\n"
             for coords, h in entries.items()
         ).encode()
-        path, header = self._path(fan), self._header(fan)
+        path, header = self._path(fan)
         os.makedirs(self.root, exist_ok=True)
         try:
             fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644)
@@ -277,8 +278,12 @@ def _support_ranks(fan: Fan):
     dim H~_{|S|-k-1} = beta_{k,S}, the homology of the multidegree-S strand
     of the Taylor resolution of the Stanley-Reisner ideal, which the
     primitive collections P_j generate: the sets J of P_j's with union S, in
-    degree |J| (Miller-Sturmfels, GTM 227, ch. 1 and 4).  A row S with an
-    unbounded P_S (none on a complete fan) raises UnboundedContribution."""
+    degree |J| (Miller-Sturmfels, GTM 227, ch. 1 and 4).
+
+    A row S with an unbounded P_S (none on a smooth complete fan) raises
+    UnboundedContribution, but only on the fan that fills the table: the
+    fans of the type that come later reuse it unchecked, as the oracle
+    assumes a valid fan (validate_fan)."""
     if fan.max_cones not in _RANK_TABLES:
         prims = [sum(1 << i for i in p) for p in fan.primitive_collections]
         strands = {}  # S -> its sets J, as tuples of indices into prims
@@ -320,9 +325,10 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
     row with the largest coefficient and the bound.  h is the sum, over the
     support sets S with nonzero reduced cohomology, of the lattice points
     of P_S (_polytope_boxes) times the ranks of S, all counted in one kernel
-    call.  The rank table certifies every such P_S bounded (_bounded), so
-    its lattice box holds all of it.  Before the kernel call, the first box
-    in (row, mask) order over MAX_BOX_POINTS raises BoxTooLarge.
+    call.  On a valid fan every such P_S is bounded (_support_ranks checks
+    the first fan of each type), so its lattice box holds all of it.  Before
+    the kernel call, the first box in (row, mask) order over MAX_BOX_POINTS
+    raises BoxTooLarge.
     """
     support, ranks = _support_ranks(fan)
     reach, exact = _box_matrix(fan)[2], np.asarray(coeff_rows, dtype=object)

@@ -19,7 +19,10 @@ class NotACone(ExcolError):
 
 class UnboundedContribution(ExcolError):
     """A support set with nonzero reduced cohomology has unbounded character
-    polytopes, which no complete fan allows: this indicates an internal bug."""
+    polytopes, which no smooth complete fan allows.  It is checked once per
+    labelled type, on the first fan of the type whose rank table is filled;
+    the oracle assumes a valid fan (validate_fan), and a later invalid fan of
+    the same type is not checked."""
 
 
 class BoxTooLarge(ExcolError):

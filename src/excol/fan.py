@@ -15,7 +15,6 @@ a third coordinate k counts the O(E) twist.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -136,22 +135,6 @@ class Fan:
         if len(cls.coords) != self.pic_rank:
             raise ValueError("wrong number of Picard coordinates")
         return cls
-
-    @cached_property
-    def canonical_json(self) -> str:
-        """Byte-stable serialization: rays sorted by name, cones sorted."""
-        order = sorted(range(self.n_rays), key=lambda i: self.ray_names[i])
-        pos = {old: new for new, old in enumerate(order)}
-        cones = sorted(sorted(pos[i] for i in cone) for cone in self.max_cones)
-        doc = {
-            "dim": self.dim,
-            "rays": [
-                {"name": self.ray_names[i], "vector": list(self.rays[i])} for i in order
-            ],
-            "max_cones": cones,
-            "basis": self.basis_tag,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     # a mutable per-instance cache (allowed on a frozen dataclass:
     # cached_property writes straight into __dict__, as does _subdivide,

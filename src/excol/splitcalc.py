@@ -81,21 +81,23 @@ def _sym_conormal(geom: CenterGeometry, m):
     return out
 
 
+def _ext_on_y(geom: CenterGeometry, m, diff, shift):
+    """The sum over the classes t of Sym^m of the conormal bundle of
+    h^*(Y, diff + t), shifted up by shift, in degrees 0..ambient_dim."""
+    h = [0] * (geom.ambient_dim + 1)
+    for ta, tb in _sym_conormal(geom, m):
+        for i, x in enumerate(y_cohomology(geom, diff[0] + ta, diff[1] + tb)):
+            h[i + shift] += x
+    return tuple(h)
+
+
 def ext_lemA(geom: CenterGeometry, m_class, k, l_class):
     """dim Ext^i of (pushforward of M, twisted by O(kE)) into the pullback
     of L, for 1 <= k <= codim-1; the answer lives on Y shifted by one.
     """
     if not 1 <= k <= geom.codim - 1:
         raise KOutOfRange(f"k={k} outside 1..{geom.codim - 1}")
-    n = geom.ambient_dim
-    h = [0] * (n + 1)
-    ma, mb = m_class
-    la, lb = l_class
-    for ta, tb in _sym_conormal(geom, k - 1):
-        hy = y_cohomology(geom, la + ta - ma, lb + tb - mb)
-        for i, x in enumerate(hy):
-            h[i + 1] += x
-    return tuple(h)
+    return _ext_on_y(geom, k - 1, (l_class[0] - m_class[0], l_class[1] - m_class[1]), 1)
 
 
 def ext_line_to_pushforward(geom: CenterGeometry, j, l_class, m_class):
@@ -104,13 +106,4 @@ def ext_line_to_pushforward(geom: CenterGeometry, j, l_class, m_class):
     """
     if j not in (0, 1):
         raise KOutOfRange(f"j={j} must be 0 or 1")
-    n = geom.ambient_dim
-    h = [0] * (n + 1)
-    la, lb = l_class
-    ma, mb = m_class
-    twists = [(0, 0)] if j == 0 else list(geom.conormal_summands)
-    for ta, tb in twists:
-        hy = y_cohomology(geom, ma - la + ta, mb - lb + tb)
-        for i, x in enumerate(hy):
-            h[i] += x
-    return tuple(h)
+    return _ext_on_y(geom, j, (m_class[0] - l_class[0], m_class[1] - l_class[1]), 0)

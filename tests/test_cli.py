@@ -408,5 +408,5 @@ def test_run_case_reads_cache_dir_at_call_time(tmp_path, monkeypatch):
         report, err = cli.run_case(spec, center)
         assert err is None and report.all_passed
         disk = DiskCache(str(root))
-        assert [p.name for p in root.iterdir()] == [os.path.basename(disk._path(fan))]
+        assert [p.name for p in root.iterdir()] == [os.path.basename(disk._path(fan)[0])]
         assert disk.get(fan)

@@ -4,8 +4,10 @@ import hashlib
 import itertools
 import json
 import operator
+import os
 import random
 import re
+import tempfile
 from math import prod
 
 import numpy as np
@@ -664,9 +666,77 @@ def test_put_writes_what_json_dumps_writes(tmp_path):
     cache = DiskCache(str(tmp_path))
     cache.put(fan, entries)
     lines = "".join(json.dumps([list(c), list(h)]) + "\n" for c, h in entries.items())
-    with open(cache._path(fan)) as fh:
+    with open(cache._path(fan)[0]) as fh:
         assert fh.read() == _header(fan) + lines
     assert cache.get(fan) == entries
+
+
+def test_cache_file_is_keyed_by_rays_cones_and_basis(bl_p1p1):
+    """The same case built twice maps to the same file, as does a fan with
+    other ray names and another basis tag; another center, or other basis
+    divisors, map to another file.  The header is the version and the key."""
+    cache = DiskCache("root")
+    fan = bl_p1p1.fan_xt
+    path = cache._path(fan)
+    assert cache._path(make_blowup(bl_p1p1.spec, bl_p1p1.center).fan_xt) == path
+    names = tuple(n.upper() for n in fan.ray_names)
+    assert cache._path(dataclasses.replace(fan, ray_names=names, basis_tag="other")) == path
+    other_center = make_blowup(bl_p1p1.spec, CenterSpec(frozenset({"b0", "f1"}))).fan_xt
+    other_basis = dataclasses.replace(fan, basis_divisors=fan.basis_divisors[::-1])
+    assert len({path[0], cache._path(other_center)[0], cache._path(other_basis)[0]}) == 3
+    p2 = projective_space_fan(2)
+    header = (
+        b"excol-hvectors-2 [[[-1, -1], [1, 0], [0, 1]], [[1, 2], [0, 2], [0, 1]], [[0, 1, 0]]]\n"
+    )
+    assert cache._path(p2) == (
+        os.path.join("root", hashlib.sha256(header).hexdigest() + ".jsonl"), header
+    )
+
+
+def test_cache_tells_apart_fans_that_differ_only_in_basis_divisors(tmp_path):
+    """O(1, -3) is one bundle on a and another on b, whose basis divisors
+    are a's reversed; a cache shared by both gives each its own h-vector."""
+    a = build_projective_bundle_fan(BundleSpec(1, (0, 2)))
+    b = dataclasses.replace(a, basis_divisors=a.basis_divisors[::-1])
+    assert cohomology_dims(a, a.pic_class((1, -3))) == (0, 0, 2)
+    assert cohomology_dims(b, b.pic_class((1, -3))) == (0, 2, 0)
+    cache = DiskCache(str(tmp_path))
+    assert cohomology_dims(a, a.pic_class((1, -3)), cache=cache) == (0, 0, 2)
+    assert cohomology_dims(b, b.pic_class((1, -3)), cache=cache) == (0, 2, 0)
+
+
+BASIS_CHANGE_FANS = [
+    build_projective_bundle_fan(BundleSpec(1, (0, 2))),
+    build_projective_bundle_fan(BundleSpec(2, (0, 1, 1))),
+    _blowup(BundleSpec(1, (0, 0)), ("b1", "f1")).fan_xt,
+    _blowup(BundleSpec(2, (0, 1)), ("b1", "b2", "f1")).fan_xt,
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cache_agrees_with_no_cache_under_a_change_of_basis(data):
+    """A fan's basis divisors permuted, or one added to another (the same
+    tag): with one cache filled by the fan first, the changed fan's cached
+    h-vectors are its uncached ones."""
+    fan = data.draw(st.sampled_from(BASIS_CHANGE_FANS))
+    basis = list(fan.basis_divisors)
+    p = len(basis)
+    if data.draw(st.booleans()):
+        basis = data.draw(st.permutations(basis))
+    else:
+        i, j = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+        basis[j] = tuple(map(operator.add, basis[j], basis[i]))
+    changed = dataclasses.replace(fan, basis_divisors=tuple(basis))
+    coords = st.tuples(*[st.integers(-4, 4)] * p)
+    classes = data.draw(st.lists(coords, min_size=1, max_size=4))
+    with tempfile.TemporaryDirectory() as root:
+        cache = DiskCache(root)
+        cohomology_dims_many(fan, [fan.pic_class(c) for c in classes], cache)
+        changed_classes = [changed.pic_class(c) for c in classes]
+        assert cohomology_dims_many(changed, changed_classes, cache) == cohomology_dims_many(
+            changed, changed_classes
+        )
 
 
 def test_library_calls_do_no_disk_io(tmp_path, monkeypatch):
@@ -697,8 +767,9 @@ def _count_kernel_calls(monkeypatch):
 
 
 def _header(fan, version=CACHE_VERSION):
-    doc = {"version": version, "fan": fan.canonical_json}
-    return json.dumps(doc, sort_keys=True) + "\n"
+    """The header of fan's file: the version, then json.dumps of the fan's
+    rays, max cones and basis divisors."""
+    return f"{version} {json.dumps([fan.rays, fan.max_cones, fan.basis_divisors])}\n"
 
 
 P2 = projective_space_fan(2)
@@ -729,7 +800,7 @@ BAD_HEADERS = ("wrong version", "foreign fan", "old format")
 def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
     cache = DiskCache(str(tmp_path))
     fan = projective_space_fan(2)
-    with open(cache._path(fan), "w") as fh:
+    with open(cache._path(fan)[0], "w") as fh:
         fh.write(BAD_CACHE_FILES[name])
     calls = _count_kernel_calls(monkeypatch)
     assert cohomology_dims(fan, fan.pic_class((4,)), cache=cache) == (15, 0, 0)

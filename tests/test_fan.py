@@ -438,12 +438,6 @@ def test_one_x_fan_per_spec(monkeypatch):
     assert sorted(validated) == sorted(build_projective_bundle_fan(s).basis_tag for s in specs)
 
 
-def test_canonical_json_is_stable(bl_p1p1):
-    spec, center = bl_p1p1.spec, bl_p1p1.center
-    again = make_blowup(spec, center)
-    assert again.fan_xt.canonical_json == bl_p1p1.fan_xt.canonical_json
-
-
 def test_primitive_collection_counts():
     """Batyrev's counts, per labelled type of _family_fans: 1 on P^n (all
     its rays), 2 on X (the base and the fiber rays), 3 or 5 on a blow-up."""
