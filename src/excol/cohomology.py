@@ -21,7 +21,7 @@ DiskCache already holds, lifted in one exact product (_dims_of_coords):
   P_S, whose vertices are arrangement vertices of the divisor shifted by 1
   on S.  Each is an integer map of the coefficients, read off the fan's
   B^-1 with one p x p adjugate (p = Picard rank; Jacobi, Oda-Park) into
-  one int64 (vertices x dim x rays) map per fan (_box_matrix), so the
+  one int64 (vertices x dim x rays) map per fan (_vertex_maps), so the
   vertices of the whole batch come from one matrix product, under one
   guard on the exact lift that every value the pass forms fits in int64
   (_dims_of_divisors), which then converts it to int64 once.
@@ -34,11 +34,15 @@ DiskCache already holds, lifted in one exact product (_dims_of_coords):
   the batch, as exact intervals along one axis, and h is the sum of those
   counts times the ranks of S.
 
-No h-vector is kept in memory between batches, only the vertex maps and
-rank tables.  Only a caller that passes a DiskCache (one append-only file
-per fan) touches the disk: the fan's file is read (one json.loads) once
-per batch and appended at most once per batch.  Nothing here reads the
-environment.
+All that depends on the fan alone is built once per fan, on its first
+batch, into its plan (_plan): the vertex maps, its type's support masks
+and ranks, those masks' tables for the vertex tests, the rays in int64 and
+the basis divisors as an object array.  So a batch pays only for its
+classes.  No h-vector is kept in memory between batches, only the plans
+and the rank tables.  Only a caller that passes a DiskCache (one
+append-only file per fan) touches the disk: the fan's file is read (one
+json.loads) once per batch and appended at most once per batch.  Nothing
+here reads the environment.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from functools import cache, reduce
 from itertools import combinations
 from math import prod
 from operator import or_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,8 +155,65 @@ def _entry_pattern(pic_rank, length):
     return re.compile(rb"^\[\[" + coords + rb"\], \[" + h + rb"\]\]$", re.M)
 
 
-def _box_matrix(fan: Fan):
-    """(scatter, dets, reach, tests, off), computed once per fan.
+class _MaskTables(NamedTuple):
+    """The tables _polytope_boxes reads for a set of support masks
+    (_mask_tables): each mask's share of the vertex maps and of the tests."""
+
+    masks: np.ndarray  # (M,) int64 ray bit masks, the sets S
+    verts: np.ndarray  # (vertices, dim, M): scatter @ 1_S
+    on: np.ndarray  # (p, vertices, M, 1): whether the ray off[j, v] is in S
+    low: np.ndarray  # (p, vertices, M, 1): on - tests @ 1_S
+
+
+class _Plan(NamedTuple):
+    """All the oracle reads of one fan that depends on the fan alone, built
+    on its first batch and kept with it (_plan): the vertex maps scatter,
+    dets, reach, tests and off (_vertex_maps), the support masks of its type
+    with their tables (_mask_tables) and rank rows (_support_ranks), its
+    rays in int64 (the kernel's) and its basis divisors as an object array
+    (_lift's)."""
+
+    scatter: np.ndarray
+    dets: np.ndarray
+    reach: int
+    tests: np.ndarray
+    off: np.ndarray
+    support: _MaskTables
+    ranks: np.ndarray
+    rays: np.ndarray
+    basis: np.ndarray
+
+
+def _plan(fan: Fan) -> _Plan:
+    """fan's _Plan, from _build_plan on its first call, then from fan's
+    __dict__ (see Fan)."""
+    plan = fan.__dict__.get("_oracle_plan")
+    if plan is None:
+        plan = fan.__dict__["_oracle_plan"] = _build_plan(fan)
+    return plan
+
+
+def _build_plan(fan: Fan) -> _Plan:
+    support, ranks = _support_ranks(fan)
+    scatter, dets, reach, tests, off = _vertex_maps(fan)
+    return _Plan(
+        scatter, dets, reach, tests, off, _mask_tables(scatter, tests, off, support), ranks,
+        np.array(fan.rays, dtype=np.int64), np.array(fan.basis_divisors, dtype=object),
+    )
+
+
+def _mask_tables(scatter, tests, off, masks) -> _MaskTables:
+    """The tables of the support sets S in masks (int64) for the vertex maps
+    scatter, tests and off: the ray off[j, v] wants a slack <= 0 if it is
+    in S, >= 0 else, so with on = [in S], a @ tests >= on - 1_S @ tests,
+    negated if on."""
+    inside = ((masks[:, None] >> np.arange(scatter.shape[2])) & 1).T  # (rays, masks): 1 on S
+    on = inside[off][..., None] == 1
+    return _MaskTables(masks, scatter @ inside, on, on - (tests @ inside)[..., None])
+
+
+def _vertex_maps(fan: Fan):
+    """(scatter, dets, reach, tests, off), fan's vertex maps (for its plan).
 
     scatter (vertices x dim x n_rays, int64) maps a T-divisor a to det_S
     times its arrangement vertex {u : <u, v_i> = -a_i for i in S}, for each
@@ -179,41 +241,39 @@ def _box_matrix(fan: Fan):
     are in int64 if a bound on them fits, else in Python ints; a reach past
     int64, which no class could pass the guard with, raises BoxTooLarge.
     """
-    cache = fan._box_matrix_cache
-    if not cache:
-        n, p = fan.n_rays, fan.pic_rank
-        inv = np.array(fan._basis_inverse, dtype=object)
-        comps = np.array(list(combinations(range(n), p))[::-1])  # S in lex order
-        # Faddeev-LeVerrier on all C_T, exactly: M_k = C_T M_(k-1) + c_(p-k+1) I,
-        # c_(p-k) = -tr(C_T M_k) / k; det C_T = (-1)^p c_0, sgn adj(C_T) = -sign(c_0) M_p
-        coef, cm = 1, 0
-        for k in range(1, p + 1):
-            m = cm + coef * np.identity(p, dtype=object)
-            cm = inv[comps, :p] @ m
-            coef = -cm.trace(axis1=1, axis2=2)[:, None, None] // k
-        keep = coef[:, 0, 0] != 0  # C_T singular: S is no vertex
-        comps, dets, adj = comps[keep], abs(coef[keep, 0]), (-np.sign(coef) * m)[keep]
-        fits = n * (p * abs(inv).max()) ** 2 * (abs(adj).max() + dets.max()) < _INT64_MAX
-        inv, adj, dets = (x.astype(np.int64 if fits else object) for x in (inv, adj, dets))
-        cadj = inv[:, :p] @ adj  # (vertices, n_rays, p)
-        scatter = (cadj @ inv[comps, p:] - dets[:, :, None] * inv[:, p:]).transpose(0, 2, 1)
-        tests = cadj.transpose(2, 0, 1)
-        s, t = (int(abs(x).sum(axis=2).max()) for x in (scatter, tests))
-        v = max(sum(map(abs, ray)) for ray in fan.rays)
-        reach = max(t, (v + 1) * s + v, 2 * max(abs(x) for ray in fan.rays for x in ray) * s)
-        if reach >= _INT64_MAX:  # dets, scatter, tests and the rays lie within reach
-            raise BoxTooLarge(
-                f"fan {fan.basis_tag}: vertex maps reach {reach} (int64 limit {_INT64_MAX})"
-            )
-        scatter, tests = (np.ascontiguousarray(x, dtype=np.int64) for x in (scatter, tests))
-        cache.extend((scatter, dets.astype(np.int64), reach, tests, comps.T))
-    return cache
+    n, p = fan.n_rays, fan.pic_rank
+    inv = np.array(fan._basis_inverse, dtype=object)
+    comps = np.array(list(combinations(range(n), p))[::-1])  # S in lex order
+    # Faddeev-LeVerrier on all C_T, exactly: M_k = C_T M_(k-1) + c_(p-k+1) I,
+    # c_(p-k) = -tr(C_T M_k) / k; det C_T = (-1)^p c_0, sgn adj(C_T) = -sign(c_0) M_p
+    coef, cm = 1, 0
+    for k in range(1, p + 1):
+        m = cm + coef * np.identity(p, dtype=object)
+        cm = inv[comps, :p] @ m
+        coef = -cm.trace(axis1=1, axis2=2)[:, None, None] // k
+    keep = coef[:, 0, 0] != 0  # C_T singular: S is no vertex
+    comps, dets, adj = comps[keep], abs(coef[keep, 0]), (-np.sign(coef) * m)[keep]
+    fits = n * (p * abs(inv).max()) ** 2 * (abs(adj).max() + dets.max()) < _INT64_MAX
+    inv, adj, dets = (x.astype(np.int64 if fits else object) for x in (inv, adj, dets))
+    cadj = inv[:, :p] @ adj  # (vertices, n_rays, p)
+    scatter = (cadj @ inv[comps, p:] - dets[:, :, None] * inv[:, p:]).transpose(0, 2, 1)
+    tests = cadj.transpose(2, 0, 1)
+    s, t = (int(abs(x).sum(axis=2).max()) for x in (scatter, tests))
+    v = max(sum(map(abs, ray)) for ray in fan.rays)
+    reach = max(t, (v + 1) * s + v, 2 * max(abs(x) for ray in fan.rays for x in ray) * s)
+    if reach >= _INT64_MAX:  # dets, scatter, tests and the rays lie within reach
+        raise BoxTooLarge(
+            f"fan {fan.basis_tag}: vertex maps reach {reach} (int64 limit {_INT64_MAX})"
+        )
+    scatter, tests = (np.ascontiguousarray(x, dtype=np.int64) for x in (scatter, tests))
+    return scatter, dets.astype(np.int64), reach, tests, comps.T
 
 
-def _polytope_boxes(fan: Fan, coeffs, masks):
-    """(rows, masks, lo, hi), four int64 arrays in (row, mask) order, of
-    every T-divisor a in coeffs (int64 rows, within _dims_of_divisors's guard)
-    and support set S in masks whose polytope
+def _polytope_boxes(plan: _Plan, coeffs, tables: _MaskTables):
+    """(rows, masks, lo, hi, index), five int64 arrays in (row, mask) order,
+    of every T-divisor a in coeffs (int64 rows, within _dims_of_divisors's
+    guard) and support set S in tables.masks (masks = tables.masks[index])
+    whose polytope
 
         P_S(a) = {u : <u, v_rho> <= -a_rho - 1 for rho in S, >= -a_rho else}
 
@@ -223,35 +283,30 @@ def _polytope_boxes(fan: Fan, coeffs, masks):
     P_S(a) is cut out by the arrangement of b = a + 1_S, so its vertices
     are the arrangement vertices of b that meet every inequality: scatter @
     b (det_S times each vertex, from one product for the batch), tested on
-    the p rays off each vertex by tests @ b.  The rays span, so P_S(a) is
-    pointed, and it is empty when no vertex qualifies.  The (vertex, mask,
-    row) tests are formed a few rows at a time, at most SLACK_VALUES values
-    each, so the temporaries stay small.
+    the p rays off each vertex by tests @ b, with 1_S's shares from tables.
+    The rays span, so P_S(a) is pointed, and it is empty when no vertex
+    qualifies.  The (vertex, mask, row) tests are formed a few rows at a
+    time, at most SLACK_VALUES values each, so the temporaries stay small.
     """
-    scatter, dets, _reach, tests, off = _box_matrix(fan)
+    dets, on, low = plan.dets[:, :, None], tables.on, tables.low
     coeffs = np.asarray(coeffs, dtype=np.int64).T
-    inside = (masks[:, None] >> np.arange(fan.n_rays)) & 1  # (masks, rays): 1 on S
-    verts, mask_verts = scatter @ coeffs, scatter @ inside.T
-    slack = (tests @ coeffs)[:, :, None]
-    # the ray off[j, v] wants a slack <= 0 if it is in S, >= 0 else: with
-    # on = [in S], a @ tests >= on - 1_S @ tests, negated if on
-    on = inside.T[off][..., None] == 1  # (p, vertices, masks, 1)
-    low = on - (tests @ inside.T)[..., None]
-    step = max(1, SLACK_VALUES // (len(dets) * len(masks)))
+    verts, slack = plan.scatter @ coeffs, (plan.tests @ coeffs)[:, :, None]
+    step = max(1, SLACK_VALUES // (len(dets) * len(tables.masks)))
     out = []
     for start in range(0, coeffs.shape[1], step):
         chunk = slack[..., start : start + step]
         vertex = (chunk[0] >= low[0]) != on[0]
-        for j in range(1, len(off)):
+        for j in range(1, len(on)):
             vertex &= (chunk[j] >= low[j]) != on[j]
         rows, ms = np.nonzero(vertex.any(axis=0).T)
-        nums = verts[:, :, start + rows] + mask_verts[:, :, ms]
+        nums = verts[:, :, start + rows] + tables.verts[:, :, ms]
         keep = vertex[:, ms, rows][:, None]
-        lo = np.where(keep, -(-nums // dets[:, :, None]), _INT64_MAX).min(axis=0).T
-        hi = np.where(keep, nums // dets[:, :, None], -_INT64_MAX).max(axis=0).T
+        lo = np.where(keep, -(-nums // dets), _INT64_MAX).min(axis=0).T
+        hi = np.where(keep, nums // dets, -_INT64_MAX).max(axis=0).T
         lattice = (lo <= hi).all(axis=1)
-        out.append((start + rows[lattice], masks[ms[lattice]], lo[lattice], hi[lattice]))
-    return tuple(np.concatenate(x) for x in zip(*out))
+        out.append((start + rows[lattice], ms[lattice], lo[lattice], hi[lattice]))
+    rows, index, lo, hi = (np.concatenate(x) for x in zip(*out))
+    return rows, tables.masks[index], lo, hi, index
 
 
 def _bounded(fan: Fan, mask):
@@ -321,7 +376,7 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
     """All h^i of each T-divisor (rows of ray coefficients), uncached.
 
     The int64 guard comes first, on the exact rows: big = max|a| + 1 times
-    reach (_box_matrix) must stay below 2^63 - 1, else BoxTooLarge names the
+    reach (_vertex_maps) must stay below 2^63 - 1, else BoxTooLarge names the
     row with the largest coefficient and the bound.  h is the sum, over the
     support sets S with nonzero reduced cohomology, of the lattice points
     of P_S (_polytope_boxes) times the ranks of S, all counted in one kernel
@@ -330,15 +385,15 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
     the kernel call, the first box in (row, mask) order over MAX_BOX_POINTS
     raises BoxTooLarge.
     """
-    support, ranks = _support_ranks(fan)
-    reach, exact = _box_matrix(fan)[2], np.asarray(coeff_rows, dtype=object)
-    if (big := max(map(abs, exact.flat)) + 1) * reach >= _INT64_MAX:
+    plan, exact = _plan(fan), np.asarray(coeff_rows, dtype=object)
+    if (big := max(map(abs, exact.flat)) + 1) * plan.reach >= _INT64_MAX:
         row = exact[abs(exact).max(axis=1).argmax()]  # the first with the largest |a|
         raise BoxTooLarge(
-            f"T-divisor {tuple(row)}: values bounded by {big * reach} (int64 limit {_INT64_MAX})"
+            f"T-divisor {tuple(row)}: values bounded by {big * plan.reach} "
+            f"(int64 limit {_INT64_MAX})"
         )
     coeffs = exact.astype(np.int64)
-    rows, masks, lo, hi = _polytope_boxes(fan, coeffs, support)
+    rows, masks, lo, hi, index = _polytope_boxes(plan, coeffs, plan.support)
     points = np.ones(len(rows), dtype=np.int64)
     for width in np.minimum(hi - lo + 1, MAX_BOX_POINTS + 1).T:
         points = np.minimum(points * width, MAX_BOX_POINTS + 1)
@@ -351,10 +406,9 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
         )
     h = np.zeros((len(coeffs), fan.dim + 1), dtype=np.int64)
     if len(rows):
-        rays = np.array(fan.rays, dtype=np.int64)
-        counts = kernels.count_support_sets(lo, hi, rays, coeffs[rows], masks)
+        counts = kernels.count_support_sets(lo, hi, plan.rays, coeffs[rows], masks)
         # ranks[:, i] is the rank in degree i-1, which adds to h^i
-        np.add.at(h, rows, counts[:, None] * ranks[np.searchsorted(support, masks)])
+        np.add.at(h, rows, counts[:, None] * plan.ranks[index])
     return [tuple(x) for x in h.tolist()]
 
 
@@ -371,7 +425,7 @@ def _class_coords(fan: Fan, cls):
 
 def _lift(fan: Fan, coords):
     """A T-divisor of each class (rows of Python ints), in one exact product."""
-    return np.array(coords, dtype=object) @ np.array(fan.basis_divisors, dtype=object)
+    return np.array(coords, dtype=object) @ _plan(fan).basis
 
 
 def _dims_of_coords(fan: Fan, coords, cache):

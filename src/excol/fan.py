@@ -80,7 +80,7 @@ class Fan:
 
         Pic = Z^rays / M with M spanned by the lattice rows (v_rho[d])_rho, so
         the basis divisors are a Z-basis of Pic iff B is unimodular.  Row rho
-        of C is the class of e_rho; (lattice rows) D = I (cohomology._box_matrix).
+        of C is the class of e_rho; (lattice rows) D = I (cohomology._vertex_maps).
         A blow-up built by star_subdivide or make_blowup never runs this: it
         gets its parent's B^-1, bordered, in its __dict__ (_subdivide).
         """
@@ -136,13 +136,12 @@ class Fan:
             raise ValueError("wrong number of Picard coordinates")
         return cls
 
-    # a mutable per-instance cache (allowed on a frozen dataclass:
-    # cached_property writes straight into __dict__, as does _subdivide,
-    # which records a blow-up's "_basis_inverse"; dataclasses.replace copies
-    # neither)
-    @cached_property
-    def _box_matrix_cache(self):
-        return []  # filled once by cohomology._box_matrix
+    # cohomology._plan keeps the oracle's plan of the fan (its vertex maps,
+    # its type's support masks, ranks and mask tables, its rays in int64 and
+    # its basis divisors as an object array) in __dict__["_oracle_plan"],
+    # built on the fan's first batch.  A frozen dataclass allows that, as it
+    # allows cached_property and _subdivide, which records a blow-up's
+    # "_basis_inverse" there; dataclasses.replace copies none of them.
 
 
 def validate_fan(fan: Fan) -> None:

@@ -11,7 +11,7 @@ one interval, and a ray with v_rho,k = 0 only tests the rest value.  Rest
 points are decoded mixed-radix from one flat index, CHUNK_POINTS at a time,
 into ray-major (rays x points) arrays; np.add.reduceat sums each box's
 intervals.  Every kernel value is a folded partial sum or a digit term
-inside the bound of cohomology._box_matrix's reach, which the oracle's
+inside the bound of cohomology._vertex_maps's reach, which the oracle's
 one guard keeps in int64, so all arithmetic is int64.
 """
 
@@ -51,13 +51,13 @@ def count_support_sets(lo, hi, rays, coeffs, masks):
         widths[:, [k] + others].T, starts[None],
     ])
     divisors = [(r, int(abs(slope[r]))) for r in np.flatnonzero(abs(slope) > 1).tolist()]
-    tests, nrays, total = np.flatnonzero(slope == 0).tolist(), len(rays), int(rest[:, k].sum())
+    tests, nrays, total = np.flatnonzero(slope == 0), len(rays), int(rest[:, k].sum())
     out = np.zeros(len(lo), dtype=np.int64)
     for begin in range(0, total, CHUNK_POINTS):
         end = min(begin + CHUNK_POINTS, total)
         b0, b1 = np.searchsorted(ends, begin, side="right"), np.searchsorted(starts, end)
         segments = np.maximum(starts[b0:b1] - begin, 0)
-        rows = table[:, b0:b1].repeat(np.diff(segments, append=end - begin), axis=1)
+        rows = table[:, b0:b1].repeat(np.minimum(ends[b0:b1], end) - begin - segments, axis=1)
         value, caps, width = rows[:nrays], rows[nrays : 2 * nrays], rows[2 * nrays]
         index = np.arange(begin, end) - rows[-1]
         for d, size in zip(others, rows[2 * nrays + 1 : -1]):
@@ -65,8 +65,7 @@ def count_support_sets(lo, hi, rays, coeffs, masks):
             value += rays[:, d, None] * digit
         for r, divisor in divisors:
             value[r] //= divisor
-        for r in tests:
-            value[r] = (value[r] >> 63) & _MAX
+        value[tests] = (value[tests] >> 63) & _MAX
         low = np.maximum(0, np.minimum(value, caps).max(axis=0))
         high = np.minimum(width, np.maximum(value, caps).min(axis=0))
         out[b0:b1] += np.add.reduceat(np.maximum(high, low) - low, segments)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from operator import sub
 
 from .cohomology import _class_coords, _dims_of_coords
 from .fan import Fan
@@ -29,10 +28,13 @@ from .intlinalg import determinant
 def _hom_batch(fan: Fan, classes, cache):
     """(grid, homs): homs holds the graded Hom dimension vectors of the
     distinct differences b - a of the checked classes, from one oracle pass
-    over their coordinates, and grid[i][j] indexes Hom(classes[i], classes[j])."""
+    over their coordinates, and grid[i][j] indexes Hom(classes[i], classes[j]).
+    Row i's differences are formed a coordinate column at a time; homs is
+    in row-major first-seen order."""
     coords = [_class_coords(fan, cls) for cls in classes]
-    index = {}
-    grid = [[index.setdefault(tuple(map(sub, b, a)), len(index)) for b in coords] for a in coords]
+    cols, index = list(zip(*coords)), {}
+    rows = (zip(*[[x - y for x in col] for col, y in zip(cols, a)]) for a in coords)
+    grid = [[index.setdefault(d, len(index)) for d in row] for row in rows]
     return grid, _dims_of_coords(fan, list(index), cache)
 
 

@@ -28,10 +28,11 @@ from excol.cohomology import (
     _INT64_MAX,
     CACHE_VERSION,
     DiskCache,
-    _box_matrix,
     _bounded,
     _dims_of_divisors,
     _lift,
+    _mask_tables,
+    _plan,
     _polytope_boxes,
     _support_ranks,
     cohomology_dims_many,
@@ -209,7 +210,7 @@ def _python_box_matrix(fan):
     tested rays x rays, Python ints) maps a to det_S * (<vertex, v_rho> +
     a_rho), the slack of each vertex in every section inequality, as the
     product of the rays with scatter (-M_S scattered to the rays of S).
-    fields are _box_matrix's five; their tests keep the rows of slacks on T,
+    fields are the plan's vertex maps, scatter to off; their tests keep the rows of slacks on T,
     the rays off S in ascending order, and reach is max(t, (V + 1) s + V,
     2 W s) for the largest L1 norms s of the vertex maps' rows, t of the
     slacks' rows and V of a ray, and W the largest |entry| of a ray."""
@@ -231,7 +232,7 @@ def _python_box_matrix(fan):
 
 
 def _assert_same_box_matrix(got, want):
-    scatter, dets, reach, tests, off = got
+    scatter, dets, reach, tests, off = got.scatter, got.dets, got.reach, got.tests, got.off
     for a, b in ((scatter, want[0]), (dets, want[1]), (tests, want[3])):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
     assert np.array_equal(off, want[4])
@@ -253,7 +254,7 @@ def test_box_matrix_matches_per_subset_inverses():
         on_t = np.zeros(slacks.shape[:2], dtype=bool)
         on_t[range(len(on_t)), want[4]] = True
         assert not slacks[~on_t].any()
-        _assert_same_box_matrix(_box_matrix(fan), want)
+        _assert_same_box_matrix(_plan(fan), want)
 
 
 def _with_basis_shifted(fan, k):
@@ -274,7 +275,7 @@ def test_box_matrix_ignores_the_basis(case, k):
     fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
     shifted = _with_basis_shifted(fan, k)
     assert max(abs(x) for row in shifted._basis_inverse for x in row) >= k
-    _assert_same_box_matrix(_box_matrix(shifted), _python_box_matrix(fan)[0])
+    _assert_same_box_matrix(_plan(shifted), _python_box_matrix(fan)[0])
 
 
 def test_box_matrix_past_int64_raises():
@@ -283,7 +284,7 @@ def test_box_matrix_past_int64_raises():
     value or an OverflowError."""
     fan = build_projective_bundle_fan(BundleSpec(1, (0, 2**70)))
     with pytest.raises(BoxTooLarge, match=re.escape(f"fan {fan.basis_tag}: vertex maps reach")):
-        _box_matrix(fan)
+        _plan(fan)
 
 
 def test_oracle_rejects_a_basis_that_is_not_a_z_basis():
@@ -329,12 +330,23 @@ def test_vertex_maps_match_per_subset_solves(divisor):
         for i in subset:
             assert sum(x * v for x, v in zip(scaled, fan.rays[i])) == -det * coeffs[i]
     lo, hi = map(np.array, _python_box(fan, coeffs))
-    _rows, _masks, plo, phi = _polytope_boxes(fan, [coeffs], _nonacyclic_masks(fan))
+    _rows, _masks, plo, phi = _boxes(fan, [coeffs], _nonacyclic_masks(fan))
     assert (lo <= plo).all() and (plo <= phi).all() and (phi <= hi).all()
 
 
 def _nonacyclic_masks(fan):
     return _support_ranks(fan)[0]
+
+
+def _boxes(fan, coeffs, masks):
+    """_polytope_boxes's (rows, masks, lo, hi) of the T-divisors coeffs and
+    the support sets in masks, from fan's plan and the tables of masks,
+    once its support index is checked to give its masks."""
+    plan = _plan(fan)
+    tables = _mask_tables(plan.scatter, plan.tests, plan.off, np.asarray(masks, dtype=np.int64))
+    *got, index = _polytope_boxes(plan, coeffs, tables)
+    assert index.dtype == np.int64 and np.array_equal(tables.masks[index], got[1])
+    return tuple(got)
 
 
 def _python_polytope_boxes(fan, coeffs, masks):
@@ -365,7 +377,7 @@ def _python_polytope_boxes(fan, coeffs, masks):
 
 def _polytope_arrays(boxes, dim):
     """A list of (row, mask, lo, hi), as _python_polytope_boxes gives it, as
-    the four int64 arrays (rows, masks, lo, hi) of _polytope_boxes."""
+    the four int64 arrays (rows, masks, lo, hi) of _boxes."""
     rows, masks, lo, hi = zip(*boxes) if boxes else ((), (), (), ())
     return (
         np.array(rows, dtype=np.int64),
@@ -397,11 +409,11 @@ def test_batched_polytope_boxes_match_per_row_boxes(data):
         for i, coeffs in enumerate(rows)
         for _row, mask, lo, hi in _python_polytope_boxes(fan, coeffs, masks.tolist())
     ]
-    values = len(_box_matrix(fan)[1]) * len(masks)
+    values = len(_plan(fan).dets) * len(masks)
     for slack_values in (1, values - 1, values + 1, 3 * values + 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cohomology, "SLACK_VALUES", slack_values)
-            got = _polytope_boxes(fan, rows, masks)
+            got = _boxes(fan, rows, masks)
         _assert_same_polytopes(got, want, fan.dim)
 
 
@@ -419,14 +431,14 @@ def test_polytope_boxes_drop_empty_lattice_boxes():
         for i, coeffs in enumerate(rows)
         for _row, mask, lo, hi in _python_polytope_boxes(fan, coeffs, masks.tolist())
     ]
-    got = _polytope_boxes(fan, rows, masks)
+    got = _boxes(fan, rows, masks)
     _assert_same_polytopes(got, want, fan.dim)
     assert 0b1011 not in got[1].tolist()
 
 
 def _guard_edge(fan):
     """The largest max|a| the int64 guard of _dims_of_divisors admits."""
-    return (_INT64_MAX - 1) // _box_matrix(fan)[2] - 1
+    return (_INT64_MAX - 1) // _plan(fan).reach - 1
 
 
 GUARD_ERROR = r"values bounded by \d+ \(int64 limit 9223372036854775807\)$"
@@ -443,7 +455,7 @@ def test_polytope_product_guard(case):
     for sign in (1, -1):
         coeffs = [0] * fan.n_rays
         coeffs[-1] = sign * _guard_edge(fan)
-        got = _polytope_boxes(fan, [coeffs], masks)
+        got = _boxes(fan, [coeffs], masks)
         want = _python_polytope_boxes(fan, coeffs, masks.tolist())
         assert want
         _assert_same_polytopes(got, want, fan.dim)
@@ -485,7 +497,7 @@ def test_guard_edges_through_the_pass(case, edge):
     bound, through cohomology_dims_many for classes and through the pass
     itself for T-divisors."""
     fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
-    s = int(abs(_box_matrix(fan)[0]).sum(axis=2).max())
+    s = int(abs(_plan(fan).scatter).sum(axis=2).max())
     edges = {"box": (_INT64_MAX - 1) // s, "polytope": _guard_edge(fan)}
     # an axis on which the rays reach 1, so t e_k has max|a| = t
     k = next(d for d in range(fan.dim) if max(abs(v[d]) for v in fan.rays) == 1)
@@ -564,7 +576,7 @@ def test_polytope_pass_matches_full_box_count(divisor):
 
     lo, hi = map(np.array, _python_box(fan, coeffs))
     masks = _nonacyclic_masks(fan)
-    polytopes = _polytope_boxes(fan, [coeffs], masks)
+    polytopes = _boxes(fan, [coeffs], masks)
     _assert_same_polytopes(polytopes, _python_polytope_boxes(fan, coeffs, masks.tolist()), fan.dim)
     _rows, pmasks, plo, phi = polytopes
     # a support set with characters has a non-empty polytope
@@ -1146,6 +1158,64 @@ def test_batch_sweeps_each_missing_class_once(monkeypatch):
     assert cohomology_dims_many(fan, classes[:2]) == got[:2]
     [(_lo, _hi, _rays, _coeffs, masks)] = calls
     assert len(masks) == 2
+
+
+def test_plan_is_built_once_per_fan(monkeypatch):
+    """25 single-class batches on one 4/1 blow-up build its plan once, on
+    the first; a fresh copy of the fan builds its own."""
+    built = []
+    real = cohomology._build_plan
+    monkeypatch.setattr(cohomology, "_build_plan", lambda f: built.append(f) or real(f))
+    fan = make_blowup(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"}))).fan_xt
+    classes = [fan.pic_class((d, e, d - e)) for d in range(-2, 3) for e in range(-2, 3)]
+    assert len(classes) == 25
+    got = [cohomology_dims(fan, cls) for cls in classes]
+    assert built == [fan]
+    fresh = dataclasses.replace(fan)
+    assert cohomology_dims_many(fresh, [fresh.pic_class(cls.coords) for cls in classes]) == got
+    assert len(built) == 2 and built[1] is fresh
+
+
+PLAN_FANS = [
+    projective_space_fan(2),
+    make_blowup(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"}))).fan_xt,
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_reused_fan_answers_as_fresh_fans_do(data):
+    """One fan object, whose plan every example before this one has used,
+    gives each class the h-vector a fresh copy of the fan (a plan of its
+    own) gives it, one class per batch and all in one batch: no batch
+    leaves the plan changed."""
+    fan = data.draw(st.sampled_from(PLAN_FANS))
+    coords = st.tuples(*[st.integers(-4, 4)] * fan.pic_rank)
+    drawn = data.draw(st.lists(coords, min_size=1, max_size=6))
+    reused = [cohomology_dims(fan, fan.pic_class(c)) for c in drawn]
+    fresh = []
+    for c in drawn:
+        copy = dataclasses.replace(fan)
+        fresh.append(cohomology_dims(copy, copy.pic_class(c)))
+    assert reused == fresh
+    assert cohomology_dims_many(fan, [fan.pic_class(c) for c in drawn]) == reused
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_support_index_gives_each_box_its_mask_and_ranks(data):
+    """Over a batch on the oracle's own tables, every box's support index
+    picks its mask from the type's support masks, so ranks[index] are the
+    rank rows of the box's mask."""
+    fan, first = data.draw(family_divisors())
+    row = st.lists(st.integers(-30, 30), min_size=fan.n_rays, max_size=fan.n_rays)
+    rows = [first] + data.draw(st.lists(row.map(tuple), max_size=3))
+    plan = _plan(fan)
+    support, ranks = _support_ranks(fan)
+    _rows, masks, _lo, _hi, index = _polytope_boxes(plan, rows, plan.support)
+    assert np.array_equal(support[index], masks)
+    assert np.array_equal(plan.ranks[index], _dense(fan)[masks])
+    assert np.array_equal(plan.ranks, ranks)
 
 
 def test_batch_reads_once_and_appends_only_the_missing_classes(tmp_path, monkeypatch):

@@ -111,6 +111,33 @@ def test_ext_table_batches_each_distinct_difference_once(monkeypatch):
         assert table == [[cohomology_dims(fan, b - a) for b in classes] for a in classes]
 
 
+HOM_FANS = [
+    projective_space_fan(2),
+    fan_module.build_projective_bundle_fan(BundleSpec(1, (0, 1))),
+    make_blowup(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"}))).fan_xt,
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_hom_batch_grid_matches_the_per_pair_differences(data):
+    """On Picard ranks 1 to 3, with repeated classes, the grid indexes each
+    cell's difference b - a, and the oracle is asked for the distinct
+    differences in row-major first-seen order, the order the cache file
+    is written in."""
+    fan = data.draw(st.sampled_from(HOM_FANS))
+    coords = st.tuples(*[st.integers(-3, 3)] * fan.pic_rank)
+    distinct = data.draw(st.lists(coords, min_size=1, max_size=6))
+    repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=4))
+    classes = [fan.pic_class(c) for c in data.draw(st.permutations(distinct + repeats))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_module, "_dims_of_coords", lambda f, coords, cache: list(coords))
+        grid, homs = verify_module._hom_batch(fan, classes, None)
+    cells = [[tuple(map(sub, b.coords, a.coords)) for b in classes] for a in classes]
+    assert homs == list(dict.fromkeys(cell for row in cells for cell in row))
+    assert [[homs[k] for k in row] for row in grid] == cells
+
+
 def test_certify_checks_each_class_once_and_lifts_once(tmp_path, monkeypatch):
     """One certify of a 4/1 case checks each class exactly once, builds no
     PicClass (none for a difference), and lifts in one product exactly the
