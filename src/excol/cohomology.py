@@ -36,13 +36,15 @@ DiskCache already holds, lifted in one exact product (_dims_of_coords):
 
 All that depends on the fan alone is built once per fan, on its first
 batch, into its plan (_plan): the vertex maps, its type's support masks
-and ranks, those masks' tables for the vertex tests, the rays in int64 and
-the basis divisors as an object array.  So a batch pays only for its
-classes.  No h-vector is kept in memory between batches, only the plans
-and the rank tables.  Only a caller that passes a DiskCache (one
-append-only file per fan) touches the disk: the fan's file is read (one
-json.loads) once per batch and appended at most once per batch.  Nothing
-here reads the environment.
+and ranks, those masks' tables for the vertex tests, the kernel's fold
+tables (excol.kernels.Folds: the rays in int64 and the support masks, and
+each interval axis's tables, filled the first time a batch of the fan
+chooses that axis) and the basis divisors as an object array.  So a batch
+pays only for its classes and their boxes.  No h-vector is kept in memory
+between batches, only the plans and the rank tables.  Only a caller that
+passes a DiskCache (one append-only file per fan) touches the disk: the
+fan's file is read (one json.loads) once per batch and appended at most
+once per batch.  Nothing here reads the environment.
 """
 
 from __future__ import annotations
@@ -169,9 +171,9 @@ class _Plan(NamedTuple):
     """All the oracle reads of one fan that depends on the fan alone, built
     on its first batch and kept with it (_plan): the vertex maps scatter,
     dets, reach, tests and off (_vertex_maps), the support masks of its type
-    with their tables (_mask_tables) and rank rows (_support_ranks), its
-    rays in int64 (the kernel's) and its basis divisors as an object array
-    (_lift's)."""
+    with their tables (_mask_tables) and rank rows (_support_ranks), the
+    kernel's Folds of its rays and those masks, whose axes fill as batches
+    choose them, and its basis divisors as an object array (_lift's)."""
 
     scatter: np.ndarray
     dets: np.ndarray
@@ -180,7 +182,7 @@ class _Plan(NamedTuple):
     off: np.ndarray
     support: _MaskTables
     ranks: np.ndarray
-    rays: np.ndarray
+    folds: kernels.Folds
     basis: np.ndarray
 
 
@@ -198,7 +200,7 @@ def _build_plan(fan: Fan) -> _Plan:
     scatter, dets, reach, tests, off = _vertex_maps(fan)
     return _Plan(
         scatter, dets, reach, tests, off, _mask_tables(scatter, tests, off, support), ranks,
-        np.array(fan.rays, dtype=np.int64), np.array(fan.basis_divisors, dtype=object),
+        kernels.Folds(fan.rays, support), np.array(fan.basis_divisors, dtype=object),
     )
 
 
@@ -383,7 +385,8 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
     call.  On a valid fan every such P_S is bounded (_support_ranks checks
     the first fan of each type), so its lattice box holds all of it.  Before
     the kernel call, the first box in (row, mask) order over MAX_BOX_POINTS
-    raises BoxTooLarge.
+    raises BoxTooLarge; the boxes' own point counts are formed only when the
+    cube of the batch's largest width is over the budget.
     """
     plan, exact = _plan(fan), np.asarray(coeff_rows, dtype=object)
     if (big := max(map(abs, exact.flat)) + 1) * plan.reach >= _INT64_MAX:
@@ -394,19 +397,22 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
         )
     coeffs = exact.astype(np.int64)
     rows, masks, lo, hi, index = _polytope_boxes(plan, coeffs, plan.support)
-    points = np.ones(len(rows), dtype=np.int64)
-    for width in np.minimum(hi - lo + 1, MAX_BOX_POINTS + 1).T:
-        points = np.minimum(points * width, MAX_BOX_POINTS + 1)
-    if (over := np.flatnonzero(points > MAX_BOX_POINTS)).size:
-        i = over[0]
-        raise BoxTooLarge(
-            f"T-divisor {tuple(exact[rows[i]])}, support set {int(masks[i]):b}: polytope "
-            f"box lo={lo[i].tolist()} hi={hi[i].tolist()}: {prod((hi[i] - lo[i] + 1).tolist())} "
-            f"points (budget {MAX_BOX_POINTS})"
-        )
+    # a cube of the batch's largest width holds every box, so only a batch
+    # whose cube is over budget has its boxes' own point counts formed
+    if len(rows) and int((hi - lo).max() + 1) ** fan.dim > MAX_BOX_POINTS:
+        points = np.ones(len(rows), dtype=np.int64)
+        for width in np.minimum(hi - lo + 1, MAX_BOX_POINTS + 1).T:
+            points = np.minimum(points * width, MAX_BOX_POINTS + 1)
+        if (over := np.flatnonzero(points > MAX_BOX_POINTS)).size:
+            i = over[0]
+            raise BoxTooLarge(
+                f"T-divisor {tuple(exact[rows[i]])}, support set {int(masks[i]):b}: polytope "
+                f"box lo={lo[i].tolist()} hi={hi[i].tolist()}: "
+                f"{prod((hi[i] - lo[i] + 1).tolist())} points (budget {MAX_BOX_POINTS})"
+            )
     h = np.zeros((len(coeffs), fan.dim + 1), dtype=np.int64)
     if len(rows):
-        counts = kernels.count_support_sets(lo, hi, plan.rays, coeffs[rows], masks)
+        counts = kernels.count_support_sets(lo, hi, coeffs[rows], index, plan.folds)
         # ranks[:, i] is the rank in degree i-1, which adds to h^i
         np.add.at(h, rows, counts[:, None] * plan.ranks[index])
     return [tuple(x) for x in h.tolist()]

@@ -137,10 +137,11 @@ class Fan:
         return cls
 
     # cohomology._plan keeps the oracle's plan of the fan (its vertex maps,
-    # its type's support masks, ranks and mask tables, its rays in int64 and
-    # its basis divisors as an object array) in __dict__["_oracle_plan"],
-    # built on the fan's first batch.  A frozen dataclass allows that, as it
-    # allows cached_property and _subdivide, which records a blow-up's
+    # its type's support masks, ranks and mask tables, the kernel's fold
+    # tables of its rays, filled one interval axis at a time, and its basis
+    # divisors as an object array) in __dict__["_oracle_plan"], built on the
+    # fan's first batch.  A frozen dataclass allows that, as it allows
+    # cached_property and _subdivide, which records a blow-up's
     # "_basis_inverse" there; dataclasses.replace copies none of them.
 
 

@@ -527,9 +527,9 @@ def _every_mask(lo, hi, rays, coeffs):
     counts = kernels.count_support_sets(
         np.repeat(lo, nmasks, axis=0),
         np.repeat(hi, nmasks, axis=0),
-        rays,
         np.repeat(coeffs, nmasks, axis=0),
         np.tile(np.arange(nmasks), len(lo)),
+        kernels.Folds(rays, np.arange(nmasks)),
     )
     return counts.reshape(len(lo), nmasks).tolist()
 
@@ -586,7 +586,10 @@ def test_polytope_pass_matches_full_box_count(divisor):
     # arrangement box
     assert (lo <= plo).all() and (plo <= phi).all() and (phi <= hi).all()
     if len(pmasks):
-        counts = kernels.count_support_sets(plo, phi, fan.rays, [coeffs] * len(pmasks), pmasks)
+        folds = kernels.Folds(fan.rays, pmasks)
+        counts = kernels.count_support_sets(
+            plo, phi, [coeffs] * len(pmasks), np.arange(len(pmasks)), folds
+        )
         assert counts.tolist() == [full[mask] for mask in pmasks.tolist()]
 
 
@@ -601,9 +604,9 @@ def test_exact_boxes_count_what_padded_boxes_count(monkeypatch):
         assert err is None and report.all_passed
     assert len(calls) == len(FAMILY)
     monkeypatch.undo()
-    for lo, hi, rays, coeffs, masks in calls:
-        counts = kernels.count_support_sets(lo, hi, rays, coeffs, masks)
-        padded = kernels.count_support_sets(lo - 1, hi + 1, rays, coeffs, masks)
+    for lo, hi, coeffs, index, folds in calls:
+        counts = kernels.count_support_sets(lo, hi, coeffs, index, folds)
+        padded = kernels.count_support_sets(lo - 1, hi + 1, coeffs, index, folds)
         assert np.array_equal(counts, padded)
 
 
@@ -1149,15 +1152,16 @@ def test_batch_sweeps_each_missing_class_once(monkeypatch):
     assert got == [bott_dims(2, d) for d in (2, -4, 2, 0, -4)]
     # each distinct class has one non-empty polytope (P_0 for h^0, P_111 for
     # h^2), all swept in one call, and no (class, mask) box is swept twice
-    [(lo, hi, _rays, coeffs, masks)] = calls
+    [(lo, hi, coeffs, index, folds)] = calls
+    masks = folds.masks[index]
     swept = {tuple(map(tuple, box)) for box in zip(lo, hi, coeffs, masks[:, None])}
     assert len(masks) == len(swept) == 3
     # nothing is kept between cacheless batches: a second batch on the same
     # fan object sweeps its classes again
     calls.clear()
     assert cohomology_dims_many(fan, classes[:2]) == got[:2]
-    [(_lo, _hi, _rays, _coeffs, masks)] = calls
-    assert len(masks) == 2
+    [(_lo, _hi, _coeffs, index, folds)] = calls
+    assert len(folds.masks[index]) == 2
 
 
 def test_plan_is_built_once_per_fan(monkeypatch):
@@ -1176,9 +1180,54 @@ def test_plan_is_built_once_per_fan(monkeypatch):
     assert len(built) == 2 and built[1] is fresh
 
 
+def _interval_axes(calls):
+    """The interval axis of each recorded kernel call: the axis with the
+    fewest points on the other axes over the call's boxes."""
+    axes = []
+    for lo, hi, *_ in calls:
+        widths = hi - lo + 1
+        axes.append(int((widths.prod(axis=1)[:, None] // widths).sum(axis=0).argmin()))
+    return axes
+
+
+def test_each_axis_is_folded_once_per_fan(monkeypatch):
+    """25 single-class batches on one oracle-scan fan, whose boxes choose
+    interval axes 0 and 1, fold each of those axes once, on the first batch
+    that chooses it, into the Folds of the fan's plan; a fresh copy of the
+    fan folds them again into its own."""
+    filled = []
+    real = kernels.Folds.__missing__
+    monkeypatch.setattr(
+        kernels.Folds, "__missing__", lambda folds, k: filled.append((folds, k)) or real(folds, k)
+    )
+    calls = _count_kernel_calls(monkeypatch)
+    fan = make_blowup(BundleSpec(2, (0, 1, 2)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
+    coords = [(d, 2, e) for d in range(-2, 3) for e in range(-2, 3)]
+    got = [cohomology_dims(fan, fan.pic_class(c)) for c in coords]
+    axes = _interval_axes(calls)
+    assert len(axes) == 25 and set(axes) == {0, 1}
+    folds = _plan(fan).folds
+    assert [k for _, k in filled] == list(dict.fromkeys(axes))
+    assert all(f is folds for f, _ in filled) and sorted(folds) == [0, 1]
+    fresh = dataclasses.replace(fan)
+    calls.clear()
+    filled.clear()
+    assert [cohomology_dims(fresh, fresh.pic_class(c)) for c in coords] == got
+    assert _interval_axes(calls) == axes
+    assert [k for _, k in filled] == list(dict.fromkeys(axes))
+    assert all(f is _plan(fresh).folds for f, _ in filled) and _plan(fresh).folds is not folds
+
+
+# Fans whose plans every example of test_a_reused_fan_answers_as_fresh_fans_do
+# reuses, each with classes whose batches fold every interval axis listed:
+# the boxes of P^2 are all squares, so its batches fold axis 0 alone.
 PLAN_FANS = [
-    projective_space_fan(2),
-    make_blowup(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"}))).fan_xt,
+    (projective_space_fan(2), [(2,), (-5,)], [0]),
+    (
+        make_blowup(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"}))).fan_xt,
+        [(0, 0, 0), (-3, 1, -2), (-3, -3, -3)],
+        [0, 2, 3],
+    ),
 ]
 
 
@@ -1188,8 +1237,13 @@ def test_a_reused_fan_answers_as_fresh_fans_do(data):
     """One fan object, whose plan every example before this one has used,
     gives each class the h-vector a fresh copy of the fan (a plan of its
     own) gives it, one class per batch and all in one batch: no batch
-    leaves the plan changed."""
-    fan = data.draw(st.sampled_from(PLAN_FANS))
+    leaves the plan changed.  Each fan has first folded every interval axis
+    its listed classes choose, so the reused plan holds more than one axis
+    wherever the fan's boxes can choose more than one."""
+    fan, spread, axes = data.draw(st.sampled_from(PLAN_FANS))
+    for c in spread:
+        cohomology_dims(fan, fan.pic_class(c))
+    assert set(axes) <= set(_plan(fan).folds)
     coords = st.tuples(*[st.integers(-4, 4)] * fan.pic_rank)
     drawn = data.draw(st.lists(coords, min_size=1, max_size=6))
     reused = [cohomology_dims(fan, fan.pic_class(c)) for c in drawn]
@@ -1336,24 +1390,48 @@ def test_rejection_names_row_box_and_bound(degrees):
     assert str(info.value) == REJECTIONS[degrees]
 
 
-def test_kernel_takes_five_positional_arrays(monkeypatch):
-    """The oracle hands the kernel one batch (lo, hi, rays, coeffs, masks)
-    positionally, as int64 arrays of shapes (B, n), (B, n), (R, n), (B, R)
-    and (B,), so a wrapper with exactly that signature sees every box it
-    sweeps."""
+def test_budget_pre_bound_keeps_the_budget_edge(monkeypatch):
+    """O(4, 1) on P^1 x P^1 has one polytope box of 2 x 5 = 10 points,
+    fewer than the 5^2 of the cube of its largest width: at a budget of 10
+    the batch is counted, and at 9 BoxTooLarge names its (row, mask) box,
+    not the 2 x 2 box of O(1, 1) ahead of it."""
+    fan = build_projective_bundle_fan(BundleSpec(1, (0, 0)))
+    classes = [fan.pic_class((1, 1)), fan.pic_class((4, 1))]
+    monkeypatch.setattr(cohomology, "MAX_BOX_POINTS", 10)
+    assert cohomology_dims_many(fan, classes) == [(4, 0, 0), (10, 0, 0)]
+    monkeypatch.setattr(cohomology, "MAX_BOX_POINTS", 9)
+    with pytest.raises(BoxTooLarge) as info:
+        cohomology_dims_many(fan, classes)
+    assert str(info.value) == (
+        "T-divisor (0, 4, 1, 0), support set 0: polytope box lo=[-4, 0] hi=[0, 1]: "
+        "10 points (budget 9)"
+    )
+
+
+def test_kernel_takes_box_arrays_and_the_fans_folds(monkeypatch):
+    """The oracle hands the kernel one batch (lo, hi, coeffs, index, folds)
+    positionally: int64 arrays of shapes (B, n), (B, n), (B, R) and (B,),
+    and the Folds of the fan's plan, whose int64 rays (R, n) and support
+    masks give box b its mask folds.masks[index[b]], so a wrapper with
+    exactly that signature sees every box it sweeps."""
     real = kernels.count_support_sets
+    fan = projective_space_fan(2)
     points = []
 
-    def wrapped(lo, hi, rays, coeffs, masks):
-        arrays = (lo, hi, rays, coeffs, masks)
+    def wrapped(lo, hi, coeffs, index, folds):
+        arrays = (lo, hi, coeffs, index, folds.rays, folds.masks)
         assert all(isinstance(x, np.ndarray) and x.dtype == np.int64 for x in arrays)
-        assert [x.shape for x in arrays] == [lo.shape, lo.shape, (3, 2), (len(lo), 3), (len(lo),)]
+        assert [x.shape for x in arrays[:5]] == [
+            lo.shape, lo.shape, (len(lo), 3), (len(lo),), (3, 2)
+        ]
+        assert folds is _plan(fan).folds
+        assert np.array_equal(folds.masks, _support_ranks(fan)[0])
+        assert (0 <= index).all() and (index < len(folds.masks)).all()
         assert (lo <= hi).all()
         points.append((hi - lo + 1).prod(axis=1).tolist())
-        return real(lo, hi, rays, coeffs, masks)
+        return real(lo, hi, coeffs, index, folds)
 
     monkeypatch.setattr(kernels, "count_support_sets", wrapped)
-    fan = projective_space_fan(2)
     assert cohomology_dims(fan, fan.pic_class((2,))) == (6, 0, 0)
     classes = [fan.pic_class((3,)), fan.pic_class((-5,))]
     assert cohomology_dims_many(fan, classes) == [(10, 0, 0), (0, 0, 6)]
