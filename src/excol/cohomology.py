@@ -10,13 +10,15 @@ and certify) checks each class once (_class_coords).  All h-vectors of a
 batch are computed in one pass over its distinct classes, less those a
 DiskCache already holds, lifted in one exact product (_dims_of_coords):
 
+- fan: a plan is built only for a fan validate_fan has passed
+  (excol.fan._validated), so every P_S below with nonzero reduced
+  cohomology is bounded: a complete toric variety has finite cohomology.
 - ranks: only support sets S whose complex has nonzero reduced cohomology
   add to h.  By Hochster's formula its ranks are Betti numbers, read off
   the Taylor resolution on the fan's m primitive collections, so S is one
   of their at most 2^m unions; one table per labelled combinatorial type
-  (max cones) serves every fan of the type (_support_ranks).  It certifies
-  that the polytopes P_S of each of its rows are bounded (_bounded) on the
-  first fan of the type only; the oracle assumes a valid fan.
+  (max cones) serves every fan of the type (_support_ranks), each S a
+  0/1 membership row over the rays, however many there are.
 - polytopes: the characters with support set S are the lattice points of
   P_S, whose vertices are arrangement vertices of the divisor shifted by 1
   on S.  Each is an integer map of the coefficients, read off the fan's
@@ -35,9 +37,9 @@ DiskCache already holds, lifted in one exact product (_dims_of_coords):
   counts times the ranks of S.
 
 All that depends on the fan alone is built once per fan, on its first
-batch, into its plan (_plan): the vertex maps, its type's support masks
-and ranks, those masks' tables for the vertex tests, the kernel's fold
-tables (excol.kernels.Folds: the rays in int64 and the support masks, and
+batch, into its plan (_plan): the vertex maps, its type's support rows
+and ranks, those rows' tables for the vertex tests, the kernel's fold
+tables (excol.kernels.Folds: the rays in int64 and the support rows, and
 each interval axis's tables, filled the first time a batch of the fan
 chooses that axis) and the basis divisors as an object array.  So a batch
 pays only for its classes and their boxes.  No h-vector is kept in memory
@@ -62,8 +64,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import BoxTooLarge, NonLineBundlePresent, UnboundedContribution
-from .fan import Fan, PicClass
+from .errors import BoxTooLarge, NonLineBundlePresent
+from .fan import Fan, PicClass, _validated
 from .intlinalg import rational_rank
 
 
@@ -158,10 +160,10 @@ def _entry_pattern(pic_rank, length):
 
 
 class _MaskTables(NamedTuple):
-    """The tables _polytope_boxes reads for a set of support masks
-    (_mask_tables): each mask's share of the vertex maps and of the tests."""
+    """The tables _polytope_boxes reads for a set of support sets
+    (_mask_tables): each set's share of the vertex maps and of the tests."""
 
-    masks: np.ndarray  # (M,) int64 ray bit masks, the sets S
+    masks: np.ndarray  # (M, rays) int64 membership rows of the sets S: 1 on S
     verts: np.ndarray  # (vertices, dim, M): scatter @ 1_S
     on: np.ndarray  # (p, vertices, M, 1): whether the ray off[j, v] is in S
     low: np.ndarray  # (p, vertices, M, 1): on - tests @ 1_S
@@ -170,16 +172,15 @@ class _MaskTables(NamedTuple):
 class _Plan(NamedTuple):
     """All the oracle reads of one fan that depends on the fan alone, built
     on its first batch and kept with it (_plan): the vertex maps scatter,
-    dets, reach, tests and off (_vertex_maps), the support masks of its type
-    with their tables (_mask_tables) and rank rows (_support_ranks), the
-    kernel's Folds of its rays and those masks, whose axes fill as batches
+    dets, reach and tests (_vertex_maps), the support sets of its type with
+    their tables (_mask_tables) and rank rows (_support_ranks), the
+    kernel's Folds of its rays and those sets, whose axes fill as batches
     choose them, and its basis divisors as an object array (_lift's)."""
 
     scatter: np.ndarray
     dets: np.ndarray
     reach: int
     tests: np.ndarray
-    off: np.ndarray
     support: _MaskTables
     ranks: np.ndarray
     folds: kernels.Folds
@@ -196,20 +197,20 @@ def _plan(fan: Fan) -> _Plan:
 
 
 def _build_plan(fan: Fan) -> _Plan:
-    support, ranks = _support_ranks(fan)
+    support, ranks = _support_ranks(_validated(fan))
     scatter, dets, reach, tests, off = _vertex_maps(fan)
     return _Plan(
-        scatter, dets, reach, tests, off, _mask_tables(scatter, tests, off, support), ranks,
+        scatter, dets, reach, tests, _mask_tables(scatter, tests, off, support), ranks,
         kernels.Folds(fan.rays, support), np.array(fan.basis_divisors, dtype=object),
     )
 
 
 def _mask_tables(scatter, tests, off, masks) -> _MaskTables:
-    """The tables of the support sets S in masks (int64) for the vertex maps
-    scatter, tests and off: the ray off[j, v] wants a slack <= 0 if it is
-    in S, >= 0 else, so with on = [in S], a @ tests >= on - 1_S @ tests,
-    negated if on."""
-    inside = ((masks[:, None] >> np.arange(scatter.shape[2])) & 1).T  # (rays, masks): 1 on S
+    """The tables of the support sets S in masks (int64 membership rows) for
+    the vertex maps scatter, tests and off: the ray off[j, v] wants a slack
+    <= 0 if it is in S, >= 0 else, so with on = [in S], a @ tests >= on -
+    1_S @ tests, negated if on."""
+    inside = masks.T  # (rays, masks): 1 on S
     on = inside[off][..., None] == 1
     return _MaskTables(masks, scatter @ inside, on, on - (tests @ inside)[..., None])
 
@@ -272,10 +273,10 @@ def _vertex_maps(fan: Fan):
 
 
 def _polytope_boxes(plan: _Plan, coeffs, tables: _MaskTables):
-    """(rows, masks, lo, hi, index), five int64 arrays in (row, mask) order,
-    of every T-divisor a in coeffs (int64 rows, within _dims_of_divisors's
-    guard) and support set S in tables.masks (masks = tables.masks[index])
-    whose polytope
+    """(rows, lo, hi, index), four int64 arrays in (row, mask) order, of
+    every T-divisor a in coeffs (int64 rows, within _dims_of_divisors's
+    guard) and support set S in tables.masks (S's row is
+    tables.masks[index]) whose polytope
 
         P_S(a) = {u : <u, v_rho> <= -a_rho - 1 for rho in S, >= -a_rho else}
 
@@ -308,39 +309,22 @@ def _polytope_boxes(plan: _Plan, coeffs, tables: _MaskTables):
         lattice = (lo <= hi).all(axis=1)
         out.append((start + rows[lattice], ms[lattice], lo[lattice], hi[lattice]))
     rows, index, lo, hi = (np.concatenate(x) for x in zip(*out))
-    return rows, tables.masks[index], lo, hi, index
-
-
-def _bounded(fan: Fan, mask):
-    """Whether the polytopes P_S(a) of the support set S in mask are bounded:
-    iff the rays, negated on S, positively span M (Ziegler, Lectures on
-    Polytopes, ch. 6), iff (Gale duality) the rows r of C = B^-1[:, :p],
-    negated on S, have an x with all r . x > 0, decided by Fourier-Motzkin."""
-    rows = {tuple(-c if mask >> i & 1 else c for c in r[: fan.pic_rank])
-            for i, r in enumerate(fan._basis_inverse)}
-    for j in range(fan.pic_rank):
-        up, down = [r for r in rows if r[j] > 0], [r for r in rows if r[j] < 0]
-        pairs = {tuple(x * -n[j] + y * a[j] for x, y in zip(a, n)) for a in up for n in down}
-        rows = {r for r in rows if not r[j]} | pairs
-    return not rows
+    return rows, lo, hi, index
 
 
 _RANK_TABLES = {}  # fan.max_cones -> _support_ranks(fan)
 
 
 def _support_ranks(fan: Fan):
-    """(masks, ranks) of fan's type: the support sets S, ascending, whose
-    complex (the max cones induced on S) has nonzero reduced cohomology, and
-    its ranks in degrees -1..dim-1, one row per mask.  Hochster's formula:
-    dim H~_{|S|-k-1} = beta_{k,S}, the homology of the multidegree-S strand
-    of the Taylor resolution of the Stanley-Reisner ideal, which the
-    primitive collections P_j generate: the sets J of P_j's with union S, in
-    degree |J| (Miller-Sturmfels, GTM 227, ch. 1 and 4).
-
-    A row S with an unbounded P_S (none on a smooth complete fan) raises
-    UnboundedContribution, but only on the fan that fills the table: the
-    fans of the type that come later reuse it unchecked, as the oracle
-    assumes a valid fan (validate_fan)."""
+    """(masks, ranks) of fan's type: the support sets S whose complex (the
+    max cones induced on S) has nonzero reduced cohomology, as 0/1 int64
+    membership rows (sets x rays), ascending as bit masks, and its ranks in
+    degrees -1..dim-1, one row per set.  Hochster's formula: dim
+    H~_{|S|-k-1} = beta_{k,S}, the homology of the multidegree-S strand of
+    the Taylor resolution of the Stanley-Reisner ideal, which the primitive
+    collections P_j generate: the sets J of P_j's with union S, in degree
+    |J| (Miller-Sturmfels, GTM 227, ch. 1 and 4).  The strands are keyed by
+    S as a Python-int bit mask, so any number of rays fits."""
     if fan.max_cones not in _RANK_TABLES:
         prims = [sum(1 << i for i in p) for p in fan.primitive_collections]
         strands = {}  # S -> its sets J, as tuples of indices into prims
@@ -364,13 +348,12 @@ def _support_ranks(fan: Fan):
                 if beta := len(block) - d[k] - d.get(k + 1, 0):
                     row[union.bit_count() - k] = beta  # the rank in degree |S|-k-1
             if any(row):
-                if not _bounded(fan, union):
-                    raise UnboundedContribution(
-                        f"fan {fan.basis_tag}: support set {union:b}, ranks {tuple(row)}: unbounded"
-                    )
                 rows[union] = row
-        ranks = np.array(list(rows.values()), dtype=np.int64).reshape(-1, fan.dim + 1)
-        _RANK_TABLES[fan.max_cones] = np.array(list(rows), dtype=np.int64), ranks
+        masks = [[union >> i & 1 for i in range(fan.n_rays)] for union in rows]
+        _RANK_TABLES[fan.max_cones] = (
+            np.array(masks, dtype=np.int64).reshape(-1, fan.n_rays),
+            np.array(list(rows.values()), dtype=np.int64).reshape(-1, fan.dim + 1),
+        )
     return _RANK_TABLES[fan.max_cones]
 
 
@@ -382,11 +365,11 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
     row with the largest coefficient and the bound.  h is the sum, over the
     support sets S with nonzero reduced cohomology, of the lattice points
     of P_S (_polytope_boxes) times the ranks of S, all counted in one kernel
-    call.  On a valid fan every such P_S is bounded (_support_ranks checks
-    the first fan of each type), so its lattice box holds all of it.  Before
-    the kernel call, the first box in (row, mask) order over MAX_BOX_POINTS
-    raises BoxTooLarge; the boxes' own point counts are formed only when the
-    cube of the batch's largest width is over the budget.
+    call.  The fan is valid (_build_plan), so every such P_S is bounded and
+    its lattice box holds all of it.  Before the kernel call, the first box
+    in (row, mask) order over MAX_BOX_POINTS raises BoxTooLarge; the boxes'
+    own point counts are formed only when the cube of the batch's largest
+    width is over the budget.
     """
     plan, exact = _plan(fan), np.asarray(coeff_rows, dtype=object)
     if (big := max(map(abs, exact.flat)) + 1) * plan.reach >= _INT64_MAX:
@@ -396,7 +379,7 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
             f"(int64 limit {_INT64_MAX})"
         )
     coeffs = exact.astype(np.int64)
-    rows, masks, lo, hi, index = _polytope_boxes(plan, coeffs, plan.support)
+    rows, lo, hi, index = _polytope_boxes(plan, coeffs, plan.support)
     # a cube of the batch's largest width holds every box, so only a batch
     # whose cube is over budget has its boxes' own point counts formed
     if len(rows) and int((hi - lo).max() + 1) ** fan.dim > MAX_BOX_POINTS:
@@ -405,8 +388,9 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
             points = np.minimum(points * width, MAX_BOX_POINTS + 1)
         if (over := np.flatnonzero(points > MAX_BOX_POINTS)).size:
             i = over[0]
+            mask = sum(1 << r for r in np.flatnonzero(plan.support.masks[index[i]]).tolist())
             raise BoxTooLarge(
-                f"T-divisor {tuple(exact[rows[i]])}, support set {int(masks[i]):b}: polytope "
+                f"T-divisor {tuple(exact[rows[i]])}, support set {mask:b}: polytope "
                 f"box lo={lo[i].tolist()} hi={hi[i].tolist()}: "
                 f"{prod((hi[i] - lo[i] + 1).tolist())} points (budget {MAX_BOX_POINTS})"
             )

@@ -6,7 +6,7 @@ class ExcolError(Exception):
 
 
 class InvalidSpec(ExcolError):
-    """Bundle specification violates its invariants."""
+    """Bundle specification or fan (validate_fan) violates its invariants."""
 
 
 class UnknownRay(ExcolError):
@@ -15,14 +15,6 @@ class UnknownRay(ExcolError):
 
 class NotACone(ExcolError):
     """The named rays do not span a cone of the fan."""
-
-
-class UnboundedContribution(ExcolError):
-    """A support set with nonzero reduced cohomology has unbounded character
-    polytopes, which no smooth complete fan allows.  It is checked once per
-    labelled type, on the first fan of the type whose rank table is filled;
-    the oracle assumes a valid fan (validate_fan), and a later invalid fan of
-    the same type is not checked."""
 
 
 class BoxTooLarge(ExcolError):

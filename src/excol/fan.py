@@ -137,12 +137,13 @@ class Fan:
         return cls
 
     # cohomology._plan keeps the oracle's plan of the fan (its vertex maps,
-    # its type's support masks, ranks and mask tables, the kernel's fold
+    # its type's support rows, ranks and mask tables, the kernel's fold
     # tables of its rays, filled one interval axis at a time, and its basis
     # divisors as an object array) in __dict__["_oracle_plan"], built on the
-    # fan's first batch.  A frozen dataclass allows that, as it allows
-    # cached_property and _subdivide, which records a blow-up's
-    # "_basis_inverse" there; dataclasses.replace copies none of them.
+    # fan's first batch, and _validated its mark in __dict__["_valid"].  A
+    # frozen dataclass allows that, as it allows cached_property and
+    # _subdivide, which records a blow-up's "_basis_inverse" and its
+    # parent's mark there; dataclasses.replace copies none of them.
 
 
 def validate_fan(fan: Fan) -> None:
@@ -235,6 +236,16 @@ def validate_fan(fan: Fan) -> None:
         raise InvalidSpec("fan is not complete: facet graph disconnected")
     if covering != 1:
         raise InvalidSpec(f"fan is not a fan: it covers a point {covering} times")
+
+
+def _validated(fan: Fan) -> Fan:
+    """fan, once validate_fan has passed on it: the first call on a fan
+    object runs it and marks the fan (see Fan), later calls only read the
+    mark, and a dataclasses.replace copy, which has none, is checked anew."""
+    if "_valid" not in fan.__dict__:
+        validate_fan(fan)
+        fan.__dict__["_valid"] = True
+    return fan
 
 
 @dataclass(frozen=True)
@@ -341,8 +352,7 @@ def build_projective_bundle_fan(spec: BundleSpec) -> Fan:
         basis_tag=f"X(s={s},a={degrees})",
         basis_divisors=(h_div, xi_div),
     )
-    validate_fan(fan)
-    return fan
+    return _validated(fan)
 
 
 def projective_space_fan(n) -> Fan:
@@ -363,8 +373,7 @@ def projective_space_fan(n) -> Fan:
         basis_tag=f"P^{n}",
         basis_divisors=(tuple(1 if i == 1 else 0 for i in range(n + 1)),),
     )
-    validate_fan(fan)
-    return fan
+    return _validated(fan)
 
 
 def _center_indices(fan: Fan, center: CenterSpec):
@@ -382,18 +391,19 @@ def _center_indices(fan: Fan, center: CenterSpec):
 def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
     """Blow-up along the orbit closure of the cone spanned by the center rays.
 
-    fan is validated first; the blow-up needs no check of its own.  Each
-    cone sigma that holds the center tau gives way to the cones
-    (sigma - {c}) + {e}, c in tau, and each of those has |det R_sigma|,
-    because e - sum_{tau - {c}} v_i = v_c.  A star subdivision of a
-    complete fan is complete (Cox-Little-Schenck, Toric Varieties, 3.3).
+    fan is validated first, unless it is marked (_validated); the blow-up
+    needs no check of its own and inherits the mark.  Each cone sigma that
+    holds the center tau gives way to the cones (sigma - {c}) + {e}, c in
+    tau, and each of those has |det R_sigma|, because e - sum_{tau - {c}}
+    v_i = v_c.  A star subdivision of a complete fan is complete
+    (Cox-Little-Schenck, Toric Varieties, 3.3).
     """
-    validate_fan(fan)
-    return _subdivide(fan, center)
+    return _subdivide(_validated(fan), center)
 
 
 def _subdivide(fan: Fan, center: CenterSpec) -> Fan:
-    """star_subdivide on a fan already validated.
+    """star_subdivide on a fan already validated; the blow-up carries fan's
+    mark (_validated), if fan has one.
 
     Up to row order the blow-up's B is [[B, B 1_tau], [0, 1]] (fan's B, its
     rows extended by their sums over the center tau, and the E row), so its
@@ -430,6 +440,8 @@ def _subdivide(fan: Fan, center: CenterSpec) -> Fan:
     sub.__dict__["_basis_inverse"] = tuple(
         row[:p] + (-int(rho in idx_set),) + row[p:] for rho, row in enumerate(inv)
     ) + (tuple(int(j == p) for j in range(e + 1)),)
+    if "_valid" in fan.__dict__:
+        sub.__dict__["_valid"] = True
     return sub
 
 

@@ -14,12 +14,13 @@ intervals.  Every kernel value is a folded partial sum or a digit term
 inside the bound of cohomology._vertex_maps's reach, which the oracle's
 one guard keeps in int64, so all arithmetic is int64.
 
-What depends only on the rays, the support masks and the axis k is built
-once per axis and kept in a Folds, which the oracle keeps in each fan's
-plan: the fold signs, the folded rays, the offsets, the caps of every
-mask, the rest axes, the rays that divide and the rays that only test.  A
-call forms only what depends on its boxes: their widths and rest points,
-the axis, the rows of their coefficients and their masks' caps.
+What depends only on the rays, the support sets (0/1 membership rows
+over the rays, so any number of rays fits) and the axis k is built once
+per axis and kept in a Folds, which the oracle keeps in each fan's plan:
+the fold signs, the folded rays, the offsets, the caps of every set, the
+rest axes, the rays that divide and the rays that only test.  A call forms
+only what depends on its boxes: their widths and rest points, the axis,
+the rows of their coefficients and their sets' caps.
 """
 
 from typing import NamedTuple
@@ -39,15 +40,15 @@ class _Axis(NamedTuple):
     sign: np.ndarray  # (R, 1): -1 where v_rho,k > 0, else 1
     rays: np.ndarray  # (R, n): sign * rays
     offset: np.ndarray  # (R, 1): |v_rho,k| - [v_rho,k > 0]
-    caps: np.ndarray  # (R, M): the cap of each ray and mask
+    caps: np.ndarray  # (R, M): the cap of each ray and set
     others: list  # the rest axes, ascending
     divisors: list  # (rho, |v_rho,k|) for |v_rho,k| > 1
     tests: np.ndarray  # the rays with v_rho,k = 0
 
 
 class Folds(dict):
-    """The fold tables of rays (R x n) and support masks (M,), both kept as
-    int64: folds[k] is axis k's _Axis, built on first use and kept."""
+    """The fold tables of rays (R x n) and support sets (M x R 0/1 rows),
+    both kept as int64: folds[k] is axis k's _Axis, built on first use."""
 
     def __init__(self, rays, masks):
         super().__init__()
@@ -61,12 +62,11 @@ class Folds(dict):
         # v_rho,k < 0; else x < t.  The caps keep the thresholds of one side.
         slope = self.rays[:, k]
         sign = np.where(slope > 0, -1, 1)[:, None]
-        inside = (self.masks >> np.arange(len(slope))[:, None]) & 1
         self[k] = axis = _Axis(
             sign,
             sign * self.rays,
             (abs(slope) - (slope > 0))[:, None],
-            np.where((slope >= 0)[:, None] ^ (inside == 1), _MAX, _MIN),
+            np.where((slope >= 0)[:, None] ^ (self.masks.T == 1), _MAX, _MIN),
             [d for d in range(self.rays.shape[1]) if d != k],
             [(r, int(abs(slope[r]))) for r in np.flatnonzero(abs(slope) > 1).tolist()],
             np.flatnonzero(slope == 0),
@@ -76,9 +76,9 @@ class Folds(dict):
 
 def count_support_sets(lo, hi, coeffs, index, folds):
     """(B,) counts: the points of each box [lo, hi] (B x n, inclusive, lo <=
-    hi on every axis) whose support set is exactly its mask
-    folds.masks[index] (index (B,)), for the rays of folds (R x n).  coeffs
-    is B x R."""
+    hi on every axis) whose support set is exactly the one of membership
+    row folds.masks[index] (index (B,)), for the rays of folds (R x n).
+    coeffs is B x R."""
     lo, hi, coeffs, index = (np.asarray(x, np.int64) for x in (lo, hi, coeffs, index))
     widths = hi - lo + 1
     rest = widths.prod(axis=1)[:, None] // widths  # rest points per box and axis

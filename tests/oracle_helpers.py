@@ -41,6 +41,18 @@ def reduced_cohomology_ranks(facets, top_dim):
     return tuple(len(faces) - cob[lv] - cob[lv + 1] for lv, faces in enumerate(levels))
 
 
+def membership(masks, n_rays):
+    """The 0/1 int64 membership rows (masks x n_rays), as the oracle holds
+    support sets, of ray bit masks (Python ints)."""
+    rows = [[mask >> r & 1 for r in range(n_rays)] for mask in masks]
+    return np.array(rows, dtype=np.int64).reshape(-1, n_rays)
+
+
+def bit_masks(rows):
+    """The ray bit masks, as Python ints, of 0/1 membership rows."""
+    return [sum(1 << r for r in np.flatnonzero(row).tolist()) for row in rows]
+
+
 def induced_ranks(fan, mask):
     """Reduced-cohomology ranks, in degrees -1..dim-1, of the complex the
     max cones induce on the rays in mask."""
@@ -81,10 +93,11 @@ def _edge_directions(rays):
 
 
 def polytopes_bounded(fan, mask):
-    """Reference for cohomology._bounded, from the rays alone: P_S is
-    unbounded iff its recession cone {u : <u, v_rho> <= 0 on S, >= 0 off S}
-    is nonzero.  The rays span, so the cone is pointed, and then it has an
-    extreme ray, which lies in the kernel of dim - 1 rays."""
+    """Whether the polytopes P_S of the support set S in mask are bounded,
+    from the rays alone: P_S is unbounded iff its recession cone {u : <u,
+    v_rho> <= 0 on S, >= 0 off S} is nonzero.  The rays span, so the cone
+    is pointed, and then it has an extreme ray, which lies in the kernel of
+    dim - 1 rays."""
     on = np.array([mask >> r & 1 for r in range(fan.n_rays)], dtype=bool)
     dots = _edge_directions(fan.rays)
     return not (np.where(on, dots <= 0, dots >= 0)).all(axis=1).any()

@@ -190,6 +190,21 @@ def test_verify_vertex_maps_past_int64_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {HUGE_FAN_ERROR}\n"
 
 
+def test_verify_a_64_ray_fan_exit_2(tmp_path, capsys):
+    """P^60 x P^1 blown up along b1, f1 has 64 rays, more than an int64 bit
+    mask holds.  Its collection is constructed, and verify names the
+    first polytope box over budget in one error line and exits 2, with no
+    traceback."""
+    col = tmp_path / "col.json"
+    args = ["--base-dim", "60", "--fiber-degrees", "0,0", "--center", "b1,f1"]
+    assert run(["construct", *args, "--out", str(col)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--collection", str(col)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and re.match(BUDGET_ERROR, err), err
+    assert "Traceback" not in err
+
+
 def test_sweep_aborts_a_fan_past_int64(capsys, monkeypatch):
     """In a sweep the same fan is an ABORT row and a failure."""
     monkeypatch.setattr(cli, "enumerate_specs", lambda *_: [BundleSpec(1, (0, 2**70))])

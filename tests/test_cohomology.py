@@ -28,7 +28,6 @@ from excol.cohomology import (
     _INT64_MAX,
     CACHE_VERSION,
     DiskCache,
-    _bounded,
     _dims_of_divisors,
     _lift,
     _mask_tables,
@@ -38,15 +37,18 @@ from excol.cohomology import (
     cohomology_dims_many,
 )
 from excol import cohomology, kernels
+from excol import fan as fan_module
 from excol.cli import enumerate_centers, enumerate_specs, run_case
-from excol.errors import BoxTooLarge, InvalidSpec, NonLineBundlePresent, UnboundedContribution
+from excol.errors import BoxTooLarge, InvalidSpec, NonLineBundlePresent
 from excol.fan import PicClass
 from excol.intlinalg import determinant, inverse
 from excol.verify import certify
 from oracle_helpers import (
+    bit_masks,
     dense_rank_table,
     euler_pairing,
     induced_ranks,
+    membership,
     polytopes_bounded,
     reduced_cohomology_ranks,
 )
@@ -231,8 +233,12 @@ def _python_box_matrix(fan):
     return (scatter, dets, reach, tests.astype(np.int64), off), slacks
 
 
-def _assert_same_box_matrix(got, want):
-    scatter, dets, reach, tests, off = got.scatter, got.dets, got.reach, got.tests, got.off
+def _assert_same_box_matrix(fan, want):
+    """fan's plan holds the reference vertex maps, and the rays off each
+    vertex its tables were built from (cohomology._vertex_maps) are the
+    reference's."""
+    got, off = _plan(fan), cohomology._vertex_maps(fan)[4]
+    scatter, dets, reach, tests = got.scatter, got.dets, got.reach, got.tests
     for a, b in ((scatter, want[0]), (dets, want[1]), (tests, want[3])):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
     assert np.array_equal(off, want[4])
@@ -254,7 +260,7 @@ def test_box_matrix_matches_per_subset_inverses():
         on_t = np.zeros(slacks.shape[:2], dtype=bool)
         on_t[range(len(on_t)), want[4]] = True
         assert not slacks[~on_t].any()
-        _assert_same_box_matrix(_plan(fan), want)
+        _assert_same_box_matrix(fan, want)
 
 
 def _with_basis_shifted(fan, k):
@@ -275,7 +281,7 @@ def test_box_matrix_ignores_the_basis(case, k):
     fan = projective_space_fan(2) if case is None else _blowup(*case).fan_xt
     shifted = _with_basis_shifted(fan, k)
     assert max(abs(x) for row in shifted._basis_inverse for x in row) >= k
-    _assert_same_box_matrix(_plan(shifted), _python_box_matrix(fan)[0])
+    _assert_same_box_matrix(shifted, _python_box_matrix(fan)[0])
 
 
 def test_box_matrix_past_int64_raises():
@@ -293,6 +299,36 @@ def test_oracle_rejects_a_basis_that_is_not_a_z_basis():
     fan = dataclasses.replace(projective_space_fan(2), basis_divisors=((0, 2, 0),))
     with pytest.raises(InvalidSpec, match="not a Z-basis"):
         cohomology_dims(fan, fan.pic_class((1,)))
+
+
+@pytest.mark.parametrize("warm", [True, False])
+def test_oracle_rejects_an_invalid_fan_warm_or_fresh(monkeypatch, warm):
+    """A hand-built fan with P^2's labelled cones, whose rays put two cones
+    on one side of a facet, is an InvalidSpec before anything is counted,
+    whether a P^2 batch has filled the type's rank table in this process or
+    the table is empty: the fan is checked where it enters the oracle, not
+    per type."""
+    if warm:
+        p2 = projective_space_fan(2)
+        assert cohomology_dims(p2, p2.pic_class((1,))) == (3, 0, 0)
+    else:
+        monkeypatch.setattr(cohomology, "_RANK_TABLES", {})
+    bad = dataclasses.replace(projective_space_fan(2), rays=((1, 1), (1, 0), (0, 1)))
+    calls = _count_kernel_calls(monkeypatch)
+    with pytest.raises(InvalidSpec, match="lie on one side of facet"):
+        cohomology_dims(bad, bad.pic_class((0,)))
+    assert calls == [] and "_oracle_plan" not in bad.__dict__
+    assert warm or cohomology._RANK_TABLES == {}
+
+
+@pytest.mark.parametrize("n", [63, 100])
+def test_projective_spaces_of_64_rays_and_more(n):
+    """P^63 has 64 rays and P^100 has 101, past any int64 bit mask: the
+    oracle holds support sets as membership rows, so O gets (1, 0, ..., 0)
+    and O(-n-1), the canonical class, h^n = 1 (Bott)."""
+    fan = projective_space_fan(n)
+    assert cohomology_dims(fan, fan.pic_class((0,))) == (1,) + (0,) * n
+    assert cohomology_dims(fan, fan.pic_class((-n - 1,))) == (0,) * n + (1,)
 
 
 def _python_box(fan, coeffs):
@@ -335,18 +371,21 @@ def test_vertex_maps_match_per_subset_solves(divisor):
 
 
 def _nonacyclic_masks(fan):
-    return _support_ranks(fan)[0]
+    """The support sets of fan's rank table, as bit masks (Python ints)."""
+    return bit_masks(_support_ranks(fan)[0])
 
 
 def _boxes(fan, coeffs, masks):
-    """_polytope_boxes's (rows, masks, lo, hi) of the T-divisors coeffs and
-    the support sets in masks, from fan's plan and the tables of masks,
-    once its support index is checked to give its masks."""
+    """(rows, masks, lo, hi) of the T-divisors coeffs and the support sets
+    of the bit masks in masks: _polytope_boxes's rows, lo and hi, from fan's
+    plan and the tables of masks' membership rows, and the bit mask of the
+    row its support index gives each box."""
     plan = _plan(fan)
-    tables = _mask_tables(plan.scatter, plan.tests, plan.off, np.asarray(masks, dtype=np.int64))
-    *got, index = _polytope_boxes(plan, coeffs, tables)
-    assert index.dtype == np.int64 and np.array_equal(tables.masks[index], got[1])
-    return tuple(got)
+    members = membership(masks, fan.n_rays)
+    tables = _mask_tables(plan.scatter, plan.tests, cohomology._vertex_maps(fan)[4], members)
+    rows, lo, hi, index = _polytope_boxes(plan, coeffs, tables)
+    assert index.dtype == np.int64 and tables.masks is members
+    return rows, np.array(bit_masks(members[index]), dtype=np.int64), lo, hi
 
 
 def _python_polytope_boxes(fan, coeffs, masks):
@@ -407,7 +446,7 @@ def test_batched_polytope_boxes_match_per_row_boxes(data):
     want = [
         (i, mask, lo, hi)
         for i, coeffs in enumerate(rows)
-        for _row, mask, lo, hi in _python_polytope_boxes(fan, coeffs, masks.tolist())
+        for _row, mask, lo, hi in _python_polytope_boxes(fan, coeffs, masks)
     ]
     values = len(_plan(fan).dets) * len(masks)
     for slack_values in (1, values - 1, values + 1, 3 * values + 1):
@@ -425,11 +464,11 @@ def test_polytope_boxes_drop_empty_lattice_boxes():
     reference."""
     fan = build_projective_bundle_fan(BundleSpec(1, (0, 2)))
     rows = [(3, 6, -2, 2), (5, 6, 3, -4)]
-    masks = np.arange(1 << fan.n_rays)
+    masks = list(range(1 << fan.n_rays))
     want = [
         (i, mask, lo, hi)
         for i, coeffs in enumerate(rows)
-        for _row, mask, lo, hi in _python_polytope_boxes(fan, coeffs, masks.tolist())
+        for _row, mask, lo, hi in _python_polytope_boxes(fan, coeffs, masks)
     ]
     got = _boxes(fan, rows, masks)
     _assert_same_polytopes(got, want, fan.dim)
@@ -456,7 +495,7 @@ def test_polytope_product_guard(case):
         coeffs = [0] * fan.n_rays
         coeffs[-1] = sign * _guard_edge(fan)
         got = _boxes(fan, [coeffs], masks)
-        want = _python_polytope_boxes(fan, coeffs, masks.tolist())
+        want = _python_polytope_boxes(fan, coeffs, masks)
         assert want
         _assert_same_polytopes(got, want, fan.dim)
         coeffs[-1] += sign
@@ -529,7 +568,7 @@ def _every_mask(lo, hi, rays, coeffs):
         np.repeat(hi, nmasks, axis=0),
         np.repeat(coeffs, nmasks, axis=0),
         np.tile(np.arange(nmasks), len(lo)),
-        kernels.Folds(rays, np.arange(nmasks)),
+        kernels.Folds(rays, membership(range(nmasks), len(rays))),
     )
     return counts.reshape(len(lo), nmasks).tolist()
 
@@ -577,16 +616,16 @@ def test_polytope_pass_matches_full_box_count(divisor):
     lo, hi = map(np.array, _python_box(fan, coeffs))
     masks = _nonacyclic_masks(fan)
     polytopes = _boxes(fan, [coeffs], masks)
-    _assert_same_polytopes(polytopes, _python_polytope_boxes(fan, coeffs, masks.tolist()), fan.dim)
+    _assert_same_polytopes(polytopes, _python_polytope_boxes(fan, coeffs, masks), fan.dim)
     _rows, pmasks, plo, phi = polytopes
     # a support set with characters has a non-empty polytope
-    assert {m for m in masks.tolist() if full[m]} <= set(pmasks.tolist())
+    assert {m for m in masks if full[m]} <= set(pmasks.tolist())
     # P_S lies in the bounded chamber union its inequalities loosen to, whose
     # vertices are arrangement vertices of a: no polytope box leaves the
     # arrangement box
     assert (lo <= plo).all() and (plo <= phi).all() and (phi <= hi).all()
     if len(pmasks):
-        folds = kernels.Folds(fan.rays, pmasks)
+        folds = kernels.Folds(fan.rays, membership(pmasks.tolist(), fan.n_rays))
         counts = kernels.count_support_sets(
             plo, phi, [coeffs] * len(pmasks), np.arange(len(pmasks)), folds
         )
@@ -925,9 +964,9 @@ _induced_ranks = functools.cache(induced_ranks)
 
 def _dense(fan):
     """fan's rank rows rebuilt into one row per mask of all 2^n_rays."""
-    masks, ranks = _support_ranks(fan)
+    members, ranks = _support_ranks(fan)
     table = np.zeros((1 << fan.n_rays, fan.dim + 1), dtype=np.int64)
-    table[masks] = ranks
+    table[bit_masks(members)] = ranks
     return table
 
 
@@ -952,8 +991,11 @@ def _labelled_types(max_dim=4):
 )
 def test_rank_table_matches_support_complexes(spec, center):
     fan = make_blowup(spec, CenterSpec(frozenset(center))).fan_xt
-    masks, ranks = _support_ranks(fan)
-    assert masks.tolist() == sorted(masks.tolist()) and ranks.any(axis=1).all()
+    members, ranks = _support_ranks(fan)
+    assert members.dtype == np.int64 and members.shape == (len(ranks), fan.n_rays)
+    assert set(members.flat) <= {0, 1}
+    masks = bit_masks(members)
+    assert masks == sorted(masks) and ranks.any(axis=1).all()
     assert [tuple(row) for row in _dense(fan).tolist()] == [
         _induced_ranks(fan, mask) for mask in range(1 << fan.n_rays)
     ]
@@ -981,10 +1023,10 @@ def test_rank_tables_match_support_complexes_over_family():
     more = {cones: fan for cones, fan in _labelled_types(5).items() if cones not in types}
     assert len(more) == 215
     for cones, fan in more.items():
-        masks, ranks = _support_ranks(fan)
+        members, ranks = _support_ranks(fan)
         reference = dense_rank_table(fan)
         nonzero = np.flatnonzero(reference.any(axis=1))
-        assert masks.tolist() == nonzero.tolist(), cones
+        assert bit_masks(members) == nonzero.tolist(), cones
         assert ranks.tolist() == reference[nonzero].tolist(), cones
 
 
@@ -1005,7 +1047,7 @@ def test_rank_table_makes_at_most_2_to_the_m_rank_calls(monkeypatch):
     total = 0
     for fan in _labelled_types(3).values():
         calls.clear()
-        masks, _ranks = _support_ranks(fan)
+        members, _ranks = _support_ranks(fan)
         prims = [sum(1 << i for i in p) for p in fan.primitive_collections]
         assert len(calls) <= 1 << len(prims)
         total += len(calls)
@@ -1014,7 +1056,7 @@ def test_rank_table_makes_at_most_2_to_the_m_rank_calls(monkeypatch):
             for k in range(len(prims) + 1)
             for J in itertools.combinations(prims, k)
         }
-        assert set(masks.tolist()) <= unions
+        assert set(bit_masks(members)) <= unions
     assert total
     spec, center = BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "f1"}))
     _support_ranks(make_blowup(spec, center).fan_xt)
@@ -1058,10 +1100,10 @@ def test_rank_rows_of_a_16_ray_blowup():
     (1, 0, ..., 0), as on every smooth complete toric variety."""
     fan = make_blowup(BundleSpec(12, (0, 0)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
     assert (fan.n_rays, fan.dim) == (16, 13)
-    masks, ranks = _support_ranks(fan)
-    assert len(fan.primitive_collections) == 5 and len(masks) == 12
+    members, ranks = _support_ranks(fan)
+    assert len(fan.primitive_collections) == 5 and len(members) == 12
     full = (1 << fan.n_rays) - 1
-    for mask, row in zip(masks.tolist(), ranks.tolist()):
+    for mask, row in zip(bit_masks(members), ranks.tolist()):
         if mask.bit_count() <= 3:
             assert tuple(row) == _induced_ranks(fan, mask), mask
         else:
@@ -1093,55 +1135,21 @@ def test_dim_7_blowups_certify(spec, center):
     assert err is None and report.all_passed
 
 
-def test_bounded_by_hand_on_p2():
-    """On P^2, P_S is the sections' triangle for S empty and its negative
-    for S every ray, and a cone for S = {x0}."""
-    fan = projective_space_fan(2)
-    for mask, bounded in ((0b000, True), (0b111, True), (0b001, False)):
-        assert _bounded(fan, mask) is polytopes_bounded(fan, mask) is bounded
-
-
-def test_bounded_matches_recession_cones_on_every_mask():
-    """Every mask of every fan of P^1..P^3 and of the s + r <= 3, degree <=
-    1 family, X and blow-up fans alike, against the extreme-ray reference."""
-    fans = [projective_space_fan(n) for n in range(1, 4)]
-    for spec in enumerate_specs(3, 1):
-        fans.append(build_projective_bundle_fan(spec))
-        for codim in (2, 3):
-            fans.extend(make_blowup(spec, c).fan_xt for c in enumerate_centers(spec, codim))
-    seen = set()
-    for fan in fans:
-        for mask in range(1 << fan.n_rays):
-            bounded = _bounded(fan, mask)
-            assert bounded == polytopes_bounded(fan, mask), (fan.basis_tag, mask)
-            seen.add(bounded)
-    assert seen == {True, False}
-
-
 def test_every_nonzero_row_of_the_family_is_bounded():
     """Per fan, not per type: on every X and blow-up fan of the s + r <= 4,
     degree <= 1 family, every nonzero rank row's S has bounded polytopes,
-    by _bounded and by the reference."""
+    by the extreme-ray reference.  The oracle counts each P_S in its lattice
+    box on the strength of this: a smooth complete fan (validate_fan) has
+    finite cohomology, so no such P_S is unbounded.  The reference itself,
+    by hand on P^2: P_S is the sections' triangle for S empty and its
+    negative for S every ray, and a cone for S = {x0}."""
+    p2 = projective_space_fan(2)
+    assert [polytopes_bounded(p2, mask) for mask in (0b000, 0b111, 0b001)] == [True, True, False]
     fans = [build_projective_bundle_fan(spec) for spec in enumerate_specs(4, 1)]
     fans += [_blowup(*case).fan_xt for case in FAMILY]
     for fan in fans:
-        for mask in _nonacyclic_masks(fan).tolist():
-            assert _bounded(fan, mask) and polytopes_bounded(fan, mask), (fan.basis_tag, mask)
-
-
-def test_planted_unbounded_row_fails_the_fill_before_any_sweep(monkeypatch):
-    """A rank row whose certificate fails raises UnboundedContribution from
-    the rank fill, naming the fan, the mask and the row, before the kernel
-    sees a box; O(4) on P^2 sweeps only P_0, yet the whole table is
-    certified."""
-    fan = projective_space_fan(2)
-    monkeypatch.setattr(cohomology, "_RANK_TABLES", {})
-    monkeypatch.setattr(cohomology, "_bounded", lambda f, mask: mask != 0b111)
-    calls = _count_kernel_calls(monkeypatch)
-    want = "fan P^2: support set 111, ranks (0, 0, 1): unbounded"
-    with pytest.raises(UnboundedContribution, match=re.escape(want)):
-        cohomology_dims(fan, fan.pic_class((4,)))
-    assert calls == [] and cohomology._RANK_TABLES == {}
+        for mask in _nonacyclic_masks(fan):
+            assert polytopes_bounded(fan, mask), (fan.basis_tag, mask)
 
 
 def test_batch_sweeps_each_missing_class_once(monkeypatch):
@@ -1154,7 +1162,7 @@ def test_batch_sweeps_each_missing_class_once(monkeypatch):
     # h^2), all swept in one call, and no (class, mask) box is swept twice
     [(lo, hi, coeffs, index, folds)] = calls
     masks = folds.masks[index]
-    swept = {tuple(map(tuple, box)) for box in zip(lo, hi, coeffs, masks[:, None])}
+    swept = {tuple(map(tuple, box)) for box in zip(lo, hi, coeffs, masks)}
     assert len(masks) == len(swept) == 3
     # nothing is kept between cacheless batches: a second batch on the same
     # fan object sweeps its classes again
@@ -1162,6 +1170,34 @@ def test_batch_sweeps_each_missing_class_once(monkeypatch):
     assert cohomology_dims_many(fan, classes[:2]) == got[:2]
     [(_lo, _hi, _coeffs, index, folds)] = calls
     assert len(folds.masks[index]) == 2
+
+
+def test_each_fan_object_is_validated_once(monkeypatch):
+    """Batches on make_blowup fans validate nothing: X is validated where it
+    is built and its blow-up carries the mark.  Two batches on a
+    dataclasses.replace copy of the blow-up, which has no mark, validate
+    it once; a star_subdivide of a copy of X validates that copy once, and
+    batches on the blow-up it gives validate nothing more."""
+    spec, center = BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"}))
+    bl = make_blowup(spec, center)
+    validated = []
+    real = fan_module.validate_fan
+    monkeypatch.setattr(fan_module, "validate_fan", lambda f: validated.append(f) or real(f))
+    other = make_blowup(spec, CenterSpec(frozenset({"b0", "f0"})))
+    classes = [(0, 0, 0), (1, -1, 2), (-2, 1, -1)]
+    for fan in (bl.fan_xt, bl.fan_x, other.fan_xt, bl.fan_xt):
+        cohomology_dims_many(fan, [fan.pic_class(c[: fan.pic_rank]) for c in classes])
+    assert validated == []
+    copy = dataclasses.replace(bl.fan_xt)
+    want = cohomology_dims_many(bl.fan_xt, [bl.fan_xt.pic_class(c) for c in classes])
+    for _ in range(2):
+        assert cohomology_dims_many(copy, [copy.pic_class(c) for c in classes]) == want
+    assert len(validated) == 1 and validated[0] is copy
+    validated.clear()
+    sub = fan_module.star_subdivide(dataclasses.replace(bl.fan_x), center)
+    assert len(validated) == 1 and validated[0] is not bl.fan_x
+    assert cohomology_dims_many(sub, [sub.pic_class(c) for c in classes]) == want
+    assert len(validated) == 1
 
 
 def test_plan_is_built_once_per_fan(monkeypatch):
@@ -1259,15 +1295,21 @@ def test_a_reused_fan_answers_as_fresh_fans_do(data):
 @given(st.data())
 def test_support_index_gives_each_box_its_mask_and_ranks(data):
     """Over a batch on the oracle's own tables, every box's support index
-    picks its mask from the type's support masks, so ranks[index] are the
-    rank rows of the box's mask."""
+    picks its mask, in (row, mask) order as the reference boxes come, from
+    the type's support rows, so ranks[index] are the rank rows of the
+    box's mask."""
     fan, first = data.draw(family_divisors())
     row = st.lists(st.integers(-30, 30), min_size=fan.n_rays, max_size=fan.n_rays)
     rows = [first] + data.draw(st.lists(row.map(tuple), max_size=3))
     plan = _plan(fan)
     support, ranks = _support_ranks(fan)
-    _rows, masks, _lo, _hi, index = _polytope_boxes(plan, rows, plan.support)
-    assert np.array_equal(support[index], masks)
+    _rows, _lo, _hi, index = _polytope_boxes(plan, rows, plan.support)
+    masks = [
+        mask
+        for coeffs in rows
+        for _row, mask, _lo, _hi in _python_polytope_boxes(fan, coeffs, bit_masks(support))
+    ]
+    assert bit_masks(support[index]) == masks
     assert np.array_equal(plan.ranks[index], _dense(fan)[masks])
     assert np.array_equal(plan.ranks, ranks)
 
@@ -1412,7 +1454,7 @@ def test_kernel_takes_box_arrays_and_the_fans_folds(monkeypatch):
     """The oracle hands the kernel one batch (lo, hi, coeffs, index, folds)
     positionally: int64 arrays of shapes (B, n), (B, n), (B, R) and (B,),
     and the Folds of the fan's plan, whose int64 rays (R, n) and support
-    masks give box b its mask folds.masks[index[b]], so a wrapper with
+    rows (M, R) give box b its mask folds.masks[index[b]], so a wrapper with
     exactly that signature sees every box it sweeps."""
     real = kernels.count_support_sets
     fan = projective_space_fan(2)
