@@ -138,7 +138,7 @@ def default_cache_dir():
 def run_case(spec, center, cache=True):
     """Construct and certify one (spec, center); returns (report, error).
 
-    With cache, certify reads and appends the fan's file in the disk cache
+    With cache, certify reads and rewrites the fan's file in the disk cache
     under default_cache_dir(), read at call time.
     """
     try:

@@ -24,13 +24,14 @@ DiskCache already holds, lifted in one exact product (_dims_of_coords):
   on S.  Each is an integer map of the coefficients, read off the fan's
   B^-1 with one p x p adjugate (p = Picard rank; Jacobi, Oda-Park) into
   one int64 (vertices x dim x rays) map per fan (_vertex_maps), so the
-  vertices of the whole batch come from one matrix product, under one
-  guard on the exact lift that every value the pass forms fits in int64
-  (_dims_of_divisors), which then converts it to int64 once.
+  vertices of a chunk of the batch's rows come from one matrix product,
+  under one guard on the exact lift that every value the pass forms fits
+  in int64 (_dims_of_divisors), which then converts it to int64 once.
   A vertex meets the inequalities of its own dim rays with equality, so
   only the p rays off it are tested, from a (p x vertices x rays) map.  A
   bounded P_S is the hull of its vertices, so their exact lattice box
-  holds all its points, and no box may hold more than MAX_BOX_POINTS.
+  holds all its points, and no box may hold more than MAX_BOX_POINTS: the
+  first that does fails the batch in its chunk (_polytope_boxes).
 - sweep: one call of the numpy kernel excol.kernels.count_support_sets
   counts the characters with support S over every non-empty lattice box of
   the batch, as exact intervals along one axis, and h is the sum of those
@@ -44,9 +45,10 @@ each interval axis's tables, filled the first time a batch of the fan
 chooses that axis) and the basis divisors as an object array.  So a batch
 pays only for its classes and their boxes.  No h-vector is kept in memory
 between batches, only the plans and the rank tables.  Only a caller that
-passes a DiskCache (one append-only file per fan) touches the disk: the
-fan's file is read (one json.loads) once per batch and appended at most
-once per batch.  Nothing here reads the environment.
+passes a DiskCache (one checksummed file per fan) touches the disk: the
+fan's file is read (one json.loads) once per batch and, when the batch
+computed a class, written whole and renamed into place once.  Nothing here
+reads the environment.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
+import tempfile
 from functools import cache, reduce
 from itertools import combinations
 from math import prod
@@ -69,8 +71,6 @@ from .fan import Fan, PicClass, _validated
 from .intlinalg import rational_rank
 
 
-CACHE_VERSION = "excol-hvectors-2"
-
 # Point budget of each polytope box, checked before the batch's kernel
 # call: the largest among the benchmark's reference classes has 179,712
 # points, and a hostile class can ask for 10^14.
@@ -82,81 +82,72 @@ SLACK_VALUES = 1 << 14
 
 
 class DiskCache:
-    """One append-only file of h-vectors per fan under root.
+    """One file of h-vectors per fan under root, written whole.
 
     A fan's h-vectors depend on its rays, its max cones and the basis
     divisors that lift a class; its key is json.dumps of those three (the
     basis tag and the ray names change no value).  The file's first line,
-    its header, is CACHE_VERSION and the key, and the header's SHA-256 names
-    the file.  Every other line is one entry [coords, h], as json.dumps
-    writes it; any other line (torn, planted, or JSON written another way)
-    is skipped, and its class recomputed.  Values are deterministic, so
-    duplicates are harmless.
+    its header, is the digest of the oracle's source (_source_digest) and
+    the key, and the header's SHA-256 names the file.  The second line is
+    the SHA-256 of the rest, the body: json.dumps of the [coords, h]
+    entries.  A file that does not match both, or whose body does not
+    parse as entries, reads as no entries at all, and the next put
+    replaces it.
     """
 
     def __init__(self, root):
         self.root = root
 
     def _path(self, fan: Fan):
-        """(fan's file, its header)."""
+        """(fan's file, its header line without the newline)."""
         key = json.dumps([fan.rays, fan.max_cones, fan.basis_divisors])
-        header = f"{CACHE_VERSION} {key}\n".encode()
+        header = f"{_source_digest()} {key}".encode()
         return os.path.join(self.root, hashlib.sha256(header).hexdigest() + ".jsonl"), header
 
     def get(self, fan: Fan):
-        """{coords: h} of the lines of fan's file exactly as put writes them
-        (_entry_pattern), parsed together; {} when the file is missing or its
-        header does not match exactly (the file is then deleted, so that the
-        next put recreates it)."""
+        """{coords: h} of fan's file; {} when it is missing, its header or
+        checksum does not match, or its body is not a list of entries."""
         path, header = self._path(fan)
         try:
             with open(path, "rb") as fh:
-                if fh.readline() != header:
-                    os.unlink(path)  # a file a racer deleted first reads {} too
-                    return {}
-                body = fh.read()
-        except OSError:
+                head, digest, body = fh.read().split(b"\n", 2)
+            if head != header or digest != hashlib.sha256(body).hexdigest().encode():
+                return {}
+            return {tuple(c): tuple(h) for c, h in json.loads(body)}
+        except (OSError, ValueError, TypeError, RecursionError):
             return {}
-        lines = _entry_pattern(fan.pic_rank, fan.dim + 1).findall(body)
-        return {tuple(c): tuple(h) for c, h in json.loads(b"[" + b",".join(lines) + b"]")}
 
     def put(self, fan: Fan, entries):
-        """Append entries ({coords: h}) to fan's file with one write.
-
-        The process that creates the file writes the header in the same
-        write.  A file whose header is not (yet) there is left alone, and a
-        file whose last line is torn (no final newline) gets a newline
-        first, so the torn line does not swallow the first new entry.
-        """
-        data = "".join(
-            f"[[{', '.join(map(str, coords))}], [{', '.join(map(str, h))}]]\n"
-            for coords, h in entries.items()
-        ).encode()
+        """Make fan's file hold exactly entries ({coords: h}): one write to
+        a temp file of this put's own in root, renamed onto the fan's file.
+        Of two racing puts the last rename wins, and the other's entries
+        are recomputed when a batch next misses them."""
+        body = json.dumps(list(entries.items())).encode()
         path, header = self._path(fan)
+        data = b"%s\n%s\n%s" % (header, hashlib.sha256(body).hexdigest().encode(), body)
         os.makedirs(self.root, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".tmp", dir=self.root)
         try:
-            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644)
-            data = header + data
-        except FileExistsError:
-            fd = os.open(path, os.O_RDWR | os.O_APPEND)
-            if os.pread(fd, len(header), 0) != header:
-                data = b""
-            elif os.pread(fd, 1, os.fstat(fd).st_size - 1) != b"\n":
-                data = b"\n" + data  # end the torn line a crash left
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
+            try:
+                os.fchmod(fd, 0o644)
+                os.write(fd, data)
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 @cache
-def _entry_pattern(pic_rank, length):
-    """The lines json.dumps([coords, h]) writes for a fan of this Picard
-    rank and h-vectors of this length, h non-negative.  At most 19 digits, as
-    in an int64, so json.loads never meets an integer past its size limit."""
-    coords = b", ".join([rb"(?:0|-?[1-9][0-9]{0,18})"] * pic_rank)
-    h = b", ".join([rb"(?:0|[1-9][0-9]{0,18})"] * length)
-    return re.compile(rb"^\[\[" + coords + rb"\], \[" + h + rb"\]\]$", re.M)
+def _source_digest():
+    """SHA-256 of the source of every module an h-vector depends on, the
+    cache's version: an edit to any of them starts every fan's file afresh."""
+    digest = hashlib.sha256()
+    for name in ("cohomology.py", "kernels.py", "intlinalg.py", "fan.py"):
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
 
 
 class _MaskTables(NamedTuple):
@@ -285,29 +276,47 @@ def _polytope_boxes(plan: _Plan, coeffs, tables: _MaskTables):
 
     P_S(a) is cut out by the arrangement of b = a + 1_S, so its vertices
     are the arrangement vertices of b that meet every inequality: scatter @
-    b (det_S times each vertex, from one product for the batch), tested on
-    the p rays off each vertex by tests @ b, with 1_S's shares from tables.
-    The rays span, so P_S(a) is pointed, and it is empty when no vertex
-    qualifies.  The (vertex, mask, row) tests are formed a few rows at a
-    time, at most SLACK_VALUES values each, so the temporaries stay small.
+    b (det_S times each vertex), tested on the p rays off each vertex by
+    tests @ b, with 1_S's shares from tables.  The rays span, so P_S(a) is
+    pointed, and it is empty when no vertex qualifies.  The rows go a chunk
+    at a time, two products and at most SLACK_VALUES (vertex, mask, row)
+    tests each, so the temporaries stay small.  The first box
+    in (row, mask) order over MAX_BOX_POINTS raises BoxTooLarge in its
+    chunk, so no later chunk is formed; a chunk's boxes have their own point
+    counts formed only when the cube of its largest width is over budget.
     """
     dets, on, low = plan.dets[:, :, None], tables.on, tables.low
     coeffs = np.asarray(coeffs, dtype=np.int64).T
-    verts, slack = plan.scatter @ coeffs, (plan.tests @ coeffs)[:, :, None]
     step = max(1, SLACK_VALUES // (len(dets) * len(tables.masks)))
     out = []
     for start in range(0, coeffs.shape[1], step):
-        chunk = slack[..., start : start + step]
-        vertex = (chunk[0] >= low[0]) != on[0]
+        chunk = coeffs[:, start : start + step]
+        slack = (plan.tests @ chunk)[:, :, None]
+        vertex = (slack[0] >= low[0]) != on[0]
         for j in range(1, len(on)):
-            vertex &= (chunk[j] >= low[j]) != on[j]
+            vertex &= (slack[j] >= low[j]) != on[j]
         rows, ms = np.nonzero(vertex.any(axis=0).T)
-        nums = verts[:, :, start + rows] + tables.verts[:, :, ms]
+        nums = (plan.scatter @ chunk)[:, :, rows] + tables.verts[:, :, ms]
         keep = vertex[:, ms, rows][:, None]
         lo = np.where(keep, -(-nums // dets), _INT64_MAX).min(axis=0).T
         hi = np.where(keep, nums // dets, -_INT64_MAX).max(axis=0).T
         lattice = (lo <= hi).all(axis=1)
-        out.append((start + rows[lattice], ms[lattice], lo[lattice], hi[lattice]))
+        rows, ms, lo, hi = start + rows[lattice], ms[lattice], lo[lattice], hi[lattice]
+        # a cube of the chunk's largest width holds every box, so only a
+        # chunk whose cube is over budget has its boxes' own point counts formed
+        if len(rows) and int((hi - lo).max() + 1) ** lo.shape[1] > MAX_BOX_POINTS:
+            points = np.ones(len(rows), dtype=np.int64)
+            for width in np.minimum(hi - lo + 1, MAX_BOX_POINTS + 1).T:
+                points = np.minimum(points * width, MAX_BOX_POINTS + 1)
+            if (over := np.flatnonzero(points > MAX_BOX_POINTS)).size:
+                i = over[0]
+                mask = sum(1 << r for r in np.flatnonzero(tables.masks[ms[i]]).tolist())
+                raise BoxTooLarge(
+                    f"T-divisor {tuple(coeffs[:, rows[i]].tolist())}, support set {mask:b}: "
+                    f"polytope box lo={lo[i].tolist()} hi={hi[i].tolist()}: "
+                    f"{prod((hi[i] - lo[i] + 1).tolist())} points (budget {MAX_BOX_POINTS})"
+                )
+        out.append((rows, ms, lo, hi))
     rows, index, lo, hi = (np.concatenate(x) for x in zip(*out))
     return rows, lo, hi, index
 
@@ -366,10 +375,8 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
     support sets S with nonzero reduced cohomology, of the lattice points
     of P_S (_polytope_boxes) times the ranks of S, all counted in one kernel
     call.  The fan is valid (_build_plan), so every such P_S is bounded and
-    its lattice box holds all of it.  Before the kernel call, the first box
-    in (row, mask) order over MAX_BOX_POINTS raises BoxTooLarge; the boxes'
-    own point counts are formed only when the cube of the batch's largest
-    width is over the budget.
+    its lattice box holds all of it.  A box over MAX_BOX_POINTS fails the
+    batch in _polytope_boxes, before the kernel call.
     """
     plan, exact = _plan(fan), np.asarray(coeff_rows, dtype=object)
     if (big := max(map(abs, exact.flat)) + 1) * plan.reach >= _INT64_MAX:
@@ -380,20 +387,6 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
         )
     coeffs = exact.astype(np.int64)
     rows, lo, hi, index = _polytope_boxes(plan, coeffs, plan.support)
-    # a cube of the batch's largest width holds every box, so only a batch
-    # whose cube is over budget has its boxes' own point counts formed
-    if len(rows) and int((hi - lo).max() + 1) ** fan.dim > MAX_BOX_POINTS:
-        points = np.ones(len(rows), dtype=np.int64)
-        for width in np.minimum(hi - lo + 1, MAX_BOX_POINTS + 1).T:
-            points = np.minimum(points * width, MAX_BOX_POINTS + 1)
-        if (over := np.flatnonzero(points > MAX_BOX_POINTS)).size:
-            i = over[0]
-            mask = sum(1 << r for r in np.flatnonzero(plan.support.masks[index[i]]).tolist())
-            raise BoxTooLarge(
-                f"T-divisor {tuple(exact[rows[i]])}, support set {mask:b}: polytope "
-                f"box lo={lo[i].tolist()} hi={hi[i].tolist()}: "
-                f"{prod((hi[i] - lo[i] + 1).tolist())} points (budget {MAX_BOX_POINTS})"
-            )
     h = np.zeros((len(coeffs), fan.dim + 1), dtype=np.int64)
     if len(rows):
         counts = kernels.count_support_sets(lo, hi, coeffs[rows], index, plan.folds)
@@ -421,13 +414,13 @@ def _lift(fan: Fan, coords):
 def _dims_of_coords(fan: Fan, coords, cache):
     """All h^i of each class, by its checked coordinates, in order: those
     cache (a DiskCache, or None: no disk I/O) lacks go, each once, through
-    one _dims_of_divisors pass and into the fan's file in one write."""
+    one _dims_of_divisors pass, and one put writes the fan's file anew with
+    the entries it held and the new ones."""
     known = cache.get(fan) if cache else {}
     if missing := list(dict.fromkeys(c for c in coords if c not in known)):
-        new = dict(zip(missing, _dims_of_divisors(fan, _lift(fan, missing))))
+        known.update(zip(missing, _dims_of_divisors(fan, _lift(fan, missing))))
         if cache:
-            cache.put(fan, new)
-        known.update(new)
+            cache.put(fan, known)
     return [known[c] for c in coords]
 
 

@@ -399,6 +399,30 @@ def test_sweep_cache_plumbing(tmp_path, monkeypatch, capsys):
     assert all((lo <= hi).all() for lo, hi, *_ in calls)
 
 
+def test_sweep_discards_an_edited_cache_file(tmp_path, monkeypatch, capsys):
+    """A warm 2/0 sweep whose s=1 a=[0, 0] center=b1,f0 file has its entry
+    [[0, 0, 0], [1, 0, 0]] edited to [2, 0, 0], which no longer matches the
+    file's checksum, recomputes that case: it passes, the sweep exits 0,
+    and the file is written again as the cold run wrote it."""
+    monkeypatch.setenv("EXCOL_CACHE_DIR", str(tmp_path))
+    args = ["sweep", "--max-dim", "2", "--max-degree", "0"]
+    assert run(args) == 0
+    capsys.readouterr()
+    fan = make_blowup(BundleSpec(1, (0, 0)), CenterSpec(frozenset({"b1", "f0"}))).fan_xt
+    with open(DiskCache(str(tmp_path))._path(fan)[0], "r+b") as fh:
+        cold = fh.read()
+        assert cold.count(b"[[0, 0, 0], [1, 0, 0]]") == 1
+        fh.seek(0)
+        fh.write(cold.replace(b"[[0, 0, 0], [1, 0, 0]]", b"[[0, 0, 0], [2, 0, 0]]"))
+    assert run(args) == 0
+    out, err = capsys.readouterr()
+    assert ["s=1", "a=[0,", "0]", "b1,f0", "5", "ES1"] in [r.split()[:6] for r in out.splitlines()]
+    assert "all 4 cases passed" in out and err == ""
+    with open(DiskCache(str(tmp_path))._path(fan)[0], "rb") as fh:
+        assert fh.read() == cold
+    assert len(list(tmp_path.iterdir())) == 4
+
+
 def test_sweep_empty_codim3(capsys):
     assert run(["sweep", "--max-dim", "2", "--max-degree", "0", "--codim", "3"]) == 0
     assert "empty" in capsys.readouterr().out

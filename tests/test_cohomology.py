@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import functools
 import hashlib
 import itertools
@@ -26,7 +27,6 @@ from excol import (
 )
 from excol.cohomology import (
     _INT64_MAX,
-    CACHE_VERSION,
     DiskCache,
     _dims_of_divisors,
     _lift,
@@ -379,11 +379,15 @@ def _boxes(fan, coeffs, masks):
     """(rows, masks, lo, hi) of the T-divisors coeffs and the support sets
     of the bit masks in masks: _polytope_boxes's rows, lo and hi, from fan's
     plan and the tables of masks' membership rows, and the bit mask of the
-    row its support index gives each box."""
+    row its support index gives each box.  The point budget is lifted past
+    the count of any int64 box: these are the boxes' geometry, which the
+    budget check inside _polytope_boxes would cut short."""
     plan = _plan(fan)
     members = membership(masks, fan.n_rays)
     tables = _mask_tables(plan.scatter, plan.tests, cohomology._vertex_maps(fan)[4], members)
-    rows, lo, hi, index = _polytope_boxes(plan, coeffs, tables)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "MAX_BOX_POINTS", 1 << 64 * fan.dim)
+        rows, lo, hi, index = _polytope_boxes(plan, coeffs, tables)
     assert index.dtype == np.int64 and tables.masks is members
     return rows, np.array(bit_masks(members[index]), dtype=np.int64), lo, hi
 
@@ -690,8 +694,8 @@ def test_disk_cache_read_write(tmp_path):
     value = cohomology_dims(fan, cls, cache=cache)
     assert value == (15, 0, 0)
     assert cache.get(fan) == {(4,): (15, 0, 0)}
-    # a well-formed poisoned entry is believed by a fresh fan object: proves
-    # the read path (the later line wins)
+    # a poisoned entry that put writes, checksum and all, replaces the file
+    # whole and is believed by a fresh fan object: proves the read path
     cache.put(fan, {(4,): (99, 0, 0)})
     fresh = projective_space_fan(2)
     assert cohomology_dims(fresh, fresh.pic_class((4,)), cache=cache) == (99, 0, 0)
@@ -706,10 +710,9 @@ def test_disk_cache_read_write(tmp_path):
 
 
 def test_put_writes_what_json_dumps_writes(tmp_path):
-    """put's lines are byte for byte json.dumps([coords, h]) plus a newline,
-    for negative, zero, multi-digit and int64-extreme entries, so files
-    written when put formatted its lines with json.dumps read unchanged
-    under the same CACHE_VERSION."""
+    """put's file is byte for byte the header line, the SHA-256 of the body
+    and the body, json.dumps of the [coords, h] entries, for negative, zero,
+    multi-digit and int64-extreme entries, and get reads them back."""
     fan = make_blowup(BundleSpec(1, (0, 1)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
     entries = {
         (0, 0, 0): (1, 0, 0),
@@ -719,16 +722,17 @@ def test_put_writes_what_json_dumps_writes(tmp_path):
     }
     cache = DiskCache(str(tmp_path))
     cache.put(fan, entries)
-    lines = "".join(json.dumps([list(c), list(h)]) + "\n" for c, h in entries.items())
+    body = json.dumps([[list(c), list(h)] for c, h in entries.items()])
     with open(cache._path(fan)[0]) as fh:
-        assert fh.read() == _header(fan) + lines
+        assert fh.read() == _cache_file(_header(fan), body)
     assert cache.get(fan) == entries
 
 
 def test_cache_file_is_keyed_by_rays_cones_and_basis(bl_p1p1):
     """The same case built twice maps to the same file, as does a fan with
     other ray names and another basis tag; another center, or other basis
-    divisors, map to another file.  The header is the version and the key."""
+    divisors, map to another file.  The header is the source digest and the
+    key."""
     cache = DiskCache("root")
     fan = bl_p1p1.fan_xt
     path = cache._path(fan)
@@ -740,7 +744,8 @@ def test_cache_file_is_keyed_by_rays_cones_and_basis(bl_p1p1):
     assert len({path[0], cache._path(other_center)[0], cache._path(other_basis)[0]}) == 3
     p2 = projective_space_fan(2)
     header = (
-        b"excol-hvectors-2 [[[-1, -1], [1, 0], [0, 1]], [[1, 2], [0, 2], [0, 1]], [[0, 1, 0]]]\n"
+        cohomology._source_digest().encode()
+        + b" [[[-1, -1], [1, 0], [0, 1]], [[1, 2], [0, 2], [0, 1]], [[0, 1, 0]]]"
     )
     assert cache._path(p2) == (
         os.path.join("root", hashlib.sha256(header).hexdigest() + ".jsonl"), header
@@ -820,38 +825,66 @@ def _count_kernel_calls(monkeypatch):
     return calls
 
 
-def _header(fan, version=CACHE_VERSION):
-    """The header of fan's file: the version, then json.dumps of the fan's
-    rays, max cones and basis divisors."""
+def _header(fan, version=None):
+    """The header line of fan's file: the source digest (or version), then
+    json.dumps of the fan's rays, max cones and basis divisors."""
+    version = version or cohomology._source_digest()
     return f"{version} {json.dumps([fan.rays, fan.max_cones, fan.basis_divisors])}\n"
 
 
+def _cache_file(header, body, signed=None):
+    """A cache file: header, the SHA-256 of signed (by default the body)
+    and the body."""
+    digest = hashlib.sha256((body if signed is None else signed).encode()).hexdigest()
+    return f"{header}{digest}\n{body}"
+
+
 P2 = projective_space_fan(2)
+# what put writes for O(4) on P^2, and what a file that reads it holds
+GOOD_BODY = "[[[4], [15, 0, 0]]]"
+GOOD_FILE = _cache_file(_header(P2), GOOD_BODY)
+
+
+def _edited(body):
+    """P2's file with its body edited to body, under the old checksum."""
+    return _cache_file(_header(P2), body, signed=GOOD_BODY)
+
+
 BAD_CACHE_FILES = {
-    "wrong version": _header(P2, "excol-hvectors-0") + "[[4], [99, 0, 0]]\n",
-    "foreign fan": _header(projective_space_fan(3)) + "[[4], [99, 0, 0, 0]]\n",
+    "wrong version": _cache_file(_header(P2, "0" * 64), "[[[4], [99, 0, 0]]]"),
+    "foreign fan": _cache_file(_header(projective_space_fan(3)), "[[[4], [99, 0, 0, 0]]]"),
     "old format": "[99, 0, 0]\n",
-    "non-JSON line": _header(P2) + "{4: [99, 0, 0]}\n[[4] [99, 0, 0]]\n",
-    "wrong-length h": _header(P2) + "[[4], [99, 0]]\n",
-    "negative h": _header(P2) + "[[4], [99, -1, 0]]\n",
-    "float coords": _header(P2) + "[[4.0], [99, 0, 0]]\n",
-    "bool h": _header(P2) + "[[4], [99, false, 0]]\n",
-    "truncated last line": _header(P2) + "[[3], [10, 0, 0]]\n[[4], [99, 0, 0",
-    # valid JSON, but not as put writes it
-    "no spaces": _header(P2) + "[[4],[99,0,0]]\n",
-    "negative zero": _header(P2) + "[[-0], [99, 0, 0]]\n",
-    "trailing space": _header(P2) + "[[4], [99, 0, 0]] \n",
-    "CRLF ending": _header(P2) + "[[4], [99, 0, 0]]\r\n",
-    "past json's int size limit": _header(P2)
-    + f"[[1{'0' * 5000}], [99, 0, 0]]\n[[4], [1{'0' * 5000}, 0, 0]]\n",
+    "append layout": _header(P2) + "[[4], [99, 0, 0]]\n",
+    "edited entry": _edited("[[[4], [99, 0, 0]]]"),
+    "wrong-length h": _edited("[[[4], [99, 0]]]"),
+    "negative h": _edited("[[[4], [99, -1, 0]]]"),
+    "float coords": _edited("[[[4.0], [99, 0, 0]]]"),
+    "bool h": _edited("[[[4], [99, false, 0]]]"),
+    # a write torn after the entry of O(3): the checksum is the whole body's
+    "truncated last line": _cache_file(
+        _header(P2), "[[[3], [10, 0, 0]], [[4], [99, 0, 0]]]"
+    )[:-8],
+    # valid JSON, but not what put wrote under that checksum
+    "no spaces": _edited("[[[4],[99,0,0]]]"),
+    "negative zero": _edited("[[[-0], [99, 0, 0]]]"),
+    "trailing space": _edited("[[[4], [99, 0, 0]]] "),
+    "CRLF ending": _cache_file(_header(P2), "[[[4], [99, 0, 0]]]").replace("\n", "\r\n"),
+    # the checksum matches, but the body does not parse as a list of entries
+    "non-JSON line": _cache_file(_header(P2), "{4: [99, 0, 0]}"),
+    "past json's int size limit": _cache_file(
+        _header(P2), f"[[[1{'0' * 5000}], [99, 0, 0]], [[4], [1{'0' * 5000}, 0, 0]]]"
+    ),
+    "nested past the recursion limit": _cache_file(_header(P2), "[" * 10**5 + "]" * 10**5),
+    "not a list of entries": _cache_file(_header(P2), "[4, 99]"),
 }
-
-
-BAD_HEADERS = ("wrong version", "foreign fan", "old format")
 
 
 @pytest.mark.parametrize("name", list(BAD_CACHE_FILES))
 def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
+    """A file whose header or checksum does not match, or whose body does
+    not parse as a list of entries, reads as no entry at all, not as some
+    other class: its class is recomputed, and the file is replaced whole by
+    a good one holding the recomputed entry, with no temp file left."""
     cache = DiskCache(str(tmp_path))
     fan = projective_space_fan(2)
     with open(cache._path(fan)[0], "w") as fh:
@@ -859,20 +892,59 @@ def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
     calls = _count_kernel_calls(monkeypatch)
     assert cohomology_dims(fan, fan.pic_class((4,)), cache=cache) == (15, 0, 0)
     assert len(calls) == 1
+    assert cache.get(fan) == {(4,): (15, 0, 0)}
+    assert [p.read_text() for p in tmp_path.iterdir()] == [GOOD_FILE]
+    fresh = projective_space_fan(2)
+    assert cohomology_dims(fresh, fresh.pic_class((4,)), cache=cache) == (15, 0, 0)
+    assert len(calls) == 1
     if name == "truncated last line":
-        # the complete line before the torn one is still read, and the
-        # entry appended after the torn line is not lost
+        # a damaged file is discarded whole: the complete entry before the
+        # tear is recomputed too
         assert cohomology_dims(fan, fan.pic_class((3,)), cache=cache) == (10, 0, 0)
-        assert len(calls) == 1
-        assert cache.get(fan) == {(3,): (10, 0, 0), (4,): (15, 0, 0)}
-    else:
-        # the bad line is read as no entry at all, not as some other class
-        assert cache.get(fan) == {(4,): (15, 0, 0)}
-    if name in BAD_HEADERS:
-        # the file was replaced by a good one holding the recomputed entry
-        fresh = projective_space_fan(2)
-        assert cohomology_dims(fresh, fresh.pic_class((4,)), cache=cache) == (15, 0, 0)
-        assert len(calls) == 1
+        assert len(calls) == 2
+
+
+def test_a_file_of_another_source_digest_is_not_read(tmp_path, monkeypatch):
+    """The version is the SHA-256 of the oracle's source: a file written
+    under another digest is another file, never read, and a library call
+    without a DiskCache computes no digest (so reads no source)."""
+    sources = [
+        open(os.path.join(os.path.dirname(cohomology.__file__), name), "rb").read()
+        for name in ("cohomology.py", "kernels.py", "intlinalg.py", "fan.py")
+    ]
+    assert cohomology._source_digest() == hashlib.sha256(b"".join(sources)).hexdigest()
+    fan = projective_space_fan(2)
+    cache = DiskCache(str(tmp_path))
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_source_digest", lambda: "0" * 64)
+        cache.put(fan, {(4,): (99, 0, 0)})
+        assert cohomology_dims(fan, fan.pic_class((4,)), cache=cache) == (99, 0, 0)
+    calls = _count_kernel_calls(monkeypatch)
+    assert cache.get(fan) == {}
+    assert cohomology_dims(fan, fan.pic_class((4,)), cache=cache) == (15, 0, 0)
+    assert len(calls) == 1
+    assert len(list(tmp_path.iterdir())) == 2
+    cohomology._source_digest.cache_clear()
+    assert cohomology_dims(fan, fan.pic_class((5,))) == (21, 0, 0)
+    assert cohomology._source_digest.cache_info().misses == 0
+
+
+def test_a_failed_put_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    """A put whose write raises OSError (a full disk, say) raises it, and
+    leaves the fan's file as it was and no temp file behind."""
+    fan = projective_space_fan(2)
+    cache = DiskCache(str(tmp_path))
+    assert cohomology_dims(fan, fan.pic_class((4,)), cache=cache) == (15, 0, 0)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch, pytest.raises(OSError, match="No space"):
+        patch.setattr(os, "write", full)
+        cohomology_dims(fan, fan.pic_class((3,)), cache=cache)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert cache.get(fan) == {(4,): (15, 0, 0)}
 
 
 def test_box_outside_int64_is_rejected():
@@ -1316,8 +1388,9 @@ def test_support_index_gives_each_box_its_mask_and_ranks(data):
 
 def test_batch_reads_once_and_appends_only_the_missing_classes(tmp_path, monkeypatch):
     """A batch with repeats, some of them in the file, makes one get and one
-    put, and the put holds exactly the distinct classes the file lacked; a
-    batch the file holds whole makes no kernel call and no put."""
+    put; only the distinct classes the file lacked are computed, and the
+    put holds the file's entries and exactly those; a batch the file holds
+    whole makes no kernel call and no put."""
     fan = projective_space_fan(2)
     cache = DiskCache(str(tmp_path))
     cohomology_dims_many(fan, [fan.pic_class((d,)) for d in (1, -5)], cache)
@@ -1325,11 +1398,20 @@ def test_batch_reads_once_and_appends_only_the_missing_classes(tmp_path, monkeyp
     get, put = cache.get, cache.put
     monkeypatch.setattr(cache, "get", lambda f: gets.append(f) or get(f))
     monkeypatch.setattr(cache, "put", lambda f, e: puts.append(dict(e)) or put(f, e))
+    lifted = []
+    lift = cohomology._lift
+    monkeypatch.setattr(
+        cohomology, "_lift", lambda f, coords: lifted.extend(coords) or lift(f, coords)
+    )
     degrees = (1, 2, -5, 2, 3, 1, 3)
     got = cohomology_dims_many(fan, [fan.pic_class((d,)) for d in degrees], cache)
     assert got == [bott_dims(2, d) for d in degrees]
     assert len(gets) == 1
-    assert puts == [{(2,): bott_dims(2, 2), (3,): bott_dims(2, 3)}]
+    assert lifted == [(2,), (3,)]
+    assert [list(e.items()) for e in puts] == [
+        [((d,), bott_dims(2, d)) for d in (1, -5, 2, 3)]
+    ]
+    assert cache.get(fan) == puts[0]
     calls = _count_kernel_calls(monkeypatch)
     gets.clear()
     puts.clear()
@@ -1448,6 +1530,33 @@ def test_budget_pre_bound_keeps_the_budget_edge(monkeypatch):
         "T-divisor (0, 4, 1, 0), support set 0: polytope box lo=[-4, 0] hi=[0, 1]: "
         "10 points (budget 9)"
     )
+
+
+def test_budget_stops_the_batch_at_the_first_chunk_over_it(monkeypatch):
+    """With one row per chunk, a batch whose second class is over budget
+    raises from the second chunk, naming the box REJECTIONS names for that
+    class alone: no chunk after it is formed."""
+    fan = projective_space_fan(2)
+    classes = [fan.pic_class((d,)) for d in (1, 20000, 2, 3)]
+    assert cohomology_dims_many(fan, classes[:1]) == [(3, 0, 0)]  # builds the plan
+    chunks = []
+
+    class CountedNumpy:
+        """numpy, with each nonzero call (one per chunk) recorded."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def nonzero(self, a):
+            chunks.append(a.shape)
+            return np.nonzero(a)
+
+    monkeypatch.setattr(cohomology, "SLACK_VALUES", 1)
+    monkeypatch.setattr(cohomology, "np", CountedNumpy())
+    with pytest.raises(BoxTooLarge) as info:
+        cohomology_dims_many(fan, classes)
+    assert str(info.value) == REJECTIONS[(20000,)]
+    assert [rows for rows, _masks in chunks] == [1, 1]
 
 
 def test_kernel_takes_box_arrays_and_the_fans_folds(monkeypatch):

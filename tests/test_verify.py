@@ -307,7 +307,7 @@ def test_certified_construction_end_to_end():
 
 
 def test_certify_writes_one_cache_file(tmp_path, monkeypatch):
-    """One certify reads and appends one file; a fresh fan object of the
+    """One certify reads and writes one file; a fresh fan object of the
     same blow-up then certifies from it without a kernel call."""
     spec, center = BundleSpec(1, (0, 1)), CenterSpec(frozenset({"b1", "f1"}))
     bl, col = construct(spec, center)
@@ -344,6 +344,30 @@ def test_certify_writes_one_cache_file(tmp_path, monkeypatch):
     assert calls == []
     assert io == ["get", "put", "get"]
     assert again.to_json() == first.to_json()
+
+
+def test_planted_zeros_cannot_hide_a_failure(tmp_path):
+    """The swapped Beilinson collection fails.  Its cache file with every
+    h-vector of a nonzero class edited to zero would hide the failure if it
+    were read, as a deliberately re-checksummed copy shows; under the
+    file's old checksum it is discarded and the failure stands."""
+    fan, classes = _beilinson(2)
+    swapped = [classes[1], classes[0], classes[2]]
+    cache = DiskCache(str(tmp_path))
+    failing = certify(fan, swapped, cache=cache).to_json()
+    assert failing["violations"]
+    path = cache._path(fan)[0]
+    with open(path, "rb") as fh:
+        header, checksum, body = fh.read().split(b"\n", 2)
+    planted = json.dumps(
+        [[c, h if c == [0] else [0, 0, 0]] for c, h in json.loads(body)]
+    ).encode()
+    forged = hashlib.sha256(planted).hexdigest().encode()
+    for digest, passes in ((checksum, False), (forged, True)):
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join([header, digest, planted]))
+        assert certify(fan, swapped, cache=cache).all_passed is passes
+    assert certify(fan, swapped).to_json() == failing
 
 
 def test_failing_report_json_swapped_beilinson():
