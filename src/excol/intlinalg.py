@@ -2,7 +2,8 @@
 
 Everything here works on arbitrary-precision Python ints and never touches
 floating point or rationals: rank, determinant and the scaled inverse share
-one fraction-free (Bareiss) elimination.
+one fraction-free (Bareiss) elimination, which skips the rows it would
+leave unchanged, so a sparse matrix with unit pivots costs far less than n^3.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ def _bareiss(a, ncols):
         p = top[col]
         for row in a[rank + 1 :]:
             f = row[col]
+            if f == 0 and p == prev:
+                continue  # the update below would leave the row as it is
             for c in range(col + 1, len(row)):
                 row[c] = (p * row[c] - f * top[c]) // prev
             row[col] = 0
@@ -81,13 +84,14 @@ def inverse(b):
         raise ValueError("matrix is singular")
     det = abs(a[n - 1][n - 1]) if n else 1
     # back-substitution in the scaled unknowns det * x, which are integers
-    # (Cramer's rule), so each division is exact
+    # (Cramer's rule), so each division is exact; it runs over each row's
+    # nonzero entries right of the pivot only
+    upper = [[(k, a[i][k]) for k in range(i + 1, n) if a[i][k]] for i in range(n)]
     cols = []
     for j in range(n):
         nums = [0] * n
         for i in range(n - 1, -1, -1):
-            row = a[i]
-            acc = det * row[n + j] - sum(row[k] * nums[k] for k in range(i + 1, n))
-            nums[i] = acc // row[i]
+            acc = det * a[i][n + j] - sum(x * nums[k] for k, x in upper[i])
+            nums[i] = acc // a[i][i]
         cols.append(nums)
     return tuple(zip(*cols)), det

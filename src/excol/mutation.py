@@ -5,15 +5,21 @@ bundles.
 The engine only applies three rewrite rules (orthogonal transposition,
 Serre rotation, and the adjacent mutation against the matching line bundle
 that produces an O(E)-twist), and it checks every rule's Ext hypothesis
-against the structured formulas of splitcalc before rewriting.  The script
-is the same in both codimensions: in codimension 3 it first Serre-rotates
-the O(2E) block to the tail; then each O(E)-twisted pushforward, last
-first, walks right to its partner line bundle and right-mutates with it;
-then each untwisted pushforward, first first, walks left to its partner
-and left-mutates with it (codimension 2 has none).  Every rule that needs
-an Ext pairs one pushforward with one line bundle, so the construction
-never calls the cohomology oracle that certifies its output.  Anything
-outside these rules fails loudly.
+against the structured formulas of splitcalc before rewriting.  Each rule
+takes the script's one list of objects and one list of log entries,
+rewrites its pair in place and appends its entry, so a step costs O(1)
+whatever the length of the collection or of the log; a failing rule
+raises with the log up to it, and construct returns the finished lists as
+a Collection.
+
+The script is the same in both codimensions: in codimension 3 it first
+Serre-rotates the O(2E) block to the tail; then each O(E)-twisted
+pushforward, last first, walks right to its partner line bundle and
+right-mutates with it; then each untwisted pushforward, first first, walks
+left to its partner and left-mutates with it (codimension 2 has none).
+Every rule that needs an Ext pairs one pushforward with one line bundle, so
+the construction never calls the cohomology oracle that certifies its
+output.  Anything outside these rules fails loudly.
 """
 
 from __future__ import annotations
@@ -90,90 +96,93 @@ def anticanonical_twist(bl: Blowup):
     return tuple(-c for c in k.coords)
 
 
-def serre_rotate(bl: Blowup, col: Collection) -> Collection:
+def serre_rotate(bl: Blowup, objects, log):
     """Move the first object to the end tensored by the anticanonical
     class."""
-    if not col.objects:
+    if not objects:
         raise HypothesisFailed(
-            "serre_rotate at 0: cannot rotate an empty collection", log=col.log
+            "serre_rotate at 0: cannot rotate an empty collection", log=log
         )
-    moved = tensor_object(col.objects[0], anticanonical_twist(bl))
-    entry = {"rule": "serre_rotate", "direction": "forward", "object": moved.to_json()}
-    return Collection(col.objects[1:] + (moved,), col.log + (entry,))
+    moved = tensor_object(objects[0], anticanonical_twist(bl))
+    del objects[0]
+    objects.append(moved)
+    log.append({"rule": "serre_rotate", "direction": "forward", "object": moved.to_json()})
 
 
-def _pair(col: Collection, i, rule):
+def _pair(objects, log, i, rule):
     """Objects i and i+1, which must both exist."""
-    if not 0 <= i <= len(col.objects) - 2:
+    if not 0 <= i <= len(objects) - 2:
         raise HypothesisFailed(
-            f"{rule} at {i}: a collection of {len(col.objects)} objects has no "
+            f"{rule} at {i}: a collection of {len(objects)} objects has no "
             f"pair at {i}",
-            log=col.log,
+            log=log,
         )
-    return col.objects[i], col.objects[i + 1]
+    return objects[i], objects[i + 1]
 
 
-def _rewrite(col: Collection, i, rule, hom, pair) -> Collection:
+def _rewrite(objects, log, i, rule, hom, pair):
     """Replace objects i, i+1 by pair and log the rule, the pair it
     replaced and its graded Hom."""
-    entry = {
-        "rule": rule,
-        "index": i,
-        "pair": [col.objects[i].to_json(), col.objects[i + 1].to_json()],
-        "hom": list(hom),
-    }
-    return Collection(col.objects[:i] + pair + col.objects[i + 2 :], col.log + (entry,))
+    log.append(
+        {
+            "rule": rule,
+            "index": i,
+            "pair": [objects[i].to_json(), objects[i + 1].to_json()],
+            "hom": list(hom),
+        }
+    )
+    objects[i : i + 2] = pair
 
 
-def transpose_if_orthogonal(bl: Blowup, col: Collection, i) -> Collection:
+def transpose_if_orthogonal(bl: Blowup, objects, log, i):
     """Swap objects i, i+1, one pushforward and one line bundle, after
     verifying their graded Hom vanishes."""
-    a, b = _pair(col, i, "transpose")
+    a, b = _pair(objects, log, i, "transpose")
     if isinstance(a, LineBundle) == isinstance(b, LineBundle):
         raise HypothesisFailed(
             f"transpose at {i}: objects {i} and {i + 1} are not one pushforward "
             "and one line bundle",
-            log=col.log,
+            log=log,
         )
     try:
         hom = graded_hom(bl, a, b)
     except KOutOfRange as exc:
-        raise HypothesisFailed(f"transpose at {i}: {exc}", log=col.log) from exc
+        raise HypothesisFailed(f"transpose at {i}: {exc}", log=log) from exc
     if any(hom):
         raise NotOrthogonal(
             f"transpose at {i}: objects {i} and {i + 1} are not orthogonal",
             hom,
-            log=col.log,
+            log=log,
         )
-    return _rewrite(col, i, "transpose", hom, (b, a))
+    _rewrite(objects, log, i, "transpose", hom, (b, a))
 
 
-def _mutate_E_twist(bl: Blowup, col: Collection, i, rule, push, degree):
+def _mutate_E_twist(bl: Blowup, objects, log, i, rule, push, degree):
     """Shared tail of the E-twist mutations: the pair's graded Hom must be
     one-dimensional in the given degree, and the pair becomes the line
     bundles of the pushforward's class with twists k-1 and k."""
-    hom = graded_hom(bl, col.objects[i], col.objects[i + 1])
+    hom = graded_hom(bl, objects[i], objects[i + 1])
     if tuple(hom) != (0,) * degree + (1,) + (0,) * (len(hom) - degree - 1):
         raise HypothesisFailed(
             f"{rule} at {i}: Ext pattern {hom} is not one-dimensional in degree {degree}",
-            log=col.log,
+            log=log,
         )
     lines = (
         LineBundle(push.alpha, push.beta, push.k - 1),
         LineBundle(push.alpha, push.beta, push.k),
     )
-    return _rewrite(col, i, rule, hom, lines)
+    _rewrite(objects, log, i, rule, hom, lines)
 
 
-def right_mutation_E_twist(bl: Blowup, col: Collection, i) -> Collection:
+def right_mutation_E_twist(bl: Blowup, objects, log, i):
     """Mutate the pair (pushforward of M twisted by O(kE), matching line
     bundle with twist k-1) into the adjacent pair of line bundles with
     twists k-1 and k."""
-    a, b = _pair(col, i, "right_mutation_E_twist")
+    a, b = _pair(objects, log, i, "right_mutation_E_twist")
     if not (isinstance(a, PushforwardTwist) and a.k >= 1):
         raise HypothesisFailed(
             f"right_mutation_E_twist at {i}: object {i} is not a pushforward with k >= 1",
-            log=col.log,
+            log=log,
         )
     if not (
         isinstance(b, LineBundle)
@@ -183,19 +192,19 @@ def right_mutation_E_twist(bl: Blowup, col: Collection, i) -> Collection:
         raise HypothesisFailed(
             f"right_mutation_E_twist at {i}: object {i + 1} does not match the "
             f"pushforward at {i}",
-            log=col.log,
+            log=log,
         )
-    return _mutate_E_twist(bl, col, i, "right_mutation_E_twist", a, 1)
+    _mutate_E_twist(bl, objects, log, i, "right_mutation_E_twist", a, 1)
 
 
-def left_mutation_E_twist(bl: Blowup, col: Collection, i) -> Collection:
+def left_mutation_E_twist(bl: Blowup, objects, log, i):
     """Mutate the pair (line bundle, untwisted pushforward of the same
     class) into the line bundles with twists -1 and 0."""
-    a, b = _pair(col, i, "left_mutation_E_twist")
+    a, b = _pair(objects, log, i, "left_mutation_E_twist")
     if not (isinstance(a, LineBundle) and a.k == 0):
         raise HypothesisFailed(
             f"left_mutation_E_twist at {i}: object {i} is not an untwisted line bundle",
-            log=col.log,
+            log=log,
         )
     if not (
         isinstance(b, PushforwardTwist)
@@ -205,9 +214,9 @@ def left_mutation_E_twist(bl: Blowup, col: Collection, i) -> Collection:
         raise HypothesisFailed(
             f"left_mutation_E_twist at {i}: object {i + 1} does not match the "
             f"line bundle at {i}",
-            log=col.log,
+            log=log,
         )
-    return _mutate_E_twist(bl, col, i, "left_mutation_E_twist", b, 0)
+    _mutate_E_twist(bl, objects, log, i, "left_mutation_E_twist", b, 0)
 
 
 def _revlex(smax, rmax):
@@ -234,28 +243,28 @@ def initial_collection(bl: Blowup) -> Collection:
     return Collection(block2 + block1 + lines)
 
 
-def _first_pushforward(col: Collection, k, order):
+def _first_pushforward(objects, k, order):
     """The first index in order that holds a pushforward with twist k, or
     None."""
     for i in order:
-        o = col.objects[i]
+        o = objects[i]
         if isinstance(o, PushforwardTwist) and o.k == k:
             return i
     return None
 
 
-def _walk_to_partner(bl: Blowup, col: Collection, idx, step):
+def _walk_to_partner(bl: Blowup, objects, log, idx, step):
     """Transpose the pushforward at idx in direction step (+1 or -1) until
     its neighbour there is its partner, the untwisted line bundle of its
-    class; returns the collection and the pushforward's new index."""
-    push = col.objects[idx]
-    partner = (LineBundle(push.alpha, push.beta, 0),)
+    class; returns the pushforward's new index."""
+    push = objects[idx]
+    partner = [LineBundle(push.alpha, push.beta, 0)]
     # a slice, so that a walk off either end fails transpose's index check
     # instead of wrapping round
-    while col.objects[idx + step : idx + step + 1] != partner:
-        col = transpose_if_orthogonal(bl, col, min(idx, idx + step))
+    while objects[idx + step : idx + step + 1] != partner:
+        transpose_if_orthogonal(bl, objects, log, min(idx, idx + step))
         idx += step
-    return col, idx
+    return idx
 
 
 def construct(spec: BundleSpec, center: CenterSpec):
@@ -268,21 +277,22 @@ def construct(spec: BundleSpec, center: CenterSpec):
     right to its partner line bundle and right-mutates with it into twists
     0 and 1; and every untwisted pushforward, first first, walks left to
     its partner and left-mutates with it into twists -1 and 0.  In
-    codimension 2 there are no untwisted pushforwards.
+    codimension 2 there are no untwisted pushforwards.  The rules rewrite
+    one list of objects in place and append to one log.
     """
     bl = make_blowup(spec, center)
-    col = initial_collection(bl)
-    while isinstance(col.objects[0], PushforwardTwist) and col.objects[0].k == 2:
-        col = serre_rotate(bl, col)
-    n = len(col.objects)
+    objects, log = list(initial_collection(bl).objects), []
+    while isinstance(objects[0], PushforwardTwist) and objects[0].k == 2:
+        serre_rotate(bl, objects, log)
+    n = len(objects)
     for k, order, step, mutate in (
         (1, range(n - 1, -1, -1), 1, right_mutation_E_twist),
         (0, range(n), -1, left_mutation_E_twist),
     ):
-        while (idx := _first_pushforward(col, k, order)) is not None:
-            col, idx = _walk_to_partner(bl, col, idx, step)
-            col = mutate(bl, col, min(idx, idx + step))
-    return bl, col
+        while (idx := _first_pushforward(objects, k, order)) is not None:
+            idx = _walk_to_partner(bl, objects, log, idx, step)
+            mutate(bl, objects, log, min(idx, idx + step))
+    return bl, Collection(tuple(objects), tuple(log))
 
 
 def collection_classes(bl: Blowup, col: Collection):

@@ -5,10 +5,17 @@ with: Bott vanishing on projective space, pushforwards of tautological
 powers for split bundles, cohomology on X and on the center Y, and the Ext
 reduction between pushforward objects and line bundles.  Nothing here calls
 the cohomology oracle; the acceptance tests compare the two.
+
+Both Ext formulas go through one core, _ext_on_y, which is memoized for
+the life of the process: a replay asks it about S^2/2 times but only about
+S distinct inputs, and the cases of one sweep share many of them.  The
+public functions are not memoized (cohomology_on_bundle accepts any
+sequence of degrees, a list included).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -81,9 +88,11 @@ def _sym_conormal(geom: CenterGeometry, m):
     return out
 
 
+@cache
 def _ext_on_y(geom: CenterGeometry, m, diff, shift):
     """The sum over the classes t of Sym^m of the conormal bundle of
-    h^*(Y, diff + t), shifted up by shift, in degrees 0..ambient_dim."""
+    h^*(Y, diff + t), shifted up by shift, in degrees 0..ambient_dim;
+    diff is a tuple, so that the arguments are the memo's key."""
     h = [0] * (geom.ambient_dim + 1)
     for ta, tb in _sym_conormal(geom, m):
         for i, x in enumerate(y_cohomology(geom, diff[0] + ta, diff[1] + tb)):

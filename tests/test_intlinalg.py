@@ -35,16 +35,27 @@ def test_inverse():
     # needs a row swap to find a pivot
     assert inverse([[0, 1], [1, 0]]) == (((0, 1), (1, 0)), 1)
     assert inverse([]) == ((), 1)
+    # sparse with unit pivots: elimination leaves most rows as they are
+    n = 40
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert inverse(identity) == (identity, 1)
+    bidiagonal = [[int(i == j) - 2 * (j == i + 1) for j in range(n)] for i in range(n)]
+    inv, det = inverse(bidiagonal)
+    assert det == 1
+    assert inv == tuple(tuple(2 ** (j - i) * (j >= i) for j in range(n)) for i in range(n))
     with pytest.raises(ValueError):
         inverse([[1, 1], [2, 2]])
     with pytest.raises(ValueError):
         inverse([[1, 0, 0], [0, 1, 0]])
 
 
-small_matrices = st.lists(
-    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
-    min_size=1,
-    max_size=4,
+dense_entries = st.integers(-5, 5)
+# mostly zeros, so that elimination meets rows it leaves unchanged
+sparse_entries = st.sampled_from((0, 0, 0, 0, 1, -1, 2))
+
+small_matrices = st.one_of(
+    st.lists(st.lists(entries, min_size=1, max_size=4), min_size=1, max_size=4)
+    for entries in (dense_entries, sparse_entries)
 ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
@@ -58,9 +69,19 @@ def test_rank_transpose_invariant(rows):
 
 @st.composite
 def square_matrices(draw):
+    """Dense, sparse, unit-pivot and permutation matrices of size 1..5."""
     n = draw(st.integers(1, 5))
-    entries = st.integers(-5, 5)
-    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("dense", "sparse", "unit pivots", "permutation")))
+    if shape == "permutation":
+        perm = draw(st.permutations(range(n)))
+        return [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    entries = dense_entries if shape == "dense" else sparse_entries
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if shape == "unit pivots":
+        # unit lower triangular, rows shuffled: every pivot is 1
+        rows = [[1 if j == i else x * (j < i) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    return rows
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,7 +12,7 @@ from excol import (
     collection_classes,
     construct,
 )
-from excol import mutation
+from excol import mutation, splitcalc
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.errors import (
     HypothesisFailed,
@@ -110,18 +110,21 @@ def test_construction_is_deterministic():
 
 def test_serre_rotation_moves_head_to_tail(bl_p2p1):
     col = initial_collection(bl_p2p1)
-    rotated = serre_rotate(bl_p2p1, col)
+    objects, log = list(col.objects), [{"rule": "transpose"}]
+    serre_rotate(bl_p2p1, objects, log)
     moved = tensor_object(col.objects[0], anticanonical_twist(bl_p2p1))
-    assert rotated.objects == col.objects[1:] + (moved,)
-    assert rotated.log == col.log + (
+    assert objects == [*col.objects[1:], moved]
+    assert log == [
+        {"rule": "transpose"},
         {"rule": "serre_rotate", "direction": "forward", "object": moved.to_json()},
-    )
+    ]
 
 
 def test_anticanonical_twist_codim3(bl_p2p1):
     assert anticanonical_twist(bl_p2p1) == (3, 2, -2)
-    rotated = serre_rotate(bl_p2p1, initial_collection(bl_p2p1))
-    moved = rotated.objects[-1]
+    objects = list(initial_collection(bl_p2p1).objects)
+    serre_rotate(bl_p2p1, objects, [])
+    moved = objects[-1]
     # the O(2E) seed object lands as an untwisted pushforward at the tail
     assert isinstance(moved, PushforwardTwist)
     assert (moved.alpha, moved.beta, moved.k) == (2, 1, 0)
@@ -133,9 +136,12 @@ def test_transpose_requires_orthogonality(bl_p1p1, bl_p2p1):
         (bl_p1p1, (PushforwardTwist(0, 0, 1), LineBundle(0, 0, 0)), (0, 1, 0)),
         (bl_p2p1, (LineBundle(2, 1, 0), PushforwardTwist(2, 1, 0)), (1, 0, 0, 0)),
     ):
+        objects, log = list(pair), []
         with pytest.raises(NotOrthogonal) as exc:
-            transpose_if_orthogonal(bl, Collection(pair), 0)
+            transpose_if_orthogonal(bl, objects, log, 0)
         assert exc.value.hom == hom
+        # a failing rule rewrites nothing
+        assert (objects, log) == (list(pair), [])
 
 
 def _object(doc):
@@ -152,94 +158,100 @@ def test_transpose_swaps_orthogonal_pair():
         bl, done = construct(spec, CenterSpec(frozenset(center)))
         logged = done.log[step]
         assert logged["rule"] == "transpose"
-        col = Collection(tuple(_object(o) for o in logged["pair"]))
-        swapped = transpose_if_orthogonal(bl, col, 0)
-        assert swapped.objects == (col.objects[1], col.objects[0])
-        assert swapped.log == (dict(logged, index=0),)
+        a, b = (_object(o) for o in logged["pair"])
+        objects, log = [a, b], []
+        transpose_if_orthogonal(bl, objects, log, 0)
+        assert objects == [b, a]
+        assert log == [dict(logged, index=0)]
 
 
 def test_right_mutation_guards(bl_p1p1):
-    bad = Collection((LineBundle(0, 0, 0), LineBundle(0, 0, 0)))
+    bad = [LineBundle(0, 0, 0), LineBundle(0, 0, 0)]
     with pytest.raises(HypothesisFailed):
-        right_mutation_E_twist(bl_p1p1, bad, 0)
-    mismatched = Collection((PushforwardTwist(0, 0, 1), LineBundle(1, 0, 0)))
+        right_mutation_E_twist(bl_p1p1, bad, [], 0)
+    mismatched = [PushforwardTwist(0, 0, 1), LineBundle(1, 0, 0)]
     with pytest.raises(HypothesisFailed):
-        right_mutation_E_twist(bl_p1p1, mismatched, 0)
+        right_mutation_E_twist(bl_p1p1, mismatched, [], 0)
 
 
 def test_right_mutation_produces_twist_pair(bl_p1p1):
-    col = Collection((PushforwardTwist(0, 0, 1), LineBundle(0, 0, 0)))
-    out = right_mutation_E_twist(bl_p1p1, col, 0)
-    assert out.objects == (LineBundle(0, 0, 0), LineBundle(0, 0, 1))
-    assert out.log[-1]["hom"] == [0, 1, 0]
+    objects, log = [PushforwardTwist(0, 0, 1), LineBundle(0, 0, 0)], []
+    right_mutation_E_twist(bl_p1p1, objects, log, 0)
+    assert objects == [LineBundle(0, 0, 0), LineBundle(0, 0, 1)]
+    assert log[-1]["hom"] == [0, 1, 0]
 
 
 def test_left_mutation_guards_and_result(bl_p2p1):
-    col = Collection((LineBundle(2, 1, 0), PushforwardTwist(2, 1, 0)))
-    out = left_mutation_E_twist(bl_p2p1, col, 0)
-    assert out.objects == (LineBundle(2, 1, -1), LineBundle(2, 1, 0))
-    bad = Collection((LineBundle(2, 1, 1), PushforwardTwist(2, 1, 0)))
+    objects = [LineBundle(2, 1, 0), PushforwardTwist(2, 1, 0)]
+    left_mutation_E_twist(bl_p2p1, objects, [], 0)
+    assert objects == [LineBundle(2, 1, -1), LineBundle(2, 1, 0)]
+    bad = [LineBundle(2, 1, 1), PushforwardTwist(2, 1, 0)]
     with pytest.raises(HypothesisFailed):
-        left_mutation_E_twist(bl_p2p1, bad, 0)
+        left_mutation_E_twist(bl_p2p1, bad, [], 0)
 
 
 def test_rule_errors_name_rule_and_index(bl_p1p1, monkeypatch):
-    """Every rule failure starts with the rule name and the pair index."""
+    """Every rule failure starts with the rule name and the pair index,
+    carries the log up to the rule and rewrites nothing."""
     head = LineBundle(5, 5, 5)  # shifts the pair under test to index 1
     line, push = LineBundle(0, 0, 0), PushforwardTwist(0, 0, 1)
     failures = [
-        (lambda bl, col, _: serre_rotate(bl, col), Collection(()), None,
+        (lambda bl, objects, log, _: serre_rotate(bl, objects, log), (), None,
          "serre_rotate at 0: "),
-        (transpose_if_orthogonal, Collection((head, push, line)), 1,
+        (transpose_if_orthogonal, (head, push, line), 1,
          "transpose at 1: "),
-        (transpose_if_orthogonal, Collection((head, line, LineBundle(1, 0, 0))), 1,
+        (transpose_if_orthogonal, (head, line, LineBundle(1, 0, 0)), 1,
          "transpose at 1: objects 1 and 2 are not one pushforward and one line bundle"),
-        (transpose_if_orthogonal, Collection((head, push, push)), 1,
+        (transpose_if_orthogonal, (head, push, push), 1,
          "transpose at 1: objects 1 and 2 are not one pushforward and one line bundle"),
         # twist gaps the structured formulas do not cover
-        (transpose_if_orthogonal, Collection((head, push)), 0,
+        (transpose_if_orthogonal, (head, push), 0,
          "transpose at 0: j=4 must be 0 or 1"),
-        (transpose_if_orthogonal, Collection((PushforwardTwist(0, 0, 5), line)), 0,
+        (transpose_if_orthogonal, (PushforwardTwist(0, 0, 5), line), 0,
          "transpose at 0: k=5 outside 1..1"),
-        (right_mutation_E_twist, Collection((head, line, line)), 1,
+        (right_mutation_E_twist, (head, line, line), 1,
          "right_mutation_E_twist at 1: "),
-        (right_mutation_E_twist, Collection((head, push, LineBundle(1, 0, 0))), 1,
+        (right_mutation_E_twist, (head, push, LineBundle(1, 0, 0)), 1,
          "right_mutation_E_twist at 1: "),
-        (left_mutation_E_twist, Collection((head, push, push)), 1,
+        (left_mutation_E_twist, (head, push, push), 1,
          "left_mutation_E_twist at 1: "),
-        (left_mutation_E_twist, Collection((head, line, LineBundle(0, 0, 0))), 1,
+        (left_mutation_E_twist, (head, line, LineBundle(0, 0, 0)), 1,
          "left_mutation_E_twist at 1: "),
     ]
-    for rule, col, arg, prefix in failures:
+    for rule, start, arg, prefix in failures:
+        objects, log = list(start), [{"rule": "transpose"}]
         with pytest.raises((HypothesisFailed, NotOrthogonal)) as exc:
-            rule(bl_p1p1, col, arg)
+            rule(bl_p1p1, objects, log, arg)
         assert str(exc.value).startswith(prefix), str(exc.value)
-        assert exc.value.log == col.log
+        assert (objects, log) == (list(start), [{"rule": "transpose"}])
+        # the error keeps the log as it was when the rule failed
+        log.append({"rule": "serre_rotate"})
+        assert exc.value.log == ({"rule": "transpose"},)
     # a pair index off either end of the collection
-    col = Collection((push, line, head), log=({"rule": "serre_rotate"},))
+    objects, log = [push, line, head], [{"rule": "serre_rotate"}]
     for rule, name in (
         (transpose_if_orthogonal, "transpose"),
         (right_mutation_E_twist, "right_mutation_E_twist"),
         (left_mutation_E_twist, "left_mutation_E_twist"),
     ):
-        for i in (-1, len(col.objects) - 1):
+        for i in (-1, len(objects) - 1):
             with pytest.raises(HypothesisFailed) as exc:
-                rule(bl_p1p1, col, i)
+                rule(bl_p1p1, objects, log, i)
             assert str(exc.value) == (
                 f"{name} at {i}: a collection of 3 objects has no pair at {i}"
             )
-            assert exc.value.log == col.log
+            assert exc.value.log == ({"rule": "serre_rotate"},)
     # a pair of the right shape whose Ext pattern is wrong
     monkeypatch.setattr(mutation, "graded_hom", lambda *_: (0, 0, 0))
-    right = Collection((head, PushforwardTwist(0, 0, 1), line))
-    left = Collection((head, line, PushforwardTwist(0, 0, 0)))
-    for rule, col, degree in (
+    right = [head, PushforwardTwist(0, 0, 1), line]
+    left = [head, line, PushforwardTwist(0, 0, 0)]
+    for rule, objects, degree in (
         (right_mutation_E_twist, right, 1),
         (left_mutation_E_twist, left, 0),
     ):
         want = rf"^{rule.__name__} at 1: Ext pattern \(0, 0, 0\) .* degree {degree}$"
         with pytest.raises(HypothesisFailed, match=want):
-            rule(bl_p1p1, col, 1)
+            rule(bl_p1p1, objects, [], 1)
 
 
 def test_partner_walk_stops_at_either_end(bl_p1p1):
@@ -248,7 +260,7 @@ def test_partner_walk_stops_at_either_end(bl_p1p1):
     line, push = LineBundle(0, 0, 0), PushforwardTwist(0, 0, 1)
     for objects, idx, step, at in (((line, push), 1, 1, 1), ((push, line), 0, -1, -1)):
         with pytest.raises(HypothesisFailed, match=rf"^transpose at {at}: .* no pair"):
-            mutation._walk_to_partner(bl_p1p1, Collection(objects), idx, step)
+            mutation._walk_to_partner(bl_p1p1, list(objects), [], idx, step)
 
 
 def test_graded_hom_push_push_unsupported(bl_p1p1):
@@ -294,3 +306,48 @@ def test_construct_outputs_frozen(max_dim, max_degree, cases, digest):
                 seen += 1
     assert seen == cases
     assert hashed.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "s, steps, digest",
+    [
+        (40, 820, "f52828487ea6eff0bd1b0799dd1b8bd597c71954d281f98c5b0e975e75828e85"),
+        (60, 1830, "2fe649abf0d551bda9596aeac7bb9b4a754c82cfdff210273c393e21f707ddb1"),
+    ],
+)
+def test_long_walks_frozen(s, steps, digest):
+    """P^s x P^1 blown up at a point: its s pushforwards walk right to
+    their partners and mutate, s(s+1)/2 steps in all, walks far longer
+    than any case of the small families takes."""
+    _, col = construct(BundleSpec(s, (0, 0)), CenterSpec(frozenset({"b1", "f1"})))
+    assert len(col.log) == steps
+    encoded = json.dumps(col.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == digest
+
+
+def test_ext_core_runs_once_per_distinct_input(monkeypatch):
+    """The replay asks the Ext core once per step, but the core itself runs
+    once per distinct input, and not at all for a case already replayed."""
+    cached, conormal = splitcalc._ext_on_y, splitcalc._sym_conormal
+    asked, runs = [], []
+
+    def recording(*args):
+        asked.append(args)
+        return cached(*args)
+
+    def counting(geom, m):  # the core calls it once per run
+        runs.append((geom, m))
+        return conormal(geom, m)
+
+    monkeypatch.setattr(splitcalc, "_ext_on_y", recording)
+    monkeypatch.setattr(splitcalc, "_sym_conormal", counting)
+    cached.cache_clear()
+    case = (BundleSpec(40, (0, 0)), CenterSpec(frozenset({"b1", "f1"})))
+    _, col = construct(*case)
+    assert len(asked) == len(col.log) == 820
+    assert len(runs) == len(set(asked)) == 40
+    assert cached.cache_info().misses == len(runs)
+    asked.clear()
+    runs.clear()
+    construct(*case)
+    assert len(asked) == 820 and runs == []

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import random
 
 import pytest
@@ -55,6 +57,25 @@ def test_cohomology_on_bundle_examples():
     # dual level: beta = -r-1 lands in top fiber degree
     assert cohomology_on_bundle(1, (0, 1), -1, -2) == (0, 0, 1)
     assert cohomology_on_bundle(1, (0, 1), 0, -2) == (0, 0, 0)
+
+
+def test_public_formulas_take_unhashable_arguments(bl_p2p1):
+    """Only the private Ext core is memoized: the public formulas keep
+    their signatures and still take a list of degrees, or a geometry that
+    holds one."""
+    assert list(inspect.signature(cohomology_on_bundle).parameters) == [
+        "s",
+        "degrees",
+        "alpha",
+        "beta",
+    ]
+    assert list(inspect.signature(y_cohomology).parameters) == ["geom", "alpha", "beta"]
+    assert cohomology_on_bundle(1, [0, 1], -1, -2) == (0, 0, 1)
+    assert cohomology_on_bundle(1, [0, 0], 2, 3) == cohomology_on_bundle(1, (0, 0), 2, 3)
+    geom = bl_p2p1.geometry
+    listed = dataclasses.replace(geom, degrees=list(geom.degrees))
+    for alpha, beta in ((0, 0), (1, -2), (-3, 1)):
+        assert y_cohomology(listed, alpha, beta) == y_cohomology(geom, alpha, beta)
 
 
 @pytest.mark.parametrize("spec", [BundleSpec(1, (0, 0)), BundleSpec(2, (0, 1)), BundleSpec(1, (0, 0, 2))])
