@@ -38,17 +38,17 @@ DiskCache already holds, lifted in one exact product (_dims_of_coords):
   counts times the ranks of S.
 
 All that depends on the fan alone is built once per fan, on its first
-batch, into its plan (_plan): the vertex maps, its type's support rows
-and ranks, those rows' tables for the vertex tests, the kernel's fold
-tables (excol.kernels.Folds: the rays in int64 and the support rows, and
-each interval axis's tables, filled the first time a batch of the fan
-chooses that axis) and the basis divisors as an object array.  So a batch
-pays only for its classes and their boxes.  No h-vector is kept in memory
-between batches, only the plans and the rank tables.  Only a caller that
-passes a DiskCache (one checksummed file per fan) touches the disk: the
-fan's file is read (one json.loads) once per batch and, when the batch
-computed a class, written whole and renamed into place once.  Nothing here
-reads the environment.
+batch, into one flat record, its plan (_plan): the vertex maps, the
+vertex tests' tables and ranks of its type's support sets, the kernel's
+fold tables (excol.kernels.Folds: the rays in int64, the plan's one copy
+of the support rows, and each interval axis's tables, filled the first
+time a batch of the fan chooses that axis) and the basis divisors as an
+object array.  So a batch pays only for its classes and their boxes.  No
+h-vector is kept in memory between batches, only the plans and the rank
+tables.  Only a caller that passes a DiskCache (one checksummed file per
+fan) touches the disk: the fan's file is read (one json.loads) once per
+batch and, when the batch computed a class, written whole and renamed
+into place once.  Nothing here reads the environment.
 """
 
 from __future__ import annotations
@@ -141,69 +141,59 @@ class DiskCache:
 
 @cache
 def _source_digest():
-    """SHA-256 of the source of every module an h-vector depends on, the
-    cache's version: an edit to any of them starts every fan's file afresh."""
+    """SHA-256 of the source of every module of the package (sorted by
+    path), the cache's version: an edit to any starts every fan's file afresh."""
     digest = hashlib.sha256()
-    for name in ("cohomology.py", "kernels.py", "intlinalg.py", "fan.py"):
-        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
+    here = os.path.dirname(__file__)
+    for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
             digest.update(fh.read())
     return digest.hexdigest()
-
-
-class _MaskTables(NamedTuple):
-    """The tables _polytope_boxes reads for a set of support sets
-    (_mask_tables): each set's share of the vertex maps and of the tests."""
-
-    masks: np.ndarray  # (M, rays) int64 membership rows of the sets S: 1 on S
-    verts: np.ndarray  # (vertices, dim, M): scatter @ 1_S
-    on: np.ndarray  # (p, vertices, M, 1): whether the ray off[j, v] is in S
-    low: np.ndarray  # (p, vertices, M, 1): on - tests @ 1_S
 
 
 class _Plan(NamedTuple):
     """All the oracle reads of one fan that depends on the fan alone, built
     on its first batch and kept with it (_plan): the vertex maps scatter,
-    dets, reach and tests (_vertex_maps), the support sets of its type with
-    their tables (_mask_tables) and rank rows (_support_ranks), the
-    kernel's Folds of its rays and those sets, whose axes fill as batches
-    choose them, and its basis divisors as an object array (_lift's)."""
+    dets, reach and tests (_vertex_maps), the tables of its type's support
+    sets for the vertex tests (_mask_tables) and their rank rows
+    (_support_ranks), the kernel's Folds of its rays and those sets, whose
+    axes fill as batches choose them, and its basis divisors as an object
+    array (_lift's).  The sets' membership rows are folds.masks."""
 
     scatter: np.ndarray
     dets: np.ndarray
     reach: int
     tests: np.ndarray
-    support: _MaskTables
+    verts: np.ndarray  # (vertices, dim, M): scatter @ 1_S
+    on: np.ndarray  # (p, vertices, M, 1): whether the ray off[j, v] is in S
+    low: np.ndarray  # (p, vertices, M, 1): on - tests @ 1_S
     ranks: np.ndarray
     folds: kernels.Folds
     basis: np.ndarray
 
 
 def _plan(fan: Fan) -> _Plan:
-    """fan's _Plan, from _build_plan on its first call, then from fan's
-    __dict__ (see Fan)."""
+    """fan's _Plan, built on its first call, once validate_fan has passed on
+    fan (_validated), then read from fan's __dict__ (see Fan)."""
     plan = fan.__dict__.get("_oracle_plan")
     if plan is None:
-        plan = fan.__dict__["_oracle_plan"] = _build_plan(fan)
+        masks, ranks = _support_ranks(_validated(fan))
+        scatter, dets, reach, tests, off = _vertex_maps(fan)
+        plan = fan.__dict__["_oracle_plan"] = _Plan(
+            scatter, dets, reach, tests, *_mask_tables(scatter, tests, off, masks), ranks,
+            kernels.Folds(fan.rays, masks), np.array(fan.basis_divisors, dtype=object),
+        )
     return plan
 
 
-def _build_plan(fan: Fan) -> _Plan:
-    support, ranks = _support_ranks(_validated(fan))
-    scatter, dets, reach, tests, off = _vertex_maps(fan)
-    return _Plan(
-        scatter, dets, reach, tests, _mask_tables(scatter, tests, off, support), ranks,
-        kernels.Folds(fan.rays, support), np.array(fan.basis_divisors, dtype=object),
-    )
-
-
-def _mask_tables(scatter, tests, off, masks) -> _MaskTables:
-    """The tables of the support sets S in masks (int64 membership rows) for
-    the vertex maps scatter, tests and off: the ray off[j, v] wants a slack
-    <= 0 if it is in S, >= 0 else, so with on = [in S], a @ tests >= on -
-    1_S @ tests, negated if on."""
+def _mask_tables(scatter, tests, off, masks):
+    """(verts, on, low), the tables of the support sets S in masks (int64
+    membership rows) for the vertex maps scatter, tests and off: the ray
+    off[j, v] wants a slack <= 0 if it is in S, >= 0 else, so with on = [in
+    S], a @ tests >= on - 1_S @ tests, negated if on."""
     inside = masks.T  # (rays, masks): 1 on S
     on = inside[off][..., None] == 1
-    return _MaskTables(masks, scatter @ inside, on, on - (tests @ inside)[..., None])
+    return scatter @ inside, on, on - (tests @ inside)[..., None]
 
 
 def _vertex_maps(fan: Fan):
@@ -263,11 +253,11 @@ def _vertex_maps(fan: Fan):
     return scatter, dets.astype(np.int64), reach, tests, comps.T
 
 
-def _polytope_boxes(plan: _Plan, coeffs, tables: _MaskTables):
+def _polytope_boxes(plan: _Plan, coeffs):
     """(rows, lo, hi, index), four int64 arrays in (row, mask) order, of
     every T-divisor a in coeffs (int64 rows, within _dims_of_divisors's
-    guard) and support set S in tables.masks (S's row is
-    tables.masks[index]) whose polytope
+    guard) and support set S of plan (S's row is plan.folds.masks[index])
+    whose polytope
 
         P_S(a) = {u : <u, v_rho> <= -a_rho - 1 for rho in S, >= -a_rho else}
 
@@ -277,17 +267,18 @@ def _polytope_boxes(plan: _Plan, coeffs, tables: _MaskTables):
     P_S(a) is cut out by the arrangement of b = a + 1_S, so its vertices
     are the arrangement vertices of b that meet every inequality: scatter @
     b (det_S times each vertex), tested on the p rays off each vertex by
-    tests @ b, with 1_S's shares from tables.  The rays span, so P_S(a) is
-    pointed, and it is empty when no vertex qualifies.  The rows go a chunk
-    at a time, two products and at most SLACK_VALUES (vertex, mask, row)
-    tests each, so the temporaries stay small.  The first box
-    in (row, mask) order over MAX_BOX_POINTS raises BoxTooLarge in its
-    chunk, so no later chunk is formed; a chunk's boxes have their own point
-    counts formed only when the cube of its largest width is over budget.
+    tests @ b, with 1_S's shares from plan.verts, on and low.  The rays
+    span, so P_S(a) is pointed, and it is empty when no vertex qualifies.
+    The rows go a chunk at a time, two products and at most SLACK_VALUES
+    (vertex, mask, row) tests each, so the temporaries stay small.  The
+    first box in (row, mask) order over MAX_BOX_POINTS raises BoxTooLarge
+    in its chunk, so no later chunk is formed; a chunk's boxes have their
+    own point counts formed only when the cube of its largest width is over
+    budget.
     """
-    dets, on, low = plan.dets[:, :, None], tables.on, tables.low
+    dets, on, low, masks = plan.dets[:, :, None], plan.on, plan.low, plan.folds.masks
     coeffs = np.asarray(coeffs, dtype=np.int64).T
-    step = max(1, SLACK_VALUES // (len(dets) * len(tables.masks)))
+    step = max(1, SLACK_VALUES // (len(dets) * len(masks)))
     out = []
     for start in range(0, coeffs.shape[1], step):
         chunk = coeffs[:, start : start + step]
@@ -296,7 +287,7 @@ def _polytope_boxes(plan: _Plan, coeffs, tables: _MaskTables):
         for j in range(1, len(on)):
             vertex &= (slack[j] >= low[j]) != on[j]
         rows, ms = np.nonzero(vertex.any(axis=0).T)
-        nums = (plan.scatter @ chunk)[:, :, rows] + tables.verts[:, :, ms]
+        nums = (plan.scatter @ chunk)[:, :, rows] + plan.verts[:, :, ms]
         keep = vertex[:, ms, rows][:, None]
         lo = np.where(keep, -(-nums // dets), _INT64_MAX).min(axis=0).T
         hi = np.where(keep, nums // dets, -_INT64_MAX).max(axis=0).T
@@ -310,7 +301,7 @@ def _polytope_boxes(plan: _Plan, coeffs, tables: _MaskTables):
                 points = np.minimum(points * width, MAX_BOX_POINTS + 1)
             if (over := np.flatnonzero(points > MAX_BOX_POINTS)).size:
                 i = over[0]
-                mask = sum(1 << r for r in np.flatnonzero(tables.masks[ms[i]]).tolist())
+                mask = sum(1 << r for r in np.flatnonzero(masks[ms[i]]).tolist())
                 raise BoxTooLarge(
                     f"T-divisor {tuple(coeffs[:, rows[i]].tolist())}, support set {mask:b}: "
                     f"polytope box lo={lo[i].tolist()} hi={hi[i].tolist()}: "
@@ -374,7 +365,7 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
     row with the largest coefficient and the bound.  h is the sum, over the
     support sets S with nonzero reduced cohomology, of the lattice points
     of P_S (_polytope_boxes) times the ranks of S, all counted in one kernel
-    call.  The fan is valid (_build_plan), so every such P_S is bounded and
+    call.  The fan is valid (_plan), so every such P_S is bounded and
     its lattice box holds all of it.  A box over MAX_BOX_POINTS fails the
     batch in _polytope_boxes, before the kernel call.
     """
@@ -386,7 +377,7 @@ def _dims_of_divisors(fan: Fan, coeff_rows):
             f"(int64 limit {_INT64_MAX})"
         )
     coeffs = exact.astype(np.int64)
-    rows, lo, hi, index = _polytope_boxes(plan, coeffs, plan.support)
+    rows, lo, hi, index = _polytope_boxes(plan, coeffs)
     h = np.zeros((len(coeffs), fan.dim + 1), dtype=np.int64)
     if len(rows):
         counts = kernels.count_support_sets(lo, hi, coeffs[rows], index, plan.folds)

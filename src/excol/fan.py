@@ -136,22 +136,23 @@ class Fan:
             raise ValueError("wrong number of Picard coordinates")
         return cls
 
-    # cohomology._plan keeps the oracle's plan of the fan (its vertex maps,
-    # its type's support rows, ranks and mask tables, the kernel's fold
-    # tables of its rays, filled one interval axis at a time, and its basis
-    # divisors as an object array) in __dict__["_oracle_plan"], built on the
-    # fan's first batch, and _validated its mark in __dict__["_valid"].  A
-    # frozen dataclass allows that, as it allows cached_property and
-    # _subdivide, which records a blow-up's "_basis_inverse" and its
-    # parent's mark there; dataclasses.replace copies none of them.
+    # cohomology._plan keeps the oracle's plan of the fan, one flat record
+    # (its vertex maps, the vertex tests' tables and ranks of its type's
+    # support sets, the kernel's fold tables of its rays and those sets, and
+    # its basis divisors), in __dict__["_oracle_plan"], built on the fan's
+    # first batch, and _validated its mark in __dict__["_valid"].  A frozen
+    # dataclass allows that, as it allows cached_property and _subdivide,
+    # which records a blow-up's "_basis_inverse" and its parent's mark
+    # there; dataclasses.replace copies none of them.
 
 
 def validate_fan(fan: Fan) -> None:
     """Check that fan is a smooth complete fan; raise InvalidSpec if not.
 
-    Every ray must lie in a max cone and every facet on exactly two max
-    cones.  One walk of the facet graph then checks the rest.  The first
-    cone is inverted exactly, and a step from sigma across its facet
+    Every ray index of a max cone must be an int in range(n_rays), every ray
+    must lie in a max cone and every facet on exactly two max cones.  One
+    walk of the facet graph then checks the rest.  The first cone is
+    inverted exactly, and a step from sigma across its facet
     tau = sigma - {rho} to sigma' = tau + {rho'} pivots sigma's dual basis
     (u_i, with <u_i, v_j> = delta_ij) in O(dim^2).  As
     det R_sigma' = det R_sigma * <u_rho, v_rho'>, the wall coefficient
@@ -166,6 +167,9 @@ def validate_fan(fan: Fan) -> None:
     """
     n = fan.dim
     cones = fan.max_cones
+    for cone in cones:
+        if not all(type(i) is int and 0 <= i < fan.n_rays for i in cone):
+            raise InvalidSpec(f"max cone {cone} names a ray index outside range({fan.n_rays})")
     stray = set(range(fan.n_rays)).difference(*cones)
     if stray:
         raise InvalidSpec(f"ray {fan.rays[min(stray)]} lies in no max cone")

@@ -10,6 +10,7 @@ import random
 import re
 import tempfile
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from oracle_helpers import (
     polytopes_bounded,
     reduced_cohomology_ranks,
 )
+from test_independence import PACKAGE_DIR, _import_graph, _reachable
 
 
 def test_reduced_cohomology_empty_complex():
@@ -378,17 +380,20 @@ def _nonacyclic_masks(fan):
 def _boxes(fan, coeffs, masks):
     """(rows, masks, lo, hi) of the T-divisors coeffs and the support sets
     of the bit masks in masks: _polytope_boxes's rows, lo and hi, from fan's
-    plan and the tables of masks' membership rows, and the bit mask of the
-    row its support index gives each box.  The point budget is lifted past
-    the count of any int64 box: these are the boxes' geometry, which the
-    budget check inside _polytope_boxes would cut short."""
+    plan with the tables and fold rows of masks' membership rows in place of
+    its type's, and the bit mask of the row its support index gives each
+    box.  The point budget is lifted past the count of any int64 box: these
+    are the boxes' geometry, which the budget check inside _polytope_boxes
+    would cut short."""
     plan = _plan(fan)
     members = membership(masks, fan.n_rays)
-    tables = _mask_tables(plan.scatter, plan.tests, cohomology._vertex_maps(fan)[4], members)
+    off = cohomology._vertex_maps(fan)[4]
+    verts, on, low = _mask_tables(plan.scatter, plan.tests, off, members)
+    plan = plan._replace(verts=verts, on=on, low=low, folds=kernels.Folds(fan.rays, members))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cohomology, "MAX_BOX_POINTS", 1 << 64 * fan.dim)
-        rows, lo, hi, index = _polytope_boxes(plan, coeffs, tables)
-    assert index.dtype == np.int64 and tables.masks is members
+        rows, lo, hi, index = _polytope_boxes(plan, coeffs)
+    assert index.dtype == np.int64 and plan.folds.masks is members
     return rows, np.array(bit_masks(members[index]), dtype=np.int64), lo, hi
 
 
@@ -905,13 +910,11 @@ def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
 
 
 def test_a_file_of_another_source_digest_is_not_read(tmp_path, monkeypatch):
-    """The version is the SHA-256 of the oracle's source: a file written
-    under another digest is another file, never read, and a library call
-    without a DiskCache computes no digest (so reads no source)."""
-    sources = [
-        open(os.path.join(os.path.dirname(cohomology.__file__), name), "rb").read()
-        for name in ("cohomology.py", "kernels.py", "intlinalg.py", "fan.py")
-    ]
+    """The version is the SHA-256 of the package's source, its modules in
+    sorted path order: a file written under another digest is another file,
+    never read, and a library call without a DiskCache computes no digest
+    (so reads no source)."""
+    sources = [path.read_bytes() for path in sorted(PACKAGE_DIR.glob("*.py"))]
     assert cohomology._source_digest() == hashlib.sha256(b"".join(sources)).hexdigest()
     fan = projective_space_fan(2)
     cache = DiskCache(str(tmp_path))
@@ -927,6 +930,23 @@ def test_a_file_of_another_source_digest_is_not_read(tmp_path, monkeypatch):
     cohomology._source_digest.cache_clear()
     assert cohomology_dims(fan, fan.pic_class((5,))) == (21, 0, 0)
     assert cohomology._source_digest.cache_info().misses == 0
+
+
+def test_the_source_digest_reads_every_module_the_oracle_imports(monkeypatch):
+    """Every package module that cohomology reaches through the imports
+    test_independence parses is a file _source_digest reads, so an edit to
+    any of them starts every fan's cache file afresh."""
+    oracle = {"cohomology"} | _reachable(_import_graph(), "cohomology")
+    # the walk must see real edges, or the check below would pass vacuously
+    assert {"kernels", "fan", "intlinalg", "errors"} <= oracle
+    read = []
+    monkeypatch.setattr(
+        cohomology, "open", lambda path, *a: read.append(path) or open(path, *a), raising=False
+    )
+    cohomology._source_digest.cache_clear()
+    cohomology._source_digest()
+    want = {(PACKAGE_DIR / f"{name}.py").resolve() for name in oracle}
+    assert want <= {Path(path).resolve() for path in read}
 
 
 def test_a_failed_put_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
@@ -1276,8 +1296,8 @@ def test_plan_is_built_once_per_fan(monkeypatch):
     """25 single-class batches on one 4/1 blow-up build its plan once, on
     the first; a fresh copy of the fan builds its own."""
     built = []
-    real = cohomology._build_plan
-    monkeypatch.setattr(cohomology, "_build_plan", lambda f: built.append(f) or real(f))
+    real = cohomology._vertex_maps
+    monkeypatch.setattr(cohomology, "_vertex_maps", lambda f: built.append(f) or real(f))
     fan = make_blowup(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"}))).fan_xt
     classes = [fan.pic_class((d, e, d - e)) for d in range(-2, 3) for e in range(-2, 3)]
     assert len(classes) == 25
@@ -1375,7 +1395,7 @@ def test_support_index_gives_each_box_its_mask_and_ranks(data):
     rows = [first] + data.draw(st.lists(row.map(tuple), max_size=3))
     plan = _plan(fan)
     support, ranks = _support_ranks(fan)
-    _rows, _lo, _hi, index = _polytope_boxes(plan, rows, plan.support)
+    _rows, _lo, _hi, index = _polytope_boxes(plan, rows)
     masks = [
         mask
         for coeffs in rows

@@ -14,7 +14,7 @@ from excol import (
 from excol import fan as fan_module
 from excol import intlinalg
 from excol.cli import enumerate_centers, enumerate_specs, run_case
-from excol.cohomology import _lift
+from excol.cohomology import _lift, cohomology_dims
 from excol.errors import InvalidSpec, NotACone, UnknownRay
 from excol.fan import Fan, validate_fan
 from fan_helpers import center_geometry
@@ -163,6 +163,19 @@ def test_validate_fan_rejects_broken_input():
         validate_fan(dataclasses.replace(good, max_cones=()))
     with pytest.raises(InvalidSpec, match="ray of wrong dimension"):
         validate_fan(dataclasses.replace(good, rays=good.rays[:2] + ((0, 1, 0),)))
+    # a cone naming a ray index past the rays or below 0 is checked before
+    # any cone is walked, whose ray lookups and bit shifts would fail untyped
+    for cones, bad in [
+        (((1, 2), (2, 0), (0, 5), (5, 1)), r"\(0, 5\)"),
+        (((1, 5), (5, 2), (2, 0), (0, 1)), r"\(1, 5\)"),
+        (((1, 2), (2, 0), (0, -1), (-1, 1)), r"\(0, -1\)"),
+    ]:
+        stray = dataclasses.replace(good, max_cones=cones)
+        with pytest.raises(InvalidSpec, match=rf"max cone {bad} names a ray index outside range"):
+            validate_fan(stray)
+    # the oracle validates a hand-built fan where it enters
+    with pytest.raises(InvalidSpec, match=r"max cone \(0, -1\) names a ray index"):
+        cohomology_dims(stray, stray.pic_class((1,)))
 
 
 def test_validate_fan_rejects_cones_on_one_side_of_a_facet():
