@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import InvalidSpec, NotACone, UnknownRay
-from .intlinalg import inverse
+from .intlinalg import determinant, inverse
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,16 @@ class Fan:
         the basis divisors are a Z-basis of Pic iff B is unimodular.  Row rho
         of C is the class of e_rho; (lattice rows) D = I (cohomology._vertex_maps).
         A blow-up built by star_subdivide or make_blowup never runs this: it
-        gets its parent's B^-1, bordered, in its __dict__ (_subdivide).
+        gets its parent's B^-1, bordered, in its __dict__ (star_subdivide).
+        Every entry of a basis divisor must be an int.
         """
         if self.pic_rank + self.dim != self.n_rays:
             raise InvalidSpec(
                 f"Picard rank {self.n_rays - self.dim} != declared basis size {self.pic_rank}"
             )
+        for bd in self.basis_divisors:
+            if not all(type(x) is int for x in bd):
+                raise InvalidSpec(f"basis divisor entries must be integers: {bd}")
         lattice_rows = [[ray[d] for ray in self.rays] for d in range(self.dim)]
         try:
             inv, det = inverse(list(self.basis_divisors) + lattice_rows)
@@ -141,29 +145,35 @@ class Fan:
     # support sets, the kernel's fold tables of its rays and those sets, and
     # its basis divisors), in __dict__["_oracle_plan"], built on the fan's
     # first batch, and _validated its mark in __dict__["_valid"].  A frozen
-    # dataclass allows that, as it allows cached_property and _subdivide,
-    # which records a blow-up's "_basis_inverse" and its parent's mark
-    # there; dataclasses.replace copies none of them.
+    # dataclass allows that, as it allows cached_property and
+    # star_subdivide, which records a blow-up's "_basis_inverse" and its
+    # parent's mark there; dataclasses.replace copies none of them.
 
 
 def validate_fan(fan: Fan) -> None:
     """Check that fan is a smooth complete fan; raise InvalidSpec if not.
 
     Every ray index of a max cone must be an int in range(n_rays), every ray
-    must lie in a max cone and every facet on exactly two max cones.  One
-    walk of the facet graph then checks the rest.  The first cone is
-    inverted exactly, and a step from sigma across its facet
-    tau = sigma - {rho} to sigma' = tau + {rho'} pivots sigma's dual basis
-    (u_i, with <u_i, v_j> = delta_ij) in O(dim^2).  As
-    det R_sigma' = det R_sigma * <u_rho, v_rho'>, the wall coefficient
-    <u_rho, v_rho'> = -1 says that sigma' is unimodular and lies across tau
-    from sigma: the wall relation v_rho + v_rho' in span(tau) of a smooth
-    complete fan (Cox-Little-Schenck, Toric Varieties, 6.4).  The walk must
-    reach every cone.  Cones glued like this across every facet cover space
-    some number of times, so exactly one cone may contain w, the sum of the
-    first cone's rays; <u_i, w> rides along in each pivot.  A ray of a
-    unimodular cone is primitive, so primitivity needs no check of its own.
-    Nothing is written into fan.
+    must lie in a max cone and have dim int coordinates, and every facet
+    must lie on exactly two max cones.  The rest is read cone by cone in the
+    frame of the first cone R_0, inverted exactly: a ray's coordinates are
+    <u_i, v_rho>, u_i the dual basis of R_0's rays, in ascending order like
+    every list of a cone's rays here.  R_0's rays in a cone sigma are unit
+    rows there, so (Laplace) det R_sigma / det R_0 = det M * (-1)^(their
+    positions in sigma and in R_0), with M the k x k (k <= min(dim, p))
+    coordinates of sigma's other rays on the axes it drops.  |det M| = 1
+    says that sigma is unimodular (Cox-Little-Schenck, Toric Varieties,
+    3.1.19), so its rays are primitive.  The two cones tau + {rho} and
+    tau + {rho'} on a facet tau lie on opposite sides of it (the wall
+    relation, 6.4) iff det[tau, rho] and det[tau, rho'] differ in sign; up
+    to one common sign these are the cones' determinants times (-1)^(the
+    position of rho, of rho').  Cones glued like this cover space some
+    number of times, at least once per facet-connected set of them, so
+    exactly one cone may hold w, the sum of R_0's rays; this also says that
+    the facet graph is connected.  w is 1 on every axis, so sigma holds it
+    iff lambda = 1^T M^-1 >= 0 on its rays off R_0 and 1 - lambda . M_i >= 0
+    on each axis i it keeps, M_i those rays' coordinates there.  Nothing is
+    written into fan.
     """
     n = fan.dim
     cones = fan.max_cones
@@ -177,6 +187,9 @@ def validate_fan(fan: Fan) -> None:
         raise InvalidSpec("fan has no max cone")
     if any(len(v) != n for v in fan.rays):
         raise InvalidSpec("ray of wrong dimension")
+    for v in fan.rays:
+        if not all(type(x) is int for x in v):
+            raise InvalidSpec(f"ray coordinates must be integers: {v}")
     facet_cones = {}  # facet as a bit mask of rays -> [(cone index, its ray off the facet)]
     for k, cone in enumerate(cones):
         if len(set(cone)) != n:
@@ -186,58 +199,48 @@ def validate_fan(fan: Fan) -> None:
             facet_cones.setdefault(mask ^ 1 << rho, []).append((k, rho))
     if any(len(ks) != 2 for ks in facet_cones.values()):
         raise InvalidSpec("fan is not complete: facet shared by != 2 cones")
-    across = [[] for _ in cones]  # per cone: (rho, the cone across tau, its rho')
-    for (a, rho_a), (b, rho_b) in facet_cones.values():
-        across[a].append((rho_a, b, rho_b))
-        across[b].append((rho_b, a, rho_a))
-    nonzeros = [[(d, x) for d, x in enumerate(v) if x] for v in fan.rays]
-
-    def dot(u, rho):
-        return sum(u[d] * x for d, x in nonzeros[rho])
-
+    first = sorted(cones[0])
     try:
-        inv, det = inverse([fan.rays[i] for i in cones[0]])
+        inv, det = inverse([fan.rays[i] for i in first])
     except ValueError:  # singular
         det = 0
     if det != 1:
         raise InvalidSpec(f"non-unimodular cone {cones[0]}")
-    # dual[i]: u_i (a column of R^-1), then <u_i, w>, which is 1 on the first cone
-    dual = {i: [row[j] for row in inv] + [1] for j, i in enumerate(cones[0])}
-
-    def pivot(out, into):
-        """Trade ray out of the dual basis for ray into; <u_out, v_into> = -1."""
-        u_out = dual.pop(out)
-        for u in dual.values():
-            c = dot(u, into)
-            if c:
-                u[:] = [x + c * y for x, y in zip(u, u_out)]
-        dual[into] = [-y for y in u_out]
-
-    seen = [True] + [False] * (len(cones) - 1)
-    covering = 1  # the cones that contain w, the first among them
-    path = [(0, iter(across[0]), None)]  # (cone, its facets left, the step into it)
-    while path:
-        k, facets, entry = path[-1]
-        step = next(facets, None)
-        if step is None:
-            path.pop()
-            if entry:
-                pivot(entry[1], entry[0])  # back across the facet: the exact inverse
-            continue
-        rho, k2, rho2 = step
-        wall = dot(dual[rho], rho2)
-        if abs(wall) != 1:
-            raise InvalidSpec(f"non-unimodular cone {cones[k2]}")
-        if wall == 1:
-            facet = tuple(i for i in cones[k] if i != rho)
-            raise InvalidSpec(f"cones {cones[k]} and {cones[k2]} lie on one side of facet {facet}")
-        if not seen[k2]:
-            seen[k2] = True
-            pivot(rho, rho2)
-            covering += all(u[n] >= 0 for u in dual.values())
-            path.append((k2, iter(across[k2]), (rho, rho2)))
-    if not all(seen):
-        raise InvalidSpec("fan is not complete: facet graph disconnected")
+    axis = {rho: i for i, rho in enumerate(first)}
+    coords = []  # coords[rho][i] = <u_i, v_rho>, u_i the columns of inv
+    for v in fan.rays:
+        c = [0] * n
+        for d, x in enumerate(v):
+            if x:
+                c = [y + x * z for y, z in zip(c, inv[d])]
+        coords.append(c)
+    signs = []  # per cone, the sign of det R_sigma / det R_0
+    covering = 0  # the cones that hold w
+    for cone in cones:
+        parity, kept, new = 0, set(), []
+        for pos, rho in enumerate(sorted(cone)):
+            if rho in axis:
+                parity += pos + axis[rho]
+                kept.add(axis[rho])
+            else:
+                new.append(coords[rho])
+        minor = [[c[i] for i in range(n) if i not in kept] for c in new]
+        det = determinant(minor)
+        if abs(det) != 1:
+            raise InvalidSpec(f"non-unimodular cone {cone}")
+        signs.append(det * (-1) ** parity)
+        lam = [sum(col) for col in zip(*inverse(minor)[0])]  # 1^T M^-1
+        covering += min(lam, default=0) >= 0 and all(
+            sum(x * c[i] for x, c in zip(lam, new)) <= 1 for i in kept
+        )
+    for facet, ((a, rho), (b, rho2)) in facet_cones.items():
+        # a ray's position in its cone is the number of the facet's rays below it
+        side = signs[a] * (-1) ** (facet & ((1 << rho) - 1)).bit_count()
+        if side == signs[b] * (-1) ** (facet & ((1 << rho2) - 1)).bit_count():
+            facet_rays = tuple(i for i in cones[a] if i != rho)
+            raise InvalidSpec(
+                f"cones {cones[a]} and {cones[b]} lie on one side of facet {facet_rays}"
+            )
     if covering != 1:
         raise InvalidSpec(f"fan is not a fan: it covers a point {covering} times")
 
@@ -401,13 +404,6 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
     tau, and each of those has |det R_sigma|, because e - sum_{tau - {c}}
     v_i = v_c.  A star subdivision of a complete fan is complete
     (Cox-Little-Schenck, Toric Varieties, 3.3).
-    """
-    return _subdivide(_validated(fan), center)
-
-
-def _subdivide(fan: Fan, center: CenterSpec) -> Fan:
-    """star_subdivide on a fan already validated; the blow-up carries fan's
-    mark (_validated), if fan has one.
 
     Up to row order the blow-up's B is [[B, B 1_tau], [0, 1]] (fan's B, its
     rows extended by their sums over the center tau, and the E row), so its
@@ -415,6 +411,7 @@ def _subdivide(fan: Fan, center: CenterSpec) -> Fan:
     the unit row of e.  Reading fan's B^-1 raises InvalidSpec here unless
     fan's basis divisors are a Z-basis of Pic.
     """
+    _validated(fan)
     idx = _center_indices(fan, center)
     idx_set = set(idx)
     inv = fan._basis_inverse
@@ -444,8 +441,7 @@ def _subdivide(fan: Fan, center: CenterSpec) -> Fan:
     sub.__dict__["_basis_inverse"] = tuple(
         row[:p] + (-int(rho in idx_set),) + row[p:] for rho, row in enumerate(inv)
     ) + (tuple(int(j == p) for j in range(e + 1)),)
-    if "_valid" in fan.__dict__:
-        sub.__dict__["_valid"] = True
+    sub.__dict__["_valid"] = True
     return sub
 
 
@@ -493,6 +489,6 @@ class Blowup:
 
 def make_blowup(spec: BundleSpec, center: CenterSpec) -> Blowup:
     fan_x = build_projective_bundle_fan(spec)
-    fan_xt = _subdivide(fan_x, center)  # checks the center against X
+    fan_xt = star_subdivide(fan_x, center)  # checks the center against X
     geom = _geometry(spec, center)
     return Blowup(spec=spec, center=center, geometry=geom, fan_x=fan_x, fan_xt=fan_xt)

@@ -2,6 +2,7 @@
 
 from excol import build_projective_bundle_fan
 from excol.fan import _center_indices, _geometry
+from excol.intlinalg import determinant, inverse
 
 
 def center_geometry(spec, center):
@@ -9,3 +10,40 @@ def center_geometry(spec, center):
     UnknownRay or NotACone unless the center is a cone of X."""
     _center_indices(build_projective_bundle_fan(spec), center)
     return _geometry(spec, center)
+
+
+def smooth_complete(fan):
+    """Whether fan is a smooth complete fan, by a slow reference for
+    validate_fan that shares none of its frame: every ray lies in a max cone
+    of dim distinct rays, every facet on exactly two of them, each cone's
+    whole determinant is +-1, the two cones on each facet tau give
+    det[tau, rho] and det[tau, rho'] opposite signs, and exactly one cone's
+    exact inverse maps w, the sum of the first cone's rays, to coefficients
+    >= 0."""
+    n = fan.dim
+    cones = [tuple(sorted(cone)) for cone in fan.max_cones]
+    if not cones or any(len(set(cone)) != n for cone in cones):
+        return False
+    if set().union(*cones) != set(range(fan.n_rays)):
+        return False
+    facets = {}
+    for cone in cones:
+        for rho in cone:
+            facets.setdefault(tuple(i for i in cone if i != rho), []).append(rho)
+    if any(len(off) != 2 for off in facets.values()):
+        return False
+
+    def rows(idx):
+        return [fan.rays[i] for i in idx]
+
+    if any(abs(determinant(rows(cone))) != 1 for cone in cones):
+        return False
+    for tau, (rho, rho2) in facets.items():
+        if determinant(rows(tau + (rho,))) * determinant(rows(tau + (rho2,))) > 0:
+            return False
+    w = [sum(col) for col in zip(*rows(fan.max_cones[0]))]
+    holding = 0
+    for cone in cones:
+        inv, _ = inverse(rows(cone))  # w = sum_j (w inv)_j v_j
+        holding += all(sum(x * row[j] for x, row in zip(w, inv)) >= 0 for j in range(n))
+    return holding == 1

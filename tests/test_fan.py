@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,7 @@ from excol.cli import enumerate_centers, enumerate_specs, run_case
 from excol.cohomology import _lift, cohomology_dims
 from excol.errors import InvalidSpec, NotACone, UnknownRay
 from excol.fan import Fan, validate_fan
-from fan_helpers import center_geometry
+from fan_helpers import center_geometry, smooth_complete
 
 
 def test_bundle_spec_invariants():
@@ -148,7 +149,7 @@ def test_validate_fan_rejects_broken_input():
         validate_fan(bad_ray)
     doubled = dataclasses.replace(good, rays=tuple((2 * x, 2 * y) for x, y in good.rays))
     with pytest.raises(InvalidSpec, match=r"non-unimodular cone \(1, 2\)"):
-        validate_fan(doubled)  # the cone the walk starts from
+        validate_fan(doubled)  # the first cone, whose inverse is the frame
     incomplete = Fan(
         dim=2,
         ray_names=good.ray_names,
@@ -164,7 +165,7 @@ def test_validate_fan_rejects_broken_input():
     with pytest.raises(InvalidSpec, match="ray of wrong dimension"):
         validate_fan(dataclasses.replace(good, rays=good.rays[:2] + ((0, 1, 0),)))
     # a cone naming a ray index past the rays or below 0 is checked before
-    # any cone is walked, whose ray lookups and bit shifts would fail untyped
+    # any cone is read, whose ray lookups and bit shifts would fail untyped
     for cones, bad in [
         (((1, 2), (2, 0), (0, 5), (5, 1)), r"\(0, 5\)"),
         (((1, 5), (5, 2), (2, 0), (0, 1)), r"\(1, 5\)"),
@@ -176,6 +177,14 @@ def test_validate_fan_rejects_broken_input():
     # the oracle validates a hand-built fan where it enters
     with pytest.raises(InvalidSpec, match=r"max cone \(0, -1\) names a ray index"):
         cohomology_dims(stray, stray.pic_class((1,)))
+    # rays of floats or bools are not lattice vectors, even when they compare
+    # equal to P^2's
+    for rays in (((-1.0, -1.0), (1.0, 0.0), (0.0, 1.0)), ((-1, -1), (True, False), (False, True))):
+        inexact = dataclasses.replace(good, rays=rays)
+        with pytest.raises(InvalidSpec, match="ray coordinates must be integers"):
+            validate_fan(inexact)
+        with pytest.raises(InvalidSpec, match="ray coordinates must be integers"):
+            cohomology_dims(inexact, inexact.pic_class((1,)))
 
 
 def test_validate_fan_rejects_cones_on_one_side_of_a_facet():
@@ -208,9 +217,10 @@ def test_validate_fan_rejects_a_double_cover():
         validate_fan(twice)
 
 
-def test_validate_fan_is_one_inverse_and_a_walk(monkeypatch):
-    """On an X with s = 40, validate_fan runs one Bareiss elimination, the
-    exact inverse of the first cone, and no determinant, and it writes
+def test_validate_fan_is_one_inverse_and_small_minors(monkeypatch):
+    """On an X with s = 40, validate_fan runs one dim x dim Bareiss
+    elimination, the exact inverse of the first cone; every other one, at
+    most two per cone, is a minor at most min(dim, p) wide; and it writes
     nothing into the fan."""
     fan = build_projective_bundle_fan(BundleSpec(40, (0, 1)))
     inverses, eliminations = [], []
@@ -228,7 +238,9 @@ def test_validate_fan_is_one_inverse_and_a_walk(monkeypatch):
     monkeypatch.setattr(intlinalg, "_bareiss", counted_bareiss)
     before = dict(fan.__dict__)
     validate_fan(fan)
-    assert inverses == eliminations == [41]
+    assert inverses[0] == eliminations[0] == 41
+    assert max(inverses[1:] + eliminations[1:]) <= min(fan.dim, fan.pic_rank) == 2
+    assert len(eliminations) <= 1 + 2 * len(fan.max_cones)
     assert fan.__dict__ == before
 
 
@@ -251,7 +263,7 @@ def test_validate_fan_rejects_a_ray_in_no_cone():
 def test_validate_fan_rejects_a_disconnected_facet_graph():
     """Two disjoint copies of P^2's cones on six rays: every cone is
     unimodular and every facet lies on exactly two cones, but no facet
-    joins the copies."""
+    joins the copies, so they cover each point twice."""
     good = projective_space_fan(2)
     twice = Fan(
         dim=2,
@@ -261,14 +273,14 @@ def test_validate_fan_rejects_a_disconnected_facet_graph():
         basis_tag="two P^2",
         basis_divisors=tuple(tuple(int(i == j) for i in range(6)) for j in (1, 2, 4, 5)),
     )
-    with pytest.raises(InvalidSpec, match="facet graph disconnected"):
+    with pytest.raises(InvalidSpec, match="covers a point 2 times"):
         validate_fan(twice)
 
 
 def test_class_map_rejects_bad_bases():
     """A declared basis that is not a Z-basis of Pic is an InvalidSpec."""
     good = projective_space_fan(2)
-    for basis in (((0, 0, 0),), ((0, 2, 0),), ((0, 1, 0), (0, 0, 1))):
+    for basis in (((0, 0, 0),), ((0, 2, 0),), ((0, 1, 0), (0, 0, 1)), ((0, 1.0, 0),)):
         fan = Fan(
             dim=2,
             ray_names=good.ray_names,
@@ -279,6 +291,9 @@ def test_class_map_rejects_bad_bases():
         )
         with pytest.raises(InvalidSpec):
             fan.canonical_class()
+    # the oracle reads B^-1, here with a float entry, before it lifts any class
+    with pytest.raises(InvalidSpec, match="basis divisor entries must be integers"):
+        cohomology_dims(fan, fan.pic_class((1,)))
 
 
 def test_star_subdivide_rejects_a_bad_basis_at_once():
@@ -302,18 +317,27 @@ def test_star_subdivide_validates_its_input_first():
 
 def test_blowups_inherit_the_inverse_of_x(monkeypatch):
     """Blowing up every center of a spec inverts B once, for X: each
-    blow-up's B^-1 is X's, bordered.  The only other inverse is the one
-    cone (dim x dim) that validating X starts its walk from.  The X memo is
-    process-wide, so the count starts from an empty one (cache_clear)."""
+    blow-up's B^-1 is X's, bordered.  The only other inverses are the ones
+    validating X takes: the one cone (dim x dim) that it reads every cone
+    in, and per cone a minor.  The X memo is process-wide, so the count
+    starts from an empty one (cache_clear)."""
     build_projective_bundle_fan.cache_clear()
     sizes = []
-    real = fan_module.inverse
+    real_inverse, real_validate = fan_module.inverse, fan_module.validate_fan
 
     def counted(b):
         sizes.append(len(b))
-        return real(b)
+        return real_inverse(b)
+
+    def counted_validate(fan):
+        start = len(sizes)
+        real_validate(fan)
+        # the first cone's inverse is kept, the per-cone minors are not
+        assert max(sizes[start + 1 :], default=0) <= min(fan.dim, fan.pic_rank)
+        del sizes[start + 1 :]
 
     monkeypatch.setattr(fan_module, "inverse", counted)
+    monkeypatch.setattr(fan_module, "validate_fan", counted_validate)
     specs = enumerate_specs(4, 1)
     for spec in specs:
         for codim in (2, 3):
@@ -349,6 +373,64 @@ def _family_fans():
         for codim in (2, 3):
             for center in enumerate_centers(spec, codim):
                 yield make_blowup(spec, center).fan_xt
+
+
+def _mutant(fan, rng):
+    """fan with its cones and the rays in each shuffled, which keeps it
+    valid, after one or two random edits: a ray moved, negated or swapped
+    with another, a cone's ray replaced, a cone dropped, or a second copy
+    of every cone on copies of the rays."""
+    rays, cones = list(fan.rays), [list(cone) for cone in fan.max_cones]
+    for _ in range(rng.randint(1, 2)):
+        edit = rng.choice(("move", "negate", "swap", "break", "drop", "twice", "none"))
+        i = rng.randrange(len(rays))
+        if edit == "move":
+            v = list(rays[i])
+            v[rng.randrange(fan.dim)] += rng.choice((-2, -1, 1, 2))
+            rays[i] = tuple(v)
+        elif edit == "negate":
+            rays[i] = tuple(-x for x in rays[i])
+        elif edit == "swap":
+            j = rng.randrange(len(rays))
+            rays[i], rays[j] = rays[j], rays[i]
+        elif edit == "break":
+            rng.choice(cones)[rng.randrange(fan.dim)] = i
+        elif edit == "drop":
+            cones.pop(rng.randrange(len(cones)))
+        elif edit == "twice":
+            cones += [[i + len(rays) for i in cone] for cone in cones]
+            rays += rays
+    for cone in cones:
+        rng.shuffle(cone)
+    rng.shuffle(cones)
+    return dataclasses.replace(fan, rays=tuple(rays), max_cones=tuple(map(tuple, cones)))
+
+
+def test_validate_fan_agrees_with_a_slow_reference():
+    """On seeded mutants of family fans up to dim 4, validate_fan accepts
+    exactly the fans that the reference smooth_complete accepts, and the
+    mutants reach each of its checks after the entry ones."""
+    rng = random.Random(35)
+    fans = [fan for fan in _family_fans() if fan.dim <= 4]
+    verdicts = {True: 0, False: 0}
+    rejected = set()
+    for fan in rng.sample(fans, 150):
+        for _ in range(10):
+            mutant = _mutant(fan, rng)
+            try:
+                validate_fan(mutant)
+                accepted = True
+            except InvalidSpec as err:
+                accepted = False
+                rejected.update(
+                    check
+                    for check in ("non-unimodular", "one side", "covers a point")
+                    if check in str(err)
+                )
+            assert accepted == smooth_complete(mutant), mutant
+            verdicts[accepted] += 1
+    assert rejected == {"non-unimodular", "one side", "covers a point"}
+    assert min(verdicts.values()) > 200, verdicts
 
 
 def test_class_map_inverts_basis_divisors():
