@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import InvalidSpec, NotACone, UnknownRay
-from .intlinalg import determinant, inverse
+from .intlinalg import inverse
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class Fan:
 
         Pic = Z^rays / M with M spanned by the lattice rows (v_rho[d])_rho, so
         the basis divisors are a Z-basis of Pic iff B is unimodular.  Row rho
-        of C is the class of e_rho; (lattice rows) D = I (cohomology._vertex_maps).
+        of C is the class of e_rho; (lattice rows) D = I (kernels._vertex_maps).
         A blow-up built by star_subdivide or make_blowup never runs this: it
         gets its parent's B^-1, bordered, in its __dict__ (star_subdivide).
         Every entry of a basis divisor must be an int.
@@ -97,7 +97,7 @@ class Fan:
             inv, det = inverse(list(self.basis_divisors) + lattice_rows)
         except ValueError:  # singular, or a basis divisor of the wrong length
             det = 0
-        if det != 1:
+        if abs(det) != 1:
             raise InvalidSpec("declared basis divisors are not a Z-basis of Pic")
         return inv
 
@@ -140,7 +140,7 @@ class Fan:
             raise ValueError("wrong number of Picard coordinates")
         return cls
 
-    # cohomology._plan keeps the oracle's plan of the fan, one flat record
+    # kernels._plan keeps the oracle's plan of the fan, one flat record
     # (its vertex maps, the vertex tests' tables and ranks of its type's
     # support sets, the kernel's fold tables of its rays and those sets, and
     # its basis divisors), in __dict__["_oracle_plan"], built on the fan's
@@ -148,6 +148,18 @@ class Fan:
     # dataclass allows that, as it allows cached_property and
     # star_subdivide, which records a blow-up's "_basis_inverse" and its
     # parent's mark there; dataclasses.replace copies none of them.
+
+
+def _unimodular(rows, cone):
+    """(rows^-1, det rows) of the square rows of cone, from one elimination;
+    InvalidSpec unless det rows = +-1."""
+    try:
+        inv, det = inverse(rows)
+    except ValueError:  # singular
+        det = 0
+    if abs(det) != 1:
+        raise InvalidSpec(f"non-unimodular cone {cone}")
+    return inv, det
 
 
 def validate_fan(fan: Fan) -> None:
@@ -172,8 +184,15 @@ def validate_fan(fan: Fan) -> None:
     exactly one cone may hold w, the sum of R_0's rays; this also says that
     the facet graph is connected.  w is 1 on every axis, so sigma holds it
     iff lambda = 1^T M^-1 >= 0 on its rays off R_0 and 1 - lambda . M_i >= 0
-    on each axis i it keeps, M_i those rays' coordinates there.  Nothing is
-    written into fan.
+    on each axis i it keeps, M_i those rays' coordinates there.  Only
+    lambda >= 0 is tested, and M^-1 and det M come from one elimination.
+    This counts the cones sigma whose image in N / span(tau), tau = sigma
+    meet R_0, holds the image of w; R_0 always counts, and the count is at
+    least the number of cones that hold w, so a fan that fails the full
+    test still fails.  On a fan that passes it, the images of the cones
+    through tau form a fan, the star of tau, in which the image of w lies
+    inside R_0's image, so no other cone's image holds it, and the count is
+    still 1: both tests give the same verdict.  Nothing is written into fan.
     """
     n = fan.dim
     cones = fan.max_cones
@@ -200,12 +219,7 @@ def validate_fan(fan: Fan) -> None:
     if any(len(ks) != 2 for ks in facet_cones.values()):
         raise InvalidSpec("fan is not complete: facet shared by != 2 cones")
     first = sorted(cones[0])
-    try:
-        inv, det = inverse([fan.rays[i] for i in first])
-    except ValueError:  # singular
-        det = 0
-    if det != 1:
-        raise InvalidSpec(f"non-unimodular cone {cones[0]}")
+    inv = _unimodular([fan.rays[i] for i in first], cones[0])[0]
     axis = {rho: i for i, rho in enumerate(first)}
     coords = []  # coords[rho][i] = <u_i, v_rho>, u_i the columns of inv
     for v in fan.rays:
@@ -215,7 +229,7 @@ def validate_fan(fan: Fan) -> None:
                 c = [y + x * z for y, z in zip(c, inv[d])]
         coords.append(c)
     signs = []  # per cone, the sign of det R_sigma / det R_0
-    covering = 0  # the cones that hold w
+    covering = 0  # the cones with 1^T M^-1 >= 0
     for cone in cones:
         parity, kept, new = 0, set(), []
         for pos, rho in enumerate(sorted(cone)):
@@ -225,14 +239,10 @@ def validate_fan(fan: Fan) -> None:
             else:
                 new.append(coords[rho])
         minor = [[c[i] for i in range(n) if i not in kept] for c in new]
-        det = determinant(minor)
-        if abs(det) != 1:
-            raise InvalidSpec(f"non-unimodular cone {cone}")
+        minv, det = _unimodular(minor, cone)
         signs.append(det * (-1) ** parity)
-        lam = [sum(col) for col in zip(*inverse(minor)[0])]  # 1^T M^-1
-        covering += min(lam, default=0) >= 0 and all(
-            sum(x * c[i] for x, c in zip(lam, new)) <= 1 for i in kept
-        )
+        lam = [sum(col) for col in zip(*minv)]  # 1^T M^-1
+        covering += min(lam, default=0) >= 0
     for facet, ((a, rho), (b, rho2)) in facet_cones.items():
         # a ray's position in its cone is the number of the facet's rays below it
         side = signs[a] * (-1) ** (facet & ((1 << rho) - 1)).bit_count()

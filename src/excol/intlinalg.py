@@ -71,27 +71,30 @@ def determinant(m) -> int:
 def inverse(b):
     """Exact scaled inverse of a square invertible integer matrix b.
 
-    Returns (m, det) with det = |det b| > 0 and m = det * b^-1, all integers,
-    so that b m = det I; raises ValueError if b is singular or not square.
-    One Bareiss pass over [b | I], then back-substitution per column of I.
+    Returns (m, det) with det = det b, signed and nonzero, and m = |det| *
+    b^-1, all integers, so that b m = |det| I; raises ValueError if b is
+    singular or not square.  One Bareiss pass over [b | I], whose row
+    swaps give det's sign, then back-substitution per column of I.
     """
     n = len(b)
     if any(len(r) != n for r in b):
         raise ValueError("matrix not square")
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
-    rank, _ = _bareiss(a, n)
+    a = [[*row, *[0] * i, 1, *[0] * (n - i - 1)] for i, row in enumerate(b)]
+    rank, sign = _bareiss(a, n)
     if rank < n:
         raise ValueError("matrix is singular")
-    det = abs(a[n - 1][n - 1]) if n else 1
-    # back-substitution in the scaled unknowns det * x, which are integers
+    det = sign * a[n - 1][n - 1] if n else 1
+    # back-substitution in the scaled unknowns |det| * x, which are integers
     # (Cramer's rule), so each division is exact; it runs over each row's
     # nonzero entries right of the pivot only
     upper = [[(k, a[i][k]) for k in range(i + 1, n) if a[i][k]] for i in range(n)]
-    cols = []
+    scale, cols = abs(det), []
     for j in range(n):
         nums = [0] * n
         for i in range(n - 1, -1, -1):
-            acc = det * a[i][n + j] - sum(x * nums[k] for k, x in upper[i])
+            acc = scale * a[i][n + j]
+            for k, x in upper[i]:
+                acc -= x * nums[k]
             nums[i] = acc // a[i][i]
         cols.append(nums)
     return tuple(zip(*cols)), det

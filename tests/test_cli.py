@@ -1,12 +1,17 @@
+import importlib.util
 import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from excol import BundleSpec, CenterSpec, cli, cohomology, kernels, make_blowup
+import excol
+from excol import BundleSpec, CenterSpec, cli, kernels, make_blowup
 from excol.cli import default_cache_dir
 from excol.cohomology import DiskCache
 from excol.errors import MutationError
@@ -339,6 +344,60 @@ def test_mutation_failure_exit_3(tmp_path, monkeypatch, capsys):
     assert doc["log"] == [{"rule": "transpose"}]
 
 
+# In a fresh interpreter: whether numpy is loaded after importing the CLI,
+# then (exit code, whether it is loaded) after each argv of sys.argv[1].
+NUMPY_PROBE = """
+import json, sys
+import excol, excol.cli
+seen = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    seen.append([excol.cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def _numpy_after(argvs, tmp_path):
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(excol.__file__).parent.parent),
+        EXCOL_CACHE_DIR=str(tmp_path / "cache"),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_numpy_loads_only_when_a_class_is_computed(tmp_path):
+    """Importing the package and its CLI, construct, and a sweep whose
+    h-vectors an earlier process left on disk load no numpy; the first
+    sweep, which fills the cache, and the same sweep with --no-cache do, so
+    the probe sees numpy when it is there."""
+    construct = ["construct", "--base-dim", "2", "--fiber-degrees", "0,1", "--center", "b1,f1",
+                 "--out", str(tmp_path / "col.json")]
+    sweep = ["sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]
+    assert _numpy_after([construct, sweep], tmp_path) == [False, [0, False], [0, True]]
+    assert _numpy_after([sweep, ["--no-cache", *sweep]], tmp_path) == [
+        False, [0, False], [0, True]
+    ]
+
+
+def test_time_cli_reports_both_trees(capsys):
+    """tools/time_cli.py runs one excol argv in fresh interpreters against
+    two source trees, here this one twice, and prints both sides' times."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "time_cli.py"
+    spec = importlib.util.spec_from_file_location("time_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    src = str(Path(excol.__file__).parent.parent)
+    assert module.main([src, src, "--pairs", "2", "--", "sweep", "--help"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "excol sweep --help  (2 pairs)"
+    assert [line.split(":")[0] for line in out[1:]] == ["  base", "  head", "  head/base"]
+    assert out[1].endswith("exit [0]") and out[2].endswith("exit [0]") and out[3].endswith("/2")
+
+
 def test_sweep_small(capsys):
     assert run(["sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]) == 0
     out = capsys.readouterr().out
@@ -350,7 +409,7 @@ def test_sweep_reports_box_too_large(monkeypatch, capsys):
     case, not the sweep: an ABORT row, the T-divisor, its support set and
     its box on stderr, exit 1."""
     # the 8 cases' largest polytope boxes hold 4 or 6 points
-    monkeypatch.setattr(cohomology, "MAX_BOX_POINTS", 5)
+    monkeypatch.setattr(kernels, "MAX_BOX_POINTS", 5)
     args = ["--no-cache", "sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]
     assert run(args) == 1
     out, err = capsys.readouterr()

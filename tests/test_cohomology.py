@@ -26,16 +26,15 @@ from excol import (
     make_blowup,
     projective_space_fan,
 )
-from excol.cohomology import (
+from excol.cohomology import DiskCache, cohomology_dims_many
+from excol.kernels import (
     _INT64_MAX,
-    DiskCache,
     _dims_of_divisors,
     _lift,
     _mask_tables,
     _plan,
     _polytope_boxes,
     _support_ranks,
-    cohomology_dims_many,
 )
 from excol import cohomology, kernels
 from excol import fan as fan_module
@@ -205,7 +204,7 @@ def _vertex_maps(fan):
             rows, det = inverse([fan.rays[i] for i in subset])
         except ValueError:
             continue  # singular: not a vertex
-        maps.append((subset, rows, det))
+        maps.append((subset, rows, abs(det)))
     return maps
 
 
@@ -237,9 +236,9 @@ def _python_box_matrix(fan):
 
 def _assert_same_box_matrix(fan, want):
     """fan's plan holds the reference vertex maps, and the rays off each
-    vertex its tables were built from (cohomology._vertex_maps) are the
+    vertex its tables were built from (kernels._vertex_maps) are the
     reference's."""
-    got, off = _plan(fan), cohomology._vertex_maps(fan)[4]
+    got, off = _plan(fan), kernels._vertex_maps(fan)[4]
     scatter, dets, reach, tests = got.scatter, got.dets, got.reach, got.tests
     for a, b in ((scatter, want[0]), (dets, want[1]), (tests, want[3])):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
@@ -314,13 +313,13 @@ def test_oracle_rejects_an_invalid_fan_warm_or_fresh(monkeypatch, warm):
         p2 = projective_space_fan(2)
         assert cohomology_dims(p2, p2.pic_class((1,))) == (3, 0, 0)
     else:
-        monkeypatch.setattr(cohomology, "_RANK_TABLES", {})
+        monkeypatch.setattr(kernels, "_RANK_TABLES", {})
     bad = dataclasses.replace(projective_space_fan(2), rays=((1, 1), (1, 0), (0, 1)))
     calls = _count_kernel_calls(monkeypatch)
     with pytest.raises(InvalidSpec, match="lie on one side of facet"):
         cohomology_dims(bad, bad.pic_class((0,)))
     assert calls == [] and "_oracle_plan" not in bad.__dict__
-    assert warm or cohomology._RANK_TABLES == {}
+    assert warm or kernels._RANK_TABLES == {}
 
 
 @pytest.mark.parametrize("n", [63, 100])
@@ -387,11 +386,11 @@ def _boxes(fan, coeffs, masks):
     would cut short."""
     plan = _plan(fan)
     members = membership(masks, fan.n_rays)
-    off = cohomology._vertex_maps(fan)[4]
+    off = kernels._vertex_maps(fan)[4]
     verts, on, low = _mask_tables(plan.scatter, plan.tests, off, members)
     plan = plan._replace(verts=verts, on=on, low=low, folds=kernels.Folds(fan.rays, members))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cohomology, "MAX_BOX_POINTS", 1 << 64 * fan.dim)
+        patch.setattr(kernels, "MAX_BOX_POINTS", 1 << 64 * fan.dim)
         rows, lo, hi, index = _polytope_boxes(plan, coeffs)
     assert index.dtype == np.int64 and plan.folds.masks is members
     return rows, np.array(bit_masks(members[index]), dtype=np.int64), lo, hi
@@ -460,7 +459,7 @@ def test_batched_polytope_boxes_match_per_row_boxes(data):
     values = len(_plan(fan).dets) * len(masks)
     for slack_values in (1, values - 1, values + 1, 3 * values + 1):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cohomology, "SLACK_VALUES", slack_values)
+            patch.setattr(kernels, "SLACK_VALUES", slack_values)
             got = _boxes(fan, rows, masks)
         _assert_same_polytopes(got, want, fan.dim)
 
@@ -523,7 +522,7 @@ def test_guard_refuses_only_over_budget_arrangement_boxes(case):
         coeffs = [0] * fan.n_rays
         coeffs[-1] = sign * (_guard_edge(fan) + 1)
         lo, hi = _python_box(fan, coeffs)
-        assert prod(b - a + 1 for a, b in zip(lo, hi)) > cohomology.MAX_BOX_POINTS
+        assert prod(b - a + 1 for a, b in zip(lo, hi)) > kernels.MAX_BOX_POINTS
         with pytest.raises(BoxTooLarge, match=GUARD_ERROR):
             _dims_of_divisors(fan, [coeffs])
 
@@ -1127,15 +1126,15 @@ def test_rank_table_makes_at_most_2_to_the_m_rank_calls(monkeypatch):
     2^m rational_rank calls, one per Taylor basis set J at most, and its
     nonzero rows are unions of primitive collections; a second fan of the
     type makes none."""
-    monkeypatch.setattr(cohomology, "_RANK_TABLES", {})
+    monkeypatch.setattr(kernels, "_RANK_TABLES", {})
     calls = []
-    real = cohomology.rational_rank
+    real = kernels.rational_rank
 
     def counted(matrix):
         calls.append(matrix)
         return real(matrix)
 
-    monkeypatch.setattr(cohomology, "rational_rank", counted)
+    monkeypatch.setattr(kernels, "rational_rank", counted)
     total = 0
     for fan in _labelled_types(3).values():
         calls.clear()
@@ -1296,8 +1295,8 @@ def test_plan_is_built_once_per_fan(monkeypatch):
     """25 single-class batches on one 4/1 blow-up build its plan once, on
     the first; a fresh copy of the fan builds its own."""
     built = []
-    real = cohomology._vertex_maps
-    monkeypatch.setattr(cohomology, "_vertex_maps", lambda f: built.append(f) or real(f))
+    real = kernels._vertex_maps
+    monkeypatch.setattr(kernels, "_vertex_maps", lambda f: built.append(f) or real(f))
     fan = make_blowup(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"}))).fan_xt
     classes = [fan.pic_class((d, e, d - e)) for d in range(-2, 3) for e in range(-2, 3)]
     assert len(classes) == 25
@@ -1419,9 +1418,9 @@ def test_batch_reads_once_and_appends_only_the_missing_classes(tmp_path, monkeyp
     monkeypatch.setattr(cache, "get", lambda f: gets.append(f) or get(f))
     monkeypatch.setattr(cache, "put", lambda f, e: puts.append(dict(e)) or put(f, e))
     lifted = []
-    lift = cohomology._lift
+    lift = kernels._lift
     monkeypatch.setattr(
-        cohomology, "_lift", lambda f, coords: lifted.extend(coords) or lift(f, coords)
+        kernels, "_lift", lambda f, coords: lifted.extend(coords) or lift(f, coords)
     )
     degrees = (1, 2, -5, 2, 3, 1, 3)
     got = cohomology_dims_many(fan, [fan.pic_class((d,)) for d in degrees], cache)
@@ -1447,9 +1446,9 @@ def test_batch_lifts_each_missing_class_once(tmp_path, monkeypatch):
     cache = DiskCache(str(tmp_path))
     cohomology_dims(fan, fan.pic_class((0,)), cache)
     lifted = []
-    lift = cohomology._lift
+    lift = kernels._lift
     monkeypatch.setattr(
-        cohomology, "_lift", lambda f, coords: lifted.extend(coords) or lift(f, coords)
+        kernels, "_lift", lambda f, coords: lifted.extend(coords) or lift(f, coords)
     )
     degrees = (2, -4, 0, 2, 0, -4, 2)
     got = cohomology_dims_many(fan, [fan.pic_class((d,)) for d in degrees], cache)
@@ -1541,9 +1540,9 @@ def test_budget_pre_bound_keeps_the_budget_edge(monkeypatch):
     not the 2 x 2 box of O(1, 1) ahead of it."""
     fan = build_projective_bundle_fan(BundleSpec(1, (0, 0)))
     classes = [fan.pic_class((1, 1)), fan.pic_class((4, 1))]
-    monkeypatch.setattr(cohomology, "MAX_BOX_POINTS", 10)
+    monkeypatch.setattr(kernels, "MAX_BOX_POINTS", 10)
     assert cohomology_dims_many(fan, classes) == [(4, 0, 0), (10, 0, 0)]
-    monkeypatch.setattr(cohomology, "MAX_BOX_POINTS", 9)
+    monkeypatch.setattr(kernels, "MAX_BOX_POINTS", 9)
     with pytest.raises(BoxTooLarge) as info:
         cohomology_dims_many(fan, classes)
     assert str(info.value) == (
@@ -1571,8 +1570,8 @@ def test_budget_stops_the_batch_at_the_first_chunk_over_it(monkeypatch):
             chunks.append(a.shape)
             return np.nonzero(a)
 
-    monkeypatch.setattr(cohomology, "SLACK_VALUES", 1)
-    monkeypatch.setattr(cohomology, "np", CountedNumpy())
+    monkeypatch.setattr(kernels, "SLACK_VALUES", 1)
+    monkeypatch.setattr(kernels, "np", CountedNumpy())
     with pytest.raises(BoxTooLarge) as info:
         cohomology_dims_many(fan, classes)
     assert str(info.value) == REJECTIONS[(20000,)]

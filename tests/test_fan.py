@@ -15,7 +15,8 @@ from excol import (
 from excol import fan as fan_module
 from excol import intlinalg
 from excol.cli import enumerate_centers, enumerate_specs, run_case
-from excol.cohomology import _lift, cohomology_dims
+from excol.cohomology import cohomology_dims
+from excol.kernels import _lift
 from excol.errors import InvalidSpec, NotACone, UnknownRay
 from excol.fan import Fan, validate_fan
 from fan_helpers import center_geometry, smooth_complete
@@ -219,9 +220,9 @@ def test_validate_fan_rejects_a_double_cover():
 
 def test_validate_fan_is_one_inverse_and_small_minors(monkeypatch):
     """On an X with s = 40, validate_fan runs one dim x dim Bareiss
-    elimination, the exact inverse of the first cone; every other one, at
-    most two per cone, is a minor at most min(dim, p) wide; and it writes
-    nothing into the fan."""
+    elimination, the exact inverse of the first cone; every other one, one
+    per cone, whose sign and inverse both come from it, is a minor at most
+    min(dim, p) wide; and it writes nothing into the fan."""
     fan = build_projective_bundle_fan(BundleSpec(40, (0, 1)))
     inverses, eliminations = [], []
     real_inverse, real_bareiss = fan_module.inverse, intlinalg._bareiss
@@ -240,7 +241,7 @@ def test_validate_fan_is_one_inverse_and_small_minors(monkeypatch):
     validate_fan(fan)
     assert inverses[0] == eliminations[0] == 41
     assert max(inverses[1:] + eliminations[1:]) <= min(fan.dim, fan.pic_rank) == 2
-    assert len(eliminations) <= 1 + 2 * len(fan.max_cones)
+    assert len(eliminations) == len(inverses) == 1 + len(fan.max_cones)
     assert fan.__dict__ == before
 
 

@@ -8,6 +8,7 @@ reaches the oracle (cohomology, kernels) or its verdicts (verify).  The
 arithmetic is exact: no module but the CLI, which times its own output,
 uses floats or rationals.  No module but the CLI reads the environment, so
 what the oracle does, disk I/O included, follows from its arguments alone.
+Only excol.kernels, the oracle's counting lane, imports numpy.
 And nothing is dead: each error type the package defines is raised or
 caught in it, each one it raises is expected by a test, and every top-level
 function, class or constant, and every method or property of such a class,
@@ -122,6 +123,26 @@ def test_no_floats_or_rationals():
     assert {"cohomology", "intlinalg", "kernels"} <= {p.stem for p in sources}
     offenders = {p.name: _inexact_arithmetic(p) for p in sources}
     assert not any(offenders.values()), {k: v for k, v in offenders.items() if v}
+
+
+def _imports_numpy(path):
+    """Whether one source file imports numpy, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            mods = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            mods = [node.module]
+        else:
+            continue
+        if any(mod.split(".")[0] == "numpy" for mod in mods):
+            return True
+    return False
+
+
+def test_only_the_kernels_import_numpy():
+    """numpy loads with excol.kernels, which excol.cohomology imports on the
+    first class a process computes; test_cli checks that at run time."""
+    assert {p.stem for p in PACKAGE_DIR.glob("*.py") if _imports_numpy(p)} == {"kernels"}
 
 
 def _environment_reads(path):

@@ -18,7 +18,7 @@ from excol import (
     projective_space_fan,
 )
 from excol import fan as fan_module
-from excol import cohomology, kernels, make_blowup
+from excol import kernels, make_blowup
 from excol import verify as verify_module
 from excol.cohomology import cohomology_dims
 from excol.cli import enumerate_centers, enumerate_specs
@@ -145,12 +145,12 @@ def test_certify_checks_each_class_once_and_lifts_once(tmp_path, monkeypatch):
     bl, col = construct(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"})))
     fan, classes = bl.fan_xt, collection_classes(bl, col)
     checked, built, lifts = [], [], []
-    check, lift, post_init = verify_module._class_coords, cohomology._lift, PicClass.__post_init__
+    check, lift, post_init = verify_module._class_coords, kernels._lift, PicClass.__post_init__
     monkeypatch.setattr(
         verify_module, "_class_coords", lambda f, cls: checked.append(cls) or check(f, cls)
     )
     monkeypatch.setattr(
-        cohomology, "_lift", lambda f, coords: lifts.append(coords) or lift(f, coords)
+        kernels, "_lift", lambda f, coords: lifts.append(coords) or lift(f, coords)
     )
     monkeypatch.setattr(PicClass, "__post_init__", lambda cls: built.append(cls) or post_init(cls))
 
