@@ -17,10 +17,13 @@ process that computes none (construct, or a sweep whose h-vectors are all
 on disk) never loads it.
 
 No h-vector is kept in memory between batches.  Only a caller that passes
-a DiskCache (one checksummed file per fan) touches the disk: the fan's
-file is read (one json.loads) once per batch and, when the batch computed
-a class, written whole and renamed into place once.  Nothing here reads
-the environment.
+a DiskCache touches the disk: one checksummed file per isomorphism class
+of fans, since h^i(O(D)) depends only on the Pic-graded Cox ring and its
+irrelevant ideal, that is on the ray classes and the max cones (Cox, "The
+homogeneous coordinate ring of a toric variety", 1995).  The fan's file
+is read (one json.loads) once per batch and, when the batch computed a
+class, written whole and renamed into place once.  Nothing here reads the
+environment.
 """
 
 from __future__ import annotations
@@ -36,17 +39,29 @@ from .fan import Fan, PicClass
 
 
 class DiskCache:
-    """One file of h-vectors per fan under root, written whole.
+    """One file of h-vectors per isomorphism class of fans under root,
+    written whole.
 
-    A fan's h-vectors depend on its rays, its max cones and the basis
-    divisors that lift a class; its key is json.dumps of those three (the
-    basis tag and the ray names change no value).  The file's first line,
-    its header, is the digest of the oracle's source (_source_digest) and
-    the key, and the header's SHA-256 names the file.  The second line is
-    the SHA-256 of the rest, the body: json.dumps of the [coords, h]
-    entries.  A file that does not match both, or whose body does not
-    parse as entries, reads as no entries at all, and the next put
-    replaces it.
+    A fan's key is what its h-vectors depend on: the class of each ray in
+    the declared basis (row rho of C, the first pic_rank columns of
+    Fan._basis_inverse) and the max cones, up to relabelling the rays.  The
+    rays are stable-sorted by class row, each cone is written as a bit mask
+    over that order, and the key is json.dumps of the sorted rows and the
+    sorted masks.  Two fans with one key have a ray bijection that keeps
+    every class and carries cones onto cones.  As B (Fan._basis_inverse)
+    is unimodular, C determines M = ker C^T, the lattice rows, so the
+    bijection carries one fan's rays onto the other's by some g in GL(N):
+    it is a toric isomorphism (Cox-Little-Schenck, Toric Varieties, Thm
+    3.3.4) that keeps the coordinates of every class, so both fans have
+    the same h-vector at the same coordinates and share one file.  The ray names, the basis tag
+    and which T-divisors represent the basis change no key.  The file's
+    first line, its header, is the digest of the oracle's source
+    (_source_digest) and the key, and the header's SHA-256 names the file.
+    The second line is the SHA-256 of the rest, the body: json.dumps of the
+    [coords, h] entries.  A file that does not match both, or whose body
+    does not parse as entries, reads as no entries at all, and the next put
+    replaces it.  Reading the key raises InvalidSpec unless the fan's basis
+    divisors are a Z-basis of Pic.
     """
 
     def __init__(self, root):
@@ -54,17 +69,28 @@ class DiskCache:
 
     def _path(self, fan: Fan):
         """(fan's file, its header line without the newline)."""
-        key = json.dumps([fan.rays, fan.max_cones, fan.basis_divisors])
+        p = fan.pic_rank
+        rows = [row[:p] for row in fan._basis_inverse]
+        order = sorted(range(len(rows)), key=rows.__getitem__)  # stable
+        # ray rho's bit: 1 << its place in order
+        bit = [1 << k for k in sorted(range(len(rows)), key=order.__getitem__)].__getitem__
+        masks = sorted([sum(map(bit, cone)) for cone in fan.max_cones])
+        key = json.dumps([[rows[rho] for rho in order], masks])
         header = f"{_source_digest()} {key}".encode()
         return os.path.join(self.root, hashlib.sha256(header).hexdigest() + ".jsonl"), header
 
     def get(self, fan: Fan):
         """{coords: h} of fan's file; {} when it is missing, its header or
-        checksum does not match, or its body is not a list of entries."""
+        checksum does not match, or its body is not a list of entries (a
+        short read fails the checksum)."""
         path, header = self._path(fan)
         try:
-            with open(path, "rb") as fh:
-                head, digest, body = fh.read().split(b"\n", 2)
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                data = os.read(fd, os.fstat(fd).st_size)
+            finally:
+                os.close(fd)
+            head, digest, body = data.split(b"\n", 2)
             if head != header or digest != hashlib.sha256(body).hexdigest().encode():
                 return {}
             return {tuple(c): tuple(h) for c, h in json.loads(body)}
@@ -123,9 +149,9 @@ def _dims_of_coords(fan: Fan, coords, cache):
     anew with the entries it held and the new ones."""
     known = cache.get(fan) if cache else {}
     if missing := list(dict.fromkeys(c for c in coords if c not in known)):
-        from .kernels import _dims_of_divisors, _lift  # numpy loads here, once
+        from . import kernels  # numpy loads here, once
 
-        known.update(zip(missing, _dims_of_divisors(fan, _lift(fan, missing))))
+        known.update(zip(missing, kernels._dims_of_divisors(fan, kernels._lift(fan, missing))))
         if cache:
             cache.put(fan, known)
     return [known[c] for c in coords]

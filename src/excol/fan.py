@@ -119,7 +119,7 @@ class Fan:
     def spans_cone(self, idx) -> bool:
         """Whether the rays with indices idx all lie in one maximal cone."""
         idx = set(idx)
-        return any(idx <= set(cone) for cone in self.max_cones)
+        return any(idx.issubset(cone) for cone in self.max_cones)
 
     def class_of_divisor(self, coeffs) -> PicClass:
         if len(coeffs) != self.n_rays:
@@ -131,8 +131,13 @@ class Fan:
         )
         return PicClass(coords, self.basis_tag)
 
-    def canonical_class(self) -> PicClass:
+    @cached_property
+    def _canonical_class(self):
         return self.class_of_divisor([-1] * self.n_rays)
+
+    def canonical_class(self) -> PicClass:
+        """K = -sum of the D_rho, computed once per fan (see Fan)."""
+        return self._canonical_class
 
     def pic_class(self, coords) -> PicClass:
         cls = PicClass(coords, self.basis_tag)  # integer coordinates
@@ -145,9 +150,11 @@ class Fan:
     # support sets, the kernel's fold tables of its rays and those sets, and
     # its basis divisors), in __dict__["_oracle_plan"], built on the fan's
     # first batch, and _validated its mark in __dict__["_valid"].  A frozen
-    # dataclass allows that, as it allows cached_property and
-    # star_subdivide, which records a blow-up's "_basis_inverse" and its
-    # parent's mark there; dataclasses.replace copies none of them.
+    # dataclass allows that, as it allows cached_property (name_index,
+    # _basis_inverse, primitive_collections and _canonical_class, which
+    # every Serre rotation of a replay reads) and star_subdivide, which
+    # records a blow-up's "_basis_inverse" and its parent's mark there;
+    # dataclasses.replace copies none of them.
 
 
 def _unimodular(rows, cone):
@@ -425,20 +432,20 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
     idx = _center_indices(fan, center)
     idx_set = set(idx)
     inv = fan._basis_inverse
-    new_ray = tuple(sum(fan.rays[i][d] for i in idx) for d in range(fan.dim))
+    new_ray = tuple(map(sum, zip(*[fan.rays[i] for i in idx])))
     e = fan.n_rays
     cones = []
     for cone in fan.max_cones:
-        if idx_set <= set(cone):
-            for drop in idx:
-                cones.append(tuple(sorted((set(cone) - {drop}) | {e})))
+        if idx_set.issubset(cone):
+            # e is above every index, so dropping one center ray from the
+            # sorted rays of sigma and e leaves a sorted cone
+            rays = (*sorted(cone), e)
+            cones += [rays[:k] + rays[k + 1 :] for k in map(rays.index, idx)]
         else:
             cones.append(cone)
     # pullback of a divisor acquires coefficient sum(old coeffs over center) at e
-    basis = [
-        tuple(bd) + (sum(bd[i] for i in idx),) for bd in fan.basis_divisors
-    ]
-    basis.append(tuple([0] * e + [1]))
+    basis = [(*bd, sum([bd[i] for i in idx])) for bd in fan.basis_divisors]
+    basis.append((0,) * e + (1,))
     sub = Fan(
         dim=fan.dim,
         ray_names=fan.ray_names + ("e",),
@@ -448,9 +455,10 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
         basis_divisors=tuple(basis),
     )
     p = fan.pic_rank
-    sub.__dict__["_basis_inverse"] = tuple(
-        row[:p] + (-int(rho in idx_set),) + row[p:] for rho, row in enumerate(inv)
-    ) + (tuple(int(j == p) for j in range(e + 1)),)
+    sub.__dict__["_basis_inverse"] = (
+        *[row[:p] + (-int(rho in idx_set),) + row[p:] for rho, row in enumerate(inv)],
+        (0,) * p + (1,) + (0,) * (e - p),
+    )
     sub.__dict__["_valid"] = True
     return sub
 

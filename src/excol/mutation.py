@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisFailed, KOutOfRange, NotOrthogonal, UnsupportedExtPair
-from .fan import Blowup, BundleSpec, CenterSpec, make_blowup
+from .fan import Blowup, BundleSpec, CenterSpec, PicClass, make_blowup
 from .splitcalc import ext_lemA, ext_line_to_pushforward
 
 
@@ -258,12 +258,13 @@ def _walk_to_partner(bl: Blowup, objects, log, idx, step):
     its neighbour there is its partner, the untwisted line bundle of its
     class; returns the pushforward's new index."""
     push = objects[idx]
-    partner = [LineBundle(push.alpha, push.beta, 0)]
-    # a slice, so that a walk off either end fails transpose's index check
-    # instead of wrapping round
-    while objects[idx + step : idx + step + 1] != partner:
-        transpose_if_orthogonal(bl, objects, log, min(idx, idx + step))
-        idx += step
+    partner = LineBundle(push.alpha, push.beta, 0)
+    # a walk off either end fails transpose's index check, instead of
+    # wrapping round
+    end = len(objects) if step > 0 else -1
+    while (nxt := idx + step) == end or objects[nxt] != partner:
+        transpose_if_orthogonal(bl, objects, log, min(idx, nxt))
+        idx = nxt
     return idx
 
 
@@ -296,10 +297,9 @@ def construct(spec: BundleSpec, center: CenterSpec):
 
 
 def collection_classes(bl: Blowup, col: Collection):
-    """PicClasses of a finished (line-bundles-only) collection."""
-    out = []
-    for o in col.objects:
-        if not isinstance(o, LineBundle):
-            raise UnsupportedExtPair("collection still contains pushforward objects")
-        out.append(bl.fan_xt.pic_class((o.alpha, o.beta, o.k)))
-    return out
+    """PicClasses of a finished (line-bundles-only) collection, in the
+    blow-up's basis (alpha, beta, k)."""
+    if not all(isinstance(o, LineBundle) for o in col.objects):
+        raise UnsupportedExtPair("collection still contains pushforward objects")
+    tag = bl.fan_xt.basis_tag
+    return [PicClass((o.alpha, o.beta, o.k), tag) for o in col.objects]

@@ -84,22 +84,24 @@ def certify(fan: Fan, classes, cache=None) -> Report:
     """
     grid, homs = _hom_batch(fan, classes, cache)
     n = len(classes)
-    # each distinct h failing its check as a diagonal cell, below it, above it
+    # the distinct h (by index) failing their check as a diagonal cell, below it, above it
     not_exc = [h[0] != 1 or any(h[1:]) for h in homs]
-    not_semi = [any(h) for h in homs]
-    not_strong = [any(h[1:]) for h in homs]
+    not_semi = {k for k, h in enumerate(homs) if any(h)}
+    not_strong = {k for k, h in enumerate(homs) if any(h[1:])}
     violations = []
     for i, row in enumerate(grid):  # the diagonal cell first, then j < i, then j > i
         if not_exc[row[i]]:
             violations.append(("exceptional", i, i, homs[row[i]]))
-        for check, bad, cols in (
-            ("semiorthogonal", not_semi, range(i)),
-            ("strong", not_strong, range(i + 1, n)),
+        # a side's cells are listed one by one only when one of them fails
+        for check, bad, lo, hi in (
+            ("semiorthogonal", not_semi, 0, i),
+            ("strong", not_strong, i + 1, n),
         ):
-            violations += [(check, i, j, homs[row[j]]) for j in cols if bad[row[j]]]
+            if not bad.isdisjoint(row[lo:hi]):
+                violations += [(check, i, j, homs[row[j]]) for j in range(lo, hi) if row[j] in bad]
     euler = [sum(h[::2]) - sum(h[1::2]) for h in homs]
     gram = [[euler[k] for k in row] for row in grid]
-    if any(gram[i][j] != (i == j) for i in range(n) for j in range(i + 1)):
+    if any(row[i] != 1 or any(row[:i]) for i, row in enumerate(gram)):
         violations.append(("gram", -1, -1, ()))
     failed = {v[0] for v in violations}
     payload = json.dumps([list(c.coords) for c in classes])

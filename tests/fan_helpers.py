@@ -47,3 +47,19 @@ def smooth_complete(fan):
         inv, _ = inverse(rows(cone))  # w = sum_j (w inv)_j v_j
         holding += all(sum(x * row[j] for x, row in zip(w, inv)) >= 0 for j in range(n))
     return holding == 1
+
+
+def star_cones(fan, center):
+    """The max cones of fan's star subdivision along center, set by set: a
+    cone sigma that holds the center's rays tau gives way to the sorted
+    (sigma - {c}) + {e}, c in tau in ascending order, e = n_rays; any
+    other cone stays."""
+    tau = {fan.name_index[name] for name in center.ray_names}
+    e = fan.n_rays
+    cones = []
+    for cone in fan.max_cones:
+        if tau <= set(cone):
+            cones += [tuple(sorted((set(cone) - {c}) | {e})) for c in sorted(tau)]
+        else:
+            cones.append(cone)
+    return tuple(cones)

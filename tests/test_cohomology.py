@@ -40,7 +40,7 @@ from excol import cohomology, kernels
 from excol import fan as fan_module
 from excol.cli import enumerate_centers, enumerate_specs, run_case
 from excol.errors import BoxTooLarge, InvalidSpec, NonLineBundlePresent
-from excol.fan import PicClass
+from excol.fan import Fan, PicClass
 from excol.intlinalg import determinant, inverse
 from excol.verify import certify
 from oracle_helpers import (
@@ -734,26 +734,74 @@ def test_put_writes_what_json_dumps_writes(tmp_path):
 
 def test_cache_file_is_keyed_by_rays_cones_and_basis(bl_p1p1):
     """The same case built twice maps to the same file, as does a fan with
-    other ray names and another basis tag; another center, or other basis
-    divisors, map to another file.  The header is the source digest and the
-    key."""
+    other ray names and another basis tag, and the isomorphic blow-up of
+    P^1 x P^1 at b0,f1 (b0 <-> b1 keeps H and xi); a fan that is not
+    isomorphic to it (F_1 blown up at b1,f1), or other basis divisors, map
+    to another file.  The header is the source digest and the key."""
     cache = DiskCache("root")
     fan = bl_p1p1.fan_xt
     path = cache._path(fan)
     assert cache._path(make_blowup(bl_p1p1.spec, bl_p1p1.center).fan_xt) == path
     names = tuple(n.upper() for n in fan.ray_names)
     assert cache._path(dataclasses.replace(fan, ray_names=names, basis_tag="other")) == path
-    other_center = make_blowup(bl_p1p1.spec, CenterSpec(frozenset({"b0", "f1"}))).fan_xt
+    twin = make_blowup(bl_p1p1.spec, CenterSpec(frozenset({"b0", "f1"}))).fan_xt
+    assert twin.rays != fan.rays and cache._path(twin) == path
+    other_fan = make_blowup(BundleSpec(1, (0, 1)), bl_p1p1.center).fan_xt
     other_basis = dataclasses.replace(fan, basis_divisors=fan.basis_divisors[::-1])
-    assert len({path[0], cache._path(other_center)[0], cache._path(other_basis)[0]}) == 3
+    assert len({path[0], cache._path(other_fan)[0], cache._path(other_basis)[0]}) == 3
     p2 = projective_space_fan(2)
-    header = (
-        cohomology._source_digest().encode()
-        + b" [[[-1, -1], [1, 0], [0, 1]], [[1, 2], [0, 2], [0, 1]], [[0, 1, 0]]]"
-    )
+    # every ray of P^2 has class H; the cones {1, 2}, {0, 2}, {0, 1} as masks
+    header = cohomology._source_digest().encode() + b" [[[1], [1], [1]], [3, 5, 6]]"
     assert cache._path(p2) == (
         os.path.join("root", hashlib.sha256(header).hexdigest() + ".jsonl"), header
     )
+
+
+def test_a_fan_with_its_rays_relabelled_shares_the_file(tmp_path, monkeypatch, bl_p2p1):
+    """P^2 x P^1 blown up at b1,b2,f1 with its rays in another order (the
+    ray tuple, the names, the cone indices and the basis divisors' entries
+    permuted alike) is the same variety with the same basis: it reads the
+    file the fan filled, without a kernel call, and gets the h-vectors it
+    computes without a cache."""
+    fan = bl_p2p1.fan_xt
+    perm = [4, 5, 0, 3, 2, 1]  # new ray k is old ray perm[k]
+    assert sorted(perm) == list(range(fan.n_rays))
+    pos = {old: new for new, old in enumerate(perm)}
+    relabelled = Fan(
+        dim=fan.dim,
+        ray_names=tuple(fan.ray_names[i] for i in perm),
+        rays=tuple(fan.rays[i] for i in perm),
+        max_cones=tuple(tuple(sorted(pos[i] for i in cone)) for cone in fan.max_cones),
+        basis_tag=fan.basis_tag,
+        basis_divisors=tuple(tuple(bd[i] for i in perm) for bd in fan.basis_divisors),
+    )
+    assert relabelled.rays != fan.rays
+    cache = DiskCache(str(tmp_path))
+    assert cache._path(relabelled) == cache._path(fan)
+    coords = list(itertools.product(range(-2, 2), range(-1, 2), range(-1, 3)))
+    expected = cohomology_dims_many(fan, [fan.pic_class(c) for c in coords], cache)
+    calls = _count_kernel_calls(monkeypatch)
+    classes = [relabelled.pic_class(c) for c in coords]
+    assert cohomology_dims_many(relabelled, classes, cache) == expected
+    assert calls == []
+    assert cohomology_dims_many(relabelled, classes) == expected
+    assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(cache._path(fan)[0])]
+
+
+def test_same_ray_classes_with_other_cones_get_another_file(bl_p1p1):
+    """A planted fan with the rays and basis of P^1 x P^1 blown up at b1,f1,
+    so the same sorted class rows, but five cones in which ray 0 lies in
+    three: the fan's five cones form a 5-cycle, where every ray lies in
+    two, so no relabelling of the rays matches them, and the file differs."""
+    fan = bl_p1p1.fan_xt
+    planted = dataclasses.replace(fan, max_cones=((0, 1), (1, 2), (0, 2), (0, 3), (3, 4)))
+    assert [sum(rho in cone for cone in fan.max_cones) for rho in range(5)] == [2] * 5
+    assert sum(0 in cone for cone in planted.max_cones) == 3
+    rows, masks = json.loads(_header(fan).split(" ", 1)[1])
+    planted_rows, planted_masks = json.loads(_header(planted).split(" ", 1)[1])
+    assert planted_rows == rows and planted_masks != masks
+    cache = DiskCache("root")
+    assert cache._path(planted)[0] != cache._path(fan)[0]
 
 
 def test_cache_tells_apart_fans_that_differ_only_in_basis_divisors(tmp_path):
@@ -831,9 +879,16 @@ def _count_kernel_calls(monkeypatch):
 
 def _header(fan, version=None):
     """The header line of fan's file: the source digest (or version), then
-    json.dumps of the fan's rays, max cones and basis divisors."""
+    json.dumps of the fan's ray classes, sorted, and its max cones as bit
+    masks over the rays in that order (equal classes keep their index
+    order), sorted."""
     version = version or cohomology._source_digest()
-    return f"{version} {json.dumps([fan.rays, fan.max_cones, fan.basis_divisors])}\n"
+    n = fan.n_rays
+    units = [[int(i == rho) for i in range(n)] for rho in range(n)]
+    rows = [list(fan.class_of_divisor(unit).coords) for unit in units]
+    order = sorted(range(n), key=lambda rho: rows[rho])
+    masks = sorted(sum(2 ** order.index(rho) for rho in cone) for cone in fan.max_cones)
+    return f"{version} {json.dumps([[rows[rho] for rho in order], masks])}\n"
 
 
 def _cache_file(header, body, signed=None):

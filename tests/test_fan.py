@@ -19,7 +19,7 @@ from excol.cohomology import cohomology_dims
 from excol.kernels import _lift
 from excol.errors import InvalidSpec, NotACone, UnknownRay
 from excol.fan import Fan, validate_fan
-from fan_helpers import center_geometry, smooth_complete
+from fan_helpers import center_geometry, smooth_complete, star_cones
 
 
 def test_bundle_spec_invariants():
@@ -104,6 +104,18 @@ def test_star_subdivision_codim3_counts():
     assert sub.n_rays == 6
     assert len(sub.max_cones) == 8
     validate_fan(sub)
+
+
+@pytest.mark.parametrize("max_degree", [1, 2])
+def test_star_subdivide_cones_equal_the_set_built_ones(max_degree):
+    """On every case of the s + r <= 4 families of degree <= 1 and <= 2,
+    star_subdivide's cones, built from each sorted parent cone, are the
+    set-built reference cones, in order."""
+    for spec in enumerate_specs(4, max_degree):
+        fan = build_projective_bundle_fan(spec)
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                assert star_subdivide(fan, center).max_cones == star_cones(fan, center)
 
 
 def test_star_subdivision_not_a_cone():

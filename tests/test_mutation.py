@@ -14,6 +14,7 @@ from excol import (
 )
 from excol import mutation, splitcalc
 from excol.cli import enumerate_centers, enumerate_specs
+from excol.fan import Fan
 from excol.errors import (
     HypothesisFailed,
     NotOrthogonal,
@@ -106,6 +107,20 @@ def test_construction_is_deterministic():
     assert a.objects == b.objects
     assert a.log == b.log
     assert all("rule" in entry for entry in a.log)
+
+
+def test_a_replay_computes_the_canonical_class_once(monkeypatch):
+    """P^3 x P^1 blown up at b1,b2,f1 Serre-rotates its two O(2E)
+    pushforwards; the blow-up's canonical class is read for each rotation
+    but computed once."""
+    calls = []
+    real = Fan.class_of_divisor
+    monkeypatch.setattr(
+        Fan, "class_of_divisor", lambda fan, coeffs: calls.append(coeffs) or real(fan, coeffs)
+    )
+    bl, col = construct(BundleSpec(3, (0, 0)), CenterSpec(frozenset({"b1", "b2", "f1"})))
+    assert [entry["rule"] for entry in col.log].count("serre_rotate") == 2
+    assert calls == [[-1] * bl.fan_xt.n_rays]
 
 
 def test_serre_rotation_moves_head_to_tail(bl_p2p1):
