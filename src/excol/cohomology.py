@@ -60,8 +60,8 @@ class DiskCache:
     The second line is the SHA-256 of the rest, the body: json.dumps of the
     [coords, h] entries.  A file that does not match both, or whose body
     does not parse as entries, reads as no entries at all, and the next put
-    replaces it.  Reading the key raises InvalidSpec unless the fan's basis
-    divisors are a Z-basis of Pic.
+    replaces it.  Reading the key reads B^-1, which raises InvalidSpec unless
+    fan is smooth and complete and its basis divisors are a Z-basis of Pic.
     """
 
     def __init__(self, root):
@@ -163,6 +163,6 @@ def cohomology_dims(fan: Fan, cls: PicClass, cache=None):
 
 
 def cohomology_dims_many(fan: Fan, classes, cache=None):
-    """cohomology_dims of each class, in order, in one pass; InvalidSpec if
-    the fan's basis divisors are not a Z-basis of Pic (Fan._basis_inverse)."""
+    """cohomology_dims of each class, in order, in one pass; InvalidSpec unless
+    fan is smooth and complete with a Z-basis of Pic (Fan._basis_inverse)."""
     return _dims_of_coords(fan, [_class_coords(fan, cls) for cls in classes], cache)

@@ -78,13 +78,17 @@ class Fan:
     def _basis_inverse(self):
         """B^-1 = [C | D] (n_rays rows), for B = [basis divisors; lattice rows].
 
-        Pic = Z^rays / M with M spanned by the lattice rows (v_rho[d])_rho, so
-        the basis divisors are a Z-basis of Pic iff B is unimodular.  Row rho
-        of C is the class of e_rho; (lattice rows) D = I (kernels._vertex_maps).
+        Forming it is the fan's one check: validate_fan runs first, so a fan
+        has a B^-1 iff it is a smooth complete fan whose basis divisors are
+        a Z-basis of Pic.  Pic = Z^rays / M with M spanned by the lattice
+        rows (v_rho[d])_rho, so that holds iff B is unimodular.  Row rho of
+        C is the class of e_rho; (lattice rows) D = I (kernels._vertex_maps).
         A blow-up built by star_subdivide or make_blowup never runs this: it
-        gets its parent's B^-1, bordered, in its __dict__ (star_subdivide).
-        Every entry of a basis divisor must be an int.
+        gets its parent's B^-1, bordered, in its __dict__ (star_subdivide),
+        and with it its parent's check.  Every entry of a basis divisor must
+        be an int.
         """
+        validate_fan(self)
         if self.pic_rank + self.dim != self.n_rays:
             raise InvalidSpec(
                 f"Picard rank {self.n_rays - self.dim} != declared basis size {self.pic_rank}"
@@ -149,12 +153,11 @@ class Fan:
     # (its vertex maps, the vertex tests' tables and ranks of its type's
     # support sets, the kernel's fold tables of its rays and those sets, and
     # its basis divisors), in __dict__["_oracle_plan"], built on the fan's
-    # first batch, and _validated its mark in __dict__["_valid"].  A frozen
-    # dataclass allows that, as it allows cached_property (name_index,
-    # _basis_inverse, primitive_collections and _canonical_class, which
-    # every Serre rotation of a replay reads) and star_subdivide, which
-    # records a blow-up's "_basis_inverse" and its parent's mark there;
-    # dataclasses.replace copies none of them.
+    # first batch.  A frozen dataclass allows that, as it allows
+    # cached_property (name_index, _basis_inverse, primitive_collections and
+    # _canonical_class, which every Serre rotation of a replay reads) and
+    # star_subdivide, which records a blow-up's "_basis_inverse" there;
+    # dataclasses.replace copies none of them, so a copy is checked anew.
 
 
 def _unimodular(rows, cone):
@@ -262,16 +265,6 @@ def validate_fan(fan: Fan) -> None:
         raise InvalidSpec(f"fan is not a fan: it covers a point {covering} times")
 
 
-def _validated(fan: Fan) -> Fan:
-    """fan, once validate_fan has passed on it: the first call on a fan
-    object runs it and marks the fan (see Fan), later calls only read the
-    mark, and a dataclasses.replace copy, which has none, is checked anew."""
-    if "_valid" not in fan.__dict__:
-        validate_fan(fan)
-        fan.__dict__["_valid"] = True
-    return fan
-
-
 @dataclass(frozen=True)
 class BundleSpec:
     """The bundle data (s; a_0..a_r) with a_0 = 0 and non-decreasing a_i."""
@@ -346,7 +339,8 @@ class CenterGeometry:
 @cache
 def build_projective_bundle_fan(spec: BundleSpec) -> Fan:
     """Fan of X = P_{P^s}(O + O(a_1) + ... + O(a_r)) in dimension s+r; the
-    degrees a_1..a_r twist b0.  One shared Fan, validated once, per spec."""
+    degrees a_1..a_r twist b0.  One shared Fan per spec, validated once,
+    where its B^-1 is first read."""
     s, r, degrees = spec.s, spec.r, spec.fiber_degrees
     n = s + r
 
@@ -368,7 +362,7 @@ def build_projective_bundle_fan(spec: BundleSpec) -> Fan:
     n_rays = len(rays)
     h_div = tuple(1 if i == 1 else 0 for i in range(n_rays))        # D_{b1}
     xi_div = tuple(1 if i == s + 1 else 0 for i in range(n_rays))   # D_{f0}
-    fan = Fan(
+    return Fan(
         dim=n,
         ray_names=tuple(names),
         rays=tuple(rays),
@@ -376,7 +370,6 @@ def build_projective_bundle_fan(spec: BundleSpec) -> Fan:
         basis_tag=f"X(s={s},a={degrees})",
         basis_divisors=(h_div, xi_div),
     )
-    return _validated(fan)
 
 
 def projective_space_fan(n) -> Fan:
@@ -389,7 +382,7 @@ def projective_space_fan(n) -> Fan:
 
     rays = [tuple([-1] * n)] + [unit(i) for i in range(n)]
     cones = [tuple(sorted(set(range(n + 1)) - {drop})) for drop in range(n + 1)]
-    fan = Fan(
+    return Fan(
         dim=n,
         ray_names=tuple(f"x{i}" for i in range(n + 1)),
         rays=tuple(rays),
@@ -397,42 +390,32 @@ def projective_space_fan(n) -> Fan:
         basis_tag=f"P^{n}",
         basis_divisors=(tuple(1 if i == 1 else 0 for i in range(n + 1)),),
     )
-    return _validated(fan)
-
-
-def _center_indices(fan: Fan, center: CenterSpec):
-    """Sorted ray indices of the center; UnknownRay or NotACone unless its
-    rays exist in the fan and span a cone of it."""
-    for name in sorted(center.ray_names):
-        if name not in fan.name_index:
-            raise UnknownRay(name)
-    idx = sorted(fan.name_index[name] for name in center.ray_names)
-    if not fan.spans_cone(idx):
-        raise NotACone(f"rays {sorted(center.ray_names)} do not span a cone")
-    return idx
 
 
 def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
     """Blow-up along the orbit closure of the cone spanned by the center rays.
 
-    fan is validated first, unless it is marked (_validated); the blow-up
-    needs no check of its own and inherits the mark.  Each cone sigma that
-    holds the center tau gives way to the cones (sigma - {c}) + {e}, c in
-    tau, and each of those has |det R_sigma|, because e - sum_{tau - {c}}
-    v_i = v_c.  A star subdivision of a complete fan is complete
+    fan's B^-1 is read first (Fan._basis_inverse: InvalidSpec unless fan is
+    smooth and complete with a Z-basis of Pic), then the center: UnknownRay
+    unless its rays are rays of fan, NotACone unless the one pass that
+    builds the new cones finds a max cone holding them.  Each cone sigma
+    that holds the center tau gives way to the cones (sigma - {c}) + {e}, c
+    in tau, and each of those has |det R_sigma|, because e - sum_{tau -
+    {c}} v_i = v_c.  A star subdivision of a complete fan is complete
     (Cox-Little-Schenck, Toric Varieties, 3.3).
 
     Up to row order the blow-up's B is [[B, B 1_tau], [0, 1]] (fan's B, its
     rows extended by their sums over the center tau, and the E row), so its
     B^-1 is fan's bordered: an E column holding -1 on the center rays, and
-    the unit row of e.  Reading fan's B^-1 raises InvalidSpec here unless
-    fan's basis divisors are a Z-basis of Pic.
+    the unit row of e.  The blow-up gets it in its __dict__, and with it
+    fan's check: it needs none of its own.
     """
-    _validated(fan)
-    idx = _center_indices(fan, center)
-    idx_set = set(idx)
     inv = fan._basis_inverse
-    new_ray = tuple(map(sum, zip(*[fan.rays[i] for i in idx])))
+    for name in sorted(center.ray_names):
+        if name not in fan.name_index:
+            raise UnknownRay(name)
+    idx = sorted(fan.name_index[name] for name in center.ray_names)
+    idx_set = set(idx)
     e = fan.n_rays
     cones = []
     for cone in fan.max_cones:
@@ -443,6 +426,10 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
             cones += [rays[:k] + rays[k + 1 :] for k in map(rays.index, idx)]
         else:
             cones.append(cone)
+    # a cone that holds the center gives way to codim >= 2 cones
+    if len(cones) == len(fan.max_cones):
+        raise NotACone(f"rays {sorted(center.ray_names)} do not span a cone")
+    new_ray = tuple(map(sum, zip(*[fan.rays[i] for i in idx])))
     # pullback of a divisor acquires coefficient sum(old coeffs over center) at e
     basis = [(*bd, sum([bd[i] for i in idx])) for bd in fan.basis_divisors]
     basis.append((0,) * e + (1,))
@@ -459,7 +446,6 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
         *[row[:p] + (-int(rho in idx_set),) + row[p:] for rho, row in enumerate(inv)],
         (0,) * p + (1,) + (0,) * (e - p),
     )
-    sub.__dict__["_valid"] = True
     return sub
 
 

@@ -5,9 +5,10 @@ computes, so numpy, which only this module imports, loads then.  A batch of
 distinct T-divisors (_lift: each class times the basis divisors, in one
 exact product) goes through one pass (_dims_of_divisors):
 
-- fan: a plan is built only for a fan validate_fan has passed
-  (excol.fan._validated), so every P_S below with nonzero reduced
-  cohomology is bounded: a complete toric variety has finite cohomology.
+- fan: a plan is built only for a fan with a B^-1, which it has only if
+  validate_fan has passed on it (excol.fan.Fan._basis_inverse), so every
+  P_S below with nonzero reduced cohomology is bounded: a complete toric
+  variety has finite cohomology.
 - ranks: only support sets S whose complex has nonzero reduced cohomology
   add to h.  By Hochster's formula its ranks are Betti numbers, read off
   the Taylor resolution on the fan's m primitive collections, so S is one
@@ -72,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoxTooLarge
-from .fan import Fan, _validated
+from .fan import Fan
 from .intlinalg import rational_rank
 
 BACKEND = "numpy"
@@ -87,7 +88,6 @@ _INT64_MAX = 2**63 - 1
 SLACK_VALUES = 1 << 14
 # rest points per chunk; bounds the (rays x points) temporaries to a few MB
 CHUNK_POINTS = 1 << 13
-_MIN, _MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 class _Plan(NamedTuple):
@@ -112,12 +112,13 @@ class _Plan(NamedTuple):
 
 
 def _plan(fan: Fan) -> _Plan:
-    """fan's _Plan, built on its first call, once validate_fan has passed on
-    fan (_validated), then read from fan's __dict__ (see Fan)."""
+    """fan's _Plan, built on its first call, then read from fan's __dict__
+    (see Fan).  _vertex_maps reads fan's B^-1 first, which checks fan, so an
+    invalid fan fails before any rank table is filled."""
     plan = fan.__dict__.get("_oracle_plan")
     if plan is None:
-        masks, ranks = _support_ranks(_validated(fan))
         scatter, dets, reach, tests, off = _vertex_maps(fan)
+        masks, ranks = _support_ranks(fan)
         plan = fan.__dict__["_oracle_plan"] = _Plan(
             scatter, dets, reach, tests, *_mask_tables(scatter, tests, off, masks), ranks,
             Folds(fan.rays, masks), np.array(fan.basis_divisors, dtype=object),
@@ -353,7 +354,7 @@ class Folds(dict):
     def __missing__(self, k):
         # With r the value <u, v_rho> + a_rho at u_k = lo_k, a ray bounds x =
         # u_k - lo_k by t = ceil(-r / v_rho,k) if v_rho,k > 0, floor(r /
-        # -v_rho,k) + 1 if v_rho,k < 0, and (v_rho,k = 0) t = _MAX if r < 0,
+        # -v_rho,k) + 1 if v_rho,k < 0, and (v_rho,k = 0) t = _INT64_MAX if r < 0,
         # else 0: x >= t if the ray is off S and v_rho,k >= 0, or on S and
         # v_rho,k < 0; else x < t.  The caps keep the thresholds of one side.
         slope = self.rays[:, k]
@@ -362,7 +363,7 @@ class Folds(dict):
             sign,
             sign * self.rays,
             (abs(slope) - (slope > 0))[:, None],
-            np.where((slope >= 0)[:, None] ^ (self.masks.T == 1), _MAX, _MIN),
+            np.where((slope >= 0)[:, None] ^ (self.masks.T == 1), _INT64_MAX, -_INT64_MAX - 1),
             [d for d in range(self.rays.shape[1]) if d != k],
             [(r, int(abs(slope[r]))) for r in np.flatnonzero(abs(slope) > 1).tolist()],
             np.flatnonzero(slope == 0),
@@ -403,7 +404,7 @@ def count_support_sets(lo, hi, coeffs, index, folds):
             value += rays[:, d, None] * digit
         for r, divisor in axis.divisors:
             value[r] //= divisor
-        value[axis.tests] = (value[axis.tests] >> 63) & _MAX
+        value[axis.tests] = (value[axis.tests] >> 63) & _INT64_MAX
         low = np.maximum(0, np.minimum(value, caps).max(axis=0))
         high = np.minimum(width, np.maximum(value, caps).min(axis=0))
         out[b0:b1] += np.add.reduceat(np.maximum(high, low) - low, segments)

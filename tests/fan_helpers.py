@@ -1,14 +1,20 @@
 """Test-only helpers built on the fan layer."""
 
 from excol import build_projective_bundle_fan
-from excol.fan import _center_indices, _geometry
+from excol.errors import NotACone, UnknownRay
+from excol.fan import _geometry
 from excol.intlinalg import determinant, inverse
 
 
 def center_geometry(spec, center):
     """Base/fiber dimensions of Y, surviving summands, conormal classes;
     UnknownRay or NotACone unless the center is a cone of X."""
-    _center_indices(build_projective_bundle_fan(spec), center)
+    fan = build_projective_bundle_fan(spec)
+    for name in sorted(center.ray_names):
+        if name not in fan.name_index:
+            raise UnknownRay(name)
+    if not fan.spans_cone(fan.name_index[name] for name in center.ray_names):
+        raise NotACone(f"rays {sorted(center.ray_names)} do not span a cone")
     return _geometry(spec, center)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -247,6 +248,7 @@ GOOD_COLLECTION = {
         json.dumps(dict(GOOD_COLLECTION, objects=["line"])),
         json.dumps([GOOD_COLLECTION]),
         "[" * 100_000,
+        json.dumps(dict(GOOD_COLLECTION, objects=[{"kind": "push", "alpha": 0, "beta": 0, "k": 1}])),
     ],
     ids=[
         "float degree",
@@ -258,6 +260,7 @@ GOOD_COLLECTION = {
         "string object",
         "top-level list",
         "nested past the recursion limit",
+        "pushforward object",
     ],
 )
 def test_verify_malformed_collection_exit_2(tmp_path, capsys, text):
@@ -383,19 +386,52 @@ def test_numpy_loads_only_when_a_class_is_computed(tmp_path):
     ]
 
 
-def test_time_cli_reports_both_trees(capsys):
-    """tools/time_cli.py runs one excol argv in fresh interpreters against
-    two source trees, here this one twice, and prints both sides' times."""
+def _time_cli():
+    """tools/time_cli.py, loaded as a module."""
     path = Path(__file__).resolve().parent.parent / "tools" / "time_cli.py"
     spec = importlib.util.spec_from_file_location("time_cli", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_time_cli_reports_both_trees(capsys):
+    """tools/time_cli.py runs one excol argv in fresh interpreters against
+    two source trees, here this one twice, and prints both sides' times
+    and how many pairs' outputs differ."""
+    module = _time_cli()
     src = str(Path(excol.__file__).parent.parent)
     assert module.main([src, src, "--pairs", "2", "--", "sweep", "--help"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "excol sweep --help  (2 pairs)"
-    assert [line.split(":")[0] for line in out[1:]] == ["  base", "  head", "  head/base"]
+    assert [line.split(":")[0] for line in out[1:]] == [
+        "  base", "  head", "  head/base", "  stdout (seconds masked)"
+    ]
     assert out[1].endswith("exit [0]") and out[2].endswith("exit [0]") and out[3].endswith("/2")
+    assert out[4] == "  stdout (seconds masked): differs in 0/2 pairs"
+    # a sweep's rows print their seconds, which the comparison masks
+    sweep = ["--no-cache", "sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]
+    assert module.main([src, src, "--pairs", "2", "--", *sweep]) == 0
+    assert capsys.readouterr().out.endswith("differs in 0/2 pairs\n")
+
+
+def test_time_cli_fails_when_the_trees_print_differently(monkeypatch, capsys):
+    """Two trees whose sweep rows differ only in the seconds column print
+    the same; rows that differ in anything else fail the comparison, with
+    exit 1, though the exit codes agree."""
+    module = _time_cli()
+    rows = {
+        "base": b"s=1 a=[0, 0]            b1,f1              5  ES1         0.12\n",
+        "head": b"s=1 a=[0, 0]            b1,f1              5  ES1        10.57\n",
+    }
+    monkeypatch.setattr(module, "run_once", lambda src, argv, cwd: (0.1, 0, rows[src]))
+    assert module.main(["base", "head", "--pairs", "2", "--", "sweep"]) == 0
+    assert capsys.readouterr().out.endswith("differs in 0/2 pairs\n")
+    rows["head"] = rows["head"].replace(b"ES1", b"ES.")
+    assert module.main(["base", "head", "--pairs", "3", "--", "sweep"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].endswith("exit [0]") and out[2].endswith("exit [0]")
+    assert out[4] == "  stdout (seconds masked): differs in 3/3 pairs"
 
 
 def test_sweep_small(capsys):
@@ -420,6 +456,38 @@ def test_sweep_reports_box_too_large(monkeypatch, capsys):
         "  s=1 a=[0, 1] center=b1,f1: T-divisor (0, 1, 1, 0, 1), support set 0: "
         "polytope box lo=[-1, 0] hi=[1, 1]: 6 points (budget 5)\n"
     ) in err
+
+
+@pytest.mark.parametrize("failure", ["replay", "certificate"])
+def test_sweep_lists_each_failed_case_and_goes_on(monkeypatch, capsys, failure):
+    """A case whose replay raises MutationError is an ABORT row, and one
+    whose certificate fails (here one object short, so every check passes
+    but the length) keeps its row; either is listed on stderr, the other
+    cases still run, and the sweep exits 1."""
+    real = cli.construct
+
+    def planted(spec, center):
+        bl, col = real(spec, center)
+        if center.ray_names != {"b1", "f1"}:
+            return bl, col
+        if failure == "replay":
+            raise MutationError("planted failure", log=col.log)
+        return bl, dataclasses.replace(col, objects=col.objects[:-1])
+
+    monkeypatch.setattr(cli, "construct", planted)
+    args = ["--no-cache", "sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]
+    assert run(args) == 1
+    out, err = capsys.readouterr()
+    # each row's center, length and flags, without the seconds column
+    rows = [row.split()[-4:-1] for row in out.splitlines()[2:10]]
+    failed = ["b1,f1", "-", "ABORT"] if failure == "replay" else ["b1,f1", "4", "ES1"]
+    assert rows[3] == rows[7] == failed
+    assert all(row[1:] == ["5", "ES1"] for k, row in enumerate(rows) if k not in (3, 7))
+    why = "planted failure" if failure == "replay" else "verification failed"
+    assert err == (
+        f"\n2 failing case(s):\n  s=1 a=[0, 0] center=b1,f1: {why}\n"
+        f"  s=1 a=[0, 1] center=b1,f1: {why}\n"
+    )
 
 
 def test_sweep_cache_plumbing(tmp_path, monkeypatch, capsys):

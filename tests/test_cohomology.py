@@ -792,9 +792,12 @@ def test_same_ray_classes_with_other_cones_get_another_file(bl_p1p1):
     """A planted fan with the rays and basis of P^1 x P^1 blown up at b1,f1,
     so the same sorted class rows, but five cones in which ray 0 lies in
     three: the fan's five cones form a 5-cycle, where every ray lies in
-    two, so no relabelling of the rays matches them, and the file differs."""
+    two, so no relabelling of the rays matches them, and the file differs.
+    The planted cones are no fan, so the planted fan has no B^-1 of its
+    own: it gets fan's, as star_subdivide gives a blow-up its parent's."""
     fan = bl_p1p1.fan_xt
     planted = dataclasses.replace(fan, max_cones=((0, 1), (1, 2), (0, 2), (0, 3), (3, 4)))
+    planted.__dict__["_basis_inverse"] = fan._basis_inverse
     assert [sum(rho in cone for cone in fan.max_cones) for rho in range(5)] == [2] * 5
     assert sum(0 in cone for cone in planted.max_cones) == 3
     rows, masks = json.loads(_header(fan).split(" ", 1)[1])
@@ -1319,11 +1322,11 @@ def test_batch_sweeps_each_missing_class_once(monkeypatch):
 
 
 def test_each_fan_object_is_validated_once(monkeypatch):
-    """Batches on make_blowup fans validate nothing: X is validated where it
-    is built and its blow-up carries the mark.  Two batches on a
-    dataclasses.replace copy of the blow-up, which has no mark, validate
-    it once; a star_subdivide of a copy of X validates that copy once, and
-    batches on the blow-up it gives validate nothing more."""
+    """Batches on make_blowup fans validate nothing: X is validated where
+    its B^-1 is first read, and its blow-up gets that B^-1, bordered.  Two
+    batches on a dataclasses.replace copy of the blow-up, which has no
+    B^-1, validate it once; a star_subdivide of a copy of X validates that
+    copy once, and batches on the blow-up it gives validate nothing more."""
     spec, center = BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"}))
     bl = make_blowup(spec, center)
     validated = []
@@ -1437,19 +1440,18 @@ def test_a_reused_fan_answers_as_fresh_fans_do(data):
     assert cohomology_dims_many(fan, [fan.pic_class(c) for c in drawn]) == reused
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_support_index_gives_each_box_its_mask_and_ranks(data):
+def _check_support_index(fan, rows):
     """Over a batch on the oracle's own tables, every box's support index
     picks its mask, in (row, mask) order as the reference boxes come, from
     the type's support rows, so ranks[index] are the rank rows of the
-    box's mask."""
-    fan, first = data.draw(family_divisors())
-    row = st.lists(st.integers(-30, 30), min_size=fan.n_rays, max_size=fan.n_rays)
-    rows = [first] + data.draw(st.lists(row.map(tuple), max_size=3))
+    box's mask.  The point budget is lifted, as in _boxes: this is the
+    index's bookkeeping, and coefficients of up to 30 can give a box over
+    MAX_BOX_POINTS, whose failure test_verify_huge_class_exit_2 covers."""
     plan = _plan(fan)
     support, ranks = _support_ranks(fan)
-    _rows, _lo, _hi, index = _polytope_boxes(plan, rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "MAX_BOX_POINTS", 1 << 64 * fan.dim)
+        _rows, _lo, _hi, index = _polytope_boxes(plan, rows)
     masks = [
         mask
         for coeffs in rows
@@ -1458,6 +1460,22 @@ def test_support_index_gives_each_box_its_mask_and_ranks(data):
     assert bit_masks(support[index]) == masks
     assert np.array_equal(plan.ranks[index], _dense(fan)[masks])
     assert np.array_equal(plan.ranks, ranks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_support_index_gives_each_box_its_mask_and_ranks(data):
+    """_check_support_index on a random family fan and up to four rows."""
+    fan, first = data.draw(family_divisors())
+    row = st.lists(st.integers(-30, 30), min_size=fan.n_rays, max_size=fan.n_rays)
+    _check_support_index(fan, [first] + data.draw(st.lists(row.map(tuple), max_size=3)))
+
+
+def test_support_index_of_a_box_over_the_budget():
+    """_check_support_index on a row whose P_0 box, lo=[-10, -30, -30, -9]
+    hi=[90, 69, 69, 90], holds 101,000,000 points, over MAX_BOX_POINTS."""
+    fan = build_projective_bundle_fan(BundleSpec(1, (0, 0, 0, 1)))
+    _check_support_index(fan, [(0, 10, 30, 30, 30, 9)])
 
 
 def test_batch_reads_once_and_appends_only_the_missing_classes(tmp_path, monkeypatch):

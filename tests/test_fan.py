@@ -86,6 +86,8 @@ def test_projective_space_fan():
     assert fan.canonical_class().coords == (-3,)
     for name in fan.ray_names:
         assert _divisor_class(fan, name).coords == (1,)
+    with pytest.raises(InvalidSpec, match="dimension >= 1"):
+        projective_space_fan(0)
 
 
 def test_star_subdivision_codim2_counts():
@@ -175,6 +177,10 @@ def test_validate_fan_rejects_broken_input():
         validate_fan(incomplete)
     with pytest.raises(InvalidSpec, match="no max cone"):
         validate_fan(dataclasses.replace(good, max_cones=()))
+    # with no rays, no ray is stray, so the empty cone list itself is named
+    empty = dataclasses.replace(good, ray_names=(), rays=(), max_cones=(), basis_divisors=())
+    with pytest.raises(InvalidSpec, match="^fan has no max cone$"):
+        validate_fan(empty)
     with pytest.raises(InvalidSpec, match="ray of wrong dimension"):
         validate_fan(dataclasses.replace(good, rays=good.rays[:2] + ((0, 1, 0),)))
     # a cone naming a ray index past the rays or below 0 is checked before
@@ -309,6 +315,60 @@ def test_class_map_rejects_bad_bases():
         cohomology_dims(fan, fan.pic_class((1,)))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda p1, p2: p2.pic_class((1,)) + p1.pic_class((1,)), r"basis mismatch: P\^2 vs P\^1"),
+        (lambda p1, p2: p2.pic_class((1,)) - p1.pic_class((1,)), r"basis mismatch: P\^2 vs P\^1"),
+        (lambda p1, p2: p2.class_of_divisor([1, 0]), "coefficient vector length mismatch"),
+        (lambda p1, p2: p2.pic_class((1, 0)), "wrong number of Picard coordinates"),
+    ],
+    ids=["sum across bases", "difference across bases", "short divisor", "long class"],
+)
+def test_classes_of_the_wrong_shape_raise(make, message):
+    """Classes of two fans neither add nor subtract, and a divisor or a
+    class with the wrong number of entries for its fan is refused."""
+    with pytest.raises(ValueError, match=message):
+        make(projective_space_fan(1), projective_space_fan(2))
+
+
+def test_a_hand_built_fan_is_checked_where_its_inverse_is_formed():
+    """P^2 with x0 moved to (1, 1): B is unimodular, so its basis divisor is
+    a Z-basis of Z^rays / M, but the cones (0, 2) and (1, 2) lie on one
+    side of the facet (2,).  Its first B^-1 read, a class_of_divisor,
+    checks the fan and raises, and no B^-1 is kept."""
+    good = projective_space_fan(2)
+    planted = dataclasses.replace(good, rays=((1, 1), (1, 0), (0, 1)))
+    with pytest.raises(InvalidSpec, match=r"lie on one side of facet \(2,\)"):
+        planted.class_of_divisor([1, 0, 0])
+    assert "_basis_inverse" not in planted.__dict__
+
+
+def test_make_blowup_finds_the_center_in_its_one_pass(monkeypatch):
+    """star_subdivide finds the cones that hold the center in the pass that
+    builds the new cones: with Fan.spans_cone made to raise once the
+    centers are enumerated, every 4/1 center still blows up, and a center
+    of no cone or of an unknown ray still raises NotACone or UnknownRay."""
+    cases = [
+        (spec, center)
+        for spec in enumerate_specs(4, 1)
+        for codim in (2, 3)
+        for center in enumerate_centers(spec, codim)
+    ]
+
+    def refuse(fan, idx):
+        raise AssertionError("spans_cone called")
+
+    monkeypatch.setattr(Fan, "spans_cone", refuse)
+    for spec, center in cases:
+        assert make_blowup(spec, center).fan_xt.max_cones
+    spec = BundleSpec(1, (0, 0))
+    with pytest.raises(NotACone, match=r"rays \['b0', 'b1'\] do not span a cone"):
+        make_blowup(spec, CenterSpec(frozenset({"b0", "b1"})))
+    with pytest.raises(UnknownRay, match="f9"):
+        make_blowup(spec, CenterSpec(frozenset({"b1", "f9"})))
+
+
 def test_star_subdivide_rejects_a_bad_basis_at_once():
     """star_subdivide reads the parent's B^-1, so a hand-built fan whose
     basis is not a Z-basis of Pic fails when it is subdivided."""
@@ -320,7 +380,8 @@ def test_star_subdivide_rejects_a_bad_basis_at_once():
 
 def test_star_subdivide_validates_its_input_first():
     """The public star_subdivide rejects a non-unimodular hand-built P^2
-    before it builds anything: it never reads the parent's B^-1."""
+    before it builds anything: reading the parent's B^-1 validates it
+    first, so no B^-1 is formed."""
     good = projective_space_fan(2)
     bad = dataclasses.replace(good, rays=((-2, -2),) + good.rays[1:])
     with pytest.raises(InvalidSpec, match="non-unimodular cone"):

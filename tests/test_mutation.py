@@ -124,15 +124,21 @@ def test_a_replay_computes_the_canonical_class_once(monkeypatch):
 
 
 def test_serre_rotation_moves_head_to_tail(bl_p2p1):
+    """The initial collection's head, a pushforward, and a line bundle at
+    the head each move to the tail, twisted by -K."""
     col = initial_collection(bl_p2p1)
-    objects, log = list(col.objects), [{"rule": "transpose"}]
-    serre_rotate(bl_p2p1, objects, log)
-    moved = tensor_object(col.objects[0], anticanonical_twist(bl_p2p1))
-    assert objects == [*col.objects[1:], moved]
-    assert log == [
-        {"rule": "transpose"},
-        {"rule": "serre_rotate", "direction": "forward", "object": moved.to_json()},
-    ]
+    line = next(o for o in col.objects if isinstance(o, LineBundle))
+    for start in (list(col.objects), [line, *col.objects]):
+        objects, log = list(start), [{"rule": "transpose"}]
+        serre_rotate(bl_p2p1, objects, log)
+        moved = tensor_object(start[0], anticanonical_twist(bl_p2p1))
+        assert objects == [*start[1:], moved]
+        assert log == [
+            {"rule": "transpose"},
+            {"rule": "serre_rotate", "direction": "forward", "object": moved.to_json()},
+        ]
+    a, b, k = anticanonical_twist(bl_p2p1)
+    assert moved == LineBundle(line.alpha + a, line.beta + b, line.k + k)
 
 
 def test_anticanonical_twist_codim3(bl_p2p1):

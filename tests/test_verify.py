@@ -200,11 +200,26 @@ def test_certify_wrong_length_fails():
     assert not report.all_passed
 
 
-def test_certify_non_exceptional_diagonal():
+def test_certify_non_exceptional_diagonal(monkeypatch):
     fan = projective_space_fan(1)
     report = certify(fan, [fan.pic_class((0,))] * 2)
     # duplicate objects: diagonal fine, but Hom(O, O) = 1 both ways
     assert not report.semiorthogonal
+    # a line bundle on a complete toric variety always has Hom(L, L) = k,
+    # so only a planted h for the zero difference fails the diagonal cells
+    real = verify_module._dims_of_coords
+
+    def planted(fan, coords, cache):
+        homs = real(fan, coords, cache)
+        return [(2, 0, 0) if not any(c) else h for c, h in zip(coords, homs, strict=True)]
+
+    monkeypatch.setattr(verify_module, "_dims_of_coords", planted)
+    fan, classes = _beilinson(2)
+    report = certify(fan, classes)
+    assert not report.exceptional and report.semiorthogonal and report.strong
+    assert report.violations == [("exceptional", i, i, (2, 0, 0)) for i in range(3)] + [
+        ("gram", -1, -1, ())
+    ]
 
 
 def test_gram_determinant_absolute_value_is_permutation_invariant():

@@ -15,15 +15,20 @@ run first.  Each of the N pairs runs both trees, base first in the first
 pair and then in turn, so drift on the host falls on both sides alike.
 
 Prints each side's median and quartiles, the median of the per-pair
-head / base ratios and how many pairs head was faster in.  Exits 1 if the
-trees' exit codes differ.  Example, the warm 4/1 sweep:
+head / base ratios and how many pairs head was faster in.  Each pair's
+two stdouts are compared with every line's trailing seconds field (the
+sec column of a sweep row) masked, and the pairs whose outputs differ are
+counted.  Exits 1 if the trees' exit codes differ or any pair's outputs
+do.  Example, the warm 4/1 sweep:
 
     python3 tools/time_cli.py /tmp/base/src src --warm -- \\
         sweep --max-dim 4 --max-degree 1
 """
 
 import argparse
+import hashlib
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -31,17 +36,24 @@ import tempfile
 import time
 
 RUN = "import sys; from excol.cli import main; sys.exit(main(sys.argv[1:]))"
+SECONDS = re.compile(rb" +\d+\.\d+$", re.MULTILINE)  # a sweep row's sec column
 
 
 def run_once(src, argv, cwd):
-    """(seconds, exit code) of one fresh interpreter running argv from src."""
+    """(seconds, exit code, stdout) of one fresh interpreter running argv
+    from src."""
     env = {k: v for k, v in os.environ.items() if k != "EXCOL_CACHE_DIR"}
     env["PYTHONPATH"] = os.path.abspath(src)
     start = time.perf_counter()
-    code = subprocess.run(
-        [sys.executable, "-c", RUN, *argv], cwd=cwd, env=env, stdout=subprocess.DEVNULL
-    ).returncode
-    return time.perf_counter() - start, code
+    done = subprocess.run(
+        [sys.executable, "-c", RUN, *argv], cwd=cwd, env=env, stdout=subprocess.PIPE
+    )
+    return time.perf_counter() - start, done.returncode, done.stdout
+
+
+def masked(stdout):
+    """The digest of stdout with every line's trailing seconds field masked."""
+    return hashlib.sha256(SECONDS.sub(b" <sec>", stdout)).digest()
 
 
 def summary(times):
@@ -65,6 +77,7 @@ def main(argv=None):
     trees = {"base": args.base, "head": args.head}
     times = {side: [] for side in trees}
     codes = {side: set() for side in trees}
+    differ = 0  # pairs whose masked stdouts differ
     with tempfile.TemporaryDirectory(prefix="time-cli-") as root:
         warm = {side: os.path.join(root, side) for side in trees}
         for side, cwd in warm.items():
@@ -72,18 +85,22 @@ def main(argv=None):
             if args.warm:
                 codes[side].add(run_once(trees[side], command, cwd)[1])
         for pair in range(args.pairs):
+            outputs = set()
             for side in ("base", "head") if pair % 2 == 0 else ("head", "base"):
                 cwd = warm[side] if args.warm else tempfile.mkdtemp(dir=root)
-                seconds, code = run_once(trees[side], command, cwd)
+                seconds, code, stdout = run_once(trees[side], command, cwd)
                 times[side].append(seconds)
                 codes[side].add(code)
+                outputs.add(masked(stdout))
+            differ += len(outputs) > 1
     print(f"excol {' '.join(command)}  ({args.pairs} pairs{', warm' if args.warm else ''})")
     for side in trees:
         print(f"  {side}: {summary(times[side])}  exit {sorted(codes[side])}")
     ratios = [h / b for h, b in zip(times["head"], times["base"])]
     faster = sum(r < 1 for r in ratios)
     print(f"  head/base: median {statistics.median(ratios):.3f}, faster in {faster}/{args.pairs}")
-    return 1 if codes["base"] != codes["head"] else 0
+    print(f"  stdout (seconds masked): differs in {differ}/{args.pairs} pairs")
+    return 1 if codes["base"] != codes["head"] or differ else 0
 
 
 if __name__ == "__main__":
