@@ -1,7 +1,8 @@
 """Command-line frontend: construct collections, verify them, run sweeps.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 invalid
-input, 3 mutation hypothesis failure (log still written).
+input (also s + r past MAX_DIM), 3 mutation hypothesis failure (log still
+written).
 """
 
 from __future__ import annotations
@@ -20,8 +21,35 @@ from .mutation import collection_classes, construct
 from .verify import certify
 
 
+def _json(value, pad=""):
+    """json.dumps(value, sort_keys=True, indent=2) for a value at indentation
+    pad whose dict keys are strings.  A container whose members are all
+    scalars is one C-encoder call; only the nesting above those is walked
+    here, since indent makes json fall back to its pure-Python encoder."""
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return json.dumps(value)
+    opener, closer = "{}" if is_dict else "[]"
+    if not value:
+        return opener + closer
+    inner = pad + "  "
+    kinds = set(map(type, value.values() if is_dict else value))  # a few types, collected in C
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+        # indent=None keeps json on its C encoder; the item separator indents
+        encoder = json.JSONEncoder(sort_keys=True, separators=(",\n" + inner, ": "))
+        body = encoder.encode(value)[1:-1]
+    elif is_dict:
+        body = f",\n{inner}".join(
+            f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(value.items())
+        )
+    else:
+        body = f",\n{inner}".join(_json(v, inner) for v in value)
+    return f"{opener}\n{inner}{body}\n{pad}{closer}"
+
+
 def _dump(doc, path):
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    """Write doc as json.dumps(doc, sort_keys=True, indent=2) writes it."""
+    text = _json(doc)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -29,13 +57,23 @@ def _dump(doc, path):
         print(text)
 
 
-def _parse_spec(args):
-    degrees = tuple(int(x) for x in args.fiber_degrees.split(","))
-    return BundleSpec(s=args.base_dim, fiber_degrees=degrees)
+# The largest dimension s + r of X a command takes.  S = 200 with r = 1 is the
+# largest size any test or measurement has run: its construct file holds
+# 51 MB, and a log of S(S+1)/2 entries grows as S^2.
+MAX_DIM = 201
 
 
-def _parse_center(args):
-    return CenterSpec(frozenset(args.center.split(",")))
+def _check_dim(dim):
+    if dim > MAX_DIM:
+        raise InvalidSpec(f"dimension s + r = {dim} is past the cap of {MAX_DIM}")
+
+
+def _case(base_dim, fiber_degrees, center):
+    """The (BundleSpec, CenterSpec) that a command line or a collection file
+    names; InvalidSpec past MAX_DIM, before any fan is built."""
+    spec = BundleSpec(s=base_dim, fiber_degrees=fiber_degrees)
+    _check_dim(spec.dim)
+    return spec, CenterSpec(frozenset(center))
 
 
 def _collection_doc(bl: Blowup, col):
@@ -47,17 +85,10 @@ def _collection_doc(bl: Blowup, col):
 
 
 def cmd_construct(args):
-    try:
-        spec = _parse_spec(args)
-        center = _parse_center(args)
-    except (InvalidSpec, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    degrees = [int(x) for x in args.fiber_degrees.split(",")]
+    spec, center = _case(args.base_dim, degrees, args.center.split(","))
     try:
         bl, col = construct(spec, center)
-    except (InvalidSpec, NotACone, UnknownRay) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MutationError as exc:
         print(f"mutation hypothesis failed: {exc}", file=sys.stderr)
         _dump({"error": str(exc), "log": list(exc.log)}, args.out)
@@ -90,22 +121,15 @@ def _read_collection(path):
 def cmd_verify(args):
     # a verdict must not rest on cached values: certify from scratch, without
     # a DiskCache
-    try:
-        doc = _read_collection(args.collection)
-        spec = BundleSpec(s=doc["spec"]["base_dim"], fiber_degrees=doc["spec"]["fiber_degrees"])
-        center = CenterSpec(frozenset(doc["center"]))
-        bl = make_blowup(spec, center)
-        classes = [
-            bl.fan_xt.pic_class((o["alpha"], o["beta"], o["k"]))
-            for o in doc["objects"]
-            if o["kind"] == "line"
-        ]
-        if len(classes) != len(doc["objects"]):
-            print("error: collection contains non-line-bundle objects", file=sys.stderr)
-            return 2
-    except (KeyError, ValueError, RecursionError, InvalidSpec, NotACone, UnknownRay) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = _read_collection(args.collection)
+    bl = make_blowup(*_case(doc["spec"]["base_dim"], doc["spec"]["fiber_degrees"], doc["center"]))
+    classes = [
+        bl.fan_xt.pic_class((o["alpha"], o["beta"], o["k"]))
+        for o in doc["objects"]
+        if o["kind"] == "line"
+    ]
+    if len(classes) != len(doc["objects"]):
+        raise ValueError("collection contains non-line-bundle objects")
     report = certify(bl.fan_xt, classes)
     _dump(report.to_json(), args.out)
     return 0 if report.all_passed else 1
@@ -154,6 +178,7 @@ def run_case(spec, center, cache=True):
 
 
 def cmd_sweep(args):
+    _check_dim(args.max_dim)
     codims = {"2": [2], "3": [3], "both": [2, 3]}[args.codim]
     cases = []
     for spec in enumerate_specs(args.max_dim, args.max_degree):
@@ -236,7 +261,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, BoxTooLarge) as exc:  # bad files, classes past the box budget
+    # the one exit-2 path: files that cannot be read or written, malformed
+    # arguments or collection files, and classes past the oracle's budget
+    except (OSError, ValueError, KeyError, RecursionError, InvalidSpec, NotACone,
+            UnknownRay, BoxTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

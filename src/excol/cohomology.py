@@ -62,6 +62,11 @@ class DiskCache:
     does not parse as entries, reads as no entries at all, and the next put
     replaces it.  Reading the key reads B^-1, which raises InvalidSpec unless
     fan is smooth and complete and its basis divisors are a Z-basis of Pic.
+
+    Each batch that computes a class the file lacks rewrites the fan's whole
+    file, so a batch costs time that grows with the file.  A caller should
+    pass all of a fan's classes in one cohomology_dims_many call, not make
+    one cohomology_dims call per class.
     """
 
     def __init__(self, root):

@@ -13,9 +13,11 @@ import pytest
 
 import excol
 from excol import BundleSpec, CenterSpec, cli, kernels, make_blowup
+from excol import fan as fan_module
 from excol.cli import default_cache_dir
 from excol.cohomology import DiskCache
-from excol.errors import MutationError
+from excol.errors import InvalidSpec, MutationError
+from excol.verify import certify
 
 
 def run(args):
@@ -70,7 +72,7 @@ def test_construct_then_verify_roundtrip(tmp_path):
     assert doc["length_actual"] == 8
 
 
-def test_verify_detects_tampering(tmp_path):
+def test_verify_detects_tampering(tmp_path, capsys):
     col = tmp_path / "col.json"
     run(
         [
@@ -88,7 +90,13 @@ def test_verify_detects_tampering(tmp_path):
     doc = json.loads(col.read_text())
     doc["objects"][0], doc["objects"][2] = doc["objects"][2], doc["objects"][0]
     col.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert run(["--no-cache", "verify", "--collection", str(col)]) == 1
+    # the failing report, violations and all, as json.dumps writes it
+    fan = make_blowup(BundleSpec(1, (0, 0)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
+    report = certify(fan, [fan.pic_class((o["alpha"], o["beta"], o["k"])) for o in doc["objects"]])
+    assert report.violations
+    assert capsys.readouterr().out == _indented(report.to_json())
 
 
 def test_verify_ignores_planted_cache(tmp_path, monkeypatch):
@@ -112,6 +120,57 @@ def test_verify_ignores_planted_cache(tmp_path, monkeypatch):
 
     assert run(["verify", "--collection", str(col), "--out", str(planted)]) == 0
     assert planted.read_text() == clean.read_text()
+
+
+def _indented(doc):
+    """What _dump writes for doc: the reference writer, json's pure-Python
+    indenting encoder."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        (),
+        "a",
+        0,
+        None,
+        {"b": [], "a": {}, "c": [[], {}, [[]], [{}]], "d": {"e": {"f": []}}},
+        [1, [2, [3, []]], {"x": 1.5, "y": [True, False, None]}, (4, (5,))],
+        {
+            "\u00e9\n\"\\": "tab\t\u2603 \ud83d\ude00",
+            "k": ["\x00", "</script>"],
+            "z": {"\u2603": -1e300},
+        },
+    ],
+    ids=["empty dict", "empty list", "empty tuple", "string", "int", "null", "empty containers",
+         "nested lists", "escaped strings"],
+)
+def test_dump_writes_what_json_dumps_writes(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    cli._dump(doc, str(path))
+    cli._dump(doc, None)
+    assert path.read_text() == capsys.readouterr().out == _indented(doc)
+
+
+def test_construct_documents_are_written_as_json_dumps_writes(capsys):
+    """Every 4/1 construct document and the S = 40 b1,f1 one (a log of 820
+    entries) print byte for byte as json.dumps(..., indent=2) does."""
+    cases = [
+        (spec, center)
+        for spec in cli.enumerate_specs(4, 1)
+        for codim in (2, 3)
+        for center in cli.enumerate_centers(spec, codim)
+    ]
+    assert len(cases) == 362
+    cases.append((BundleSpec(40, (0, 0)), CenterSpec(frozenset({"b1", "f1"}))))
+    for spec, center in cases:
+        doc = cli._collection_doc(*cli.construct(spec, center))
+        cli._dump(doc, None)
+        assert capsys.readouterr().out == _indented(doc)
+    assert len(doc["log"]) == 820
 
 
 def _write_collection(path, base_dim, fiber_degrees, center, alphas):
@@ -296,26 +355,66 @@ def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, command):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_unnormalized_degrees_exit_2(capsys):
-    code = run(
-        ["construct", "--base-dim", "1", "--fiber-degrees", "1,0", "--center", "b1,f1"]
-    )
-    assert code == 2
-    assert "a_0 = 0" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "base_dim, degrees, center, message",
+    [
+        ("1", "1,0", "b1,f1", "a_0 = 0"),
+        ("1", "0,0", "b0,b1", "do not span a cone"),
+        ("1", "0,0", "b1,f9", "f9"),
+        ("1", "0,x", "b1,f1", "invalid literal for int()"),
+        ("201", "0,0", "b1,f1", "past the cap of 201"),
+    ],
+    ids=[
+        "unnormalized degrees", "center not a cone", "unknown ray", "non-integer degree",
+        "past the cap",
+    ],
+)
+def test_construct_invalid_input_exit_2(capsys, base_dim, degrees, center, message):
+    """Invalid construct input is exit 2, nothing on stdout and one error
+    line naming the fault."""
+    args = ["--base-dim", base_dim, "--fiber-degrees", degrees, "--center", center]
+    code = run(["construct", *args])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
 
 
-def test_center_not_a_cone_exit_2(capsys):
-    code = run(
-        ["construct", "--base-dim", "1", "--fiber-degrees", "0,0", "--center", "b0,b1"]
-    )
-    assert code == 2
+@pytest.mark.parametrize("command", ["construct", "verify", "sweep"])
+def test_past_the_cap_exit_2_before_a_fan_is_built(tmp_path, capsys, monkeypatch, command):
+    """construct --base-dim 201, a collection file with base_dim 201 and
+    sweep --max-dim 202 ask for an X of dimension 202, past MAX_DIM: each is
+    one error line and exit 2, and no fan is built."""
+    built = []
+    monkeypatch.setattr(fan_module, "build_projective_bundle_fan", built.append)
+    monkeypatch.setattr(cli, "build_projective_bundle_fan", built.append)
+    col = tmp_path / "col.json"
+    _write_collection(col, 201, [0, 0], ["b1", "f1"], [0])
+    args = {
+        "construct": [
+            "construct", "--base-dim", "201", "--fiber-degrees", "0,0", "--center", "b1,f1"
+        ],
+        "verify": ["verify", "--collection", str(col)],
+        "sweep": ["sweep", "--max-dim", "202", "--max-degree", "0"],
+    }[command]
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: dimension s + r = 202 is past the cap of 201\n"
+    assert built == []
 
 
-def test_unknown_ray_exit_2():
-    code = run(
-        ["construct", "--base-dim", "1", "--fiber-degrees", "0,0", "--center", "b1,f9"]
-    )
-    assert code == 2
+def test_the_cap_admits_dimension_201():
+    """s + r = 201 passes the check whichever summand is large, and one
+    more in either does not; only the parsed specs are checked."""
+    assert cli.MAX_DIM == 201
+    cli._check_dim(201)  # sweep --max-dim 201
+    for s, r in [(200, 1), (1, 200)]:
+        spec, center = cli._case(s, [0] * (r + 1), ["b1", "f1"])
+        assert spec == BundleSpec(s, (0,) * (r + 1)) and spec.dim == 201
+        assert center == CenterSpec(frozenset({"b1", "f1"}))
+        for past in [(s + 1, r), (s, r + 1)]:
+            with pytest.raises(InvalidSpec, match="s \\+ r = 202 is past the cap of 201"):
+                cli._case(past[0], [0] * (past[1] + 1), ["b1", "f1"])
 
 
 def test_verify_missing_file_exit_2(tmp_path):
@@ -345,6 +444,22 @@ def test_mutation_failure_exit_3(tmp_path, monkeypatch, capsys):
     doc = json.loads(out.read_text())
     assert doc["error"] == "scripted failure"
     assert doc["log"] == [{"rule": "transpose"}]
+    assert out.read_text() == _indented(doc)
+
+
+def test_exit_3_log_is_written_as_json_dumps_writes(tmp_path, monkeypatch):
+    """The exit-3 document of a real replay log, nested pairs and Hom
+    vectors included."""
+    log = cli.construct(BundleSpec(2, (0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"})))[1].log
+
+    def boom(spec, center):
+        raise MutationError("planted failure", log=log)
+
+    monkeypatch.setattr(cli, "construct", boom)
+    out = tmp_path / "fail.json"
+    args = ["construct", "--base-dim", "2", "--fiber-degrees", "0,1", "--center", "b1,b2,f1"]
+    assert run([*args, "--out", str(out)]) == 3
+    assert out.read_text() == _indented({"error": "planted failure", "log": list(log)})
 
 
 # In a fresh interpreter: whether numpy is loaded after importing the CLI,
