@@ -15,24 +15,61 @@ a third coordinate k counts the O(E) twist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import attrgetter
 
 from .errors import InvalidSpec, NotACone, UnknownRay
 from .intlinalg import inverse
 
 
-@dataclass(frozen=True)
-class PicClass:
+class _Record:
+    """Base of the package's records, each an immutable value.
+
+    A record's fields are the parameters of its class's __init__, in order,
+    which sets each with object.__setattr__ and then checks them.  Records
+    are equal iff they are of one class and their fields are equal, so a
+    LineBundle never equals a PushforwardTwist with the same numbers, and
+    equal records hash alike.  The repr names the class and each field, as
+    a dataclass's does; error messages embed it.  Assigning or deleting an
+    attribute raises AttributeError (verify.Report, the one mutable record,
+    allows both and is unhashable).  That is all the package needs of
+    dataclasses, whose import (with inspect, ast and dis) and generated
+    methods would cost a third of `import excol`.
+    """
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PicClass(_Record):
     """A line bundle class in the declared basis of one fan; int coordinates."""
 
-    coords: tuple
-    basis: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if not all(type(c) is int for c in self.coords):
-            raise ValueError(f"Picard coordinates must be integers: {self.coords}")
+    def __init__(self, coords: tuple, basis: str):
+        coords = tuple(coords)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "basis", basis)
+        if not all(type(c) is int for c in coords):
+            raise ValueError(f"Picard coordinates must be integers: {coords}")
 
     def _check(self, other):
         if self.basis != other.basis:
@@ -47,20 +84,29 @@ class PicClass:
         return PicClass(tuple(a - b for a, b in zip(self.coords, other.coords)), self.basis)
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(_Record):
     """A smooth complete fan with named rays and a declared Picard basis.
 
-    basis_divisors holds, per Picard basis element, a T-divisor (vector of
-    ray coefficients) representing it, by which the oracle lifts a class.
+    max_cones holds sorted tuples of ray indices.  basis_divisors holds,
+    per Picard basis element, a T-divisor (vector of ray coefficients)
+    representing it, by which the oracle lifts a class.
     """
 
-    dim: int
-    ray_names: tuple
-    rays: tuple
-    max_cones: tuple  # sorted tuples of ray indices
-    basis_tag: str
-    basis_divisors: tuple
+    def __init__(
+        self,
+        dim: int,
+        ray_names: tuple,
+        rays: tuple,
+        max_cones: tuple,
+        basis_tag: str,
+        basis_divisors: tuple,
+    ):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "ray_names", ray_names)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "max_cones", max_cones)
+        object.__setattr__(self, "basis_tag", basis_tag)
+        object.__setattr__(self, "basis_divisors", basis_divisors)
 
     @cached_property
     def name_index(self):
@@ -153,11 +199,12 @@ class Fan:
     # (its vertex maps, the vertex tests' tables and ranks of its type's
     # support sets, the kernel's fold tables of its rays and those sets, and
     # its basis divisors), in __dict__["_oracle_plan"], built on the fan's
-    # first batch.  A frozen dataclass allows that, as it allows
-    # cached_property (name_index, _basis_inverse, primitive_collections and
-    # _canonical_class, which every Serre rotation of a replay reads) and
-    # star_subdivide, which records a blow-up's "_basis_inverse" there;
-    # dataclasses.replace copies none of them, so a copy is checked anew.
+    # first batch.  A record's __dict__ takes that without __setattr__, as
+    # it takes cached_property (name_index, _basis_inverse,
+    # primitive_collections and _canonical_class, which every Serre rotation
+    # of a replay reads) and star_subdivide, which records a blow-up's
+    # "_basis_inverse" there; a copy made by calling Fan with the fields
+    # carries none of them, so it is checked anew.
 
 
 def _unimodular(rows, cone):
@@ -265,20 +312,17 @@ def validate_fan(fan: Fan) -> None:
         raise InvalidSpec(f"fan is not a fan: it covers a point {covering} times")
 
 
-@dataclass(frozen=True)
-class BundleSpec:
+class BundleSpec(_Record):
     """The bundle data (s; a_0..a_r) with a_0 = 0 and non-decreasing a_i."""
 
-    s: int
-    fiber_degrees: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "fiber_degrees", tuple(self.fiber_degrees))
-        if not all(type(x) is int for x in (self.s,) + self.fiber_degrees):
+    def __init__(self, s: int, fiber_degrees: tuple):
+        a = tuple(fiber_degrees)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "fiber_degrees", a)
+        if not all(type(x) is int for x in (s,) + a):
             raise InvalidSpec(f"base dimension and fiber degrees must be integers: {self}")
-        if self.s < 1:
+        if s < 1:
             raise InvalidSpec("base dimension s must be >= 1")
-        a = self.fiber_degrees
         if len(a) < 2:
             raise InvalidSpec("need at least two fiber degrees (a_0 and a_1)")
         if a[0] != 0:
@@ -298,15 +342,13 @@ class BundleSpec:
         return self.s + self.r
 
 
-@dataclass(frozen=True)
-class CenterSpec:
+class CenterSpec(_Record):
     """A torus-invariant center: 2 or 3 ray names of the X fan."""
 
-    ray_names: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "ray_names", frozenset(self.ray_names))
-        if len(self.ray_names) not in (2, 3):
+    def __init__(self, ray_names: frozenset):
+        ray_names = frozenset(ray_names)
+        object.__setattr__(self, "ray_names", ray_names)
+        if len(ray_names) not in (2, 3):
             raise InvalidSpec("only codimension 2 and 3 centers are supported")
 
     @property
@@ -314,18 +356,31 @@ class CenterSpec:
         return len(self.ray_names)
 
 
-@dataclass(frozen=True)
-class CenterGeometry:
-    """Derived geometry of the center Y and its conormal bundle."""
+class CenterGeometry(_Record):
+    """Derived geometry of the center Y and its conormal bundle: degrees
+    holds a_0..a_r on X, fiber_survivors the indices j with f_j not cut,
+    and conormal_summands the (alpha, beta) classes on Y, one per cut
+    divisor."""
 
-    s: int
-    r: int
-    degrees: tuple          # a_0..a_r on X
-    codim: int
-    s_prime: int
-    r_prime: int
-    fiber_survivors: tuple  # indices j with f_j not cut
-    conormal_summands: tuple  # (alpha, beta) classes on Y, one per cut divisor
+    def __init__(
+        self,
+        s: int,
+        r: int,
+        degrees: tuple,
+        codim: int,
+        s_prime: int,
+        r_prime: int,
+        fiber_survivors: tuple,
+        conormal_summands: tuple,
+    ):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "s_prime", s_prime)
+        object.__setattr__(self, "r_prime", r_prime)
+        object.__setattr__(self, "fiber_survivors", fiber_survivors)
+        object.__setattr__(self, "conormal_summands", conormal_summands)
 
     @property
     def y_degrees(self):
@@ -476,15 +531,22 @@ def _geometry(spec: BundleSpec, center: CenterSpec) -> CenterGeometry:
     )
 
 
-@dataclass(frozen=True)
-class Blowup:
+class Blowup(_Record):
     """The full geometric setup: X, its blow-up, and the center geometry."""
 
-    spec: BundleSpec
-    center: CenterSpec
-    geometry: CenterGeometry
-    fan_x: Fan
-    fan_xt: Fan
+    def __init__(
+        self,
+        spec: BundleSpec,
+        center: CenterSpec,
+        geometry: CenterGeometry,
+        fan_x: Fan,
+        fan_xt: Fan,
+    ):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "fan_x", fan_x)
+        object.__setattr__(self, "fan_xt", fan_xt)
 
     @property
     def codim(self):

@@ -24,41 +24,39 @@ output.  Anything outside these rules fails loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import HypothesisFailed, KOutOfRange, NotOrthogonal, UnsupportedExtPair
-from .fan import Blowup, BundleSpec, CenterSpec, PicClass, make_blowup
+from .fan import Blowup, BundleSpec, CenterSpec, PicClass, _Record, make_blowup
 from .splitcalc import ext_lemA, ext_line_to_pushforward
 
 
-@dataclass(frozen=True)
-class LineBundle:
+class LineBundle(_Record):
     """f*(p*O(alpha) ox O_p(beta)) ox O(k E) on the blow-up."""
 
-    alpha: int
-    beta: int
-    k: int
+    def __init__(self, alpha: int, beta: int, k: int):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "k", k)
 
     def to_json(self):
         return {"kind": "line", "alpha": self.alpha, "beta": self.beta, "k": self.k}
 
 
-@dataclass(frozen=True)
-class PushforwardTwist:
+class PushforwardTwist(_Record):
     """iota_* pi^*(q*O(alpha) ox O_q(beta)) ox O(k E)."""
 
-    alpha: int
-    beta: int
-    k: int
+    def __init__(self, alpha: int, beta: int, k: int):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "k", k)
 
     def to_json(self):
         return {"kind": "push", "alpha": self.alpha, "beta": self.beta, "k": self.k}
 
 
-@dataclass(frozen=True)
-class Collection:
-    objects: tuple
-    log: tuple = ()
+class Collection(_Record):
+    def __init__(self, objects: tuple, log: tuple = ()):
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "log", log)
 
     def to_json(self):
         return {

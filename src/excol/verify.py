@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
 
 from .cohomology import _class_coords, _dims_of_coords
-from .fan import Fan
+from .fan import Fan, _Record
 from .intlinalg import determinant
 
 
@@ -46,17 +45,35 @@ def ext_table(fan: Fan, classes, cache=None):
     return [[homs[k] for k in row] for row in grid]
 
 
-@dataclass
-class Report:
-    exceptional: bool
-    semiorthogonal: bool
-    strong: bool
-    gram: list
-    gram_determinant: int
-    length_expected: int
-    length_actual: int
-    violations: list = field(default_factory=list)
-    provenance_hash: str = ""
+class Report(_Record):
+    """certify's verdict; mutable and unhashable, unlike the other records.
+    violations defaults to a fresh list per report."""
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        exceptional: bool,
+        semiorthogonal: bool,
+        strong: bool,
+        gram: list,
+        gram_determinant: int,
+        length_expected: int,
+        length_actual: int,
+        violations: list | None = None,
+        provenance_hash: str = "",
+    ):
+        self.exceptional = exceptional
+        self.semiorthogonal = semiorthogonal
+        self.strong = strong
+        self.gram = gram
+        self.gram_determinant = gram_determinant
+        self.length_expected = length_expected
+        self.length_actual = length_actual
+        self.violations = [] if violations is None else violations
+        self.provenance_hash = provenance_hash
 
     @property
     def all_passed(self):
@@ -71,7 +88,7 @@ class Report:
         violations = [
             {"check": c, "row": i, "col": j, "hom": list(h)} for c, i, j, h in self.violations
         ]
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = {name: getattr(self, name) for name in self._fields}
         return doc | {"violations": violations, "all_passed": self.all_passed}
 
 

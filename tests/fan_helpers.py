@@ -6,6 +6,13 @@ from excol.fan import _geometry
 from excol.intlinalg import determinant, inverse
 
 
+def replace(record, **changes):
+    """A copy of record with changes to its fields, built by its class's
+    constructor: the checks run on the copy, and a Fan copy carries no
+    cached B^-1 or oracle plan of the original."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
+
+
 def center_geometry(spec, center):
     """Base/fiber dimensions of Y, surviving summands, conormal classes;
     UnknownRay or NotACone unless the center is a cone of X."""

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import json
 import os
@@ -18,6 +17,7 @@ from excol.cli import default_cache_dir
 from excol.cohomology import DiskCache
 from excol.errors import InvalidSpec, MutationError
 from excol.verify import certify
+from fan_helpers import replace
 
 
 def run(args):
@@ -462,26 +462,30 @@ def test_exit_3_log_is_written_as_json_dumps_writes(tmp_path, monkeypatch):
     assert out.read_text() == _indented({"error": "planted failure", "log": list(log)})
 
 
-# In a fresh interpreter: whether numpy is loaded after importing the CLI,
-# then (exit code, whether it is loaded) after each argv of sys.argv[1].
-NUMPY_PROBE = """
+# In a fresh interpreter: which of dataclasses, inspect and numpy are loaded
+# after importing the CLI, then (exit code, those loaded) after each argv of
+# sys.argv[1].
+MODULES_PROBE = """
 import json, sys
 import excol, excol.cli
-seen = ["numpy" in sys.modules]
+watched = ("dataclasses", "inspect", "numpy")
+def loaded():
+    return [name for name in watched if name in sys.modules]
+seen = [loaded()]
 for argv in json.loads(sys.argv[1]):
-    seen.append([excol.cli.main(argv), "numpy" in sys.modules])
+    seen.append([excol.cli.main(argv), loaded()])
 print(json.dumps(seen))
 """
 
 
-def _numpy_after(argvs, tmp_path):
+def _loaded_after(argvs, tmp_path):
     env = dict(
         os.environ,
         PYTHONPATH=str(Path(excol.__file__).parent.parent),
         EXCOL_CACHE_DIR=str(tmp_path / "cache"),
     )
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", MODULES_PROBE, json.dumps(argvs)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -491,13 +495,15 @@ def test_numpy_loads_only_when_a_class_is_computed(tmp_path):
     """Importing the package and its CLI, construct, and a sweep whose
     h-vectors an earlier process left on disk load no numpy; the first
     sweep, which fills the cache, and the same sweep with --no-cache do, so
-    the probe sees numpy when it is there."""
+    the probe sees numpy when it is there.  No run loads dataclasses, and
+    only numpy's own import loads inspect."""
     construct = ["construct", "--base-dim", "2", "--fiber-degrees", "0,1", "--center", "b1,f1",
                  "--out", str(tmp_path / "col.json")]
     sweep = ["sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]
-    assert _numpy_after([construct, sweep], tmp_path) == [False, [0, False], [0, True]]
-    assert _numpy_after([sweep, ["--no-cache", *sweep]], tmp_path) == [
-        False, [0, False], [0, True]
+    computed = ["inspect", "numpy"]
+    assert _loaded_after([construct, sweep], tmp_path) == [[], [0, []], [0, computed]]
+    assert _loaded_after([sweep, ["--no-cache", *sweep]], tmp_path) == [
+        [], [0, []], [0, computed]
     ]
 
 
@@ -587,7 +593,7 @@ def test_sweep_lists_each_failed_case_and_goes_on(monkeypatch, capsys, failure):
             return bl, col
         if failure == "replay":
             raise MutationError("planted failure", log=col.log)
-        return bl, dataclasses.replace(col, objects=col.objects[:-1])
+        return bl, replace(col, objects=col.objects[:-1])
 
     monkeypatch.setattr(cli, "construct", planted)
     args = ["--no-cache", "sweep", "--max-dim", "2", "--max-degree", "1", "--codim", "2"]

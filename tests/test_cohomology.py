@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import functools
 import hashlib
@@ -43,6 +42,7 @@ from excol.errors import BoxTooLarge, InvalidSpec, NonLineBundlePresent
 from excol.fan import Fan, PicClass
 from excol.intlinalg import determinant, inverse
 from excol.verify import certify
+from fan_helpers import replace
 from oracle_helpers import (
     bit_masks,
     dense_rank_table,
@@ -270,7 +270,7 @@ def _with_basis_shifted(fan, k):
     B^-1 of entries near k."""
     shift = [k * sum(ray) for ray in fan.rays]
     basis = tuple(tuple(c + t for c, t in zip(bd, shift)) for bd in fan.basis_divisors)
-    return dataclasses.replace(fan, basis_divisors=basis)
+    return replace(fan, basis_divisors=basis)
 
 
 @pytest.mark.parametrize("k", [3, 2**40])
@@ -297,7 +297,7 @@ def test_box_matrix_past_int64_raises():
 def test_oracle_rejects_a_basis_that_is_not_a_z_basis():
     """The oracle reads Fan._basis_inverse, so a hand-built fan whose basis
     divisor is twice a generator of Pic is an InvalidSpec, not an answer."""
-    fan = dataclasses.replace(projective_space_fan(2), basis_divisors=((0, 2, 0),))
+    fan = replace(projective_space_fan(2), basis_divisors=((0, 2, 0),))
     with pytest.raises(InvalidSpec, match="not a Z-basis"):
         cohomology_dims(fan, fan.pic_class((1,)))
 
@@ -314,7 +314,7 @@ def test_oracle_rejects_an_invalid_fan_warm_or_fresh(monkeypatch, warm):
         assert cohomology_dims(p2, p2.pic_class((1,))) == (3, 0, 0)
     else:
         monkeypatch.setattr(kernels, "_RANK_TABLES", {})
-    bad = dataclasses.replace(projective_space_fan(2), rays=((1, 1), (1, 0), (0, 1)))
+    bad = replace(projective_space_fan(2), rays=((1, 1), (1, 0), (0, 1)))
     calls = _count_kernel_calls(monkeypatch)
     with pytest.raises(InvalidSpec, match="lie on one side of facet"):
         cohomology_dims(bad, bad.pic_class((0,)))
@@ -743,11 +743,11 @@ def test_cache_file_is_keyed_by_rays_cones_and_basis(bl_p1p1):
     path = cache._path(fan)
     assert cache._path(make_blowup(bl_p1p1.spec, bl_p1p1.center).fan_xt) == path
     names = tuple(n.upper() for n in fan.ray_names)
-    assert cache._path(dataclasses.replace(fan, ray_names=names, basis_tag="other")) == path
+    assert cache._path(replace(fan, ray_names=names, basis_tag="other")) == path
     twin = make_blowup(bl_p1p1.spec, CenterSpec(frozenset({"b0", "f1"}))).fan_xt
     assert twin.rays != fan.rays and cache._path(twin) == path
     other_fan = make_blowup(BundleSpec(1, (0, 1)), bl_p1p1.center).fan_xt
-    other_basis = dataclasses.replace(fan, basis_divisors=fan.basis_divisors[::-1])
+    other_basis = replace(fan, basis_divisors=fan.basis_divisors[::-1])
     assert len({path[0], cache._path(other_fan)[0], cache._path(other_basis)[0]}) == 3
     p2 = projective_space_fan(2)
     # every ray of P^2 has class H; the cones {1, 2}, {0, 2}, {0, 1} as masks
@@ -796,7 +796,7 @@ def test_same_ray_classes_with_other_cones_get_another_file(bl_p1p1):
     The planted cones are no fan, so the planted fan has no B^-1 of its
     own: it gets fan's, as star_subdivide gives a blow-up its parent's."""
     fan = bl_p1p1.fan_xt
-    planted = dataclasses.replace(fan, max_cones=((0, 1), (1, 2), (0, 2), (0, 3), (3, 4)))
+    planted = replace(fan, max_cones=((0, 1), (1, 2), (0, 2), (0, 3), (3, 4)))
     planted.__dict__["_basis_inverse"] = fan._basis_inverse
     assert [sum(rho in cone for cone in fan.max_cones) for rho in range(5)] == [2] * 5
     assert sum(0 in cone for cone in planted.max_cones) == 3
@@ -811,7 +811,7 @@ def test_cache_tells_apart_fans_that_differ_only_in_basis_divisors(tmp_path):
     """O(1, -3) is one bundle on a and another on b, whose basis divisors
     are a's reversed; a cache shared by both gives each its own h-vector."""
     a = build_projective_bundle_fan(BundleSpec(1, (0, 2)))
-    b = dataclasses.replace(a, basis_divisors=a.basis_divisors[::-1])
+    b = replace(a, basis_divisors=a.basis_divisors[::-1])
     assert cohomology_dims(a, a.pic_class((1, -3))) == (0, 0, 2)
     assert cohomology_dims(b, b.pic_class((1, -3))) == (0, 2, 0)
     cache = DiskCache(str(tmp_path))
@@ -841,7 +841,7 @@ def test_cache_agrees_with_no_cache_under_a_change_of_basis(data):
     else:
         i, j = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
         basis[j] = tuple(map(operator.add, basis[j], basis[i]))
-    changed = dataclasses.replace(fan, basis_divisors=tuple(basis))
+    changed = replace(fan, basis_divisors=tuple(basis))
     coords = st.tuples(*[st.integers(-4, 4)] * p)
     classes = data.draw(st.lists(coords, min_size=1, max_size=4))
     with tempfile.TemporaryDirectory() as root:
@@ -1324,9 +1324,9 @@ def test_batch_sweeps_each_missing_class_once(monkeypatch):
 def test_each_fan_object_is_validated_once(monkeypatch):
     """Batches on make_blowup fans validate nothing: X is validated where
     its B^-1 is first read, and its blow-up gets that B^-1, bordered.  Two
-    batches on a dataclasses.replace copy of the blow-up, which has no
-    B^-1, validate it once; a star_subdivide of a copy of X validates that
-    copy once, and batches on the blow-up it gives validate nothing more."""
+    batches on a replace copy of the blow-up, which has no B^-1, validate
+    it once; a star_subdivide of a copy of X validates that copy once, and
+    batches on the blow-up it gives validate nothing more."""
     spec, center = BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"}))
     bl = make_blowup(spec, center)
     validated = []
@@ -1337,13 +1337,13 @@ def test_each_fan_object_is_validated_once(monkeypatch):
     for fan in (bl.fan_xt, bl.fan_x, other.fan_xt, bl.fan_xt):
         cohomology_dims_many(fan, [fan.pic_class(c[: fan.pic_rank]) for c in classes])
     assert validated == []
-    copy = dataclasses.replace(bl.fan_xt)
+    copy = replace(bl.fan_xt)
     want = cohomology_dims_many(bl.fan_xt, [bl.fan_xt.pic_class(c) for c in classes])
     for _ in range(2):
         assert cohomology_dims_many(copy, [copy.pic_class(c) for c in classes]) == want
     assert len(validated) == 1 and validated[0] is copy
     validated.clear()
-    sub = fan_module.star_subdivide(dataclasses.replace(bl.fan_x), center)
+    sub = fan_module.star_subdivide(replace(bl.fan_x), center)
     assert len(validated) == 1 and validated[0] is not bl.fan_x
     assert cohomology_dims_many(sub, [sub.pic_class(c) for c in classes]) == want
     assert len(validated) == 1
@@ -1360,7 +1360,7 @@ def test_plan_is_built_once_per_fan(monkeypatch):
     assert len(classes) == 25
     got = [cohomology_dims(fan, cls) for cls in classes]
     assert built == [fan]
-    fresh = dataclasses.replace(fan)
+    fresh = replace(fan)
     assert cohomology_dims_many(fresh, [fresh.pic_class(cls.coords) for cls in classes]) == got
     assert len(built) == 2 and built[1] is fresh
 
@@ -1394,7 +1394,7 @@ def test_each_axis_is_folded_once_per_fan(monkeypatch):
     folds = _plan(fan).folds
     assert [k for _, k in filled] == list(dict.fromkeys(axes))
     assert all(f is folds for f, _ in filled) and sorted(folds) == [0, 1]
-    fresh = dataclasses.replace(fan)
+    fresh = replace(fan)
     calls.clear()
     filled.clear()
     assert [cohomology_dims(fresh, fresh.pic_class(c)) for c in coords] == got
@@ -1434,7 +1434,7 @@ def test_a_reused_fan_answers_as_fresh_fans_do(data):
     reused = [cohomology_dims(fan, fan.pic_class(c)) for c in drawn]
     fresh = []
     for c in drawn:
-        copy = dataclasses.replace(fan)
+        copy = replace(fan)
         fresh.append(cohomology_dims(copy, copy.pic_class(c)))
     assert reused == fresh
     assert cohomology_dims_many(fan, [fan.pic_class(c) for c in drawn]) == reused

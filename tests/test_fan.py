@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import combinations
 
@@ -17,9 +16,11 @@ from excol import intlinalg
 from excol.cli import enumerate_centers, enumerate_specs, run_case
 from excol.cohomology import cohomology_dims
 from excol.kernels import _lift
-from excol.errors import InvalidSpec, NotACone, UnknownRay
+from excol.errors import InvalidSpec, NotACone, UnknownRay, UnsupportedExtPair
 from excol.fan import Fan, validate_fan
-from fan_helpers import center_geometry, smooth_complete, star_cones
+from excol.mutation import Collection, LineBundle, PushforwardTwist, construct, graded_hom
+from excol.verify import Report
+from fan_helpers import center_geometry, replace, smooth_complete, star_cones
 
 
 def test_bundle_spec_invariants():
@@ -34,6 +35,65 @@ def test_bundle_spec_invariants():
         BundleSpec(1, (0, 2, 1))  # decreasing
     with pytest.raises(InvalidSpec, match="a_0 = 0"):
         BundleSpec(1, (1, 2))
+
+
+FROZEN_RECORDS = {
+    "PicClass": lambda bl, col: bl.fan_xt.pic_class((1, -2, 0)),
+    "Fan": lambda bl, col: bl.fan_xt,
+    "BundleSpec": lambda bl, col: bl.spec,
+    "CenterSpec": lambda bl, col: bl.center,
+    "CenterGeometry": lambda bl, col: bl.geometry,
+    "Blowup": lambda bl, col: bl,
+    "LineBundle": lambda bl, col: col.objects[0],
+    "PushforwardTwist": lambda bl, col: PushforwardTwist(1, 2, 0),
+    # a replay's log holds dicts, so only a collection without one hashes
+    "Collection": lambda bl, col: Collection(col.objects),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_RECORDS)
+def test_records_are_frozen_values(name):
+    """Each frozen record equals a copy built from its fields, hashes like
+    it, shows the same repr, and refuses to have a field set or deleted."""
+    bl, col = construct(BundleSpec(1, (0, 0)), CenterSpec(frozenset({"b1", "f1"})))
+    record = FROZEN_RECORDS[name](bl, col)
+    assert type(record).__name__ == name
+    copy = replace(record)
+    assert copy is not record
+    assert copy == record and hash(copy) == hash(record) and repr(copy) == repr(record)
+    for field in type(record)._fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+    assert record == copy
+
+
+def test_records_compare_by_class_and_show_their_fields(bl_p1p1):
+    """Records of two classes never compare equal, even with the same
+    fields; equal records hash alike; error messages embed the reprs a
+    dataclass would give; and each Report gets a list of its own."""
+    line, push = LineBundle(1, 2, 0), PushforwardTwist(1, 2, 0)
+    assert line != push and push != line and line != (1, 2, 0)
+    assert line == LineBundle(1, 2, 0) and hash(line) == hash(LineBundle(1, 2, 0))
+    assert len({line, push, LineBundle(1, 2, 0)}) == 2
+    with pytest.raises(InvalidSpec) as err:
+        BundleSpec(1.5, (0, 1))
+    assert str(err.value).endswith(": BundleSpec(s=1.5, fiber_degrees=(0, 1))")
+    with pytest.raises(UnsupportedExtPair) as err:
+        graded_hom(bl_p1p1, LineBundle(0, -1, 0), line)
+    assert str(err.value) == (
+        "no formula for Ext from LineBundle(alpha=0, beta=-1, k=0) "
+        "to LineBundle(alpha=1, beta=2, k=0)"
+    )
+    first, second = (Report(True, True, True, [[1]], 1, 1, 1) for _ in range(2))
+    assert first.violations == [] and first.violations is not second.violations
+    first.violations.append(("gram", -1, -1, ()))
+    first.provenance_hash = "planted"
+    assert second.violations == [] and second.provenance_hash == ""
+    assert first != second
+    with pytest.raises(TypeError):
+        hash(first)
 
 
 def test_center_spec_size():
@@ -162,7 +222,7 @@ def test_validate_fan_rejects_broken_input():
     )
     with pytest.raises(InvalidSpec, match="non-unimodular cone"):
         validate_fan(bad_ray)
-    doubled = dataclasses.replace(good, rays=tuple((2 * x, 2 * y) for x, y in good.rays))
+    doubled = replace(good, rays=tuple((2 * x, 2 * y) for x, y in good.rays))
     with pytest.raises(InvalidSpec, match=r"non-unimodular cone \(1, 2\)"):
         validate_fan(doubled)  # the first cone, whose inverse is the frame
     incomplete = Fan(
@@ -176,13 +236,13 @@ def test_validate_fan_rejects_broken_input():
     with pytest.raises(InvalidSpec):
         validate_fan(incomplete)
     with pytest.raises(InvalidSpec, match="no max cone"):
-        validate_fan(dataclasses.replace(good, max_cones=()))
+        validate_fan(replace(good, max_cones=()))
     # with no rays, no ray is stray, so the empty cone list itself is named
-    empty = dataclasses.replace(good, ray_names=(), rays=(), max_cones=(), basis_divisors=())
+    empty = replace(good, ray_names=(), rays=(), max_cones=(), basis_divisors=())
     with pytest.raises(InvalidSpec, match="^fan has no max cone$"):
         validate_fan(empty)
     with pytest.raises(InvalidSpec, match="ray of wrong dimension"):
-        validate_fan(dataclasses.replace(good, rays=good.rays[:2] + ((0, 1, 0),)))
+        validate_fan(replace(good, rays=good.rays[:2] + ((0, 1, 0),)))
     # a cone naming a ray index past the rays or below 0 is checked before
     # any cone is read, whose ray lookups and bit shifts would fail untyped
     for cones, bad in [
@@ -190,7 +250,7 @@ def test_validate_fan_rejects_broken_input():
         (((1, 5), (5, 2), (2, 0), (0, 1)), r"\(1, 5\)"),
         (((1, 2), (2, 0), (0, -1), (-1, 1)), r"\(0, -1\)"),
     ]:
-        stray = dataclasses.replace(good, max_cones=cones)
+        stray = replace(good, max_cones=cones)
         with pytest.raises(InvalidSpec, match=rf"max cone {bad} names a ray index outside range"):
             validate_fan(stray)
     # the oracle validates a hand-built fan where it enters
@@ -199,7 +259,7 @@ def test_validate_fan_rejects_broken_input():
     # rays of floats or bools are not lattice vectors, even when they compare
     # equal to P^2's
     for rays in (((-1.0, -1.0), (1.0, 0.0), (0.0, 1.0)), ((-1, -1), (True, False), (False, True))):
-        inexact = dataclasses.replace(good, rays=rays)
+        inexact = replace(good, rays=rays)
         with pytest.raises(InvalidSpec, match="ray coordinates must be integers"):
             validate_fan(inexact)
         with pytest.raises(InvalidSpec, match="ray coordinates must be integers"):
@@ -213,7 +273,7 @@ def test_validate_fan_rejects_cones_on_one_side_of_a_facet():
     good = build_projective_bundle_fan(BundleSpec(1, (0, 0)))
     rays = list(good.rays)
     rays[good.name_index["b0"]] = (1, 1)
-    planted = dataclasses.replace(good, rays=tuple(rays))
+    planted = replace(good, rays=tuple(rays))
     with pytest.raises(InvalidSpec, match=r"lie on one side of facet \(3,\)"):
         validate_fan(planted)
 
@@ -338,7 +398,7 @@ def test_a_hand_built_fan_is_checked_where_its_inverse_is_formed():
     side of the facet (2,).  Its first B^-1 read, a class_of_divisor,
     checks the fan and raises, and no B^-1 is kept."""
     good = projective_space_fan(2)
-    planted = dataclasses.replace(good, rays=((1, 1), (1, 0), (0, 1)))
+    planted = replace(good, rays=((1, 1), (1, 0), (0, 1)))
     with pytest.raises(InvalidSpec, match=r"lie on one side of facet \(2,\)"):
         planted.class_of_divisor([1, 0, 0])
     assert "_basis_inverse" not in planted.__dict__
@@ -373,7 +433,7 @@ def test_star_subdivide_rejects_a_bad_basis_at_once():
     """star_subdivide reads the parent's B^-1, so a hand-built fan whose
     basis is not a Z-basis of Pic fails when it is subdivided."""
     good = projective_space_fan(2)
-    bad = dataclasses.replace(good, basis_divisors=((0, 2, 0),))
+    bad = replace(good, basis_divisors=((0, 2, 0),))
     with pytest.raises(InvalidSpec, match="not a Z-basis"):
         star_subdivide(bad, CenterSpec(frozenset({"x1", "x2"})))
 
@@ -383,7 +443,7 @@ def test_star_subdivide_validates_its_input_first():
     before it builds anything: reading the parent's B^-1 validates it
     first, so no B^-1 is formed."""
     good = projective_space_fan(2)
-    bad = dataclasses.replace(good, rays=((-2, -2),) + good.rays[1:])
+    bad = replace(good, rays=((-2, -2),) + good.rays[1:])
     with pytest.raises(InvalidSpec, match="non-unimodular cone"):
         star_subdivide(bad, CenterSpec(frozenset({"x1", "x2"})))
     assert "_basis_inverse" not in bad.__dict__
@@ -425,7 +485,7 @@ def test_blowups_inherit_the_inverse_of_x(monkeypatch):
 
 
 def test_a_copy_of_a_blowup_is_checked_in_full(bl_p1p1):
-    """A dataclasses.replace copy carries no inherited B^-1, and a
+    """A replace copy carries no inherited B^-1, and a
     non-unimodular ray planted in cones the subdivision kept from X is
     found."""
     xt = bl_p1p1.fan_xt
@@ -433,7 +493,7 @@ def test_a_copy_of_a_blowup_is_checked_in_full(bl_p1p1):
     assert all(b0 not in cone for cone in set(xt.max_cones) - set(bl_p1p1.fan_x.max_cones))
     rays = list(xt.rays)
     rays[b0] = tuple(2 * x for x in rays[b0])
-    planted = dataclasses.replace(xt, rays=tuple(rays))
+    planted = replace(xt, rays=tuple(rays))
     assert "_basis_inverse" not in planted.__dict__
     with pytest.raises(InvalidSpec, match="non-unimodular cone"):
         validate_fan(planted)
@@ -477,7 +537,7 @@ def _mutant(fan, rng):
     for cone in cones:
         rng.shuffle(cone)
     rng.shuffle(cones)
-    return dataclasses.replace(fan, rays=tuple(rays), max_cones=tuple(map(tuple, cones)))
+    return replace(fan, rays=tuple(rays), max_cones=tuple(map(tuple, cones)))
 
 
 def test_validate_fan_agrees_with_a_slow_reference():

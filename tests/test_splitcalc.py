@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import random
 
@@ -17,7 +16,7 @@ from excol import (
 )
 from excol.errors import KOutOfRange
 from excol.splitcalc import pushforward_levels, sym_degree_sums, y_cohomology
-from fan_helpers import center_geometry
+from fan_helpers import center_geometry, replace
 
 
 def test_bott_dims():
@@ -73,7 +72,7 @@ def test_public_formulas_take_unhashable_arguments(bl_p2p1):
     assert cohomology_on_bundle(1, [0, 1], -1, -2) == (0, 0, 1)
     assert cohomology_on_bundle(1, [0, 0], 2, 3) == cohomology_on_bundle(1, (0, 0), 2, 3)
     geom = bl_p2p1.geometry
-    listed = dataclasses.replace(geom, degrees=list(geom.degrees))
+    listed = replace(geom, degrees=list(geom.degrees))
     for alpha, beta in ((0, 0), (1, -2), (-3, 1)):
         assert y_cohomology(listed, alpha, beta) == y_cohomology(geom, alpha, beta)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from operator import sub
@@ -26,6 +25,7 @@ from excol.cohomology import DiskCache
 from excol.errors import NonLineBundlePresent
 from excol.fan import PicClass
 from excol.intlinalg import determinant
+from fan_helpers import replace
 
 
 def _beilinson(n):
@@ -74,7 +74,7 @@ def test_ext_table_checks_each_input_class_before_the_oracle(monkeypatch, coords
     monkeypatch.setattr(verify_module, "_dims_of_coords", oracle)
     fan, classes = _beilinson(2)
     with pytest.raises(ValueError, match=message):
-        bad = dataclasses.replace(classes[1], coords=coords)  # a float or a bool fails here
+        bad = replace(classes[1], coords=coords)  # a float or a bool fails here
         ext_table(fan, [bad] + classes)
 
 
@@ -145,14 +145,16 @@ def test_certify_checks_each_class_once_and_lifts_once(tmp_path, monkeypatch):
     bl, col = construct(BundleSpec(2, (0, 0, 1)), CenterSpec(frozenset({"b1", "b2", "f1"})))
     fan, classes = bl.fan_xt, collection_classes(bl, col)
     checked, built, lifts = [], [], []
-    check, lift, post_init = verify_module._class_coords, kernels._lift, PicClass.__post_init__
+    check, lift, init = verify_module._class_coords, kernels._lift, PicClass.__init__
     monkeypatch.setattr(
         verify_module, "_class_coords", lambda f, cls: checked.append(cls) or check(f, cls)
     )
     monkeypatch.setattr(
         kernels, "_lift", lambda f, coords: lifts.append(coords) or lift(f, coords)
     )
-    monkeypatch.setattr(PicClass, "__post_init__", lambda cls: built.append(cls) or post_init(cls))
+    monkeypatch.setattr(
+        PicClass, "__init__", lambda cls, *args: built.append(cls) or init(cls, *args)
+    )
 
     def differences(classes):
         cells = (tuple(map(sub, b.coords, a.coords)) for a in classes for b in classes)
@@ -302,7 +304,7 @@ def test_length_comes_from_the_fan_not_the_construction(monkeypatch):
 
     def shrunk(spec, center):
         geom = real(spec, center)
-        return dataclasses.replace(geom, s_prime=geom.s_prime - 1)
+        return replace(geom, s_prime=geom.s_prime - 1)
 
     monkeypatch.setattr(fan_module, "_geometry", shrunk)
     bl, col = construct(BundleSpec(2, (0, 0)), CenterSpec(frozenset({"b1", "f1"})))
