@@ -19,7 +19,8 @@ class NotACone(ExcolError):
 
 class BoxTooLarge(ExcolError):
     """A T-divisor's polytope box holds more points than the oracle's budget,
-    its values could leave int64, or the fan's vertex maps do."""
+    its values could leave int64, the fan's vertex maps do, or the fan has
+    too many sets of rays to plan (kernels.MAX_PLAN_SETS)."""
 
 
 class KOutOfRange(ExcolError):

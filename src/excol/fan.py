@@ -357,38 +357,24 @@ class CenterSpec(_Record):
 
 
 class CenterGeometry(_Record):
-    """Derived geometry of the center Y and its conormal bundle: degrees
-    holds a_0..a_r on X, fiber_survivors the indices j with f_j not cut,
-    and conormal_summands the (alpha, beta) classes on Y, one per cut
-    divisor."""
+    """The center Y = P_{P^s'}(O(y_degrees[0]) + ... + O(y_degrees[r'])) and
+    its conormal bundle, one (alpha, beta) class on Y per cut divisor:
+    (-1, 0) for a base ray, (a_j, -1) for the fiber ray f_j.  The seed's
+    pushforward blocks (Orlov's formula) and the Ext core (splitcalc) read
+    nothing else of a center; X's own data stay in the BundleSpec."""
 
-    def __init__(
-        self,
-        s: int,
-        r: int,
-        degrees: tuple,
-        codim: int,
-        s_prime: int,
-        r_prime: int,
-        fiber_survivors: tuple,
-        conormal_summands: tuple,
-    ):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "codim", codim)
+    def __init__(self, s_prime: int, y_degrees: tuple, conormal_summands: tuple):
         object.__setattr__(self, "s_prime", s_prime)
-        object.__setattr__(self, "r_prime", r_prime)
-        object.__setattr__(self, "fiber_survivors", fiber_survivors)
+        object.__setattr__(self, "y_degrees", y_degrees)
         object.__setattr__(self, "conormal_summands", conormal_summands)
 
     @property
-    def y_degrees(self):
-        return tuple(self.degrees[j] for j in self.fiber_survivors)
+    def r_prime(self):
+        return len(self.y_degrees) - 1
 
     @property
-    def ambient_dim(self):
-        return self.s + self.r
+    def codim(self):
+        return len(self.conormal_summands)
 
 
 @cache
@@ -505,29 +491,19 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
 
 
 def _geometry(spec: BundleSpec, center: CenterSpec) -> CenterGeometry:
-    """Base/fiber dimensions of Y, surviving summands and conormal classes,
-    for a center already checked to be a cone of X.
+    """Y and its conormal bundle, for a center already checked to be a cone
+    of X: the fiber rays f_j it cuts leave the other degrees to Y.
 
     Every maximal cone of X omits one base and one fiber ray, so a cone cuts
     at most s base and r fiber rays and s', r' >= 0.
     """
-    base_cuts = sorted(n for n in center.ray_names if n.startswith("b"))
-    fiber_cuts = sorted(
-        (int(n[1:]) for n in center.ray_names if n.startswith("f"))
-    )
-    survivors = tuple(j for j in range(spec.r + 1) if j not in fiber_cuts)
-    conormal = tuple((-1, 0) for _ in base_cuts) + tuple(
-        (spec.fiber_degrees[j], -1) for j in fiber_cuts
-    )
+    cuts = sorted(int(n[1:]) for n in center.ray_names if n[0] == "f")
+    base_cuts = center.codim - len(cuts)
+    a = spec.fiber_degrees
     return CenterGeometry(
-        s=spec.s,
-        r=spec.r,
-        degrees=spec.fiber_degrees,
-        codim=center.codim,
-        s_prime=spec.s - len(base_cuts),
-        r_prime=spec.r - len(fiber_cuts),
-        fiber_survivors=survivors,
-        conormal_summands=conormal,
+        s_prime=spec.s - base_cuts,
+        y_degrees=tuple(d for j, d in enumerate(a) if j not in cuts),
+        conormal_summands=((-1, 0),) * base_cuts + tuple((a[j], -1) for j in cuts),
     )
 
 

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from operator import or_
 from typing import NamedTuple
 
@@ -82,6 +82,11 @@ BACKEND = "numpy"
 # call: the largest among the benchmark's reference classes has 179,712
 # points, and a hostile class can ask for 10^14.
 MAX_BOX_POINTS = 10**8
+# Budget of a fan's plan: _vertex_maps forms one map per set of pic_rank
+# rays, C(n_rays, pic_rank) of them, in object dtype (S = 200 b1,f1: C(204,
+# 3), 5.5 s and 940 MB).  The largest plan of any test is C(64, 3) = 41,664,
+# P^60 x P^1 blown up at a point.
+MAX_PLAN_SETS = 10**5
 _INT64_MAX = 2**63 - 1
 # (vertex, mask, row) values per row chunk of _polytope_boxes, the array
 # each of the p rays off a vertex is tested on
@@ -113,10 +118,18 @@ class _Plan(NamedTuple):
 
 def _plan(fan: Fan) -> _Plan:
     """fan's _Plan, built on its first call, then read from fan's __dict__
-    (see Fan).  _vertex_maps reads fan's B^-1 first, which checks fan, so an
-    invalid fan fails before any rank table is filled."""
+    (see Fan).  fan's B^-1 is read first, which checks fan, so an invalid
+    fan fails before any rank table is filled; then a fan of more than
+    MAX_PLAN_SETS sets of pic_rank rays raises BoxTooLarge before any of
+    its vertex maps is formed."""
     plan = fan.__dict__.get("_oracle_plan")
     if plan is None:
+        fan._basis_inverse  # checks fan
+        if (sets := comb(fan.n_rays, fan.pic_rank)) > MAX_PLAN_SETS:
+            raise BoxTooLarge(
+                f"fan {fan.basis_tag}: C({fan.n_rays}, {fan.pic_rank}) = {sets} sets "
+                f"of rays to plan (budget {MAX_PLAN_SETS})"
+            )
         scatter, dets, reach, tests, off = _vertex_maps(fan)
         masks, ranks = _support_ranks(fan)
         plan = fan.__dict__["_oracle_plan"] = _Plan(

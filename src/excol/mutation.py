@@ -29,28 +29,29 @@ from .fan import Blowup, BundleSpec, CenterSpec, PicClass, _Record, make_blowup
 from .splitcalc import ext_lemA, ext_line_to_pushforward
 
 
-class LineBundle(_Record):
+class _Sheaf(_Record):
+    """The one body of both sheaf kinds: a class (alpha, beta) twisted by
+    O(k E).  Each kind's class attribute kind tags its JSON."""
+
+    def __init__(self, alpha: int, beta: int, k: int):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "k", k)
+
+    def to_json(self):
+        return {"kind": self.kind, "alpha": self.alpha, "beta": self.beta, "k": self.k}
+
+
+class LineBundle(_Sheaf):
     """f*(p*O(alpha) ox O_p(beta)) ox O(k E) on the blow-up."""
 
-    def __init__(self, alpha: int, beta: int, k: int):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "k", k)
-
-    def to_json(self):
-        return {"kind": "line", "alpha": self.alpha, "beta": self.beta, "k": self.k}
+    kind = "line"
 
 
-class PushforwardTwist(_Record):
+class PushforwardTwist(_Sheaf):
     """iota_* pi^*(q*O(alpha) ox O_q(beta)) ox O(k E)."""
 
-    def __init__(self, alpha: int, beta: int, k: int):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "k", k)
-
-    def to_json(self):
-        return {"kind": "push", "alpha": self.alpha, "beta": self.beta, "k": self.k}
+    kind = "push"
 
 
 class Collection(_Record):
@@ -84,9 +85,7 @@ def tensor_object(obj, twist):
     the k index; the Y-class only picks up the (alpha, beta) restriction.
     """
     ta, tb, tk = twist
-    if isinstance(obj, LineBundle):
-        return LineBundle(obj.alpha + ta, obj.beta + tb, obj.k + tk)
-    return PushforwardTwist(obj.alpha + ta, obj.beta + tb, obj.k + tk)
+    return type(obj)(obj.alpha + ta, obj.beta + tb, obj.k + tk)
 
 
 def anticanonical_twist(bl: Blowup):
@@ -225,14 +224,13 @@ def _revlex(smax, rmax):
 def initial_collection(bl: Blowup) -> Collection:
     """The seed collection from the blow-up and projective-bundle
     semiorthogonal decompositions."""
-    geom = bl.geometry
-    s, r = geom.s, geom.r
+    spec, geom = bl.spec, bl.geometry
     sp, rp = geom.s_prime, geom.r_prime
-    lines = tuple(LineBundle(a, b, 0) for a, b in _revlex(s, r))
+    lines = tuple(LineBundle(a, b, 0) for a, b in _revlex(spec.s, spec.r))
     block1 = tuple(PushforwardTwist(a, b, 1) for a, b in _revlex(sp, rp))
     if bl.codim == 2:
         return Collection(block1 + lines)
-    total = sum(geom.degrees)
+    total = sum(spec.fiber_degrees)
     block2 = tuple(
         PushforwardTwist(alpha, beta, 2)
         for beta in range(-rp - 1, 0)

@@ -2,15 +2,19 @@
 
 These are the structured fast paths the mutation engine checks its rules
 with: Bott vanishing on projective space, pushforwards of tautological
-powers for split bundles, cohomology on X and on the center Y, and the Ext
-reduction between pushforward objects and line bundles.  Nothing here calls
-the cohomology oracle; the acceptance tests compare the two.
+powers for split bundles, cohomology on X and on every center Y (itself a
+split projective bundle), and the Ext reduction between pushforward
+objects and line bundles.  Nothing here calls the cohomology oracle; the
+acceptance tests compare the two.
 
 Both Ext formulas go through one core, _ext_on_y, which is memoized for
-the life of the process: a replay asks it about S^2/2 times but only about
-S distinct inputs, and the cases of one sweep share many of them.  The
-public functions are not memoized (cohomology_on_bundle accepts any
-sequence of degrees, a list included).
+the life of the process and keyed by what it reads: Y (s' and its
+degrees), the conormal bundle's summands, the symmetric power and the
+class difference.  A replay asks it about S^2/2 times but only about S
+distinct inputs, and the cases of one sweep share many more, every center
+with the same Y and conormal bundle alike.  The public functions are not
+memoized (cohomology_on_bundle accepts any sequence of degrees, a list
+included).
 """
 
 from __future__ import annotations
@@ -75,27 +79,18 @@ def cohomology_on_bundle(s, degrees, alpha, beta):
     return tuple(h)
 
 
-def y_cohomology(geom: CenterGeometry, alpha, beta):
-    """Cohomology of q*O(alpha) ox O_q(beta) on the center Y."""
-    return cohomology_on_bundle(geom.s_prime, geom.y_degrees, alpha, beta)
-
-
-def _sym_conormal(geom: CenterGeometry, m):
-    """Multiset of (alpha, beta) classes of Sym^m of the conormal bundle."""
-    out = []
-    for pick in combinations_with_replacement(geom.conormal_summands, m):
-        out.append((sum(t[0] for t in pick), sum(t[1] for t in pick)))
-    return out
-
-
 @cache
-def _ext_on_y(geom: CenterGeometry, m, diff, shift):
-    """The sum over the classes t of Sym^m of the conormal bundle of
-    h^*(Y, diff + t), shifted up by shift, in degrees 0..ambient_dim;
-    diff is a tuple, so that the arguments are the memo's key."""
-    h = [0] * (geom.ambient_dim + 1)
-    for ta, tb in _sym_conormal(geom, m):
-        for i, x in enumerate(y_cohomology(geom, diff[0] + ta, diff[1] + tb)):
+def _ext_on_y(s_prime, y_degrees, conormal, m, diff, shift):
+    """The sum over the classes t of Sym^m of the conormal bundle, whose
+    summands conormal holds, of h^*(Y, diff + t) on Y = P_{P^s'}(O(d), d in
+    y_degrees), shifted up by shift, in degrees 0..dim X (dim X = s' + r' +
+    codim).  Every argument is an int or a tuple, so the arguments are the
+    memo's key, and centers with one Y and conormal bundle share it."""
+    h = [0] * (s_prime + len(y_degrees) + len(conormal))
+    for pick in combinations_with_replacement(conormal, m):
+        alpha = diff[0] + sum(t[0] for t in pick)
+        beta = diff[1] + sum(t[1] for t in pick)
+        for i, x in enumerate(cohomology_on_bundle(s_prime, y_degrees, alpha, beta)):
             h[i + shift] += x
     return tuple(h)
 
@@ -106,7 +101,8 @@ def ext_lemA(geom: CenterGeometry, m_class, k, l_class):
     """
     if not 1 <= k <= geom.codim - 1:
         raise KOutOfRange(f"k={k} outside 1..{geom.codim - 1}")
-    return _ext_on_y(geom, k - 1, (l_class[0] - m_class[0], l_class[1] - m_class[1]), 1)
+    diff = (l_class[0] - m_class[0], l_class[1] - m_class[1])
+    return _ext_on_y(geom.s_prime, geom.y_degrees, geom.conormal_summands, k - 1, diff, 1)
 
 
 def ext_line_to_pushforward(geom: CenterGeometry, j, l_class, m_class):
@@ -115,4 +111,5 @@ def ext_line_to_pushforward(geom: CenterGeometry, j, l_class, m_class):
     """
     if j not in (0, 1):
         raise KOutOfRange(f"j={j} must be 0 or 1")
-    return _ext_on_y(geom, j, (m_class[0] - l_class[0], m_class[1] - l_class[1]), 0)
+    diff = (m_class[0] - l_class[0], m_class[1] - l_class[1])
+    return _ext_on_y(geom.s_prime, geom.y_degrees, geom.conormal_summands, j, diff, 0)

@@ -1,6 +1,8 @@
 """Test-only helpers built on the fan layer."""
 
-from excol import build_projective_bundle_fan
+from itertools import combinations_with_replacement
+
+from excol import build_projective_bundle_fan, cohomology_on_bundle
 from excol.errors import NotACone, UnknownRay
 from excol.fan import _geometry
 from excol.intlinalg import determinant, inverse
@@ -23,6 +25,21 @@ def center_geometry(spec, center):
     if not fan.spans_cone(fan.name_index[name] for name in center.ray_names):
         raise NotACone(f"rays {sorted(center.ray_names)} do not span a cone")
     return _geometry(spec, center)
+
+
+def y_cohomology(geom, alpha, beta):
+    """h^*(Y, q*O(alpha) ox O_q(beta)) on the center Y of geom, itself a
+    split projective bundle over P^s'."""
+    return cohomology_on_bundle(geom.s_prime, geom.y_degrees, alpha, beta)
+
+
+def sym_conormal(geom, m):
+    """The (alpha, beta) classes on Y of Sym^m of geom's conormal bundle, as
+    a list with multiplicity."""
+    return [
+        (sum(t[0] for t in pick), sum(t[1] for t in pick))
+        for pick in combinations_with_replacement(geom.conormal_summands, m)
+    ]
 
 
 def smooth_complete(fan):

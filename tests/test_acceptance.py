@@ -24,9 +24,8 @@ from excol import (
 )
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.cohomology import DiskCache, cohomology_dims_many
-from excol.splitcalc import _sym_conormal, y_cohomology
 from oracle_helpers import euler_pairing
-from fan_helpers import center_geometry
+from fan_helpers import center_geometry, sym_conormal, y_cohomology
 
 MAX_DIM = 4
 MAX_DEGREE = 2
@@ -58,15 +57,10 @@ def _report(number, name, ok, detail=""):
 
 
 def _geometry_key(spec, center):
-    geom = center_geometry(spec, center)
     cut_degrees = tuple(
-        sorted(
-            spec.fiber_degrees[j]
-            for j in range(spec.r + 1)
-            if j not in geom.fiber_survivors
-        )
+        sorted(spec.fiber_degrees[int(n[1:])] for n in center.ray_names if n[0] == "f")
     )
-    n_base_cuts = geom.codim - len(cut_degrees)
+    n_base_cuts = center.codim - len(cut_degrees)
     return (spec, n_base_cuts, cut_degrees)
 
 
@@ -222,13 +216,13 @@ def test_criterion_5_triangle_euler_consistency():
         bl = blowups.setdefault((spec, center), make_blowup(spec, center))
         geom, fan = bl.geometry, bl.fan_xt
         ma, mb, la, lb = (rng.randint(-3, 3) for _ in range(4))
-        k = rng.randint(1, geom.codim - 1)
+        k = rng.randint(1, center.codim - 1)
         lhs = -sum(
             sum(
                 (-1) ** i * x
                 for i, x in enumerate(y_cohomology(geom, la + ta - ma, lb + tb - mb))
             )
-            for ta, tb in _sym_conormal(geom, k - 1)
+            for ta, tb in sym_conormal(geom, k - 1)
         )
         hi = euler_pairing(fan, fan.pic_class((ma, mb, k)), fan.pic_class((la, lb, 0)))
         lo = euler_pairing(
@@ -248,8 +242,8 @@ def test_criterion_6_line_to_pushforward_zero_ranges():
     zero = None
     for spec, center in _dedup_centers((2, 3)):
         geom = center_geometry(spec, center)
-        s, r, sp, rp = geom.s, geom.r, geom.s_prime, geom.r_prime
-        zero = tuple([0] * (geom.ambient_dim + 1))
+        s, r, sp, rp = spec.s, spec.r, geom.s_prime, geom.r_prime
+        zero = tuple([0] * (spec.dim + 1))
         for b2 in range(r - rp, r + 1):
             for a2 in range(s - sp, s + 1):
                 # part (a): untwisted pullback against the pushforward

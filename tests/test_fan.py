@@ -17,7 +17,7 @@ from excol.cli import enumerate_centers, enumerate_specs, run_case
 from excol.cohomology import cohomology_dims
 from excol.kernels import _lift
 from excol.errors import InvalidSpec, NotACone, UnknownRay, UnsupportedExtPair
-from excol.fan import Fan, validate_fan
+from excol.fan import CenterGeometry, Fan, validate_fan
 from excol.mutation import Collection, LineBundle, PushforwardTwist, construct, graded_hom
 from excol.verify import Report
 from fan_helpers import center_geometry, replace, smooth_complete, star_cones
@@ -594,16 +594,14 @@ def test_class_map_inverts_basis_divisors():
 
 def test_center_geometry_fixed_point_codim3():
     geom = center_geometry(BundleSpec(2, (0, 0)), CenterSpec(frozenset({"b1", "b2", "f1"})))
-    assert (geom.s_prime, geom.r_prime) == (0, 0)
-    assert geom.fiber_survivors == (0,)
-    assert geom.conormal_summands == ((-1, 0), (-1, 0), (0, -1))
-    assert geom.y_degrees == (0,)
+    assert geom == CenterGeometry(0, (0,), ((-1, 0), (-1, 0), (0, -1)))
+    assert (geom.r_prime, geom.codim) == (0, 3)
 
 
 def test_center_geometry_mixed_codim2():
     geom = center_geometry(BundleSpec(2, (0, 1, 2)), CenterSpec(frozenset({"b2", "f1"})))
-    assert (geom.s_prime, geom.r_prime) == (1, 1)
-    assert geom.fiber_survivors == (0, 2)
+    assert (geom.s_prime, geom.r_prime, geom.codim) == (1, 1, 2)
+    # f1 is cut: Y keeps the degrees of f0 and f2
     assert geom.y_degrees == (0, 2)
     assert geom.conormal_summands == ((-1, 0), (1, -1))
 
@@ -618,18 +616,31 @@ def test_center_geometry_rejects_invalid():
 
 def test_center_geometry_never_degenerate():
     """A ray set of X either spans a cone, and then leaves s', r' >= 0, or
-    is rejected as NotACone; no third outcome exists."""
+    is rejected as NotACone; no third outcome exists.  The geometry of a
+    cone agrees with the spec and the center: its conormal bundle has rank
+    codim, dim Y + codim = dim X, one (-1, 0) summand per cut base ray and
+    one (a_j, -1) per cut fiber ray f_j, and Y keeps the other degrees."""
     outcomes = {"cone": 0, "not_a_cone": 0}
     for spec in enumerate_specs(5, 1):
         names = build_projective_bundle_fan(spec).ray_names
         for size in (2, 3):
             for subset in combinations(names, size):
+                center = CenterSpec(frozenset(subset))
                 try:
-                    geom = center_geometry(spec, CenterSpec(frozenset(subset)))
+                    geom = center_geometry(spec, center)
                 except NotACone:
                     outcomes["not_a_cone"] += 1
                     continue
-                assert geom.s_prime >= 0 and geom.r_prime >= 0, (spec, subset)
+                case = (spec, subset)
+                assert geom.s_prime >= 0 and geom.r_prime >= 0, case
+                assert geom.codim == center.codim, case
+                assert geom.s_prime + geom.r_prime + geom.codim == spec.dim, case
+                cut = sorted(spec.fiber_degrees[int(n[1:])] for n in subset if n[0] == "f")
+                fiber = [a for a, beta in geom.conormal_summands if beta == -1]
+                assert sorted(fiber) == cut, case
+                base = [t for t in geom.conormal_summands if t[1] != -1]
+                assert base == [(-1, 0)] * (len(subset) - len(cut)), case
+                assert sorted(geom.y_degrees + tuple(cut)) == sorted(spec.fiber_degrees), case
                 outcomes["cone"] += 1
     assert outcomes["cone"] and outcomes["not_a_cone"], outcomes
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -346,29 +347,69 @@ def test_long_walks_frozen(s, steps, digest):
     assert hashlib.sha256(encoded).hexdigest() == digest
 
 
-def test_ext_core_runs_once_per_distinct_input(monkeypatch):
-    """The replay asks the Ext core once per step, but the core itself runs
-    once per distinct input, and not at all for a case already replayed."""
-    cached, conormal = splitcalc._ext_on_y, splitcalc._sym_conormal
+def _watch_ext_core(monkeypatch):
+    """(asked, runs), filled as replays go: every input the Ext formulas ask
+    the core about, and every run of the core's body, which calls
+    combinations_with_replacement once per run.  The memo starts empty."""
+    cached = splitcalc._ext_on_y
+    core = cached.__wrapped__.__code__
+    picks = splitcalc.combinations_with_replacement
     asked, runs = [], []
 
     def recording(*args):
         asked.append(args)
         return cached(*args)
 
-    def counting(geom, m):  # the core calls it once per run
-        runs.append((geom, m))
-        return conormal(geom, m)
+    def counting(pool, m):
+        if sys._getframe(1).f_code is core:
+            runs.append((pool, m))
+        return picks(pool, m)
 
     monkeypatch.setattr(splitcalc, "_ext_on_y", recording)
-    monkeypatch.setattr(splitcalc, "_sym_conormal", counting)
+    monkeypatch.setattr(splitcalc, "combinations_with_replacement", counting)
     cached.cache_clear()
+    return asked, runs
+
+
+def test_ext_core_runs_once_per_distinct_input(monkeypatch):
+    """The replay asks the Ext core once per step, but the core itself runs
+    once per distinct input, and not at all for a case already replayed."""
+    cached = splitcalc._ext_on_y
+    asked, runs = _watch_ext_core(monkeypatch)
     case = (BundleSpec(40, (0, 0)), CenterSpec(frozenset({"b1", "f1"})))
     _, col = construct(*case)
     assert len(asked) == len(col.log) == 820
+    assert all(type(x) in (int, tuple) for args in asked for x in args)
     assert len(runs) == len(set(asked)) == 40
     assert cached.cache_info().misses == len(runs)
     asked.clear()
     runs.clear()
     construct(*case)
     assert len(asked) == 820 and runs == []
+
+
+def test_centers_with_one_y_share_the_ext_memo(monkeypatch):
+    """b1,f1 and b1,f2 on P_{P^1}(O + O(1) + O(1)) cut fibers of one degree,
+    so both centers are Y = P^1 over a point, with one conormal bundle: the
+    second replay asks only what the first has answered."""
+    asked, runs = _watch_ext_core(monkeypatch)
+    spec = BundleSpec(1, (0, 1, 1))
+    construct(spec, CenterSpec(frozenset({"b1", "f1"})))
+    assert runs and len(runs) == len(set(asked))
+    asked.clear()
+    runs.clear()
+    construct(spec, CenterSpec(frozenset({"b1", "f2"})))
+    assert asked and runs == []
+
+
+def test_a_fresh_family_replay_runs_the_ext_core_once_per_input(monkeypatch):
+    """The 362 replays of the s + r <= 4, degree <= 1 family ask 2,671 Ext
+    questions of only 392 distinct inputs, and the core runs once for
+    each."""
+    asked, runs = _watch_ext_core(monkeypatch)
+    for spec in enumerate_specs(4, 1):
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                construct(spec, center)
+    assert len(asked) == 2671
+    assert len(runs) == len(set(asked)) == 392

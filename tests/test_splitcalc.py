@@ -15,8 +15,8 @@ from excol import (
     make_blowup,
 )
 from excol.errors import KOutOfRange
-from excol.splitcalc import pushforward_levels, sym_degree_sums, y_cohomology
-from fan_helpers import center_geometry, replace
+from excol.splitcalc import pushforward_levels, sym_degree_sums
+from fan_helpers import center_geometry, sym_conormal, y_cohomology
 
 
 def test_bott_dims():
@@ -60,21 +60,29 @@ def test_cohomology_on_bundle_examples():
 
 def test_public_formulas_take_unhashable_arguments(bl_p2p1):
     """Only the private Ext core is memoized: the public formulas keep
-    their signatures and still take a list of degrees, or a geometry that
-    holds one."""
+    their signatures and still take a list of degrees, or lists for the
+    classes."""
     assert list(inspect.signature(cohomology_on_bundle).parameters) == [
         "s",
         "degrees",
         "alpha",
         "beta",
     ]
-    assert list(inspect.signature(y_cohomology).parameters) == ["geom", "alpha", "beta"]
+    assert list(inspect.signature(ext_lemA).parameters) == ["geom", "m_class", "k", "l_class"]
+    assert list(inspect.signature(ext_line_to_pushforward).parameters) == [
+        "geom",
+        "j",
+        "l_class",
+        "m_class",
+    ]
     assert cohomology_on_bundle(1, [0, 1], -1, -2) == (0, 0, 1)
     assert cohomology_on_bundle(1, [0, 0], 2, 3) == cohomology_on_bundle(1, (0, 0), 2, 3)
     geom = bl_p2p1.geometry
-    listed = replace(geom, degrees=list(geom.degrees))
     for alpha, beta in ((0, 0), (1, -2), (-3, 1)):
-        assert y_cohomology(listed, alpha, beta) == y_cohomology(geom, alpha, beta)
+        assert ext_lemA(geom, [0, 0], 2, [alpha, beta]) == ext_lemA(geom, (0, 0), 2, (alpha, beta))
+        assert ext_line_to_pushforward(geom, 1, [alpha, beta], [0, 0]) == (
+            ext_line_to_pushforward(geom, 1, (alpha, beta), (0, 0))
+        )
 
 
 @pytest.mark.parametrize("spec", [BundleSpec(1, (0, 0)), BundleSpec(2, (0, 1)), BundleSpec(1, (0, 0, 2))])
@@ -139,7 +147,7 @@ def test_ext_line_to_pushforward_conormal_twist(bl_p2p1):
     # each conormal summand contributes h^*(point) of a degree-0 class: but
     # the (alpha, beta) twists are nonzero, so the point-bundle formula
     # reduces them through the surviving fiber degree
-    expected = [0] * (geom.ambient_dim + 1)
+    expected = [0] * (bl_p2p1.spec.dim + 1)
     for ta, tb in geom.conormal_summands:
         for i, x in enumerate(y_cohomology(geom, ta, tb)):
             expected[i] += x
@@ -149,20 +157,19 @@ def test_ext_line_to_pushforward_conormal_twist(bl_p2p1):
 def test_lemA_triangle_euler_identity(bl_p2p1):
     """chi of the pushforward equals the difference of two line-bundle chis."""
     from oracle_helpers import euler_pairing
-    from excol.splitcalc import _sym_conormal
 
     geom = bl_p2p1.geometry
     fan = bl_p2p1.fan_xt
     rng = random.Random(5)
     for _ in range(8):
         ma, mb, la, lb = (rng.randint(-2, 2) for _ in range(4))
-        k = rng.randint(1, geom.codim - 1)
+        k = rng.randint(1, bl_p2p1.codim - 1)
         lhs = -sum(
             sum(
                 (-1) ** i * x
                 for i, x in enumerate(y_cohomology(geom, la + ta - ma, lb + tb - mb))
             )
-            for ta, tb in _sym_conormal(geom, k - 1)
+            for ta, tb in sym_conormal(geom, k - 1)
         )
         hi = euler_pairing(fan, fan.pic_class((ma, mb, k)), fan.pic_class((la, lb, 0)))
         lo = euler_pairing(fan, fan.pic_class((ma, mb, k - 1)), fan.pic_class((la, lb, 0)))

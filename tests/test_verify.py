@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from operator import sub
 
 import pytest
@@ -22,7 +23,7 @@ from excol import verify as verify_module
 from excol.cohomology import cohomology_dims
 from excol.cli import enumerate_centers, enumerate_specs
 from excol.cohomology import DiskCache
-from excol.errors import NonLineBundlePresent
+from excol.errors import BoxTooLarge, NonLineBundlePresent
 from excol.fan import PicClass
 from excol.intlinalg import determinant
 from fan_helpers import replace
@@ -270,12 +271,13 @@ def test_report_json_shape():
     assert doc["gram"] == [[1, 2], [0, 1]]
 
 
-def _orlov_length(geom):
+def _orlov_length(bl):
     """Orlov's count for the blow-up, (s+1)(r+1) + (c-1)(s'+1)(r'+1): the
     reference the fan's maximal-cone count is checked against."""
-    return (geom.s + 1) * (geom.r + 1) + (geom.codim - 1) * (
-        geom.s_prime + 1
-    ) * (geom.r_prime + 1)
+    spec, geom = bl.spec, bl.geometry
+    return (spec.s + 1) * (spec.r + 1) + (bl.codim - 1) * (geom.s_prime + 1) * (
+        geom.r_prime + 1
+    )
 
 
 def test_expected_length_formulas(bl_p1p1, bl_p2p1):
@@ -289,7 +291,7 @@ def test_expected_length_formulas(bl_p1p1, bl_p2p1):
         for codim in (2, 3):
             for center in enumerate_centers(spec, codim):
                 bl = make_blowup(spec, center)
-                assert len(bl.fan_xt.max_cones) == _orlov_length(bl.geometry), (
+                assert len(bl.fan_xt.max_cones) == _orlov_length(bl), (
                     spec,
                     center,
                 )
@@ -312,6 +314,26 @@ def test_length_comes_from_the_fan_not_the_construction(monkeypatch):
     report = certify(bl.fan_xt, collection_classes(bl, col))
     assert (report.length_actual, report.length_expected) == (7, 8)
     assert not report.all_passed
+
+
+def test_certify_refuses_a_fan_too_large_to_plan(monkeypatch):
+    """P^200 x P^1 blown up at a point has 204 rays, so its plan would form
+    a vertex map for each of C(204, 3) sets of rays: certify raises
+    BoxTooLarge naming the fan and the count within a second, before any
+    vertex map is formed."""
+    bl, col = construct(BundleSpec(200, (0, 0)), CenterSpec(frozenset({"b1", "f1"})))
+    classes = collection_classes(bl, col)
+    formed = []
+    real = kernels._vertex_maps
+    monkeypatch.setattr(kernels, "_vertex_maps", lambda fan: formed.append(fan) or real(fan))
+    t0 = time.perf_counter()
+    with pytest.raises(BoxTooLarge) as info:
+        certify(bl.fan_xt, classes)
+    assert time.perf_counter() - t0 < 1.0
+    assert formed == []
+    assert str(info.value) == (
+        "fan X(s=200,a=(0, 0))+E: C(204, 3) = 1394204 sets of rays to plan (budget 100000)"
+    )
 
 
 def test_certified_construction_end_to_end():
