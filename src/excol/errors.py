@@ -19,8 +19,9 @@ class NotACone(ExcolError):
 
 class BoxTooLarge(ExcolError):
     """A T-divisor's polytope box holds more points than the oracle's budget,
-    its values could leave int64, the fan's vertex maps do, or the fan has
-    too many sets of rays to plan (kernels.MAX_PLAN_SETS)."""
+    its values could leave int64, the fan's vertex maps do, the fan has too
+    many sets of rays to plan (kernels.MAX_PLAN_SETS), or too many primitive
+    collections for its rank table (kernels.MAX_PRIMITIVE_COLLECTIONS)."""
 
 
 class KOutOfRange(ExcolError):

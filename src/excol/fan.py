@@ -5,7 +5,9 @@ X = P_{P^s}(O + O(a_1) + ... + O(a_r)), projective spaces (used as sanity
 anchors), and star subdivisions of X along torus-invariant centers.
 
 Ray naming is part of the contract: b0..bs are the base rays, f0..fr the
-fiber rays, and "e" the exceptional ray of a blow-up.
+fiber rays, and "e" the exceptional ray of a blow-up; a blow-up of a fan
+that already has a ray "e" names its new ray by the first free of e2, e3,
+....  The names of a fan's rays are distinct (validate_fan).
 
 Picard bases: on X the coordinates are (alpha, beta) with alpha the pullback
 of the base hyperplane and beta the tautological class normalized so that
@@ -16,6 +18,7 @@ a third coordinate k counts the O(E) twist.
 from __future__ import annotations
 
 from functools import cache, cached_property
+from itertools import chain, count
 from operator import attrgetter
 
 from .errors import InvalidSpec, NotACone, UnknownRay
@@ -222,9 +225,11 @@ def _unimodular(rows, cone):
 def validate_fan(fan: Fan) -> None:
     """Check that fan is a smooth complete fan; raise InvalidSpec if not.
 
-    Every ray index of a max cone must be an int in range(n_rays), every ray
-    must lie in a max cone and have dim int coordinates, and every facet
-    must lie on exactly two max cones.  The rest is read cone by cone in the
+    The rays must have n_rays distinct names, so that a name picks one ray
+    (name_index).  Every ray index of a max cone must be an int in
+    range(n_rays), every ray must lie in a max cone and have dim int
+    coordinates, and every facet must lie on exactly two max cones.  The
+    rest is read cone by cone in the
     frame of the first cone R_0, inverted exactly: a ray's coordinates are
     <u_i, v_rho>, u_i the dual basis of R_0's rays, in ascending order like
     every list of a cone's rays here.  R_0's rays in a cone sigma are unit
@@ -253,6 +258,10 @@ def validate_fan(fan: Fan) -> None:
     """
     n = fan.dim
     cones = fan.max_cones
+    if not len(set(fan.ray_names)) == len(fan.ray_names) == fan.n_rays:
+        raise InvalidSpec(
+            f"ray names {fan.ray_names} are not {fan.n_rays} distinct names, one per ray"
+        )
     for cone in cones:
         if not all(type(i) is int and 0 <= i < fan.n_rays for i in cone):
             raise InvalidSpec(f"max cone {cone} names a ray index outside range({fan.n_rays})")
@@ -393,7 +402,6 @@ def build_projective_bundle_fan(spec: BundleSpec) -> Fan:
     f0 = tuple([0] * s + [-1] * r)
     rays = [b0] + [unit(i - 1) for i in range(1, s + 1)]
     rays += [f0] + [unit(s + j - 1) for j in range(1, r + 1)]
-    # reorder to match names b0..bs,f0..fr
     cones = []
     for drop_b in range(s + 1):
         for drop_f in range(r + 1):
@@ -474,9 +482,10 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
     # pullback of a divisor acquires coefficient sum(old coeffs over center) at e
     basis = [(*bd, sum([bd[i] for i in idx])) for bd in fan.basis_divisors]
     basis.append((0,) * e + (1,))
+    name = next(n for n in chain(["e"], map("e{}".format, count(2))) if n not in fan.name_index)
     sub = Fan(
         dim=fan.dim,
-        ray_names=fan.ray_names + ("e",),
+        ray_names=fan.ray_names + (name,),
         rays=fan.rays + (new_ray,),
         max_cones=tuple(cones),
         basis_tag=fan.basis_tag + "+E",
@@ -508,7 +517,9 @@ def _geometry(spec: BundleSpec, center: CenterSpec) -> CenterGeometry:
 
 
 class Blowup(_Record):
-    """The full geometric setup: X, its blow-up, and the center geometry."""
+    """The full geometric setup: X, its blow-up, and the center geometry.
+    The center's codimension is geometry.codim, the rank of Y's conormal
+    bundle."""
 
     def __init__(
         self,
@@ -523,10 +534,6 @@ class Blowup(_Record):
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "fan_x", fan_x)
         object.__setattr__(self, "fan_xt", fan_xt)
-
-    @property
-    def codim(self):
-        return self.center.codim
 
 
 def make_blowup(spec: BundleSpec, center: CenterSpec) -> Blowup:

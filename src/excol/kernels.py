@@ -87,6 +87,11 @@ MAX_BOX_POINTS = 10**8
 # 3), 5.5 s and 940 MB).  The largest plan of any test is C(64, 3) = 41,664,
 # P^60 x P^1 blown up at a point.
 MAX_PLAN_SETS = 10**5
+# Budget of a rank table: _support_ranks forms the Taylor sets, all 2^m
+# subsets of a fan's m primitive collections.  Every fan of the tests has m
+# <= 5 and every double blow-up of the 3/1 family m <= 9 (0.07 s); m = 12
+# takes 12 s, and a 7-ray surface's m = 14 runs for minutes and past 1 GB.
+MAX_PRIMITIVE_COLLECTIONS = 10
 _INT64_MAX = 2**63 - 1
 # (vertex, mask, row) values per row chunk of _polytope_boxes, the array
 # each of the p rays off a vertex is tested on
@@ -121,7 +126,9 @@ def _plan(fan: Fan) -> _Plan:
     (see Fan).  fan's B^-1 is read first, which checks fan, so an invalid
     fan fails before any rank table is filled; then a fan of more than
     MAX_PLAN_SETS sets of pic_rank rays raises BoxTooLarge before any of
-    its vertex maps is formed."""
+    its vertex maps is formed.  A type of more than MAX_PRIMITIVE_COLLECTIONS
+    primitive collections raises BoxTooLarge in _support_ranks, before its
+    rank table is filled."""
     plan = fan.__dict__.get("_oracle_plan")
     if plan is None:
         fan._basis_inverse  # checks fan
@@ -277,9 +284,16 @@ def _support_ranks(fan: Fan):
     the Taylor resolution of the Stanley-Reisner ideal, which the primitive
     collections P_j generate: the sets J of P_j's with union S, in degree
     |J| (Miller-Sturmfels, GTM 227, ch. 1 and 4).  The strands are keyed by
-    S as a Python-int bit mask, so any number of rays fits."""
+    S as a Python-int bit mask, so any number of rays fits.  A type of more
+    than MAX_PRIMITIVE_COLLECTIONS collections raises BoxTooLarge before
+    any Taylor set is formed."""
     if fan.max_cones not in _RANK_TABLES:
         prims = [sum(1 << i for i in p) for p in fan.primitive_collections]
+        if len(prims) > MAX_PRIMITIVE_COLLECTIONS:
+            raise BoxTooLarge(
+                f"fan {fan.basis_tag}: {len(prims)} primitive collections, 2^{len(prims)} "
+                f"Taylor sets to rank (budget {MAX_PRIMITIVE_COLLECTIONS} collections)"
+            )
         strands = {}  # S -> its sets J, as tuples of indices into prims
         for k in range(len(prims) + 1):
             for J in combinations(range(len(prims)), k):

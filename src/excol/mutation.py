@@ -12,14 +12,19 @@ whatever the length of the collection or of the log; a failing rule
 raises with the log up to it, and construct returns the finished lists as
 a Collection.
 
-The script is the same in both codimensions: in codimension 3 it first
-Serre-rotates the O(2E) block to the tail; then each O(E)-twisted
-pushforward, last first, walks right to its partner line bundle and
-right-mutates with it; then each untwisted pushforward, first first, walks
-left to its partner and left-mutates with it (codimension 2 has none).
-Every rule that needs an Ext pairs one pushforward with one line bundle, so
-the construction never calls the cohomology oracle that certifies its
-output.  Anything outside these rules fails loudly.
+The seed is Orlov's blow-up formula, one expression in the center Y and
+the rank c of its conormal bundle: c - 1 blocks of pushforwards from Y,
+each a full exceptional collection of D(Y), then X's line bundles
+(initial_collection).  The script is one for both codimensions that
+CenterSpec accepts, 2 and 3: it first Serre-rotates every pushforward
+twisted past O(E) to the tail (in codimension 3 the O(2E) block, which
+lands untwisted); then each O(E)-twisted pushforward, last first, walks
+right to its partner line bundle and right-mutates with it; then each
+untwisted pushforward, first first, walks left to its partner and
+left-mutates with it (codimension 2 has none).  Every rule that needs an
+Ext pairs one pushforward with one line bundle, so the construction never
+calls the cohomology oracle that certifies its output.  Anything outside
+these rules fails loudly.
 """
 
 from __future__ import annotations
@@ -222,21 +227,20 @@ def _revlex(smax, rmax):
 
 
 def initial_collection(bl: Blowup) -> Collection:
-    """The seed collection from the blow-up and projective-bundle
-    semiorthogonal decompositions."""
+    """The seed collection, Orlov's blow-up formula: for k = c - 1 down to
+    1 (c the rank of Y's conormal bundle), the pushforwards of Y's
+    _revlex(s', r') window twisted by O(k E) and moved k - 1 times by
+    (sum a - s' - 1, -r' - 1); then X's lines, the projective-bundle
+    window _revlex(s, r)."""
     spec, geom = bl.spec, bl.geometry
     sp, rp = geom.s_prime, geom.r_prime
-    lines = tuple(LineBundle(a, b, 0) for a, b in _revlex(spec.s, spec.r))
-    block1 = tuple(PushforwardTwist(a, b, 1) for a, b in _revlex(sp, rp))
-    if bl.codim == 2:
-        return Collection(block1 + lines)
-    total = sum(spec.fiber_degrees)
-    block2 = tuple(
-        PushforwardTwist(alpha, beta, 2)
-        for beta in range(-rp - 1, 0)
-        for alpha in range(-sp - 1 + total, total)
+    da, db = sum(spec.fiber_degrees) - sp - 1, -rp - 1
+    pushes = tuple(
+        PushforwardTwist(a + (k - 1) * da, b + (k - 1) * db, k)
+        for k in range(geom.codim - 1, 0, -1)
+        for a, b in _revlex(sp, rp)
     )
-    return Collection(block2 + block1 + lines)
+    return Collection(pushes + tuple(LineBundle(a, b, 0) for a, b in _revlex(spec.s, spec.r)))
 
 
 def _first_pushforward(objects, k, order):
@@ -268,18 +272,19 @@ def construct(spec: BundleSpec, center: CenterSpec):
     """Replay the mutation script; returns (blowup, collection of line
     bundles).
 
-    While the head is an O(2E)-twisted pushforward (codimension 3 only), it
-    is rotated to the tail, where the anticanonical twist (k = -2) lands it
-    untwisted.  Then every O(E)-twisted pushforward, last first, walks
-    right to its partner line bundle and right-mutates with it into twists
-    0 and 1; and every untwisted pushforward, first first, walks left to
-    its partner and left-mutates with it into twists -1 and 0.  In
-    codimension 2 there are no untwisted pushforwards.  The rules rewrite
-    one list of objects in place and append to one log.
+    While the head is a pushforward twisted past O(E) (k >= 2: the O(2E)
+    block, codimension 3 only), it is rotated to the tail, where the
+    anticanonical twist (k = 1 - c = -2) lands it untwisted.  Then every
+    O(E)-twisted pushforward, last first, walks right to its partner line
+    bundle and right-mutates with it into twists 0 and 1; and every
+    untwisted pushforward, first first, walks left to its partner and
+    left-mutates with it into twists -1 and 0.  In codimension 2 there are
+    no untwisted pushforwards.  The rules rewrite one list of objects in
+    place and append to one log.
     """
     bl = make_blowup(spec, center)
     objects, log = list(initial_collection(bl).objects), []
-    while isinstance(objects[0], PushforwardTwist) and objects[0].k == 2:
+    while isinstance(objects[0], PushforwardTwist) and objects[0].k >= 2:
         serre_rotate(bl, objects, log)
     n = len(objects)
     for k, order, step, mutate in (

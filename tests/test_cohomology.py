@@ -8,6 +8,7 @@ import os
 import random
 import re
 import tempfile
+import time
 from math import prod
 from pathlib import Path
 
@@ -292,6 +293,25 @@ def test_box_matrix_past_int64_raises():
     fan = build_projective_bundle_fan(BundleSpec(1, (0, 2**70)))
     with pytest.raises(BoxTooLarge, match=re.escape(f"fan {fan.basis_tag}: vertex maps reach")):
         _plan(fan)
+
+
+def test_rank_table_refuses_too_many_primitive_collections():
+    """P^1 x P^1 blown up three times is a 7-ray surface with 14 primitive
+    collections (its pairs of non-adjacent rays), whose rank table would
+    rank 2^14 Taylor sets for minutes and past 1 GB: cohomology_dims raises
+    BoxTooLarge naming the fan, m and the budget within a second."""
+    bl = make_blowup(BundleSpec(1, (0, 0)), CenterSpec(frozenset({"b1", "f1"})))
+    double = fan_module.star_subdivide(bl.fan_xt, CenterSpec(frozenset({"b1", "e"})))
+    fan = fan_module.star_subdivide(double, CenterSpec(frozenset({"e", "e2"})))
+    assert fan.n_rays == 7 and len(fan.primitive_collections) == 14
+    t0 = time.perf_counter()
+    with pytest.raises(BoxTooLarge) as info:
+        cohomology_dims(fan, fan.pic_class((0,) * 5))
+    assert time.perf_counter() - t0 < 1.0
+    assert str(info.value) == (
+        "fan X(s=1,a=(0, 0))+E+E+E: 14 primitive collections, 2^14 Taylor sets "
+        "to rank (budget 10 collections)"
+    )
 
 
 def test_oracle_rejects_a_basis_that_is_not_a_z_basis():

@@ -186,6 +186,28 @@ def test_star_subdivision_not_a_cone():
         star_subdivide(fan, CenterSpec(frozenset({"b0", "b1"})))
 
 
+def test_iterated_blowups_keep_ray_names_apart():
+    """A blow-up of a fan that has a ray e names its new ray e2, then e3,
+    so each name is one ray's: on the double blow-up of P^1 x P^1 the
+    center {e, f1} resolves to the first e, (1, 1), and subdivides, adding
+    e + f1 = (1, 2) (the second e, (2, 1), would give (2, 2)).
+    validate_fan refuses repeated names and a name count that is not the
+    ray count."""
+    bl = make_blowup(BundleSpec(1, (0, 0)), CenterSpec(frozenset({"b1", "f1"})))
+    double = star_subdivide(bl.fan_xt, CenterSpec(frozenset({"b1", "e"})))
+    assert double.ray_names == ("b0", "b1", "f0", "f1", "e", "e2")
+    assert double.rays[4:] == ((1, 1), (2, 1))
+    triple = star_subdivide(double, CenterSpec(frozenset({"e", "f1"})))
+    assert triple.ray_names == ("b0", "b1", "f0", "f1", "e", "e2", "e3")
+    assert triple.rays[-1] == (1, 2)
+    validate_fan(triple)
+    good = projective_space_fan(2)
+    for names in (("x", "x", "y"), ("x0", "x1"), ("x0", "x1", "x2", "x3")):
+        with pytest.raises(InvalidSpec) as info:
+            validate_fan(replace(good, ray_names=names))
+        assert str(info.value) == f"ray names {names} are not 3 distinct names, one per ray"
+
+
 def test_blowup_canonical_class(bl_p1p1, bl_p2p1):
     # codim-2: K picks up (c-1) = 1 copy of E
     assert bl_p1p1.fan_xt.canonical_class().coords == (-2, -2, 1)
@@ -513,8 +535,10 @@ def _mutant(fan, rng):
     """fan with its cones and the rays in each shuffled, which keeps it
     valid, after one or two random edits: a ray moved, negated or swapped
     with another, a cone's ray replaced, a cone dropped, or a second copy
-    of every cone on copies of the rays."""
+    of every cone on copies of the rays, each copy named afresh so that the
+    names stay one per ray and distinct."""
     rays, cones = list(fan.rays), [list(cone) for cone in fan.max_cones]
+    names = fan.ray_names
     for _ in range(rng.randint(1, 2)):
         edit = rng.choice(("move", "negate", "swap", "break", "drop", "twice", "none"))
         i = rng.randrange(len(rays))
@@ -534,10 +558,11 @@ def _mutant(fan, rng):
         elif edit == "twice":
             cones += [[i + len(rays) for i in cone] for cone in cones]
             rays += rays
+            names += tuple(f"{name}'" for name in names)
     for cone in cones:
         rng.shuffle(cone)
     rng.shuffle(cones)
-    return replace(fan, rays=tuple(rays), max_cones=tuple(map(tuple, cones)))
+    return replace(fan, ray_names=names, rays=tuple(rays), max_cones=tuple(map(tuple, cones)))
 
 
 def test_validate_fan_agrees_with_a_slow_reference():
@@ -646,7 +671,7 @@ def test_center_geometry_never_degenerate():
 
 
 def test_make_blowup_consistency(bl_p1p1):
-    assert bl_p1p1.codim == 2
+    assert bl_p1p1.geometry.codim == 2
     assert bl_p1p1.fan_xt.n_rays == bl_p1p1.fan_x.n_rays + 1
     assert bl_p1p1.fan_xt.pic_rank == 3
 

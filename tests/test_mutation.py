@@ -12,6 +12,7 @@ from excol import (
     PushforwardTwist,
     collection_classes,
     construct,
+    make_blowup,
 )
 from excol import mutation, splitcalc
 from excol.cli import enumerate_centers, enumerate_specs
@@ -37,29 +38,69 @@ def _shapes(col):
     return [(type(o).__name__[0], o.alpha, o.beta, o.k) for o in col.objects]
 
 
-def test_initial_collection_codim2(bl_p1p1):
-    col = initial_collection(bl_p1p1)
-    assert _shapes(col) == [
-        ("P", 0, 0, 1),
-        ("L", 0, 0, 0),
-        ("L", 1, 0, 0),
-        ("L", 0, 1, 0),
-        ("L", 1, 1, 0),
-    ]
+@pytest.mark.parametrize(
+    "blowup, shapes",
+    [
+        (
+            "bl_p1p1",
+            [("P", 0, 0, 1), ("L", 0, 0, 0), ("L", 1, 0, 0), ("L", 0, 1, 0), ("L", 1, 1, 0)],
+        ),
+        (
+            "bl_p2p1",
+            [
+                ("P", -1, -1, 2),
+                ("P", 0, 0, 1),
+                ("L", 0, 0, 0),
+                ("L", 1, 0, 0),
+                ("L", 2, 0, 0),
+                ("L", 0, 1, 0),
+                ("L", 1, 1, 0),
+                ("L", 2, 1, 0),
+            ],
+        ),
+    ],
+    ids=["codim2", "codim3"],
+)
+def test_initial_collection(request, blowup, shapes):
+    assert _shapes(initial_collection(request.getfixturevalue(blowup))) == shapes
 
 
-def test_initial_collection_codim3(bl_p2p1):
-    col = initial_collection(bl_p2p1)
-    assert _shapes(col) == [
-        ("P", -1, -1, 2),
-        ("P", 0, 0, 1),
-        ("L", 0, 0, 0),
-        ("L", 1, 0, 0),
-        ("L", 2, 0, 0),
-        ("L", 0, 1, 0),
-        ("L", 1, 1, 0),
-        ("L", 2, 1, 0),
-    ]
+def test_o2e_block_rotates_onto_x_top_corner():
+    """On every codim-3 center of the s + r <= 4, degree <= 2 family, the
+    seed's O(2E) block twisted by -K is exactly the untwisted pushforwards
+    on X's top-corner window [s - s', s] x [r - r', r], in the block's
+    order: why construct's Serre rotations land it where its left
+    mutations find partners."""
+    cases = 0
+    for spec in enumerate_specs(4, 2):
+        s, r = spec.s, spec.r
+        for center in enumerate_centers(spec, 3):
+            bl = make_blowup(spec, center)
+            sp, rp = bl.geometry.s_prime, bl.geometry.r_prime
+            block = [o for o in initial_collection(bl).objects if o.k == 2]
+            assert [tensor_object(o, anticanonical_twist(bl)) for o in block] == [
+                PushforwardTwist(a, b, 0)
+                for b in range(r - rp, r + 1)
+                for a in range(s - sp, s + 1)
+            ], (spec, center)
+            cases += 1
+    assert cases == 370
+
+
+def test_anticanonical_twist_formula():
+    """On every case of the s + r <= 4, degree <= 2 family, -K of the
+    blow-up is (s + 1 - sum a, r + 1, 1 - c)."""
+    cases = 0
+    for spec in enumerate_specs(4, 2):
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                assert anticanonical_twist(make_blowup(spec, center)) == (
+                    spec.s + 1 - sum(spec.fiber_degrees),
+                    spec.r + 1,
+                    1 - codim,
+                ), (spec, center)
+                cases += 1
+    assert cases == 735
 
 
 def test_construct_codim2_p1xp1():

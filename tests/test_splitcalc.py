@@ -163,7 +163,7 @@ def test_lemA_triangle_euler_identity(bl_p2p1):
     rng = random.Random(5)
     for _ in range(8):
         ma, mb, la, lb = (rng.randint(-2, 2) for _ in range(4))
-        k = rng.randint(1, bl_p2p1.codim - 1)
+        k = rng.randint(1, bl_p2p1.geometry.codim - 1)
         lhs = -sum(
             sum(
                 (-1) ** i * x

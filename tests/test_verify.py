@@ -275,7 +275,7 @@ def _orlov_length(bl):
     """Orlov's count for the blow-up, (s+1)(r+1) + (c-1)(s'+1)(r'+1): the
     reference the fan's maximal-cone count is checked against."""
     spec, geom = bl.spec, bl.geometry
-    return (spec.s + 1) * (spec.r + 1) + (bl.codim - 1) * (geom.s_prime + 1) * (
+    return (spec.s + 1) * (spec.r + 1) + (geom.codim - 1) * (geom.s_prime + 1) * (
         geom.r_prime + 1
     )
 
