@@ -458,12 +458,17 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
     B^-1 is fan's bordered: an E column holding -1 on the center rays, and
     the unit row of e.  The blow-up gets it in its __dict__, and with it
     fan's check: it needs none of its own.
+
+    The blow-up's basis tag is fan's followed by +E(the center's ray names,
+    sorted), so blow-ups of one fan along different centers have different
+    tags, and a class of one is refused by the other's oracle.
     """
     inv = fan._basis_inverse
-    for name in sorted(center.ray_names):
+    names = sorted(center.ray_names)
+    for name in names:
         if name not in fan.name_index:
             raise UnknownRay(name)
-    idx = sorted(fan.name_index[name] for name in center.ray_names)
+    idx = sorted(fan.name_index[name] for name in names)
     idx_set = set(idx)
     e = fan.n_rays
     cones = []
@@ -488,7 +493,7 @@ def star_subdivide(fan: Fan, center: CenterSpec) -> Fan:
         ray_names=fan.ray_names + (name,),
         rays=fan.rays + (new_ray,),
         max_cones=tuple(cones),
-        basis_tag=fan.basis_tag + "+E",
+        basis_tag=f"{fan.basis_tag}+E({','.join(names)})",
         basis_divisors=tuple(basis),
     )
     p = fan.pic_rank
@@ -517,27 +522,26 @@ def _geometry(spec: BundleSpec, center: CenterSpec) -> CenterGeometry:
 
 
 class Blowup(_Record):
-    """The full geometric setup: X, its blow-up, and the center geometry.
-    The center's codimension is geometry.codim, the rank of Y's conormal
-    bundle."""
+    """The full geometric setup: X's spec, the center, the center geometry
+    and the blow-up's fan.  The center's codimension is geometry.codim, the
+    rank of Y's conormal bundle; X's fan is build_projective_bundle_fan(spec),
+    one shared Fan per spec."""
 
     def __init__(
         self,
         spec: BundleSpec,
         center: CenterSpec,
         geometry: CenterGeometry,
-        fan_x: Fan,
         fan_xt: Fan,
     ):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "fan_x", fan_x)
         object.__setattr__(self, "fan_xt", fan_xt)
 
 
 def make_blowup(spec: BundleSpec, center: CenterSpec) -> Blowup:
-    fan_x = build_projective_bundle_fan(spec)
-    fan_xt = star_subdivide(fan_x, center)  # checks the center against X
+    # star_subdivide checks the center against X
+    fan_xt = star_subdivide(build_projective_bundle_fan(spec), center)
     geom = _geometry(spec, center)
-    return Blowup(spec=spec, center=center, geometry=geom, fan_x=fan_x, fan_xt=fan_xt)
+    return Blowup(spec=spec, center=center, geometry=geom, fan_xt=fan_xt)

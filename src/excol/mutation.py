@@ -3,12 +3,16 @@ script that turns the initial semiorthogonal seed into a collection of line
 bundles.
 
 The engine only applies three rewrite rules (orthogonal transposition,
-Serre rotation, and the adjacent mutation against the matching line bundle
-that produces an O(E)-twist), and it checks every rule's Ext hypothesis
-against the structured formulas of splitcalc before rewriting.  Each rule
-takes the script's one list of objects and one list of log entries,
-rewrites its pair in place and appends its entry, so a step costs O(1)
-whatever the length of the collection or of the log; a failing rule
+Serre rotation, and the E-twist mutation), and it checks every rule's Ext
+hypothesis against the structured formulas of splitcalc before rewriting.
+The E-twist mutation is one rule, from the triangle 0 -> O((k-1)E) ->
+O(kE) -> O_E(kE) -> 0 tensored by a class M: a pushforward of M twisted by
+O(kE) and its partner, M's line bundle on the other side of the pair,
+become M's line bundles with twists k-1 and k.  Read with the pushforward
+first it is the right mutation, with the pushforward second the left.
+Each rule takes the script's one list of objects and one list of log
+entries, rewrites its pair in place and appends its entry, so a step costs
+O(1) whatever the length of the collection or of the log; a failing rule
 raises with the log up to it, and construct returns the finished lists as
 a Collection.
 
@@ -159,11 +163,37 @@ def transpose_if_orthogonal(bl: Blowup, objects, log, i):
     _rewrite(objects, log, i, "transpose", hom, (b, a))
 
 
-def _mutate_E_twist(bl: Blowup, objects, log, i, rule, push, degree):
-    """Shared tail of the E-twist mutations: the pair's graded Hom must be
-    one-dimensional in the given degree, and the pair becomes the line
-    bundles of the pushforward's class with twists k-1 and k."""
-    hom = graded_hom(bl, objects[i], objects[i + 1])
+def _partner(push, side):
+    """push's partner, as the fields (alpha, beta, k) of a LineBundle: the
+    line bundle of push's class twisted by O((k - 1 + side) E), which
+    stands on the other side of an E-twist pair when push stands on the
+    given side (0 first, 1 second).  The rule's check compares fields, as
+    building a record there costs a replay a few percent."""
+    return push.alpha, push.beta, push.k - 1 + side
+
+
+def _mutate_E_twist(bl: Blowup, objects, log, i, rule, side):
+    """The E-twist mutation, read from either side of its triangle.  The
+    pushforward of M twisted by O(kE) stands on the given side of the pair
+    at i (0 first, 1 second), its partner on the other, with k >= 1 on
+    side 0 and k = 0 on side 1; the pair's graded Hom must be
+    one-dimensional in degree 1 - side, and the pair becomes M's line
+    bundles with twists k-1 and k."""
+    pair = _pair(objects, log, i, rule)
+    push, line = pair[side], pair[1 - side]
+    if not (
+        isinstance(push, PushforwardTwist)
+        and (push.k == 0 if side else push.k >= 1)
+        and isinstance(line, LineBundle)
+        and (line.alpha, line.beta, line.k) == _partner(push, side)
+    ):
+        raise HypothesisFailed(
+            f"{rule} at {i}: objects {i} and {i + 1} are not a pushforward and "
+            "its partner line bundle",
+            log=log,
+        )
+    hom = graded_hom(bl, *pair)
+    degree = 1 - side
     if tuple(hom) != (0,) * degree + (1,) + (0,) * (len(hom) - degree - 1):
         raise HypothesisFailed(
             f"{rule} at {i}: Ext pattern {hom} is not one-dimensional in degree {degree}",
@@ -177,48 +207,16 @@ def _mutate_E_twist(bl: Blowup, objects, log, i, rule, push, degree):
 
 
 def right_mutation_E_twist(bl: Blowup, objects, log, i):
-    """Mutate the pair (pushforward of M twisted by O(kE), matching line
-    bundle with twist k-1) into the adjacent pair of line bundles with
+    """Mutate the pair (pushforward of M twisted by O(kE), k >= 1, its
+    partner: M's line bundle with twist k-1) into M's line bundles with
     twists k-1 and k."""
-    a, b = _pair(objects, log, i, "right_mutation_E_twist")
-    if not (isinstance(a, PushforwardTwist) and a.k >= 1):
-        raise HypothesisFailed(
-            f"right_mutation_E_twist at {i}: object {i} is not a pushforward with k >= 1",
-            log=log,
-        )
-    if not (
-        isinstance(b, LineBundle)
-        and b.k == a.k - 1
-        and (b.alpha, b.beta) == (a.alpha, a.beta)
-    ):
-        raise HypothesisFailed(
-            f"right_mutation_E_twist at {i}: object {i + 1} does not match the "
-            f"pushforward at {i}",
-            log=log,
-        )
-    _mutate_E_twist(bl, objects, log, i, "right_mutation_E_twist", a, 1)
+    _mutate_E_twist(bl, objects, log, i, "right_mutation_E_twist", 0)
 
 
 def left_mutation_E_twist(bl: Blowup, objects, log, i):
-    """Mutate the pair (line bundle, untwisted pushforward of the same
-    class) into the line bundles with twists -1 and 0."""
-    a, b = _pair(objects, log, i, "left_mutation_E_twist")
-    if not (isinstance(a, LineBundle) and a.k == 0):
-        raise HypothesisFailed(
-            f"left_mutation_E_twist at {i}: object {i} is not an untwisted line bundle",
-            log=log,
-        )
-    if not (
-        isinstance(b, PushforwardTwist)
-        and b.k == 0
-        and (b.alpha, b.beta) == (a.alpha, a.beta)
-    ):
-        raise HypothesisFailed(
-            f"left_mutation_E_twist at {i}: object {i + 1} does not match the "
-            f"line bundle at {i}",
-            log=log,
-        )
-    _mutate_E_twist(bl, objects, log, i, "left_mutation_E_twist", b, 0)
+    """Mutate the pair (M's untwisted line bundle, the untwisted
+    pushforward of M) into M's line bundles with twists -1 and 0."""
+    _mutate_E_twist(bl, objects, log, i, "left_mutation_E_twist", 1)
 
 
 def _revlex(smax, rmax):
@@ -255,10 +253,10 @@ def _first_pushforward(objects, k, order):
 
 def _walk_to_partner(bl: Blowup, objects, log, idx, step):
     """Transpose the pushforward at idx in direction step (+1 or -1) until
-    its neighbour there is its partner, the untwisted line bundle of its
-    class; returns the pushforward's new index."""
-    push = objects[idx]
-    partner = LineBundle(push.alpha, push.beta, 0)
+    its neighbour there is its partner (_partner, with the pushforward on
+    side 0 of the pair when step is +1, else on side 1); returns the
+    pushforward's new index."""
+    partner = LineBundle(*_partner(objects[idx], 0 if step > 0 else 1))
     # a walk off either end fails transpose's index check, instead of
     # wrapping round
     end = len(objects) if step > 0 else -1

@@ -1,8 +1,8 @@
 """Test-only helpers built on the fan layer."""
 
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, product
 
-from excol import build_projective_bundle_fan, cohomology_on_bundle
+from excol import Fan, build_projective_bundle_fan, cohomology_on_bundle
 from excol.errors import NotACone, UnknownRay
 from excol.fan import _geometry
 from excol.intlinalg import determinant, inverse
@@ -93,3 +93,53 @@ def star_cones(fan, center):
         else:
             cones.append(cone)
     return tuple(cones)
+
+
+def product_fan(*fans):
+    """The product of fans: each factor's rays padded with zeros into the
+    product lattice and named with the factor's position (x0 of the second
+    factor is x0_1), one max cone per choice of a max cone of each factor,
+    and the factors' basis divisors padded with zeros, so a class's
+    coordinates are the factors' coordinates in turn."""
+    dims = [0, *accumulate(fan.dim for fan in fans)]
+    starts = [0, *accumulate(fan.n_rays for fan in fans)]
+    rays, names, basis = [], [], []
+    for j, fan in enumerate(fans):
+        rays += [(0,) * dims[j] + ray + (0,) * (dims[-1] - dims[j + 1]) for ray in fan.rays]
+        names += [f"{name}_{j}" for name in fan.ray_names]
+        pad = (0,) * (starts[-1] - starts[j + 1])
+        basis += [(0,) * starts[j] + bd + pad for bd in fan.basis_divisors]
+    return Fan(
+        dim=dims[-1],
+        ray_names=tuple(names),
+        rays=tuple(rays),
+        # each factor's rays come after the last factor's, so every cone is sorted
+        max_cones=tuple(
+            tuple(i + start for cone, start in zip(pick, starts) for i in cone)
+            for pick in product(*(fan.max_cones for fan in fans))
+        ),
+        basis_tag="x".join(fan.basis_tag for fan in fans),
+        basis_divisors=tuple(basis),
+    )
+
+
+def unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1 (n >= 2): the
+    identity after eight random row additions, each adding -2, -1, 1 or 2
+    times one row to another, with its rows then shuffled and some
+    negated."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(8):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+    rng.shuffle(g)
+    return [[-x for x in row] if rng.random() < 0.5 else row for row in g]
+
+
+def moved(fan, g):
+    """A copy of fan with every ray v moved to g v: the same variety in
+    another basis of the lattice, with the same names, cones, basis
+    divisors and basis tag."""
+    rays = tuple(tuple(sum(a * b for a, b in zip(row, ray)) for row in g) for ray in fan.rays)
+    return replace(fan, rays=rays)

@@ -241,7 +241,7 @@ def test_verify_huge_class_stderr(tmp_path, capsys):
 
 # O + O(2^70) over P^1 blown up along b1,f1: its vertex maps leave int64
 HUGE_FAN_ERROR = (
-    "fan X(s=1,a=(0, 1180591620717411303424))+E: vertex maps reach "
+    "fan X(s=1,a=(0, 1180591620717411303424))+E(b1,f1): vertex maps reach "
     "2787593149816327892694325967322480010854400 (int64 limit 9223372036854775807)"
 )
 
@@ -507,10 +507,10 @@ def test_numpy_loads_only_when_a_class_is_computed(tmp_path):
     ]
 
 
-def _time_cli():
-    """tools/time_cli.py, loaded as a module."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "time_cli.py"
-    spec = importlib.util.spec_from_file_location("time_cli", path)
+def _tool(name):
+    """tools/<name>.py, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -520,7 +520,7 @@ def test_time_cli_reports_both_trees(capsys):
     """tools/time_cli.py runs one excol argv in fresh interpreters against
     two source trees, here this one twice, and prints both sides' times
     and how many pairs' outputs differ."""
-    module = _time_cli()
+    module = _tool("time_cli")
     src = str(Path(excol.__file__).parent.parent)
     assert module.main([src, src, "--pairs", "2", "--", "sweep", "--help"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -540,7 +540,7 @@ def test_time_cli_fails_when_the_trees_print_differently(monkeypatch, capsys):
     """Two trees whose sweep rows differ only in the seconds column print
     the same; rows that differ in anything else fail the comparison, with
     exit 1, though the exit codes agree."""
-    module = _time_cli()
+    module = _tool("time_cli")
     rows = {
         "base": b"s=1 a=[0, 0]            b1,f1              5  ES1         0.12\n",
         "head": b"s=1 a=[0, 0]            b1,f1              5  ES1        10.57\n",
@@ -553,6 +553,51 @@ def test_time_cli_fails_when_the_trees_print_differently(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1].endswith("exit [0]") and out[2].endswith("exit [0]")
     assert out[4] == "  stdout (seconds masked): differs in 3/3 pairs"
+
+
+CODE_LINES_SNIPPET = '''"""A module docstring,
+over two lines."""
+
+# a comment line
+import os  # a trailing comment
+
+
+def f(x):
+    """A function docstring."""
+
+    y = (x +
+         1)
+    return """a string
+that is no docstring"""
+
+
+class C:
+    """A class docstring."""
+    z = os.sep
+'''
+
+
+def test_code_lines_counts_only_code(tmp_path, capsys):
+    """tools/code_lines.py counts a line when code starts, ends or runs
+    through it: blank lines, comment lines and docstrings do not count,
+    each line of a split statement or of a string that is no docstring
+    does.  Given two trees it prints each module's difference."""
+    module = _tool("code_lines")
+    assert module.code_lines(CODE_LINES_SNIPPET) == 8
+    one, two = tmp_path / "one", tmp_path / "two"
+    for tree in (one, two):
+        tree.mkdir()
+        (tree / "m.py").write_text(CODE_LINES_SNIPPET)
+    (two / "n.py").write_text("x = 1\n\n\ny = 2  # two lines\n")
+    assert module.main([str(one)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["m.py         8", "total        8"]
+    assert module.main([str(one), str(two)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "module    tree   other    diff",
+        "m.py         8       8      +0",
+        "n.py         0       2      +2",
+        "total        8      10      +2",
+    ]
 
 
 def test_sweep_small(capsys):

@@ -119,7 +119,7 @@ def test_blowup_point_p1xp1(bl_p1p1):
 def test_lift_invariance(bl_p1p1):
     """The answer must not depend on the chosen T-divisor representative."""
     rng = random.Random(7)
-    for fan in (bl_p1p1.fan_x, bl_p1p1.fan_xt):
+    for fan in (build_projective_bundle_fan(bl_p1p1.spec), bl_p1p1.fan_xt):
         for _ in range(6):
             coords = tuple(rng.randint(-3, 3) for _ in range(fan.pic_rank))
             cls = fan.pic_class(coords)
@@ -189,7 +189,7 @@ def _blowup(spec, center):
 @st.composite
 def family_divisors(draw):
     bl = _blowup(*draw(st.sampled_from(FAMILY)))
-    fan = bl.fan_xt if draw(st.booleans()) else bl.fan_x
+    fan = bl.fan_xt if draw(st.booleans()) else build_projective_bundle_fan(bl.spec)
     coeffs = draw(st.lists(st.integers(-30, 30), min_size=fan.n_rays, max_size=fan.n_rays))
     return fan, tuple(coeffs)
 
@@ -309,9 +309,30 @@ def test_rank_table_refuses_too_many_primitive_collections():
         cohomology_dims(fan, fan.pic_class((0,) * 5))
     assert time.perf_counter() - t0 < 1.0
     assert str(info.value) == (
-        "fan X(s=1,a=(0, 0))+E+E+E: 14 primitive collections, 2^14 Taylor sets "
-        "to rank (budget 10 collections)"
+        "fan X(s=1,a=(0, 0))+E(b1,f1)+E(b1,e)+E(e,e2): 14 primitive collections, "
+        "2^14 Taylor sets to rank (budget 10 collections)"
     )
+
+
+def test_sibling_blowups_refuse_each_others_classes():
+    """P^1 x P^1 blown up at b1,f1 and then at b1,e or at b0,f0 gives two
+    fans with one parent, the same ray count and different cones.  Each
+    tag names its center, so the oracle refuses a class of one on the
+    other instead of reading its coordinates in the wrong basis."""
+    bl = make_blowup(BundleSpec(1, (0, 0)), CenterSpec(frozenset({"b1", "f1"})))
+    one, other = (
+        fan_module.star_subdivide(bl.fan_xt, CenterSpec(frozenset(center)))
+        for center in ({"b1", "e"}, {"b0", "f0"})
+    )
+    assert set(one.max_cones) != set(other.max_cones)
+    assert (one.basis_tag, other.basis_tag) == (
+        "X(s=1,a=(0, 0))+E(b1,f1)+E(b1,e)",
+        "X(s=1,a=(0, 0))+E(b1,f1)+E(b0,f0)",
+    )
+    cls = one.pic_class((0, 0, 0, 0))
+    assert cohomology_dims(one, cls) == (1, 0, 0)
+    with pytest.raises(ValueError, match="^class belongs to a different fan$"):
+        cohomology_dims(other, cls)
 
 
 def test_oracle_rejects_a_basis_that_is_not_a_z_basis():
@@ -1354,7 +1375,8 @@ def test_each_fan_object_is_validated_once(monkeypatch):
     monkeypatch.setattr(fan_module, "validate_fan", lambda f: validated.append(f) or real(f))
     other = make_blowup(spec, CenterSpec(frozenset({"b0", "f0"})))
     classes = [(0, 0, 0), (1, -1, 2), (-2, 1, -1)]
-    for fan in (bl.fan_xt, bl.fan_x, other.fan_xt, bl.fan_xt):
+    fan_x = build_projective_bundle_fan(spec)
+    for fan in (bl.fan_xt, fan_x, other.fan_xt, bl.fan_xt):
         cohomology_dims_many(fan, [fan.pic_class(c[: fan.pic_rank]) for c in classes])
     assert validated == []
     copy = replace(bl.fan_xt)
@@ -1363,8 +1385,8 @@ def test_each_fan_object_is_validated_once(monkeypatch):
         assert cohomology_dims_many(copy, [copy.pic_class(c) for c in classes]) == want
     assert len(validated) == 1 and validated[0] is copy
     validated.clear()
-    sub = fan_module.star_subdivide(replace(bl.fan_x), center)
-    assert len(validated) == 1 and validated[0] is not bl.fan_x
+    sub = fan_module.star_subdivide(replace(fan_x), center)
+    assert len(validated) == 1 and validated[0] is not fan_x
     assert cohomology_dims_many(sub, [sub.pic_class(c) for c in classes]) == want
     assert len(validated) == 1
 

@@ -228,15 +228,6 @@ def test_transpose_swaps_orthogonal_pair():
         assert log == [dict(logged, index=0)]
 
 
-def test_right_mutation_guards(bl_p1p1):
-    bad = [LineBundle(0, 0, 0), LineBundle(0, 0, 0)]
-    with pytest.raises(HypothesisFailed):
-        right_mutation_E_twist(bl_p1p1, bad, [], 0)
-    mismatched = [PushforwardTwist(0, 0, 1), LineBundle(1, 0, 0)]
-    with pytest.raises(HypothesisFailed):
-        right_mutation_E_twist(bl_p1p1, mismatched, [], 0)
-
-
 def test_right_mutation_produces_twist_pair(bl_p1p1):
     objects, log = [PushforwardTwist(0, 0, 1), LineBundle(0, 0, 0)], []
     right_mutation_E_twist(bl_p1p1, objects, log, 0)
@@ -244,13 +235,105 @@ def test_right_mutation_produces_twist_pair(bl_p1p1):
     assert log[-1]["hom"] == [0, 1, 0]
 
 
-def test_left_mutation_guards_and_result(bl_p2p1):
-    objects = [LineBundle(2, 1, 0), PushforwardTwist(2, 1, 0)]
-    left_mutation_E_twist(bl_p2p1, objects, [], 0)
+def test_left_mutation_produces_twist_pair(bl_p2p1):
+    objects, log = [LineBundle(2, 1, 0), PushforwardTwist(2, 1, 0)], []
+    left_mutation_E_twist(bl_p2p1, objects, log, 0)
     assert objects == [LineBundle(2, 1, -1), LineBundle(2, 1, 0)]
-    bad = [LineBundle(2, 1, 1), PushforwardTwist(2, 1, 0)]
-    with pytest.raises(HypothesisFailed):
-        left_mutation_E_twist(bl_p2p1, bad, [], 0)
+    assert log[-1]["hom"] == [1, 0, 0, 0]
+
+
+def _reference_accepts(rule, a, b):
+    """Whether the pair (a, b) has the shape an E-twist rule takes, written
+    out for each rule on its own: a pushforward with k >= 1 then the line
+    bundle of its class with twist k - 1 (right), or the untwisted line
+    bundle of a class then its untwisted pushforward (left)."""
+    if rule is right_mutation_E_twist:
+        push, line = a, b
+        twists = isinstance(push, PushforwardTwist) and push.k >= 1 and line.k == push.k - 1
+    else:
+        line, push = a, b
+        twists = isinstance(push, PushforwardTwist) and line.k == 0 and push.k == 0
+    return (
+        twists
+        and isinstance(line, LineBundle)
+        and (line.alpha, line.beta) == (push.alpha, push.beta)
+    )
+
+
+GRID = [
+    kind(alpha, beta, k)
+    for kind in (LineBundle, PushforwardTwist)
+    for alpha in (-1, 1)
+    for beta in (-1, 1)
+    for k in range(-2, 4)
+]
+
+
+@pytest.mark.parametrize("rule", [right_mutation_E_twist, left_mutation_E_twist])
+@pytest.mark.parametrize("first", [LineBundle, PushforwardTwist], ids=["line", "push"])
+def test_e_twist_rules_accept_exactly_their_pairs(rule, first, monkeypatch):
+    """Over every ordered pair of the grid's objects (both kinds, classes
+    (+-1, +-1), twists -2..3) whose first object is of one kind, each rule
+    accepts exactly the pairs _reference_accepts does, with the graded Hom
+    patched to the pattern the rule wants.  An accepted pair becomes its
+    pushforward's line bundles with twists k - 1 and k; any other fails
+    the shape check, before any Hom is asked, and rewrites nothing."""
+    asked = []
+    pattern = (0, 1, 0) if rule is right_mutation_E_twist else (1, 0, 0)
+    monkeypatch.setattr(mutation, "graded_hom", lambda bl, a, b: asked.append((a, b)) or pattern)
+    accepted = 0
+    for a in (o for o in GRID if isinstance(o, first)):
+        for b in GRID:
+            objects, log = [a, b], []
+            if _reference_accepts(rule, a, b):
+                rule(None, objects, log, 0)
+                push = a if isinstance(a, PushforwardTwist) else b
+                assert objects == [
+                    LineBundle(push.alpha, push.beta, push.k - 1),
+                    LineBundle(push.alpha, push.beta, push.k),
+                ]
+                assert log == [
+                    {
+                        "rule": rule.__name__,
+                        "index": 0,
+                        "pair": [a.to_json(), b.to_json()],
+                        "hom": list(pattern),
+                    }
+                ]
+                assert asked.pop() == (a, b)
+                accepted += 1
+            else:
+                with pytest.raises(HypothesisFailed) as exc:
+                    rule(None, objects, log, 0)
+                assert str(exc.value) == (
+                    f"{rule.__name__} at 0: objects 0 and 1 are not a pushforward "
+                    "and its partner line bundle"
+                )
+                assert (objects, log, asked) == ([a, b], [], [])
+    # right: 4 classes x twists 1..3, pushforward first; left: 4 classes
+    want = {(right_mutation_E_twist, PushforwardTwist): 12, (left_mutation_E_twist, LineBundle): 4}
+    assert accepted == want.get((rule, first), 0)
+
+
+def test_logged_e_twist_pairs_are_a_pushforward_and_its_partner():
+    """Every E-twist step logged by the 362 replays of the s + r <= 4,
+    degree <= 1 family rewrote a pushforward and its partner
+    (mutation._partner), in rule order: pushforward first for the right
+    mutation, second for the left."""
+    sides = {"right_mutation_E_twist": 0, "left_mutation_E_twist": 1}
+    steps = {name: 0 for name in sides}
+    for spec in enumerate_specs(4, 1):
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                _, col = construct(spec, center)
+                for entry in col.log:
+                    if (side := sides.get(entry["rule"])) is not None:
+                        pair = [_object(o) for o in entry["pair"]]
+                        push, line = pair[side], pair[1 - side]
+                        assert isinstance(push, PushforwardTwist)
+                        assert line == LineBundle(*mutation._partner(push, side))
+                        steps[entry["rule"]] += 1
+    assert all(steps.values()), steps
 
 
 def test_rule_errors_name_rule_and_index(bl_p1p1, monkeypatch):

@@ -332,7 +332,7 @@ def test_certify_refuses_a_fan_too_large_to_plan(monkeypatch):
     assert time.perf_counter() - t0 < 1.0
     assert formed == []
     assert str(info.value) == (
-        "fan X(s=200,a=(0, 0))+E: C(204, 3) = 1394204 sets of rays to plan (budget 100000)"
+        "fan X(s=200,a=(0, 0))+E(b1,f1): C(204, 3) = 1394204 sets of rays to plan (budget 100000)"
     )
 
 
