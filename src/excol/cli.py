@@ -160,20 +160,22 @@ def default_cache_dir():
 
 
 def run_case(spec, center, cache=True):
-    """Construct and certify one (spec, center); returns (report, error).
+    """Construct and certify one (spec, center); returns (report, error),
+    the error a MutationError of the replay or a BoxTooLarge of a class the
+    oracle cannot sweep, which abort the case and not the sweep.
 
     With cache, certify reads and rewrites the fan's file in the disk cache
     under default_cache_dir(), read at call time.
     """
     try:
         bl, col = construct(spec, center)
-    except MutationError as exc:
+        report = certify(
+            bl.fan_xt,
+            collection_classes(bl, col),
+            cache=DiskCache(default_cache_dir()) if cache else None,
+        )
+    except (MutationError, BoxTooLarge) as exc:
         return None, exc
-    report = certify(
-        bl.fan_xt,
-        collection_classes(bl, col),
-        cache=DiskCache(default_cache_dir()) if cache else None,
-    )
     return report, None
 
 
@@ -198,10 +200,7 @@ def cmd_sweep(args):
         label = f"s={spec.s} a={list(spec.fiber_degrees)}"
         cname = ",".join(sorted(center.ray_names))
         t0 = time.perf_counter()
-        try:
-            report, err = run_case(spec, center, cache=not args.no_cache)
-        except BoxTooLarge as exc:  # a class the oracle cannot sweep
-            report, err = None, exc
+        report, err = run_case(spec, center, cache=not args.no_cache)
         dt = time.perf_counter() - t0
         if err is not None:
             print(f"{label:<24}{cname:<16}{'-':>4}  {'ABORT':<8}{dt:>8.2f}")
@@ -240,7 +239,7 @@ def build_parser():
     p = sub.add_parser("construct", help="replay the mutation script")
     p.add_argument("--base-dim", type=int, required=True, metavar="S")
     p.add_argument("--fiber-degrees", required=True, metavar="A0,A1,...")
-    p.add_argument("--center", required=True, metavar="RAY,RAY[,RAY]")
+    p.add_argument("--center", required=True, metavar="RAY,RAY[,RAY...]")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 

@@ -145,14 +145,8 @@ class Fan(_Record):
         for bd in self.basis_divisors:
             if not all(type(x) is int for x in bd):
                 raise InvalidSpec(f"basis divisor entries must be integers: {bd}")
-        lattice_rows = [[ray[d] for ray in self.rays] for d in range(self.dim)]
-        try:
-            inv, det = inverse(list(self.basis_divisors) + lattice_rows)
-        except ValueError:  # singular, or a basis divisor of the wrong length
-            det = 0
-        if abs(det) != 1:
-            raise InvalidSpec("declared basis divisors are not a Z-basis of Pic")
-        return inv
+        rows = [*self.basis_divisors, *([ray[d] for ray in self.rays] for d in range(self.dim))]
+        return _unimodular(rows, "declared basis divisors are not a Z-basis of Pic")[0]
 
     @cached_property
     def primitive_collections(self):
@@ -210,15 +204,15 @@ class Fan(_Record):
     # carries none of them, so it is checked anew.
 
 
-def _unimodular(rows, cone):
-    """(rows^-1, det rows) of the square rows of cone, from one elimination;
-    InvalidSpec unless det rows = +-1."""
+def _unimodular(rows, message):
+    """(rows^-1, det rows) from one elimination; InvalidSpec(message) unless
+    rows is a square integer matrix of det +-1."""
     try:
         inv, det = inverse(rows)
-    except ValueError:  # singular
+    except ValueError:  # singular, or not square
         det = 0
     if abs(det) != 1:
-        raise InvalidSpec(f"non-unimodular cone {cone}")
+        raise InvalidSpec(message)
     return inv, det
 
 
@@ -285,7 +279,7 @@ def validate_fan(fan: Fan) -> None:
     if any(len(ks) != 2 for ks in facet_cones.values()):
         raise InvalidSpec("fan is not complete: facet shared by != 2 cones")
     first = sorted(cones[0])
-    inv = _unimodular([fan.rays[i] for i in first], cones[0])[0]
+    inv = _unimodular([fan.rays[i] for i in first], f"non-unimodular cone {cones[0]}")[0]
     axis = {rho: i for i, rho in enumerate(first)}
     coords = []  # coords[rho][i] = <u_i, v_rho>, u_i the columns of inv
     for v in fan.rays:
@@ -305,7 +299,7 @@ def validate_fan(fan: Fan) -> None:
             else:
                 new.append(coords[rho])
         minor = [[c[i] for i in range(n) if i not in kept] for c in new]
-        minv, det = _unimodular(minor, cone)
+        minv, det = _unimodular(minor, f"non-unimodular cone {cone}")
         signs.append(det * (-1) ** parity)
         lam = [sum(col) for col in zip(*minv)]  # 1^T M^-1
         covering += min(lam, default=0) >= 0
@@ -352,13 +346,17 @@ class BundleSpec(_Record):
 
 
 class CenterSpec(_Record):
-    """A torus-invariant center: 2 or 3 ray names of the X fan."""
+    """A torus-invariant center: at least two ray names of the X fan, one
+    per cut divisor, so its codimension is their number.  One ray is no
+    blow-up: its star subdivision would only put a copy of the ray in its
+    place.  Whether the rays span a cone is star_subdivide's check
+    (NotACone)."""
 
     def __init__(self, ray_names: frozenset):
         ray_names = frozenset(ray_names)
         object.__setattr__(self, "ray_names", ray_names)
-        if len(ray_names) not in (2, 3):
-            raise InvalidSpec("only codimension 2 and 3 centers are supported")
+        if len(ray_names) < 2:
+            raise InvalidSpec("a center needs at least two rays")
 
     @property
     def codim(self):

@@ -84,8 +84,14 @@ def _ext_on_y(s_prime, y_degrees, conormal, m, diff, shift):
     """The sum over the classes t of Sym^m of the conormal bundle, whose
     summands conormal holds, of h^*(Y, diff + t) on Y = P_{P^s'}(O(d), d in
     y_degrees), shifted up by shift, in degrees 0..dim X (dim X = s' + r' +
-    codim).  Every argument is an int or a tuple, so the arguments are the
-    memo's key, and centers with one Y and conormal bundle share it."""
+    codim).  This is h^*(E, pi^*diff ox O_pi(m)) on E = P(N) over Y, with
+    O_pi(1) = O_E(-E), since for m >= 0 R pi_* O_pi(m) is Sym^m of the
+    conormal bundle with no higher images; KOutOfRange for m < 0 (Orlov's
+    band and the top direct image), which no caller asks for.  Every argument is an int or a tuple, so the
+    arguments are the memo's key, and centers with one Y and conormal
+    bundle share it."""
+    if m < 0:
+        raise KOutOfRange(f"no formula for Sym^{m} of the conormal bundle")
     h = [0] * (s_prime + len(y_degrees) + len(conormal))
     for pick in combinations_with_replacement(conormal, m):
         alpha = diff[0] + sum(t[0] for t in pick)
@@ -97,19 +103,16 @@ def _ext_on_y(s_prime, y_degrees, conormal, m, diff, shift):
 
 def ext_lemA(geom: CenterGeometry, m_class, k, l_class):
     """dim Ext^i of (pushforward of M, twisted by O(kE)) into the pullback
-    of L, for 1 <= k <= codim-1; the answer lives on Y shifted by one.
-    """
-    if not 1 <= k <= geom.codim - 1:
-        raise KOutOfRange(f"k={k} outside 1..{geom.codim - 1}")
+    of L: by Grothendieck duality for the divisor E it is
+    H^{i-1}(E, (L - M)|_E ox O_pi(k - 1)), so it lives on Y shifted by one,
+    with m = k - 1 (k >= 1)."""
     diff = (l_class[0] - m_class[0], l_class[1] - m_class[1])
     return _ext_on_y(geom.s_prime, geom.y_degrees, geom.conormal_summands, k - 1, diff, 1)
 
 
 def ext_line_to_pushforward(geom: CenterGeometry, j, l_class, m_class):
-    """dim Ext^i from a pullback line bundle (j=0) or its O(E) twist (j=1)
-    into the untwisted pushforward of M; computed on Y by adjunction.
-    """
-    if j not in (0, 1):
-        raise KOutOfRange(f"j={j} must be 0 or 1")
+    """dim Ext^i from a pullback line bundle twisted by O(jE) into the
+    untwisted pushforward of M: by adjunction it is
+    H^i(E, (M - L)|_E ox O_pi(j)), computed on Y with m = j (j >= 0)."""
     diff = (m_class[0] - l_class[0], m_class[1] - l_class[1])
     return _ext_on_y(geom.s_prime, geom.y_degrees, geom.conormal_summands, j, diff, 0)

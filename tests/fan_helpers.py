@@ -1,10 +1,11 @@
 """Test-only helpers built on the fan layer."""
 
+from functools import cache
 from itertools import accumulate, combinations_with_replacement, product
 
-from excol import Fan, build_projective_bundle_fan, cohomology_on_bundle
+from excol import CenterSpec, Fan, build_projective_bundle_fan, cohomology_on_bundle
 from excol.errors import NotACone, UnknownRay
-from excol.fan import _geometry
+from excol.fan import _geometry, star_subdivide
 from excol.intlinalg import determinant, inverse
 
 
@@ -143,3 +144,83 @@ def moved(fan, g):
     divisors and basis tag."""
     rays = tuple(tuple(sum(a * b for a, b in zip(row, ray)) for row in g) for ray in fan.rays)
     return replace(fan, rays=rays)
+
+
+def star_subdivisions(fan, *centers):
+    """fan blown up along each center in turn, each a set of ray names of
+    the fan before it (star_subdivide names the new rays e, e2, e3, ...)."""
+    for names in centers:
+        fan = star_subdivide(fan, CenterSpec(frozenset(names)))
+    return fan
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@cache
+def _axis_basis(v):
+    """A unimodular g, as a tuple of rows, with g v = (1, 0, ..., 0), for a
+    primitive integer vector v: Euclid's algorithm on v's entries, each
+    step a row operation on g, then a swap and a sign.  So g's first row is
+    a character m with <m, v> = 1, and its other rows project the lattice
+    onto N / Z v."""
+    n = len(v)
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    w = list(v)
+    while True:
+        nonzero = [i for i in range(n) if w[i]]
+        p = min(nonzero, key=lambda i: abs(w[i]))
+        if len(nonzero) == 1:
+            break
+        for i in nonzero:
+            if i != p:
+                q = w[i] // w[p]
+                w[i] -= q * w[p]
+                g[i] = [x - q * y for x, y in zip(g[i], g[p])]
+    if abs(w[p]) != 1:
+        raise ValueError(f"{v} is not primitive")
+    g[0], g[p] = g[p], g[0]
+    g[0] = [w[p] * x for x in g[0]]
+    return tuple(map(tuple, g))
+
+
+@cache
+def star_fan(fan, ray):
+    """The fan of the divisor V(ray), the star of the ray (Cox-Little-
+    Schenck, Toric Varieties, 3.2.7): the rays that share a max cone with
+    it, in fan's order and with their names, projected to N / Z v_ray by
+    _axis_basis, and the max cones through the ray, minus the ray.  Its
+    basis divisors are the rays off its first max cone, a Z-basis of Pic
+    on a smooth complete fan; its B^-1 is formed, and so it is checked,
+    from scratch."""
+    e = fan.name_index[ray]
+    g = _axis_basis(fan.rays[e])
+    through = [cone for cone in fan.max_cones if e in cone]
+    star = sorted(set().union(*through) - {e})
+    index = {rho: i for i, rho in enumerate(star)}
+    cones = tuple(tuple(index[rho] for rho in cone if rho != e) for cone in through)
+    unit = [tuple(int(i == j) for j in range(len(star))) for i in range(len(star))]
+    return Fan(
+        dim=fan.dim - 1,
+        ray_names=tuple(fan.ray_names[rho] for rho in star),
+        rays=tuple(tuple(_dot(row, fan.rays[rho]) for row in g[1:]) for rho in star),
+        max_cones=cones,
+        basis_tag=f"{fan.basis_tag}|V({ray})",
+        basis_divisors=tuple(unit[i] for i in range(len(star)) if i not in cones[0]),
+    )
+
+
+def restrict(fan, ray, cls):
+    """The class on star_fan(fan, ray) of a class of fan restricted to
+    V(ray): its T-divisor sum_j c_j B_j of fan's basis divisors, plus the
+    character that zeroes its coefficient on the ray (-a_ray times
+    _axis_basis's first row), is sum_rho a_rho D_rho with a_ray = 0, and
+    D_rho restricts to the divisor of rho's image when rho shares a cone
+    with the ray, and to 0 otherwise."""
+    star = star_fan(fan, ray)
+    e = fan.name_index[ray]
+    m = _axis_basis(fan.rays[e])[0]
+    coeffs = [_dot(cls.coords, col) for col in zip(*fan.basis_divisors)]
+    kept = map(fan.name_index.get, star.ray_names)
+    return star.class_of_divisor([coeffs[i] - coeffs[e] * _dot(m, fan.rays[i]) for i in kept])

@@ -6,13 +6,25 @@ from itertools import combinations
 import numpy as np
 
 from excol import cohomology_dims
+from excol.cohomology import cohomology_dims_many
 from excol.intlinalg import determinant, rational_rank
+from fan_helpers import restrict, star_fan
 
 
 def euler_pairing(fan, a, b):
     """chi(a, b) = sum (-1)^i dim Ext^i(a, b) = chi(b - a)."""
     h = cohomology_dims(fan, b - a)
     return sum((-1) ** i * x for i, x in enumerate(h))
+
+
+def e_cohomology(bl, classes):
+    """h^* on the exceptional divisor E = V(e) of a blow-up of the
+    restrictions of its classes (alpha, beta, k), in one oracle batch on
+    E's own fan (fan_helpers.star_fan)."""
+    fan = bl.fan_xt
+    return cohomology_dims_many(
+        star_fan(fan, "e"), [restrict(fan, "e", fan.pic_class(c)) for c in classes]
+    )
 
 
 def reduced_cohomology_ranks(facets, top_dim):

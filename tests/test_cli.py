@@ -15,7 +15,7 @@ from excol import BundleSpec, CenterSpec, cli, kernels, make_blowup
 from excol import fan as fan_module
 from excol.cli import default_cache_dir
 from excol.cohomology import DiskCache
-from excol.errors import InvalidSpec, MutationError
+from excol.errors import BoxTooLarge, InvalidSpec, MutationError
 from excol.verify import certify
 from fan_helpers import replace
 
@@ -462,6 +462,43 @@ def test_exit_3_log_is_written_as_json_dumps_writes(tmp_path, monkeypatch):
     assert out.read_text() == _indented({"error": "planted failure", "log": list(log)})
 
 
+def test_construct_past_codim_3_exits_3_with_its_log(tmp_path, capsys):
+    """A codim-4 center reaches the script, which has no rule for it yet:
+    P^2 x P^2 blown up at b1,b2,f1,f2 rotates its O(3E) and O(2E) blocks,
+    right-mutates one O(E)-twisted pushforward, and stops at a transpose
+    whose pair is not orthogonal: exit 3, one stderr line, and the log."""
+    out = tmp_path / "fail.json"
+    args = ["--base-dim", "2", "--fiber-degrees", "0,0,0", "--center", "b1,b2,f1,f2"]
+    assert run(["construct", *args, "--out", str(out)]) == 3
+    error = "transpose at 9: objects 9 and 10 are not orthogonal: graded Hom = (1, 0, 0, 0, 0)"
+    assert capsys.readouterr() == ("", f"mutation hypothesis failed: {error}\n")
+    rotated = [(1, 1, 0), (2, 2, -1)]
+    assert out.read_text() == _indented(
+        {
+            "error": error,
+            "log": [
+                {
+                    "rule": "serre_rotate",
+                    "direction": "forward",
+                    "object": {"kind": "push", "alpha": a, "beta": b, "k": k},
+                }
+                for a, b, k in rotated
+            ]
+            + [
+                {
+                    "rule": "right_mutation_E_twist",
+                    "index": 0,
+                    "pair": [
+                        {"kind": "push", "alpha": 0, "beta": 0, "k": 1},
+                        {"kind": "line", "alpha": 0, "beta": 0, "k": 0},
+                    ],
+                    "hom": [0, 1, 0, 0, 0],
+                }
+            ],
+        }
+    )
+
+
 # In a fresh interpreter: which of dataclasses, inspect and numpy are loaded
 # after importing the CLI, then (exit code, those loaded) after each argv of
 # sys.argv[1].
@@ -622,6 +659,23 @@ def test_sweep_reports_box_too_large(monkeypatch, capsys):
         "  s=1 a=[0, 1] center=b1,f1: T-divisor (0, 1, 1, 0, 1), support set 0: "
         "polytope box lo=[-1, 0] hi=[1, 1]: 6 points (budget 5)\n"
     ) in err
+
+
+def test_run_case_returns_each_abort_as_its_error(monkeypatch):
+    """run_case returns a replay's MutationError and a certificate's
+    BoxTooLarge alike, as (None, error), and raises neither."""
+    spec, center = BundleSpec(1, (0, 1)), CenterSpec(frozenset({"b1", "f1"}))
+    monkeypatch.setattr(kernels, "MAX_BOX_POINTS", 5)
+    report, err = cli.run_case(spec, center, cache=False)
+    assert report is None and isinstance(err, BoxTooLarge)
+    assert str(err).endswith("polytope box lo=[-1, 0] hi=[1, 1]: 6 points (budget 5)")
+
+    def boom(spec, center):
+        raise MutationError("planted failure")
+
+    monkeypatch.setattr(cli, "construct", boom)
+    report, err = cli.run_case(spec, center, cache=False)
+    assert report is None and str(err) == "planted failure"
 
 
 @pytest.mark.parametrize("failure", ["replay", "certificate"])

@@ -97,10 +97,11 @@ def test_records_compare_by_class_and_show_their_fields(bl_p1p1):
 
 
 def test_center_spec_size():
-    with pytest.raises(InvalidSpec):
+    """A center needs two rays or more, and its codimension is their
+    number: four rays are a codim-4 center, one ray is refused."""
+    assert CenterSpec(frozenset({"b1", "b2", "f0", "f1"})).codim == 4
+    with pytest.raises(InvalidSpec, match="^a center needs at least two rays$"):
         CenterSpec(frozenset({"b1"}))
-    with pytest.raises(InvalidSpec):
-        CenterSpec(frozenset({"b1", "b2", "f0", "f1"}))
 
 
 def test_p1xp1_fan():

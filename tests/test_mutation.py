@@ -32,6 +32,7 @@ from excol.mutation import (
     tensor_object,
     transpose_if_orthogonal,
 )
+from oracle_helpers import e_cohomology
 
 
 def _shapes(col):
@@ -244,15 +245,15 @@ def test_left_mutation_produces_twist_pair(bl_p2p1):
 
 def _reference_accepts(rule, a, b):
     """Whether the pair (a, b) has the shape an E-twist rule takes, written
-    out for each rule on its own: a pushforward with k >= 1 then the line
-    bundle of its class with twist k - 1 (right), or the untwisted line
-    bundle of a class then its untwisted pushforward (left)."""
+    out for each rule on its own, at any twist k: a pushforward then the
+    line bundle of its class with twist k - 1 (right), or a line bundle
+    then the pushforward of its class with the same twist (left)."""
     if rule is right_mutation_E_twist:
         push, line = a, b
-        twists = isinstance(push, PushforwardTwist) and push.k >= 1 and line.k == push.k - 1
+        twists = isinstance(push, PushforwardTwist) and line.k == push.k - 1
     else:
         line, push = a, b
-        twists = isinstance(push, PushforwardTwist) and line.k == 0 and push.k == 0
+        twists = isinstance(push, PushforwardTwist) and line.k == push.k
     return (
         twists
         and isinstance(line, LineBundle)
@@ -310,8 +311,9 @@ def test_e_twist_rules_accept_exactly_their_pairs(rule, first, monkeypatch):
                     "and its partner line bundle"
                 )
                 assert (objects, log, asked) == ([a, b], [], [])
-    # right: 4 classes x twists 1..3, pushforward first; left: 4 classes
-    want = {(right_mutation_E_twist, PushforwardTwist): 12, (left_mutation_E_twist, LineBundle): 4}
+    # right: 4 classes x pushforward twists -1..3 (the partner's, k - 1,
+    # is in the grid), pushforward first; left: 4 classes x twists -2..3
+    want = {(right_mutation_E_twist, PushforwardTwist): 20, (left_mutation_E_twist, LineBundle): 24}
     assert accepted == want.get((rule, first), 0)
 
 
@@ -336,6 +338,34 @@ def test_logged_e_twist_pairs_are_a_pushforward_and_its_partner():
     assert all(steps.values()), steps
 
 
+def test_every_logged_hom_is_the_cohomology_of_one_line_bundle_on_e():
+    """Every graded Hom the 362 replays of the s + r <= 4, degree <= 1
+    family log (transposes and E-twist mutations, each of one pushforward
+    i_*F and one line bundle L) is the oracle's h^* of one class on E =
+    V(e): Ext^i(L, i_*F) = H^i(E, (F - L)|_E), and
+    Ext^i(i_*F, L) = H^{i-1}(E, (L - F + E)|_E) by Grothendieck duality.
+    So no logged hypothesis rests on splitcalc alone."""
+    homs = 0
+    for spec in enumerate_specs(4, 1):
+        for codim in (2, 3):
+            for center in enumerate_centers(spec, codim):
+                bl, col = construct(spec, center)
+                logged = [entry for entry in col.log if "hom" in entry]
+                pairs = [[_object(o) for o in entry["pair"]] for entry in logged]
+                push_first = [isinstance(a, PushforwardTwist) for a, _ in pairs]
+                on_e = e_cohomology(
+                    bl,
+                    [
+                        (b.alpha - a.alpha, b.beta - a.beta, b.k - a.k + first)
+                        for (a, b), first in zip(pairs, push_first)
+                    ],
+                )
+                for entry, first, h in zip(logged, push_first, on_e):
+                    assert entry["hom"] == ([0, *h] if first else [*h, 0]), entry
+                homs += len(logged)
+    assert homs == 2671
+
+
 def test_rule_errors_name_rule_and_index(bl_p1p1, monkeypatch):
     """Every rule failure starts with the rule name and the pair index,
     carries the log up to the rule and rewrites nothing."""
@@ -346,15 +376,20 @@ def test_rule_errors_name_rule_and_index(bl_p1p1, monkeypatch):
          "serre_rotate at 0: "),
         (transpose_if_orthogonal, (head, push, line), 1,
          "transpose at 1: "),
+        # pairs graded_hom has no formula for, a non-sheaf object included
         (transpose_if_orthogonal, (head, line, LineBundle(1, 0, 0)), 1,
-         "transpose at 1: objects 1 and 2 are not one pushforward and one line bundle"),
+         "transpose at 1: no formula for Ext from LineBundle(alpha=0, beta=0, k=0) "
+         "to LineBundle(alpha=1, beta=0, k=0)"),
         (transpose_if_orthogonal, (head, push, push), 1,
-         "transpose at 1: objects 1 and 2 are not one pushforward and one line bundle"),
-        # twist gaps the structured formulas do not cover
-        (transpose_if_orthogonal, (head, push), 0,
-         "transpose at 0: j=4 must be 0 or 1"),
-        (transpose_if_orthogonal, (PushforwardTwist(0, 0, 5), line), 0,
-         "transpose at 0: k=5 outside 1..1"),
+         "transpose at 1: no formula for Ext from PushforwardTwist(alpha=0, beta=0, k=1) "
+         "to PushforwardTwist(alpha=0, beta=0, k=1)"),
+        (transpose_if_orthogonal, (head, line, None), 1,
+         "transpose at 1: no formula for Ext from LineBundle(alpha=0, beta=0, k=0) to None"),
+        # the twist gaps the structured formulas do not cover: j = -1 and k = 0
+        (transpose_if_orthogonal, (line, push), 0,
+         "transpose at 0: no formula for Sym^-1 of the conormal bundle"),
+        (transpose_if_orthogonal, (PushforwardTwist(0, 0, 0), line), 0,
+         "transpose at 0: no formula for Sym^-1 of the conormal bundle"),
         (right_mutation_E_twist, (head, line, line), 1,
          "right_mutation_E_twist at 1: "),
         (right_mutation_E_twist, (head, push, LineBundle(1, 0, 0)), 1,

@@ -1,15 +1,30 @@
 """The oracle on smooth complete fans outside the family: products of
-projective spaces, checked against Kunneth's formula, and fans moved by a
-change of lattice basis, checked against themselves unmoved."""
+projective spaces, checked against Kunneth's formula, fans moved by a
+change of lattice basis, checked against themselves unmoved, and double
+blow-ups, checked against Serre duality."""
 
 import random
 
 import pytest
 
-from excol import BundleSpec, CenterSpec, bott_dims, make_blowup, projective_space_fan
+from excol import (
+    BundleSpec,
+    CenterSpec,
+    bott_dims,
+    build_projective_bundle_fan,
+    make_blowup,
+    projective_space_fan,
+)
 from excol.cohomology import cohomology_dims_many
 from excol.intlinalg import determinant
-from fan_helpers import moved, product_fan, smooth_complete, unimodular
+from fan_helpers import (
+    moved,
+    product_fan,
+    replace,
+    smooth_complete,
+    star_subdivisions,
+    unimodular,
+)
 
 
 def _convolve(vectors):
@@ -69,3 +84,34 @@ def test_a_change_of_lattice_basis_keeps_every_h_vector(case):
         fan.pic_class(tuple(rng.randint(-3, 3) for _ in range(fan.pic_rank))) for _ in range(30)
     ]
     assert cohomology_dims_many(other, classes) == cohomology_dims_many(fan, classes)
+
+
+@pytest.mark.parametrize(
+    "spec, first, second, m",
+    [
+        (BundleSpec(1, (0, 0)), {"b1", "f1"}, {"b1", "e"}, 9),
+        (BundleSpec(1, (0, 0)), {"b1", "f1"}, {"b0", "f0"}, 9),
+        (BundleSpec(2, (0, 1)), {"b1", "b2"}, {"b1", "e"}, 6),
+        (BundleSpec(2, (0, 1)), {"b1", "f1"}, {"b2", "e"}, 7),
+        (BundleSpec(1, (0, 0, 0)), {"f1", "f2"}, {"b1", "f1", "e"}, 7),
+        (BundleSpec(2, (0, 0)), {"b1", "b2", "f1"}, {"b1", "b2", "e"}, 9),
+    ],
+    ids=[
+        "1-00-b1f1-b1e", "1-00-b1f1-b0f0", "2-01-b1b2-b1e", "2-01-b1f1-b2e",
+        "1-000-f1f2-b1f1e", "2-00-b1b2f1-b1b2e",
+    ],
+)
+def test_double_blowups_satisfy_serre_duality(spec, first, second, m):
+    """X blown up twice, the second center naming the first's exceptional
+    ray e or not (Picard rank 4, m <= 9 primitive collections, so within
+    the oracle's rank-table budget): the inherited B^-1 is the one formed
+    from scratch, the fan is smooth and complete, and 20 random classes D
+    have h^i(D) = h^{n-i}(K - D)."""
+    fan = star_subdivisions(build_projective_bundle_fan(spec), first, second)
+    assert replace(fan)._basis_inverse == fan._basis_inverse and smooth_complete(fan)
+    assert (fan.pic_rank, len(fan.primitive_collections)) == (4, m)
+    rng = random.Random(f"serre {fan.basis_tag}")
+    classes = [fan.pic_class(tuple(rng.randint(-3, 3) for _ in range(4))) for _ in range(20)]
+    canonical = fan.canonical_class()
+    h = cohomology_dims_many(fan, classes + [canonical - d for d in classes])
+    assert h[:20] == [v[::-1] for v in h[20:]]

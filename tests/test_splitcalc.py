@@ -1,11 +1,14 @@
 import inspect
 import random
+from itertools import product
 
 import pytest
 
 from excol import (
     BundleSpec,
     CenterSpec,
+    LineBundle,
+    PushforwardTwist,
     bott_dims,
     build_projective_bundle_fan,
     cohomology_dims,
@@ -14,9 +17,14 @@ from excol import (
     ext_line_to_pushforward,
     make_blowup,
 )
+from excol.cli import enumerate_centers, enumerate_specs
 from excol.errors import KOutOfRange
+from excol.mutation import graded_hom
 from excol.splitcalc import pushforward_levels, sym_degree_sums
 from fan_helpers import center_geometry, sym_conormal, y_cohomology
+from oracle_helpers import e_cohomology
+
+NO_SYM = "^no formula for Sym\\^-1 of the conormal bundle$"
 
 
 def test_bott_dims():
@@ -114,11 +122,16 @@ def test_ext_lemA_fiber_line():
 
 
 def test_ext_lemA_k_range(bl_p1p1, bl_p2p1):
-    with pytest.raises(KOutOfRange):
-        ext_lemA(bl_p1p1.geometry, (0, 0), 2, (0, 0))
-    with pytest.raises(KOutOfRange):
-        ext_lemA(bl_p2p1.geometry, (0, 0), 0, (0, 0))
-    # codim 3 allows k = 2: Sym^1 of the conormal bundle appears
+    """ext_lemA takes every k >= 1, k = c included, where it is E's
+    oracle value shifted by one; k = 0 asks for Sym^-1 and is refused."""
+    assert ext_lemA(bl_p1p1.geometry, (0, 0), 2, (0, 0)) == (0, 2, 0)
+    for bl in (bl_p1p1, bl_p2p1):
+        c = bl.geometry.codim
+        (on_e,) = e_cohomology(bl, [(1, 1, 1 - c)])
+        assert ext_lemA(bl.geometry, (0, 0), c, (1, 1)) == (0, *on_e)
+        with pytest.raises(KOutOfRange, match=NO_SYM):
+            ext_lemA(bl.geometry, (0, 0), 0, (0, 0))
+    # codim 3 at k = 2: Sym^1 of the conormal bundle appears
     hom = ext_lemA(bl_p2p1.geometry, (0, 0), 2, (1, 1))
     assert sum(hom) == sum(
         sum(y_cohomology(bl_p2p1.geometry, 1 + ta, 1 + tb))
@@ -127,11 +140,46 @@ def test_ext_lemA_k_range(bl_p1p1, bl_p2p1):
 
 
 def test_ext_line_to_pushforward_basics(bl_p1p1):
+    """Self-pairing is H^*(O_Y); j = 2 is E's oracle value, and j = -1
+    asks for Sym^-1 and is refused."""
     geom = bl_p1p1.geometry
-    # self-pairing: H^*(O_Y)
     assert ext_line_to_pushforward(geom, 0, (1, 1), (1, 1)) == (1, 0, 0)
-    with pytest.raises(KOutOfRange):
-        ext_line_to_pushforward(geom, 2, (0, 0), (0, 0))
+    (on_e,) = e_cohomology(bl_p1p1, [(0, 0, -2)])
+    assert ext_line_to_pushforward(geom, 2, (0, 0), (0, 0)) == (*on_e, 0) == (3, 0, 0)
+    with pytest.raises(KOutOfRange, match=NO_SYM):
+        ext_line_to_pushforward(geom, -1, (0, 0), (0, 0))
+
+
+def test_ext_core_is_the_cohomology_of_one_line_bundle_on_e():
+    """On each of the 437 blow-ups of the s + r <= 4, degree <= 1 family at
+    codim c = 2, 3 and 4, each its own labelled type of cones and center,
+    graded_hom of a line bundle and a pushforward is the oracle's h^* on
+    E = V(e) of one class, for the classes d = (da, db) in {-2, 0, 1} x
+    {-1, 0, 2} and j in 0..c+1: Ext^i(O(jE), i_*d) = H^i(E, (d - jE)|_E)
+    and, by Grothendieck duality for the divisor E,
+    Ext^i(i_*O((j + 1)E), d) = H^{i-1}(E, (d - jE)|_E), the same class.
+    So the Ext core is exact at every twist m = j >= 0 of both formulas
+    (m = k - 1 with k = j + 1): 37,404 checks."""
+    diffs = list(product((-2, 0, 1), (-1, 0, 2)))
+    cases = checks = 0
+    mismatches = []
+    for spec in enumerate_specs(4, 1):
+        for codim in (2, 3, 4):
+            for center in enumerate_centers(spec, codim):
+                bl = make_blowup(spec, center)
+                grid = [(d, j) for d in diffs for j in range(codim + 2)]
+                on_e = e_cohomology(bl, [(*d, -j) for d, j in grid])
+                for ((da, db), j), h in zip(grid, on_e):
+                    for a, b, want in (
+                        (LineBundle(0, 0, j), PushforwardTwist(da, db, 0), (*h, 0)),
+                        (PushforwardTwist(0, 0, j + 1), LineBundle(da, db, 0), (0, *h)),
+                    ):
+                        if graded_hom(bl, a, b) != want:
+                            mismatches.append((spec, center, a, b, want))
+                        checks += 1
+                cases += 1
+    assert mismatches == []
+    assert (cases, checks) == (437, 37404)
 
 
 def test_ext_line_to_pushforward_band_zero():
