@@ -21,7 +21,7 @@ a DiskCache touches the disk: one checksummed file per isomorphism class
 of fans, since h^i(O(D)) depends only on the Pic-graded Cox ring and its
 irrelevant ideal, that is on the ray classes and the max cones (Cox, "The
 homogeneous coordinate ring of a toric variety", 1995).  The fan's file
-is read (one json.loads) once per batch and, when the batch computed a
+is read (one marshal.loads) once per batch and, when the batch computed a
 class, written whole and renamed into place once.  Nothing here reads the
 environment.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 import os
 import tempfile
 from functools import cache
@@ -53,15 +54,16 @@ class DiskCache:
     bijection carries one fan's rays onto the other's by some g in GL(N):
     it is a toric isomorphism (Cox-Little-Schenck, Toric Varieties, Thm
     3.3.4) that keeps the coordinates of every class, so both fans have
-    the same h-vector at the same coordinates and share one file.  The ray names, the basis tag
-    and which T-divisors represent the basis change no key.  The file's
-    first line, its header, is the digest of the oracle's source
-    (_source_digest) and the key, and the header's SHA-256 names the file.
-    The second line is the SHA-256 of the rest, the body: json.dumps of the
-    [coords, h] entries.  A file that does not match both, or whose body
-    does not parse as entries, reads as no entries at all, and the next put
-    replaces it.  Reading the key reads B^-1, which raises InvalidSpec unless
-    fan is smooth and complete and its basis divisors are a Z-basis of Pic.
+    the same h-vector at the same coordinates and share one file.  The ray
+    names, the basis tag and which T-divisors represent the basis change no
+    key.  The file's first line, its header, is the digest of the oracle's
+    source (_source_digest), marshal.version and the key, and the header's
+    SHA-256 names the file.  The second line is the SHA-256 of the rest,
+    the body: marshal.dumps of the {coords: h} dict, read back by one
+    marshal.loads.  A file that does not match both, or whose body is not a
+    marshalled dict, reads as no entries at all, and the next put replaces
+    it.  Reading the key reads B^-1, which raises InvalidSpec unless fan is
+    smooth and complete and its basis divisors are a Z-basis of Pic.
 
     Each batch that computes a class the file lacks rewrites the fan's whole
     file, so a batch costs time that grows with the file.  A caller should
@@ -81,12 +83,12 @@ class DiskCache:
         bit = [1 << k for k in sorted(range(len(rows)), key=order.__getitem__)].__getitem__
         masks = sorted([sum(map(bit, cone)) for cone in fan.max_cones])
         key = json.dumps([[rows[rho] for rho in order], masks])
-        header = f"{_source_digest()} {key}".encode()
-        return os.path.join(self.root, hashlib.sha256(header).hexdigest() + ".jsonl"), header
+        header = f"{_source_digest()} {marshal.version} {key}".encode()
+        return os.path.join(self.root, hashlib.sha256(header).hexdigest() + ".bin"), header
 
     def get(self, fan: Fan):
         """{coords: h} of fan's file; {} when it is missing, its header or
-        checksum does not match, or its body is not a list of entries (a
+        checksum does not match, or its body is not a marshalled dict (a
         short read fails the checksum)."""
         path, header = self._path(fan)
         try:
@@ -98,8 +100,12 @@ class DiskCache:
             head, digest, body = data.split(b"\n", 2)
             if head != header or digest != hashlib.sha256(body).hexdigest().encode():
                 return {}
-            return {tuple(c): tuple(h) for c, h in json.loads(body)}
-        except (OSError, ValueError, TypeError, RecursionError):
+            # Only a dict is entries, and marshal.loads allocates a list or
+            # tuple at its stated length before it reads the items: an older
+            # format's JSON body, '[[[4]...', would ask for a 12 GB list.  So
+            # the type code (with or without its ref flag) is checked first.
+            return marshal.loads(body) if body[:1] in (b"{", b"\xfb") else {}
+        except (OSError, ValueError, EOFError, TypeError):
             return {}
 
     def put(self, fan: Fan, entries):
@@ -107,7 +113,7 @@ class DiskCache:
         a temp file of this put's own in root, renamed onto the fan's file.
         Of two racing puts the last rename wins, and the other's entries
         are recomputed when a batch next misses them."""
-        body = json.dumps(list(entries.items())).encode()
+        body = marshal.dumps(entries)
         path, header = self._path(fan)
         data = b"%s\n%s\n%s" % (header, hashlib.sha256(body).hexdigest().encode(), body)
         os.makedirs(self.root, exist_ok=True)

@@ -29,15 +29,16 @@ class _Record:
     """Base of the package's records, each an immutable value.
 
     A record's fields are the parameters of its class's __init__, in order,
-    which sets each with object.__setattr__ and then checks them.  Records
-    are equal iff they are of one class and their fields are equal, so a
-    LineBundle never equals a PushforwardTwist with the same numbers, and
-    equal records hash alike.  The repr names the class and each field, as
-    a dataclass's does; error messages embed it.  Assigning or deleting an
-    attribute raises AttributeError (verify.Report, the one mutable record,
-    allows both and is unhashable).  That is all the package needs of
-    dataclasses, whose import (with inspect, ast and dis) and generated
-    methods would cost a third of `import excol`.
+    which sets each with object.__setattr__, or all in one __dict__.update
+    (mutation._Sheaf, the record built most often), and then checks them.
+    Records are equal iff they are of one class and their fields are
+    equal, so a LineBundle never equals a PushforwardTwist with the same
+    numbers, and equal records hash alike.  The repr names the class and
+    each field, as a dataclass's does; error messages embed it.  Assigning
+    or deleting an attribute raises AttributeError (verify.Report, the one
+    mutable record, allows both and is unhashable).  That is all the
+    package needs of dataclasses, whose import (with inspect, ast and dis)
+    and generated methods would cost a third of `import excol`.
     """
 
     def __init_subclass__(cls):

@@ -46,9 +46,7 @@ class _Sheaf(_Record):
     O(k E).  Each kind's class attribute kind tags its JSON."""
 
     def __init__(self, alpha: int, beta: int, k: int):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "k", k)
+        self.__dict__.update(alpha=alpha, beta=beta, k=k)
 
     def to_json(self):
         return {"kind": self.kind, "alpha": self.alpha, "beta": self.beta, "k": self.k}

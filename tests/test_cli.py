@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import marshal
 import os
 import re
 import shutil
@@ -747,11 +748,12 @@ def test_sweep_cache_plumbing(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_discards_an_edited_cache_file(tmp_path, monkeypatch, capsys):
-    """A warm 2/0 sweep whose s=1 a=[0, 0] center=b1,f0 file has its entry
-    [[0, 0, 0], [1, 0, 0]] edited to [2, 0, 0], which no longer matches the
-    file's checksum, recomputes that case: it passes, the sweep exits 0,
-    and the file is written again as the cold run wrote it.  The 4 cases
-    are isomorphic, so they share that one file."""
+    """A warm 2/0 sweep whose s=1 a=[0, 0] center=b1,f0 file has one body
+    byte edited, the low byte of its first int 1, so that the body still
+    reads as a dict but maps (0, 0, 0) to (2, 0, 0), not (1, 0, 0), and no
+    longer matches the file's checksum, recomputes that case: it passes,
+    the sweep exits 0, and the file is written again as the cold run wrote
+    it.  The 4 cases are isomorphic, so they share that one file."""
     monkeypatch.setenv("EXCOL_CACHE_DIR", str(tmp_path))
     args = ["sweep", "--max-dim", "2", "--max-degree", "0"]
     assert run(args) == 0
@@ -759,9 +761,13 @@ def test_sweep_discards_an_edited_cache_file(tmp_path, monkeypatch, capsys):
     fan = make_blowup(BundleSpec(1, (0, 0)), CenterSpec(frozenset({"b1", "f0"}))).fan_xt
     with open(DiskCache(str(tmp_path))._path(fan)[0], "r+b") as fh:
         cold = fh.read()
-        assert cold.count(b"[[0, 0, 0], [1, 0, 0]]") == 1
+        header, checksum, body = cold.split(b"\n", 2)
+        assert marshal.loads(body)[(0, 0, 0)] == (1, 0, 0)
+        at = body.index(b"\x01\x00\x00\x00")  # a little-endian int32 1
+        edited = body[:at] + b"\x02" + body[at + 1 :]
+        assert marshal.loads(edited)[(0, 0, 0)] == (2, 0, 0)
         fh.seek(0)
-        fh.write(cold.replace(b"[[0, 0, 0], [1, 0, 0]]", b"[[0, 0, 0], [2, 0, 0]]"))
+        fh.write(b"\n".join([header, checksum, edited]))
     assert run(args) == 0
     out, err = capsys.readouterr()
     assert ["s=1", "a=[0,", "0]", "b1,f0", "5", "ES1"] in [r.split()[:6] for r in out.splitlines()]

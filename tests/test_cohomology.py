@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import marshal
 import operator
 import os
 import random
@@ -754,23 +755,27 @@ def test_disk_cache_read_write(tmp_path):
     assert cohomology_dims(fan, cls) == (15, 0, 0)
 
 
-def test_put_writes_what_json_dumps_writes(tmp_path):
+def test_put_writes_what_marshal_dumps_writes(tmp_path):
     """put's file is byte for byte the header line, the SHA-256 of the body
-    and the body, json.dumps of the [coords, h] entries, for negative, zero,
-    multi-digit and int64-extreme entries, and get reads them back."""
+    and the body, marshal.dumps of the {coords: h} dict, for negative,
+    zero, multi-digit, int64-extreme and past-int64 entries, and get reads
+    them back as they were: a dict of int tuples, in order."""
     fan = make_blowup(BundleSpec(1, (0, 1)), CenterSpec(frozenset({"b1", "f1"}))).fan_xt
     entries = {
         (0, 0, 0): (1, 0, 0),
         (-1, 12, -305): (0, 7, 0),
         (123456789012, -9, 10): (10, 0, 4567),
         (2**63 - 1, -(2**63), 0): (2**63 - 1, 0, 1),
+        (2**70, -(2**70), 1): (2**70, 0, 3**50),
     }
     cache = DiskCache(str(tmp_path))
     cache.put(fan, entries)
-    body = json.dumps([[list(c), list(h)] for c, h in entries.items()])
-    with open(cache._path(fan)[0]) as fh:
-        assert fh.read() == _cache_file(_header(fan), body)
-    assert cache.get(fan) == entries
+    with open(cache._path(fan)[0], "rb") as fh:
+        assert fh.read() == _cache_file(_header(fan), marshal.dumps(entries))
+    read = cache.get(fan)
+    assert read == entries and list(read) == list(entries)
+    assert {type(v) for c, h in read.items() for v in (c, h)} == {tuple}
+    assert {type(x) for c, h in read.items() for x in c + h} == {int}
 
 
 def test_cache_file_is_keyed_by_rays_cones_and_basis(bl_p1p1):
@@ -778,7 +783,8 @@ def test_cache_file_is_keyed_by_rays_cones_and_basis(bl_p1p1):
     other ray names and another basis tag, and the isomorphic blow-up of
     P^1 x P^1 at b0,f1 (b0 <-> b1 keeps H and xi); a fan that is not
     isomorphic to it (F_1 blown up at b1,f1), or other basis divisors, map
-    to another file.  The header is the source digest and the key."""
+    to another file.  The header is the source digest, marshal's format
+    version and the key."""
     cache = DiskCache("root")
     fan = bl_p1p1.fan_xt
     path = cache._path(fan)
@@ -792,9 +798,10 @@ def test_cache_file_is_keyed_by_rays_cones_and_basis(bl_p1p1):
     assert len({path[0], cache._path(other_fan)[0], cache._path(other_basis)[0]}) == 3
     p2 = projective_space_fan(2)
     # every ray of P^2 has class H; the cones {1, 2}, {0, 2}, {0, 1} as masks
-    header = cohomology._source_digest().encode() + b" [[[1], [1], [1]], [3, 5, 6]]"
+    header = f"{cohomology._source_digest()} {marshal.version} [[[1], [1], [1]], [3, 5, 6]]"
     assert cache._path(p2) == (
-        os.path.join("root", hashlib.sha256(header).hexdigest() + ".jsonl"), header
+        os.path.join("root", hashlib.sha256(header.encode()).hexdigest() + ".bin"),
+        header.encode(),
     )
 
 
@@ -841,8 +848,8 @@ def test_same_ray_classes_with_other_cones_get_another_file(bl_p1p1):
     planted.__dict__["_basis_inverse"] = fan._basis_inverse
     assert [sum(rho in cone for cone in fan.max_cones) for rho in range(5)] == [2] * 5
     assert sum(0 in cone for cone in planted.max_cones) == 3
-    rows, masks = json.loads(_header(fan).split(" ", 1)[1])
-    planted_rows, planted_masks = json.loads(_header(planted).split(" ", 1)[1])
+    rows, masks = json.loads(_header(fan).split(" ", 2)[2])
+    planted_rows, planted_masks = json.loads(_header(planted).split(" ", 2)[2])
     assert planted_rows == rows and planted_masks != masks
     cache = DiskCache("root")
     assert cache._path(planted)[0] != cache._path(fan)[0]
@@ -922,81 +929,98 @@ def _count_kernel_calls(monkeypatch):
 
 
 def _header(fan, version=None):
-    """The header line of fan's file: the source digest (or version), then
-    json.dumps of the fan's ray classes, sorted, and its max cones as bit
-    masks over the rays in that order (equal classes keep their index
-    order), sorted."""
+    """The header line of fan's file: the source digest (or version),
+    marshal.version, then json.dumps of the fan's ray classes, sorted, and
+    its max cones as bit masks over the rays in that order (equal classes
+    keep their index order), sorted."""
     version = version or cohomology._source_digest()
     n = fan.n_rays
     units = [[int(i == rho) for i in range(n)] for rho in range(n)]
     rows = [list(fan.class_of_divisor(unit).coords) for unit in units]
     order = sorted(range(n), key=lambda rho: rows[rho])
     masks = sorted(sum(2 ** order.index(rho) for rho in cone) for cone in fan.max_cones)
-    return f"{version} {json.dumps([[rows[rho] for rho in order], masks])}\n"
+    key = json.dumps([[rows[rho] for rho in order], masks])
+    return f"{version} {marshal.version} {key}\n"
 
 
 def _cache_file(header, body, signed=None):
-    """A cache file: header, the SHA-256 of signed (by default the body)
-    and the body."""
-    digest = hashlib.sha256((body if signed is None else signed).encode()).hexdigest()
-    return f"{header}{digest}\n{body}"
+    """A cache file's bytes: header, the SHA-256 of signed (by default the
+    body) and the body."""
+    digest = hashlib.sha256(body if signed is None else signed).hexdigest()
+    return f"{header}{digest}\n".encode() + body
 
 
 P2 = projective_space_fan(2)
-# what put writes for O(4) on P^2, and what a file that reads it holds
-GOOD_BODY = "[[[4], [15, 0, 0]]]"
-GOOD_FILE = _cache_file(_header(P2), GOOD_BODY)
+# the entry a good file of P^2 holds after O(4) is computed
+GOOD = {(4,): (15, 0, 0)}
+GOOD_BODY = marshal.dumps(GOOD)
 
 
 def _edited(body):
-    """P2's file with its body edited to body, under the old checksum."""
+    """P2's file with its body edited to body, under the good body's checksum."""
     return _cache_file(_header(P2), body, signed=GOOD_BODY)
 
 
+def _signed(body):
+    """P2's file holding body under body's own checksum."""
+    return _cache_file(_header(P2), body)
+
+
 BAD_CACHE_FILES = {
-    "wrong version": _cache_file(_header(P2, "0" * 64), "[[[4], [99, 0, 0]]]"),
-    "foreign fan": _cache_file(_header(projective_space_fan(3)), "[[[4], [99, 0, 0, 0]]]"),
-    "old format": "[99, 0, 0]\n",
-    "append layout": _header(P2) + "[[4], [99, 0, 0]]\n",
-    "edited entry": _edited("[[[4], [99, 0, 0]]]"),
-    "wrong-length h": _edited("[[[4], [99, 0]]]"),
-    "negative h": _edited("[[[4], [99, -1, 0]]]"),
-    "float coords": _edited("[[[4.0], [99, 0, 0]]]"),
-    "bool h": _edited("[[[4], [99, false, 0]]]"),
-    # a write torn after the entry of O(3): the checksum is the whole body's
-    "truncated last line": _cache_file(
-        _header(P2), "[[[3], [10, 0, 0]], [[4], [99, 0, 0]]]"
-    )[:-8],
-    # valid JSON, but not what put wrote under that checksum
-    "no spaces": _edited("[[[4],[99,0,0]]]"),
-    "negative zero": _edited("[[[-0], [99, 0, 0]]]"),
-    "trailing space": _edited("[[[4], [99, 0, 0]]] "),
-    "CRLF ending": _cache_file(_header(P2), "[[[4], [99, 0, 0]]]").replace("\n", "\r\n"),
-    # the checksum matches, but the body does not parse as a list of entries
-    "non-JSON line": _cache_file(_header(P2), "{4: [99, 0, 0]}"),
-    "past json's int size limit": _cache_file(
-        _header(P2), f"[[[1{'0' * 5000}], [99, 0, 0]], [[4], [1{'0' * 5000}, 0, 0]]]"
+    "wrong version": _cache_file(_header(P2, "0" * 64), marshal.dumps({(4,): (99, 0, 0)})),
+    "foreign fan": _cache_file(
+        _header(projective_space_fan(3)), marshal.dumps({(4,): (99, 0, 0, 0)})
     ),
-    "nested past the recursion limit": _cache_file(_header(P2), "[" * 10**5 + "]" * 10**5),
-    "not a list of entries": _cache_file(_header(P2), "[4, 99]"),
+    "old format": b"[99, 0, 0]\n",
+    "append layout": _header(P2).encode() + b"[[4], [99, 0, 0]]\n",
+    "edited entry": _edited(marshal.dumps({(4,): (99, 0, 0)})),
+    "wrong-length h": _edited(marshal.dumps({(4,): (99, 0)})),
+    "negative h": _edited(marshal.dumps({(4,): (99, -1, 0)})),
+    "float coords": _edited(marshal.dumps({(4.0,): (99, 0, 0)})),
+    "bool h": _edited(marshal.dumps({(4,): (99, False, 0)})),
+    # a write torn inside the entry of O(4): the checksum is the whole body's
+    "truncated last line": _signed(marshal.dumps({(3,): (10, 0, 0), (4,): (99, 0, 0)}))[:-8],
+    # the good entry itself in other bytes, under the good body's checksum:
+    # the checksum binds the bytes, not the value they decode to
+    "version-2 encoding": _edited(marshal.dumps(GOOD, 2)),
+    # marshal's long form of 4 (one 15-bit digit) in place of its int form
+    "an int spelled as a long": _edited(
+        b"{)\x01l\x01\x00\x00\x00\x04\x00)\x03i\x0f\x00\x00\x00i\x00\x00\x00\x00i\x00\x00\x00\x000"
+    ),
+    "trailing space": _edited(GOOD_BODY + b" "),
+    "CRLF ending": _signed(marshal.dumps({(4,): (99, 0, 0)})).replace(b"\n", b"\r\n"),
+    # the checksum matches, but the body is not a marshalled dict
+    "non-JSON line": _signed(b"{4: [99, 0, 0]}"),  # a dict whose key is type code '4'
+    "unknown type code": _signed(b"{)\x01i\x04\x00\x00\x00?0"),
+    "truncated marshal stream": _signed(marshal.dumps({(3,): (10, 0, 0), (4,): (99, 0, 0)})[:-8]),
+    "digit out of range": _signed(
+        b"{)\x01l\x01\x00\x00\x00\xff\xff)\x03i\x63\x00\x00\x00i\x00\x00\x00\x00i\x00\x00\x00\x000"
+    ),
+    "nested past the recursion limit": _signed(b"{" + b")\x01" * 10**5),
+    "not a list of entries": _signed(marshal.dumps([4, 99])),
+    "entries as a list, not a dict": _signed(marshal.dumps([((4,), (99, 0, 0))])),
+    # the format before this one: its type code '[' and the length the next
+    # four bytes '[[4]' spell would have marshal.loads ask for a 12 GB list
+    "the JSON body of the older format": _signed(b"[[[4], [99, 0, 0]]]"),
 }
 
 
 @pytest.mark.parametrize("name", list(BAD_CACHE_FILES))
 def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
-    """A file whose header or checksum does not match, or whose body does
-    not parse as a list of entries, reads as no entry at all, not as some
-    other class: its class is recomputed, and the file is replaced whole by
-    a good one holding the recomputed entry, with no temp file left."""
+    """A file whose header or checksum does not match, or whose body is not
+    a marshalled dict, reads as no entry at all, not as some other class:
+    its class is recomputed, and the file is replaced whole by a good one
+    holding the recomputed entry, with no temp file left."""
     cache = DiskCache(str(tmp_path))
     fan = projective_space_fan(2)
-    with open(cache._path(fan)[0], "w") as fh:
+    path = cache._path(fan)[0]
+    with open(path, "wb") as fh:
         fh.write(BAD_CACHE_FILES[name])
     calls = _count_kernel_calls(monkeypatch)
     assert cohomology_dims(fan, fan.pic_class((4,)), cache=cache) == (15, 0, 0)
     assert len(calls) == 1
-    assert cache.get(fan) == {(4,): (15, 0, 0)}
-    assert [p.read_text() for p in tmp_path.iterdir()] == [GOOD_FILE]
+    assert cache.get(fan) == GOOD
+    assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
     fresh = projective_space_fan(2)
     assert cohomology_dims(fresh, fresh.pic_class((4,)), cache=cache) == (15, 0, 0)
     assert len(calls) == 1
@@ -1005,6 +1029,29 @@ def test_malformed_cache_file_is_recomputed(tmp_path, monkeypatch, name):
         # tear is recomputed too
         assert cohomology_dims(fan, fan.pic_class((3,)), cache=cache) == (10, 0, 0)
         assert len(calls) == 2
+
+
+def test_the_bad_bodies_fail_as_the_table_says():
+    """What marshal makes of each checksum-valid bad body: an error the
+    reader catches, or a value that is not a dict (read without loading it
+    for the older format's body); and the edited bodies under the good
+    checksum decode to other entries, or to the good ones in other bytes."""
+    def body(name):
+        return BAD_CACHE_FILES[name].split(b"\n", 2)[2]
+
+    for name in ("non-JSON line", "unknown type code", "digit out of range"):
+        with pytest.raises(ValueError):
+            marshal.loads(body(name))
+    with pytest.raises(ValueError, match="recursion limit"):
+        marshal.loads(body("nested past the recursion limit"))
+    with pytest.raises(EOFError):
+        marshal.loads(body("truncated marshal stream"))
+    for name in ("not a list of entries", "entries as a list, not a dict"):
+        assert type(marshal.loads(body(name))) is list
+    assert body("the JSON body of the older format")[:1] == b"["
+    for name in ("version-2 encoding", "an int spelled as a long", "trailing space"):
+        assert marshal.loads(body(name)) == GOOD and body(name) != GOOD_BODY
+    assert marshal.loads(body("edited entry")) == {(4,): (99, 0, 0)}
 
 
 def test_a_file_of_another_source_digest_is_not_read(tmp_path, monkeypatch):
@@ -1028,6 +1075,32 @@ def test_a_file_of_another_source_digest_is_not_read(tmp_path, monkeypatch):
     cohomology._source_digest.cache_clear()
     assert cohomology_dims(fan, fan.pic_class((5,))) == (21, 0, 0)
     assert cohomology._source_digest.cache_info().misses == 0
+
+
+def test_a_file_of_another_marshal_version_is_not_read(tmp_path, monkeypatch):
+    """marshal.version is in the header: a Python whose marshal format is
+    another writes its own file, which this one never reads or rewrites."""
+    fan = projective_space_fan(2)
+    cache = DiskCache(str(tmp_path))
+    path, header = cache._path(fan)
+    with monkeypatch.context() as patch:
+        patch.setattr(marshal, "version", marshal.version - 1)
+        other, other_header = cache._path(fan)
+        assert other != path
+        assert other_header == _header(fan)[:-1].encode()
+        cache.put(fan, {(4,): (99, 0, 0)})
+        assert cohomology_dims(fan, fan.pic_class((4,)), cache=cache) == (99, 0, 0)
+    assert header == _header(fan)[:-1].encode() != other_header
+    with open(other, "rb") as fh:
+        planted = fh.read()
+    calls = _count_kernel_calls(monkeypatch)
+    assert cache.get(fan) == {}
+    assert cohomology_dims(fan, fan.pic_class((4,)), cache=cache) == (15, 0, 0)
+    assert len(calls) == 1
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(map(os.path.basename, (path, other)))
+    with open(other, "rb") as fh:
+        assert fh.read() == planted
 
 
 def test_the_source_digest_reads_every_module_the_oracle_imports(monkeypatch):
